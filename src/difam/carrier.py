@@ -27,8 +27,8 @@ class ProductCarrier(AbelianGroup):
             return self.group == other.group and self.field == other.field
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.group, self.field))
+    # equal to the AbelianGroup with the same cyclic orders, so hash alike
+    __hash__ = AbelianGroup.__hash__
 
     def __repr__(self) -> str:
         return f"ProductCarrier({self.group} x {self.field})"

@@ -20,7 +20,7 @@ def example51() -> StrongDifferenceFamily:
     """The (5,5,4) difference multiset {0,1,1,4,4} on Z_5; additive."""
     group = AbelianGroup((5,))
     block = GMultiset(group, [(0,), (1,), (1,), (4,), (4,)])
-    return StrongDifferenceFamily(group, 5, 4, [block], True)
+    return StrongDifferenceFamily(group, 5, 4, [block])
 
 
 # six base blocks of a (Z_5 x F_25, Z_5 x {0}, 5, 1)-DF; F_25 built on x^2+x+2
@@ -56,9 +56,7 @@ def _triple_df(
         blocks.append(
             GMultiset(carrier, [carrier.join((a,), (c, b)) for a, b, c in t])
         )
-    return RelativeDifferenceFamily(
-        carrier, carrier.forbidden_subgroup(), k, 1, blocks, True
-    )
+    return RelativeDifferenceFamily(carrier, carrier.forbidden_subgroup(), k, 1, blocks)
 
 
 def thm62_z5() -> RelativeDifferenceFamily:
@@ -85,7 +83,7 @@ def sigma_prime() -> StrongDifferenceFamily:
         for a in a_set:
             entries[(a,)] += 2
         blocks.append(GMultiset(group, entries))
-    return StrongDifferenceFamily(group, 15, 42, blocks, True)
+    return StrongDifferenceFamily(group, 15, 42, blocks)
 
 
 def paper_signed_lifting_z5() -> tuple[FiniteField, list[dict]]:

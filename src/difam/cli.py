@@ -190,27 +190,25 @@ def _cmd_lift(args) -> int:
     try:
         if args.strategy == "simple":
             rdf = simple_lift(obj, field, signed=args.signed)
-        elif args.strategy == "signed":
-            half = obj.lam // 2
-            lifting = signed_lift(obj, field, half, budget=args.budget, seed=args.seed)
-            mults = MultiplierSet(field, coset_reps(field, ("pm1-in-index", half)))
-            rdf, verdict = apply_multipliers(lifting, mults)
-            if not verdict.ok:
-                print(f"multiplier expansion failed at g={verdict.failing_g}")
-                return 1
+            v = verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, rdf.k, rdf.lam)
         else:
-            psi = build_psi(obj, obj.lam, seed=args.psi_seed)
-            search = greedy_lift if args.strategy == "greedy" else zero_sum_lift
-            lifting = search(obj, field, psi, budget=args.budget, seed=args.seed)
-            mults = MultiplierSet(field, cyclotomic_class(field, obj.lam, 0))
+            if args.strategy == "signed":
+                half = obj.lam // 2
+                lifting = signed_lift(obj, field, half, budget=args.budget, seed=args.seed)
+                mults = MultiplierSet(field, coset_reps(field, ("pm1-in-index", half)))
+            else:
+                psi = build_psi(obj, obj.lam, seed=args.psi_seed)
+                search = greedy_lift if args.strategy == "greedy" else zero_sum_lift
+                lifting = search(obj, field, psi, budget=args.budget, seed=args.seed)
+                mults = MultiplierSet(field, cyclotomic_class(field, obj.lam, 0))
             rdf, verdict = apply_multipliers(lifting, mults)
             if not verdict.ok:
                 print(f"multiplier expansion failed at g={verdict.failing_g}")
                 return 1
+            v = verdict.rdf_verdict  # apply_multipliers has run verify_rdf
     except (LiftingError, FamilyError, FieldError) as exc:
         print(f"lift failed: {exc}", file=sys.stderr)
         return 1
-    v = verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, rdf.k, rdf.lam)
     if not v.is_rdf:
         print("lift output failed re-verification")
         return 1

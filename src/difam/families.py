@@ -6,6 +6,10 @@ argument).
 
 Verifiers return verdicts carrying full coverage maps rather than booleans,
 so a failing family can be diagnosed and a passing one certified.
+
+Additivity is never stored: each family type derives `additive` from its
+current blocks on every access through `blocks_are_additive`, the same
+helper the verifiers use for `is_additive`.
 """
 
 from __future__ import annotations
@@ -58,17 +62,38 @@ class PartialSpread:
 Forbidden = Union[Subgroup, PartialSpread]
 
 
+def _members(forbidden: Forbidden) -> list[Subgroup]:
+    return [forbidden] if isinstance(forbidden, Subgroup) else forbidden.members
+
+
+def blocks_are_additive(group: AbelianGroup, blocks, forbidden: Sequence[Subgroup]) -> bool:
+    """Every block sums to zero and no forbidden subgroup is binary (has
+    exactly one involution); absolute families pass no forbidden subgroups."""
+    return all(sum_of(group, b) == group.zero for b in blocks) and not any(
+        _subgroup_is_binary(sub) for sub in forbidden
+    )
+
+
+def _subgroup_is_binary(sub: Subgroup) -> bool:
+    group = sub.parent
+    involutions = sum(1 for g in sub.elements if group.add(g, g) == group.zero)
+    return involutions == 2  # zero plus exactly one involution
+
+
 @dataclass
 class StrongDifferenceFamily:
     group: AbelianGroup
     k: int
     lam: int
     blocks: list[GMultiset]
-    additive: bool
 
     @property
     def s(self) -> int:
         return len(self.blocks)
+
+    @property
+    def additive(self) -> bool:
+        return blocks_are_additive(self.group, self.blocks, ())
 
 
 @dataclass
@@ -78,16 +103,17 @@ class RelativeDifferenceFamily:
     k: int
     lam: int
     blocks: list[GMultiset]
-    additive: bool
 
     @property
     def s(self) -> int:
         return len(self.blocks)
 
+    @property
+    def additive(self) -> bool:
+        return blocks_are_additive(self.group, self.blocks, self.forbidden_members())
+
     def forbidden_members(self) -> list[Subgroup]:
-        if isinstance(self.forbidden, Subgroup):
-            return [self.forbidden]
-        return self.forbidden.members
+        return _members(self.forbidden)
 
 
 @dataclass
@@ -96,7 +122,10 @@ class DifferenceMatrix:
     k: int
     mu: int
     columns: list[tuple[Element, ...]]
-    additive: bool
+
+    @property
+    def additive(self) -> bool:
+        return blocks_are_additive(self.group, self.columns, ())
 
 
 @dataclass
@@ -139,8 +168,7 @@ def verify_sdf(
         return SdfVerdict(False, False, None, empty)
     cov = coverage(delta_family(list(blocks)), group)
     is_sdf = cov.ok and cov.constant_lambda == lam
-    additive = all(sum_of(group, b) == group.zero for b in blocks)
-    return SdfVerdict(is_sdf, additive, cov.constant_lambda, cov)
+    return SdfVerdict(is_sdf, blocks_are_additive(group, blocks, ()), cov.constant_lambda, cov)
 
 
 def verify_rdf(
@@ -151,7 +179,7 @@ def verify_rdf(
     lam: int,
 ) -> RdfVerdict:
     """Is this a difference family relative to a subgroup or partial spread?"""
-    members = [forbidden] if isinstance(forbidden, Subgroup) else forbidden.members
+    members = _members(forbidden)
     for sub in members:
         if sub.parent != group:
             raise FamilyError("forbidden subgroup has the wrong parent group")
@@ -164,16 +192,8 @@ def verify_rdf(
     )
     cov = coverage(delta, group, members)
     is_rdf = cov.ok and cov.constant_lambda == lam
-    additive = all(sum_of(group, b) == group.zero for b in blocks) and all(
-        not _subgroup_is_binary(sub) for sub in members
-    )
+    additive = blocks_are_additive(group, blocks, members)
     return RdfVerdict(is_rdf, additive, cov.constant_lambda, cov)
-
-
-def _subgroup_is_binary(sub: Subgroup) -> bool:
-    group = sub.parent
-    involutions = sum(1 for g in sub.elements if group.add(g, g) == group.zero)
-    return involutions == 2  # zero plus exactly one involution
 
 
 def spread_conditions(group: AbelianGroup | int, k: int, s: int) -> ParamVerdict:
@@ -220,9 +240,7 @@ def paley_sdf(q: int) -> StrongDifferenceFamily:
     entries: Counter = Counter({fld.zero: 1})
     for sq in nonzero_squares(fld):
         entries[sq] += 2
-    block = GMultiset(group, entries)
-    additive = sum_of(group, block) == group.zero
-    return StrongDifferenceFamily(group, q, q - 1, [block], additive)
+    return StrongDifferenceFamily(group, q, q - 1, [GMultiset(group, entries)])
 
 
 def verify_dm(
@@ -248,8 +266,7 @@ def verify_dm(
             for e in group.elements():
                 if counts.get(e, 0) != mu:
                     failures.append((i, j, e, counts.get(e, 0)))
-    additive = all(sum_of(group, c) == group.zero for c in cols)
-    return DmVerdict(not failures, additive, failures)
+    return DmVerdict(not failures, blocks_are_additive(group, cols, ()), failures)
 
 
 def zero_sum_dm(group: AbelianGroup, k: int, cap: int = 10**6) -> DifferenceMatrix:
@@ -265,11 +282,8 @@ def zero_sum_dm(group: AbelianGroup, k: int, cap: int = 10**6) -> DifferenceMatr
     elems = sorted(group.elements())
     columns = []
     for head in itertools.product(elems, repeat=k - 1):
-        total = group.zero
-        for e in head:
-            total = group.add(total, e)
-        columns.append(head + (group.neg(total),))
-    return DifferenceMatrix(group, k, group.order ** (k - 2), columns, True)
+        columns.append(head + (group.neg(sum_of(group, head)),))
+    return DifferenceMatrix(group, k, group.order ** (k - 2), columns)
 
 
 def jungnickel_compose(
@@ -286,9 +300,7 @@ def jungnickel_compose(
             blocks.append(
                 GMultiset(product, [b + m for b, m in zip(expanded, col)])
             )
-    return StrongDifferenceFamily(
-        product, sdf.k, sdf.lam * dm.mu, blocks, sdf.additive and dm.additive
-    )
+    return StrongDifferenceFamily(product, sdf.k, sdf.lam * dm.mu, blocks)
 
 
 def theorem82_coverage_forms(q: int, r: int) -> dict[str, int]:
@@ -322,4 +334,4 @@ def theorem82_core_sdf(k: int) -> StrongDifferenceFamily:
     block_a = GMultiset(group, a_entries)
     block_b = GMultiset(group, Counter({e: r for e in group.elements()}))
     blocks = [block_a] + [block_b] * (r - 1)
-    return StrongDifferenceFamily(group, k, (k - 1) * r * r, blocks, True)
+    return StrongDifferenceFamily(group, k, (k - 1) * r * r, blocks)

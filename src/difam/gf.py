@@ -179,10 +179,6 @@ def _find_primitive_modulus(p, n):
     raise FieldError(f"no primitive polynomial of degree {n} over GF({p})")  # unreachable
 
 
-def make_field(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> FiniteField:
-    return FiniteField(p, n, modulus)
-
-
 def parse_modulus(text: str) -> tuple[int, ...]:
     """Comma-separated ascending coefficients, e.g. '2,1,1' for x^2+x+2."""
     try:

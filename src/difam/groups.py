@@ -134,10 +134,6 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent})"
 
 
-def make_group(cyclic_orders: Sequence[int]) -> AbelianGroup:
-    return AbelianGroup(cyclic_orders)
-
-
 def generated_subgroup(group: AbelianGroup, generators: Iterable[Element]) -> Subgroup:
     """Smallest subgroup containing the generators."""
     gens = [group.check(g) for g in generators]
@@ -184,10 +180,7 @@ def is_binary(group: AbelianGroup) -> bool:
 
 def is_zero_sum_group(group: AbelianGroup) -> bool:
     """True iff all elements of the group sum to the identity."""
-    total = group.zero
-    for g in group.elements():
-        total = group.add(total, g)
-    return total == group.zero
+    return sum_of(group, group.elements()) == group.zero
 
 
 def element_order(group: AbelianGroup, g: Element) -> int:

@@ -5,7 +5,10 @@ The header carries the carrier (group factors and/or field p,n,modulus),
 the role, k, and lambda (mu for difference matrices); the body carries the
 blocks.  Group elements are residue lists, field elements ascending
 coefficient lists, product elements {"g": [...], "f": [...]}.  Designs may
-attach a multiplicity to each block.  parse(render(x)) == x.
+attach a multiplicity to each block.  parse(render(x)) == x for every
+field of every role: a family's `additive` is derived from its blocks, not
+stored, so the file carries no flag.  Parsing checks structure only and
+runs no verifier; each CLI command verifies a family it reads once.
 """
 
 from __future__ import annotations
@@ -22,11 +25,10 @@ from .families import (
     PartialSpread,
     RelativeDifferenceFamily,
     StrongDifferenceFamily,
-    verify_rdf,
 )
 from .designs import Design
 from .gf import FiniteField
-from .groups import AbelianGroup, Subgroup, sum_of
+from .groups import AbelianGroup, Subgroup
 
 
 class FamilyFormatError(ValueError):
@@ -212,19 +214,16 @@ def parse_family(text: str) -> Family:
             mu = int(doc["mu"])
         except (KeyError, TypeError, ValueError):
             raise FamilyFormatError("difference matrix needs mu", "mu")
-        columns = [tuple(c) for c in blocks]
-        additive = all(sum_of(carrier, c) == carrier.zero for c in columns)
-        return DifferenceMatrix(carrier, k, mu, columns, additive)
+        return DifferenceMatrix(carrier, k, mu, [tuple(c) for c in blocks])
 
     try:
         lam = int(doc["lambda"])
     except (KeyError, TypeError, ValueError):
         raise FamilyFormatError("missing or bad lambda", "lambda")
 
+    msets = [GMultiset(carrier, b) for b in blocks]
     if role == "sdf":
-        msets = [GMultiset(carrier, b) for b in blocks]
-        additive = all(sum_of(carrier, b) == carrier.zero for b in msets)
-        return StrongDifferenceFamily(carrier, k, lam, msets, additive)
+        return StrongDifferenceFamily(carrier, k, lam, msets)
 
     raw_forbidden = doc.get("forbidden")
     if not isinstance(raw_forbidden, list) or not raw_forbidden:
@@ -241,6 +240,4 @@ def parse_family(text: str) -> Family:
         except ValueError as exc:
             raise FamilyFormatError(str(exc), where)
     forbidden = subs[0] if len(subs) == 1 else PartialSpread(subs)
-    msets = [GMultiset(carrier, b) for b in blocks]
-    additive = verify_rdf(msets, carrier, forbidden, k, lam).is_additive
-    return RelativeDifferenceFamily(carrier, forbidden, k, lam, msets, additive)
+    return RelativeDifferenceFamily(carrier, forbidden, k, lam, msets)

@@ -159,20 +159,29 @@ def verify_psi(psi: PsiAssignment) -> bool:
     return all(sorted(vals) == list(range(lam)) for vals in by_g.values())
 
 
+def _pair_classes(field: FiniteField, coords: Sequence[Element], lam: int):
+    """(i, j, c) for every ordered pair i != j: c is the order-lam cyclotomic
+    class of coords[i] - coords[j], or None when that difference is zero."""
+    for i, x in enumerate(coords):
+        for j, y in enumerate(coords):
+            if i != j:
+                d = field.sub(x, y)
+                yield i, j, None if d == field.zero else field.log[d] % lam
+
+
+def _block_lifts(
+    field: FiniteField, coords: Sequence[Element], psi: PsiAssignment, h: int
+) -> bool:
+    # a zero difference (class None) never matches a psi residue
+    return all(c == psi.table[(h, i, j)] for i, j, c in _pair_classes(field, coords, psi.lam))
+
+
 def check_lifting(lifting: Lifting, psi: PsiAssignment) -> bool:
     """Do all ordered pairs of every lifted block hit their prescribed class?"""
-    fld = lifting.field
-    lam = psi.lam
-    for h, coords in enumerate(lifting.second_coords):
-        k = len(coords)
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                d = fld.sub(coords[i], coords[j])
-                if d == fld.zero or fld.log[d] % lam != psi.table[(h, i, j)]:
-                    return False
-    return True
+    return all(
+        _block_lifts(lifting.field, coords, psi, h)
+        for h, coords in enumerate(lifting.second_coords)
+    )
 
 
 def _require_congruence(field: FiniteField, lam: int) -> None:
@@ -271,15 +280,10 @@ def zero_sum_adjust(rdf: RelativeDifferenceFamily, k: int) -> RelativeDifference
         raise LiftingError(f"k={k} is zero in characteristic {fld.p}")
     new_blocks = []
     for block in rdf.blocks:
-        sigma = fld.zero
-        for e in block.expand():
-            sigma = fld.add(sigma, carrier.field_part(e))
+        sigma = carrier.field_part(sum_of(carrier, block))
         shift = carrier.join(carrier.group.zero, fld.neg(fld.div_int(sigma, k)))
         new_blocks.append(block.translate(shift))
-    additive = all(sum_of(carrier, b) == carrier.zero for b in new_blocks)
-    return RelativeDifferenceFamily(
-        carrier, rdf.forbidden, rdf.k, rdf.lam, new_blocks, additive
-    )
+    return RelativeDifferenceFamily(carrier, rdf.forbidden, rdf.k, rdf.lam, new_blocks)
 
 
 def zero_sum_lift(
@@ -316,10 +320,7 @@ def zero_sum_lift(
         chosen: list[Element] = []
 
         def sigma(upto: int) -> Element:
-            acc = field.zero
-            for x in chosen[:upto]:
-                acc = field.add(acc, x)
-            return acc
+            return sum_of(field.additive_group, chosen[:upto])
 
         def candidates(i: int) -> list[Element]:
             # 0-based position i corresponds to the (i+1)-th chosen element
@@ -369,7 +370,7 @@ def zero_sum_lift(
 
         def extend(i: int) -> bool:
             if i == k:
-                return _block_ok(h, chosen)
+                return _block_lifts(field, chosen, psi, h)
             tracker.tick(i)
             for x in _candidate_order(field, candidates(i), rng):
                 chosen.append(x)
@@ -377,16 +378,6 @@ def zero_sum_lift(
                     return True
                 chosen.pop()
             return False
-
-        def _block_ok(h: int, coords_h: list[Element]) -> bool:
-            for i in range(k):
-                for j in range(k):
-                    if i == j:
-                        continue
-                    d = field.sub(coords_h[i], coords_h[j])
-                    if d == field.zero or field.log[d] % lam != psi.table[(h, i, j)]:
-                        return False
-            return True
 
         if not extend(0):
             raise LiftingError(
@@ -399,12 +390,8 @@ def zero_sum_lift(
     lifting = Lifting(sdf, field, coords, "zero-sum")
     if not check_lifting(lifting, psi):
         raise LiftingError("search produced a lifting that fails the pair checker")
-    for coords_h in lifting.second_coords:
-        acc = field.zero
-        for x in coords_h:
-            acc = field.add(acc, x)
-        if acc != field.zero:
-            raise LiftingError("zero-sum lifting produced a non-zero-sum block")
+    if any(sum_of(field.additive_group, c) != field.zero for c in coords):
+        raise LiftingError("zero-sum lifting produced a non-zero-sum block")
     return lifting
 
 
@@ -461,18 +448,14 @@ def verify_signed_lifting(
         a_set = _signed_shape(block)
         if set(assign) != set(a_set):
             raise LiftingError("assignment does not match the block's half set")
-        pts = [(group.zero, field.zero)]
+        gs, ys = [group.zero], [field.zero]
         for a in a_set:
-            pts.append((a, assign[a]))
-            pts.append((a, field.neg(assign[a])))
-        for gi, yi in pts:
-            for gj, yj in pts:
-                if (gi, yi) == (gj, yj):
-                    continue
-                d = field.sub(yi, yj)
-                if d == field.zero:
-                    return False
-                counts[(group.sub(gi, gj), field.log[d] % half_lambda)] += 1
+            gs += [a, a]
+            ys += [assign[a], field.neg(assign[a])]
+        for i, j, c in _pair_classes(field, ys, half_lambda):
+            if c is None:
+                return False
+            counts[(group.sub(gs[i], gs[j]), c)] += 1
     expected = {
         (g, c): 2 for g in group.elements() for c in range(half_lambda)
     }
@@ -596,13 +579,26 @@ class MultiplierVerdict:
     rdf_verdict: Optional[RdfVerdict]
 
 
+def _multiply_out(
+    carrier: ProductCarrier, point_lists: Sequence[Sequence[Element]], mults: Sequence[Element]
+) -> list[GMultiset]:
+    """One block per (point list, multiplier): the field parts scaled by m."""
+    return [
+        GMultiset(carrier, [carrier.scale_field(e, m) for e in pts])
+        for pts in point_lists
+        for m in mults
+    ]
+
+
 def apply_multipliers(
     lifting: Lifting, multipliers: MultiplierSet
 ) -> tuple[RelativeDifferenceFamily, MultiplierVerdict]:
-    """Expand a lifting by a multiplier set and verify the result.
+    """Expand a lifting by a multiplier set and verify the result as a DF
+    relative to G x {0}.
 
-    Checks that Delta_g * M covers F_q^* exactly once for every g, then
-    re-verifies the whole family as a DF relative to G x {0}.
+    Delta_g * M covers F_q^* exactly once for every g exactly when the
+    expansion verifies; on failure `failing_g` is the least group part among
+    the uncovered or overcovered elements.
     """
     fld = lifting.field
     sdf = lifting.sdf
@@ -612,40 +608,15 @@ def apply_multipliers(
             f"need |M| = (q-1)/lambda = {(fld.q - 1) // lam}, got {len(multipliers.elements)}"
         )
     carrier = lifting.carrier()
-    lifted = lifting.lifted_blocks()
-
-    # per-g second-coordinate difference lists
-    delta_g: dict[Element, list[Element]] = {}
-    for block in lifted:
-        pts = block.expand()
-        for i, x in enumerate(pts):
-            for j, y in enumerate(pts):
-                if i != j:
-                    g = carrier.group.sub(carrier.group_part(x), carrier.group_part(y))
-                    delta_g.setdefault(g, []).append(
-                        fld.sub(carrier.field_part(x), carrier.field_part(y))
-                    )
-    failing = None
-    target = Counter({e: 1 for e in fld.elements() if e != fld.zero})
-    for g, ds in sorted(delta_g.items()):
-        prods = Counter(fld.mul(d, m) for d in ds for m in multipliers.elements)
-        if prods != target:
-            failing = g
-            break
-
-    blocks = []
-    for block in lifted:
-        for m in multipliers.elements:
-            blocks.append(
-                GMultiset(carrier, [carrier.scale_field(e, m) for e in block.expand()])
-            )
+    lifted = [block.expand() for block in lifting.lifted_blocks()]
+    blocks = _multiply_out(carrier, lifted, multipliers.elements)
     forbidden = carrier.forbidden_subgroup()
     rdf_verdict = verify_rdf(blocks, carrier, forbidden, sdf.k, 1)
-    rdf = RelativeDifferenceFamily(
-        carrier, forbidden, sdf.k, 1, blocks, rdf_verdict.is_additive
+    failing = min(
+        (carrier.group_part(e) for e, _ in rdf_verdict.coverage.failures), default=None
     )
-    ok = failing is None and rdf_verdict.is_rdf
-    return rdf, MultiplierVerdict(ok, failing, rdf_verdict)
+    rdf = RelativeDifferenceFamily(carrier, forbidden, sdf.k, 1, blocks)
+    return rdf, MultiplierVerdict(rdf_verdict.is_rdf, failing, rdf_verdict)
 
 
 def extend_field(rdf: RelativeDifferenceFamily, n: int) -> RelativeDifferenceFamily:
@@ -665,24 +636,13 @@ def extend_field(rdf: RelativeDifferenceFamily, n: int) -> RelativeDifferenceFam
     d = (big.q - 1) // (base.q - 1)
     reps = coset_reps(big, ("index", d))
     new_carrier = ProductCarrier(carrier.group, big)
-    blocks = []
-    for block in rdf.blocks:
-        split = [(carrier.group_part(e), embed[carrier.field_part(e)]) for e in block.expand()]
-        for s in reps:
-            blocks.append(
-                GMultiset(
-                    new_carrier,
-                    [new_carrier.join(g, big.mul(x, s)) for g, x in split],
-                )
-            )
-    additive = all(sum_of(new_carrier, b) == new_carrier.zero for b in blocks)
+    embedded = [
+        [new_carrier.join(g, embed[x]) for g, x in map(carrier.split, block.expand())]
+        for block in rdf.blocks
+    ]
+    blocks = _multiply_out(new_carrier, embedded, reps)
     return RelativeDifferenceFamily(
-        new_carrier,
-        new_carrier.forbidden_subgroup(),
-        rdf.k,
-        rdf.lam,
-        blocks,
-        additive,
+        new_carrier, new_carrier.forbidden_subgroup(), rdf.k, rdf.lam, blocks
     )
 
 
@@ -691,10 +651,7 @@ def _default_zero_sum_subset(field: FiniteField, k: int) -> list[Element]:
     head = elems[: k - 1]
     pool = iter(elems[k - 1 :])
     while True:
-        acc = field.zero
-        for e in head:
-            acc = field.add(acc, e)
-        last = field.neg(acc)
+        last = field.neg(sum_of(field.additive_group, head))
         if last not in head:
             return head + [last]
         head[-1] = next(pool)
@@ -768,10 +725,7 @@ def simple_lift(
             L_elems = [fld.check(e) for e in L]
             if len(L_elems) != k or len(set(L_elems)) != k:
                 raise LiftingError("L must be a k-set")
-            acc = fld.zero
-            for e in L_elems:
-                acc = fld.add(acc, e)
-            if acc != fld.zero:
+            if sum_of(fld.additive_group, L_elems) != fld.zero:
                 raise LiftingError("L must be zero-sum")
         lifted = [
             [carrier.join(b, x) for b, x in zip(block.expand(), L_elems)]
@@ -780,11 +734,5 @@ def simple_lift(
         mults = [fld.exp[i] for i in range(fld.q - 1)]
         lam_out = sdf.lam
 
-    blocks = []
-    for pts in lifted:
-        for m in mults:
-            blocks.append(GMultiset(carrier, [carrier.scale_field(e, m) for e in pts]))
-    additive = all(sum_of(carrier, b) == carrier.zero for b in blocks)
-    return RelativeDifferenceFamily(
-        carrier, carrier.forbidden_subgroup(), k, lam_out, blocks, additive
-    )
+    blocks = _multiply_out(carrier, lifted, mults)
+    return RelativeDifferenceFamily(carrier, carrier.forbidden_subgroup(), k, lam_out, blocks)

@@ -36,10 +36,10 @@ def test_develop_refuses_broken_family():
     rdf = thm62_z5()
     carrier = rdf.group
     broken = [rdf.blocks[0].translate(carrier.decode(7))] + rdf.blocks[1:]
-    bad = RelativeDifferenceFamily(carrier, rdf.forbidden, 5, 1, broken, False)
+    bad = RelativeDifferenceFamily(carrier, rdf.forbidden, 5, 1, broken)
     # translation preserves differences, so this still verifies; break it
     # harder by dropping a block instead
-    worse = RelativeDifferenceFamily(carrier, rdf.forbidden, 5, 1, rdf.blocks[:5], False)
+    worse = RelativeDifferenceFamily(carrier, rdf.forbidden, 5, 1, rdf.blocks[:5])
     with pytest.raises(DesignError):
         develop(worse)
     assert develop(bad).b == develop(rdf).b
@@ -50,7 +50,7 @@ def test_develop_forbidden_order_mismatch():
     from difam.groups import Subgroup
 
     sub = Subgroup(rdf.group, [rdf.group.zero], verify=False)
-    clone = RelativeDifferenceFamily(rdf.group, sub, 5, 1, rdf.blocks, True)
+    clone = RelativeDifferenceFamily(rdf.group, sub, 5, 1, rdf.blocks)
     with pytest.raises(DesignError):
         develop(clone)
 

@@ -7,7 +7,6 @@ from difam.gf import (
     class_index,
     coset_reps,
     cyclotomic_class,
-    make_field,
     nonzero_squares,
     parse_modulus,
     render_modulus,
@@ -90,10 +89,6 @@ def test_modulus_text_roundtrip():
     assert render_modulus((2, 1, 1)) == "2,1,1"
     with pytest.raises(FieldError):
         parse_modulus("2,x,1")
-
-
-def test_make_field():
-    assert make_field(5, 2).q == 25
 
 
 def test_class_index_arithmetic():

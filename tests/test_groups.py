@@ -1,5 +1,7 @@
 import pytest
 
+from difam.carrier import ProductCarrier
+from difam.gf import FiniteField
 from difam.groups import (
     AbelianGroup,
     GroupError,
@@ -10,7 +12,6 @@ from difam.groups import (
     involution_subgroup,
     is_binary,
     is_zero_sum_group,
-    make_group,
     radical,
     sum_of,
 )
@@ -59,8 +60,12 @@ def test_bad_orders_rejected():
         AbelianGroup((0,))
 
 
-def test_make_group():
-    assert make_group((2, 3)) == AbelianGroup((2, 3))
+def test_product_carrier_hashes_like_equal_group():
+    pc = ProductCarrier(AbelianGroup((5,)), FiniteField(5, 2))
+    ag = AbelianGroup((5, 5, 5))
+    assert pc == ag and ag == pc
+    assert hash(pc) == hash(ag)
+    assert len({pc, ag}) == 1
 
 
 def test_presentation_matters():

@@ -6,6 +6,7 @@ from difam.diffs import GMultiset
 from difam.families import FamilyError, verify_rdf
 from difam.gf import FiniteField, coset_reps, cyclotomic_class
 from difam.groups import AbelianGroup, sum_of
+from difam.io import parse_family, render_family
 from difam.lifting import (
     Lifting,
     LiftingError,
@@ -47,7 +48,7 @@ def test_build_psi_involution_elements():
     from difam.families import StrongDifferenceFamily
 
     # every nonzero difference appears 4 times within the single block
-    sdf = StrongDifferenceFamily(group, 4, 4, [block], True)
+    sdf = StrongDifferenceFamily(group, 4, 4, [block])
     psi = build_psi(sdf, 4, seed=3)
     assert verify_psi(psi)
 
@@ -65,7 +66,7 @@ def test_build_psi_rejects_non_sdf():
 
     group = AbelianGroup((5,))
     block = GMultiset(group, [(0,), (1,), (3,)])
-    fake = StrongDifferenceFamily(group, 3, 2, [block], False)
+    fake = StrongDifferenceFamily(group, 3, 2, [block])
     with pytest.raises(LiftingError):
         build_psi(fake, 2)
 
@@ -109,6 +110,11 @@ def test_apply_multipliers_gf13():
     assert rdf.lam == 1
     assert rdf.s == 3
     assert verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, 5, 1).is_rdf
+    # one moved second coordinate breaks the coverage of several g
+    lifting.second_coords[0][1] = field.add(lifting.second_coords[0][1], field.one)
+    _, damaged = apply_multipliers(lifting, mults)
+    assert damaged.ok is False
+    assert damaged.failing_g == (1,)
 
 
 def test_apply_multipliers_size_check():
@@ -176,7 +182,7 @@ def test_zero_sum_lift_rejects_k3():
 
     group = AbelianGroup((3,))
     block = GMultiset(group, [(0,), (0,), (1,)])
-    sdf = StrongDifferenceFamily(group, 3, 2, [block], False)
+    sdf = StrongDifferenceFamily(group, 3, 2, [block])
     psi = build_psi(sdf, 2, seed=0)
     with pytest.raises(LiftingError):
         zero_sum_lift(sdf, FiniteField(3, 3), psi)
@@ -209,7 +215,7 @@ def test_signed_lift_shape_error():
 
     group = AbelianGroup((4,))
     block = GMultiset(group, [(0,), (1,), (1,), (2,)])
-    sdf = StrongDifferenceFamily(group, 4, 4, [block], True)
+    sdf = StrongDifferenceFamily(group, 4, 4, [block])
     with pytest.raises(LiftingError):
         signed_lift(sdf, FiniteField(5, 2), 2)
 
@@ -274,6 +280,23 @@ def test_simple_lift_unsigned():
     assert verdict.is_rdf
 
 
+def test_simple_lift_additive_follows_binary_forbidden():
+    # an additive SDF over Z_2 lifts to zero-sum blocks, but the forbidden
+    # subgroup Z_2 x {0} is binary, so the relative family is not additive
+    from difam.families import StrongDifferenceFamily
+
+    group = AbelianGroup((2,))
+    sdf = StrongDifferenceFamily(group, 16, 120, [GMultiset(group, [(0,)] * 10 + [(1,)] * 6)])
+    assert sdf.additive
+    field = FiniteField(17, 1)
+    nonzero = [e for e in field.elements() if e != field.zero]
+    rdf = simple_lift(sdf, field, L=nonzero)
+    verdict = verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, rdf.k, rdf.lam)
+    assert rdf.additive is False
+    assert rdf.additive == verdict.is_additive
+    assert parse_family(render_family(rdf)) == rdf
+
+
 def test_simple_lift_signed_halves_lambda():
     sdf = example51()
     field = FiniteField(7, 1)
@@ -317,6 +340,6 @@ def test_simple_lift_requires_additive_sdf():
 
     group = AbelianGroup((3,))
     block = GMultiset(group, [(0,), (0,), (1,)])
-    sdf = StrongDifferenceFamily(group, 3, 2, [block], False)
+    sdf = StrongDifferenceFamily(group, 3, 2, [block])
     with pytest.raises(LiftingError):
         simple_lift(sdf, FiniteField(7, 1))

@@ -124,7 +124,7 @@ def test_develop_verify_equivalence_on_fixtures():
         assert verdict.is_design, name
         assert verdict.lambda_found == obj.lam, name
         broken = RelativeDifferenceFamily(
-            obj.group, obj.forbidden, obj.k, obj.lam, obj.blocks[:-1], obj.additive
+            obj.group, obj.forbidden, obj.k, obj.lam, obj.blocks[:-1]
         )
         from difam.designs import DesignError
 
