@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from sympy import isprime
 
 from .diffs import GMultiset
 from .families import FamilyError, RelativeDifferenceFamily, verify_rdf
@@ -237,32 +238,30 @@ def _orbit_size(carrier: AbelianGroup, rep_row: tuple) -> int:
 
 
 def ag_design(n: int, p: int) -> Design:
-    """The points and lines of the affine space of dimension n over Z_p."""
+    """The points and lines of the affine space of dimension n over Z_p.
+
+    Lines are grouped by direction (directions in lexicographic order, each
+    scaled so that its first nonzero coordinate is 1) and, within a
+    direction, ordered by their least point.
+    """
     if n < 2:
         raise DesignError(f"need dimension n >= 2, got {n}")
+    if not isprime(p):
+        raise DesignError(f"need a prime p, got {p}")
     carrier = AbelianGroup((p,) * n)
     v = carrier.order
-    directions = []
-    for e in carrier.elements():
-        nz = next((i for i, c in enumerate(e) if c), None)
-        if nz is not None and e[nz] == 1:
-            directions.append(e)
+    points = _decode_array(carrier, np.arange(v, dtype=np.int64))  # (v, n), row i is point i
+    nonzero = points != 0
+    lead = points[np.arange(v), nonzero.argmax(axis=1)]
+    directions = points[nonzero.any(axis=1) & (lead == 1)]
+    steps = np.arange(p, dtype=np.int64)[None, :, None]
     blocks = []
     for d in directions:
-        seen = np.zeros(v, dtype=bool)
-        for start in carrier.elements():
-            s = carrier.encode(start)
-            if seen[s]:
-                continue
-            line = []
-            x = start
-            for _ in range(p):
-                c = carrier.encode(x)
-                seen[c] = True
-                line.append(c)
-                x = carrier.add(x, d)
-            blocks.append(sorted(line))
-    return Design(carrier, np.array(blocks, dtype=np.int64), p)
+        lines = _encode_rows(carrier, (points[:, None, :] + steps * d) % p)  # (v, p)
+        lines.sort(axis=1)
+        # each line once: from the start point that is its least point
+        blocks.append(lines[lines[:, 0] == np.arange(v)])
+    return Design(carrier, np.concatenate(blocks, axis=0), p)
 
 
 def _pair_block_table(design: Design) -> np.ndarray:
@@ -282,30 +281,40 @@ def closure(
     block2: Sequence[int],
     max_points: Optional[int] = None,
     _table: Optional[np.ndarray] = None,
+    _rows: Optional[dict[int, list[int]]] = None,
 ) -> set[int]:
     """Least point set containing both blocks and closed under "add the
     unique block through any two member points"; points are encoded indices.
 
     With max_points set, iteration stops as soon as the set grows past it
     (the partial set is returned; its size already exceeds the bound).
+
+    `_table` (the design's `_pair_block_table`) and `_rows` (block index ->
+    that block's points as a list of ints, filled as blocks are read) are
+    private caches shared across the closures of one scan.
     """
     b1, b2 = set(int(x) for x in block1), set(int(x) for x in block2)
     if b1 == b2:
         raise DesignError("closure needs two distinct blocks")
     if len(b1 & b2) != 1:
         raise DesignError(f"blocks must meet in exactly one point, share {len(b1 & b2)}")
-    table = _pair_block_table(design) if _table is None else _table
+    # Python ints throughout: numpy scalars would cost more than the set work
+    table = memoryview(_pair_block_table(design) if _table is None else _table)
+    rows = {} if _rows is None else _rows
+    blocks = design.blocks
     v = design.v
     pts = sorted(b1 | b2)
     members = set(pts)
     queue = [(u, w) for i, u in enumerate(pts) for w in pts[i + 1 :]]
     while queue:
         u, w = queue.pop()
-        bi = table[min(u, w) * v + max(u, w)]
+        bi = table[u * v + w if u < w else w * v + u]
         if bi < 0:
             raise DesignError(f"no block through pair ({u}, {w}); design is not Steiner")
-        for c in design.blocks[bi]:
-            c = int(c)
+        row = rows.get(bi)
+        if row is None:
+            row = rows[bi] = blocks[bi].tolist()
+        for c in row:
             if c not in members:
                 queue.extend((c, m) for m in members)
                 members.add(c)
@@ -319,6 +328,8 @@ def anomaly_witness(design: Design, p: int, scan_cap: int = 10**4) -> AnomalyVer
     a p^2-point plane; such a pair separates the design from the point-line
     design of the affine space.
     """
+    if p < 2:
+        raise DesignError(f"need p >= 2, got {p}")
     v = design.v
     m = v
     n = 0
@@ -330,25 +341,27 @@ def anomaly_witness(design: Design, p: int, scan_cap: int = 10**4) -> AnomalyVer
     if design.k != p:
         raise DesignError(f"block size {design.k} != {p}")
     table = _pair_block_table(design)
+    rows: dict[int, list[int]] = {}
     target = p * p
     scanned = 0
-    # blocks through the first point come first: witnesses tend to be local
-    order = np.argsort(design.blocks[:, 0], kind="stable")
-    by_point: dict[int, list[int]] = {}
-    for bi in order:
-        by_point.setdefault(int(design.blocks[bi, 0]), []).append(int(bi))
-    for pt in sorted(by_point):
-        ids = by_point[pt]
+    # blocks grouped by their least point, in increasing order of it, by
+    # index within a group: witnesses tend to be local
+    blocks = design.blocks
+    order = np.argsort(blocks[:, 0], kind="stable")
+    cuts = (np.flatnonzero(np.diff(blocks[order, 0])) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [order.size]):
+        ids = order[lo:hi].tolist()
+        sets = [set(r) for r in blocks[ids].tolist()]
         for a in range(len(ids)):
+            s1 = sets[a]
             for b in range(a + 1, len(ids)):
-                i, j = ids[a], ids[b]
-                s1, s2 = set(map(int, design.blocks[i])), set(map(int, design.blocks[j]))
+                s2 = sets[b]
                 if len(s1 & s2) != 1:
                     continue
                 scanned += 1
-                cl = closure(design, s1, s2, max_points=target, _table=table)
+                cl = closure(design, s1, s2, max_points=target, _table=table, _rows=rows)
                 if len(cl) != target:
-                    return AnomalyVerdict(True, (i, j), len(cl), False)
+                    return AnomalyVerdict(True, (ids[a], ids[b]), len(cl), False)
                 if scanned >= scan_cap:
                     return AnomalyVerdict(False, None, None, True)
     return AnomalyVerdict(False, None, None, True)

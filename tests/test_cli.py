@@ -161,6 +161,23 @@ def test_build_ag_and_anomaly_inconclusive(tmp_path):
     assert run(["anomaly", str(out), "--p", "3"]) == 1
 
 
+def test_anomaly_rejects_p_below_two(tmp_path):
+    out = tmp_path / "ag.json"
+    assert run(["build", "ag", "--n", "2", "--p", "3", "--out", str(out)]) == 0
+    for p in ("1", "0"):
+        with pytest.raises(SystemExit) as info:
+            run(["anomaly", str(out), "--p", p])
+        assert info.value.code == 2
+
+
+def test_build_ag_rejects_non_prime(tmp_path):
+    out = tmp_path / "ag4.json"
+    with pytest.raises(SystemExit) as info:
+        run(["build", "ag", "--n", "2", "--p", "4", "--out", str(out)])
+    assert info.value.code == 2
+    assert not out.exists()
+
+
 def test_extend_command(tmp_path):
     df = _emit(tmp_path, "thm62-z5")
     out = tmp_path / "big.json"

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import difam.designs
 from difam.catalog import thm62_z5
 from difam.designs import (
+    AnomalyVerdict,
     Design,
     DesignError,
+    _pair_block_table,
     ag_design,
     anomaly_witness,
     closure,
@@ -124,6 +127,47 @@ def test_ag_design_counts():
         ag_design(1, 5)
 
 
+def _reference_ag_blocks(n, p):
+    """Lines of AG(n,p) by a per-point walk: for each direction, the line
+    from every start point not yet covered, in lexicographic order."""
+    carrier = AbelianGroup((p,) * n)
+    directions = []
+    for e in carrier.elements():
+        nz = next((i for i, c in enumerate(e) if c), None)
+        if nz is not None and e[nz] == 1:
+            directions.append(e)
+    blocks = []
+    for d in directions:
+        seen = np.zeros(carrier.order, dtype=bool)
+        for start in carrier.elements():
+            if seen[carrier.encode(start)]:
+                continue
+            line = []
+            x = start
+            for _ in range(p):
+                c = carrier.encode(x)
+                seen[c] = True
+                line.append(c)
+                x = carrier.add(x, d)
+            blocks.append(sorted(line))
+    return np.array(blocks, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 5), (4, 5)])
+def test_ag_design_matches_reference_walk(n, p):
+    d = ag_design(n, p)
+    assert d.carrier == AbelianGroup((p,) * n)
+    assert d.k == p
+    assert d.blocks.dtype == np.int64
+    assert np.array_equal(d.blocks, _reference_ag_blocks(n, p))
+
+
+def test_ag_design_rejects_non_prime():
+    for p in (0, 1, 4, 6, 9):
+        with pytest.raises(DesignError):
+            ag_design(2, p)
+
+
 def test_ag_design_is_super_regular():
     d = ag_design(2, 5)
     verdict = verify_super_regular(d, d.carrier)
@@ -152,6 +196,65 @@ def test_closure_error_cases():
         closure(d, d.blocks[0], d.blocks[disjoint])
 
 
+def _reference_closure(design, block1, block2):
+    """Add every block that holds two members until nothing changes."""
+    members = np.zeros(design.v, dtype=bool)
+    members[list(map(int, block1)) + list(map(int, block2))] = True
+    while True:
+        grow = design.blocks[members[design.blocks].sum(axis=1) >= 2]
+        if members[grow].all():
+            return set(np.flatnonzero(members).tolist())
+        members[grow] = True
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), None], ids=["ag23", "ag33", "z5"])
+def test_closure_matches_reference(dims, z5_design):
+    d = z5_design if dims is None else ag_design(*dims)
+    through0 = [i for i in range(d.b) if 0 in d.blocks[i]]
+    table = _pair_block_table(d)
+    rows = {}
+    for a in range(len(through0)):
+        for b in range(a + 1, len(through0)):
+            b1, b2 = d.blocks[through0[a]], d.blocks[through0[b]]
+            expected = _reference_closure(d, b1, b2)
+            assert closure(d, b1, b2) == expected
+            assert closure(d, b1, b2, _table=table, _rows=rows) == expected
+    assert rows and all(rows[bi] == d.blocks[bi].tolist() for bi in rows)
+
+
+def test_closure_raises_on_missing_block():
+    d = ag_design(2, 3)
+    damaged = Design(d.carrier, d.blocks[1:], 3)  # the line {0, 1, 2} is gone
+    through = [i for i in range(damaged.b) if 4 in damaged.blocks[i]]
+    with pytest.raises(DesignError, match="not Steiner"):
+        closure(damaged, damaged.blocks[through[0]], damaged.blocks[through[1]])
+
+
+def test_anomaly_witness_pinned_verdicts(z5_design):
+    assert anomaly_witness(z5_design, 5) == AnomalyVerdict(True, (0, 26), 26, False)
+    flat = Design(AbelianGroup((5, 5, 5)), z5_design.blocks, 5)
+    planted = subspace_replace(4, 3, 5, flat)
+    assert anomaly_witness(planted, 5) == AnomalyVerdict(True, (0, 225), 26, False)
+    assert anomaly_witness(ag_design(3, 5), 5, scan_cap=50) == AnomalyVerdict(
+        False, None, None, True
+    )
+
+
+def test_anomaly_witness_calls_module_closure_per_pair(monkeypatch):
+    # the benchmark counts closures by wrapping designs.closure, so the scan
+    # must call it through the module, once for every pair it scans
+    calls = []
+    real = difam.designs.closure
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(difam.designs, "closure", counting)
+    anomaly_witness(ag_design(3, 5), 5, scan_cap=50)
+    assert len(calls) == 50
+
+
 def test_anomaly_witness_found(z5_design):
     verdict = anomaly_witness(z5_design, 5)
     assert verdict.anomalous
@@ -172,6 +275,13 @@ def test_anomaly_witness_parameter_errors(z5_design):
     d = ag_design(2, 3)
     with pytest.raises(DesignError):
         anomaly_witness(Design(d.carrier, d.blocks, 3), 9)
+
+
+def test_anomaly_witness_rejects_p_below_two(z5_design):
+    # p=1 would never leave the power-of-p loop, p=0 would divide by zero
+    for p in (1, 0, -5):
+        with pytest.raises(DesignError):
+            anomaly_witness(z5_design, p)
 
 
 def test_subspace_replace_identity():
