@@ -281,15 +281,18 @@ def _cmd_anomaly(args) -> int:
 
 
 def _cmd_admissibility(args) -> int:
-    if args.v is not None:
+    try:
+        if args.v is None:
+            ok = trivial_additive(args.k)
+            print(f"one-block design on k={args.k} admits a zero-sum group: {'PASS' if ok else 'FAIL'}")
+            return 0 if ok else 1
         verdict = super_regular_necessary(args.v, args.k)
         strict = strict_additive_necessary(args.v, args.k)
-        print(verdict.render())
-        print(strict.render())
-        return 0 if verdict.all_pass and strict.all_pass else 1
-    ok = trivial_additive(args.k)
-    print(f"one-block design on k={args.k} admits a zero-sum group: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    except ValueError as exc:
+        _fail2(str(exc))
+    print(verdict.render())
+    print(strict.render())
+    return 0 if verdict.all_pass and strict.all_pass else 1
 
 
 def _cmd_catalog(args) -> int:

@@ -22,6 +22,9 @@ class DesignError(ValueError):
     pass
 
 
+_CHUNK = 1 << 12  # blocks per slice in the array builders: bounds their temporaries
+
+
 @dataclass
 class Design:
     """A block design on the points of an abelian group carrier."""
@@ -103,9 +106,12 @@ def develop(rdf: RelativeDifferenceFamily, lambda_copies: Optional[int] = None) 
     base = np.array(
         [[list(e) for e in b.expand()] for b in rdf.blocks], dtype=np.int64
     )  # (s, k, rank)
-    translated = (base[:, None, :, :] + all_elems[None, :, None, :]) % orders
-    rows = _encode_rows(carrier, translated).reshape(-1, rdf.k)
-    rows.sort(axis=1)
+    n = all_elems.shape[0]
+    rows = np.empty((base.shape[0] * n, rdf.k), dtype=np.int64)
+    for i, block in enumerate(base):  # one base block at a time: |G| x k x rank
+        out = rows[i * n : (i + 1) * n]
+        out[:] = _encode_rows(carrier, (block[None, :, :] + all_elems[:, None, :]) % orders)
+        out.sort(axis=1)
     chunks = [rows]
     for sub in rdf.forbidden_members():
         if sub.order != rdf.k:
@@ -127,24 +133,35 @@ def verify_design(design: Design, t: int = 2) -> DesignVerdict:
         raise DesignError("only pair coverage (t=2) is supported")
     v, k = design.v, design.k
     arr = design.blocks
-    if arr.size == 0 or np.any(np.diff(arr, axis=1) <= 0):
+    if arr.size == 0:
         return DesignVerdict(False, None, False, False, None)
     i_idx, j_idx = np.triu_indices(k, 1)
-    codes = (arr[:, i_idx] * v + arr[:, j_idx]).ravel()
-    counts = np.bincount(codes, minlength=v * v)
-    u_idx, w_idx = np.triu_indices(v, 1)
-    pair_counts = counts[u_idx * v + w_idx]
-    lam = int(pair_counts[0])
-    bad = np.nonzero(pair_counts != lam)[0]
+    codes = np.empty((arr.shape[0], i_idx.size), dtype=np.int64)
+    for lo in range(0, arr.shape[0], _CHUNK):
+        part = arr[lo : lo + _CHUNK]
+        if np.any(np.diff(part, axis=1) <= 0):
+            return DesignVerdict(False, None, False, False, None)
+        codes[lo : lo + _CHUNK] = part[:, i_idx] * v + part[:, j_idx]
+    counts = np.bincount(codes.ravel(), minlength=v * v)
+    del codes
+    lam = int(counts[1])  # the pair (0, 1)
+    # rows strictly increase, so every code u*v+w has u < w: the v*v - C(v,2)
+    # counts on and below the diagonal are 0, and match lam only when it is 0
+    n_pairs = v * (v - 1) // 2
+    uniform = int(np.count_nonzero(counts == lam)) - (0 if lam else v * v - n_pairs) == n_pairs
     witness = None
-    ok = bad.size == 0 and lam >= 1
-    if bad.size:
-        u, w = int(u_idx[bad[0]]), int(w_idx[bad[0]])
-        witness = (design.carrier.decode(u), design.carrier.decode(w))
+    ok = uniform and lam >= 1
+    if not uniform:
+        for u in range(v):  # the first miscovered pair in row-major order
+            bad = np.flatnonzero(counts[u * v + u + 1 : (u + 1) * v] != lam)
+            if bad.size:
+                witness = (design.carrier.decode(u), design.carrier.decode(u + 1 + int(bad[0])))
+                break
         lam_found = None
     else:
         lam_found = lam
-    simple = np.unique(arr, axis=0).shape[0] == arr.shape[0]
+    ordered = arr[np.lexsort(arr.T[::-1])]
+    simple = not np.any(np.all(ordered[1:] == ordered[:-1], axis=1))
     repl_ok = False
     if ok:
         r, rem = divmod(lam * (v - 1), k - 1)
@@ -164,77 +181,76 @@ def _decode_array(carrier: AbelianGroup, flat: np.ndarray) -> np.ndarray:
 
 
 def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVerdict:
-    """Regularity (translation-invariant block multiset, via canonical
-    orbit forms) and strict additivity (every block zero-sum)."""
+    """Regularity (translation-invariant block multiset) and strict
+    additivity (every block zero-sum).
+
+    A block B's canonical form is the least of its k sorted translates
+    B - b_i, packed base v into int64 words (one word when v^k < 2^62).
+    Translation acts freely, so B - b_i = B - b_j iff b_i - b_j fixes B:
+    the number of translates equal to the canonical form is the stabiliser
+    order, and the orbit has v // stabiliser blocks.  Regular iff each
+    class of one canonical form is a whole orbit, its blocks equally
+    repeated.
+    """
     if design.carrier != group or design.v != group.order:
         raise DesignError("design points are not the elements of the given group")
     carrier = design.carrier
     v, k = design.v, design.k
     orders = np.array(carrier.cyclic_orders, dtype=np.int64)
     arr = design.blocks
+    b = arr.shape[0]
+    # `per_word` base-v digits per word, below 2^62: comparing the words of
+    # two rows compares the rows lexicographically
+    per_word = 1
+    while per_word < k and v ** (per_word + 1) < 2**62:
+        per_word += 1
+    starts = np.arange(0, k, per_word)
+    weights = np.array([v ** (per_word - 1 - i % per_word) for i in range(k)], dtype=np.int64)
+    canon = np.empty((b, starts.size), dtype=np.int64)
+    own = np.empty((b, starts.size), dtype=np.int64)
+    stab = np.empty(b, dtype=np.int64)
+    additive = True
+    for lo in range(0, b, _CHUNK):
+        part = arr[lo : lo + _CHUNK]
+        n = part.shape[0]
+        coords = _decode_array(carrier, part.ravel()).reshape(n, k, carrier.rank)
+        additive &= bool(np.all(coords.sum(axis=1) % orders == 0))
+        # rows[., i] = B - b_i, encoded one coordinate at a time
+        rows = np.zeros((n, k, k), dtype=np.int64)
+        for pos, weight in enumerate(carrier._weights):
+            d = coords[:, None, :, pos] - coords[:, :, None, pos]  # d[., i, j] = b_j - b_i
+            d += orders[pos] * (d < 0)
+            d *= weight
+            rows += d
+        rows.sort(axis=2)
+        words = np.add.reduceat(rows * weights, starts, axis=2)  # (n, k, words)
+        # the least of the k translates, and which of them equal it
+        least = np.ones((n, k), dtype=bool)
+        for w in range(starts.size):
+            vals = np.where(least, words[:, :, w], np.iinfo(np.int64).max)
+            least &= words[:, :, w] == vals.min(axis=1, keepdims=True)
+        canon[lo : lo + n] = words[np.arange(n), least.argmax(axis=1)]
+        own[lo : lo + n] = np.add.reduceat(part * weights, starts, axis=1)
+        stab[lo : lo + n] = least.sum(axis=1)
 
-    # strict additivity: coordinatewise block sums vanish
-    coords = _decode_array(carrier, arr.ravel()).reshape(arr.shape[0], k, carrier.rank)
-    additive = bool(np.all(coords.sum(axis=1) % orders == 0))
-
-    # canonical form per block: the lexicographically least of the k
-    # translates B - b_i (each contains 0), a genuine translation invariant
-    cand = (coords[:, None, :, :] - coords[:, :, None, :]) % orders
-    rows = _encode_rows(carrier, cand)  # (b, k, k)
-    rows.sort(axis=2)
-    canon: dict = {}
-    if v**k < 2**62:
-        weights = np.array([v ** (k - 1 - i) for i in range(k)], dtype=np.int64)
-        canon_scalar = (rows @ weights).min(axis=1)
-        own_scalar = arr @ weights
-        for rep, own in zip(canon_scalar.tolist(), own_scalar.tolist()):
-            canon.setdefault(rep, {}).setdefault(own, 0)
-            canon[rep][own] += 1
-
-        def rep_row(rep_scalar):
-            digits = []
-            for _ in range(k):
-                digits.append(rep_scalar % v)
-                rep_scalar //= v
-            return tuple(reversed(digits))
-
-    else:
-        for b in range(arr.shape[0]):
-            rep = min(tuple(r) for r in rows[b])
-            own = tuple(arr[b])
-            canon.setdefault(rep, {}).setdefault(own, 0)
-            canon[rep][own] += 1
-
-        def rep_row(rep_tuple):
-            return rep_tuple
-
-    # regularity: each canonical class must consist of the full translation
-    # orbit of its representative, all members equally repeated
-    regular = True
-    for rep, members in canon.items():
-        if len(set(members.values())) != 1:
-            regular = False
-            break
-        if len(members) != _orbit_size(carrier, rep_row(rep)):
-            regular = False
-            break
+    # group the blocks by canonical form, then by the block itself
+    order = np.lexsort([*own.T[::-1], *canon.T[::-1]])
+    canon = canon[order]
+    own = own[order]
+    stab = stab[order]
+    new_class = np.ones(b, dtype=bool)
+    new_class[1:] = np.any(canon[1:] != canon[:-1], axis=1)
+    new_block = new_class.copy()
+    new_block[1:] |= np.any(own[1:] != own[:-1], axis=1)
+    block_starts = np.flatnonzero(new_block)
+    mult = np.diff(np.append(block_starts, b))  # copies of each distinct block
+    opens = new_class[block_starts]  # the distinct block opens its class
+    distinct = np.diff(np.append(np.flatnonzero(opens), block_starts.size))
+    regular = bool(
+        np.all((mult[1:] == mult[:-1]) | opens[1:])
+        and np.all(distinct == v // stab[new_class])
+    )
     return SuperRegularVerdict(regular, additive)
-
-
-def _orbit_size(carrier: AbelianGroup, rep_row: tuple) -> int:
-    """Orbit length of a block under translation: |G| / |stabilizer|.
-
-    The representative contains 0, so any stabilizing translation sends 0
-    to a block element; only the k elements of the block are candidates.
-    """
-    pts = [carrier.decode(int(c)) for c in rep_row]
-    target = tuple(sorted(rep_row))
-    stab = 0
-    for g in pts:
-        translated = tuple(sorted(carrier.encode(carrier.add(x, g)) for x in pts))
-        if translated == target:
-            stab += 1
-    return carrier.order // stab
 
 
 def ag_design(n: int, p: int) -> Design:
@@ -267,11 +283,12 @@ def ag_design(n: int, p: int) -> Design:
 def _pair_block_table(design: Design) -> np.ndarray:
     """pair code u*v+w (u<w) -> block index; -1 where no block.  Steiner only."""
     v, k = design.v, design.k
-    table = np.full(v * v, -1, dtype=np.int64)
+    table = np.full(v * v, -1, dtype=np.int32)
     i_idx, j_idx = np.triu_indices(k, 1)
-    codes = design.blocks[:, i_idx] * v + design.blocks[:, j_idx]
-    block_ids = np.repeat(np.arange(design.b), codes.shape[1])
-    table[codes.ravel()] = block_ids
+    for lo in range(0, design.b, _CHUNK):
+        part = design.blocks[lo : lo + _CHUNK]
+        ids = np.arange(lo, lo + part.shape[0], dtype=np.int32)
+        table[(part[:, i_idx] * v + part[:, j_idx]).ravel()] = np.repeat(ids, i_idx.size)
     return table
 
 

@@ -273,6 +273,8 @@ def zero_sum_dm(group: AbelianGroup, k: int, cap: int = 10**6) -> DifferenceMatr
     """Difference matrix whose columns are all |H|^(k-1) zero-sum k-tuples."""
     import itertools
 
+    if k < 2:
+        raise FamilyError(f"a difference matrix needs k >= 2 rows, got k={k}")
     n_cols = group.order ** (k - 1)
     if n_cols > cap:
         raise FamilyError(

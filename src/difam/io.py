@@ -55,7 +55,13 @@ def _carrier_header(carrier) -> dict:
     return {"group": list(carrier.cyclic_orders)}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _carrier_from_header(header: dict, where: str):
+    if not isinstance(header, dict):
+        raise FamilyFormatError("carrier must be an object", where)
     group = header.get("group")
     field_spec = header.get("field")
     if group is None and field_spec is None:
@@ -70,7 +76,9 @@ def _carrier_from_header(header: dict, where: str):
             raise FamilyFormatError(f"bad field spec: {exc}", where + ".field")
     if group is None:
         return field.additive_group, None, field
-    base = AbelianGroup(tuple(int(n) for n in group))
+    if not (isinstance(group, list) and group and all(_is_int(n) and n >= 1 for n in group)):
+        raise FamilyFormatError("group must be a non-empty list of integers >= 1", where + ".group")
+    base = AbelianGroup(tuple(group))
     if field is None:
         return base, base, None
     return ProductCarrier(base, field), base, field
@@ -190,9 +198,9 @@ def parse_family(text: str) -> Family:
             ]
             if len(pts) != k:
                 raise FamilyFormatError(f"block has {len(pts)} points, expected {k}", where)
-            mult = int(entry.get("mult", 1))
-            if mult < 1:
-                raise FamilyFormatError(f"multiplicity must be >= 1, got {mult}", where)
+            mult = entry.get("mult", 1)
+            if not _is_int(mult) or mult < 1:
+                raise FamilyFormatError(f"multiplicity must be an integer >= 1, got {mult!r}", where)
             row = sorted(carrier.encode(e) for e in pts)
             rows.extend([row] * mult)
         return Design(carrier, np.array(rows, dtype=np.int64), k)

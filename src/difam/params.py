@@ -74,6 +74,8 @@ def super_regular_necessary(
     v: int, k: int, group: Optional[AbelianGroup] = None
 ) -> ParamVerdict:
     """Necessary conditions for a super-regular 2-(v,k,1) design."""
+    if k < 2:
+        raise ValueError(f"need k >= 2, got k={k}")
     verdict = ParamVerdict({"v": v, "k": k})
     mod = k * (k - 1)
     verdict.conditions.append(

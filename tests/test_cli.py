@@ -178,6 +178,15 @@ def test_build_ag_rejects_non_prime(tmp_path):
     assert not out.exists()
 
 
+def test_build_zero_sum_dm_rejects_k_below_two(tmp_path, capsys):
+    out = tmp_path / "dm.json"
+    with pytest.raises(SystemExit) as info:
+        run(["build", "zero-sum-dm", "--orders", "3", "--k", "1", "--out", str(out)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_extend_command(tmp_path):
     df = _emit(tmp_path, "thm62-z5")
     out = tmp_path / "big.json"
@@ -193,3 +202,34 @@ def test_admissibility_exit_codes(capsys):
     assert run(["admissibility", "--k", "5"]) == 0
     assert run(["admissibility", "--k", "6"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv", [["--k", "0"], ["--v", "10", "--k", "1"], ["--v", "10", "--k", "0"], ["--v", "3", "--k", "5"]]
+)
+def test_admissibility_bad_parameters_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["admissibility", *argv])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [(("carrier", "group"), "33"), (("carrier", "group"), [0]), (("blocks", 0, "mult"), "x")],
+    ids=["group-string", "group-zero", "mult-string"],
+)
+def test_verify_design_bad_header_exits_2(tmp_path, capsys, path, value):
+    out = tmp_path / "ag.json"
+    assert run(["build", "ag", "--n", "2", "--p", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as info:
+        run(["verify", "design", str(out)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import difam.designs
-from difam.catalog import thm62_z5
+from difam.catalog import sigma_prime, thm62_z5, thm62_z7
 from difam.designs import (
     AnomalyVerdict,
     Design,
     DesignError,
+    DesignVerdict,
+    SuperRegularVerdict,
     _pair_block_table,
     ag_design,
     anomaly_witness,
@@ -19,7 +23,9 @@ from difam.designs import (
 )
 from difam.diffs import GMultiset
 from difam.families import RelativeDifferenceFamily
+from difam.gf import FiniteField
 from difam.groups import AbelianGroup
+from difam.lifting import extend_field, simple_lift
 
 
 @pytest.fixture(scope="module")
@@ -307,3 +313,242 @@ def test_subspace_replace_errors():
         subspace_replace(1, 2, 3, d)
     with pytest.raises(DesignError):
         subspace_replace(3, 2, 5, d)  # carrier is Z_3^2, not Z_5^2
+
+
+# --- the sliced array builders against the unsliced ones they replaced ------
+
+
+def _reference_develop_rows(rdf):
+    """Translates of all base blocks at once, as one (s,|G|,k,rank) tensor."""
+    carrier = rdf.group
+    orders = np.array(carrier.cyclic_orders, dtype=np.int64)
+    all_elems = np.array(list(carrier.elements()), dtype=np.int64)
+    base = np.array([[list(e) for e in b.expand()] for b in rdf.blocks], dtype=np.int64)
+    translated = (base[:, None, :, :] + all_elems[None, :, None, :]) % orders
+    rows = difam.designs._encode_rows(carrier, translated).reshape(-1, rdf.k)
+    rows.sort(axis=1)
+    return rows
+
+
+def _reference_verify_design(design):
+    v, k = design.v, design.k
+    arr = design.blocks
+    if arr.size == 0 or np.any(np.diff(arr, axis=1) <= 0):
+        return DesignVerdict(False, None, False, False, None)
+    i_idx, j_idx = np.triu_indices(k, 1)
+    codes = (arr[:, i_idx] * v + arr[:, j_idx]).ravel()
+    counts = np.bincount(codes, minlength=v * v)
+    u_idx, w_idx = np.triu_indices(v, 1)
+    pair_counts = counts[u_idx * v + w_idx]
+    lam = int(pair_counts[0])
+    bad = np.nonzero(pair_counts != lam)[0]
+    witness = None
+    ok = bad.size == 0 and lam >= 1
+    if bad.size:
+        u, w = int(u_idx[bad[0]]), int(w_idx[bad[0]])
+        witness = (design.carrier.decode(u), design.carrier.decode(w))
+        lam_found = None
+    else:
+        lam_found = lam
+    simple = np.unique(arr, axis=0).shape[0] == arr.shape[0]
+    repl_ok = False
+    if ok:
+        r, rem = divmod(lam * (v - 1), k - 1)
+        point_counts = np.bincount(arr.ravel(), minlength=v)
+        repl_ok = rem == 0 and bool(np.all(point_counts == r))
+    return DesignVerdict(ok and repl_ok, lam_found, simple, repl_ok, witness)
+
+
+def _reference_orbit_size(carrier, rep_row):
+    pts = [carrier.decode(int(c)) for c in rep_row]
+    target = tuple(sorted(rep_row))
+    stab = 0
+    for g in pts:
+        translated = tuple(sorted(carrier.encode(carrier.add(x, g)) for x in pts))
+        if translated == target:
+            stab += 1
+    return carrier.order // stab
+
+
+def _reference_verify_super_regular(design):
+    """Canonical forms counted in a dict, orbit sizes by translating each
+    representative by its own points."""
+    carrier = design.carrier
+    v, k = design.v, design.k
+    orders = np.array(carrier.cyclic_orders, dtype=np.int64)
+    arr = design.blocks
+    coords = difam.designs._decode_array(carrier, arr.ravel()).reshape(arr.shape[0], k, carrier.rank)
+    additive = bool(np.all(coords.sum(axis=1) % orders == 0))
+    cand = (coords[:, None, :, :] - coords[:, :, None, :]) % orders
+    rows = difam.designs._encode_rows(carrier, cand)  # (b, k, k)
+    rows.sort(axis=2)
+    canon = {}
+    if v**k < 2**62:
+        weights = np.array([v ** (k - 1 - i) for i in range(k)], dtype=np.int64)
+        canon_scalar = (rows @ weights).min(axis=1)
+        own_scalar = arr @ weights
+        for rep, own in zip(canon_scalar.tolist(), own_scalar.tolist()):
+            canon.setdefault(rep, {}).setdefault(own, 0)
+            canon[rep][own] += 1
+
+        def rep_row(rep_scalar):
+            digits = []
+            for _ in range(k):
+                digits.append(rep_scalar % v)
+                rep_scalar //= v
+            return tuple(reversed(digits))
+
+    else:
+        for b in range(arr.shape[0]):
+            rep = min(tuple(r) for r in rows[b].tolist())
+            own = tuple(arr[b].tolist())
+            canon.setdefault(rep, {}).setdefault(own, 0)
+            canon[rep][own] += 1
+
+        def rep_row(rep_tuple):
+            return rep_tuple
+
+    regular = True
+    for rep, members in canon.items():
+        if len(set(members.values())) != 1:
+            regular = False
+            break
+        if len(members) != _reference_orbit_size(carrier, rep_row(rep)):
+            regular = False
+            break
+    return SuperRegularVerdict(regular, additive)
+
+
+def _reference_pair_block_table(design):
+    v, k = design.v, design.k
+    table = np.full(v * v, -1, dtype=np.int64)
+    i_idx, j_idx = np.triu_indices(k, 1)
+    codes = design.blocks[:, i_idx] * v + design.blocks[:, j_idx]
+    table[codes.ravel()] = np.repeat(np.arange(design.b), codes.shape[1])
+    return table
+
+
+def _sigma_prime_rdf():
+    return simple_lift(sigma_prime(), FiniteField(5, 2, (2, 1, 1)), signed=True)
+
+
+@pytest.fixture(scope="module")
+def equivalence_designs(z5_design):
+    flat = Design(AbelianGroup((5, 5, 5)), z5_design.blocks, 5)
+    return {
+        "z5": z5_design,
+        "z7": develop(thm62_z7()),
+        "ag33": ag_design(3, 3),
+        "planted-ag45": subspace_replace(4, 3, 5, flat),
+        "sigma-prime": develop(_sigma_prime_rdf()),
+    }
+
+
+def _damaged(design, how):
+    rng = np.random.default_rng(7)
+    blocks = design.blocks
+    if how == "drop":
+        blocks = np.delete(blocks, 3, axis=0)
+    elif how == "dup":
+        blocks = np.insert(blocks, 5, blocks[2], axis=0)
+    elif how == "dup-all":
+        blocks = np.concatenate([blocks, blocks])
+    elif how == "swap":
+        blocks = blocks.copy()
+        blocks[4] = np.sort(rng.choice(design.v, design.k, replace=False))
+    elif how == "permute":
+        blocks = blocks[rng.permutation(design.b)]
+    elif how == "unsorted":
+        blocks = blocks.copy()
+        blocks[6] = blocks[6][::-1]
+    return Design(design.carrier, blocks, design.k)
+
+
+@pytest.fixture(params=[None, 7], ids=["default-chunk", "chunk-7"])
+def chunk(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(difam.designs, "_CHUNK", request.param)
+
+
+@pytest.fixture(scope="module")
+def unsliced_results():
+    """(design, damage) -> the unsliced builders' results, shared by both slice sizes."""
+    return {}
+
+
+_DAMAGES = [None, "drop", "dup", "dup-all", "swap", "permute", "unsorted"]
+# sigma' (k = 15: the tuple branch) costs about a second per copy in the
+# reference loop, so it takes the damages that change one of its verdicts
+_CASES = [(name, how) for name in ("z5", "z7", "ag33", "planted-ag45") for how in _DAMAGES]
+_CASES += [("sigma-prime", how) for how in (None, "drop", "dup", "swap")]
+
+
+@pytest.mark.parametrize("name,how", _CASES)
+def test_sliced_builders_match_unsliced(name, how, chunk, equivalence_designs, unsliced_results):
+    d = equivalence_designs[name]
+    if how is not None:
+        d = _damaged(d, how)
+    if (name, how) not in unsliced_results:
+        unsliced_results[name, how] = (
+            _reference_verify_design(d),
+            _reference_verify_super_regular(d),
+            _reference_pair_block_table(d),
+        )
+    design_verdict, super_regular_verdict, table = unsliced_results[name, how]
+    got = verify_design(d)
+    assert got == design_verdict
+    assert type(got.is_design) is bool and type(got.is_simple) is bool  # they go into JSON certs
+    assert verify_super_regular(d, d.carrier) == super_regular_verdict
+    got = _pair_block_table(d)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, table)
+
+
+@pytest.mark.parametrize("make", [thm62_z5, thm62_z7, _sigma_prime_rdf])
+def test_develop_rows_match_unsliced(make):
+    rdf = make()
+    d = develop(rdf)
+    rows = _reference_develop_rows(rdf)
+    assert np.array_equal(d.blocks[: rows.shape[0]], rows)
+
+
+def test_super_regular_without_blocks(chunk):
+    d = Design(AbelianGroup((5, 5)), np.empty((0, 5), dtype=np.int64), 5)
+    assert verify_super_regular(d, d.carrier) == SuperRegularVerdict(True, True)
+
+
+@pytest.fixture(scope="module")
+def rdf3125():
+    return extend_field(thm62_z5(), 2)
+
+
+@pytest.fixture(scope="module")
+def design3125(rdf3125):
+    return develop(rdf3125)
+
+
+def _traced_peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "stage,bound_mib",
+    [("develop", 64), ("verify_design", 160), ("verify_super_regular", 96), ("pair_table", 64)],
+)
+def test_v3125_memory_peaks(stage, bound_mib, rdf3125, design3125):
+    """Peak traced allocation of each design-layer stage on the 3125-point
+    extension of thm62-z5 (b = 488,125); the unsliced builders peaked at
+    205, 261, 1,117 and 186 MiB."""
+    d = design3125
+    calls = {
+        "develop": (develop, rdf3125),
+        "verify_design": (verify_design, d),
+        "verify_super_regular": (verify_super_regular, d, d.carrier),
+        "pair_table": (_pair_block_table, d),
+    }
+    assert _traced_peak_mib(*calls[stage]) <= bound_mib

@@ -175,6 +175,13 @@ def test_zero_sum_dm_cap():
         zero_sum_dm(AbelianGroup((11,)), 9, cap=10**6)
 
 
+def test_zero_sum_dm_rejects_k_below_two():
+    # k = 1 gave mu = |H|^(k-2) = 1/3, a fractional index
+    for k in (1, 0):
+        with pytest.raises(FamilyError):
+            zero_sum_dm(AbelianGroup((3,)), k)
+
+
 def test_jungnickel_compose():
     sdf = example51()
     dm = zero_sum_dm(AbelianGroup((3,)), 5)

@@ -127,3 +127,28 @@ def test_design_multiplicity_validation():
     doc["blocks"][0] = [[0, 0], [0, 1], [0, 2]]
     with pytest.raises(FamilyFormatError):
         parse_family(json.dumps(doc))
+
+
+def test_parse_rejects_string_group():
+    # a string is iterable: "33" used to be read as Z_3 x Z_3
+    doc = json.loads(render_family(ag_design(2, 3)))
+    doc["carrier"]["group"] = "33"
+    with pytest.raises(FamilyFormatError, match="carrier.group"):
+        parse_family(json.dumps(doc))
+
+
+def test_parse_rejects_bad_cyclic_orders():
+    doc = json.loads(render_family(example51()))
+    for carrier in ({"group": [0]}, {"group": []}, {"group": [3, -1]}, {"group": [2.0]},
+                    {"group": [True]}, 5):
+        doc["carrier"] = carrier
+        with pytest.raises(FamilyFormatError, match="carrier"):
+            parse_family(json.dumps(doc))
+
+
+def test_parse_rejects_non_integer_multiplicity():
+    doc = json.loads(render_family(ag_design(2, 3)))
+    for mult in ("x", "2", 1.5, True, None):
+        doc["blocks"][0]["mult"] = mult
+        with pytest.raises(FamilyFormatError, match="blocks"):
+            parse_family(json.dumps(doc))

@@ -59,6 +59,13 @@ def test_super_regular_necessary():
     assert not super_regular_necessary(6, 6).all_pass
 
 
+def test_super_regular_necessary_rejects_small_k():
+    # k(k-1) is the modulus of the first condition: k = 0 or 1 divided by zero
+    for k in (1, 0, -3):
+        with pytest.raises(ValueError):
+            super_regular_necessary(10, k)
+
+
 def test_super_regular_element_orders():
     good = super_regular_necessary(125, 5, AbelianGroup((5, 5, 5)))
     assert good.all_pass
