@@ -107,24 +107,27 @@ def develop(rdf: RelativeDifferenceFamily, lambda_copies: Optional[int] = None) 
         [[list(e) for e in b.expand()] for b in rdf.blocks], dtype=np.int64
     )  # (s, k, rank)
     n = all_elems.shape[0]
-    rows = np.empty((base.shape[0] * n, rdf.k), dtype=np.int64)
-    for i, block in enumerate(base):  # one base block at a time: |G| x k x rank
-        out = rows[i * n : (i + 1) * n]
-        out[:] = _encode_rows(carrier, (block[None, :, :] + all_elems[:, None, :]) % orders)
-        out.sort(axis=1)
-    chunks = [rows]
+    cosets = []  # the distinct cosets of each forbidden subgroup, as sorted rows
     for sub in rdf.forbidden_members():
         if sub.order != rdf.k:
             raise DesignError(
                 f"forbidden subgroup of order {sub.order} cannot supply {rdf.k}-point blocks"
             )
         sub_arr = np.array(sub.elements, dtype=np.int64)
-        cosets = (sub_arr[None, :, :] + all_elems[:, None, :]) % orders
-        coset_rows = _encode_rows(carrier, cosets)
+        coset_rows = _encode_rows(carrier, (sub_arr[None, :, :] + all_elems[:, None, :]) % orders)
         coset_rows.sort(axis=1)
-        unique = np.unique(coset_rows, axis=0)
-        chunks.append(np.repeat(unique, lam, axis=0))
-    return Design(carrier, np.concatenate(chunks, axis=0), rdf.k)
+        cosets.append(np.unique(coset_rows, axis=0))
+    n_translates = base.shape[0] * n
+    rows = np.empty((n_translates + lam * sum(len(c) for c in cosets), rdf.k), dtype=np.int64)
+    for i, block in enumerate(base):  # one base block at a time: |G| x k x rank
+        out = rows[i * n : (i + 1) * n]
+        out[:] = _encode_rows(carrier, (block[None, :, :] + all_elems[:, None, :]) % orders)
+        out.sort(axis=1)
+    lo = n_translates
+    for unique in cosets:  # lam copies of each coset
+        rows[lo : lo + lam * len(unique)] = np.repeat(unique, lam, axis=0)
+        lo += lam * len(unique)
+    return Design(carrier, rows, rdf.k)
 
 
 def verify_design(design: Design, t: int = 2) -> DesignVerdict:

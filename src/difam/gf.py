@@ -68,13 +68,14 @@ class FiniteField:
 
     def __init__(self, p: int, n: int, modulus: Optional[Sequence[int]] = None):
         p, n = int(p), int(n)
-        if not isprime(p):
+        if p <= MAX_FIELD_ORDER and not isprime(p):  # a larger p fails the cap below
             raise FieldError(f"{p} is not prime")
         if n < 1:
             raise FieldError(f"degree must be >= 1, got {n}")
+        # p >= 2, so p**n is formed only for degrees below the cap's bit length
+        if p > MAX_FIELD_ORDER or n >= MAX_FIELD_ORDER.bit_length() or p**n > MAX_FIELD_ORDER:
+            raise FieldError(f"field order {p}^{n} exceeds the supported cap {MAX_FIELD_ORDER}")
         q = p**n
-        if q > MAX_FIELD_ORDER:
-            raise FieldError(f"field order {q} exceeds the supported cap {MAX_FIELD_ORDER}")
         self.p, self.n, self.q = p, n, q
         if modulus is not None:
             modulus = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)

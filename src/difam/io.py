@@ -27,7 +27,7 @@ from .families import (
     StrongDifferenceFamily,
 )
 from .designs import Design
-from .gf import FiniteField
+from .gf import MAX_FIELD_ORDER, FiniteField
 from .groups import AbelianGroup, Subgroup
 
 
@@ -40,6 +40,9 @@ class FamilyFormatError(ValueError):
 
 
 Family = Union[StrongDifferenceFamily, RelativeDifferenceFamily, DifferenceMatrix, Design]
+
+# the total multiplicity of a design file: bounds the rows array parse allocates
+MAX_DESIGN_BLOCKS = 2**24
 
 
 def _carrier_header(carrier) -> dict:
@@ -78,6 +81,13 @@ def _carrier_from_header(header: dict, where: str):
         return field.additive_group, None, field
     if not (isinstance(group, list) and group and all(_is_int(n) and n >= 1 for n in group)):
         raise FamilyFormatError("group must be a non-empty list of integers >= 1", where + ".group")
+    order = 1 if field is None else field.q
+    for n in group:  # every n >= 1, so the running product only grows
+        order *= n
+        if order > MAX_FIELD_ORDER:
+            raise FamilyFormatError(
+                f"carrier order exceeds the supported cap {MAX_FIELD_ORDER}", where + ".group"
+            )
     base = AbelianGroup(tuple(group))
     if field is None:
         return base, base, None
@@ -187,7 +197,7 @@ def parse_family(text: str) -> Family:
         raise FamilyFormatError("blocks must be a non-empty list", "blocks")
 
     if role == "design":
-        rows = []
+        rows, mults, total = [], [], 0
         for bi, entry in enumerate(raw_blocks):
             where = f"blocks[{bi}]"
             if not (isinstance(entry, dict) and "points" in entry):
@@ -201,9 +211,14 @@ def parse_family(text: str) -> Family:
             mult = entry.get("mult", 1)
             if not _is_int(mult) or mult < 1:
                 raise FamilyFormatError(f"multiplicity must be an integer >= 1, got {mult!r}", where)
-            row = sorted(carrier.encode(e) for e in pts)
-            rows.extend([row] * mult)
-        return Design(carrier, np.array(rows, dtype=np.int64), k)
+            total += mult
+            if total > MAX_DESIGN_BLOCKS:
+                raise FamilyFormatError(
+                    f"design has more than {MAX_DESIGN_BLOCKS} blocks counting multiplicity", where
+                )
+            rows.append(sorted(carrier.encode(e) for e in pts))
+            mults.append(mult)
+        return Design(carrier, np.repeat(np.array(rows, dtype=np.int64), mults, axis=0), k)
 
     blocks = []
     for bi, entry in enumerate(raw_blocks):

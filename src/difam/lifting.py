@@ -3,18 +3,22 @@
 The pipeline: pick a class-assignment map psi on the ordered position pairs
 of the SDF blocks, search for second coordinates in F_q whose pairwise
 differences land in the prescribed cyclotomic classes, then multiply by a
-multiplier set to spread each difference list over all of F_q^*.  Searches
-are backtracking with deterministic candidate order (least log index first,
-permuted by a seed); every accepted lifting is re-verified by an
-independent checker, never trusted from the search itself.
+multiplier set to spread each difference list over all of F_q^*.  The
+greedy, zero-sum and signed searches share one backtracking driver,
+`_backtrack`: per level it ticks a node budget and tries the options in a
+deterministic candidate order (least log index first, permuted by a seed).
+Every accepted lifting is re-verified by an independent checker, never
+trusted from the search itself.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .carrier import ProductCarrier
 from .diffs import GMultiset
@@ -215,6 +219,71 @@ def _candidate_order(field: FiniteField, elems: Sequence[Element], rng) -> list[
     return out
 
 
+def _backtrack(
+    field: FiniteField,
+    levels: int,
+    options: Callable[[int, list[Element]], Sequence[Element]],
+    rng: random.Random,
+    tracker: _Budget,
+    what: str,
+    commit: Optional[Callable[[int, Element], bool]] = None,
+    undo: Optional[Callable[[int, Element], None]] = None,
+) -> list[Element]:
+    """The one search driver: choose a value for each of `levels` positions.
+
+    Level i ticks the budget, then tries options(i, chosen) in candidate
+    order; `commit` may refuse a value or record it, `undo` takes it back
+    when the branch below fails.  Raises LiftingError if no branch reaches
+    the last level.
+    """
+    chosen: list[Element] = []
+
+    def extend(i: int) -> bool:
+        if i == levels:
+            return True
+        tracker.tick(i)
+        for x in _candidate_order(field, options(i, chosen), rng):
+            if commit is not None and not commit(i, x):
+                continue
+            chosen.append(x)
+            if extend(i + 1):
+                return True
+            chosen.pop()
+            if undo is not None:
+                undo(i, x)
+        return False
+
+    if not extend(0):
+        raise LiftingError(
+            f"no {what} found ({tracker.nodes} nodes, deepest level {tracker.deepest})",
+            tracker.nodes,
+            tracker.deepest,
+        )
+    return chosen
+
+
+def _psi_constraints(psi: PsiAssignment, h: int, i: int, chosen: list[Element]):
+    """The x_set constraints (chosen[j], psi class of (h, i, j)) for j < i;
+    none at i = 0, where x_set is all of F_q."""
+    return [(chosen[j], psi.table[(h, i, j)]) for j in range(i)]
+
+
+def _lift_blocks(sdf, field, psi, budget, seed, strategy, options) -> Lifting:
+    """Run the driver once per block with options(h, i, chosen), sharing one
+    rng and one budget, and re-check the result with the pair checker."""
+    rng = random.Random(seed)
+    tracker = _Budget(budget)
+    coords = [
+        _backtrack(field, block.size, functools.partial(options, h), rng, tracker,
+                   f"{strategy} lifting for block {h}")
+        for h, block in enumerate(sdf.blocks)
+    ]
+    lifting = Lifting(sdf, field, coords, strategy)
+    if not check_lifting(lifting, psi):
+        raise LiftingError("search produced a lifting that fails the pair checker")
+    return lifting
+
+
 def greedy_lift(
     sdf: StrongDifferenceFamily,
     field: FiniteField,
@@ -227,43 +296,10 @@ def greedy_lift(
     land in the psi-prescribed classes.  Backtracks when a set empties.
     """
     _require_congruence(field, psi.lam)
-    rng = random.Random(seed)
-    tracker = _Budget(budget)
-    coords: list[list[Element]] = []
-    for h, block in enumerate(sdf.blocks):
-        k = block.size
-        chosen: list[Element] = []
-
-        def extend(i: int) -> bool:
-            if i == k:
-                return True
-            tracker.tick(i)
-            if i == 0:
-                cands = _candidate_order(field, list(field.elements()), rng)
-            else:
-                constraints = [
-                    (chosen[j], psi.table[(h, i, j)]) for j in range(i)
-                ]
-                cands = _candidate_order(field, x_set(field, constraints, psi.lam), rng)
-            for x in cands:
-                chosen.append(x)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-            return False
-
-        if not extend(0):
-            raise LiftingError(
-                f"no lifting found for block {h} "
-                f"({tracker.nodes} nodes, deepest level {tracker.deepest})",
-                tracker.nodes,
-                tracker.deepest,
-            )
-        coords.append(chosen)
-    lifting = Lifting(sdf, field, coords, "greedy")
-    if not check_lifting(lifting, psi):
-        raise LiftingError("search produced a lifting that fails the pair checker")
-    return lifting
+    return _lift_blocks(
+        sdf, field, psi, budget, seed, "greedy",
+        lambda h, i, chosen: x_set(field, _psi_constraints(psi, h, i, chosen), psi.lam),
+    )
 
 
 def zero_sum_adjust(rdf: RelativeDifferenceFamily, k: int) -> RelativeDifferenceFamily:
@@ -311,86 +347,52 @@ def zero_sum_lift(
     half = lam // 2
     minus_two = field.neg(field.from_int(2))
     alpha = field.log[minus_two] % lam
-    rng = random.Random(seed)
-    tracker = _Budget(budget)
     inv2 = field.inv(field.from_int(2))
 
-    coords: list[list[Element]] = []
-    for h, block in enumerate(sdf.blocks):
-        chosen: list[Element] = []
-
+    def options(h: int, i: int, chosen: list[Element]) -> list[Element]:
+        # 0-based position i corresponds to the (i+1)-th chosen element
         def sigma(upto: int) -> Element:
             return sum_of(field.additive_group, chosen[:upto])
 
-        def candidates(i: int) -> list[Element]:
-            # 0-based position i corresponds to the (i+1)-th chosen element
-            if i == k - 1:
-                forced = field.neg(sigma(k - 1))
-                return [forced]
-            if i == 0:
-                base = list(field.elements())
-            elif i < k - 2:
-                constraints = [(chosen[j], psi.table[(h, i, j)]) for j in range(i)]
-                base = x_set(field, constraints, lam)
-            else:  # i == k - 2: the doubled constraint set X'
-                s = sigma(k - 2)
-                cons: list[tuple[Element, int]] = []
-                for j in range(k - 2):
-                    cons.append((chosen[j], psi.table[(h, k - 2, j)]))
-                for j in range(k - 2):
-                    c = field.neg(field.add(s, chosen[j]))
-                    cons.append((c, (psi.table[(h, k - 1, j)] + half) % lam))
-                c_last = field.neg(field.mul(s, inv2))
-                cons.append((c_last, (psi.table[(h, k - 1, k - 2)] - alpha) % lam))
-                points = [c for c, _ in cons]
-                if len(set(points)) != len(points):
-                    # the earlier exclusions should make this unreachable;
-                    # treat it as a dead branch rather than aborting
-                    return []
-                base = x_set(field, cons, lam)
-            if i == k - 4 and field.p == 3:
-                banned = {field.neg(sigma(k - 4))}
-                base = [x for x in base if x not in banned]
-            if i == k - 3:
-                s3 = sigma(k - 3)
-                banned = set()
-                for a in range(k - 3):
-                    for b in range(a, k - 3):
-                        banned.add(
-                            field.neg(field.add(s3, field.add(chosen[a], chosen[b])))
-                        )
-                for a in range(k - 3):
-                    y2 = field.neg(field.add(s3, chosen[a]))
-                    banned.add(y2)
-                    banned.add(field.mul(y2, inv2))
-                if field.p != 3:
-                    banned.add(field.neg(field.div_int(s3, 3)))
-                base = [x for x in base if x not in banned]
-            return base
+        if i == k - 1:
+            forced = field.neg(sigma(k - 1))
+            return [forced] if _block_lifts(field, chosen + [forced], psi, h) else []
+        cons = _psi_constraints(psi, h, i, chosen)
+        if i == k - 2:  # the doubled constraint set X'
+            s = sigma(k - 2)
+            for j in range(k - 2):
+                c = field.neg(field.add(s, chosen[j]))
+                cons.append((c, (psi.table[(h, k - 1, j)] + half) % lam))
+            c_last = field.neg(field.mul(s, inv2))
+            cons.append((c_last, (psi.table[(h, k - 1, k - 2)] - alpha) % lam))
+            points = [c for c, _ in cons]
+            if len(set(points)) != len(points):
+                # the earlier exclusions should make this unreachable;
+                # treat it as a dead branch rather than aborting
+                return []
+        base = x_set(field, cons, lam)
+        if i == k - 4 and field.p == 3:
+            banned = {field.neg(sigma(k - 4))}
+            base = [x for x in base if x not in banned]
+        if i == k - 3:
+            s3 = sigma(k - 3)
+            banned = set()
+            for a in range(k - 3):
+                for b in range(a, k - 3):
+                    banned.add(
+                        field.neg(field.add(s3, field.add(chosen[a], chosen[b])))
+                    )
+            for a in range(k - 3):
+                y2 = field.neg(field.add(s3, chosen[a]))
+                banned.add(y2)
+                banned.add(field.mul(y2, inv2))
+            if field.p != 3:
+                banned.add(field.neg(field.div_int(s3, 3)))
+            base = [x for x in base if x not in banned]
+        return base
 
-        def extend(i: int) -> bool:
-            if i == k:
-                return _block_lifts(field, chosen, psi, h)
-            tracker.tick(i)
-            for x in _candidate_order(field, candidates(i), rng):
-                chosen.append(x)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-            return False
-
-        if not extend(0):
-            raise LiftingError(
-                f"no zero-sum lifting found for block {h} "
-                f"({tracker.nodes} nodes, deepest level {tracker.deepest})",
-                tracker.nodes,
-                tracker.deepest,
-            )
-        coords.append(chosen)
-    lifting = Lifting(sdf, field, coords, "zero-sum")
-    if not check_lifting(lifting, psi):
-        raise LiftingError("search produced a lifting that fails the pair checker")
-    if any(sum_of(field.additive_group, c) != field.zero for c in coords):
+    lifting = _lift_blocks(sdf, field, psi, budget, seed, "zero-sum", options)
+    if any(sum_of(field.additive_group, c) != field.zero for c in lifting.second_coords):
         raise LiftingError("zero-sum lifting produced a non-zero-sum block")
     return lifting
 
@@ -429,6 +431,13 @@ def _signed_coords(block: GMultiset, field: FiniteField, assign: dict) -> list[E
     return out
 
 
+def _require_half_lambda(field: FiniteField, half_lambda: int) -> None:
+    if (field.q - 1) % half_lambda != 0 or ((field.q - 1) // 2) % half_lambda != 0:
+        raise LiftingError(
+            f"half_lambda={half_lambda} needs -1 inside the index-{half_lambda} subgroup"
+        )
+
+
 def verify_signed_lifting(
     sdf: StrongDifferenceFamily,
     field: FiniteField,
@@ -438,10 +447,7 @@ def verify_signed_lifting(
     """Check the signed success condition: for every g, the half difference
     list is a transversal of the cyclotomic classes of order half_lambda.
     """
-    if (field.q - 1) % half_lambda != 0 or ((field.q - 1) // 2) % half_lambda != 0:
-        raise LiftingError(
-            f"half_lambda={half_lambda} needs -1 inside the index-{half_lambda} subgroup"
-        )
+    _require_half_lambda(field, half_lambda)
     group = sdf.group
     counts: Counter = Counter()
     for block, assign in zip(sdf.blocks, assign_per_block):
@@ -482,19 +488,15 @@ def signed_lift(
         raise LiftingError(
             f"SDF lambda={sdf.lam} must equal 2*half_lambda={2 * half_lambda}"
         )
-    if (field.q - 1) % half_lambda != 0 or ((field.q - 1) // 2) % half_lambda != 0:
-        raise LiftingError(
-            f"half_lambda={half_lambda} needs -1 inside the index-{half_lambda} subgroup"
-        )
+    _require_half_lambda(field, half_lambda)
     group = sdf.group
     shapes = [_signed_shape(b) for b in sdf.blocks]
     variables = [(h, a) for h, a_set in enumerate(shapes) for a in a_set]
-    rng = random.Random(seed)
-    tracker = _Budget(budget)
     # one representative per {y, -y} pair; both give the same lifted block
     half_field = [field.exp[i] for i in range((field.q - 1) // 2)]
 
     counts: Counter = Counter()
+    tallies: list[Counter] = []
     assigns: list[dict] = [{} for _ in sdf.blocks]
 
     def new_diffs(h: int, a: Element, y: Element) -> list[tuple[Element, int]]:
@@ -522,40 +524,31 @@ def signed_lift(
                 break
         return out if ok else []
 
-    def extend(idx: int) -> bool:
-        if idx == len(variables):
-            return True
-        tracker.tick(idx)
+    def commit(idx: int, y: Element) -> bool:
         h, a = variables[idx]
-        for y in _candidate_order(field, half_field, rng):
-            diffs = new_diffs(h, a, y)
-            if not diffs:
-                continue
-            tally: Counter = Counter(diffs)
-            if any(counts[key] + extra > 2 for key, extra in tally.items()):
-                continue
-            counts.update(tally)
-            assigns[h][a] = y
-            if extend(idx + 1):
-                return True
-            del assigns[h][a]
-            counts.subtract(tally)
-        return False
+        diffs = new_diffs(h, a, y)
+        if not diffs:
+            return False
+        tally: Counter = Counter(diffs)
+        if any(counts[key] + extra > 2 for key, extra in tally.items()):
+            return False
+        counts.update(tally)
+        tallies.append(tally)
+        assigns[h][a] = y
+        return True
 
-    if not extend(0):
-        raise LiftingError(
-            f"no signed lifting found ({tracker.nodes} nodes, "
-            f"deepest level {tracker.deepest})",
-            tracker.nodes,
-            tracker.deepest,
-        )
+    def undo(idx: int, y: Element) -> None:
+        h, a = variables[idx]
+        del assigns[h][a]
+        counts.subtract(tallies.pop())
+
+    _backtrack(
+        field, len(variables), lambda idx, chosen: half_field, rng=random.Random(seed),
+        tracker=_Budget(budget), what="signed lifting", commit=commit, undo=undo,
+    )
     if not verify_signed_lifting(sdf, field, assigns, half_lambda):
         raise LiftingError("search produced a lifting that fails the transversal checker")
-    coords = [
-        _signed_coords(block, field, assign)
-        for block, assign in zip(sdf.blocks, assigns)
-    ]
-    return Lifting(sdf, field, coords, "signed")
+    return signed_lifting_from_assignments(sdf, field, assigns)
 
 
 def signed_lifting_from_assignments(
@@ -647,29 +640,13 @@ def extend_field(rdf: RelativeDifferenceFamily, n: int) -> RelativeDifferenceFam
 
 
 def _default_zero_sum_subset(field: FiniteField, k: int) -> list[Element]:
-    elems = sorted(field.elements())
-    head = elems[: k - 1]
-    pool = iter(elems[k - 1 :])
-    while True:
+    """The first (k-1)-subset, in lexicographic order, whose completion by
+    minus its sum is a new element: a zero-sum k-subset of the field."""
+    for head in itertools.combinations(sorted(field.elements()), k - 1):
         last = field.neg(sum_of(field.additive_group, head))
         if last not in head:
-            return head + [last]
-        head[-1] = next(pool)
-
-
-def _default_symmetric_subset(field: FiniteField, k: int) -> list[Element]:
-    ys: list[Element] = []
-    taken = {field.zero}
-    for i in range(field.q - 1):
-        e = field.exp[i]
-        if e in taken or field.neg(e) in taken:
-            continue
-        ys.append(e)
-        taken.add(e)
-        taken.add(field.neg(e))
-        if len(ys) == (k - 1) // 2:
-            return ys
-    raise LiftingError(f"field of order {field.q} has no symmetric {k}-subset")
+            return list(head) + [last]
+    raise LiftingError(f"field of order {field.q} has no zero-sum {k}-subset")
 
 
 def simple_lift(
@@ -692,11 +669,14 @@ def simple_lift(
     fld = field
 
     if signed:
+        if fld.q % 2 == 0:
+            raise LiftingError("signed variant needs an odd-order field")
         if sdf.lam % 2 != 0:
             raise LiftingError("signed variant needs an even lambda")
         shapes = [_signed_shape(b) for b in sdf.blocks]
         if L is None:
-            ys = _default_symmetric_subset(fld, k)
+            # -exp[i] = exp[i + (q-1)/2], so no two of these are negatives
+            ys = [fld.exp[i] for i in range((k - 1) // 2)]
         else:
             elems = [fld.check(e) for e in L]
             if len(elems) != k or len(set(elems)) != k:
@@ -708,14 +688,10 @@ def simple_lift(
             )
             if 2 * len(ys) + 1 != k:
                 raise LiftingError("signed L must be symmetric under negation")
-        lifted = []
-        for a_set in shapes:
-            assign = dict(zip(a_set, ys))
-            pts = [carrier.join(sdf.group.zero, fld.zero)]
-            for a in a_set:
-                pts.append(carrier.join(a, assign[a]))
-                pts.append(carrier.join(a, fld.neg(assign[a])))
-            lifted.append(pts)
+        lifting = signed_lifting_from_assignments(
+            sdf, fld, [dict(zip(a_set, ys)) for a_set in shapes]
+        )
+        lifted = [block.expand() for block in lifting.lifted_blocks()]
         mults = [fld.exp[i] for i in range((fld.q - 1) // 2)]
         lam_out = sdf.lam // 2
     else:

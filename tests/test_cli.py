@@ -129,6 +129,24 @@ def test_lift_failure_exits_1(tmp_path):
     assert not df.exists()
 
 
+def test_lift_simple_over_gf8(tmp_path, capsys):
+    sdf, df = tmp_path / "paley7.json", tmp_path / "df.json"
+    assert run(["build", "paley", "--q", "7", "--out", str(sdf)]) == 0
+    code = run(["lift", str(sdf), "--strategy", "simple", "--field", "2,3", "--out", str(df)])
+    assert code == 0
+    assert "(v=56,k=7,lambda=6), 7 base blocks" in capsys.readouterr().out
+    assert run(["verify", "df", str(df)]) == 0
+
+
+def test_lift_signed_simple_rejects_characteristic_two(tmp_path, capsys):
+    sdf, df = tmp_path / "paley7.json", tmp_path / "df.json"
+    assert run(["build", "paley", "--q", "7", "--out", str(sdf)]) == 0
+    argv = ["lift", str(sdf), "--strategy", "simple", "--signed", "--field", "2,3"]
+    assert run(argv + ["--out", str(df)]) == 1
+    assert "odd-order field" in capsys.readouterr().err
+    assert not df.exists()
+
+
 def test_build_paley_and_verify(tmp_path):
     out = tmp_path / "paley.json"
     assert run(["build", "paley", "--q", "13", "--out", str(out)]) == 0

@@ -512,6 +512,24 @@ def test_develop_rows_match_unsliced(make):
     assert np.array_equal(d.blocks[: rows.shape[0]], rows)
 
 
+@pytest.mark.parametrize("lambda_copies", [None, 3])
+@pytest.mark.parametrize("make", [thm62_z5, _sigma_prime_rdf])
+def test_develop_matches_concatenated_reference(make, lambda_copies):
+    # the coset rows follow the translates: lam copies of each distinct coset
+    rdf = make()
+    lam = rdf.lam if lambda_copies is None else lambda_copies
+    carrier = rdf.group
+    orders = np.array(carrier.cyclic_orders, dtype=np.int64)
+    all_elems = np.array(list(carrier.elements()), dtype=np.int64)
+    chunks = [_reference_develop_rows(rdf)]
+    for sub in rdf.forbidden_members():
+        cosets = (np.array(sub.elements)[None, :, :] + all_elems[:, None, :]) % orders
+        coset_rows = difam.designs._encode_rows(carrier, cosets)
+        coset_rows.sort(axis=1)
+        chunks.append(np.repeat(np.unique(coset_rows, axis=0), lam, axis=0))
+    assert np.array_equal(develop(rdf, lambda_copies).blocks, np.concatenate(chunks))
+
+
 def test_super_regular_without_blocks(chunk):
     d = Design(AbelianGroup((5, 5)), np.empty((0, 5), dtype=np.int64), 5)
     assert verify_super_regular(d, d.carrier) == SuperRegularVerdict(True, True)
@@ -552,3 +570,16 @@ def test_v3125_memory_peaks(stage, bound_mib, rdf3125, design3125):
         "pair_table": (_pair_block_table, d),
     }
     assert _traced_peak_mib(*calls[stage]) <= bound_mib
+
+
+def test_v3125_develop_peak_near_output(rdf3125):
+    """develop fills one preallocated array: its traced peak is the output
+    plus small temporaries (appending the coset rows by np.concatenate, a
+    copy of the whole output, made it 2.1x)."""
+    tracemalloc.start()
+    try:
+        blocks = develop(rdf3125).blocks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * blocks.nbytes

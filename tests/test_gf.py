@@ -200,3 +200,11 @@ def test_subfield_embed_errors():
         subfield_embed(FiniteField(5, 4), FiniteField(3, 1))
     with pytest.raises(FieldError):
         subfield_embed(FiniteField(5, 3), FiniteField(5, 2))
+
+
+def test_field_cap_checked_before_the_order_is_formed():
+    # 2**(10**12) would not fit in memory
+    with pytest.raises(FieldError, match="exceeds the supported cap"):
+        FiniteField(2, 10**12)
+    with pytest.raises(FieldError, match="exceeds the supported cap"):
+        FiniteField(2**61 - 1, 1)

@@ -152,3 +152,27 @@ def test_parse_rejects_non_integer_multiplicity():
         doc["blocks"][0]["mult"] = mult
         with pytest.raises(FamilyFormatError, match="blocks"):
             parse_family(json.dumps(doc))
+
+
+def test_parse_rejects_carrier_over_cap():
+    # verifying an SDF over Z_1000000007 would build a dict over every element
+    doc = {"role": "sdf", "carrier": {"group": [1000000007]}, "k": 2, "lambda": 1,
+           "blocks": [[[0], [1]]]}
+    with pytest.raises(FamilyFormatError, match="carrier.group: carrier order exceeds"):
+        parse_family(json.dumps(doc))
+    doc["carrier"] = {"group": [1000, 5000]}
+    with pytest.raises(FamilyFormatError, match="carrier.group"):
+        parse_family(json.dumps(doc))
+    doc["carrier"] = {"group": [2], "field": {"p": 2, "n": 10**12}}
+    with pytest.raises(FamilyFormatError, match="carrier.field"):
+        parse_family(json.dumps(doc))
+
+
+def test_parse_rejects_design_multiplicity_over_cap():
+    doc = json.loads(render_family(ag_design(2, 3)))
+    doc["blocks"][0]["mult"] = 10**15
+    with pytest.raises(FamilyFormatError, match=r"blocks\[0\]: design has more than"):
+        parse_family(json.dumps(doc))
+    doc["blocks"][0]["mult"], doc["blocks"][1]["mult"] = 2**23, 2**23 + 1
+    with pytest.raises(FamilyFormatError, match=r"blocks\[1\]"):
+        parse_family(json.dumps(doc))

@@ -1,9 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
 from difam.carrier import ProductCarrier
 from difam.catalog import example51, paper_signed_lifting_z5, sigma_prime, thm62_z5
 from difam.diffs import GMultiset
-from difam.families import FamilyError, verify_rdf
+from difam.families import FamilyError, paley_sdf, verify_rdf
 from difam.gf import FiniteField, coset_reps, cyclotomic_class
 from difam.groups import AbelianGroup, sum_of
 from difam.io import parse_family, render_family
@@ -343,3 +346,102 @@ def test_simple_lift_requires_additive_sdf():
     sdf = StrongDifferenceFamily(group, 3, 2, [block])
     with pytest.raises(LiftingError):
         simple_lift(sdf, FiniteField(7, 1))
+
+
+
+def test_simple_lift_default_subset_gf8():
+    # in characteristic 2 every 6-subset that contains 0 completes to one of
+    # its own points, so a walk that keeps the least element never ends;
+    # GF(8)* is itself a zero-sum 7-subset
+    sdf = paley_sdf(7)
+    rdf = simple_lift(sdf, FiniteField(2, 3))
+    assert (rdf.group.order, rdf.k, rdf.lam, rdf.s) == (56, 7, 6, 7)
+    assert verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, 7, 6).is_rdf
+
+
+def test_simple_lift_without_zero_sum_subset():
+    # in characteristic 2, x + y = 0 forces x = y: GF(4) has no zero-sum 2-subset
+    from difam.families import StrongDifferenceFamily
+
+    group = AbelianGroup((1,))
+    sdf = StrongDifferenceFamily(group, 2, 2, [GMultiset(group, [(0,), (0,)])])
+    with pytest.raises(LiftingError, match="no zero-sum 2-subset"):
+        simple_lift(sdf, FiniteField(2, 2))
+
+
+def test_simple_lift_signed_rejects_characteristic_two():
+    with pytest.raises(LiftingError, match="odd-order field"):
+        simple_lift(paley_sdf(7), FiniteField(2, 3), signed=True)
+
+# -- pinned search outputs ---------------------------------------------------
+# Each search is deterministic given its seeds, so these pins fix the node
+# counts and the rng consumption as well as the results: a refactor of the
+# searches must reproduce them exactly.
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "q,psi_seed,failed_nodes,coords",
+    [
+        (13, 59, 5584, [[1, 11, 4, 12, 3]]),
+        (29, 61, 46693, [[4, 26, 2, 19, 9]]),
+        (53, 6, 27195, [[49, 10, 51, 6, 5]]),
+        (101, 2, 53229, [[77, 17, 32, 12, 35]]),
+    ],
+)
+def test_greedy_first_psi_seed_pinned(q, psi_seed, failed_nodes, coords):
+    sdf = example51()
+    field = FiniteField(q, 1)
+    failed = 0
+    for seed in range(psi_seed):
+        with pytest.raises(LiftingError) as info:
+            greedy_lift(sdf, field, build_psi(sdf, 4, seed=seed), budget=10**5)
+        failed += info.value.nodes
+    assert failed == failed_nodes
+    lifting = greedy_lift(sdf, field, build_psi(sdf, 4, seed=psi_seed), budget=10**5)
+    assert lifting.second_coords == [[(x,) for x in row] for row in coords]
+
+
+@pytest.mark.parametrize("budget,q,nodes,deepest", [(2, 13, 3, 2), (50, 13, 51, 3), (1000, 29, 436, 3)])
+def test_greedy_failure_counters_pinned(budget, q, nodes, deepest):
+    sdf = example51()
+    with pytest.raises(LiftingError) as info:
+        greedy_lift(sdf, FiniteField(q, 1), build_psi(sdf, 4, seed=0), budget=budget)
+    assert (info.value.nodes, info.value.deepest) == (nodes, deepest)
+
+
+def test_zero_sum_lift_pinned():
+    sdf = example51()
+    field = FiniteField(5, 5)
+    coords = {}
+    for psi_seed in range(4):
+        psi = build_psi(sdf, 4, seed=psi_seed)
+        for seed in range(3):
+            coords[f"{psi_seed},{seed}"] = zero_sum_lift(sdf, field, psi, seed=seed).second_coords
+    assert _digest(coords) == "07cd8eda6932c00bb494916ff44ef813715d5d26897eea0b016cad51dfa537d7"
+
+
+def test_signed_lift_pinned():
+    sdf = example51()
+    field = FiniteField(5, 2, (2, 1, 1))
+    coords = [signed_lift(sdf, field, 2, seed=seed).second_coords for seed in range(6)]
+    assert _digest(coords) == "38e28b715c08276823f9be24fa728938a1ab3e7bad7c0f8fad5853f92242e7a8"
+
+
+@pytest.mark.parametrize(
+    "q,signed,n_blocks,digest",
+    [
+        (7, False, 6, "d64ee8861b1978472ac42b1411f6d8174f31bcff18edac65b633a5274dcf3aff"),
+        (7, True, 3, "bff092c0c1abd5f071caa07e7dc9966caf35e316809c1c3f79d7960dc52d51f7"),
+        (11, False, 10, "339f61b3c136645a18ddb6fbb9eb1cbf8f558642c6afe5bd87cb83346c45f828"),
+        (11, True, 5, "a0d055e79fda1ad7fe629b1f89f2b2389c40a60d5538e4f8bda6ec89271dd0dc"),
+    ],
+)
+def test_simple_lift_blocks_pinned(q, signed, n_blocks, digest):
+    rdf = simple_lift(example51(), FiniteField(q, 1), signed=signed)
+    blocks = [b.expand() for b in rdf.blocks]
+    assert len(blocks) == n_blocks
+    assert _digest(blocks) == digest
