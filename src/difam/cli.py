@@ -2,8 +2,12 @@
 
 Subcommands: verify, build, lift, develop, extend, anomaly, admissibility,
 catalog.  Exit codes: 0 verified/constructed, 1 negative verdict, 2 usage
-or input error.  Verification commands write a .cert file next to the
-input with the verdict, a coverage summary, and any witness data.
+or input error.  One rule maps errors to codes: any package error
+(`DifamError`) or OS error that a command raises ends, in `run`, in one
+`error:` line on stderr and exit 2.  The two errors that are negative
+verdicts exit 1: a failed search in `lift` and a family that `develop`
+refuses.  Verification commands write a .cert file next to the input with
+the verdict, a coverage summary, and any witness data.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from . import catalog as cat
 from . import designs as dz
 from .families import (
     DifferenceMatrix,
-    FamilyError,
     RelativeDifferenceFamily,
     StrongDifferenceFamily,
     jungnickel_compose,
@@ -28,8 +31,8 @@ from .families import (
     verify_sdf,
     zero_sum_dm,
 )
-from .gf import FieldError, FiniteField, coset_reps, cyclotomic_class, parse_modulus
-from .groups import AbelianGroup, GroupError
+from .gf import FiniteField, coset_reps, cyclotomic_class, parse_modulus
+from .groups import AbelianGroup, DifamError
 from .io import FamilyFormatError, parse_family, render_family
 from .lifting import (
     LiftingError,
@@ -45,13 +48,20 @@ from .lifting import (
 from .params import strict_additive_necessary, super_regular_necessary, trivial_additive
 
 
-def _read_family(path: str):
+# the class of family each role of `verify` reads
+_ROLES = {"sdf": StrongDifferenceFamily, "df": RelativeDifferenceFamily,
+          "rdf": RelativeDifferenceFamily, "dm": DifferenceMatrix, "design": dz.Design}
+
+
+def _read_family(path: str, role: type):
+    """The family in the file at `path`, which must be a `role`."""
     try:
-        return parse_family(Path(path).read_text())
-    except OSError as exc:
-        _fail2(f"cannot read {path}: {exc}")
+        obj = parse_family(Path(path).read_bytes())
     except FamilyFormatError as exc:
-        _fail2(f"{path}: {exc}")
+        raise FamilyFormatError(str(exc), path) from None
+    if not isinstance(obj, role):
+        raise FamilyFormatError(f"has role {type(obj).__name__}, expected {role.__name__}", path)
+    return obj
 
 
 def _fail2(message: str):
@@ -64,60 +74,44 @@ def _write_cert(path: str, payload: dict) -> None:
 
 
 def _parse_field(text: str) -> FiniteField:
+    """The argument type of --field: p,n[,modulus coeffs]."""
     parts = text.split(",", 2)
     try:
         p, n = int(parts[0]), int(parts[1])
         modulus = parse_modulus(parts[2]) if len(parts) > 2 else None
         return FiniteField(p, n, modulus)
     except (IndexError, ValueError) as exc:
-        _fail2(f"bad field spec {text!r} (want p,n[,modulus coeffs]): {exc}")
+        raise argparse.ArgumentTypeError(f"bad field spec {text!r} (want p,n[,modulus coeffs]): {exc}")
+
+
+def _parse_orders(text: str) -> tuple[int, ...]:
+    """The argument type of --orders: comma-separated cyclic orders."""
+    return tuple(int(x) for x in text.split(","))
 
 
 def _cmd_verify(args) -> int:
-    obj = _read_family(args.file)
-    if args.role == "sdf":
-        if not isinstance(obj, StrongDifferenceFamily):
-            _fail2(f"{args.file} has role {type(obj).__name__}, expected an SDF")
-        v = verify_sdf(obj.blocks, obj.group, obj.k, obj.lam)
+    obj = _read_family(args.file, _ROLES[args.role])
+    if args.role in ("sdf", "df", "rdf"):
+        if args.role == "sdf":
+            v = verify_sdf(obj.blocks, obj.group, obj.k, obj.lam)
+            role, ok, name = "sdf", v.is_sdf, f"SDF({obj.group.order},{obj.k},{obj.lam})"
+        else:
+            v = verify_rdf(obj.blocks, obj.group, obj.forbidden, obj.k, obj.lam)
+            role, ok, name = "rdf", v.is_rdf, f"DF(v={obj.group.order},k={obj.k},lambda={obj.lam})"
         tag = "additive " if v.is_additive else ""
-        print(
-            f"{tag}SDF({obj.group.order},{obj.k},{obj.lam}): "
-            f"{'PASS' if v.is_sdf else 'FAIL'} (lambda found: {v.lam})"
-        )
+        print(f"{tag}{name}: {'PASS' if ok else 'FAIL'} (lambda found: {v.lam})")
         _write_cert(
             args.file,
             {
-                "role": "sdf",
-                "pass": v.is_sdf,
+                "role": role,
+                "pass": ok,
                 "additive": v.is_additive,
                 "lambda": v.lam,
                 "failures": v.coverage.failures[:10],
             },
         )
-        return 0 if v.is_sdf else 1
-    if args.role in ("df", "rdf"):
-        if not isinstance(obj, RelativeDifferenceFamily):
-            _fail2(f"{args.file} has role {type(obj).__name__}, expected a relative DF")
-        v = verify_rdf(obj.blocks, obj.group, obj.forbidden, obj.k, obj.lam)
-        tag = "additive " if v.is_additive else ""
-        print(
-            f"{tag}DF(v={obj.group.order},k={obj.k},lambda={obj.lam}): "
-            f"{'PASS' if v.is_rdf else 'FAIL'} (lambda found: {v.lam})"
-        )
-        _write_cert(
-            args.file,
-            {
-                "role": "rdf",
-                "pass": v.is_rdf,
-                "additive": v.is_additive,
-                "lambda": v.lam,
-                "failures": v.coverage.failures[:10],
-            },
-        )
-        return 0 if v.is_rdf else 1
+        return 0 if ok else 1
     if args.role == "dm":
-        if not isinstance(obj, DifferenceMatrix):
-            _fail2(f"{args.file} has role {type(obj).__name__}, expected a DM")
         v = verify_dm(obj.columns, obj.group, obj.k, obj.mu)
         print(
             f"DM(|H|={obj.group.order},k={obj.k},mu={obj.mu}): "
@@ -130,8 +124,6 @@ def _cmd_verify(args) -> int:
         )
         return 0 if v.is_dm else 1
     # design
-    if not isinstance(obj, dz.Design):
-        _fail2(f"{args.file} has role {type(obj).__name__}, expected a design")
     v = dz.verify_design(obj)
     sr = dz.verify_super_regular(obj, obj.carrier)
     print(
@@ -140,9 +132,7 @@ def _cmd_verify(args) -> int:
         + (" simple" if v.is_simple else " non-simple")
         + (" super-regular" if sr.is_super_regular else "")
     )
-    r = None
-    if v.is_design:
-        r = v.lambda_found * (obj.v - 1) // (obj.k - 1)
+    r = v.lambda_found * (obj.v - 1) // (obj.k - 1) if v.is_design else None
     _write_cert(
         args.file,
         {
@@ -159,34 +149,28 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    try:
-        if args.what == "paley":
-            obj = paley_sdf(args.q)
-        elif args.what == "theorem82":
-            obj = theorem82_core_sdf(args.k)
-        elif args.what == "zero-sum-dm":
-            group = AbelianGroup(tuple(int(x) for x in args.orders.split(",")))
-            obj = zero_sum_dm(group, args.k)
-        elif args.what == "ag":
-            obj = dz.ag_design(args.n, args.p)
-        else:  # jungnickel
-            sdf = _read_family(args.sdf)
-            dm = _read_family(args.dm)
-            if not isinstance(sdf, StrongDifferenceFamily) or not isinstance(dm, DifferenceMatrix):
-                _fail2("jungnickel needs an SDF file and a DM file")
-            obj = jungnickel_compose(sdf, dm)
-    except (FamilyError, FieldError, GroupError, ValueError) as exc:
-        _fail2(str(exc))
+    if args.what == "paley":
+        obj = paley_sdf(args.q)
+    elif args.what == "theorem82":
+        obj = theorem82_core_sdf(args.k)
+    elif args.what == "zero-sum-dm":
+        obj = zero_sum_dm(AbelianGroup(args.orders), args.k)
+    elif args.what == "ag":
+        obj = dz.ag_design(args.n, args.p)
+    else:  # jungnickel
+        sdf = _read_family(args.sdf, StrongDifferenceFamily)
+        obj = jungnickel_compose(sdf, _read_family(args.dm, DifferenceMatrix))
     Path(args.out).write_text(render_family(obj))
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_lift(args) -> int:
-    obj = _read_family(args.file)
-    if not isinstance(obj, StrongDifferenceFamily):
-        _fail2(f"{args.file} has role {type(obj).__name__}, expected an SDF")
-    field = _parse_field(args.field)
+    obj = _read_family(args.file, StrongDifferenceFamily)
+    if not verify_sdf(obj.blocks, obj.group, obj.k, obj.lam).is_sdf:
+        print(f"{args.file} is not a ({obj.group.order},{obj.k},{obj.lam}) SDF")
+        return 1
+    field = args.field
     try:
         if args.strategy == "simple":
             rdf = simple_lift(obj, field, signed=args.signed)
@@ -206,7 +190,7 @@ def _cmd_lift(args) -> int:
                 print(f"multiplier expansion failed at g={verdict.failing_g}")
                 return 1
             v = verdict.rdf_verdict  # apply_multipliers has run verify_rdf
-    except (LiftingError, FamilyError, FieldError) as exc:
+    except LiftingError as exc:
         print(f"lift failed: {exc}", file=sys.stderr)
         return 1
     if not v.is_rdf:
@@ -221,9 +205,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_develop(args) -> int:
-    obj = _read_family(args.file)
-    if not isinstance(obj, RelativeDifferenceFamily):
-        _fail2(f"{args.file} has role {type(obj).__name__}, expected a relative DF")
+    obj = _read_family(args.file, RelativeDifferenceFamily)
     try:
         design = dz.develop(obj)
     except dz.DesignError as exc:
@@ -239,13 +221,7 @@ def _cmd_develop(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    obj = _read_family(args.file)
-    if not isinstance(obj, RelativeDifferenceFamily):
-        _fail2(f"{args.file} has role {type(obj).__name__}, expected a relative DF")
-    try:
-        big = extend_field(obj, args.degree)
-    except (LiftingError, FieldError) as exc:
-        _fail2(str(exc))
+    big = extend_field(_read_family(args.file, RelativeDifferenceFamily), args.degree)
     v = verify_rdf(big.blocks, big.group, big.forbidden, big.k, big.lam)
     if not v.is_rdf:
         print("extended family failed re-verification")
@@ -256,13 +232,7 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_anomaly(args) -> int:
-    obj = _read_family(args.file)
-    if not isinstance(obj, dz.Design):
-        _fail2(f"{args.file} has role {type(obj).__name__}, expected a design")
-    try:
-        verdict = dz.anomaly_witness(obj, args.p)
-    except dz.DesignError as exc:
-        _fail2(str(exc))
+    verdict = dz.anomaly_witness(_read_family(args.file, dz.Design), args.p)
     payload = {
         "anomalous": verdict.anomalous,
         "witness": verdict.witness,
@@ -281,15 +251,12 @@ def _cmd_anomaly(args) -> int:
 
 
 def _cmd_admissibility(args) -> int:
-    try:
-        if args.v is None:
-            ok = trivial_additive(args.k)
-            print(f"one-block design on k={args.k} admits a zero-sum group: {'PASS' if ok else 'FAIL'}")
-            return 0 if ok else 1
-        verdict = super_regular_necessary(args.v, args.k)
-        strict = strict_additive_necessary(args.v, args.k)
-    except ValueError as exc:
-        _fail2(str(exc))
+    if args.v is None:
+        ok = trivial_additive(args.k)
+        print(f"one-block design on k={args.k} admits a zero-sum group: {'PASS' if ok else 'FAIL'}")
+        return 0 if ok else 1
+    verdict = super_regular_necessary(args.v, args.k)
+    strict = strict_additive_necessary(args.v, args.k)
     print(verdict.render())
     print(strict.render())
     return 0 if verdict.all_pass and strict.all_pass else 1
@@ -301,7 +268,7 @@ def _cmd_catalog(args) -> int:
             print(name)
         return 0
     if args.name not in cat.FIXTURES:
-        _fail2(f"unknown fixture {args.name!r}; try 'catalog list'")
+        raise DifamError(f"unknown fixture {args.name!r}; try 'catalog list'")
     obj = cat.FIXTURES[args.name]()
     Path(args.out).write_text(render_family(obj))
     print(f"wrote {args.out}")
@@ -313,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="verify a family file")
-    p.add_argument("role", choices=["sdf", "df", "rdf", "dm", "design"])
+    p.add_argument("role", choices=_ROLES)
     p.add_argument("file")
     p.set_defaults(fn=_cmd_verify)
 
@@ -324,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = bs.add_parser("theorem82")
     b.add_argument("--k", type=int, required=True)
     b = bs.add_parser("zero-sum-dm")
-    b.add_argument("--orders", required=True, help="comma-separated cyclic orders")
+    b.add_argument("--orders", type=_parse_orders, required=True, help="comma-separated cyclic orders")
     b.add_argument("--k", type=int, required=True)
     b = bs.add_parser("ag")
     b.add_argument("--n", type=int, required=True)
@@ -338,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="lift an SDF to a relative DF")
     p.add_argument("file")
-    p.add_argument("--field", required=True, help="p,n[,modulus coeffs ascending]")
+    p.add_argument("--field", type=_parse_field, required=True, help="p,n[,modulus coeffs ascending]")
     p.add_argument("--strategy", choices=["greedy", "zero-sum", "signed", "simple"], required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--psi-seed", type=int, default=0)
@@ -382,7 +349,10 @@ def run(argv) -> int:
     args = ap.parse_args(argv)
     if args.command == "catalog" and args.action == "emit" and (not args.name or not args.out):
         _fail2("catalog emit needs a fixture name and --out")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (DifamError, OSError) as exc:
+        _fail2(str(exc))
 
 
 def main() -> None:

@@ -13,12 +13,11 @@ from typing import Optional, Sequence
 import numpy as np
 from sympy import isprime
 
-from .diffs import GMultiset
-from .families import FamilyError, RelativeDifferenceFamily, verify_rdf
-from .groups import AbelianGroup, Element, GroupError
+from .families import RelativeDifferenceFamily, verify_rdf
+from .groups import AbelianGroup, DifamError, Element
 
 
-class DesignError(ValueError):
+class DesignError(DifamError):
     pass
 
 
@@ -145,24 +144,29 @@ def verify_design(design: Design, t: int = 2) -> DesignVerdict:
         if np.any(np.diff(part, axis=1) <= 0):
             return DesignVerdict(False, None, False, False, None)
         codes[lo : lo + _CHUNK] = part[:, i_idx] * v + part[:, j_idx]
-    counts = np.bincount(codes.ravel(), minlength=v * v)
-    del codes
-    lam = int(counts[1])  # the pair (0, 1)
-    # rows strictly increase, so every code u*v+w has u < w: the v*v - C(v,2)
-    # counts on and below the diagonal are 0, and match lam only when it is 0
     n_pairs = v * (v - 1) // 2
-    uniform = int(np.count_nonzero(counts == lam)) - (0 if lam else v * v - n_pairs) == n_pairs
-    witness = None
-    ok = uniform and lam >= 1
-    if not uniform:
-        for u in range(v):  # the first miscovered pair in row-major order
+    if codes.size < n_pairs or not codes.size:
+        # too few pair slots to cover every pair: no v*v counts, and the
+        # first miscovered pair comes from the distinct codes
+        lam, uniform, first_bad = 0, not codes.size, _first_miscovered(codes, v)
+    else:
+        counts = np.bincount(codes.ravel(), minlength=v * v)
+        del codes
+        lam = int(counts[1])  # the pair (0, 1)
+        # rows strictly increase, so every code u*v+w has u < w: the v*v - C(v,2)
+        # counts on and below the diagonal are 0, and match lam only when it is 0
+        uniform = int(np.count_nonzero(counts == lam)) - (0 if lam else v * v - n_pairs) == n_pairs
+        first_bad = None
+        for u in range(0 if uniform else v):  # the first miscovered pair in row-major order
             bad = np.flatnonzero(counts[u * v + u + 1 : (u + 1) * v] != lam)
             if bad.size:
-                witness = (design.carrier.decode(u), design.carrier.decode(u + 1 + int(bad[0])))
+                first_bad = u * v + u + 1 + int(bad[0])
                 break
-        lam_found = None
-    else:
-        lam_found = lam
+    ok = uniform and lam >= 1
+    lam_found = lam if uniform else None
+    witness = None
+    if first_bad is not None:
+        witness = (design.carrier.decode(first_bad // v), design.carrier.decode(first_bad % v))
     ordered = arr[np.lexsort(arr.T[::-1])]
     simple = not np.any(np.all(ordered[1:] == ordered[:-1], axis=1))
     repl_ok = False
@@ -171,6 +175,23 @@ def verify_design(design: Design, t: int = 2) -> DesignVerdict:
         point_counts = np.bincount(arr.ravel(), minlength=v)
         repl_ok = rem == 0 and bool(np.all(point_counts == r))
     return DesignVerdict(ok and repl_ok, lam_found, simple, repl_ok, witness)
+
+
+def _first_miscovered(codes: np.ndarray, v: int) -> Optional[int]:
+    """The first pair code u*v+w (u < w, row-major) whose count differs from
+    that of the pair (0, 1), given pair codes that miss some pair."""
+    if not codes.size:
+        return None
+    present, counts = np.unique(codes, return_counts=True)
+    if present[0] != 1:  # (0, 1) is uncovered: the first covered pair
+        return int(present[0])
+    lam = counts[0]
+    u, w = np.divmod(present, v)
+    after = np.where(w + 1 < v, present + 1, (u + 1) * v + u + 2)  # the next pair
+    gaps = np.flatnonzero(present[1:] != after[:-1])
+    missing = int(after[gaps[0] if gaps.size else -1])  # the first uncovered pair
+    over = np.flatnonzero(counts != lam)
+    return min(missing, int(present[over[0]])) if over.size else missing
 
 
 def _decode_array(carrier: AbelianGroup, flat: np.ndarray) -> np.ndarray:
@@ -360,6 +381,8 @@ def anomaly_witness(design: Design, p: int, scan_cap: int = 10**4) -> AnomalyVer
         n += 1
     if design.k != p:
         raise DesignError(f"block size {design.k} != {p}")
+    if design.b * p * (p - 1) != v * (v - 1):  # before the v*v pair table
+        raise DesignError(f"{design.b} blocks of {p} points cannot be a 2-({v},{p},1) design")
     table = _pair_block_table(design)
     rows: dict[int, list[int]] = {}
     target = p * p

@@ -22,11 +22,11 @@ from sympy import factorint
 
 from .diffs import CoverageVerdict, GMultiset, coverage, delta_family
 from .gf import FiniteField, nonzero_squares
-from .groups import AbelianGroup, Element, GroupError, Subgroup, sum_of
+from .groups import AbelianGroup, DifamError, Element, Subgroup, sum_of
 from .params import Condition, ParamVerdict, largest_odd_prime_power_factor, main_status
 
 
-class FamilyError(ValueError):
+class FamilyError(DifamError):
     pass
 
 

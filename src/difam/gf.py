@@ -15,18 +15,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from sympy import isprime
 
-from .groups import AbelianGroup
+from .groups import AbelianGroup, DifamError
 
 Element = tuple[int, ...]
 
 MAX_FIELD_ORDER = 2**22
 
 
-class FieldError(ValueError):
+class FieldError(DifamError):
     pass
 
 
@@ -78,9 +78,10 @@ class FiniteField:
         q = p**n
         self.p, self.n, self.q = p, n, q
         if modulus is not None:
-            modulus = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)
+            modulus = tuple(int(c) for c in modulus)
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise FieldError(f"modulus must be monic of degree {n}: {modulus}")
+            modulus = tuple(c % p for c in modulus[:-1]) + (1,)
             tables = _build_tables(modulus, p, n)
             if tables is None:
                 raise FieldError(f"modulus {modulus} is not primitive over GF({p})")

@@ -16,7 +16,11 @@ from typing import Iterable, Iterator, Sequence
 Element = tuple[int, ...]
 
 
-class GroupError(ValueError):
+class DifamError(ValueError):
+    """Base of every error the package raises for a bad input or request."""
+
+
+class GroupError(DifamError):
     pass
 
 
@@ -210,7 +214,7 @@ def cosets(sub: Subgroup) -> list[list[Element]]:
 def radical(n: int) -> int:
     """Product of the distinct primes dividing n; radical(1) = 1."""
     if n <= 0:
-        raise ValueError(f"radical needs n >= 1, got {n}")
+        raise DifamError(f"radical needs n >= 1, got {n}")
     result = 1
     m = n
     p = 2

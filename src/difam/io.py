@@ -8,7 +8,9 @@ coefficient lists, product elements {"g": [...], "f": [...]}.  Designs may
 attach a multiplicity to each block.  parse(render(x)) == x for every
 field of every role: a family's `additive` is derived from its blocks, not
 stored, so the file carries no flag.  Parsing checks structure only and
-runs no verifier; each CLI command verifies a family it reads once.
+runs no verifier; each CLI command verifies a family it reads once.  Every
+number is a JSON integer: a float, a string or a bool is refused, not
+truncated or converted, and any malformed file raises FamilyFormatError.
 """
 
 from __future__ import annotations
@@ -22,16 +24,17 @@ from .carrier import ProductCarrier
 from .diffs import GMultiset
 from .families import (
     DifferenceMatrix,
+    FamilyError,
     PartialSpread,
     RelativeDifferenceFamily,
     StrongDifferenceFamily,
 )
 from .designs import Design
-from .gf import MAX_FIELD_ORDER, FiniteField
-from .groups import AbelianGroup, Subgroup
+from .gf import MAX_FIELD_ORDER, FieldError, FiniteField
+from .groups import AbelianGroup, DifamError, GroupError, Subgroup
 
 
-class FamilyFormatError(ValueError):
+class FamilyFormatError(DifamError):
     """Raised with a location string for any structural problem."""
 
     def __init__(self, message: str, where: str = ""):
@@ -62,6 +65,19 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int(value, where: str) -> int:
+    """A JSON integer: a float, a string or a bool is not read as one."""
+    if not _is_int(value):
+        raise FamilyFormatError(f"must be an integer, not {type(value).__name__}", where)
+    return value
+
+
+def _list(value, what: str, where: str) -> list:
+    if not isinstance(value, list):
+        raise FamilyFormatError(f"{what} must be a list", where)
+    return value
+
+
 def _carrier_from_header(header: dict, where: str):
     if not isinstance(header, dict):
         raise FamilyFormatError("carrier must be an object", where)
@@ -71,12 +87,17 @@ def _carrier_from_header(header: dict, where: str):
         raise FamilyFormatError("carrier needs 'group' and/or 'field'", where)
     field = None
     if field_spec is not None:
+        at = where + ".field"
+        if not isinstance(field_spec, dict):
+            raise FamilyFormatError("field must be an object", at)
+        modulus = field_spec.get("modulus")
+        if modulus is not None:
+            modulus = [_int(c, at + ".modulus") for c in _list(modulus, "modulus", at)]
+        p, n = _int(field_spec.get("p"), at + ".p"), _int(field_spec.get("n"), at + ".n")
         try:
-            field = FiniteField(
-                field_spec["p"], field_spec["n"], field_spec.get("modulus")
-            )
-        except (KeyError, ValueError) as exc:
-            raise FamilyFormatError(f"bad field spec: {exc}", where + ".field")
+            field = FiniteField(p, n, modulus)
+        except FieldError as exc:
+            raise FamilyFormatError(f"bad field spec: {exc}", at)
     if group is None:
         return field.additive_group, None, field
     if not (isinstance(group, list) and group and all(_is_int(n) and n >= 1 for n in group)):
@@ -101,18 +122,26 @@ def _element_to_json(carrier, e):
     return list(e)
 
 
+def _residues(obj, where: str) -> tuple[int, ...]:
+    # type() is int: a bool or a float is not a residue; one pass, no call per entry
+    if not (isinstance(obj, list) and all(type(c) is int for c in obj)):
+        raise FamilyFormatError("element must be a list of integers", where)
+    return tuple(obj)
+
+
 def _element_from_json(carrier, obj, where: str):
     if isinstance(carrier, ProductCarrier):
         if not (isinstance(obj, dict) and set(obj) == {"g", "f"}):
             raise FamilyFormatError('product element must be {"g": [...], "f": [...]}', where)
-        e = tuple(int(c) for c in obj["g"]) + tuple(int(c) for c in obj["f"])
+        g = _residues(obj["g"], where + ".g")
+        if len(g) != carrier.group.rank:
+            raise FamilyFormatError(f"g needs {carrier.group.rank} residues", where + ".g")
+        e = g + _residues(obj["f"], where + ".f")
     else:
-        if not isinstance(obj, list):
-            raise FamilyFormatError("element must be a residue list", where)
-        e = tuple(int(c) for c in obj)
+        e = _residues(obj, where)
     try:
         return carrier.check(e)
-    except ValueError as exc:
+    except GroupError as exc:
         raise FamilyFormatError(str(exc), where)
 
 
@@ -173,13 +202,20 @@ def render_family(obj: Family) -> str:
     return json.dumps(doc, indent=1)
 
 
-def parse_family(text: str) -> Family:
+def parse_family(text: Union[str, bytes]) -> Family:
+    """The family in `text`, or bytes that must be UTF-8."""
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         doc = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise FamilyFormatError(f"not UTF-8: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise FamilyFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except RecursionError:
+        raise FamilyFormatError("JSON nested too deeply")
     if not isinstance(doc, dict):
         raise FamilyFormatError("top level must be an object")
     role = doc.get("role")
@@ -188,10 +224,9 @@ def parse_family(text: str) -> Family:
     if "carrier" not in doc:
         raise FamilyFormatError("missing carrier", "carrier")
     carrier, _group, _field = _carrier_from_header(doc["carrier"], "carrier")
-    try:
-        k = int(doc["k"])
-    except (KeyError, TypeError, ValueError):
-        raise FamilyFormatError("missing or bad k", "k")
+    k = _int(doc.get("k"), "k")
+    if k < 1:
+        raise FamilyFormatError(f"must be >= 1, got {k}", "k")
     raw_blocks = doc.get("blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise FamilyFormatError("blocks must be a non-empty list", "blocks")
@@ -204,7 +239,7 @@ def parse_family(text: str) -> Family:
                 raise FamilyFormatError('design block must be {"points": [...], "mult": m}', where)
             pts = [
                 _element_from_json(carrier, e, f"{where}.points[{i}]")
-                for i, e in enumerate(entry["points"])
+                for i, e in enumerate(_list(entry["points"], "points", where))
             ]
             if len(pts) != k:
                 raise FamilyFormatError(f"block has {len(pts)} points, expected {k}", where)
@@ -223,26 +258,19 @@ def parse_family(text: str) -> Family:
     blocks = []
     for bi, entry in enumerate(raw_blocks):
         where = f"blocks[{bi}]"
-        if not isinstance(entry, list):
-            raise FamilyFormatError("block must be a list of elements", where)
         elems = [
-            _element_from_json(carrier, e, f"{where}[{i}]") for i, e in enumerate(entry)
+            _element_from_json(carrier, e, f"{where}[{i}]")
+            for i, e in enumerate(_list(entry, "block", where))
         ]
         if len(elems) != k:
             raise FamilyFormatError(f"block has {len(elems)} elements, expected {k}", where)
         blocks.append(elems)
 
     if role == "dm":
-        try:
-            mu = int(doc["mu"])
-        except (KeyError, TypeError, ValueError):
-            raise FamilyFormatError("difference matrix needs mu", "mu")
+        mu = _int(doc.get("mu"), "mu")
         return DifferenceMatrix(carrier, k, mu, [tuple(c) for c in blocks])
 
-    try:
-        lam = int(doc["lambda"])
-    except (KeyError, TypeError, ValueError):
-        raise FamilyFormatError("missing or bad lambda", "lambda")
+    lam = _int(doc.get("lambda"), "lambda")
 
     msets = [GMultiset(carrier, b) for b in blocks]
     if role == "sdf":
@@ -256,11 +284,14 @@ def parse_family(text: str) -> Family:
         where = f"forbidden[{si}]"
         elems = [
             _element_from_json(carrier, e, f"{where}[{i}]")
-            for i, e in enumerate(sub_elems)
+            for i, e in enumerate(_list(sub_elems, "subgroup", where))
         ]
         try:
             subs.append(Subgroup(carrier, elems))
-        except ValueError as exc:
+        except GroupError as exc:
             raise FamilyFormatError(str(exc), where)
-    forbidden = subs[0] if len(subs) == 1 else PartialSpread(subs)
+    try:
+        forbidden = subs[0] if len(subs) == 1 else PartialSpread(subs)
+    except FamilyError as exc:
+        raise FamilyFormatError(str(exc), "forbidden")
     return RelativeDifferenceFamily(carrier, forbidden, k, lam, msets)

@@ -17,7 +17,7 @@ import functools
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .carrier import ProductCarrier
@@ -29,18 +29,11 @@ from .families import (
     StrongDifferenceFamily,
     verify_rdf,
 )
-from .gf import (
-    CyclotomicClassIndex,
-    FieldError,
-    FiniteField,
-    coset_reps,
-    subfield_embed,
-    x_set,
-)
-from .groups import Element, sum_of
+from .gf import FiniteField, coset_reps, subfield_embed, x_set
+from .groups import DifamError, Element, sum_of
 
 
-class LiftingError(ValueError):
+class LiftingError(DifamError):
     def __init__(self, message: str, nodes: int = 0, deepest: int = 0):
         super().__init__(message)
         self.nodes = nodes
@@ -639,13 +632,43 @@ def extend_field(rdf: RelativeDifferenceFamily, n: int) -> RelativeDifferenceFam
     )
 
 
+def _combinations_descending(n: int, r: int):
+    """The r-subsets of range(n), as sorted index lists, in decreasing
+    lexicographic order."""
+    idx = list(range(n - r, n))
+    while True:
+        yield idx
+        # the previous subset: lower the last index that can go down
+        j = r - 1
+        while j >= 0 and idx[j] == (idx[j - 1] + 1 if j else 0):
+            j -= 1
+        if j < 0:
+            return
+        idx[j] -= 1
+        idx[j + 1 :] = range(n - r + j + 1, n)
+
+
 def _default_zero_sum_subset(field: FiniteField, k: int) -> list[Element]:
-    """The first (k-1)-subset, in lexicographic order, whose completion by
-    minus its sum is a new element: a zero-sum k-subset of the field."""
-    for head in itertools.combinations(sorted(field.elements()), k - 1):
-        last = field.neg(sum_of(field.additive_group, head))
-        if last not in head:
-            return list(head) + [last]
+    """The lexicographically first zero-sum k-subset of the field, sorted.
+
+    Walking (k-1)-heads in lexicographic order, the first whose completion
+    by minus its sum is a new element gives it.  For q > 2 the whole field
+    sums to zero, so a set is zero-sum iff its complement is, and taking
+    complements reverses lexicographic order: when q-k < k it is the
+    complement of the last zero-sum (q-k)-subset, found walking backwards.
+    """
+    elems = sorted(field.elements())
+    group = field.additive_group
+    if field.q > 2 and field.q - k < k:
+        for idx in _combinations_descending(field.q, field.q - k):
+            if sum_of(group, [elems[i] for i in idx]) == field.zero:
+                drop = set(idx)
+                return [e for i, e in enumerate(elems) if i not in drop]
+    else:
+        for head in itertools.combinations(elems, k - 1):
+            last = field.neg(sum_of(group, head))
+            if last not in head:
+                return list(head) + [last]
     raise LiftingError(f"field of order {field.q} has no zero-sum {k}-subset")
 
 

@@ -11,7 +11,7 @@ from typing import Optional
 
 from sympy import factorint, n_order
 
-from .groups import AbelianGroup, element_order, radical
+from .groups import AbelianGroup, DifamError, element_order, radical
 
 
 @dataclass
@@ -51,14 +51,14 @@ def is_singly_even(k: int) -> bool:
 def trivial_additive(k: int) -> bool:
     """Whether the one-block design on k points admits a zero-sum group."""
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise DifamError(f"k must be >= 1, got {k}")
     return k % 4 != 2
 
 
 def strict_additive_necessary(v: int, k: int) -> ParamVerdict:
     """Necessary conditions for a strictly additive 2-(v,k,1) design."""
     if not v >= k >= 2:
-        raise ValueError(f"need v >= k >= 2, got v={v}, k={k}")
+        raise DifamError(f"need v >= k >= 2, got v={v}, k={k}")
     rad_v = radical(v)
     verdict = ParamVerdict({"v": v, "k": k})
     verdict.conditions.append(
@@ -75,7 +75,7 @@ def super_regular_necessary(
 ) -> ParamVerdict:
     """Necessary conditions for a super-regular 2-(v,k,1) design."""
     if k < 2:
-        raise ValueError(f"need k >= 2, got k={k}")
+        raise DifamError(f"need k >= 2, got k={k}")
     verdict = ParamVerdict({"v": v, "k": k})
     mod = k * (k - 1)
     verdict.conditions.append(
@@ -110,7 +110,7 @@ def theorem41_42(v: int, k: int) -> ParamVerdict:
     hypothesis fails, the residue is still reported for diagnosis.
     """
     if v % k != 0:
-        raise ValueError(f"k={k} must divide v={v}")
+        raise DifamError(f"k={k} must divide v={v}")
     hyp = k % 3 == 0 and k % 9 != 0
     ratio = v // k
     residue = ratio % 3
@@ -143,7 +143,7 @@ def theorem43_enumerate(n: int) -> OrderEnumeration:
     survives.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise DifamError(f"n must be >= 1, got {n}")
     k = 2**n * 3
     o = int(n_order(2, k - 1))
     i_max = (n * n - n) // o
@@ -158,7 +158,7 @@ def main_status(k: int) -> str:
     "constructible".
     """
     if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
+        raise DifamError(f"k must be >= 3, got {k}")
     if is_prime_power(k):
         return "prime_power"
     if is_singly_even(k):

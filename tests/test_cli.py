@@ -1,8 +1,13 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
+import difam.cli
+from difam.catalog import example51, thm62_z5
 from difam.cli import run
+from difam.io import render_family
 
 
 def _emit(tmp_path, name):
@@ -251,3 +256,117 @@ def test_verify_design_bad_header_exits_2(tmp_path, capsys, path, value):
         run(["verify", "design", str(out)])
     assert info.value.code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# --- the error boundary: every input ends in exit 0, 1 or 2, never a traceback ---
+
+EXAMPLE51 = json.loads(render_family(example51()))
+Z5 = json.loads(render_family(thm62_z5()))
+TINY_DESIGN = {"role": "design", "carrier": {"group": [2**22]}, "k": 2,
+               "blocks": [{"points": [[0], [1]]}]}
+SDF_K1 = {"role": "sdf", "carrier": {"group": [5]}, "k": 1, "lambda": 1, "blocks": [[[0]]]}
+
+
+def _with(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# a file body and the command run on it: IN is the file, OUT an output path,
+# MISSING an output path in a directory that does not exist
+INPUT_ERRORS = {
+    "sdf-k1-verify": (SDF_K1, ["verify", "sdf", "IN"]),
+    "sdf-k1-lift": (SDF_K1, ["lift", "IN", "--field", "5,1", "--strategy", "simple", "--out", "OUT"]),
+    "rdf-k1-develop": ({"role": "rdf", "carrier": {"group": [5]}, "k": 1, "lambda": 1,
+                        "forbidden": [[[0]]], "blocks": [[[1]]]}, ["develop", "IN", "--out", "OUT"]),
+    "overlapping-spread": ({"role": "rdf", "carrier": {"group": [4]}, "k": 2, "lambda": 1,
+                            "forbidden": [[[0], [2]], [[0], [1], [2], [3]]],
+                            "blocks": [[[0], [1]]]}, ["verify", "df", "IN"]),
+    "residue-string": (_with(EXAMPLE51, ("blocks", 0, 1), ["x"]), ["verify", "sdf", "IN"]),
+    "residue-float": (_with(EXAMPLE51, ("blocks", 0, 1), [1.9]), ["verify", "sdf", "IN"]),
+    "field-list": (_with(Z5, ("carrier", "field"), [5, 1]), ["verify", "df", "IN"]),
+    "forbidden-int": (_with(Z5, ("forbidden",), [5]), ["verify", "df", "IN"]),
+    "k-overflow": (json.dumps(EXAMPLE51).replace('"k": 5', '"k": 1e999'), ["verify", "sdf", "IN"]),
+    "non-utf8": (b'{"role": "sdf", "k": "\xff\xfe"}', ["verify", "sdf", "IN"]),
+    "deep-json": ("[" * 100_000 + "]" * 100_000, ["verify", "sdf", "IN"]),
+    "out-in-missing-dir": (EXAMPLE51, ["catalog", "emit", "example51", "--out", "MISSING"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_ERRORS))
+def test_input_errors_exit_2_with_one_line(tmp_path, capsys, name):
+    body, argv = INPUT_ERRORS[name]
+    path, out = tmp_path / "in.json", tmp_path / "out"
+    if isinstance(body, bytes):
+        path.write_bytes(body)
+    else:
+        path.write_text(body if isinstance(body, str) else json.dumps(body))
+    tokens = {"IN": str(path), "OUT": str(out), "MISSING": str(tmp_path / "no-such-dir" / "x")}
+    with pytest.raises(SystemExit) as info:
+        run([tokens.get(a, a) for a in argv])
+    assert info.value.code == 2
+    printed = capsys.readouterr()
+    assert printed.err.startswith("error:") and printed.err.count("\n") == 1, printed.err
+    # [1.9] used to be read as 1: example51 passed and got a certificate
+    assert "PASS" not in printed.out
+    assert not out.exists() and not (tmp_path / "in.json.cert").exists()
+
+
+def _timed_peak(argv):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, time.perf_counter() - start, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_tiny_design_on_big_carrier_allocates_no_v_squared(tmp_path, capsys):
+    # 100 bytes that name 2^22 points: the v*v count array would be 128 TiB,
+    # the v*v pair table 64 TiB
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY_DESIGN))
+    code, seconds, peak = _timed_peak(["verify", "design", str(path)])
+    assert code == 1 and seconds < 1 and peak <= 100, (code, seconds, peak)
+    assert "FAIL" in capsys.readouterr().out
+    cert = json.loads((tmp_path / "tiny.json.cert").read_text())
+    assert cert["pass"] is False and cert["witness_pair"] == [[0], [2]]
+    code, seconds, peak = _timed_peak(["anomaly", str(path), "--p", "2"])
+    assert code == 2 and seconds < 1 and peak <= 100, (code, seconds, peak)
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_lift_refuses_a_family_that_is_not_an_sdf(tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(difam.cli, "build_psi", no_search)
+    path, out = tmp_path / "lam2.json", tmp_path / "df.json"
+    path.write_text(json.dumps(_with(EXAMPLE51, ("lambda",), 2)))
+    argv = ["lift", str(path), "--field", "13,1", "--strategy", "greedy", "--out", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().out.strip() == f"{path} is not a (5,5,2) SDF"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build", "zero-sum-dm", "--orders", "3,x", "--k", "3"],
+     ["lift", "f.json", "--field", "4,1", "--strategy", "simple"],
+     ["lift", "f.json", "--field", "5", "--strategy", "simple"]],
+    ids=["orders", "field-not-prime", "field-short"],
+)
+def test_bad_argument_values_are_usage_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run(argv + ["--out", str(tmp_path / "x.json")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err

@@ -86,6 +86,29 @@ def test_verify_design_reports_witness(z5_design):
     assert z5_design.carrier.encode(w) in removed
 
 
+def test_verify_design_too_few_blocks_skips_the_pair_counts():
+    # one block on 2^22 points: the v*v count array would be 128 TiB
+    tiny = Design(AbelianGroup((2**22,)), np.array([[0, 1]], dtype=np.int64), 2)
+    tracemalloc.start()
+    try:
+        verdict = verify_design(tiny)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == DesignVerdict(False, None, True, False, ((0,), (2,)))
+    assert peak < 2**20
+    # no pair at all: every pair is covered 0 times, as the counts found
+    assert verify_design(Design(AbelianGroup((5,)), np.array([[3]]), 1)) == DesignVerdict(
+        False, 0, True, False, None
+    )
+
+
+def test_anomaly_witness_refuses_a_wrong_block_count():
+    tiny = Design(AbelianGroup((2**22,)), np.array([[0, 1]], dtype=np.int64), 2)
+    with pytest.raises(DesignError, match="cannot be a 2-"):
+        anomaly_witness(tiny, 2)
+
+
 def test_verify_design_only_pairs():
     d = ag_design(2, 3)
     with pytest.raises(DesignError):

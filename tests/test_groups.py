@@ -140,3 +140,18 @@ def test_radical():
     assert radical(360) == 30
     with pytest.raises(ValueError):
         radical(0)
+
+
+def test_every_package_error_is_a_difam_error():
+    from difam.designs import DesignError
+    from difam.families import FamilyError
+    from difam.gf import FieldError
+    from difam.groups import DifamError
+    from difam.io import FamilyFormatError
+    from difam.lifting import LiftingError
+
+    assert issubclass(DifamError, ValueError)
+    for cls in (GroupError, FieldError, FamilyError, FamilyFormatError, LiftingError, DesignError):
+        assert issubclass(cls, DifamError), cls
+    with pytest.raises(DifamError):
+        radical(0)

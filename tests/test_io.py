@@ -176,3 +176,71 @@ def test_parse_rejects_design_multiplicity_over_cap():
     doc["blocks"][0]["mult"], doc["blocks"][1]["mult"] = 2**23, 2**23 + 1
     with pytest.raises(FamilyFormatError, match=r"blocks\[1\]"):
         parse_family(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "make,path,value,where",
+    [
+        (example51, ("blocks", 0, 1), [1.9], r"blocks\[0\]\[1\]"),
+        (example51, ("blocks", 0, 1), ["1"], r"blocks\[0\]\[1\]"),
+        (example51, ("blocks", 0, 1), [True], r"blocks\[0\]\[1\]"),
+        (example51, ("blocks", 0, 1), 1, r"blocks\[0\]\[1\]"),
+        (example51, ("blocks", 0), {"a": 1}, r"blocks\[0\]"),
+        (example51, ("k",), 5.0, "k"),
+        (example51, ("k",), 1e999, "k"),
+        (example51, ("k",), "5", "k"),
+        (example51, ("k",), 0, "k: must be >= 1"),
+        (example51, ("lambda",), 4.5, "lambda"),
+        (example51, ("lambda",), None, "lambda"),
+        (thm62_z5, ("carrier", "field"), [5, 1], "carrier.field"),
+        (thm62_z5, ("carrier", "field", "p"), 5.0, r"carrier.field.p"),
+        (thm62_z5, ("carrier", "field", "n"), "2", r"carrier.field.n"),
+        (thm62_z5, ("carrier", "field", "modulus"), [2, 1.0, 1], r"carrier.field.modulus"),
+        (thm62_z5, ("carrier", "field", "modulus"), "2,1,1", r"carrier.field"),
+        (thm62_z5, ("carrier", "field", "modulus"), [], r"carrier.field: bad field spec"),
+        (thm62_z5, ("forbidden",), [5], r"forbidden\[0\]"),
+        (thm62_z5, ("forbidden", 0, 0, "g"), 0, r"forbidden\[0\]\[0\].g"),
+        (thm62_z5, ("forbidden", 0, 0, "f"), [0.0, 0], r"forbidden\[0\]\[0\].f"),
+        (thm62_z5, ("blocks", 0, 0, "g"), [0, 0], r"blocks\[0\]\[0\].g"),
+        (thm62_z5, ("blocks", 0, 0, "f"), [0, 0, 0], r"blocks\[0\]\[0\]"),
+    ],
+)
+def test_parse_reads_json_integers_only(make, path, value, where):
+    # int() used to truncate 1.9 to 1 and parse "1": a file read as another
+    doc = json.loads(render_family(make()))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(FamilyFormatError, match=where):
+        parse_family(json.dumps(doc))
+
+
+def test_parse_rejects_non_integer_mu_and_design_points():
+    doc = json.loads(render_family(zero_sum_dm(AbelianGroup((3,)), 3)))
+    doc["mu"] = 3.0
+    with pytest.raises(FamilyFormatError, match="mu"):
+        parse_family(json.dumps(doc))
+    doc = json.loads(render_family(ag_design(2, 3)))
+    doc["blocks"][0]["points"] = 7
+    with pytest.raises(FamilyFormatError, match=r"blocks\[0\]"):
+        parse_family(json.dumps(doc))
+
+
+def test_parse_rejects_overlapping_spread():
+    doc = {"role": "rdf", "carrier": {"group": [4]}, "k": 2, "lambda": 1,
+           "forbidden": [[[0], [2]], [[0], [1], [2], [3]]], "blocks": [[[0], [1]]]}
+    with pytest.raises(FamilyFormatError, match="forbidden: spread members"):
+        parse_family(json.dumps(doc))
+
+
+def test_parse_bytes_must_be_utf8():
+    text = render_family(example51())
+    assert parse_family(text.encode()).blocks == example51().blocks
+    with pytest.raises(FamilyFormatError, match="not UTF-8"):
+        parse_family(b'{"role": "sdf", "k": "\xff"}')
+
+
+def test_parse_deep_nesting_is_a_format_error():
+    with pytest.raises(FamilyFormatError, match="nested too deeply"):
+        parse_family("[" * 100_000 + "]" * 100_000)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from difam.lifting import (
     Lifting,
     LiftingError,
     MultiplierSet,
+    _default_zero_sum_subset,
     apply_multipliers,
     build_psi,
     check_lifting,
@@ -445,3 +447,31 @@ def test_simple_lift_blocks_pinned(q, signed, n_blocks, digest):
     blocks = [b.expand() for b in rdf.blocks]
     assert len(blocks) == n_blocks
     assert _digest(blocks) == digest
+
+
+def _zero_sum_subset_by_heads(field, k):
+    """The walk over (k-1)-heads that _default_zero_sum_subset shortens."""
+    for head in itertools.combinations(sorted(field.elements()), k - 1):
+        last = field.neg(sum_of(field.additive_group, head))
+        if last not in head:
+            return list(head) + [last]
+    return None
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (11, 1), (13, 1), (2, 4)])
+def test_default_zero_sum_subset_matches_the_head_walk(p, n):
+    field = FiniteField(p, n)
+    for k in range(1, field.q + 1):
+        expected = _zero_sum_subset_by_heads(field, k)
+        if expected is None:
+            with pytest.raises(LiftingError):
+                _default_zero_sum_subset(field, k)
+        else:
+            assert _default_zero_sum_subset(field, k) == expected, k
+
+
+def test_default_zero_sum_subset_large_k():
+    # k = q-1 walked about C(q-1, 2) heads: 7 s over GF(128)
+    field = FiniteField(2, 7)
+    assert _default_zero_sum_subset(field, 127) == sorted(field.elements())[1:]

@@ -1,6 +1,6 @@
 import pytest
 
-from difam.groups import AbelianGroup
+from difam.groups import AbelianGroup, DifamError
 from difam.params import (
     is_prime_power,
     is_singly_even,
@@ -129,3 +129,11 @@ def test_largest_odd_prime_power_factor():
     assert largest_odd_prime_power_factor(15) == (5, 3)
     assert largest_odd_prime_power_factor(45) == (9, 5)
     assert largest_odd_prime_power_factor(8) == (1, 8)
+
+
+def test_parameter_errors_are_difam_errors():
+    for call in (lambda: trivial_additive(0), lambda: strict_additive_necessary(3, 5),
+                 lambda: super_regular_necessary(10, 1), lambda: theorem41_42(10, 3),
+                 lambda: theorem43_enumerate(0), lambda: main_status(2)):
+        with pytest.raises(DifamError):
+            call()
