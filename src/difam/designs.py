@@ -23,6 +23,9 @@ class DesignError(DifamError):
 
 _CHUNK = 1 << 12  # blocks per slice in the array builders: bounds their temporaries
 
+# the most blocks a design may have: bounds what a design file or ag_design allocates
+MAX_DESIGN_BLOCKS = 2**24
+
 
 @dataclass
 class Design:
@@ -95,11 +98,15 @@ def develop(rdf: RelativeDifferenceFamily, lambda_copies: Optional[int] = None) 
     """All translates of the base blocks plus lambda copies of every coset
     of every forbidden subgroup.
     """
-    lam = rdf.lam if lambda_copies is None else lambda_copies
-    carrier = rdf.group
-    verdict = verify_rdf(rdf.blocks, carrier, rdf.forbidden, rdf.k, rdf.lam)
-    if not verdict.is_rdf:
+    if not verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, rdf.k, rdf.lam).is_rdf:
         raise DesignError("difference family does not verify; refusing to develop it")
+    lam = rdf.lam if lambda_copies is None else lambda_copies
+    return Design(rdf.group, _develop_rows(rdf, lam), rdf.k)
+
+
+def _develop_rows(rdf: RelativeDifferenceFamily, lam: int) -> np.ndarray:
+    """The rows of `develop`, for any family, verified or not."""
+    carrier = rdf.group
     orders = np.array(carrier.cyclic_orders, dtype=np.int64)
     all_elems = np.array(list(carrier.elements()), dtype=np.int64)  # (|G|, rank)
     base = np.array(
@@ -126,7 +133,7 @@ def develop(rdf: RelativeDifferenceFamily, lambda_copies: Optional[int] = None) 
     for unique in cosets:  # lam copies of each coset
         rows[lo : lo + lam * len(unique)] = np.repeat(unique, lam, axis=0)
         lo += lam * len(unique)
-    return Design(carrier, rows, rdf.k)
+    return rows
 
 
 def verify_design(design: Design, t: int = 2) -> DesignVerdict:
@@ -167,8 +174,8 @@ def verify_design(design: Design, t: int = 2) -> DesignVerdict:
     witness = None
     if first_bad is not None:
         witness = (design.carrier.decode(first_bad // v), design.carrier.decode(first_bad % v))
-    ordered = arr[np.lexsort(arr.T[::-1])]
-    simple = not np.any(np.all(ordered[1:] == ordered[:-1], axis=1))
+    keys = _sorted_row_keys(arr, v)
+    simple = not np.any(np.all(keys[1:] == keys[:-1], axis=1))
     repl_ok = False
     if ok:
         r, rem = divmod(lam * (v - 1), k - 1)
@@ -204,76 +211,53 @@ def _decode_array(carrier: AbelianGroup, flat: np.ndarray) -> np.ndarray:
     return dec
 
 
-def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVerdict:
-    """Regularity (translation-invariant block multiset) and strict
-    additivity (every block zero-sum).
+def _sorted_row_keys(arr: np.ndarray, v: int, step: Optional[tuple[int, int]] = None) -> np.ndarray:
+    """Each row as a point set, in lexicographic order: (b, words) int64 keys.
 
-    A block B's canonical form is the least of its k sorted translates
-    B - b_i, packed base v into int64 words (one word when v^k < 2^62).
-    Translation acts freely, so B - b_i = B - b_j iff b_i - b_j fixes B:
-    the number of translates equal to the canonical form is the stabiliser
-    order, and the orbit has v // stabiliser blocks.  Regular iff each
-    class of one canonical form is a whole orbit, its blocks equally
-    repeated.
+    A row is sorted and packed base v, as many digits per word as stay below
+    2^62, so comparing keys compares rows.  With step = (w, n), every point
+    is first moved by the unit generator of the cyclic factor of order n and
+    weight w.
     """
-    if design.carrier != group or design.v != group.order:
-        raise DesignError("design points are not the elements of the given group")
-    carrier = design.carrier
-    v, k = design.v, design.k
-    orders = np.array(carrier.cyclic_orders, dtype=np.int64)
-    arr = design.blocks
-    b = arr.shape[0]
-    # `per_word` base-v digits per word, below 2^62: comparing the words of
-    # two rows compares the rows lexicographically
+    k = arr.shape[1]
     per_word = 1
     while per_word < k and v ** (per_word + 1) < 2**62:
         per_word += 1
     starts = np.arange(0, k, per_word)
     weights = np.array([v ** (per_word - 1 - i % per_word) for i in range(k)], dtype=np.int64)
-    canon = np.empty((b, starts.size), dtype=np.int64)
-    own = np.empty((b, starts.size), dtype=np.int64)
-    stab = np.empty(b, dtype=np.int64)
-    additive = True
-    for lo in range(0, b, _CHUNK):
+    keys = np.empty((arr.shape[0], starts.size), dtype=np.int64)
+    for lo in range(0, arr.shape[0], _CHUNK):
         part = arr[lo : lo + _CHUNK]
-        n = part.shape[0]
-        coords = _decode_array(carrier, part.ravel()).reshape(n, k, carrier.rank)
-        additive &= bool(np.all(coords.sum(axis=1) % orders == 0))
-        # rows[., i] = B - b_i, encoded one coordinate at a time
-        rows = np.zeros((n, k, k), dtype=np.int64)
-        for pos, weight in enumerate(carrier._weights):
-            d = coords[:, None, :, pos] - coords[:, :, None, pos]  # d[., i, j] = b_j - b_i
-            d += orders[pos] * (d < 0)
-            d *= weight
-            rows += d
-        rows.sort(axis=2)
-        words = np.add.reduceat(rows * weights, starts, axis=2)  # (n, k, words)
-        # the least of the k translates, and which of them equal it
-        least = np.ones((n, k), dtype=bool)
-        for w in range(starts.size):
-            vals = np.where(least, words[:, :, w], np.iinfo(np.int64).max)
-            least &= words[:, :, w] == vals.min(axis=1, keepdims=True)
-        canon[lo : lo + n] = words[np.arange(n), least.argmax(axis=1)]
-        own[lo : lo + n] = np.add.reduceat(part * weights, starts, axis=1)
-        stab[lo : lo + n] = least.sum(axis=1)
+        if step is not None:
+            w, n = step
+            part = part + w - n * w * ((part // w) % n == n - 1)
+        part = np.sort(part, axis=1)
+        keys[lo : lo + part.shape[0]] = np.add.reduceat(part * weights, starts, axis=1)
+    return np.sort(keys, axis=0) if starts.size == 1 else keys[np.lexsort(keys.T[::-1])]
 
-    # group the blocks by canonical form, then by the block itself
-    order = np.lexsort([*own.T[::-1], *canon.T[::-1]])
-    canon = canon[order]
-    own = own[order]
-    stab = stab[order]
-    new_class = np.ones(b, dtype=bool)
-    new_class[1:] = np.any(canon[1:] != canon[:-1], axis=1)
-    new_block = new_class.copy()
-    new_block[1:] |= np.any(own[1:] != own[:-1], axis=1)
-    block_starts = np.flatnonzero(new_block)
-    mult = np.diff(np.append(block_starts, b))  # copies of each distinct block
-    opens = new_class[block_starts]  # the distinct block opens its class
-    distinct = np.diff(np.append(np.flatnonzero(opens), block_starts.size))
-    regular = bool(
-        np.all((mult[1:] == mult[:-1]) | opens[1:])
-        and np.all(distinct == v // stab[new_class])
+
+def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVerdict:
+    """Regularity (the block multiset, each block taken as a point set, is
+    fixed by every translation) and strict additivity (every block zero-sum).
+
+    The translations that fix the multiset form a subgroup of G, so it is
+    enough that the unit generator of each cyclic factor fixes it: regular
+    iff, for each factor, the sorted keys of the moved blocks equal those of
+    the blocks.
+    """
+    if design.carrier != group or design.v != group.order:
+        raise DesignError("design points are not the elements of the given group")
+    if design.k < 1:
+        raise DesignError(f"need blocks of at least one point, got k={design.k}")
+    arr, v = design.blocks, design.v
+    steps = list(zip(group._weights, group.cyclic_orders))
+    additive = all(
+        not np.any(((arr[lo : lo + _CHUNK] // w) % n).sum(axis=1) % n)
+        for w, n in steps
+        for lo in range(0, arr.shape[0], _CHUNK)
     )
+    keys = _sorted_row_keys(arr, v)
+    regular = all(np.array_equal(_sorted_row_keys(arr, v, step), keys) for step in steps)
     return SuperRegularVerdict(regular, additive)
 
 
@@ -288,6 +272,9 @@ def ag_design(n: int, p: int) -> Design:
         raise DesignError(f"need dimension n >= 2, got {n}")
     if not isprime(p):
         raise DesignError(f"need a prime p, got {p}")
+    # AG(n,p) has more than p^n >= 2^n lines: a large n is refused before p^n is formed
+    if n > MAX_DESIGN_BLOCKS.bit_length() or p**n * (p**n - 1) // (p * (p - 1)) > MAX_DESIGN_BLOCKS:
+        raise DesignError(f"AG({n},{p}) has more than {MAX_DESIGN_BLOCKS} lines")
     carrier = AbelianGroup((p,) * n)
     v = carrier.order
     points = _decode_array(carrier, np.arange(v, dtype=np.int64))  # (v, n), row i is point i
@@ -422,25 +409,9 @@ def subspace_replace(m: int, n: int, p: int, anomalous_design: Design) -> Design
     if m == n:
         return anomalous_design
     big = ag_design(m, p)
-    carrier = big.carrier
-    # a line lies in the subspace iff all its points have trailing zeros
-    sub_codes = set()
-    small = anomalous_design.carrier
-    for e in small.elements():
-        sub_codes.add(carrier.encode(tuple(e) + (0,) * (m - n)))
-    keep = []
-    for row in big.blocks:
-        if not all(int(c) in sub_codes for c in row):
-            keep.append(row)
-    embedded = []
-    for row in anomalous_design.blocks:
-        embedded.append(
-            sorted(
-                carrier.encode(tuple(small.decode(int(c))) + (0,) * (m - n))
-                for c in row
-            )
-        )
-    blocks = np.concatenate(
-        [np.array(keep, dtype=np.int64), np.array(embedded, dtype=np.int64)], axis=0
-    )
-    return Design(carrier, blocks, p)
+    # codes are row-major, so a point has trailing zeros iff its code is a
+    # multiple of scale, and a point c of the subspace has code c * scale
+    scale = p ** (m - n)
+    keep = big.blocks[np.any(big.blocks % scale, axis=1)]
+    embedded = np.sort(anomalous_design.blocks, axis=1) * scale
+    return Design(big.carrier, np.concatenate([keep, embedded], axis=0), p)

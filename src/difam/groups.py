@@ -13,6 +13,8 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
+from sympy import factorint
+
 Element = tuple[int, ...]
 
 
@@ -215,15 +217,4 @@ def radical(n: int) -> int:
     """Product of the distinct primes dividing n; radical(1) = 1."""
     if n <= 0:
         raise DifamError(f"radical needs n >= 1, got {n}")
-    result = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result *= p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result *= m
-    return result
+    return math.prod(factorint(n))

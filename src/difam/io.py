@@ -29,7 +29,7 @@ from .families import (
     RelativeDifferenceFamily,
     StrongDifferenceFamily,
 )
-from .designs import Design
+from .designs import MAX_DESIGN_BLOCKS, Design
 from .gf import MAX_FIELD_ORDER, FieldError, FiniteField
 from .groups import AbelianGroup, DifamError, GroupError, Subgroup
 
@@ -43,9 +43,6 @@ class FamilyFormatError(DifamError):
 
 
 Family = Union[StrongDifferenceFamily, RelativeDifferenceFamily, DifferenceMatrix, Design]
-
-# the total multiplicity of a design file: bounds the rows array parse allocates
-MAX_DESIGN_BLOCKS = 2**24
 
 
 def _carrier_header(carrier) -> dict:

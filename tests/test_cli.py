@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +205,29 @@ def test_build_ag_rejects_non_prime(tmp_path):
     assert not out.exists()
 
 
+def test_build_ag_refuses_more_lines_than_the_cap(tmp_path, capsys):
+    out = tmp_path / "ag24.json"
+    with pytest.raises(SystemExit) as info:
+        run(["build", "ag", "--n", "24", "--p", "2", "--out", str(out)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_verify_design_repeated_point_block_is_not_super_regular(tmp_path, capsys):
+    # the one block {0,0,0} on Z_3 is moved to {1,1,1} by a translation
+    path = tmp_path / "z3.json"
+    path.write_text(
+        '{"role":"design","carrier":{"group":[3]},"k":3,'
+        '"blocks":[{"points":[[0],[0],[0]],"mult":1}]}'
+    )
+    assert run(["verify", "design", str(path)]) == 1
+    assert "super-regular" not in capsys.readouterr().out
+    cert = json.loads((tmp_path / "z3.json.cert").read_text())
+    assert cert["super_regular"] is False
+    assert cert["pass"] is False
+
+
 def test_build_zero_sum_dm_rejects_k_below_two(tmp_path, capsys):
     out = tmp_path / "dm.json"
     with pytest.raises(SystemExit) as info:
@@ -225,6 +252,16 @@ def test_admissibility_exit_codes(capsys):
     assert run(["admissibility", "--k", "5"]) == 0
     assert run(["admissibility", "--k", "6"]) == 1
     capsys.readouterr()
+
+
+def test_admissibility_of_a_large_prime_v_ends(tmp_path):
+    # trial division to sqrt(v) ran past a 10 s timeout on this v
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    argv = ["admissibility", "--v", "1000000000000000003", "--k", "3"]
+    proc = subprocess.run([sys.executable, "-m", "difam.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "rad(v)=1000000000000000003" in proc.stdout
 
 
 @pytest.mark.parametrize(

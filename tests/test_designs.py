@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import difam.designs
+import difam.io
 from difam.catalog import sigma_prime, thm62_z5, thm62_z7
 from difam.designs import (
     AnomalyVerdict,
@@ -129,6 +130,25 @@ def test_super_regular_breaks_under_block_swap(z5_design):
     damaged = Design(z5_design.carrier, blocks, 5)
     verdict = verify_super_regular(damaged, damaged.carrier)
     assert not verdict.is_regular
+
+
+def test_super_regular_takes_blocks_as_point_sets():
+    # {0,0,0} on Z_3 is not translation-invariant: its translate is {1,1,1}
+    z3 = AbelianGroup((3,))
+    one = Design(z3, np.array([[0, 0, 0]]), 3)
+    assert verify_super_regular(one, z3) == SuperRegularVerdict(False, True)
+    orbit = Design(z3, np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]]), 3)
+    assert verify_super_regular(orbit, z3) == SuperRegularVerdict(True, True)
+    # unsorted rows are the same point sets as their sorted forms
+    pairs = Design(z3, np.array([[1, 0], [1, 2], [0, 2]]), 2)
+    assert verify_super_regular(pairs, z3) == SuperRegularVerdict(True, False)
+
+
+def test_super_regular_refuses_empty_blocks():
+    g = AbelianGroup((5,))
+    for blocks in (np.empty((3, 0), dtype=np.int64), np.empty((0, 0), dtype=np.int64)):
+        with pytest.raises(DesignError):
+            verify_super_regular(Design(g, blocks, 0), g)
 
 
 def test_super_regular_group_mismatch(z5_design):
@@ -328,6 +348,47 @@ def test_subspace_replace_embeds(z5_design):
     assert verdict.lambda_found == 1
     witness = anomaly_witness(big, 5)
     assert witness.anomalous
+
+
+def _reference_subspace_replace(m, n, p, anomalous_design):
+    """Row loops over point codes: keep every line of AG(m,p) with a point
+    outside the subspace, then embed each block point by point."""
+    big = ag_design(m, p)
+    carrier = big.carrier
+    small = anomalous_design.carrier
+    sub_codes = {carrier.encode(tuple(e) + (0,) * (m - n)) for e in small.elements()}
+    keep = [row for row in big.blocks if not all(int(c) in sub_codes for c in row)]
+    embedded = [
+        sorted(carrier.encode(tuple(small.decode(int(c))) + (0,) * (m - n)) for c in row)
+        for row in anomalous_design.blocks
+    ]
+    return np.concatenate([np.array(keep, dtype=np.int64), np.array(embedded, dtype=np.int64)])
+
+
+@pytest.mark.parametrize("m,n,p", [(4, 3, 5), (5, 3, 5), (3, 2, 3), (4, 2, 3), (3, 3, 3)])
+def test_subspace_replace_matches_row_loops(m, n, p, z5_design):
+    if (n, p) == (3, 5):
+        small = Design(AbelianGroup((5, 5, 5)), z5_design.blocks, 5)
+    else:  # AG(n,p) with its points relabelled and its rows left unsorted
+        flat = ag_design(n, p)
+        relabel = np.random.default_rng(3).permutation(flat.v)
+        small = Design(flat.carrier, relabel[flat.blocks], p)
+    got = subspace_replace(m, n, p, small)
+    assert got.carrier == AbelianGroup((p,) * m)
+    if m == n:
+        assert got is small
+    else:
+        assert np.array_equal(got.blocks, _reference_subspace_replace(m, n, p, small))
+
+
+def test_ag_design_refuses_more_lines_than_the_cap():
+    # AG(24,2) has 2^23 (2^24 - 1) lines: 3 GiB of rows
+    for n, p in [(24, 2), (11, 5), (10**9, 3)]:
+        with pytest.raises(DesignError, match="lines"):
+            ag_design(n, p)
+    assert ag_design(2, 2).b == 6
+    # design files are held to the same cap, under its old name too
+    assert difam.io.MAX_DESIGN_BLOCKS == difam.designs.MAX_DESIGN_BLOCKS == 2**24
 
 
 def test_subspace_replace_errors():

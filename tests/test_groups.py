@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from difam.carrier import ProductCarrier
@@ -140,6 +142,15 @@ def test_radical():
     assert radical(360) == 30
     with pytest.raises(ValueError):
         radical(0)
+
+
+def test_radical_of_large_numbers_is_fast():
+    # trial division to sqrt(v) would take about 10^9 steps on each
+    start = time.perf_counter()
+    assert radical(1000000000000000003) == 1000000000000000003  # prime
+    assert radical(4294967291 * 4294967279) == 4294967291 * 4294967279  # near 2^64
+    assert radical(2**40 * 4294967291**2) == 2 * 4294967291
+    assert time.perf_counter() - start < 2
 
 
 def test_every_package_error_is_a_difam_error():
