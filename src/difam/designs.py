@@ -406,6 +406,8 @@ def subspace_replace(m: int, n: int, p: int, anomalous_design: Design) -> Design
         raise DesignError(f"need m >= n, got m={m}, n={n}")
     if anomalous_design.carrier != AbelianGroup((p,) * n):
         raise DesignError("replacement design must live on the p^n coordinate subspace")
+    if anomalous_design.k != p:
+        raise DesignError(f"replacement design has blocks of size {anomalous_design.k}, need {p}")
     if m == n:
         return anomalous_design
     big = ag_design(m, p)

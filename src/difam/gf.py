@@ -9,6 +9,12 @@ The multiplicative structure is carried by exp/log tables built from a
 primitive modulus: exp[i] is the i-th power of the class of x.  Building
 the table doubles as the primitivity check, since the class of x generates
 all q-1 nonzero elements exactly when the modulus is primitive.
+
+Constraint sets {x : x - c_i in C^lambda_(g_i) for all i} are intersections
+of bitmasks over element codes (`additive_group.encode`, so ascending bits
+are sorted element order).  Each field keeps one `ClassMasks` table per
+lambda: the class of every code, and the mask of each translated class
+c + C^lambda_g, built on first use and cached up to a byte budget.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
 from sympy import isprime
 
 from .groups import AbelianGroup, DifamError
@@ -24,6 +31,13 @@ from .groups import AbelianGroup, DifamError
 Element = tuple[int, ...]
 
 MAX_FIELD_ORDER = 2**22
+
+# bytes of translated-class masks one ClassMasks table keeps; masks past it
+# are rebuilt on every use
+_MASK_ROW_BYTES = 2**26
+
+# _BIT_OFFSETS[b] lists the set bits of the byte b, lowest first
+_BIT_OFFSETS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 class FieldError(DifamError):
@@ -93,6 +107,7 @@ class FiniteField:
         self.one: Element = self.exp[0]
         self.root: Element = self.exp[1 % (q - 1)]
         self.additive_group = AbelianGroup((p,) * n)
+        self._class_masks: dict[int, ClassMasks] = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -151,6 +166,79 @@ class FiniteField:
     def pow_root(self, i: int) -> Element:
         return self.exp[i % (self.q - 1)]
 
+    def class_masks(self, lam: int) -> ClassMasks:
+        """The cached constraint-set table of the order-lam classes."""
+        _check_order(self, lam)
+        table = self._class_masks.get(lam)
+        if table is None:
+            table = self._class_masks[lam] = ClassMasks(self, lam)
+        return table
+
+
+def _check_order(field: FiniteField, lam: int) -> None:
+    """Cyclotomic classes of order lam exist iff lam is a positive divisor of q-1."""
+    if lam < 1 or (field.q - 1) % lam != 0:
+        raise FieldError(f"{lam} does not divide q-1 = {field.q - 1}")
+
+
+class ClassMasks:
+    """Bitmasks of the translated classes c + C^lam_g of one field.
+
+    `classes[y]` is the class of the element with code y (int32, -1 for
+    zero).  `mask(c, g)`, entry g of the row of the point c, has bit y set
+    iff y - c lies in C^lam_g.  It is built on first use from `classes` by
+    digit arithmetic on the codes, one class at a time (a whole row is lam
+    masks of q bits), and cached while the cached masks fit in
+    _MASK_ROW_BYTES.
+    """
+
+    def __init__(self, field: FiniteField, lam: int):
+        self.field = field
+        q = field.q
+        nonzero = itertools.islice(field.elements(), 1, None)  # code order; code 0 is zero
+        logs = np.fromiter(map(field.log.__getitem__, nonzero), np.int32, q - 1)
+        self.classes = np.full(q, -1, np.int32)
+        self.classes[1:] = logs % lam
+        self.masks: dict[tuple[Element, int], int] = {}
+        self.mask_bytes = (q + 7) // 8
+        self.cached_bytes = 0
+
+    def mask(self, c: Element, g: int) -> int:
+        m = self.masks.get((c, g))
+        if m is not None:
+            return m
+        f = self.field
+        y = np.arange(f.q, dtype=np.int32)
+        code = f.additive_group.encode(c)
+        diff = np.zeros(f.q, np.int32)  # the code of y - c, digit by digit
+        for i in range(f.n):
+            w = f.p**i
+            diff += ((y // w - code // w) % f.p) * w
+        bits = np.packbits(self.classes[diff] == g, bitorder="little")
+        m = int.from_bytes(bits.tobytes(), "little")
+        if self.cached_bytes + self.mask_bytes <= _MASK_ROW_BYTES:
+            self.masks[(c, g)] = m
+            self.cached_bytes += self.mask_bytes
+        return m
+
+    def meet(self, pairs: Sequence[tuple[Element, int]]) -> list[Element]:
+        """The sorted x with x - c in C^lam_g for every (c, g) in pairs: the
+        AND of their masks, decoded in time linear in q.  No pair means the
+        whole field.  Points must be field elements and g in range(lam)."""
+        if not pairs:
+            return list(self.field.elements())
+        m = (1 << self.field.q) - 1
+        for c, g in pairs:
+            m &= self.mask(c, g)
+            if not m:
+                return []
+        decode = self.field.additive_group.decode
+        out = []
+        for i, byte in enumerate(m.to_bytes((m.bit_length() + 7) // 8, "little")):
+            if byte:
+                out.extend(decode(8 * i + j) for j in _BIT_OFFSETS[byte])
+        return out
+
 
 def _build_tables(modulus, p, n):
     """exp/log tables for the class of x; None when x does not have order q-1."""
@@ -197,15 +285,13 @@ def class_index(field: FiniteField, x: Element, lam: int) -> CyclotomicClassInde
     """Which cyclotomic class of order lam contains x."""
     if x == field.zero:
         raise FieldError("zero lies in no cyclotomic class")
-    if (field.q - 1) % lam != 0:
-        raise FieldError(f"{lam} does not divide q-1 = {field.q - 1}")
+    _check_order(field, lam)
     return CyclotomicClassIndex(lam, field.log[x] % lam)
 
 
 def cyclotomic_class(field: FiniteField, lam: int, index: int) -> list[Element]:
     """The elements of C^lam_index, in increasing log order."""
-    if (field.q - 1) % lam != 0:
-        raise FieldError(f"{lam} does not divide q-1 = {field.q - 1}")
+    _check_order(field, lam)
     return [field.exp[i] for i in range(index % lam, field.q - 1, lam)]
 
 
@@ -223,34 +309,24 @@ def x_set(
 ) -> list[Element]:
     """All x with x - c_i in the prescribed class for every constraint (c_i, gamma_i).
 
-    Exhaustive over the field; the first constraint only restricts the scan
-    to a single translated cyclotomic class.
+    Sorted, and exhaustive over the field: the AND of one cached bitmask
+    per constraint (see ClassMasks.meet).  A CyclotomicClassIndex gamma
+    must have order lam; an int gamma is read modulo lam.
     """
-    if (field.q - 1) % lam != 0:
-        raise FieldError(f"{lam} does not divide q-1 = {field.q - 1}")
+    _check_order(field, lam)
     pairs = []
     for c, gamma in constraints:
         field.check(c)
-        idx = gamma.index if isinstance(gamma, CyclotomicClassIndex) else gamma % lam
-        pairs.append((c, idx))
+        if isinstance(gamma, CyclotomicClassIndex):
+            if gamma.lam != lam:
+                raise FieldError(f"class index of order {gamma.lam} used at order {lam}")
+            pairs.append((c, gamma.index))
+        else:
+            pairs.append((c, gamma % lam))
     points = [c for c, _ in pairs]
     if len(set(points)) != len(points):
         raise FieldError("constraint points must be pairwise distinct")
-    if not pairs:
-        return sorted(field.elements())
-    c0, g0 = pairs[0]
-    out = []
-    for z in cyclotomic_class(field, lam, g0):
-        x = field.add(c0, z)
-        ok = True
-        for c, g in pairs[1:]:
-            d = field.sub(x, c)
-            if d == field.zero or field.log[d] % lam != g:
-                ok = False
-                break
-        if ok:
-            out.append(x)
-    return sorted(out)
+    return field.class_masks(lam).meet(pairs)
 
 
 def coset_reps(field: FiniteField, spec: tuple[str, int]) -> list[Element]:
@@ -261,8 +337,7 @@ def coset_reps(field: FiniteField, spec: tuple[str, int]) -> list[Element]:
       ("pm1-in-index", m) -- cosets of {1,-1} inside C^m (needs -1 in C^m)
     """
     kind, m = spec
-    if (field.q - 1) % m != 0:
-        raise FieldError(f"{m} does not divide q-1 = {field.q - 1}")
+    _check_order(field, m)
     if kind == "index":
         return [field.exp[i] for i in range(m)]
     if kind == "pm1-in-index":

@@ -29,7 +29,7 @@ from .families import (
     StrongDifferenceFamily,
     verify_rdf,
 )
-from .gf import FiniteField, coset_reps, subfield_embed, x_set
+from .gf import FiniteField, coset_reps, subfield_embed
 from .groups import DifamError, Element, sum_of
 
 
@@ -60,6 +60,8 @@ class Lifting:
     field: FiniteField
     second_coords: list[list[Element]]  # per block, aligned with block.expand()
     strategy: str
+    nodes: int = 0  # search nodes visited, 0 when no search ran
+    deepest: int = 0  # deepest search level reached
 
     def carrier(self) -> ProductCarrier:
         return ProductCarrier(self.sdf.group, self.field)
@@ -256,8 +258,8 @@ def _backtrack(
 
 
 def _psi_constraints(psi: PsiAssignment, h: int, i: int, chosen: list[Element]):
-    """The x_set constraints (chosen[j], psi class of (h, i, j)) for j < i;
-    none at i = 0, where x_set is all of F_q."""
+    """The constraints (chosen[j], psi class of (h, i, j)) for j < i; none
+    at i = 0, where their meet is all of F_q."""
     return [(chosen[j], psi.table[(h, i, j)]) for j in range(i)]
 
 
@@ -271,7 +273,7 @@ def _lift_blocks(sdf, field, psi, budget, seed, strategy, options) -> Lifting:
                    f"{strategy} lifting for block {h}")
         for h, block in enumerate(sdf.blocks)
     ]
-    lifting = Lifting(sdf, field, coords, strategy)
+    lifting = Lifting(sdf, field, coords, strategy, tracker.nodes, tracker.deepest)
     if not check_lifting(lifting, psi):
         raise LiftingError("search produced a lifting that fails the pair checker")
     return lifting
@@ -289,9 +291,10 @@ def greedy_lift(
     land in the psi-prescribed classes.  Backtracks when a set empties.
     """
     _require_congruence(field, psi.lam)
+    masks = field.class_masks(psi.lam)
     return _lift_blocks(
         sdf, field, psi, budget, seed, "greedy",
-        lambda h, i, chosen: x_set(field, _psi_constraints(psi, h, i, chosen), psi.lam),
+        lambda h, i, chosen: masks.meet(_psi_constraints(psi, h, i, chosen)),
     )
 
 
@@ -337,6 +340,7 @@ def zero_sum_lift(
         raise LiftingError(
             f"rad(q)={field.p} must divide k={k}; use greedy_lift + zero_sum_adjust instead"
         )
+    masks = field.class_masks(lam)
     half = lam // 2
     minus_two = field.neg(field.from_int(2))
     alpha = field.log[minus_two] % lam
@@ -363,7 +367,7 @@ def zero_sum_lift(
                 # the earlier exclusions should make this unreachable;
                 # treat it as a dead branch rather than aborting
                 return []
-        base = x_set(field, cons, lam)
+        base = masks.meet(cons)
         if i == k - 4 and field.p == 3:
             banned = {field.neg(sigma(k - 4))}
             base = [x for x in base if x not in banned]
@@ -535,13 +539,16 @@ def signed_lift(
         del assigns[h][a]
         counts.subtract(tallies.pop())
 
+    tracker = _Budget(budget)
     _backtrack(
         field, len(variables), lambda idx, chosen: half_field, rng=random.Random(seed),
-        tracker=_Budget(budget), what="signed lifting", commit=commit, undo=undo,
+        tracker=tracker, what="signed lifting", commit=commit, undo=undo,
     )
     if not verify_signed_lifting(sdf, field, assigns, half_lambda):
         raise LiftingError("search produced a lifting that fails the transversal checker")
-    return signed_lifting_from_assignments(sdf, field, assigns)
+    lifting = signed_lifting_from_assignments(sdf, field, assigns)
+    lifting.nodes, lifting.deepest = tracker.nodes, tracker.deepest
+    return lifting
 
 
 def signed_lifting_from_assignments(

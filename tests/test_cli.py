@@ -128,6 +128,16 @@ def test_lift_greedy_with_adjusted_psi_seed(tmp_path):
     assert run(["verify", "df", str(df)]) == 0
 
 
+def test_lift_reports_search_nodes(tmp_path, capsys):
+    sdf = _emit(tmp_path, "example51")
+    df = tmp_path / "df.json"
+    argv = ["lift", str(sdf), "--field", "13,1", "--strategy", "greedy", "--psi-seed", "59"]
+    assert run(argv + ["--out", str(df)]) == 0
+    assert "(v=65,k=5,lambda=1), 3 base blocks, 5 search nodes" in capsys.readouterr().out
+    assert run(["lift", str(sdf), "--field", "13,1", "--strategy", "simple", "--out", str(df)]) == 0
+    assert "search nodes" not in capsys.readouterr().out
+
+
 def test_lift_failure_exits_1(tmp_path):
     sdf = _emit(tmp_path, "example51")
     df = tmp_path / "df.json"

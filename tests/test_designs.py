@@ -350,6 +350,13 @@ def test_subspace_replace_embeds(z5_design):
     assert witness.anomalous
 
 
+def test_subspace_replace_refuses_blocks_of_the_wrong_size():
+    # 2-point blocks on Z_3^2 cannot stand in for the 3-point lines of AG(3,3)
+    pairs = Design(AbelianGroup((3, 3)), np.array([[0, 1], [0, 2]]), 2)
+    with pytest.raises(DesignError, match="blocks of size 2, need 3"):
+        subspace_replace(3, 2, 3, pairs)
+
+
 def _reference_subspace_replace(m, n, p, anomalous_design):
     """Row loops over point codes: keep every line of AG(m,p) with a point
     outside the subspace, then embed each block point by point."""

@@ -1,5 +1,13 @@
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import difam.gf as gf
 from difam.gf import (
     CyclotomicClassIndex,
     FieldError,
@@ -208,3 +216,113 @@ def test_field_cap_checked_before_the_order_is_formed():
         FiniteField(2, 10**12)
     with pytest.raises(FieldError, match="exceeds the supported cap"):
         FiniteField(2**61 - 1, 1)
+
+
+def test_x_set_refuses_order_zero():
+    with pytest.raises(FieldError):
+        x_set(FiniteField(13, 1), [], 0)
+
+
+def test_x_set_refuses_negative_order():
+    # -4 divides 12, but there are no classes of order -4
+    with pytest.raises(FieldError):
+        x_set(FiniteField(13, 1), [], -4)
+
+
+def test_x_set_refuses_class_index_of_another_order():
+    f = FiniteField(13, 1)
+    with pytest.raises(FieldError, match="order 2 used at order 4"):
+        x_set(f, [(f.zero, CyclotomicClassIndex(2, 1))], 4)
+    assert x_set(f, [(f.zero, CyclotomicClassIndex(4, 1))], 4) == x_set(f, [(f.zero, 1)], 4)
+
+
+@pytest.mark.parametrize("lam", [0, -4])
+def test_class_queries_share_the_order_check(lam):
+    f = FiniteField(13, 1)
+    with pytest.raises(FieldError):
+        cyclotomic_class(f, lam, 0)
+    with pytest.raises(FieldError):
+        class_index(f, f.one, lam)
+    with pytest.raises(FieldError):
+        coset_reps(f, ("index", lam))
+    with pytest.raises(FieldError):
+        f.class_masks(lam)
+
+
+def _scan_x_set(field, constraints, lam):
+    """x_set as a scan of the field: the first constraint's translated
+    class, filtered by the others (the implementation the masks replaced)."""
+    pairs = [
+        (c, gamma.index if isinstance(gamma, CyclotomicClassIndex) else gamma % lam)
+        for c, gamma in constraints
+    ]
+    if not pairs:
+        return sorted(field.elements())
+    c0, g0 = pairs[0]
+    out = []
+    for z in cyclotomic_class(field, lam, g0):
+        x = field.add(c0, z)
+        if all(
+            field.sub(x, c) != field.zero and field.log[field.sub(x, c)] % lam == g
+            for c, g in pairs[1:]
+        ):
+            out.append(x)
+    return sorted(out)
+
+
+# the prime powers matter: a mask translates digit by digit when n > 1
+MASK_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (13, 1)]
+
+
+@pytest.mark.parametrize("row_bytes", [gf._MASK_ROW_BYTES, 0])
+def test_x_set_matches_the_field_scan(monkeypatch, row_bytes):
+    monkeypatch.setattr(gf, "_MASK_ROW_BYTES", row_bytes)
+    fields = [FiniteField(p, n) for p, n in MASK_FIELDS]  # fresh, so no mask is cached yet
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def check(data):
+        f = data.draw(st.sampled_from(fields))
+        lam = data.draw(st.sampled_from([d for d in range(1, f.q) if (f.q - 1) % d == 0]))
+        points = data.draw(st.lists(st.sampled_from(sorted(f.elements())), max_size=4, unique=True))
+        gamma = st.one_of(
+            st.integers(-2 * lam, 2 * lam),
+            st.builds(CyclotomicClassIndex, st.just(lam), st.integers(0, lam - 1)),
+        )
+        constraints = [(c, data.draw(gamma)) for c in points]
+        assert x_set(f, constraints, lam) == _scan_x_set(f, constraints, lam)
+
+    check()
+    tables = [t for f in fields for t in f._class_masks.values()]
+    assert all(t.cached_bytes <= row_bytes for t in tables)
+    assert any(t.masks for t in tables) == (row_bytes > 0)
+
+
+def test_x_set_over_a_million_points():
+    # peeling a mask bit by bit (m & -m) is quadratic in q: over 60 s for
+    # the whole field at this q.  The byte walk is linear; most of the
+    # time goes into building the field and its class table.
+    code = (
+        "from difam.gf import FiniteField, x_set\n"
+        "f = FiniteField(1048573, 1)\n"
+        "print(len(x_set(f, [], 4)), len(x_set(f, [(f.one, 3)], 4)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=20, check=True).stdout
+    assert out.split() == ["1048573", str((1048573 - 1) // 4)]
+
+
+def test_cached_masks_stay_within_the_byte_budget(monkeypatch):
+    f = FiniteField(1021, 1)
+    table = f.class_masks(4)
+    budget = 5 * table.mask_bytes + 7
+    monkeypatch.setattr(gf, "_MASK_ROW_BYTES", budget)
+    for x in range(1, f.q):
+        c = f.from_int(x)
+        got = x_set(f, [(c, x % 4)], 4)
+        assert got == sorted(f.add(c, z) for z in cyclotomic_class(f, 4, x % 4))
+    assert len(table.masks) == 5
+    assert table.cached_bytes == 5 * table.mask_bytes <= budget
+    assert sum((m.bit_length() + 7) // 8 for m in table.masks.values()) <= budget

@@ -415,6 +415,24 @@ def test_greedy_failure_counters_pinned(budget, q, nodes, deepest):
     assert (info.value.nodes, info.value.deepest) == (nodes, deepest)
 
 
+def test_greedy_success_counters_pinned():
+    sdf = example51()
+    lifting = greedy_lift(sdf, FiniteField(13, 1), build_psi(sdf, 4, seed=GREEDY_PSI_SEED))
+    assert (lifting.nodes, lifting.deepest) == (5, 4)  # one node per level, no backtracking
+
+
+def test_signed_success_counters_pinned():
+    lifting = signed_lift(example51(), FiniteField(5, 2, (2, 1, 1)), 2)
+    assert (lifting.nodes, lifting.deepest) == (2, 1)
+
+
+def test_lifting_counters_default_to_zero():
+    sdf = example51()
+    field = FiniteField(13, 1)
+    lifting = Lifting(sdf, field, [[field.zero] * 5], "greedy")
+    assert (lifting.nodes, lifting.deepest) == (0, 0)
+
+
 def test_zero_sum_lift_pinned():
     sdf = example51()
     field = FiniteField(5, 5)
