@@ -2,11 +2,13 @@
 
 Points of a design are the elements of its carrier group, stored as encoded
 integers 0..v-1; blocks are rows of a numpy array, sorted within each row.
-Verification is exact: every one of the C(v,2) point pairs is counted.
+Verification is exact: each pair is counted at its row-major place, over
+the first b*C(k,2) + 1 of the C(v,2) places only (see `verify_design`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -136,44 +138,58 @@ def _develop_rows(rdf: RelativeDifferenceFamily, lam: int) -> np.ndarray:
     return rows
 
 
+def _pair_index(u, w, v):
+    """The row-major place of the pair u < w among the pairs of 0..v-1 (arrays too)."""
+    return u * (2 * v - u - 1) // 2 + w - u - 1
+
+
+def _pair_points(t: int, v: int) -> tuple[int, int]:
+    """The pair u < w at row-major place t: the inverse of `_pair_index`."""
+    # the smaller root of u(2v-u-1)/2 = t, rounded down; isqrt can leave it one off
+    u = (2 * v - 1 - math.isqrt((2 * v - 1) ** 2 - 8 * t)) // 2
+    if _pair_index(u, u + 1, v) > t:
+        u -= 1
+    elif _pair_index(u + 1, u + 2, v) <= t:
+        u += 1
+    return u, t - _pair_index(u, u + 1, v) + u + 1
+
+
 def verify_design(design: Design, t: int = 2) -> DesignVerdict:
-    """Exact pair-coverage count, simplicity, and replication check."""
+    """Exact pair-coverage count, simplicity, and replication check.
+
+    Each pair u < w is counted at its row-major place, over the first
+    `window` = min(C(v,2), b*C(k,2) + 1) places only.  Rows strictly increase,
+    so a block covers a pair at most once.  A short window has more places
+    than there are pair slots, so one is uncovered: the first pair whose
+    count differs from that of (0, 1) lies in it, unless (0, 1) is itself
+    uncovered, and then it is the least pair covered.
+    """
     if t != 2:
         raise DesignError("only pair coverage (t=2) is supported")
-    v, k = design.v, design.k
-    arr = design.blocks
+    v, k, arr = design.v, design.k, design.blocks
     if arr.size == 0:
         return DesignVerdict(False, None, False, False, None)
     i_idx, j_idx = np.triu_indices(k, 1)
-    codes = np.empty((arr.shape[0], i_idx.size), dtype=np.int64)
+    n_pairs = v * (v - 1) // 2
+    window = min(n_pairs, arr.shape[0] * i_idx.size + 1)
+    counts = np.zeros(window, dtype=np.min_scalar_type(arr.shape[0]))
+    least = n_pairs  # the least place covered
     for lo in range(0, arr.shape[0], _CHUNK):
         part = arr[lo : lo + _CHUNK]
         if np.any(np.diff(part, axis=1) <= 0):
             return DesignVerdict(False, None, False, False, None)
-        codes[lo : lo + _CHUNK] = part[:, i_idx] * v + part[:, j_idx]
-    n_pairs = v * (v - 1) // 2
-    if codes.size < n_pairs or not codes.size:
-        # too few pair slots to cover every pair: no v*v counts, and the
-        # first miscovered pair comes from the distinct codes
-        lam, uniform, first_bad = 0, not codes.size, _first_miscovered(codes, v)
-    else:
-        counts = np.bincount(codes.ravel(), minlength=v * v)
-        del codes
-        lam = int(counts[1])  # the pair (0, 1)
-        # rows strictly increase, so every code u*v+w has u < w: the v*v - C(v,2)
-        # counts on and below the diagonal are 0, and match lam only when it is 0
-        uniform = int(np.count_nonzero(counts == lam)) - (0 if lam else v * v - n_pairs) == n_pairs
-        first_bad = None
-        for u in range(0 if uniform else v):  # the first miscovered pair in row-major order
-            bad = np.flatnonzero(counts[u * v + u + 1 : (u + 1) * v] != lam)
-            if bad.size:
-                first_bad = u * v + u + 1 + int(bad[0])
-                break
+        idx = _pair_index(part[:, i_idx], part[:, j_idx], v)
+        least = min(least, int(idx.min(initial=least)))
+        np.add.at(counts, idx[idx < window], counts.dtype.type(1))  # a plain 1 takes the slow loop
+    lam = int(counts[0]) if window else 0  # the pair (0, 1)
+    off = counts != lam
+    if off.any():
+        first_bad = int(np.argmax(off))
+    else:  # a short window is then all uncovered, (0, 1) with it
+        first_bad = least if window < n_pairs else n_pairs
+    uniform = first_bad == n_pairs  # no pair is miscovered
     ok = uniform and lam >= 1
-    lam_found = lam if uniform else None
-    witness = None
-    if first_bad is not None:
-        witness = (design.carrier.decode(first_bad // v), design.carrier.decode(first_bad % v))
+    witness = None if uniform else tuple(map(design.carrier.decode, _pair_points(first_bad, v)))
     keys = _sorted_row_keys(arr, v)
     simple = not np.any(np.all(keys[1:] == keys[:-1], axis=1))
     repl_ok = False
@@ -181,24 +197,7 @@ def verify_design(design: Design, t: int = 2) -> DesignVerdict:
         r, rem = divmod(lam * (v - 1), k - 1)
         point_counts = np.bincount(arr.ravel(), minlength=v)
         repl_ok = rem == 0 and bool(np.all(point_counts == r))
-    return DesignVerdict(ok and repl_ok, lam_found, simple, repl_ok, witness)
-
-
-def _first_miscovered(codes: np.ndarray, v: int) -> Optional[int]:
-    """The first pair code u*v+w (u < w, row-major) whose count differs from
-    that of the pair (0, 1), given pair codes that miss some pair."""
-    if not codes.size:
-        return None
-    present, counts = np.unique(codes, return_counts=True)
-    if present[0] != 1:  # (0, 1) is uncovered: the first covered pair
-        return int(present[0])
-    lam = counts[0]
-    u, w = np.divmod(present, v)
-    after = np.where(w + 1 < v, present + 1, (u + 1) * v + u + 2)  # the next pair
-    gaps = np.flatnonzero(present[1:] != after[:-1])
-    missing = int(after[gaps[0] if gaps.size else -1])  # the first uncovered pair
-    over = np.flatnonzero(counts != lam)
-    return min(missing, int(present[over[0]])) if over.size else missing
+    return DesignVerdict(ok and repl_ok, lam if uniform else None, simple, repl_ok, witness)
 
 
 def _decode_array(carrier: AbelianGroup, flat: np.ndarray) -> np.ndarray:
@@ -360,12 +359,10 @@ def anomaly_witness(design: Design, p: int, scan_cap: int = 10**4) -> AnomalyVer
         raise DesignError(f"need p >= 2, got {p}")
     v = design.v
     m = v
-    n = 0
     while m > 1:
         if m % p:
             raise DesignError(f"design order {v} is not a power of {p}")
         m //= p
-        n += 1
     if design.k != p:
         raise DesignError(f"block size {design.k} != {p}")
     if design.b * p * (p - 1) != v * (v - 1):  # before the v*v pair table

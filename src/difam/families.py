@@ -198,6 +198,8 @@ def verify_rdf(
 
 def spread_conditions(group: AbelianGroup | int, k: int, s: int) -> ParamVerdict:
     """The arithmetic necessary conditions for a DF relative to a type-{k^s} spread."""
+    if k < 2:
+        raise FamilyError(f"need k >= 2, got k={k}")
     v = group.order if isinstance(group, AbelianGroup) else int(group)
     verdict = ParamVerdict({"v": v, "k": k, "s": s})
     verdict.conditions.append(Condition("k divides v", v % k == 0, {"v mod k": v % k}))

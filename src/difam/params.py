@@ -109,8 +109,8 @@ def theorem41_42(v: int, k: int) -> ParamVerdict:
     "nonexistent" when the hypothesis holds and v/k = 2 (mod 3); when the
     hypothesis fails, the residue is still reported for diagnosis.
     """
-    if v % k != 0:
-        raise DifamError(f"k={k} must divide v={v}")
+    if k < 1 or v % k != 0:
+        raise DifamError(f"k={k} must be a positive divisor of v={v}")
     hyp = k % 3 == 0 and k % 9 != 0
     ratio = v // k
     residue = ratio % 3

@@ -13,6 +13,8 @@ from difam.designs import (
     DesignVerdict,
     SuperRegularVerdict,
     _pair_block_table,
+    _pair_index,
+    _pair_points,
     ag_design,
     anomaly_witness,
     closure,
@@ -102,6 +104,33 @@ def test_verify_design_too_few_blocks_skips_the_pair_counts():
     assert verify_design(Design(AbelianGroup((5,)), np.array([[3]]), 1)) == DesignVerdict(
         False, 0, True, False, None
     )
+
+
+def test_verify_design_witness_just_past_the_covered_places():
+    # two pair slots fill places 0 and 1 of a 3-place window: the last, (0, 3), is missed
+    d = Design(AbelianGroup((5,)), np.array([[0, 1], [0, 2]]), 2)
+    assert verify_design(d) == DesignVerdict(False, None, True, False, ((0,), (3,)))
+
+
+def test_pair_points_inverts_pair_index():
+    for v in range(2, 65):
+        pairs = [(u, w) for u in range(v) for w in range(u + 1, v)]
+        assert [_pair_index(u, w, v) for u, w in pairs] == list(range(len(pairs)))
+        assert [_pair_points(t, v) for t in range(len(pairs))] == pairs
+    v = 2**22
+    last = v * (v - 1) // 2 - 1
+    for t, pair in [(0, (0, 1)), (v - 2, (0, v - 1)), (v - 1, (1, 2)), (last, (v - 2, v - 1))]:
+        assert _pair_points(t, v) == pair
+        assert _pair_index(*pair, v) == t
+    interior = _pair_index(1_234_567, 3_000_000, v)
+    assert _pair_points(interior, v) == (1_234_567, 3_000_000)
+
+
+@pytest.mark.parametrize("copies", [300, 70_000])
+def test_verify_design_counts_past_small_dtypes(copies):
+    # every pair of Z_3 is covered `copies` times: more than uint8, then uint16, holds
+    repeated = Design(AbelianGroup((3,)), np.repeat(np.array([[0, 1, 2]]), copies, axis=0), 3)
+    assert verify_design(repeated) == DesignVerdict(True, copies, False, True, None)
 
 
 def test_anomaly_witness_refuses_a_wrong_block_count():
@@ -661,6 +690,13 @@ def test_v3125_memory_peaks(stage, bound_mib, rdf3125, design3125):
         "pair_table": (_pair_block_table, d),
     }
     assert _traced_peak_mib(*calls[stage]) <= bound_mib
+
+
+def test_v3125_verify_design_peak(design3125):
+    """verify_design keeps one count per pair, C(3125,2) uint32 (18.6 MiB),
+    plus slice temporaries; the v*v int64 bincount over a (b, 10) int64 code
+    array peaked at 111.7 MiB."""
+    assert _traced_peak_mib(verify_design, design3125) <= 48
 
 
 def test_v3125_develop_peak_near_output(rdf3125):

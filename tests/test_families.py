@@ -138,6 +138,14 @@ def test_spread_conditions():
     assert not bad.all_pass
 
 
+def test_spread_conditions_refuses_k_below_two():
+    for k in (1, 0, -1):
+        with pytest.raises(FamilyError, match="need k >= 2"):
+            spread_conditions(AbelianGroup((5, 5)), k, 6)
+        with pytest.raises(FamilyError, match="need k >= 2"):
+            spread_conditions(25, k, 6)
+
+
 def test_verify_dm_zero_sum():
     h = AbelianGroup((3,))
     dm = zero_sum_dm(h, 3)

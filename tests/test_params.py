@@ -91,6 +91,12 @@ def test_theorem41_42_nonexistence():
         theorem41_42(100, 12)
 
 
+def test_theorem41_42_refuses_k_below_one():
+    for k in (0, -3):
+        with pytest.raises(DifamError, match="positive divisor"):
+            theorem41_42(12, k)
+
+
 def test_theorem41_42_hypothesis_off():
     # k = 9: divisible by 9, hypothesis fails, no note even at residue 2
     verdict = theorem41_42(45, 9)
