@@ -190,6 +190,7 @@ def verify_design(design: Design, t: int = 2) -> DesignVerdict:
     uniform = first_bad == n_pairs  # no pair is miscovered
     ok = uniform and lam >= 1
     witness = None if uniform else tuple(map(design.carrier.decode, _pair_points(first_bad, v)))
+    del counts, off  # before the keys, so the two peaks do not add
     keys = _sorted_row_keys(arr, v)
     simple = not np.any(np.all(keys[1:] == keys[:-1], axis=1))
     repl_ok = False

@@ -4,19 +4,26 @@ matrix, and developed design.
 The header carries the carrier (group factors and/or field p,n,modulus),
 the role, k, and lambda (mu for difference matrices); the body carries the
 blocks.  Group elements are residue lists, field elements ascending
-coefficient lists, product elements {"g": [...], "f": [...]}.  Designs may
-attach a multiplicity to each block.  parse(render(x)) == x for every
-field of every role: a family's `additive` is derived from its blocks, not
-stored, so the file carries no flag.  Parsing checks structure only and
-runs no verifier; each CLI command verifies a family it reads once.  Every
-number is a JSON integer: a float, a string or a bool is refused, not
-truncated or converted, and any malformed file raises FamilyFormatError.
+coefficient lists, product elements {"g": [...], "f": [...]}.  A design
+file lists each distinct block once, as {"points": [...], "mult": m} (m is
+1 when absent).
+
+Every file is laid out as json.dumps(doc, indent=1).  A design's text is
+filled from its arrays into that layout, and a design file is read back by
+checking and encoding all of its points at once.  parse(render(x)) == x for
+every field of every role: a family's `additive` is derived from its
+blocks, not stored, so the file carries no flag.  Parsing checks structure
+only and runs no verifier; each CLI command verifies a family it reads
+once.  Every number is a JSON integer: a float, a string or a bool is
+refused, not truncated or converted, and any malformed file raises
+FamilyFormatError.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Union
+from itertools import chain
+from typing import Optional, Union
 
 import numpy as np
 
@@ -29,7 +36,7 @@ from .families import (
     RelativeDifferenceFamily,
     StrongDifferenceFamily,
 )
-from .designs import MAX_DESIGN_BLOCKS, Design
+from .designs import _CHUNK, MAX_DESIGN_BLOCKS, Design, _decode_array
 from .gf import MAX_FIELD_ORDER, FieldError, FiniteField
 from .groups import AbelianGroup, DifamError, GroupError, Subgroup
 
@@ -126,20 +133,109 @@ def _residues(obj, where: str) -> tuple[int, ...]:
     return tuple(obj)
 
 
+def _product_parts(carrier: ProductCarrier) -> tuple[tuple[str, int], ...]:
+    """The keys of a product element and the residues each holds."""
+    return ("g", carrier.group.rank), ("f", carrier.rank - carrier.group.rank)
+
+
 def _element_from_json(carrier, obj, where: str):
     if isinstance(carrier, ProductCarrier):
         if not (isinstance(obj, dict) and set(obj) == {"g", "f"}):
             raise FamilyFormatError('product element must be {"g": [...], "f": [...]}', where)
-        g = _residues(obj["g"], where + ".g")
-        if len(g) != carrier.group.rank:
-            raise FamilyFormatError(f"g needs {carrier.group.rank} residues", where + ".g")
-        e = g + _residues(obj["f"], where + ".f")
+        e = ()
+        for part, width in _product_parts(carrier):
+            residues = _residues(obj[part], f"{where}.{part}")
+            if len(residues) != width:
+                raise FamilyFormatError(f"{part} needs {width} residues", f"{where}.{part}")
+            e += residues
     else:
         e = _residues(obj, where)
     try:
         return carrier.check(e)
     except GroupError as exc:
         raise FamilyFormatError(str(exc), where)
+
+
+def _point_codes(carrier, points: list) -> Optional[np.ndarray]:
+    """The codes of parsed design points, each check of `_element_from_json`
+    made on all of them at once; None if any point fails one."""
+    if isinstance(carrier, ProductCarrier):
+        keys = {"g", "f"}
+        if not all(type(p) is dict and p.keys() == keys for p in points):
+            return None
+        parts = [([p[key] for p in points], width) for key, width in _product_parts(carrier)]
+    else:
+        parts = [(points, carrier.rank)]
+    codes, at = np.zeros(len(points), dtype=np.int64), 0
+    for lists, width in parts:
+        if not (set(map(type, lists)) == {list} and set(map(len, lists)) == {width}):
+            return None
+        flat = list(chain.from_iterable(lists))
+        if set(map(type, flat)) != {int}:  # a bool or a float is not a residue
+            return None
+        try:
+            coords = np.array(flat, dtype=np.int64).reshape(len(points), width)
+        except OverflowError:  # past int64, so past every cyclic order
+            return None
+        if np.any((coords < 0) | (coords >= carrier.cyclic_orders[at : at + width])):
+            return None
+        codes += coords @ np.array(carrier._weights[at : at + width], dtype=np.int64)
+        at += width
+    return codes
+
+
+def _parse_design(carrier, k: int, raw_blocks: list) -> Design:
+    """One pass over the block entries, then every point checked and encoded at once."""
+    points, mults, total = [], [], 0
+    for bi, entry in enumerate(raw_blocks):
+        where = f"blocks[{bi}]"
+        if not (isinstance(entry, dict) and "points" in entry):
+            raise FamilyFormatError('design block must be {"points": [...], "mult": m}', where)
+        pts = _list(entry["points"], "points", where)
+        if len(pts) != k:
+            raise FamilyFormatError(f"block has {len(pts)} points, expected {k}", where)
+        mult = entry.get("mult", 1)
+        if not _is_int(mult) or mult < 1:
+            raise FamilyFormatError(f"multiplicity must be an integer >= 1, got {mult!r}", where)
+        total += mult
+        if total > MAX_DESIGN_BLOCKS:
+            raise FamilyFormatError(
+                f"design has more than {MAX_DESIGN_BLOCKS} blocks counting multiplicity", where
+            )
+        points += pts
+        mults.append(mult)
+    codes = _point_codes(carrier, points)
+    if codes is None:  # the per-point reader names the first malformed point
+        for i, point in enumerate(points):
+            _element_from_json(carrier, point, f"blocks[{i // k}].points[{i % k}]")
+        raise AssertionError("_point_codes refused points that _element_from_json reads")
+    rows = np.sort(codes.reshape(-1, k), axis=1)
+    return Design(carrier, np.repeat(rows, mults, axis=0), k)
+
+
+def _render_design(design: Design) -> str:
+    """json.dumps(doc, indent=1) of the per-point design doc, filled from arrays.
+
+    The stdlib lays out the header, the block separator and one block with
+    every residue and the multiplicity left as null; each distinct row then
+    fills that template, so the text is the one the encoder would write.
+    """
+    carrier, k = design.carrier, design.k
+    rows, counts = np.unique(design.blocks, axis=0, return_counts=True)
+    head = {"role": "design", "carrier": _carrier_header(carrier), "k": k}
+    if not len(rows):
+        return json.dumps({**head, "blocks": []}, indent=1)
+    prefix, sep, suffix = json.dumps({**head, "blocks": [None, None]}, indent=1).rsplit("null", 2)
+    point = _element_to_json(carrier, (None,) * carrier.rank)
+    block = json.dumps({"points": [point] * k, "mult": None}, indent=1)
+    template = block.replace("null", "%d").replace("\n", sep[1:])  # sep is "," + newline + indent
+    parts = []
+    for lo in range(0, len(rows), _CHUNK):
+        part = rows[lo : lo + _CHUNK]
+        coords = _decode_array(carrier, part.ravel()).reshape(len(part), k * carrier.rank)
+        values = np.column_stack([coords, counts[lo : lo + _CHUNK]])
+        parts.append(sep.join([template] * len(values)) % tuple(values.ravel().tolist()))
+    return prefix + sep.join(parts) + suffix
 
 
 def render_family(obj: Family) -> str:
@@ -178,22 +274,7 @@ def render_family(obj: Family) -> str:
             ],
         }
     elif isinstance(obj, Design):
-        rows, counts = np.unique(obj.blocks, axis=0, return_counts=True)
-        doc = {
-            "role": "design",
-            "carrier": _carrier_header(obj.carrier),
-            "k": obj.k,
-            "blocks": [
-                {
-                    "points": [
-                        _element_to_json(obj.carrier, obj.carrier.decode(int(c)))
-                        for c in row
-                    ],
-                    "mult": int(m),
-                }
-                for row, m in zip(rows, counts)
-            ],
-        }
+        return _render_design(obj)
     else:
         raise FamilyFormatError(f"cannot serialize {type(obj).__name__}")
     return json.dumps(doc, indent=1)
@@ -229,28 +310,7 @@ def parse_family(text: Union[str, bytes]) -> Family:
         raise FamilyFormatError("blocks must be a non-empty list", "blocks")
 
     if role == "design":
-        rows, mults, total = [], [], 0
-        for bi, entry in enumerate(raw_blocks):
-            where = f"blocks[{bi}]"
-            if not (isinstance(entry, dict) and "points" in entry):
-                raise FamilyFormatError('design block must be {"points": [...], "mult": m}', where)
-            pts = [
-                _element_from_json(carrier, e, f"{where}.points[{i}]")
-                for i, e in enumerate(_list(entry["points"], "points", where))
-            ]
-            if len(pts) != k:
-                raise FamilyFormatError(f"block has {len(pts)} points, expected {k}", where)
-            mult = entry.get("mult", 1)
-            if not _is_int(mult) or mult < 1:
-                raise FamilyFormatError(f"multiplicity must be an integer >= 1, got {mult!r}", where)
-            total += mult
-            if total > MAX_DESIGN_BLOCKS:
-                raise FamilyFormatError(
-                    f"design has more than {MAX_DESIGN_BLOCKS} blocks counting multiplicity", where
-                )
-            rows.append(sorted(carrier.encode(e) for e in pts))
-            mults.append(mult)
-        return Design(carrier, np.repeat(np.array(rows, dtype=np.int64), mults, axis=0), k)
+        return _parse_design(carrier, k, raw_blocks)
 
     blocks = []
     for bi, entry in enumerate(raw_blocks):

@@ -710,3 +710,10 @@ def test_v3125_develop_peak_near_output(rdf3125):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * blocks.nbytes
+
+
+def test_v3125_verify_design_frees_the_counts_before_the_keys(design3125):
+    """The pair counts (C(3125,2) uint32, 18.6 MiB) and their `!= lam` mask
+    are gone before the simplicity keys are built, so the two peaks do not
+    add: 30.8 MiB while both were alive, 23.3 MiB after."""
+    assert _traced_peak_mib(verify_design, design3125) <= 26
