@@ -162,7 +162,9 @@ def verify_design(design: Design, t: int = 2) -> DesignVerdict:
     so a block covers a pair at most once.  A short window has more places
     than there are pair slots, so one is uncovered: the first pair whose
     count differs from that of (0, 1) lies in it, unless (0, 1) is itself
-    uncovered, and then it is the least pair covered.
+    uncovered, and then it is the least pair covered.  A row that does not
+    strictly increase fails the design outright; simplicity still says
+    whether any block repeats.
     """
     if t != 2:
         raise DesignError("only pair coverage (t=2) is supported")
@@ -177,7 +179,8 @@ def verify_design(design: Design, t: int = 2) -> DesignVerdict:
     for lo in range(0, arr.shape[0], _CHUNK):
         part = arr[lo : lo + _CHUNK]
         if np.any(np.diff(part, axis=1) <= 0):
-            return DesignVerdict(False, None, False, False, None)
+            del counts  # before the keys, so the two peaks do not add
+            return DesignVerdict(False, None, _no_repeated_blocks(arr, v), False, None)
         idx = _pair_index(part[:, i_idx], part[:, j_idx], v)
         least = min(least, int(idx.min(initial=least)))
         np.add.at(counts, idx[idx < window], counts.dtype.type(1))  # a plain 1 takes the slow loop
@@ -191,14 +194,19 @@ def verify_design(design: Design, t: int = 2) -> DesignVerdict:
     ok = uniform and lam >= 1
     witness = None if uniform else tuple(map(design.carrier.decode, _pair_points(first_bad, v)))
     del counts, off  # before the keys, so the two peaks do not add
-    keys = _sorted_row_keys(arr, v)
-    simple = not np.any(np.all(keys[1:] == keys[:-1], axis=1))
+    simple = _no_repeated_blocks(arr, v)
     repl_ok = False
     if ok:
         r, rem = divmod(lam * (v - 1), k - 1)
         point_counts = np.bincount(arr.ravel(), minlength=v)
         repl_ok = rem == 0 and bool(np.all(point_counts == r))
     return DesignVerdict(ok and repl_ok, lam if uniform else None, simple, repl_ok, witness)
+
+
+def _no_repeated_blocks(arr: np.ndarray, v: int) -> bool:
+    """True iff no two rows hold the same points, in whatever order."""
+    keys = _sorted_row_keys(arr, v)
+    return not np.any(np.all(keys[1:] == keys[:-1], axis=1))
 
 
 def _decode_array(carrier: AbelianGroup, flat: np.ndarray) -> np.ndarray:
@@ -292,7 +300,12 @@ def ag_design(n: int, p: int) -> Design:
 
 
 def _pair_block_table(design: Design) -> np.ndarray:
-    """pair code u*v+w (u<w) -> block index; -1 where no block.  Steiner only."""
+    """The block through each pair of points, for Steiner designs only.
+
+    One v*v int32 array: entry u*v+w, for u < w, holds the index of the
+    block through u and w, and -1 where there is none; entries with u >= w
+    are -1.  Filled one `_CHUNK` slice of blocks at a time.
+    """
     v, k = design.v, design.k
     table = np.full(v * v, -1, dtype=np.int32)
     i_idx, j_idx = np.triu_indices(k, 1)
@@ -314,6 +327,12 @@ def closure(
     """Least point set containing both blocks and closed under "add the
     unique block through any two member points"; points are encoded indices.
 
+    The members are taken in the order they join.  Each member looks up the
+    block through itself and every earlier member; blocks met before are
+    skipped, and only new ones are read for new points.  A closure of n
+    points thus costs C(n,2) lookups and reads about n(n-1)/(k(k-1))
+    blocks, each once.
+
     With max_points set, iteration stops as soon as the set grows past it
     (the partial set is returned; its size already exceeds the bound).
 
@@ -321,7 +340,7 @@ def closure(
     that block's points as a list of ints, filled as blocks are read) are
     private caches shared across the closures of one scan.
     """
-    b1, b2 = set(int(x) for x in block1), set(int(x) for x in block2)
+    b1, b2 = set(map(int, block1)), set(map(int, block2))
     if b1 == b2:
         raise DesignError("closure needs two distinct blocks")
     if len(b1 & b2) != 1:
@@ -331,23 +350,26 @@ def closure(
     rows = {} if _rows is None else _rows
     blocks = design.blocks
     v = design.v
-    pts = sorted(b1 | b2)
+    pts = sorted(b1 | b2)  # grows as members join; each is visited once
     members = set(pts)
-    queue = [(u, w) for i, u in enumerate(pts) for w in pts[i + 1 :]]
-    while queue:
-        u, w = queue.pop()
-        bi = table[u * v + w if u < w else w * v + u]
-        if bi < 0:
-            raise DesignError(f"no block through pair ({u}, {w}); design is not Steiner")
-        row = rows.get(bi)
-        if row is None:
-            row = rows[bi] = blocks[bi].tolist()
-        for c in row:
-            if c not in members:
-                queue.extend((c, m) for m in members)
-                members.add(c)
-                if max_points is not None and len(members) > max_points:
-                    return members
+    seen = set()  # blocks already read
+    for i, c in enumerate(pts):
+        for m in pts[:i]:
+            bi = table[m * v + c if m < c else c * v + m]
+            if bi in seen:
+                continue
+            if bi < 0:
+                raise DesignError(f"no block through pair ({m}, {c}); design is not Steiner")
+            seen.add(bi)
+            row = rows.get(bi)
+            if row is None:
+                row = rows[bi] = blocks[bi].tolist()
+            for x in row:
+                if x not in members:
+                    members.add(x)
+                    pts.append(x)
+                    if max_points is not None and len(members) > max_points:
+                        return members
     return members
 
 

@@ -185,7 +185,8 @@ def _point_codes(carrier, points: list) -> Optional[np.ndarray]:
 
 
 def _parse_design(carrier, k: int, raw_blocks: list) -> Design:
-    """One pass over the block entries, then every point checked and encoded at once."""
+    """One pass over the block entries, then the points checked and encoded
+    one `_CHUNK` slice of blocks at a time."""
     points, mults, total = [], [], 0
     for bi, entry in enumerate(raw_blocks):
         where = f"blocks[{bi}]"
@@ -204,11 +205,16 @@ def _parse_design(carrier, k: int, raw_blocks: list) -> Design:
             )
         points += pts
         mults.append(mult)
-    codes = _point_codes(carrier, points)
-    if codes is None:  # the per-point reader names the first malformed point
-        for i, point in enumerate(points):
-            _element_from_json(carrier, point, f"blocks[{i // k}].points[{i % k}]")
-        raise AssertionError("_point_codes refused points that _element_from_json reads")
+    codes = np.empty(len(points), dtype=np.int64)
+    step = _CHUNK * k
+    for lo in range(0, len(points), step):
+        part = points[lo : lo + step]
+        got = _point_codes(carrier, part)
+        if got is None:  # the per-point reader names the first malformed point
+            for i, point in enumerate(part, lo):
+                _element_from_json(carrier, point, f"blocks[{i // k}].points[{i % k}]")
+            raise AssertionError("_point_codes refused points that _element_from_json reads")
+        codes[lo : lo + len(part)] = got
     rows = np.sort(codes.reshape(-1, k), axis=1)
     return Design(carrier, np.repeat(rows, mults, axis=0), k)
 

@@ -238,6 +238,29 @@ def test_verify_design_repeated_point_block_is_not_super_regular(tmp_path, capsy
     assert cert["pass"] is False
 
 
+def test_verify_design_rows_with_repeated_points_are_simple_unless_a_block_repeats(
+    tmp_path, capsys
+):
+    # {0,0,0} fails as a design, yet no block repeats; two {0,0,1} blocks do
+    path = tmp_path / "z3.json"
+    path.write_text(
+        '{"role":"design","carrier":{"group":[3]},"k":3,'
+        '"blocks":[{"points":[[0],[0],[0]],"mult":1}]}'
+    )
+    assert run(["verify", "design", str(path)]) == 1
+    assert capsys.readouterr().out.split() == ["2-(3,3,None)", "design:", "FAIL", "simple"]
+    cert = json.loads((tmp_path / "z3.json.cert").read_text())
+    assert cert["simple"] is True and cert["pass"] is False and cert["lambda"] is None
+    path.write_text(
+        '{"role":"design","carrier":{"group":[3]},"k":3,'
+        '"blocks":[{"points":[[1],[0],[0]],"mult":1},{"points":[[0],[1],[0]],"mult":1}]}'
+    )
+    assert run(["verify", "design", str(path)]) == 1
+    assert capsys.readouterr().out.split() == ["2-(3,3,None)", "design:", "FAIL", "non-simple"]
+    cert = json.loads((tmp_path / "z3.json.cert").read_text())
+    assert cert["simple"] is False and cert["pass"] is False
+
+
 def test_build_zero_sum_dm_rejects_k_below_two(tmp_path, capsys):
     out = tmp_path / "dm.json"
     with pytest.raises(SystemExit) as info:

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import difam.designs
 import difam.io
@@ -131,6 +133,21 @@ def test_verify_design_counts_past_small_dtypes(copies):
     # every pair of Z_3 is covered `copies` times: more than uint8, then uint16, holds
     repeated = Design(AbelianGroup((3,)), np.repeat(np.array([[0, 1, 2]]), copies, axis=0), 3)
     assert verify_design(repeated) == DesignVerdict(True, copies, False, True, None)
+
+
+def test_verify_design_simple_means_no_block_repeats_for_rows_out_of_order():
+    # rows that do not strictly increase fail the design, but simplicity
+    # still asks only whether a block (as a point set) repeats
+    z3 = AbelianGroup((3,))
+    assert verify_design(Design(z3, np.array([[0, 0, 0]]), 3)) == DesignVerdict(
+        False, None, True, False, None
+    )
+    one = Design(z3, np.array([[2, 0, 1]]), 3)
+    assert verify_design(one) == DesignVerdict(False, None, True, False, None)
+    two = Design(z3, np.array([[2, 0, 1], [1, 2, 0]]), 3)
+    assert verify_design(two) == DesignVerdict(False, None, False, False, None)
+    repeats = Design(z3, np.array([[0, 0, 1], [0, 1, 1]]), 3)
+    assert verify_design(repeats).is_simple
 
 
 def test_anomaly_witness_refuses_a_wrong_block_count():
@@ -285,6 +302,25 @@ def _reference_closure(design, block1, block2):
         members[grow] = True
 
 
+def _queue_closure(design, block1, block2, table):
+    """A LIFO queue of member pairs, each pair's block walked in full;
+    `table` is `_reference_pair_block_table`."""
+    v, rows, table = design.v, design.blocks.tolist(), table.tolist()
+    pts = sorted(set(map(int, block1)) | set(map(int, block2)))
+    members = set(pts)
+    queue = [(u, w) for i, u in enumerate(pts) for w in pts[i + 1 :]]
+    while queue:
+        u, w = queue.pop()
+        bi = table[u * v + w if u < w else w * v + u]
+        if bi < 0:
+            raise DesignError(f"no block through pair ({u}, {w}); design is not Steiner")
+        for c in rows[bi]:
+            if c not in members:
+                queue.extend((c, m) for m in members)
+                members.add(c)
+    return members
+
+
 @pytest.mark.parametrize("dims", [(2, 3), (3, 3), None], ids=["ag23", "ag33", "z5"])
 def test_closure_matches_reference(dims, z5_design):
     d = z5_design if dims is None else ag_design(*dims)
@@ -331,6 +367,70 @@ def test_anomaly_witness_calls_module_closure_per_pair(monkeypatch):
     monkeypatch.setattr(difam.designs, "closure", counting)
     anomaly_witness(ag_design(3, 5), 5, scan_cap=50)
     assert len(calls) == 50
+
+
+def test_anomaly_witness_scans_every_pair_of_ag35(monkeypatch):
+    # all 8,525 pairs of lines of AG(3,5) that share their least point, under
+    # the default cap of 10^4: every closure is a plane, so the scan ends open
+    calls = []
+    real = difam.designs.closure
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(difam.designs, "closure", counting)
+    assert anomaly_witness(ag_design(3, 5), 5) == AnomalyVerdict(False, None, None, True)
+    assert len(calls) == 8525
+
+
+@pytest.fixture(scope="module")
+def closure_designs(z5_design):
+    flat = Design(AbelianGroup((5, 5, 5)), z5_design.blocks, 5)
+    designs = {
+        "ag23": ag_design(2, 3),
+        "ag33": ag_design(3, 3),
+        "ag35": ag_design(3, 5),
+        "z5": z5_design,
+        "z7": develop(thm62_z7()),
+        "planted-ag45": subspace_replace(4, 3, 5, flat),
+    }
+    return {
+        name: (d, _pair_block_table(d), _reference_pair_block_table(d))
+        for name, d in designs.items()
+    }
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_closure_agrees_with_both_oracles(closure_designs, data):
+    name = data.draw(st.sampled_from(sorted(closure_designs)), label="design")
+    d, table, ref_table = closure_designs[name]
+    a = data.draw(st.integers(0, d.b - 1), label="first block")
+    meets_once = np.isin(d.blocks, d.blocks[a]).sum(axis=1) == 1
+    b = data.draw(st.sampled_from(np.flatnonzero(meets_once).tolist()), label="second block")
+    b1, b2 = d.blocks[a], d.blocks[b]
+    expected = _queue_closure(d, b1, b2, ref_table)
+    assert expected == _reference_closure(d, b1, b2)
+    assert closure(d, b1, b2) == expected
+    rows = {}
+    assert closure(d, b1, b2, _table=table, _rows=rows) == expected
+    assert all(rows[bi] == d.blocks[bi].tolist() for bi in rows)
+    # capped at a plane: a part of the closure, one point past the cap if it is larger
+    cap = d.k * d.k
+    capped = closure(d, b1, b2, max_points=cap, _table=table)
+    assert capped <= expected and len(capped) == min(len(expected), cap + 1)
+    # one block gone: the closure fails exactly when the oracle does
+    gone = data.draw(st.integers(0, d.b - 1), label="dropped block")
+    damaged = Design(d.carrier, np.delete(d.blocks, gone, axis=0), d.k)
+    try:
+        expected = _queue_closure(damaged, b1, b2, _reference_pair_block_table(damaged))
+    except DesignError:
+        with pytest.raises(DesignError, match="not Steiner"):
+            closure(damaged, b1, b2)
+    else:
+        assert closure(damaged, b1, b2) == expected
 
 
 def test_anomaly_witness_found(z5_design):
@@ -453,8 +553,11 @@ def _reference_develop_rows(rdf):
 def _reference_verify_design(design):
     v, k = design.v, design.k
     arr = design.blocks
-    if arr.size == 0 or np.any(np.diff(arr, axis=1) <= 0):
+    if arr.size == 0:
         return DesignVerdict(False, None, False, False, None)
+    if np.any(np.diff(arr, axis=1) <= 0):
+        simple = np.unique(np.sort(arr, axis=1), axis=0).shape[0] == arr.shape[0]
+        return DesignVerdict(False, None, simple, False, None)
     i_idx, j_idx = np.triu_indices(k, 1)
     codes = (arr[:, i_idx] * v + arr[:, j_idx]).ravel()
     counts = np.bincount(codes, minlength=v * v)

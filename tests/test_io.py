@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import difam.io
 from difam.carrier import ProductCarrier
 from difam.catalog import FIXTURES, example51, sigma_prime, thm62_z5
 from difam.designs import Design, ag_design, develop
@@ -384,6 +385,23 @@ def test_parse_design_names_the_first_bad_point():
         parse_family(json.dumps(doc))
     doc["blocks"][1]["points"][3]["g"] = [0]
     with pytest.raises(FamilyFormatError, match=r"^blocks\[3\]\.points\[2\]:"):
+        parse_family(json.dumps(doc))
+
+
+def test_parse_design_checks_points_a_slice_of_blocks_at_a_time(monkeypatch):
+    # two blocks per slice: the codes match one slice, and a bad point in a
+    # later slice is named at its place in the whole file
+    text = render_family(_Z5)
+    whole = parse_family(text).blocks
+    monkeypatch.setattr(difam.io, "_CHUNK", 2)
+    assert np.array_equal(parse_family(text).blocks, whole)
+    doc = json.loads(text)
+    doc["blocks"][7]["points"][1]["f"][0] = 5
+    doc["blocks"][5]["points"][4]["g"] = [True]
+    with pytest.raises(FamilyFormatError, match=r"^blocks\[5\]\.points\[4\]\.g:"):
+        parse_family(json.dumps(doc))
+    doc["blocks"][5]["points"][4]["g"] = [0]
+    with pytest.raises(FamilyFormatError, match=r"^blocks\[7\]\.points\[1\]:"):
         parse_family(json.dumps(doc))
 
 

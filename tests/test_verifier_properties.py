@@ -122,12 +122,14 @@ def _brute_force_design_verdict(design):
     """Every pair counted with a Counter; the witness is the first pair, in
     row-major order, whose count differs from that of (0, 1)."""
     v, k, rows = design.v, design.k, design.blocks.tolist()
-    if not rows or any(a >= b for row in rows for a, b in zip(row, row[1:])):
+    if not rows:
         return DesignVerdict(False, None, False, False, None)
+    simple = len({tuple(sorted(row)) for row in rows}) == len(rows)  # no block repeats
+    if any(a >= b for row in rows for a, b in zip(row, row[1:])):
+        return DesignVerdict(False, None, simple, False, None)
     pairs = Counter(pair for row in rows for pair in combinations(row, 2))
     lam = pairs[0, 1]
     bad = next((pair for pair in combinations(range(v), 2) if pairs[pair] != lam), None)
-    simple = len(set(map(tuple, rows))) == len(rows)
     ok = bad is None and lam >= 1
     degrees = Counter(x for row in rows for x in row)
     replication = ok and all(degrees[x] * (k - 1) == lam * (v - 1) for x in range(v))
