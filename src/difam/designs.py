@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from sympy import isprime
 
+from .diffs import _CHUNK, block_codes
 from .families import RelativeDifferenceFamily, verify_rdf
 from .groups import AbelianGroup, DifamError, Element
 
@@ -22,8 +23,6 @@ from .groups import AbelianGroup, DifamError, Element
 class DesignError(DifamError):
     pass
 
-
-_CHUNK = 1 << 12  # blocks per slice in the array builders: bounds their temporaries
 
 # the most blocks a design may have: bounds what a design file or ag_design allocates
 MAX_DESIGN_BLOCKS = 2**24
@@ -76,24 +75,11 @@ class AnomalyVerdict:
     inconclusive: bool
 
 
-def _encode_rows(carrier: AbelianGroup, coords: np.ndarray) -> np.ndarray:
-    """coords (..., rank) -> encoded ints, same leading shape."""
-    weights = np.array(carrier._weights, dtype=np.int64)
-    return coords.astype(np.int64) @ weights
-
-
-def _blocks_array(carrier: AbelianGroup, blocks: Sequence[Sequence[Element]]) -> np.ndarray:
-    rows = []
-    for b in blocks:
-        rows.append(sorted(carrier.encode(carrier.check(e)) for e in b))
-    return np.array(rows, dtype=np.int64)
-
-
 def make_design(carrier: AbelianGroup, blocks: Sequence[Sequence[Element]], k: int) -> Design:
-    arr = _blocks_array(carrier, blocks)
-    if arr.ndim != 2 or arr.shape[1] != k:
+    rows, mask = block_codes(carrier, blocks)
+    if not mask.all() or rows.shape[1] != k:
         raise DesignError(f"blocks must all have {k} points")
-    return Design(carrier, arr, k)
+    return Design(carrier, np.sort(rows, axis=1), k)
 
 
 def develop(rdf: RelativeDifferenceFamily, lambda_copies: Optional[int] = None) -> Design:
@@ -110,7 +96,7 @@ def _develop_rows(rdf: RelativeDifferenceFamily, lam: int) -> np.ndarray:
     """The rows of `develop`, for any family, verified or not."""
     carrier = rdf.group
     orders = np.array(carrier.cyclic_orders, dtype=np.int64)
-    all_elems = np.array(list(carrier.elements()), dtype=np.int64)  # (|G|, rank)
+    all_elems = carrier.decode_array(np.arange(carrier.order))  # (|G|, rank)
     base = np.array(
         [[list(e) for e in b.expand()] for b in rdf.blocks], dtype=np.int64
     )  # (s, k, rank)
@@ -122,14 +108,14 @@ def _develop_rows(rdf: RelativeDifferenceFamily, lam: int) -> np.ndarray:
                 f"forbidden subgroup of order {sub.order} cannot supply {rdf.k}-point blocks"
             )
         sub_arr = np.array(sub.elements, dtype=np.int64)
-        coset_rows = _encode_rows(carrier, (sub_arr[None, :, :] + all_elems[:, None, :]) % orders)
+        coset_rows = carrier.encode_array((sub_arr[None, :, :] + all_elems[:, None, :]) % orders)
         coset_rows.sort(axis=1)
         cosets.append(np.unique(coset_rows, axis=0))
     n_translates = base.shape[0] * n
     rows = np.empty((n_translates + lam * sum(len(c) for c in cosets), rdf.k), dtype=np.int64)
     for i, block in enumerate(base):  # one base block at a time: |G| x k x rank
         out = rows[i * n : (i + 1) * n]
-        out[:] = _encode_rows(carrier, (block[None, :, :] + all_elems[:, None, :]) % orders)
+        out[:] = carrier.encode_array((block[None, :, :] + all_elems[:, None, :]) % orders)
         out.sort(axis=1)
     lo = n_translates
     for unique in cosets:  # lam copies of each coset
@@ -209,23 +195,14 @@ def _no_repeated_blocks(arr: np.ndarray, v: int) -> bool:
     return not np.any(np.all(keys[1:] == keys[:-1], axis=1))
 
 
-def _decode_array(carrier: AbelianGroup, flat: np.ndarray) -> np.ndarray:
-    orders = np.array(carrier.cyclic_orders, dtype=np.int64)
-    dec = np.empty((flat.size, carrier.rank), dtype=np.int64)
-    rem = flat.astype(np.int64).copy()
-    for pos in range(carrier.rank - 1, -1, -1):
-        dec[:, pos] = rem % orders[pos]
-        rem //= orders[pos]
-    return dec
-
-
-def _sorted_row_keys(arr: np.ndarray, v: int, step: Optional[tuple[int, int]] = None) -> np.ndarray:
+def _sorted_row_keys(
+    arr: np.ndarray, v: int, step: Optional[tuple[AbelianGroup, int]] = None
+) -> np.ndarray:
     """Each row as a point set, in lexicographic order: (b, words) int64 keys.
 
     A row is sorted and packed base v, as many digits per word as stay below
-    2^62, so comparing keys compares rows.  With step = (w, n), every point
-    is first moved by the unit generator of the cyclic factor of order n and
-    weight w.
+    2^62, so comparing keys compares rows.  With step = (group, i), every
+    point is first moved by the unit generator of the group's factor i.
     """
     k = arr.shape[1]
     per_word = 1
@@ -237,8 +214,7 @@ def _sorted_row_keys(arr: np.ndarray, v: int, step: Optional[tuple[int, int]] = 
     for lo in range(0, arr.shape[0], _CHUNK):
         part = arr[lo : lo + _CHUNK]
         if step is not None:
-            w, n = step
-            part = part + w - n * w * ((part // w) % n == n - 1)
+            part = step[0].add_unit(part, step[1])
         part = np.sort(part, axis=1)
         keys[lo : lo + part.shape[0]] = np.add.reduceat(part * weights, starts, axis=1)
     return np.sort(keys, axis=0) if starts.size == 1 else keys[np.lexsort(keys.T[::-1])]
@@ -258,14 +234,13 @@ def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVer
     if design.k < 1:
         raise DesignError(f"need blocks of at least one point, got k={design.k}")
     arr, v = design.blocks, design.v
-    steps = list(zip(group._weights, group.cyclic_orders))
     additive = all(
-        not np.any(((arr[lo : lo + _CHUNK] // w) % n).sum(axis=1) % n)
-        for w, n in steps
-        for lo in range(0, arr.shape[0], _CHUNK)
+        group.zero_sum_rows(arr[lo : lo + _CHUNK]).all() for lo in range(0, arr.shape[0], _CHUNK)
     )
     keys = _sorted_row_keys(arr, v)
-    regular = all(np.array_equal(_sorted_row_keys(arr, v, step), keys) for step in steps)
+    regular = all(
+        np.array_equal(_sorted_row_keys(arr, v, (group, i)), keys) for i in range(group.rank)
+    )
     return SuperRegularVerdict(regular, additive)
 
 
@@ -285,14 +260,14 @@ def ag_design(n: int, p: int) -> Design:
         raise DesignError(f"AG({n},{p}) has more than {MAX_DESIGN_BLOCKS} lines")
     carrier = AbelianGroup((p,) * n)
     v = carrier.order
-    points = _decode_array(carrier, np.arange(v, dtype=np.int64))  # (v, n), row i is point i
+    points = carrier.decode_array(np.arange(v))  # (v, n), row i is point i
     nonzero = points != 0
     lead = points[np.arange(v), nonzero.argmax(axis=1)]
     directions = points[nonzero.any(axis=1) & (lead == 1)]
     steps = np.arange(p, dtype=np.int64)[None, :, None]
     blocks = []
     for d in directions:
-        lines = _encode_rows(carrier, (points[:, None, :] + steps * d) % p)  # (v, p)
+        lines = carrier.encode_array((points[:, None, :] + steps * d) % p)  # (v, p)
         lines.sort(axis=1)
         # each line once: from the start point that is its least point
         blocks.append(lines[lines[:, 0] == np.arange(v)])

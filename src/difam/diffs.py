@@ -3,8 +3,10 @@
 Every family notion in this package (strong difference families, relative
 difference families, difference matrices) reduces to statements about the
 multiset of differences b_i - b_j of its blocks, so this module is the
-shared foundation: GMultiset for blocks and difference lists, CoverageMap
-for the verdict "every carrier element is hit exactly lambda times".
+shared foundation: GMultiset for blocks, `delta_family` for the difference
+list as a count array indexed by element code, and `coverage` for the
+verdict "every carrier element outside the excluded set is hit exactly
+lambda times, every excluded one never".
 """
 
 from __future__ import annotations
@@ -13,7 +15,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .groups import AbelianGroup, Element, GroupError, Subgroup
+
+_CHUNK = 1 << 12  # blocks per slice in the array builders: bounds their temporaries
 
 
 class GMultiset:
@@ -72,22 +78,11 @@ class GMultiset:
 
 
 @dataclass
-class CoverageMap:
-    """Multiplicity of every carrier element, zeros stored explicitly."""
-
-    carrier: AbelianGroup
-    counts: dict[Element, int]
-    total: int
-
-    def __getitem__(self, e: Element) -> int:
-        return self.counts[e]
-
-
-@dataclass
 class CoverageVerdict:
     constant_lambda: Optional[int]  # None when coverage is not constant
-    coverage: CoverageMap
     excluded_clean: bool  # every excluded element has multiplicity 0
+    # (element, count) off target: excluded elements first, then the rest,
+    # each ascending; Python ints throughout
     failures: list[tuple[Element, int]] = field(default_factory=list)
 
     @property
@@ -95,70 +90,72 @@ class CoverageVerdict:
         return self.constant_lambda is not None and self.excluded_clean
 
 
-def delta_block(block: GMultiset) -> GMultiset:
-    """List of differences b_i - b_j over ordered pairs of distinct positions."""
-    if block.size < 2:
-        raise GroupError(f"difference list needs a block of size >= 2, got {block.size}")
-    sub = block.carrier.sub
-    elems = block.expand()
-    out: Counter = Counter()
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            if i != j:
-                out[sub(x, y)] += 1
-    return GMultiset(block.carrier, out)
+def block_codes(
+    carrier: AbelianGroup, blocks: Sequence[Sequence[Element]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of elements as rows of codes, padded with 0 (the code of zero)
+    up to the longest block, and the (b, width) mask of the real entries."""
+    sizes = np.array([len(b) for b in blocks], dtype=np.int64)
+    mask = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    coords = np.array([e for b in blocks for e in b], dtype=np.int64).reshape(-1, carrier.rank)
+    if len(coords) != sizes.sum() or np.any((coords < 0) | (coords >= carrier.cyclic_orders)):
+        raise GroupError(f"blocks hold points that are not elements of {carrier}")
+    rows = np.zeros(mask.shape, dtype=np.int64)
+    rows[mask] = carrier.encode_array(coords)
+    return rows, mask
 
 
-def delta_family(blocks: Sequence[GMultiset]) -> GMultiset:
-    """Multiset union of the per-block difference lists."""
+def delta_family(blocks: Sequence[GMultiset]) -> np.ndarray:
+    """The multiset union of the blocks' difference lists (b_i - b_j over
+    ordered pairs of distinct positions), as a count per element code."""
     if not blocks:
         raise GroupError("empty family has no carrier; pass at least one block")
     carrier = blocks[0].carrier
-    out: Counter = Counter()
-    for b in blocks:
-        if b.carrier != carrier:
-            raise GroupError("blocks on mixed carriers")
-        out.update(delta_block(b).entries)
-    return GMultiset(carrier, out)
+    counts = np.zeros(carrier.order, dtype=np.int64)
+    for lo in range(0, len(blocks), _CHUNK):
+        part = blocks[lo : lo + _CHUNK]
+        for b in part:
+            if b.carrier != carrier:
+                raise GroupError("blocks on mixed carriers")
+            if b.size < 2:
+                raise GroupError(f"difference list needs a block of size >= 2, got {b.size}")
+        rows, mask = block_codes(carrier, [b.expand() for b in part])
+        i_idx, j_idx = np.nonzero(~np.eye(rows.shape[1], dtype=bool))
+        diffs = carrier.sub_codes(rows[:, i_idx], rows[:, j_idx])
+        # add.at costs per difference, a bincount per slice would cost v
+        np.add.at(counts, diffs[mask[:, i_idx] & mask[:, j_idx]], np.int64(1))
+    return counts
 
 
 def coverage(
-    delta: GMultiset,
+    counts: np.ndarray,
     carrier: AbelianGroup,
     excluded: Optional[Subgroup | Sequence[Subgroup]] = None,
 ) -> CoverageVerdict:
     """Check constant-lambda coverage outside `excluded`, zero inside.
 
+    `counts` holds the multiplicity of every element code of the carrier.
     `excluded` may be a single subgroup or a partial-spread-like list of
-    subgroups; their union is the excluded point set.
+    subgroups; their union is the excluded point set.  Lambda is the count
+    of the least element outside it (0, vacuously, when nothing is outside).
     """
-    if delta.carrier != carrier:
-        raise GroupError("difference list lives on a different carrier")
-    excluded_set: set[Element] = set()
+    if counts.shape != (carrier.order,):
+        raise GroupError("difference counts are over a different carrier")
+    inside = np.zeros(carrier.order, dtype=bool)
     if excluded is not None:
         members = [excluded] if isinstance(excluded, Subgroup) else list(excluded)
         for sub in members:
             if sub.parent != carrier:
                 raise GroupError("excluded subgroup has the wrong parent")
-            excluded_set.update(sub.elements)
-
-    counts = {e: delta.multiplicity(e) for e in carrier.elements()}
-    cov = CoverageMap(carrier, counts, sum(counts.values()))
-
-    failures: list[tuple[Element, int]] = []
-    excluded_clean = True
-    for e in excluded_set:
-        if counts[e] != 0:
-            excluded_clean = False
-            failures.append((e, counts[e]))
-
-    outside = [counts[e] for e in counts if e not in excluded_set]
+            inside[carrier.encode_array(sub.elements)] = True
+    dirty = np.flatnonzero(inside & (counts != 0))
     lam: Optional[int] = 0  # vacuously constant when everything is excluded
-    if outside:
-        lam = outside[0]
-        for e, m in counts.items():
-            if e not in excluded_set and m != lam:
-                failures.append((e, m))
-        if any(e not in excluded_set for e, _ in failures):
+    off = dirty[:0]
+    if not inside.all():
+        lam = int(counts[np.argmin(inside)])  # the least element outside
+        off = np.flatnonzero((counts != lam) & ~inside)
+        if off.size:
             lam = None
-    return CoverageVerdict(lam, cov, excluded_clean, failures)
+    bad = np.concatenate([dirty, off])
+    failures = [(carrier.decode(c), m) for c, m in zip(bad.tolist(), counts[bad].tolist())]
+    return CoverageVerdict(lam, not dirty.size, failures)

@@ -4,8 +4,10 @@ constructions (Paley multisets, the all-zero-sum-tuples difference matrix,
 the product composition, and the core SDF behind the general existence
 argument).
 
-Verifiers return verdicts carrying full coverage maps rather than booleans,
-so a failing family can be diagnosed and a passing one certified.
+Verifiers return verdicts rather than booleans: lambda, whether the
+forbidden elements stay clean, and every element covered off target with
+its count, so a failing family can be diagnosed and a passing one
+certified.  Differences are counted on int element codes (`diffs`).
 
 Additivity is never stored: each family type derives `additive` from its
 current blocks on every access through `blocks_are_additive`, the same
@@ -18,9 +20,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+import numpy as np
 from sympy import factorint
 
-from .diffs import CoverageVerdict, GMultiset, coverage, delta_family
+from .diffs import CoverageVerdict, GMultiset, block_codes, coverage, delta_family
 from .gf import FiniteField, nonzero_squares
 from .groups import AbelianGroup, DifamError, Element, Subgroup, sum_of
 from .params import Condition, ParamVerdict, largest_odd_prime_power_factor, main_status
@@ -68,8 +71,10 @@ def _members(forbidden: Forbidden) -> list[Subgroup]:
 
 def blocks_are_additive(group: AbelianGroup, blocks, forbidden: Sequence[Subgroup]) -> bool:
     """Every block sums to zero and no forbidden subgroup is binary (has
-    exactly one involution); absolute families pass no forbidden subgroups."""
-    return all(sum_of(group, b) == group.zero for b in blocks) and not any(
+    exactly one involution); absolute families pass no forbidden subgroups.
+    Blocks are GMultisets or sequences of elements."""
+    rows, _ = block_codes(group, [b.expand() if isinstance(b, GMultiset) else b for b in blocks])
+    return bool(group.zero_sum_rows(rows).all()) and not any(
         _subgroup_is_binary(sub) for sub in forbidden
     )
 
@@ -162,10 +167,11 @@ class DmVerdict:
 def verify_sdf(
     blocks: Sequence[GMultiset], group: AbelianGroup, k: int, lam: int
 ) -> SdfVerdict:
-    """Is this a (G,k,lam) strong difference family?  Never raises on bad input."""
+    """Is this a (G,k,lam) strong difference family?  No blocks, or a block
+    of the wrong size or carrier, fail it; a block under two points raises
+    GroupError (`delta_family`)."""
     if not blocks or any(b.size != k for b in blocks) or any(b.carrier != group for b in blocks):
-        empty = coverage(GMultiset(group, []), group)
-        return SdfVerdict(False, False, None, empty)
+        return SdfVerdict(False, False, None, CoverageVerdict(0, True))
     cov = coverage(delta_family(list(blocks)), group)
     is_sdf = cov.ok and cov.constant_lambda == lam
     return SdfVerdict(is_sdf, blocks_are_additive(group, blocks, ()), cov.constant_lambda, cov)
@@ -185,11 +191,8 @@ def verify_rdf(
             raise FamilyError("forbidden subgroup has the wrong parent group")
     bad_shape = any(b.size != k or not b.is_set() or b.carrier != group for b in blocks)
     if bad_shape:
-        empty = coverage(GMultiset(group, []), group, members)
-        return RdfVerdict(False, False, None, empty)
-    delta = (
-        delta_family(list(blocks)) if blocks else GMultiset(group, [])
-    )
+        return RdfVerdict(False, False, None, CoverageVerdict(0, True))
+    delta = delta_family(list(blocks)) if blocks else np.zeros(group.order, dtype=np.int64)
     cov = coverage(delta, group, members)
     is_rdf = cov.ok and cov.constant_lambda == lam
     additive = blocks_are_additive(group, blocks, members)
@@ -258,17 +261,14 @@ def verify_dm(
         raise FamilyError("ragged matrix: every column must have k entries")
     if len(cols) != mu * group.order:
         return DmVerdict(False, False, [(-1, -1, group.zero, len(cols))])
-    for c in cols:
-        for e in c:
-            group.check(e)
+    rows = block_codes(group, cols)[0].reshape(len(cols), k)  # (0, k) with no columns too
     failures = []
     for i in range(k):
         for j in range(i + 1, k):
-            counts: Counter = Counter(group.sub(c[i], c[j]) for c in cols)
-            for e in group.elements():
-                if counts.get(e, 0) != mu:
-                    failures.append((i, j, e, counts.get(e, 0)))
-    return DmVerdict(not failures, blocks_are_additive(group, cols, ()), failures)
+            counts = np.bincount(group.sub_codes(rows[:, i], rows[:, j]), minlength=group.order)
+            off = np.flatnonzero(counts != mu).tolist()
+            failures += [(i, j, group.decode(c), m) for c, m in zip(off, counts[off].tolist())]
+    return DmVerdict(not failures, bool(group.zero_sum_rows(rows).all()), failures)
 
 
 def zero_sum_dm(group: AbelianGroup, k: int, cap: int = 10**6) -> DifferenceMatrix:

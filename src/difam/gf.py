@@ -207,13 +207,8 @@ class ClassMasks:
         m = self.masks.get((c, g))
         if m is not None:
             return m
-        f = self.field
-        y = np.arange(f.q, dtype=np.int32)
-        code = f.additive_group.encode(c)
-        diff = np.zeros(f.q, np.int32)  # the code of y - c, digit by digit
-        for i in range(f.n):
-            w = f.p**i
-            diff += ((y // w - code // w) % f.p) * w
+        group = self.field.additive_group
+        diff = group.sub_codes(np.arange(self.field.q), group.encode(c))  # the code of y - c
         bits = np.packbits(self.classes[diff] == g, bitorder="little")
         m = int.from_bytes(bits.tobytes(), "little")
         if self.cached_bytes + self.mask_bytes <= _MASK_ROW_BYTES:

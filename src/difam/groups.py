@@ -5,6 +5,10 @@ them hashable and lexicographically ordered for free.  Two groups with the
 same factor list compare equal; no canonicalization to invariant factors is
 attempted, so isomorphic groups with different presentations are distinct
 values on purpose.
+
+Array code works on int codes instead: the residues read as one mixed-radix
+number, most significant first, so codes run in the order of the elements.
+The `*_array`/`*_codes`/`*_rows` methods are the one codec for them.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
 from sympy import factorint
 
 Element = tuple[int, ...]
@@ -98,6 +103,33 @@ class AbelianGroup:
             coords.append(i % n)
             i //= n
         return tuple(reversed(coords))
+
+    # -- int-code arrays ---------------------------------------------------
+
+    def encode_array(self, coords) -> np.ndarray:
+        """Residues (..., rank) -> int64 codes (...)."""
+        return np.asarray(coords, dtype=np.int64) @ np.array(self._weights, dtype=np.int64)
+
+    def decode_array(self, codes) -> np.ndarray:
+        """Codes (...) -> int64 residues (..., rank)."""
+        codes = np.asarray(codes, dtype=np.int64)
+        return np.stack([codes // w % n for w, n in zip(self._weights, self.cyclic_orders)], -1)
+
+    def sub_codes(self, a, b) -> np.ndarray:
+        """The codes of a - b, digit by digit, for int64 code arrays (or ints)."""
+        # a // w and the digit of a at weight w agree mod n
+        return sum((a // w - b // w) % n * w for w, n in zip(self._weights, self.cyclic_orders))
+
+    def add_unit(self, codes: np.ndarray, factor: int) -> np.ndarray:
+        """The codes of x + e, e the unit generator of the cyclic factor
+        `factor`, for the codes of x: one digit moves, with wrap-around."""
+        w, n = self._weights[factor], self.cyclic_orders[factor]
+        return codes + w - n * w * (codes // w % n == n - 1)
+
+    def zero_sum_rows(self, rows: np.ndarray) -> np.ndarray:
+        """For a (b, k) array of codes, whether each row sums to zero."""
+        digits = zip(self._weights, self.cyclic_orders)
+        return ~np.any([(rows // w % n).sum(axis=1) % n for w, n in digits], axis=0)
 
 
 class Subgroup:

@@ -36,7 +36,7 @@ from .families import (
     RelativeDifferenceFamily,
     StrongDifferenceFamily,
 )
-from .designs import _CHUNK, MAX_DESIGN_BLOCKS, Design, _decode_array
+from .designs import _CHUNK, MAX_DESIGN_BLOCKS, Design
 from .gf import MAX_FIELD_ORDER, FieldError, FiniteField
 from .groups import AbelianGroup, DifamError, GroupError, Subgroup
 
@@ -166,7 +166,7 @@ def _point_codes(carrier, points: list) -> Optional[np.ndarray]:
         parts = [([p[key] for p in points], width) for key, width in _product_parts(carrier)]
     else:
         parts = [(points, carrier.rank)]
-    codes, at = np.zeros(len(points), dtype=np.int64), 0
+    columns = []
     for lists, width in parts:
         if not (set(map(type, lists)) == {list} and set(map(len, lists)) == {width}):
             return None
@@ -174,14 +174,13 @@ def _point_codes(carrier, points: list) -> Optional[np.ndarray]:
         if set(map(type, flat)) != {int}:  # a bool or a float is not a residue
             return None
         try:
-            coords = np.array(flat, dtype=np.int64).reshape(len(points), width)
+            columns.append(np.array(flat, dtype=np.int64).reshape(len(points), width))
         except OverflowError:  # past int64, so past every cyclic order
             return None
-        if np.any((coords < 0) | (coords >= carrier.cyclic_orders[at : at + width])):
-            return None
-        codes += coords @ np.array(carrier._weights[at : at + width], dtype=np.int64)
-        at += width
-    return codes
+    coords = np.concatenate(columns, axis=1)
+    if np.any((coords < 0) | (coords >= carrier.cyclic_orders)):
+        return None
+    return carrier.encode_array(coords)
 
 
 def _parse_design(carrier, k: int, raw_blocks: list) -> Design:
@@ -238,7 +237,7 @@ def _render_design(design: Design) -> str:
     parts = []
     for lo in range(0, len(rows), _CHUNK):
         part = rows[lo : lo + _CHUNK]
-        coords = _decode_array(carrier, part.ravel()).reshape(len(part), k * carrier.rank)
+        coords = carrier.decode_array(part).reshape(len(part), k * carrier.rank)
         values = np.column_stack([coords, counts[lo : lo + _CHUNK]])
         parts.append(sep.join([template] * len(values)) % tuple(values.ravel().tolist()))
     return prefix + sep.join(parts) + suffix

@@ -139,7 +139,7 @@ def test_criterion_04_sigma_prime(report):
 
     def check():
         verdict = verify_sdf(sdf.blocks, sdf.group, 15, 42)
-        total = delta_family(sdf.blocks).size
+        total = delta_family(sdf.blocks).sum()
         return verdict, total
 
     (verdict, total), elapsed = _best_of(3, check)
@@ -202,16 +202,15 @@ def test_criterion_07_core_multiset_closed_forms(report):
         forms = theorem82_coverage_forms(q, r)
         cov = verify_sdf(sdf.blocks, sdf.group, k, forms["sigma"])
         ok = ok and cov.is_sdf and cov.is_additive
-        from difam.diffs import delta_block
 
         zero = sdf.group.zero
-        d_a = delta_block(sdf.blocks[0])
-        d_b = delta_block(sdf.blocks[1])
+        d_a = delta_family([sdf.blocks[0]])
+        d_b = delta_family([sdf.blocks[1]])
         nonzero = [e for e in sdf.group.elements() if e != zero]
-        ok = ok and d_a.multiplicity(zero) == forms["alpha0"]
-        ok = ok and all(d_a.multiplicity(e) == forms["alphax"] for e in nonzero)
-        ok = ok and d_b.multiplicity(zero) == forms["beta0"]
-        ok = ok and all(d_b.multiplicity(e) == forms["betax"] for e in nonzero)
+        ok = ok and d_a[sdf.group.encode(zero)] == forms["alpha0"]
+        ok = ok and all(d_a[sdf.group.encode(e)] == forms["alphax"] for e in nonzero)
+        ok = ok and d_b[sdf.group.encode(zero)] == forms["beta0"]
+        ok = ok and all(d_b[sdf.group.encode(e)] == forms["betax"] for e in nonzero)
         ok = ok and forms["sigma"] == (k - 1) * r * r
     elapsed = time.perf_counter() - t0
     report(7, "closed-form coverage of the core multisets", ok, elapsed, 1.0)

@@ -78,6 +78,27 @@ def test_verify_failing_family_exits_1(tmp_path):
     assert run(["verify", "sdf", str(path)]) == 1
 
 
+def test_verify_df_cert_lists_failures_as_python_ints_in_order(tmp_path):
+    # one point of thm62-z5 moved into G x {0}: differences land in the
+    # forbidden subgroup, and the coverage outside it is no longer constant
+    path = _emit(tmp_path, "thm62-z5")
+    doc = json.loads(path.read_text())
+    assert doc["blocks"][0][1] == {"g": [1], "f": [1, 0]}
+    doc["blocks"][0][1] = {"g": [1], "f": [0, 0]}
+    path.write_text(json.dumps(doc))
+    assert run(["verify", "df", str(path)]) == 1
+    cert = json.loads((tmp_path / "thm62-z5.json.cert").read_text())
+    assert cert["lambda"] is None
+    failures = cert["failures"]
+    assert len(failures) == 10
+    for element, count in failures:  # a numpy scalar would be written as a string
+        assert all(type(c) is int for c in element) and type(count) is int
+    # forbidden members (field part zero) first, then the rest, each ascending
+    keys = [(element[1:] != [0, 0], element) for element, _ in failures]
+    assert keys == sorted(keys)
+    assert failures[:3] == [[[1, 0, 0], 1], [[4, 0, 0], 1], [[0, 1, 0], 2]]
+
+
 def test_pipeline_lift_develop_anomaly(tmp_path, capsys):
     sdf = _emit(tmp_path, "example51")
     df = tmp_path / "df.json"

@@ -545,7 +545,7 @@ def _reference_develop_rows(rdf):
     all_elems = np.array(list(carrier.elements()), dtype=np.int64)
     base = np.array([[list(e) for e in b.expand()] for b in rdf.blocks], dtype=np.int64)
     translated = (base[:, None, :, :] + all_elems[None, :, None, :]) % orders
-    rows = difam.designs._encode_rows(carrier, translated).reshape(-1, rdf.k)
+    rows = carrier.encode_array(translated).reshape(-1, rdf.k)
     rows.sort(axis=1)
     return rows
 
@@ -600,10 +600,10 @@ def _reference_verify_super_regular(design):
     v, k = design.v, design.k
     orders = np.array(carrier.cyclic_orders, dtype=np.int64)
     arr = design.blocks
-    coords = difam.designs._decode_array(carrier, arr.ravel()).reshape(arr.shape[0], k, carrier.rank)
+    coords = carrier.decode_array(arr.ravel()).reshape(arr.shape[0], k, carrier.rank)
     additive = bool(np.all(coords.sum(axis=1) % orders == 0))
     cand = (coords[:, None, :, :] - coords[:, :, None, :]) % orders
-    rows = difam.designs._encode_rows(carrier, cand)  # (b, k, k)
+    rows = carrier.encode_array(cand)  # (b, k, k)
     rows.sort(axis=2)
     canon = {}
     if v**k < 2**62:
@@ -747,7 +747,7 @@ def test_develop_matches_concatenated_reference(make, lambda_copies):
     chunks = [_reference_develop_rows(rdf)]
     for sub in rdf.forbidden_members():
         cosets = (np.array(sub.elements)[None, :, :] + all_elems[:, None, :]) % orders
-        coset_rows = difam.designs._encode_rows(carrier, cosets)
+        coset_rows = carrier.encode_array(cosets)
         coset_rows.sort(axis=1)
         chunks.append(np.repeat(np.unique(coset_rows, axis=0), lam, axis=0))
     assert np.array_equal(develop(rdf, lambda_copies).blocks, np.concatenate(chunks))

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+import difam.families
 from difam.catalog import example51, sigma_prime, thm62_z5
 from difam.diffs import GMultiset, delta_family
 from difam.families import (
@@ -50,7 +51,7 @@ def test_sigma_prime_is_sdf():
     verdict = verify_sdf(sdf.blocks, sdf.group, 15, 42)
     assert verdict.is_sdf
     assert verdict.is_additive
-    assert delta_family(sdf.blocks).size == 42 * 15
+    assert delta_family(sdf.blocks).sum() == 42 * 15
 
 
 def test_paley_sdf():
@@ -221,25 +222,23 @@ def test_theorem82_closed_forms_match_brute_force():
         r = k // q
         forms = theorem82_coverage_forms(q, r)
         # block A = r*{0} u 2r*squares, blocks B = r*F_q
-        from difam.diffs import delta_block
-
-        d_a = delta_block(sdf.blocks[0])
-        d_b = delta_block(sdf.blocks[1])
+        d_a = delta_family([sdf.blocks[0]])
+        d_b = delta_family([sdf.blocks[1]])
         zero = sdf.group.zero
         nonzero = next(e for e in sdf.group.elements() if e != zero)
-        assert d_a.multiplicity(zero) == forms["alpha0"]
+        assert d_a[sdf.group.encode(zero)] == forms["alpha0"]
         assert all(
-            d_a.multiplicity(e) == forms["alphax"]
+            d_a[sdf.group.encode(e)] == forms["alphax"]
             for e in sdf.group.elements()
             if e != zero
         )
-        assert d_b.multiplicity(zero) == forms["beta0"]
-        assert d_b.multiplicity(nonzero) == forms["betax"]
+        assert d_b[sdf.group.encode(zero)] == forms["beta0"]
+        assert d_b[sdf.group.encode(nonzero)] == forms["betax"]
         assert forms["sigma"] == (k - 1) * r * r
         total = d_a
         for _ in range(r - 1):
-            total = total.union(d_b)
-        assert all(total.multiplicity(e) == forms["sigma"] for e in sdf.group.elements())
+            total = total + d_b
+        assert all(total[sdf.group.encode(e)] == forms["sigma"] for e in sdf.group.elements())
 
 
 def test_theorem82_out_of_scope_k():
@@ -252,3 +251,25 @@ def test_counter_entries_survive_multiset():
     group = AbelianGroup((15,))
     m = GMultiset(group, Counter({(0,): 1, (1,): 2}))
     assert m.size == 3
+
+
+def test_verifiers_call_the_module_count_and_coverage_once(monkeypatch):
+    # the benchmark times the count and the coverage by wrapping the names
+    # that difam.families looks up, so each verifier must call each of them
+    # through the module, once per family
+    calls = []
+    for name in ("delta_family", "coverage"):
+        real = getattr(difam.families, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(difam.families, name, counting)
+    sdf = example51()
+    assert verify_sdf(sdf.blocks, sdf.group, sdf.k, sdf.lam).is_sdf
+    assert sorted(calls) == ["coverage", "delta_family"]
+    calls.clear()
+    rdf = thm62_z5()
+    assert verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, rdf.k, rdf.lam).is_rdf
+    assert sorted(calls) == ["coverage", "delta_family"]
