@@ -166,6 +166,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    if args.budget < 1:
+        raise DifamError(f"--budget must be at least 1, got {args.budget}")
     obj = _read_family(args.file, StrongDifferenceFamily)
     if not verify_sdf(obj.blocks, obj.group, obj.k, obj.lam).is_sdf:
         print(f"{args.file} is not a ({obj.group.order},{obj.k},{obj.lam}) SDF")

@@ -76,7 +76,7 @@ class AnomalyVerdict:
 
 
 def make_design(carrier: AbelianGroup, blocks: Sequence[Sequence[Element]], k: int) -> Design:
-    rows, mask = block_codes(carrier, blocks)
+    _, rows, mask = block_codes(carrier, blocks)
     if not mask.all() or rows.shape[1] != k:
         raise DesignError(f"blocks must all have {k} points")
     return Design(carrier, np.sort(rows, axis=1), k)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class GMultiset:
         return self.entries.get(e, 0)
 
     def is_set(self) -> bool:
-        return all(m == 1 for m in self.entries.values())
+        return len(self.entries) == self.size  # every multiplicity is at least 1
 
     def union(self, other: "GMultiset") -> "GMultiset":
         if other.carrier != self.carrier:
@@ -90,11 +90,19 @@ class CoverageVerdict:
         return self.constant_lambda is not None and self.excluded_clean
 
 
-def block_codes(
-    carrier: AbelianGroup, blocks: Sequence[Sequence[Element]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of elements as rows of codes, padded with 0 (the code of zero)
-    up to the longest block, and the (b, width) mask of the real entries."""
+class FamilyCodes(NamedTuple):
+    """Blocks as rows of codes, padded with 0 (the code of zero) up to the
+    longest block, and the (b, width) mask of the real entries."""
+
+    carrier: AbelianGroup
+    rows: np.ndarray
+    mask: np.ndarray
+
+
+def block_codes(carrier: AbelianGroup, blocks: Sequence) -> FamilyCodes:
+    """The FamilyCodes of blocks that are GMultisets, each expanded once, or
+    sequences of elements."""
+    blocks = [b.expand() if isinstance(b, GMultiset) else b for b in blocks]
     sizes = np.array([len(b) for b in blocks], dtype=np.int64)
     mask = np.arange(sizes.max(initial=0)) < sizes[:, None]
     coords = np.array([e for b in blocks for e in b], dtype=np.int64).reshape(-1, carrier.rank)
@@ -102,28 +110,29 @@ def block_codes(
         raise GroupError(f"blocks hold points that are not elements of {carrier}")
     rows = np.zeros(mask.shape, dtype=np.int64)
     rows[mask] = carrier.encode_array(coords)
-    return rows, mask
+    return FamilyCodes(carrier, rows, mask)
 
 
-def delta_family(blocks: Sequence[GMultiset]) -> np.ndarray:
+def delta_family(blocks: Sequence[GMultiset] | FamilyCodes) -> np.ndarray:
     """The multiset union of the blocks' difference lists (b_i - b_j over
     ordered pairs of distinct positions), as a count per element code."""
-    if not blocks:
-        raise GroupError("empty family has no carrier; pass at least one block")
-    carrier = blocks[0].carrier
+    if not isinstance(blocks, FamilyCodes):
+        if not blocks:
+            raise GroupError("empty family has no carrier; pass at least one block")
+        carrier = blocks[0].carrier
+        if any(b.carrier is not carrier and b.carrier != carrier for b in blocks):
+            raise GroupError("blocks on mixed carriers")
+        blocks = block_codes(carrier, blocks)
+    carrier, rows, mask = blocks
+    if (mask.sum(axis=1) < 2).any():
+        raise GroupError("difference list needs blocks of size >= 2")
     counts = np.zeros(carrier.order, dtype=np.int64)
-    for lo in range(0, len(blocks), _CHUNK):
-        part = blocks[lo : lo + _CHUNK]
-        for b in part:
-            if b.carrier != carrier:
-                raise GroupError("blocks on mixed carriers")
-            if b.size < 2:
-                raise GroupError(f"difference list needs a block of size >= 2, got {b.size}")
-        rows, mask = block_codes(carrier, [b.expand() for b in part])
-        i_idx, j_idx = np.nonzero(~np.eye(rows.shape[1], dtype=bool))
-        diffs = carrier.sub_codes(rows[:, i_idx], rows[:, j_idx])
+    i_idx, j_idx = np.nonzero(~np.eye(rows.shape[1], dtype=bool))
+    for lo in range(0, len(rows), _CHUNK):
+        part, real = rows[lo : lo + _CHUNK], mask[lo : lo + _CHUNK]
+        diffs = carrier.sub_codes(part[:, i_idx], part[:, j_idx])
         # add.at costs per difference, a bincount per slice would cost v
-        np.add.at(counts, diffs[mask[:, i_idx] & mask[:, j_idx]], np.int64(1))
+        np.add.at(counts, diffs[real[:, i_idx] & real[:, j_idx]], np.int64(1))
     return counts
 
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from sympy import factorint
 
-from .diffs import CoverageVerdict, GMultiset, block_codes, coverage, delta_family
+from .diffs import CoverageVerdict, FamilyCodes, GMultiset, block_codes, coverage, delta_family
 from .gf import FiniteField, nonzero_squares
 from .groups import AbelianGroup, DifamError, Element, Subgroup, sum_of
 from .params import Condition, ParamVerdict, largest_odd_prime_power_factor, main_status
@@ -72,8 +72,8 @@ def _members(forbidden: Forbidden) -> list[Subgroup]:
 def blocks_are_additive(group: AbelianGroup, blocks, forbidden: Sequence[Subgroup]) -> bool:
     """Every block sums to zero and no forbidden subgroup is binary (has
     exactly one involution); absolute families pass no forbidden subgroups.
-    Blocks are GMultisets or sequences of elements."""
-    rows, _ = block_codes(group, [b.expand() if isinstance(b, GMultiset) else b for b in blocks])
+    Blocks are GMultisets, sequences of elements, or their FamilyCodes."""
+    rows = (blocks if isinstance(blocks, FamilyCodes) else block_codes(group, blocks)).rows
     return bool(group.zero_sum_rows(rows).all()) and not any(
         _subgroup_is_binary(sub) for sub in forbidden
     )
@@ -170,11 +170,14 @@ def verify_sdf(
     """Is this a (G,k,lam) strong difference family?  No blocks, or a block
     of the wrong size or carrier, fail it; a block under two points raises
     GroupError (`delta_family`)."""
-    if not blocks or any(b.size != k for b in blocks) or any(b.carrier != group for b in blocks):
+    # `is` first: the blocks of one family mostly share one carrier object
+    if not blocks or any(b.size != k or (b.carrier is not group and b.carrier != group)
+                         for b in blocks):
         return SdfVerdict(False, False, None, CoverageVerdict(0, True))
-    cov = coverage(delta_family(list(blocks)), group)
+    codes = block_codes(group, blocks)  # each block expanded once, for both checks
+    cov = coverage(delta_family(codes), group)
     is_sdf = cov.ok and cov.constant_lambda == lam
-    return SdfVerdict(is_sdf, blocks_are_additive(group, blocks, ()), cov.constant_lambda, cov)
+    return SdfVerdict(is_sdf, blocks_are_additive(group, codes, ()), cov.constant_lambda, cov)
 
 
 def verify_rdf(
@@ -189,13 +192,14 @@ def verify_rdf(
     for sub in members:
         if sub.parent != group:
             raise FamilyError("forbidden subgroup has the wrong parent group")
-    bad_shape = any(b.size != k or not b.is_set() or b.carrier != group for b in blocks)
-    if bad_shape:
+    if any(b.size != k or not b.is_set() or (b.carrier is not group and b.carrier != group)
+           for b in blocks):
         return RdfVerdict(False, False, None, CoverageVerdict(0, True))
-    delta = delta_family(list(blocks)) if blocks else np.zeros(group.order, dtype=np.int64)
+    codes = block_codes(group, blocks)
+    delta = delta_family(codes) if blocks else np.zeros(group.order, dtype=np.int64)
     cov = coverage(delta, group, members)
     is_rdf = cov.ok and cov.constant_lambda == lam
-    additive = blocks_are_additive(group, blocks, members)
+    additive = blocks_are_additive(group, codes, members)
     return RdfVerdict(is_rdf, additive, cov.constant_lambda, cov)
 
 
@@ -261,7 +265,7 @@ def verify_dm(
         raise FamilyError("ragged matrix: every column must have k entries")
     if len(cols) != mu * group.order:
         return DmVerdict(False, False, [(-1, -1, group.zero, len(cols))])
-    rows = block_codes(group, cols)[0].reshape(len(cols), k)  # (0, k) with no columns too
+    rows = block_codes(group, cols).rows.reshape(len(cols), k)  # (0, k) with no columns too
     failures = []
     for i in range(k):
         for j in range(i + 1, k):

@@ -11,10 +11,11 @@ the table doubles as the primitivity check, since the class of x generates
 all q-1 nonzero elements exactly when the modulus is primitive.
 
 Constraint sets {x : x - c_i in C^lambda_(g_i) for all i} are intersections
-of bitmasks over element codes (`additive_group.encode`, so ascending bits
-are sorted element order).  Each field keeps one `ClassMasks` table per
-lambda: the class of every code, and the mask of each translated class
-c + C^lambda_g, built on first use and cached up to a byte budget.
+of bitmasks over log codes: code 0 is zero and code i+1 is exp[i] = r^i, so
+ascending bits are ascending discrete logs, zero first.  Each field keeps
+one `ClassMasks` table per lambda: the class of every element, and the mask
+of each translated class c + C^lambda_g, built on first use and cached up
+to a byte budget.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ MAX_FIELD_ORDER = 2**22
 # bytes of translated-class masks one ClassMasks table keeps; masks past it
 # are rebuilt on every use
 _MASK_ROW_BYTES = 2**26
-
-# _BIT_OFFSETS[b] lists the set bits of the byte b, lowest first
-_BIT_OFFSETS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 class FieldError(DifamError):
@@ -166,6 +164,12 @@ class FiniteField:
     def pow_root(self, i: int) -> Element:
         return self.exp[i % (self.q - 1)]
 
+    def log_code(self, x: Element) -> int:  # see ClassMasks
+        return self.log.get(x, -1) + 1
+
+    def from_log_code(self, y: int) -> Element:
+        return self.exp[y - 1] if y else self.zero
+
     def class_masks(self, lam: int) -> ClassMasks:
         """The cached constraint-set table of the order-lam classes."""
         _check_order(self, lam)
@@ -182,56 +186,60 @@ def _check_order(field: FiniteField, lam: int) -> None:
 
 
 class ClassMasks:
-    """Bitmasks of the translated classes c + C^lam_g of one field.
+    """Bitmasks of the translated classes c + C^lam_g of one field, over log
+    codes (code 0 is zero, code i+1 is exp[i]).
 
-    `classes[y]` is the class of the element with code y (int32, -1 for
-    zero).  `mask(c, g)`, entry g of the row of the point c, has bit y set
+    `classes[a]` is the class of the element with additive code a
+    (`additive_group.encode`; int32, -1 for zero), `add_code[y]` the
+    additive code of log code y.  `mask(c, g)`, c a log code, has bit y set
     iff y - c lies in C^lam_g.  It is built on first use from `classes` by
-    digit arithmetic on the codes, one class at a time (a whole row is lam
-    masks of q bits), and cached while the cached masks fit in
-    _MASK_ROW_BYTES.
+    digit arithmetic on the additive codes, and cached under the key
+    c*lam + g while the cached masks fit in _MASK_ROW_BYTES.
     """
 
     def __init__(self, field: FiniteField, lam: int):
-        self.field = field
+        self.field, self.lam = field, lam
         q = field.q
         nonzero = itertools.islice(field.elements(), 1, None)  # code order; code 0 is zero
         logs = np.fromiter(map(field.log.__getitem__, nonzero), np.int32, q - 1)
         self.classes = np.full(q, -1, np.int32)
         self.classes[1:] = logs % lam
-        self.masks: dict[tuple[Element, int], int] = {}
+        self.add_code = np.zeros(q, np.int32)
+        self.add_code[logs + 1] = np.arange(1, q, dtype=np.int32)
+        self.masks: dict[int, int] = {}
         self.mask_bytes = (q + 7) // 8
         self.cached_bytes = 0
 
-    def mask(self, c: Element, g: int) -> int:
-        m = self.masks.get((c, g))
+    def mask(self, c: int, g: int) -> int:
+        key = c * self.lam + g
+        m = self.masks.get(key)
         if m is not None:
             return m
-        group = self.field.additive_group
-        diff = group.sub_codes(np.arange(self.field.q), group.encode(c))  # the code of y - c
+        diff = self.field.additive_group.sub_codes(self.add_code, self.add_code[c])
         bits = np.packbits(self.classes[diff] == g, bitorder="little")
         m = int.from_bytes(bits.tobytes(), "little")
         if self.cached_bytes + self.mask_bytes <= _MASK_ROW_BYTES:
-            self.masks[(c, g)] = m
+            self.masks[key] = m
             self.cached_bytes += self.mask_bytes
         return m
 
-    def meet(self, pairs: Sequence[tuple[Element, int]]) -> list[Element]:
-        """The sorted x with x - c in C^lam_g for every (c, g) in pairs: the
-        AND of their masks, decoded in time linear in q.  No pair means the
-        whole field.  Points must be field elements and g in range(lam)."""
+    def meet(self, pairs: Sequence[tuple[int, int]]) -> list[int]:
+        """The ascending log codes x with x - c in C^lam_g for every (c, g)
+        in pairs: the AND of their masks, read out in time linear in q.  No
+        pair means the whole field.  c must be a log code, g in range(lam)."""
         if not pairs:
-            return list(self.field.elements())
-        m = (1 << self.field.q) - 1
+            return list(range(self.field.q))
+        m = -1
         for c, g in pairs:
-            m &= self.mask(c, g)
+            m &= self.masks.get(c * self.lam + g) or self.mask(c, g)
             if not m:
                 return []
-        decode = self.field.additive_group.decode
+        bits = bin(m)[:1:-1]  # bit y of m at index y
         out = []
-        for i, byte in enumerate(m.to_bytes((m.bit_length() + 7) // 8, "little")):
-            if byte:
-                out.extend(decode(8 * i + j) for j in _BIT_OFFSETS[byte])
+        y = bits.find("1")
+        while y >= 0:
+            out.append(y)
+            y = bits.find("1", y + 1)
         return out
 
 
@@ -240,15 +248,13 @@ def _build_tables(modulus, p, n):
     q = p**n
     one = (1,) + (0,) * (n - 1)
     x = ((0, 1) + (0,) * (n - 2)) if n > 1 else ((-modulus[0]) % p,)
-    exp = [one]
-    cur = one
-    for i in range(1, q - 1):
-        cur = _poly_mul_mod(cur, x, modulus, p) if n > 1 else ((cur[0] * x[0]) % p,)
-        if cur == one or all(c == 0 for c in cur):
-            return None
+    exp, cur = [], one
+    for _ in range(q - 1):
         exp.append(cur)
-    closing = _poly_mul_mod(cur, x, modulus, p) if n > 1 else ((cur[0] * x[0]) % p,)
-    if closing != one:
+        cur = _poly_mul_mod(cur, x, modulus, p) if n > 1 else ((cur[0] * x[0]) % p,)
+        if cur == one or not any(cur):
+            break
+    if cur != one or len(exp) != q - 1:  # x^(q-1) must be the first power back at one
         return None
     return exp, {e: i for i, e in enumerate(exp)}
 
@@ -305,23 +311,26 @@ def x_set(
     """All x with x - c_i in the prescribed class for every constraint (c_i, gamma_i).
 
     Sorted, and exhaustive over the field: the AND of one cached bitmask
-    per constraint (see ClassMasks.meet).  A CyclotomicClassIndex gamma
-    must have order lam; an int gamma is read modulo lam.
+    per constraint (see ClassMasks.meet), mapped back from log codes.  A
+    CyclotomicClassIndex gamma must have order lam; an int gamma is read
+    modulo lam.
     """
     _check_order(field, lam)
-    pairs = []
+    classes = {}  # log code of c_i -> class index
     for c, gamma in constraints:
         field.check(c)
         if isinstance(gamma, CyclotomicClassIndex):
             if gamma.lam != lam:
                 raise FieldError(f"class index of order {gamma.lam} used at order {lam}")
-            pairs.append((c, gamma.index))
-        else:
-            pairs.append((c, gamma % lam))
-    points = [c for c, _ in pairs]
-    if len(set(points)) != len(points):
+            gamma = gamma.index
+        classes[field.log_code(c)] = gamma % lam
+    if len(classes) != len(constraints):
         raise FieldError("constraint points must be pairwise distinct")
-    return field.class_masks(lam).meet(pairs)
+    if not classes:
+        return list(field.elements())
+    table = field.class_masks(lam)
+    found = np.sort(table.add_code[table.meet(list(classes.items()))])
+    return list(map(tuple, field.additive_group.decode_array(found).tolist()))
 
 
 def coset_reps(field: FiniteField, spec: tuple[str, int]) -> list[Element]:
@@ -355,27 +364,16 @@ def subfield_embed(field: FiniteField, base: FiniteField) -> dict[Element, Eleme
     if field.n % base.n != 0:
         raise FieldError(f"GF({base.p}^{base.n}) is not a subfield of GF({field.p}^{field.n})")
     d = (field.q - 1) // (base.q - 1)
+
+    def evaluate(coeffs: Sequence[int], x: Element) -> Element:
+        acc = field.zero  # sum of coeffs[j] * x^j, by Horner's rule
+        for c in reversed(coeffs):
+            acc = field.add(field.mul(acc, x), field.from_int(c))
+        return acc
+
     # root of the base modulus inside the big field, least log
-    y = None
-    for i in range(0, field.q - 1, d):
-        cand = field.exp[i]
-        acc = field.zero
-        power = field.one
-        for c in base.modulus[:-1]:
-            acc = field.add(acc, field.mul(field.from_int(c), power))
-            power = field.mul(power, cand)
-        acc = field.add(acc, power)  # monic leading term
-        if acc == field.zero:
-            y = cand
-            break
+    powers = (field.exp[i] for i in range(0, field.q - 1, d))
+    y = next((x for x in powers if evaluate(base.modulus, x) == field.zero), None)
     if y is None:
         raise FieldError("base modulus has no root in the extension")  # unreachable
-    embed = {}
-    for e in base.elements():
-        acc = field.zero
-        power = field.one
-        for c in e:
-            acc = field.add(acc, field.mul(field.from_int(c), power))
-            power = field.mul(power, y)
-        embed[e] = acc
-    return embed
+    return {e: evaluate(e, y) for e in base.elements()}

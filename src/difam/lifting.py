@@ -6,9 +6,10 @@ differences land in the prescribed cyclotomic classes, then multiply by a
 multiplier set to spread each difference list over all of F_q^*.  The
 greedy, zero-sum and signed searches share one backtracking driver,
 `_backtrack`: per level it ticks a node budget and tries the options in a
-deterministic candidate order (least log index first, permuted by a seed).
-Every accepted lifting is re-verified by an independent checker, never
-trusted from the search itself.
+deterministic candidate order: options are listed as ascending log codes
+(`gf.ClassMasks`), so least log index first, then permuted by a seed.  Every
+accepted lifting is re-verified by an independent checker, never trusted
+from the search itself.
 """
 
 from __future__ import annotations
@@ -198,7 +199,8 @@ class _Budget:
 
     def tick(self, depth: int) -> None:
         self.nodes += 1
-        self.deepest = max(self.deepest, depth)
+        if depth > self.deepest:
+            self.deepest = depth
         if self.nodes > self.cap:
             raise LiftingError(
                 f"search budget exhausted after {self.nodes} nodes "
@@ -208,36 +210,31 @@ class _Budget:
             )
 
 
-def _candidate_order(field: FiniteField, elems: Sequence[Element], rng) -> list[Element]:
-    out = sorted(elems, key=lambda e: field.log.get(e, -1))
-    rng.shuffle(out)
-    return out
-
-
 def _backtrack(
-    field: FiniteField,
     levels: int,
-    options: Callable[[int, list[Element]], Sequence[Element]],
+    options: Callable[[int, list[int]], Sequence[int]],
     rng: random.Random,
     tracker: _Budget,
     what: str,
-    commit: Optional[Callable[[int, Element], bool]] = None,
-    undo: Optional[Callable[[int, Element], None]] = None,
-) -> list[Element]:
-    """The one search driver: choose a value for each of `levels` positions.
+    commit: Optional[Callable[[int, int], bool]] = None,
+    undo: Optional[Callable[[int, int], None]] = None,
+) -> list[int]:
+    """The one search driver: choose a log code for each of `levels` positions.
 
-    Level i ticks the budget, then tries options(i, chosen) in candidate
-    order; `commit` may refuse a value or record it, `undo` takes it back
-    when the branch below fails.  Raises LiftingError if no branch reaches
-    the last level.
+    Level i ticks the budget, then tries options(i, chosen), ascending log
+    codes, in the order `rng.shuffle` gives them; `commit` may refuse a
+    value or record it, `undo` takes it back when the branch below fails.
+    Raises LiftingError if no branch reaches the last level.
     """
-    chosen: list[Element] = []
+    chosen: list[int] = []
 
     def extend(i: int) -> bool:
         if i == levels:
             return True
         tracker.tick(i)
-        for x in _candidate_order(field, options(i, chosen), rng):
+        order = list(options(i, chosen))
+        rng.shuffle(order)
+        for x in order:
             if commit is not None and not commit(i, x):
                 continue
             chosen.append(x)
@@ -257,10 +254,11 @@ def _backtrack(
     return chosen
 
 
-def _psi_constraints(psi: PsiAssignment, h: int, i: int, chosen: list[Element]):
-    """The constraints (chosen[j], psi class of (h, i, j)) for j < i; none
-    at i = 0, where their meet is all of F_q."""
-    return [(chosen[j], psi.table[(h, i, j)]) for j in range(i)]
+def _psi_rows(psi: PsiAssignment) -> list[list[list[int]]]:
+    """rows[h][i]: the psi classes of (h, i, j), j < i; zipped with the
+    chosen codes, the constraints of position i (none at i = 0)."""
+    blocks = enumerate(psi.sdf.blocks)
+    return [[[psi.table[(h, i, j)] for j in range(i)] for i in range(b.size)] for h, b in blocks]
 
 
 def _lift_blocks(sdf, field, psi, budget, seed, strategy, options) -> Lifting:
@@ -269,8 +267,9 @@ def _lift_blocks(sdf, field, psi, budget, seed, strategy, options) -> Lifting:
     rng = random.Random(seed)
     tracker = _Budget(budget)
     coords = [
-        _backtrack(field, block.size, functools.partial(options, h), rng, tracker,
-                   f"{strategy} lifting for block {h}")
+        list(map(field.from_log_code, _backtrack(
+            block.size, functools.partial(options, h), rng, tracker,
+            f"{strategy} lifting for block {h}")))
         for h, block in enumerate(sdf.blocks)
     ]
     lifting = Lifting(sdf, field, coords, strategy, tracker.nodes, tracker.deepest)
@@ -291,10 +290,10 @@ def greedy_lift(
     land in the psi-prescribed classes.  Backtracks when a set empties.
     """
     _require_congruence(field, psi.lam)
-    masks = field.class_masks(psi.lam)
+    meet, rows = field.class_masks(psi.lam).meet, _psi_rows(psi)
     return _lift_blocks(
         sdf, field, psi, budget, seed, "greedy",
-        lambda h, i, chosen: masks.meet(_psi_constraints(psi, h, i, chosen)),
+        lambda h, i, chosen: meet(list(zip(chosen, rows[h][i]))),
     )
 
 
@@ -340,51 +339,50 @@ def zero_sum_lift(
         raise LiftingError(
             f"rad(q)={field.p} must divide k={k}; use greedy_lift + zero_sum_adjust instead"
         )
-    masks = field.class_masks(lam)
+    meet, rows, code = field.class_masks(lam).meet, _psi_rows(psi), field.log_code
     half = lam // 2
     minus_two = field.neg(field.from_int(2))
     alpha = field.log[minus_two] % lam
     inv2 = field.inv(field.from_int(2))
 
-    def options(h: int, i: int, chosen: list[Element]) -> list[Element]:
+    def options(h: int, i: int, chosen: list[int]) -> list[int]:
         # 0-based position i corresponds to the (i+1)-th chosen element
+        points = list(map(field.from_log_code, chosen))
+
         def sigma(upto: int) -> Element:
-            return sum_of(field.additive_group, chosen[:upto])
+            return sum_of(field.additive_group, points[:upto])
 
         if i == k - 1:
             forced = field.neg(sigma(k - 1))
-            return [forced] if _block_lifts(field, chosen + [forced], psi, h) else []
-        cons = _psi_constraints(psi, h, i, chosen)
+            return [code(forced)] if _block_lifts(field, points + [forced], psi, h) else []
+        cons = list(zip(chosen, rows[h][i]))
         if i == k - 2:  # the doubled constraint set X'
             s = sigma(k - 2)
             for j in range(k - 2):
-                c = field.neg(field.add(s, chosen[j]))
-                cons.append((c, (psi.table[(h, k - 1, j)] + half) % lam))
+                c = field.neg(field.add(s, points[j]))
+                cons.append((code(c), (psi.table[(h, k - 1, j)] + half) % lam))
             c_last = field.neg(field.mul(s, inv2))
-            cons.append((c_last, (psi.table[(h, k - 1, k - 2)] - alpha) % lam))
-            points = [c for c, _ in cons]
-            if len(set(points)) != len(points):
+            cons.append((code(c_last), (psi.table[(h, k - 1, k - 2)] - alpha) % lam))
+            if len({c for c, _ in cons}) != len(cons):
                 # the earlier exclusions should make this unreachable;
                 # treat it as a dead branch rather than aborting
                 return []
-        base = masks.meet(cons)
+        base, banned = meet(cons), set()
         if i == k - 4 and field.p == 3:
-            banned = {field.neg(sigma(k - 4))}
-            base = [x for x in base if x not in banned]
+            banned.add(field.neg(sigma(k - 4)))
         if i == k - 3:
             s3 = sigma(k - 3)
-            banned = set()
             for a in range(k - 3):
                 for b in range(a, k - 3):
-                    banned.add(
-                        field.neg(field.add(s3, field.add(chosen[a], chosen[b])))
-                    )
+                    banned.add(field.neg(field.add(s3, field.add(points[a], points[b]))))
             for a in range(k - 3):
-                y2 = field.neg(field.add(s3, chosen[a]))
+                y2 = field.neg(field.add(s3, points[a]))
                 banned.add(y2)
                 banned.add(field.mul(y2, inv2))
             if field.p != 3:
                 banned.add(field.neg(field.div_int(s3, 3)))
+        if banned:
+            banned = set(map(code, banned))
             base = [x for x in base if x not in banned]
         return base
 
@@ -415,17 +413,12 @@ def _signed_shape(block: GMultiset) -> list[Element]:
 
 
 def _signed_coords(block: GMultiset, field: FiniteField, assign: dict) -> list[Element]:
-    """Second coordinates aligned with block.expand() for a signed assignment."""
-    out = []
-    pending: dict[Element, int] = Counter()
-    for e in block.expand():
-        if e == block.carrier.zero:
-            out.append(field.zero)
-        else:
-            y = assign[e]
-            out.append(y if pending[e] == 0 else field.neg(y))
-            pending[e] += 1
-    return out
+    """Second coordinates aligned with block.expand() for a signed assignment:
+    the sorted block is zero, then each a of A twice, which get y and -y."""
+    ys = [field.zero]
+    for a in _signed_shape(block):
+        ys += [assign[a], field.neg(assign[a])]
+    return ys
 
 
 def _require_half_lambda(field: FiniteField, half_lambda: int) -> None:
@@ -448,21 +441,14 @@ def verify_signed_lifting(
     group = sdf.group
     counts: Counter = Counter()
     for block, assign in zip(sdf.blocks, assign_per_block):
-        a_set = _signed_shape(block)
-        if set(assign) != set(a_set):
+        if set(assign) != set(_signed_shape(block)):
             raise LiftingError("assignment does not match the block's half set")
-        gs, ys = [group.zero], [field.zero]
-        for a in a_set:
-            gs += [a, a]
-            ys += [assign[a], field.neg(assign[a])]
+        gs, ys = block.expand(), _signed_coords(block, field, assign)
         for i, j, c in _pair_classes(field, ys, half_lambda):
             if c is None:
                 return False
             counts[(group.sub(gs[i], gs[j]), c)] += 1
-    expected = {
-        (g, c): 2 for g in group.elements() for c in range(half_lambda)
-    }
-    return dict(counts) == expected
+    return dict(counts) == {(g, c): 2 for g in group.elements() for c in range(half_lambda)}
 
 
 def signed_lift(
@@ -489,8 +475,8 @@ def signed_lift(
     group = sdf.group
     shapes = [_signed_shape(b) for b in sdf.blocks]
     variables = [(h, a) for h, a_set in enumerate(shapes) for a in a_set]
-    # one representative per {y, -y} pair; both give the same lifted block
-    half_field = [field.exp[i] for i in range((field.q - 1) // 2)]
+    # log codes of exp[0..(q-3)/2]: one per {y, -y} pair, both give the same lifted block
+    half_field = range(1, (field.q - 1) // 2 + 1)
 
     counts: Counter = Counter()
     tallies: list[Counter] = []
@@ -521,8 +507,9 @@ def signed_lift(
                 break
         return out if ok else []
 
-    def commit(idx: int, y: Element) -> bool:
+    def commit(idx: int, y: int) -> bool:
         h, a = variables[idx]
+        y = field.from_log_code(y)
         diffs = new_diffs(h, a, y)
         if not diffs:
             return False
@@ -534,14 +521,14 @@ def signed_lift(
         assigns[h][a] = y
         return True
 
-    def undo(idx: int, y: Element) -> None:
+    def undo(idx: int, y: int) -> None:
         h, a = variables[idx]
         del assigns[h][a]
         counts.subtract(tallies.pop())
 
     tracker = _Budget(budget)
     _backtrack(
-        field, len(variables), lambda idx, chosen: half_field, rng=random.Random(seed),
+        len(variables), lambda idx, chosen: half_field, rng=random.Random(seed),
         tracker=tracker, what="signed lifting", commit=commit, undo=undo,
     )
     if not verify_signed_lifting(sdf, field, assigns, half_lambda):

@@ -461,3 +461,19 @@ def test_bad_argument_values_are_usage_errors(tmp_path, capsys, argv):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_lift_budget_below_one_is_a_usage_error(tmp_path, capsys, budget):
+    sdf = _emit(tmp_path, "example51")
+    capsys.readouterr()
+    df = tmp_path / "df.json"
+    argv = ["lift", str(sdf), "--field", "13,1", "--strategy", "greedy", "--psi-seed", "59",
+            "--budget", budget, "--out", str(df)]
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --budget must be at least 1, got {budget}"]
+    assert not df.exists()

@@ -273,3 +273,20 @@ def test_verifiers_call_the_module_count_and_coverage_once(monkeypatch):
     rdf = thm62_z5()
     assert verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, rdf.k, rdf.lam).is_rdf
     assert sorted(calls) == ["coverage", "delta_family"]
+
+
+def test_verify_rdf_expands_each_block_once(monkeypatch):
+    # the count and the additivity check read the same code rows
+    calls = []
+    expand = GMultiset.expand
+
+    def counting(self):
+        calls.append(self)
+        return expand(self)
+
+    monkeypatch.setattr(GMultiset, "expand", counting)
+    rdf = thm62_z5()
+    verdict = verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, rdf.k, rdf.lam)
+    assert verdict.is_rdf and verdict.is_additive and verdict.lam == 1
+    assert len(calls) == len(rdf.blocks)
+    assert {id(b) for b in calls} == {id(b) for b in rdf.blocks}

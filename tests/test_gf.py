@@ -326,3 +326,48 @@ def test_cached_masks_stay_within_the_byte_budget(monkeypatch):
     assert len(table.masks) == 5
     assert table.cached_bytes == 5 * table.mask_bytes <= budget
     assert sum((m.bit_length() + 7) // 8 for m in table.masks.values()) <= budget
+
+
+def _old_candidate_order(field, elems, rng):
+    """The candidate order the searches used before log codes: the options
+    as elements, sorted by discrete log (zero first), then shuffled."""
+    out = sorted(elems, key=lambda e: field.log.get(e, -1))
+    rng.shuffle(out)
+    return out
+
+
+def test_search_order_on_log_codes_matches_the_sorted_elements():
+    # _backtrack's options are ascending log codes; shuffled by the same rng,
+    # they must decode to the old sorted-by-log element order, draw for draw
+    import random
+
+    from difam.lifting import LiftingError, _backtrack, _Budget
+
+    fields = [FiniteField(p, n) for p, n in MASK_FIELDS]
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def check(data):
+        f = data.draw(st.sampled_from(fields))
+        lam = data.draw(st.sampled_from([d for d in range(1, f.q) if (f.q - 1) % d == 0]))
+        points = data.draw(st.lists(st.sampled_from(sorted(f.elements())), max_size=3, unique=True))
+        constraints = [(c, data.draw(st.integers(0, lam - 1))) for c in points]
+        seed = data.draw(st.integers(0, 2**32))
+        pairs = [(f.log_code(c), g) for c, g in constraints]
+        offered = []
+
+        def refuse(i, y):
+            offered.append(y)
+            return False
+
+        rng = random.Random(seed)
+        with pytest.raises(LiftingError):
+            _backtrack(1, lambda i, chosen: f.class_masks(lam).meet(pairs), rng,
+                       _Budget(1), "probe", commit=refuse)
+        expected_rng = random.Random(seed)
+        expected = _old_candidate_order(f, _scan_x_set(f, constraints, lam), expected_rng)
+        assert [f.from_log_code(y) for y in offered] == expected
+        assert rng.getstate() == expected_rng.getstate()
+
+    check()

@@ -1,6 +1,10 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -493,3 +497,23 @@ def test_default_zero_sum_subset_large_k():
     # k = q-1 walked about C(q-1, 2) heads: 7 s over GF(128)
     field = FiniteField(2, 7)
     assert _default_zero_sum_subset(field, 127) == sorted(field.elements())[1:]
+
+
+def test_greedy_lift_never_backtracks_above_the_paper_bound():
+    # the greedy search cannot get stuck once q > t^2 lambda^(2t): for
+    # example51 (k=5, lambda=4, t=4) that is q > 1,048,576, and 1,048,589 is
+    # the least prime = 5 (mod 8) above it, so every level has a candidate
+    # and each psi seed takes one node per point
+    code = (
+        "from difam.catalog import example51\n"
+        "from difam.gf import FiniteField\n"
+        "from difam.lifting import build_psi, greedy_lift\n"
+        "sdf = example51()\n"
+        "field = FiniteField(1048589, 1)\n"
+        "for seed in range(3):\n"
+        "    print(greedy_lift(sdf, field, build_psi(sdf, 4, seed=seed)).nodes)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=30, check=True).stdout
+    assert out.split() == ["5", "5", "5"]
