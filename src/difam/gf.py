@@ -5,17 +5,19 @@ additive group of a field is literally an AbelianGroup of type (p,...,p)
 and field elements can live inside the same multisets and difference lists
 as group elements.
 
-The multiplicative structure is carried by exp/log tables built from a
-primitive modulus: exp[i] is the i-th power of the class of x.  Building
-the table doubles as the primitivity check, since the class of x generates
-all q-1 nonzero elements exactly when the modulus is primitive.
+The multiplicative structure is carried by two int32 arrays of additive
+codes (`additive_group.encode`), built from a primitive modulus: exp[i] is
+the code of r^i, r the class of x, and log[a] the discrete log of the
+element with code a (-1 for zero).  Building exp doubles as the
+primitivity check, since the class of x generates all q-1 nonzero elements
+exactly when the modulus is primitive.  Tuples appear only where the
+element helpers decode a code.
 
 Constraint sets {x : x - c_i in C^lambda_(g_i) for all i} are intersections
 of bitmasks over log codes: code 0 is zero and code i+1 is exp[i] = r^i, so
 ascending bits are ascending discrete logs, zero first.  Each field keeps
-one `ClassMasks` table per lambda: the class of every element, and the mask
-of each translated class c + C^lambda_g, built on first use and cached up
-to a byte budget.
+one `ClassMasks` table per lambda: the mask of each translated class
+c + C^lambda_g, built on first use from log and cached up to a byte budget.
 """
 
 from __future__ import annotations
@@ -52,31 +54,11 @@ class CyclotomicClassIndex:
     def __post_init__(self):
         object.__setattr__(self, "index", self.index % self.lam)
 
-    def __add__(self, other: "CyclotomicClassIndex") -> "CyclotomicClassIndex":
-        if other.lam != self.lam:
-            raise FieldError("cannot add class indices of different orders")
-        return CyclotomicClassIndex(self.lam, self.index + other.index)
-
-
-def _poly_mul_mod(a: Element, b: Element, modulus: Sequence[int], p: int) -> Element:
-    n = len(modulus) - 1
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce: x^n = -(modulus[:-1]) since modulus is monic
-    for d in range(2 * n - 2, n - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for j in range(n):
-                prod[d - n + j] = (prod[d - n + j] - c * modulus[j]) % p
-    return tuple(prod[:n])
-
 
 class FiniteField:
-    """GF(p^n) with a verified-primitive modulus and full exp/log tables."""
+    """GF(p^n) with a verified-primitive modulus and full exp/log tables:
+    `exp` (q-1 entries) and `log` (q entries, -1 at zero) are int32 arrays
+    of additive codes, and the element helpers encode and decode tuples."""
 
     def __init__(self, p: int, n: int, modulus: Optional[Sequence[int]] = None):
         p, n = int(p), int(n)
@@ -87,24 +69,22 @@ class FiniteField:
         # p >= 2, so p**n is formed only for degrees below the cap's bit length
         if p > MAX_FIELD_ORDER or n >= MAX_FIELD_ORDER.bit_length() or p**n > MAX_FIELD_ORDER:
             raise FieldError(f"field order {p}^{n} exceeds the supported cap {MAX_FIELD_ORDER}")
-        q = p**n
-        self.p, self.n, self.q = p, n, q
+        self.p, self.n, self.q = p, n, p**n
+        self.additive_group = AbelianGroup((p,) * n)
         if modulus is not None:
             modulus = tuple(int(c) for c in modulus)
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise FieldError(f"modulus must be monic of degree {n}: {modulus}")
             modulus = tuple(c % p for c in modulus[:-1]) + (1,)
-            tables = _build_tables(modulus, p, n)
+            tables = _build_tables(modulus, self.additive_group)
             if tables is None:
                 raise FieldError(f"modulus {modulus} is not primitive over GF({p})")
         else:
-            modulus, tables = _find_primitive_modulus(p, n)
+            modulus, tables = _find_primitive_modulus(self.additive_group)
         self.modulus = modulus
         self.exp, self.log = tables
         self.zero: Element = (0,) * n
-        self.one: Element = self.exp[0]
-        self.root: Element = self.exp[1 % (q - 1)]
-        self.additive_group = AbelianGroup((p,) * n)
+        self.one: Element = self.from_int(1)
         self._class_masks: dict[int, ClassMasks] = {}
 
     def __eq__(self, other) -> bool:
@@ -142,14 +122,14 @@ class FiniteField:
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a: Element, b: Element) -> Element:
-        if a == self.zero or b == self.zero:
-            return self.zero
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        ya, yb = self.log_code(a), self.log_code(b)
+        return self.pow_root(ya + yb - 2) if ya and yb else self.zero
 
     def inv(self, a: Element) -> Element:
-        if a == self.zero:
+        y = self.log_code(a)
+        if not y:
             raise FieldError("division by zero")
-        return self.exp[(-self.log[a]) % (self.q - 1)]
+        return self.pow_root(1 - y)
 
     def div(self, a: Element, b: Element) -> Element:
         return self.mul(a, self.inv(b))
@@ -162,13 +142,18 @@ class FiniteField:
         return self.div(a, scalar)
 
     def pow_root(self, i: int) -> Element:
-        return self.exp[i % (self.q - 1)]
+        return self.additive_group.decode(int(self.exp[i % (self.q - 1)]))
 
-    def log_code(self, x: Element) -> int:  # see ClassMasks
-        return self.log.get(x, -1) + 1
+    def from_codes(self, codes) -> list[Element]:
+        """The elements with these additive codes, in order."""
+        return list(map(tuple, self.additive_group.decode_array(codes).tolist()))
+
+    def log_code(self, x: Element) -> int:
+        """1 + the discrete log of x, 0 for zero (see ClassMasks)."""
+        return int(self.log[self.additive_group.encode(self.check(x))]) + 1
 
     def from_log_code(self, y: int) -> Element:
-        return self.exp[y - 1] if y else self.zero
+        return self.pow_root(y - 1) if y else self.zero
 
     def class_masks(self, lam: int) -> ClassMasks:
         """The cached constraint-set table of the order-lam classes."""
@@ -189,25 +174,18 @@ class ClassMasks:
     """Bitmasks of the translated classes c + C^lam_g of one field, over log
     codes (code 0 is zero, code i+1 is exp[i]).
 
-    `classes[a]` is the class of the element with additive code a
-    (`additive_group.encode`; int32, -1 for zero), `add_code[y]` the
-    additive code of log code y.  `mask(c, g)`, c a log code, has bit y set
-    iff y - c lies in C^lam_g.  It is built on first use from `classes` by
-    digit arithmetic on the additive codes, and cached under the key
+    `add_code` (int32), `field.exp` with zero prepended, maps log codes to
+    additive codes.  `mask(c, g)`, c a log code, has bit y set iff y - c
+    lies in C^lam_g.  It is built on first use by digit arithmetic on the
+    additive codes and a read of `field.log`, and cached under the key
     c*lam + g while the cached masks fit in _MASK_ROW_BYTES.
     """
 
     def __init__(self, field: FiniteField, lam: int):
         self.field, self.lam = field, lam
-        q = field.q
-        nonzero = itertools.islice(field.elements(), 1, None)  # code order; code 0 is zero
-        logs = np.fromiter(map(field.log.__getitem__, nonzero), np.int32, q - 1)
-        self.classes = np.full(q, -1, np.int32)
-        self.classes[1:] = logs % lam
-        self.add_code = np.zeros(q, np.int32)
-        self.add_code[logs + 1] = np.arange(1, q, dtype=np.int32)
+        self.add_code = np.concatenate((np.zeros(1, np.int32), field.exp))
         self.masks: dict[int, int] = {}
-        self.mask_bytes = (q + 7) // 8
+        self.mask_bytes = (field.q + 7) // 8
         self.cached_bytes = 0
 
     def mask(self, c: int, g: int) -> int:
@@ -216,7 +194,9 @@ class ClassMasks:
         if m is not None:
             return m
         diff = self.field.additive_group.sub_codes(self.add_code, self.add_code[c])
-        bits = np.packbits(self.classes[diff] == g, bitorder="little")
+        hit = self.field.log[diff] % self.lam == g
+        hit[c] = False  # y = c: the difference is zero, in no class
+        bits = np.packbits(hit, bitorder="little")
         m = int.from_bytes(bits.tobytes(), "little")
         if self.cached_bytes + self.mask_bytes <= _MASK_ROW_BYTES:
             self.masks[key] = m
@@ -243,28 +223,48 @@ class ClassMasks:
         return out
 
 
-def _build_tables(modulus, p, n):
-    """exp/log tables for the class of x; None when x does not have order q-1."""
-    q = p**n
-    one = (1,) + (0,) * (n - 1)
-    x = ((0, 1) + (0,) * (n - 2)) if n > 1 else ((-modulus[0]) % p,)
-    exp, cur = [], one
-    for _ in range(q - 1):
-        exp.append(cur)
-        cur = _poly_mul_mod(cur, x, modulus, p) if n > 1 else ((cur[0] * x[0]) % p,)
-        if cur == one or not any(cur):
-            break
-    if cur != one or len(exp) != q - 1:  # x^(q-1) must be the first power back at one
+def _build_tables(modulus: tuple[int, ...], group: AbelianGroup):
+    """exp/log code tables for the class of x modulo `modulus`, `group` the
+    additive group; None when x does not have order q-1.  The powers go as
+    coefficient rows in blocks of B >= isqrt(q-1): the first by doubling,
+    each next one as the last times x^B, one product with an n x n matrix."""
+    p, n, q = group.cyclic_orders[0], group.rank, group.order
+    if modulus[0] == 0:
+        return None  # x divides the modulus, so it is no unit
+    # row j of times_x is x^(j+1) reduced, so a @ times_x = a*x; every product
+    # sums n terms below p^2, exact in int64 under MAX_FIELD_ORDER
+    times_x = np.zeros((n, n), np.int64)
+    times_x[:-1, 1:] = np.eye(n - 1, dtype=np.int64)
+    times_x[-1] = [-c % p for c in modulus[:-1]]
+    block, jump = np.eye(1, n, dtype=np.int64), times_x
+    while len(block) * len(block) < q - 1:
+        block = np.concatenate((block, block @ jump % p))
+        jump = jump @ jump % p
+    one = group.encode((1,) + (0,) * (n - 1))
+    powers = np.empty(q, np.int32)  # codes of x^0..x^(q-1)
+    ones = 0
+    for start in range(0, q, len(block)):
+        codes = group.encode_array(block[: q - start])
+        powers[start : start + len(codes)] = codes
+        ones += np.count_nonzero(codes == one)
+        if ones > 1 and start + len(codes) < q:
+            return None  # x^k = 1 for some 0 < k < q-1
+        block = block @ jump % p
+    if ones != 2 or powers[-1] != one:  # x^(q-1) must be the first power back at one
         return None
-    return exp, {e: i for i, e in enumerate(exp)}
+    exp = powers[:-1]
+    log = np.full(q, -1, np.int32)
+    log[exp] = np.arange(q - 1, dtype=np.int32)
+    return exp, log
 
 
-def _find_primitive_modulus(p, n):
+def _find_primitive_modulus(group: AbelianGroup):
     # least primitive monic polynomial, comparing leading coefficients first
+    p, n = group.cyclic_orders[0], group.rank
     for high in itertools.product(range(p), repeat=n - 1) if n > 1 else [()]:
         for c0 in range(p):
             modulus = (c0,) + tuple(reversed(high)) + (1,)
-            tables = _build_tables(modulus, p, n)
+            tables = _build_tables(modulus, group)
             if tables is not None:
                 return modulus, tables
     raise FieldError(f"no primitive polynomial of degree {n} over GF({p})")  # unreachable
@@ -278,29 +278,26 @@ def parse_modulus(text: str) -> tuple[int, ...]:
         raise FieldError(f"bad modulus text {text!r}") from exc
 
 
-def render_modulus(modulus: Sequence[int]) -> str:
-    return ",".join(str(c) for c in modulus)
-
-
 def class_index(field: FiniteField, x: Element, lam: int) -> CyclotomicClassIndex:
     """Which cyclotomic class of order lam contains x."""
-    if x == field.zero:
+    y = field.log_code(x)
+    if not y:
         raise FieldError("zero lies in no cyclotomic class")
     _check_order(field, lam)
-    return CyclotomicClassIndex(lam, field.log[x] % lam)
+    return CyclotomicClassIndex(lam, (y - 1) % lam)
 
 
 def cyclotomic_class(field: FiniteField, lam: int, index: int) -> list[Element]:
     """The elements of C^lam_index, in increasing log order."""
     _check_order(field, lam)
-    return [field.exp[i] for i in range(index % lam, field.q - 1, lam)]
+    return field.from_codes(field.exp[index % lam :: lam])
 
 
 def nonzero_squares(field: FiniteField) -> list[Element]:
     """The (q-1)/2 elements with even log, sorted; q must be odd."""
     if field.p == 2:
         raise FieldError("squares of an even-order field are the whole field")
-    return sorted(field.exp[i] for i in range(0, field.q - 1, 2))
+    return field.from_codes(np.sort(field.exp[::2]))  # code order is element order
 
 
 def x_set(
@@ -318,7 +315,6 @@ def x_set(
     _check_order(field, lam)
     classes = {}  # log code of c_i -> class index
     for c, gamma in constraints:
-        field.check(c)
         if isinstance(gamma, CyclotomicClassIndex):
             if gamma.lam != lam:
                 raise FieldError(f"class index of order {gamma.lam} used at order {lam}")
@@ -329,8 +325,7 @@ def x_set(
     if not classes:
         return list(field.elements())
     table = field.class_masks(lam)
-    found = np.sort(table.add_code[table.meet(list(classes.items()))])
-    return list(map(tuple, field.additive_group.decode_array(found).tolist()))
+    return field.from_codes(np.sort(table.add_code[table.meet(list(classes.items()))]))
 
 
 def coset_reps(field: FiniteField, spec: tuple[str, int]) -> list[Element]:
@@ -343,13 +338,13 @@ def coset_reps(field: FiniteField, spec: tuple[str, int]) -> list[Element]:
     kind, m = spec
     _check_order(field, m)
     if kind == "index":
-        return [field.exp[i] for i in range(m)]
+        return field.from_codes(field.exp[:m])
     if kind == "pm1-in-index":
         half = (field.q - 1) // 2
         if field.p == 2 or half % m != 0:
             raise FieldError(f"-1 does not lie in the index-{m} subgroup")
         count = (field.q - 1) // (2 * m)
-        return [field.exp[m * j] for j in range(count)]
+        return field.from_codes(field.exp[: m * count : m])
     raise FieldError(f"unknown coset spec kind {kind!r}")
 
 
@@ -372,7 +367,7 @@ def subfield_embed(field: FiniteField, base: FiniteField) -> dict[Element, Eleme
         return acc
 
     # root of the base modulus inside the big field, least log
-    powers = (field.exp[i] for i in range(0, field.q - 1, d))
+    powers = (field.pow_root(i) for i in range(0, field.q - 1, d))
     y = next((x for x in powers if evaluate(base.modulus, x) == field.zero), None)
     if y is None:
         raise FieldError("base modulus has no root in the extension")  # unreachable

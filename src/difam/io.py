@@ -103,7 +103,7 @@ def _carrier_from_header(header: dict, where: str):
         except FieldError as exc:
             raise FamilyFormatError(f"bad field spec: {exc}", at)
     if group is None:
-        return field.additive_group, None, field
+        return field.additive_group
     if not (isinstance(group, list) and group and all(_is_int(n) and n >= 1 for n in group)):
         raise FamilyFormatError("group must be a non-empty list of integers >= 1", where + ".group")
     order = 1 if field is None else field.q
@@ -114,9 +114,7 @@ def _carrier_from_header(header: dict, where: str):
                 f"carrier order exceeds the supported cap {MAX_FIELD_ORDER}", where + ".group"
             )
     base = AbelianGroup(tuple(group))
-    if field is None:
-        return base, base, None
-    return ProductCarrier(base, field), base, field
+    return base if field is None else ProductCarrier(base, field)
 
 
 def _element_to_json(carrier, e):
@@ -306,7 +304,7 @@ def parse_family(text: Union[str, bytes]) -> Family:
         raise FamilyFormatError(f"unknown role {role!r}", "role")
     if "carrier" not in doc:
         raise FamilyFormatError("missing carrier", "carrier")
-    carrier, _group, _field = _carrier_from_header(doc["carrier"], "carrier")
+    carrier = _carrier_from_header(doc["carrier"], "carrier")
     k = _int(doc.get("k"), "k")
     if k < 1:
         raise FamilyFormatError(f"must be >= 1, got {k}", "k")

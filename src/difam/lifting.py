@@ -21,6 +21,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .carrier import ProductCarrier
 from .diffs import GMultiset
 from .families import (
@@ -30,7 +32,7 @@ from .families import (
     StrongDifferenceFamily,
     verify_rdf,
 )
-from .gf import FiniteField, coset_reps, subfield_embed
+from .gf import FiniteField, class_index, coset_reps, subfield_embed
 from .groups import DifamError, Element, sum_of
 
 
@@ -166,7 +168,7 @@ def _pair_classes(field: FiniteField, coords: Sequence[Element], lam: int):
         for j, y in enumerate(coords):
             if i != j:
                 d = field.sub(x, y)
-                yield i, j, None if d == field.zero else field.log[d] % lam
+                yield i, j, None if d == field.zero else (field.log_code(d) - 1) % lam
 
 
 def _block_lifts(
@@ -342,7 +344,7 @@ def zero_sum_lift(
     meet, rows, code = field.class_masks(lam).meet, _psi_rows(psi), field.log_code
     half = lam // 2
     minus_two = field.neg(field.from_int(2))
-    alpha = field.log[minus_two] % lam
+    alpha = class_index(field, minus_two, lam).index
     inv2 = field.inv(field.from_int(2))
 
     def options(h: int, i: int, chosen: list[int]) -> list[int]:
@@ -490,7 +492,7 @@ def signed_lift(
         def add2(g: Element, d: Element) -> bool:
             if d == field.zero:
                 return False
-            key = (g, field.log[d] % half_lambda)
+            key = (g, (field.log_code(d) - 1) % half_lambda)
             out.append(key)
             out.append(key)
             return True
@@ -562,12 +564,16 @@ class MultiplierVerdict:
 def _multiply_out(
     carrier: ProductCarrier, point_lists: Sequence[Sequence[Element]], mults: Sequence[Element]
 ) -> list[GMultiset]:
-    """One block per (point list, multiplier): the field parts scaled by m."""
-    return [
-        GMultiset(carrier, [carrier.scale_field(e, m) for e in pts])
-        for pts in point_lists
-        for m in mults
-    ]
+    """One block per (point list, multiplier): the field parts times m, by logs."""
+    field, blocks = carrier.field, []
+    steps = np.array([field.log_code(m) - 1 for m in mults]).reshape(-1, 1)  # m != 0
+    for pts in point_lists:
+        gs, xs = zip(*map(carrier.split, pts))
+        ys = np.array([field.log_code(x) for x in xs])
+        codes = np.where(ys > 0, field.exp[(ys - 1 + steps) % (field.q - 1)], 0)
+        for row in field.additive_group.decode_array(codes).tolist():
+            blocks.append(GMultiset(carrier, [carrier.join(g, x) for g, x in zip(gs, row)]))
+    return blocks
 
 
 def apply_multipliers(
@@ -693,7 +699,7 @@ def simple_lift(
         shapes = [_signed_shape(b) for b in sdf.blocks]
         if L is None:
             # -exp[i] = exp[i + (q-1)/2], so no two of these are negatives
-            ys = [fld.exp[i] for i in range((k - 1) // 2)]
+            ys = fld.from_codes(fld.exp[: (k - 1) // 2])
         else:
             elems = [fld.check(e) for e in L]
             if len(elems) != k or len(set(elems)) != k:
@@ -709,7 +715,7 @@ def simple_lift(
             sdf, fld, [dict(zip(a_set, ys)) for a_set in shapes]
         )
         lifted = [block.expand() for block in lifting.lifted_blocks()]
-        mults = [fld.exp[i] for i in range((fld.q - 1) // 2)]
+        mults = fld.from_codes(fld.exp[: (fld.q - 1) // 2])
         lam_out = sdf.lam // 2
     else:
         if L is None:
@@ -724,7 +730,7 @@ def simple_lift(
             [carrier.join(b, x) for b, x in zip(block.expand(), L_elems)]
             for block in sdf.blocks
         ]
-        mults = [fld.exp[i] for i in range(fld.q - 1)]
+        mults = fld.from_codes(fld.exp)
         lam_out = sdf.lam
 
     blocks = _multiply_out(carrier, lifted, mults)

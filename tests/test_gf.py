@@ -1,8 +1,10 @@
+import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,10 +19,10 @@ from difam.gf import (
     cyclotomic_class,
     nonzero_squares,
     parse_modulus,
-    render_modulus,
     subfield_embed,
     x_set,
 )
+from difam.groups import AbelianGroup
 
 
 def test_prime_field_arithmetic():
@@ -51,7 +53,7 @@ def test_exp_log_consistency():
     for i, e in enumerate(f.exp):
         assert f.log[e] == i
     # multiplicative closure
-    assert f.mul(f.exp[20], f.exp[10]) == f.exp[4]
+    assert f.mul(f.pow_root(20), f.pow_root(10)) == f.pow_root(4)
 
 
 def test_field_cap():
@@ -94,17 +96,8 @@ def test_from_int_and_div_int():
 
 def test_modulus_text_roundtrip():
     assert parse_modulus("2,1,1") == (2, 1, 1)
-    assert render_modulus((2, 1, 1)) == "2,1,1"
     with pytest.raises(FieldError):
         parse_modulus("2,x,1")
-
-
-def test_class_index_arithmetic():
-    a = CyclotomicClassIndex(4, 3)
-    b = CyclotomicClassIndex(4, 2)
-    assert (a + b).index == 1
-    with pytest.raises(FieldError):
-        a + CyclotomicClassIndex(6, 1)
 
 
 def test_cyclotomic_classes_partition():
@@ -155,7 +148,7 @@ def test_x_set_two_constraints_brute_force():
         ok = True
         for c, g in cons:
             d = f.sub(x, c)
-            if d == f.zero or f.log[d] % 4 != g:
+            if d == f.zero or (f.log_code(d) - 1) % 4 != g:
                 ok = False
         if ok:
             expect.append(x)
@@ -172,7 +165,7 @@ def test_coset_reps_index():
     f = FiniteField(13, 1)
     reps = coset_reps(f, ("index", 4))
     assert len(reps) == 4
-    logs = sorted(f.log[r] % 4 for r in reps)
+    logs = sorted((f.log_code(r) - 1) % 4 for r in reps)
     assert logs == [0, 1, 2, 3]
 
 
@@ -263,7 +256,7 @@ def _scan_x_set(field, constraints, lam):
     for z in cyclotomic_class(field, lam, g0):
         x = field.add(c0, z)
         if all(
-            field.sub(x, c) != field.zero and field.log[field.sub(x, c)] % lam == g
+            field.sub(x, c) != field.zero and (field.log_code(field.sub(x, c)) - 1) % lam == g
             for c, g in pairs[1:]
         ):
             out.append(x)
@@ -301,8 +294,9 @@ def test_x_set_matches_the_field_scan(monkeypatch, row_bytes):
 
 def test_x_set_over_a_million_points():
     # peeling a mask bit by bit (m & -m) is quadratic in q: over 60 s for
-    # the whole field at this q.  The byte walk is linear; most of the
-    # time goes into building the field and its class table.
+    # the whole field at this q.  Reading the set bits out of bin(m) with
+    # str.find is linear; that read-out and decoding the codes into tuples
+    # take most of the time, the int32 field tables a small part.
     code = (
         "from difam.gf import FiniteField, x_set\n"
         "f = FiniteField(1048573, 1)\n"
@@ -331,7 +325,7 @@ def test_cached_masks_stay_within_the_byte_budget(monkeypatch):
 def _old_candidate_order(field, elems, rng):
     """The candidate order the searches used before log codes: the options
     as elements, sorted by discrete log (zero first), then shuffled."""
-    out = sorted(elems, key=lambda e: field.log.get(e, -1))
+    out = sorted(elems, key=field.log_code)
     rng.shuffle(out)
     return out
 
@@ -371,3 +365,101 @@ def test_search_order_on_log_codes_matches_the_sorted_elements():
         assert rng.getstate() == expected_rng.getstate()
 
     check()
+
+
+def _tuple_tables(modulus, p, n):
+    """The exp/log tables as the field once built them, a power at a time:
+    exp a list of tuples, log a dict keyed by them; None when x does not
+    have order q-1 (the reference for the blocked int32 build)."""
+
+    def times_x(a):
+        if n == 1:
+            return ((a[0] * -modulus[0]) % p,)
+        top = a[-1]  # a*x = shift up, then x^n = -(modulus[:-1])
+        return tuple((lo - top * c) % p for lo, c in zip((0,) + a[:-1], modulus))
+
+    one = (1,) + (0,) * (n - 1)
+    exp, cur = [], one
+    for _ in range(p**n - 1):
+        exp.append(cur)
+        cur = times_x(cur)
+        if cur == one or not any(cur):
+            break
+    if cur != one or len(exp) != p**n - 1:
+        return None
+    return exp, {e: i for i, e in enumerate(exp)}
+
+
+def _tuple_modulus(p, n):
+    for high in itertools.product(range(p), repeat=n - 1):
+        for c0 in range(p):
+            modulus = (c0,) + tuple(reversed(high)) + (1,)
+            if _tuple_tables(modulus, p, n) is not None:
+                return modulus
+
+
+def _assert_same_tables(field, reference):
+    exp, log = reference
+    assert field.exp.dtype == field.log.dtype == np.int32
+    assert field.from_codes(field.exp) == exp
+    assert field.log[0] == -1
+    assert all(field.log[field.additive_group.encode(e)] == i for e, i in log.items())
+
+
+# prime powers included: there the powers of x are multiplied as n x n blocks
+ORACLE_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3),
+                 (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (11, 1), (13, 1)]
+
+
+@pytest.mark.parametrize("p,n", ORACLE_FIELDS)
+def test_blocked_table_build_matches_the_tuple_walk(p, n):
+    group = AbelianGroup((p,) * n)
+    for low in itertools.product(range(p), repeat=n):
+        modulus = low + (1,)
+        reference = _tuple_tables(modulus, p, n)
+        tables = gf._build_tables(modulus, group)
+        assert (tables is None) == (reference is None), modulus
+        if reference is not None:
+            _assert_same_tables(FiniteField(p, n, modulus), reference)
+        else:
+            with pytest.raises(FieldError, match="not primitive"):
+                FiniteField(p, n, modulus)
+
+
+@pytest.mark.parametrize("p,n", [(2, 10), (3, 7), (5, 4), (13, 1), (70141, 1)])
+def test_default_fields_keep_their_modulus_and_tables(p, n):
+    field = FiniteField(p, n)
+    assert field.modulus == _tuple_modulus(p, n)
+    _assert_same_tables(field, _tuple_tables(field.modulus, p, n))
+
+
+@pytest.mark.parametrize("bad", [(1,), (1, 0, 0), (-1, 0), (0, -1), (5, 0), (0, 7)])
+def test_non_elements_raise_field_error(bad):
+    f = FiniteField(5, 2)
+    for call in (lambda: f.mul(bad, f.one), lambda: f.mul(f.one, bad), lambda: f.inv(bad),
+                 lambda: f.div(f.one, bad), lambda: f.div(bad, f.one),
+                 lambda: class_index(f, bad, 4), lambda: f.log_code(bad)):
+        with pytest.raises(FieldError, match="is not an element"):
+            call()
+
+
+def test_greedy_lift_over_the_largest_field_in_bounded_memory():
+    # the greedy pin over GF(4,194,301), the largest prime field under the
+    # cap (= 5 mod 8, past the paper's no-backtracking bound); with tuple
+    # exp/log tables this process peaked at about 1 GiB
+    code = (
+        "import resource\n"
+        "from difam.catalog import example51\n"
+        "from difam.gf import FiniteField\n"
+        "from difam.lifting import build_psi, greedy_lift\n"
+        "sdf = example51()\n"
+        "field = FiniteField(4194301, 1)\n"
+        "print(greedy_lift(sdf, field, build_psi(sdf, 4, seed=0)).nodes)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    nodes, peak_mib = map(int, out.split())
+    assert nodes == 5
+    assert peak_mib < 512
