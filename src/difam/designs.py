@@ -47,6 +47,19 @@ class Design:
     def block_points(self, i: int) -> list[Element]:
         return [self.carrier.decode(int(c)) for c in self.blocks[i]]
 
+    def __eq__(self, other) -> bool:
+        """Same carrier, same k and the same multiset of blocks, each block
+        taken as a point set."""
+        if not (isinstance(other, Design) and self.carrier == other.carrier and self.k == other.k):
+            return False
+        if self.blocks.shape != other.blocks.shape:
+            return False
+        return self.blocks.size == 0 or np.array_equal(
+            _sorted_row_keys(self.blocks, self.v), _sorted_row_keys(other.blocks, other.v)
+        )
+
+    __hash__ = None  # mutable, compared by content
+
 
 @dataclass
 class DesignVerdict:

@@ -9,21 +9,27 @@ file lists each distinct block once, as {"points": [...], "mult": m} (m is
 1 when absent).
 
 Every file is laid out as json.dumps(doc, indent=1).  A design's text is
-filled from its arrays into that layout, and a design file is read back by
-checking and encoding all of its points at once.  parse(render(x)) == x for
-every field of every role: a family's `additive` is derived from its
-blocks, not stored, so the file carries no flag.  Parsing checks structure
-only and runs no verifier; each CLI command verifies a family it reads
-once.  Every number is a JSON integer: a float, a string or a bool is
-refused, not truncated or converted, and any malformed file raises
-FamilyFormatError.
+filled from its arrays into that layout.  parse(render(x)) == x for every
+field of every role: a family's `additive` is derived from its blocks, not
+stored, so the file carries no flag.  Parsing checks structure only and
+runs no verifier; each CLI command verifies a family it reads once.
+
+There are two readers.  A design file whose text is exactly what
+render_family writes (every file `difam develop` writes) is read by
+scanning its digits with numpy and is accepted only if rendering the
+design read gives back the text, byte for byte.  Any other text, and
+every file of the other roles, goes to the JSON reader, which alone names
+errors: every number is a JSON integer (a float, a string or a bool is
+refused, not truncated or converted), a design file's points are checked
+and encoded all at once, and any malformed file raises FamilyFormatError.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from itertools import chain
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -181,6 +187,12 @@ def _point_codes(carrier, points: list) -> Optional[np.ndarray]:
     return carrier.encode_array(coords)
 
 
+def _design_from(carrier, k: int, codes: np.ndarray, mults) -> Design:
+    """The design of the distinct (b, k) point codes `codes`, row i taken
+    mults[i] times."""
+    return Design(carrier, np.repeat(np.sort(codes, axis=1), mults, axis=0), k)
+
+
 def _parse_design(carrier, k: int, raw_blocks: list) -> Design:
     """One pass over the block entries, then the points checked and encoded
     one `_CHUNK` slice of blocks at a time."""
@@ -212,12 +224,13 @@ def _parse_design(carrier, k: int, raw_blocks: list) -> Design:
                 _element_from_json(carrier, point, f"blocks[{i // k}].points[{i % k}]")
             raise AssertionError("_point_codes refused points that _element_from_json reads")
         codes[lo : lo + len(part)] = got
-    rows = np.sort(codes.reshape(-1, k), axis=1)
-    return Design(carrier, np.repeat(rows, mults, axis=0), k)
+    return _design_from(carrier, k, codes.reshape(-1, k), mults)
 
 
-def _render_design(design: Design) -> str:
-    """json.dumps(doc, indent=1) of the per-point design doc, filled from arrays.
+def _design_pieces(design: Design) -> Iterator[str]:
+    """json.dumps(doc, indent=1) of the per-point design doc, filled from
+    arrays, in pieces: the writer joins them and `_read_rendered_design`
+    compares them with the text it reads.
 
     The stdlib lays out the header, the block separator and one block with
     every residue and the multiplicity left as null; each distinct row then
@@ -227,18 +240,114 @@ def _render_design(design: Design) -> str:
     rows, counts = np.unique(design.blocks, axis=0, return_counts=True)
     head = {"role": "design", "carrier": _carrier_header(carrier), "k": k}
     if not len(rows):
-        return json.dumps({**head, "blocks": []}, indent=1)
+        yield json.dumps({**head, "blocks": []}, indent=1)
+        return
     prefix, sep, suffix = json.dumps({**head, "blocks": [None, None]}, indent=1).rsplit("null", 2)
     point = _element_to_json(carrier, (None,) * carrier.rank)
     block = json.dumps({"points": [point] * k, "mult": None}, indent=1)
     template = block.replace("null", "%d").replace("\n", sep[1:])  # sep is "," + newline + indent
-    parts = []
+    yield prefix
     for lo in range(0, len(rows), _CHUNK):
         part = rows[lo : lo + _CHUNK]
         coords = carrier.decode_array(part).reshape(len(part), k * carrier.rank)
         values = np.column_stack([coords, counts[lo : lo + _CHUNK]])
-        parts.append(sep.join([template] * len(values)) % tuple(values.ravel().tolist()))
-    return prefix + sep.join(parts) + suffix
+        if lo:
+            yield sep
+        yield sep.join([template] * len(values)) % tuple(values.ravel().tolist())
+    yield suffix
+
+
+# where the text of `_design_pieces` starts and where its blocks start: a
+# quick refusal and a cut; the rendering, not these, decides what is read
+_DESIGN_START = b'{\n "role": "design",\n'
+_BLOCKS_KEY = b'\n "blocks": [\n'
+_SLICE = 1 << 20  # bytes of a design body scanned at once
+_DIGITS = 18  # the longest digit run read: 10**18 - 1 < 2**63
+_NON_DIGIT = re.compile(rb"[^0-9]")
+
+
+def _digit_runs(chars: np.ndarray) -> Optional[np.ndarray]:
+    """The numbers spelled by the runs of ASCII digits in a uint8 array, in
+    order; None if a run is longer than `_DIGITS`."""
+    d = chars - np.uint8(ord("0"))  # wraps below "0"
+    edges = np.flatnonzero(np.diff(d < 10, prepend=False, append=False))
+    starts, lengths = edges[::2], edges[1::2] - edges[::2]
+    if lengths.max(initial=0) > _DIGITS:
+        return None
+    numbers = np.zeros(starts.size, dtype=np.int64)
+    for j in range(lengths.max(initial=0)):  # digit j of every run that has one
+        live = lengths > j
+        numbers[live] = numbers[live] * 10 + d[starts[live] + j]
+    return numbers
+
+
+def _read_rendered_design(text: Union[str, bytes]) -> Optional[Design]:
+    """The design whose rendering is `text`, or None.
+
+    The header is read by json.loads up to the "blocks" key.  The body is
+    read as its digit runs, k * rank coordinates and a mult to a row, one
+    `_SLICE` of bytes at a time: each slice's whole rows are checked and
+    encoded, and a partial row is carried to the next.  Coordinates,
+    multiplicities and the block total are bounded before any array grows
+    with them.  The design is returned only if its rendering is `text`:
+    since parse(render(x)) == x, that is the design the JSON reader would
+    read.  Any other text gives None, and the JSON reader names what is
+    wrong with it.
+    """
+    if isinstance(text, str) and text.isascii():
+        text = text.encode("ascii")
+    if not (isinstance(text, bytes) and text.startswith(_DESIGN_START)):
+        return None
+    at = text.find(_BLOCKS_KEY)
+    if at < 0:
+        return None
+    try:
+        role, carrier, k = _header(json.loads(text[:at].removesuffix(b",") + b"}"))
+    except (ValueError, RecursionError):  # FamilyFormatError is a ValueError
+        return None
+    width = k * carrier.rank + 1
+    if role != "design" or width > len(text):
+        return None
+    orders = np.array(carrier.cyclic_orders)
+    codes, mults, carry = [], [], np.empty(0, dtype=np.int64)
+    lo = at
+    while lo < len(text):
+        hi = min(lo + _SLICE, len(text))
+        if hi < len(text):  # cut before a non-digit, so that no digit run is split
+            cut = _NON_DIGIT.search(text, hi, hi + _DIGITS + 1)
+            if cut is None:
+                return None
+            hi = cut.start()
+        numbers = _digit_runs(np.frombuffer(text, np.uint8, hi - lo, lo))
+        if numbers is None:
+            return None
+        numbers = np.concatenate([carry, numbers])
+        whole = numbers.size - numbers.size % width
+        table, carry = numbers[:whole].reshape(-1, width), numbers[whole:]
+        coords = table[:, :-1].reshape(-1, carrier.rank)
+        if np.any(coords >= orders):
+            return None
+        codes.append(carrier.encode_array(coords).reshape(-1, k))
+        mults.append(table[:, -1])
+        lo = hi
+    mults = np.concatenate(mults)
+    if (
+        carry.size
+        or not mults.size
+        or mults.min() < 1
+        or mults.max() > MAX_DESIGN_BLOCKS
+        or mults.sum() > MAX_DESIGN_BLOCKS
+    ):
+        return None
+    design = _design_from(carrier, k, np.concatenate(codes), mults)
+    del codes
+    pos = 0
+    for piece in _design_pieces(design):
+        piece = piece.encode("ascii")
+        if not text.startswith(piece, pos):
+            return None
+        pos += len(piece)
+    return design if pos == len(text) else None
 
 
 def render_family(obj: Family) -> str:
@@ -277,7 +386,7 @@ def render_family(obj: Family) -> str:
             ],
         }
     elif isinstance(obj, Design):
-        return _render_design(obj)
+        return "".join(_design_pieces(obj))
     else:
         raise FamilyFormatError(f"cannot serialize {type(obj).__name__}")
     return json.dumps(doc, indent=1)
@@ -285,6 +394,29 @@ def render_family(obj: Family) -> str:
 
 def parse_family(text: Union[str, bytes]) -> Family:
     """The family in `text`, or bytes that must be UTF-8."""
+    design = _read_rendered_design(text)
+    return design if design is not None else _parse_json(text)
+
+
+def _header(doc) -> tuple[str, AbelianGroup, int]:
+    """The role, carrier and k of a parsed document."""
+    if not isinstance(doc, dict):
+        raise FamilyFormatError("top level must be an object")
+    role = doc.get("role")
+    if role not in ("sdf", "rdf", "dm", "design"):
+        raise FamilyFormatError(f"unknown role {role!r}", "role")
+    if "carrier" not in doc:
+        raise FamilyFormatError("missing carrier", "carrier")
+    carrier = _carrier_from_header(doc["carrier"], "carrier")
+    k = _int(doc.get("k"), "k")
+    if k < 1:
+        raise FamilyFormatError(f"must be >= 1, got {k}", "k")
+    return role, carrier, k
+
+
+def _parse_json(text: Union[str, bytes]) -> Family:
+    """The family in `text`, read by json.loads: the reader of every layout,
+    and the one that names what is wrong with a malformed file."""
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
@@ -297,17 +429,7 @@ def parse_family(text: Union[str, bytes]) -> Family:
         )
     except RecursionError:
         raise FamilyFormatError("JSON nested too deeply")
-    if not isinstance(doc, dict):
-        raise FamilyFormatError("top level must be an object")
-    role = doc.get("role")
-    if role not in ("sdf", "rdf", "dm", "design"):
-        raise FamilyFormatError(f"unknown role {role!r}", "role")
-    if "carrier" not in doc:
-        raise FamilyFormatError("missing carrier", "carrier")
-    carrier = _carrier_from_header(doc["carrier"], "carrier")
-    k = _int(doc.get("k"), "k")
-    if k < 1:
-        raise FamilyFormatError(f"must be >= 1, got {k}", "k")
+    role, carrier, k = _header(doc)
     raw_blocks = doc.get("blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise FamilyFormatError("blocks must be a non-empty list", "blocks")

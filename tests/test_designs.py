@@ -202,6 +202,25 @@ def test_super_regular_group_mismatch(z5_design):
         verify_super_regular(z5_design, AbelianGroup((625,)))
 
 
+def test_design_equality_compares_block_multisets(z5_design):
+    # the dataclass __eq__ compared the block arrays with ==, which raises
+    back = difam.io.parse_family(difam.io.render_family(z5_design))
+    assert back is not z5_design and back == z5_design
+    rng = np.random.default_rng(0)
+    shuffled = z5_design.blocks[rng.permutation(z5_design.b)][:, ::-1]
+    assert Design(z5_design.carrier, shuffled, 5) == z5_design
+    moved = z5_design.blocks.copy()
+    moved[3, 2] = (moved[3, 2] + 1) % z5_design.v
+    assert Design(z5_design.carrier, moved, 5) != z5_design
+    assert Design(z5_design.carrier, z5_design.blocks[1:], 5) != z5_design
+    assert Design(AbelianGroup((625,)), z5_design.blocks, 5) != z5_design
+    doubled = ag_design(2, 3)
+    assert Design(doubled.carrier, doubled.blocks[[0, 0, *range(2, 12)]], 3) != doubled
+    assert (z5_design == "design") is False and z5_design != None  # noqa: E711
+    with pytest.raises(TypeError):
+        hash(z5_design)
+
+
 def test_make_design_validates_width():
     g = AbelianGroup((7,))
     with pytest.raises(DesignError):
