@@ -22,13 +22,10 @@ class ProductCarrier(AbelianGroup):
         self.field = field
         self._split_at = group.rank
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ProductCarrier):
-            return self.group == other.group and self.field == other.field
-        return NotImplemented
-
-    # equal to the AbelianGroup with the same cyclic orders, so hash alike
-    __hash__ = AbelianGroup.__hash__
+    @property
+    def _key(self) -> tuple:
+        # the orders fix the split and p, the modulus fixes n and the field
+        return self.cyclic_orders, self.field.modulus
 
     def __repr__(self) -> str:
         return f"ProductCarrier({self.group} x {self.field})"

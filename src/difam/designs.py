@@ -106,30 +106,32 @@ def develop(rdf: RelativeDifferenceFamily, lambda_copies: Optional[int] = None) 
 
 
 def _develop_rows(rdf: RelativeDifferenceFamily, lam: int) -> np.ndarray:
-    """The rows of `develop`, for any family, verified or not."""
+    """The rows of `develop`, for any family, verified or not.
+
+    Column j of the |G| translates of a block is `carrier.translates` of
+    its point j; each row is then sorted.
+    """
     carrier = rdf.group
-    orders = np.array(carrier.cyclic_orders, dtype=np.int64)
-    all_elems = carrier.decode_array(np.arange(carrier.order))  # (|G|, rank)
-    base = np.array(
-        [[list(e) for e in b.expand()] for b in rdf.blocks], dtype=np.int64
-    )  # (s, k, rank)
-    n = all_elems.shape[0]
+    n = carrier.order
+
+    def fill(out: np.ndarray, points) -> None:  # out: (|G|, len(points))
+        for j, g in enumerate(points):
+            out[:, j] = carrier.translates(g)
+        out.sort(axis=1)
+
     cosets = []  # the distinct cosets of each forbidden subgroup, as sorted rows
     for sub in rdf.forbidden_members():
         if sub.order != rdf.k:
             raise DesignError(
                 f"forbidden subgroup of order {sub.order} cannot supply {rdf.k}-point blocks"
             )
-        sub_arr = np.array(sub.elements, dtype=np.int64)
-        coset_rows = carrier.encode_array((sub_arr[None, :, :] + all_elems[:, None, :]) % orders)
-        coset_rows.sort(axis=1)
+        coset_rows = np.empty((n, rdf.k), dtype=np.int64)
+        fill(coset_rows, sub.elements)
         cosets.append(np.unique(coset_rows, axis=0))
-    n_translates = base.shape[0] * n
+    n_translates = len(rdf.blocks) * n
     rows = np.empty((n_translates + lam * sum(len(c) for c in cosets), rdf.k), dtype=np.int64)
-    for i, block in enumerate(base):  # one base block at a time: |G| x k x rank
-        out = rows[i * n : (i + 1) * n]
-        out[:] = carrier.encode_array((block[None, :, :] + all_elems[:, None, :]) % orders)
-        out.sort(axis=1)
+    for i, block in enumerate(rdf.blocks):  # one base block at a time: |G| x k
+        fill(rows[i * n : (i + 1) * n], block.expand())
     lo = n_translates
     for unique in cosets:  # lam copies of each coset
         rows[lo : lo + lam * len(unique)] = np.repeat(unique, lam, axis=0)
@@ -163,7 +165,9 @@ def verify_design(design: Design, t: int = 2) -> DesignVerdict:
     count differs from that of (0, 1) lies in it, unless (0, 1) is itself
     uncovered, and then it is the least pair covered.  A row that does not
     strictly increase fails the design outright; simplicity still says
-    whether any block repeats.
+    whether any block repeats.  A design with every pair covered exactly
+    once is simple without a look at its blocks: a repeated block of k >= 2
+    strictly increasing points would cover each of its pairs twice.
     """
     if t != 2:
         raise DesignError("only pair coverage (t=2) is supported")
@@ -193,7 +197,7 @@ def verify_design(design: Design, t: int = 2) -> DesignVerdict:
     ok = uniform and lam >= 1
     witness = None if uniform else tuple(map(design.carrier.decode, _pair_points(first_bad, v)))
     del counts, off  # before the keys, so the two peaks do not add
-    simple = _no_repeated_blocks(arr, v)
+    simple = (uniform and lam == 1) or _no_repeated_blocks(arr, v)
     repl_ok = False
     if ok:
         r, rem = divmod(lam * (v - 1), k - 1)
@@ -208,29 +212,42 @@ def _no_repeated_blocks(arr: np.ndarray, v: int) -> bool:
     return not np.any(np.all(keys[1:] == keys[:-1], axis=1))
 
 
-def _sorted_row_keys(
-    arr: np.ndarray, v: int, step: Optional[tuple[AbelianGroup, int]] = None
-) -> np.ndarray:
+def _sorted_row_keys(arr: np.ndarray, v: int, moved: Optional[np.ndarray] = None) -> np.ndarray:
     """Each row as a point set, in lexicographic order: (b, words) int64 keys.
 
     A row is sorted and packed base v, as many digits per word as stay below
-    2^62, so comparing keys compares rows.  With step = (group, i), every
-    point is first moved by the unit generator of the group's factor i.
+    2^62, so comparing keys compares rows.  With `moved` (a table over codes,
+    such as `AbelianGroup.translates`), every point x is first replaced by
+    moved[x].  Keys of more than one word are sorted by their first word;
+    only the runs of rows whose first words tie are then sorted in full.
     """
     k = arr.shape[1]
     per_word = 1
     while per_word < k and v ** (per_word + 1) < 2**62:
         per_word += 1
-    starts = np.arange(0, k, per_word)
+    starts = range(0, k, per_word)
     weights = np.array([v ** (per_word - 1 - i % per_word) for i in range(k)], dtype=np.int64)
-    keys = np.empty((arr.shape[0], starts.size), dtype=np.int64)
+    words = np.empty((len(starts), arr.shape[0]), dtype=np.int64)  # one row per word
     for lo in range(0, arr.shape[0], _CHUNK):
         part = arr[lo : lo + _CHUNK]
-        if step is not None:
-            part = step[0].add_unit(part, step[1])
-        part = np.sort(part, axis=1)
-        keys[lo : lo + part.shape[0]] = np.add.reduceat(part * weights, starts, axis=1)
-    return np.sort(keys, axis=0) if starts.size == 1 else keys[np.lexsort(keys.T[::-1])]
+        part = np.sort(part if moved is None else moved[part], axis=1)
+        for word, s in enumerate(starts):
+            digits = slice(s, s + per_word)
+            words[word, lo : lo + part.shape[0]] = part[:, digits] @ weights[digits]
+    if len(starts) == 1:
+        words.sort(axis=1)
+        return words.T
+    words = np.take(words, np.argsort(words[0]), axis=1)
+    tie = words[0, 1:] == words[0, :-1]
+    if tie.any():
+        # the tied rows keep their places by first word, so sorting them
+        # among themselves sorts each run
+        tied = np.zeros(words.shape[1], dtype=bool)
+        tied[1:] = tie
+        tied[:-1] |= tie
+        runs = words[:, tied]
+        words[:, tied] = runs[:, np.lexsort(runs[::-1])]
+    return words.T
 
 
 def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVerdict:
@@ -240,7 +257,16 @@ def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVer
     The translations that fix the multiset form a subgroup of G, so it is
     enough that the unit generator of each cyclic factor fixes it: regular
     iff, for each factor, the sorted keys of the moved blocks equal those of
-    the blocks.
+    the blocks.  A block is moved by one gather from `group.translates`.
+
+    A design with fewer block points than group elements (b >= 1, v > bk)
+    is not regular, and no keys are built.  A translation g that fixes a
+    block B moves B[0] into B, so g lies in B - B[0]: the stabiliser of B
+    has at most k elements, B has at least v/k > b distinct translates, and
+    a regular design holds them all.  With b = 0 the design is regular.
+    Past that bound v <= bk, so the per-code tables built here (the
+    translates, and the digit sums of `zero_sum_rows`) are never larger
+    than the block array.
     """
     if design.carrier != group or design.v != group.order:
         raise DesignError("design points are not the elements of the given group")
@@ -250,9 +276,12 @@ def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVer
     additive = all(
         group.zero_sum_rows(arr[lo : lo + _CHUNK]).all() for lo in range(0, arr.shape[0], _CHUNK)
     )
+    if arr.shape[0] and v > arr.size:
+        return SuperRegularVerdict(False, additive)
     keys = _sorted_row_keys(arr, v)
     regular = all(
-        np.array_equal(_sorted_row_keys(arr, v, (group, i)), keys) for i in range(group.rank)
+        np.array_equal(_sorted_row_keys(arr, v, group.translates(unit)), keys)
+        for unit in np.eye(group.rank, dtype=int).tolist()
     )
     return SuperRegularVerdict(regular, additive)
 
@@ -383,10 +412,13 @@ def anomaly_witness(design: Design, p: int, scan_cap: int = 10**4) -> AnomalyVer
     target = p * p
     scanned = 0
     # blocks grouped by their least point, in increasing order of it, by
-    # index within a group: witnesses tend to be local
+    # index within a group: witnesses tend to be local.  The least points
+    # are cast to the smallest type that holds them: numpy sorts 8- and
+    # 16-bit keys stably by radix
     blocks = design.blocks
-    order = np.argsort(blocks[:, 0], kind="stable")
-    cuts = (np.flatnonzero(np.diff(blocks[order, 0])) + 1).tolist()
+    least = blocks[:, 0].astype(np.min_scalar_type(v - 1))
+    order = np.argsort(least, kind="stable")
+    cuts = (np.flatnonzero(np.diff(least[order])) + 1).tolist()
     for lo, hi in zip([0] + cuts, cuts + [order.size]):
         ids = order[lo:hi].tolist()
         sets = [set(r) for r in blocks[ids].tolist()]

@@ -1,8 +1,9 @@
 """Finite abelian groups presented as direct products of cyclic groups.
 
 Elements are plain tuples of residues, one per cyclic factor, which keeps
-them hashable and lexicographically ordered for free.  Two groups with the
-same factor list compare equal; no canonicalization to invariant factors is
+them hashable and lexicographically ordered for free.  Two groups compare
+equal when their `_key`s do: the factor list, plus the field modulus for a
+product carrier G x F_q.  No canonicalization to invariant factors is
 attempted, so isomorphic groups with different presentations are distinct
 values on purpose.
 
@@ -51,11 +52,16 @@ class AbelianGroup:
             acc *= n
         self._weights = tuple(reversed(w))
 
+    @property
+    def _key(self) -> tuple:
+        """What equality compares: the cyclic orders and the field modulus, or None."""
+        return self.cyclic_orders, None
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, AbelianGroup) and self.cyclic_orders == other.cyclic_orders
+        return isinstance(other, AbelianGroup) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.cyclic_orders)
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return f"AbelianGroup{self.cyclic_orders}"
@@ -120,16 +126,60 @@ class AbelianGroup:
         # a // w and the digit of a at weight w agree mod n
         return sum((a // w - b // w) % n * w for w, n in zip(self._weights, self.cyclic_orders))
 
-    def add_unit(self, codes: np.ndarray, factor: int) -> np.ndarray:
-        """The codes of x + e, e the unit generator of the cyclic factor
-        `factor`, for the codes of x: one digit moves, with wrap-around."""
-        w, n = self._weights[factor], self.cyclic_orders[factor]
-        return codes + w - n * w * (codes // w % n == n - 1)
+    def _per_code(self, columns) -> np.ndarray:
+        """The int64 table t over codes with t[x] = sum_i columns[i][x_i],
+        x_i the digits of x: an outer sum, most significant factor first."""
+        table = np.zeros(1, dtype=np.int64)
+        for col in columns:
+            table = (table[:, None] + col).ravel()
+        return table
+
+    def translates(self, g: Element) -> np.ndarray:
+        """The codes of x + g for every code x, in code order: each digit
+        column rolled by g's residue in that factor."""
+        return self._per_code(
+            np.arange(c, c + n, dtype=np.int64) % n * w
+            for c, w, n in zip(g, self._weights, self.cyclic_orders)
+        )
 
     def zero_sum_rows(self, rows: np.ndarray) -> np.ndarray:
-        """For a (b, k) array of codes, whether each row sums to zero."""
-        digits = zip(self._weights, self.cyclic_orders)
-        return ~np.any([(rows // w % n).sum(axis=1) % n for w, n in digits], axis=0)
+        """For a (b, k) array of codes, whether each row sums to zero.
+
+        When the group has no more elements than `rows` has entries, the
+        digits of each code are read from a per-code table instead of being
+        divided out: each digit sits in its own bit field of an int64 word,
+        wide enough for k(n_i - 1), so one gather per column and their sum
+        add every digit without a carry between factors; fields that do not
+        fit in 62 bits go to further words.  The table is then no larger
+        than `rows`.  Otherwise, or if one field alone would need more than
+        62 bits, the digits are divided out of the codes.
+        """
+        b, k = rows.shape
+        widths = [(k * (n - 1)).bit_length() for n in self.cyclic_orders]
+        if self.order > rows.size or max(widths) > 62:
+            digits = zip(self._weights, self.cyclic_orders)
+            return ~np.any([(rows // w % n).sum(axis=1) % n for w, n in digits], axis=0)
+        words = []  # per word, the shift of each factor's field in it
+        for i, width in enumerate(widths):
+            if width == 0:
+                continue  # a factor of order 1: its digit is always zero
+            if not words or used + width > 62:
+                words.append({})
+                used = 0
+            words[-1][i] = used
+            used += width
+        ok = np.ones(b, dtype=bool)
+        for shifts in words:
+            table = self._per_code(
+                np.arange(n, dtype=np.int64) << shifts[i] if i in shifts else np.zeros(n, np.int64)
+                for i, n in enumerate(self.cyclic_orders)
+            )
+            sums = table[rows[:, 0]]
+            for j in range(1, k):
+                sums += table[rows[:, j]]
+            for i, s in shifts.items():
+                ok &= (sums >> s & (1 << widths[i]) - 1) % self.cyclic_orders[i] == 0
+        return ok
 
 
 class Subgroup:

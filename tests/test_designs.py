@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import difam.designs
 import difam.io
+from difam.carrier import ProductCarrier
 from difam.catalog import sigma_prime, thm62_z5, thm62_z7
 from difam.designs import (
     AnomalyVerdict,
@@ -219,6 +220,22 @@ def test_design_equality_compares_block_multisets(z5_design):
     assert (z5_design == "design") is False and z5_design != None  # noqa: E711
     with pytest.raises(TypeError):
         hash(z5_design)
+
+
+def test_design_equality_tells_product_carriers_apart(z5_design):
+    # Z_5^3, Z_5 x GF(25, 2,1,1) and Z_5 x GF(25, 2,4,1) share their cyclic
+    # orders; the same codes on each are three different designs
+    assert z5_design.carrier.field.modulus == (2, 1, 1)
+    flat = Design(AbelianGroup((5, 5, 5)), z5_design.blocks, 5)
+    other = ProductCarrier(AbelianGroup((5,)), FiniteField(5, 2, (2, 4, 1)))
+    twin = Design(other, z5_design.blocks, 5)
+    assert flat != z5_design and z5_design != flat
+    assert twin != z5_design and twin != flat
+    assert flat == Design(AbelianGroup((5, 5, 5)), z5_design.blocks[::-1], 5)
+    with pytest.raises(DesignError, match="not the elements"):
+        verify_super_regular(z5_design, flat.carrier)
+    with pytest.raises(DesignError, match="p\\^n coordinate subspace"):
+        subspace_replace(4, 3, 5, z5_design)
 
 
 def test_make_design_validates_width():

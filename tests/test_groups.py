@@ -62,12 +62,23 @@ def test_bad_orders_rejected():
         AbelianGroup((0,))
 
 
-def test_product_carrier_hashes_like_equal_group():
-    pc = ProductCarrier(AbelianGroup((5,)), FiniteField(5, 2))
-    ag = AbelianGroup((5, 5, 5))
-    assert pc == ag and ag == pc
-    assert hash(pc) == hash(ag)
-    assert len({pc, ag}) == 1
+def test_carrier_equality_is_one_key():
+    # a plain group once equalled every product carrier with its cyclic
+    # orders, while two of those products with different moduli differed
+    plain = AbelianGroup((5, 5, 5))
+    a = ProductCarrier(AbelianGroup((5,)), FiniteField(5, 2, (2, 1, 1)))
+    b = ProductCarrier(AbelianGroup((5,)), FiniteField(5, 2, (2, 4, 1)))
+    same_a = ProductCarrier(AbelianGroup((5,)), FiniteField(5, 2, (2, 1, 1)))
+    carriers = [plain, a, b, same_a]
+    for x in carriers:
+        for y in carriers:
+            assert (x == y) == (y == x) == (x._key == y._key)
+            for z in carriers:
+                assert not (x == y and y == z) or x == z
+    assert a == same_a and hash(a) == hash(same_a)
+    assert a != plain and plain != a and a != b
+    assert len({plain, a, b, same_a}) == 3
+    assert AbelianGroup((5, 5, 5)) == plain and hash(AbelianGroup((5, 5, 5))) == hash(plain)
 
 
 def test_presentation_matters():
