@@ -1,10 +1,11 @@
 """Product carriers G x F_q, flattened to a single abelian group.
 
-An element of G x F_q is stored as one flat residue tuple: the group
-coordinates followed by the field coefficients.  All additive machinery
-(differences, coverage, subgroups, development) then works unchanged; the
-lifting code uses split/join to reach the multiplicative structure of the
-field part.
+An element of G x F_q is one flat residue tuple: the group coordinates
+followed by the field coefficients.  All additive machinery (differences,
+coverage, subgroups, development) then works unchanged.  As an int code it
+is group_code * q + field_code, so the lifting code reaches the field part
+of a code row by `% q` and the multiplicative structure through the field's
+exp/log tables; `split` serves the tuple edges.
 """
 
 from __future__ import annotations
@@ -30,26 +31,10 @@ class ProductCarrier(AbelianGroup):
     def __repr__(self) -> str:
         return f"ProductCarrier({self.group} x {self.field})"
 
-    def join(self, g: Element, x: Element) -> Element:
-        return tuple(g) + tuple(x)
-
     def split(self, e: Element) -> tuple[Element, Element]:
         return e[: self._split_at], e[self._split_at :]
 
-    def group_part(self, e: Element) -> Element:
-        return e[: self._split_at]
-
-    def field_part(self, e: Element) -> Element:
-        return e[self._split_at :]
-
-    def scale_field(self, e: Element, m: Element) -> Element:
-        """Multiply the field coordinate by m, leaving the group part alone."""
-        g, x = self.split(e)
-        return self.join(g, self.field.mul(x, m))
-
     def forbidden_subgroup(self) -> Subgroup:
-        """The subgroup G x {0}."""
-        zero = self.field.zero
-        return Subgroup(
-            self, [self.join(g, zero) for g in self.group.elements()], verify=False
-        )
+        """The subgroup G x {0}: the codes that are multiples of q."""
+        codes = range(0, self.order, self.field.q)
+        return Subgroup(self, map(self.decode, codes), verify=False)

@@ -2,15 +2,17 @@
 
 Triples (a, b, c) over Z_m x GF(p^2) denote the group element a paired with
 the field element b*l + c, where l is the chosen primitive root; internally
-the field element is the ascending coefficient tuple (c, b).
+the field element is the ascending coefficient tuple (c, b), with additive
+code c*p + b.  A product code is group_code * q + field_code, so (a, b, c)
+has code a*q + c*p + b and the fixtures are built as code rows.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import numpy as np
 
 from .carrier import ProductCarrier
-from .diffs import GMultiset
+from .diffs import GMultiset, blocks_of
 from .families import RelativeDifferenceFamily, StrongDifferenceFamily
 from .gf import FiniteField
 from .groups import AbelianGroup
@@ -51,11 +53,7 @@ def _triple_df(
 ) -> RelativeDifferenceFamily:
     field = FiniteField(p, 2, (2, 1, 1)) if p == 5 else FiniteField(p, 2)
     carrier = ProductCarrier(AbelianGroup((group_order,)), field)
-    blocks = []
-    for t in triples:
-        blocks.append(
-            GMultiset(carrier, [carrier.join((a,), (c, b)) for a, b, c in t])
-        )
+    blocks = blocks_of(carrier, np.array(triples) @ np.array([field.q, 1, p]))
     return RelativeDifferenceFamily(carrier, carrier.forbidden_subgroup(), k, 1, blocks)
 
 
@@ -77,12 +75,7 @@ def sigma_prime() -> StrongDifferenceFamily:
         [1, 3, 4, 5, 7, 12, 13],
         [1, 5, 8, 10, 11, 12, 13],
     ]
-    blocks = []
-    for a_set in halves:
-        entries: Counter = Counter({(0,): 1})
-        for a in a_set:
-            entries[(a,)] += 2
-        blocks.append(GMultiset(group, entries))
+    blocks = blocks_of(group, np.array([[0] + a_set * 2 for a_set in halves]))
     return StrongDifferenceFamily(group, 15, 42, blocks)
 
 

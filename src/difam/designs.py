@@ -15,9 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 from sympy import isprime
 
-from .diffs import _CHUNK, block_codes
 from .families import RelativeDifferenceFamily, verify_rdf
-from .groups import AbelianGroup, DifamError, Element
+from .groups import _CHUNK, AbelianGroup, DifamError, Element
 
 
 class DesignError(DifamError):
@@ -89,9 +88,9 @@ class AnomalyVerdict:
 
 
 def make_design(carrier: AbelianGroup, blocks: Sequence[Sequence[Element]], k: int) -> Design:
-    _, rows, mask = block_codes(carrier, blocks)
-    if not mask.all() or rows.shape[1] != k:
+    if not blocks or any(len(b) != k for b in blocks):
         raise DesignError(f"blocks must all have {k} points")
+    rows = carrier.encode_elements([e for b in blocks for e in b]).reshape(len(blocks), k)
     return Design(carrier, np.sort(rows, axis=1), k)
 
 
@@ -131,7 +130,7 @@ def _develop_rows(rdf: RelativeDifferenceFamily, lam: int) -> np.ndarray:
     n_translates = len(rdf.blocks) * n
     rows = np.empty((n_translates + lam * sum(len(c) for c in cosets), rdf.k), dtype=np.int64)
     for i, block in enumerate(rdf.blocks):  # one base block at a time: |G| x k
-        fill(rows[i * n : (i + 1) * n], block.expand())
+        fill(rows[i * n : (i + 1) * n], map(carrier.decode, block.codes.tolist()))
     lo = n_translates
     for unique in cosets:  # lam copies of each coset
         rows[lo : lo + lam * len(unique)] = np.repeat(unique, lam, axis=0)
@@ -273,9 +272,7 @@ def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVer
     if design.k < 1:
         raise DesignError(f"need blocks of at least one point, got k={design.k}")
     arr, v = design.blocks, design.v
-    additive = all(
-        group.zero_sum_rows(arr[lo : lo + _CHUNK]).all() for lo in range(0, arr.shape[0], _CHUNK)
-    )
+    additive = bool(group.zero_sum_rows(arr).all())
     if arr.shape[0] and v > arr.size:
         return SuperRegularVerdict(False, additive)
     keys = _sorted_row_keys(arr, v)

@@ -1,4 +1,4 @@
-"""Multisets over group elements and the difference-list calculus.
+"""Blocks as sorted runs of element codes, and the difference-list calculus.
 
 Every family notion in this package (strong difference families, relative
 difference families, difference matrices) reduces to statements about the
@@ -7,74 +7,92 @@ shared foundation: GMultiset for blocks, `delta_family` for the difference
 list as a count array indexed by element code, and `coverage` for the
 verdict "every carrier element outside the excluded set is hit exactly
 lambda times, every excluded one never".
+
+A block is one sorted run of int64 element codes (`AbelianGroup.encode`),
+repeats kept; code order is element order.  On a product carrier G x F_q
+the code of (g, x) is group_code * q + field_code, so the builders work on
+code rows and never form a tuple.  Tuples appear only where a block is made
+from elements or `expand`ed back into them: at the API and io edges.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import AbelianGroup, Element, GroupError, Subgroup
-
-_CHUNK = 1 << 12  # blocks per slice in the array builders: bounds their temporaries
+from .groups import _CHUNK, AbelianGroup, Element, GroupError, Subgroup
 
 
 class GMultiset:
-    """Immutable multiset of elements of an abelian group carrier."""
+    """Immutable multiset of elements of an abelian group carrier: the bytes
+    of its sorted int64 code run, which `codes` reads as an array."""
 
-    def __init__(self, carrier: AbelianGroup, entries: Iterable[Element] | Counter):
+    __slots__ = ("carrier", "_row")
+
+    def __init__(self, carrier: AbelianGroup, elements: Sequence[Element]):
         self.carrier = carrier
-        if isinstance(entries, Counter):
-            counts = +entries
-        else:
-            counts = Counter(entries)
-        for e in counts:
-            carrier.check(e)
-        self.entries: dict[Element, int] = dict(sorted(counts.items()))
-        self.size = sum(self.entries.values())
+        self._row = np.sort(carrier.encode_elements(list(elements))).tobytes()
 
-    def items(self):
-        return self.entries.items()
+    @property
+    def codes(self) -> np.ndarray:
+        return np.frombuffer(self._row, dtype=np.int64)
+
+    @property
+    def size(self) -> int:
+        return len(self._row) >> 3
 
     def expand(self) -> list[Element]:
         """Sorted list with multiplicities written out."""
-        out = []
-        for e, m in self.entries.items():
-            out.extend([e] * m)
-        return out
-
-    def multiplicity(self, e: Element) -> int:
-        return self.entries.get(e, 0)
+        return list(map(tuple, self.carrier.decode_array(self.codes).tolist()))
 
     def is_set(self) -> bool:
-        return len(self.entries) == self.size  # every multiplicity is at least 1
-
-    def union(self, other: "GMultiset") -> "GMultiset":
-        if other.carrier != self.carrier:
-            raise GroupError("multiset union across different carriers")
-        c = Counter(self.entries)
-        c.update(other.entries)
-        return GMultiset(self.carrier, c)
+        return not np.any(np.diff(self.codes) == 0)
 
     def translate(self, g: Element) -> "GMultiset":
-        add = self.carrier.add
-        return GMultiset(self.carrier, Counter({add(e, g): m for e, m in self.entries.items()}))
+        minus_g = self.carrier.encode(self.carrier.neg(self.carrier.check(g)))
+        return blocks_of(self.carrier, self.carrier.sub_codes(self.codes, minus_g)[None])[0]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GMultiset)
             and self.carrier == other.carrier
-            and self.entries == other.entries
+            and self._row == other._row
         )
 
     def __hash__(self) -> int:
-        return hash((self.carrier, tuple(self.entries.items())))
+        return hash((self.carrier, self._row))
 
     def __repr__(self) -> str:
         return f"GMultiset({self.expand()})"
+
+
+def blocks_of(carrier: AbelianGroup, rows: np.ndarray) -> list[GMultiset]:
+    """One block per row of a (b, k) int64 array of the carrier's codes.
+    The codes are not checked; the rows are sorted in place."""
+    rows.sort(axis=1)
+    width, raw = 8 * rows.shape[1], rows.tobytes()
+    return [_block(carrier, raw[i * width : (i + 1) * width]) for i in range(len(rows))]
+
+
+def _block(carrier: AbelianGroup, row: bytes) -> GMultiset:
+    block = GMultiset.__new__(GMultiset)
+    block.carrier, block._row = carrier, row
+    return block
+
+
+def stack_rows(blocks: Sequence[GMultiset], k: int) -> np.ndarray:
+    """The read-only (b, k) int64 array of the codes of blocks of k points."""
+    return np.frombuffer(b"".join([b._row for b in blocks]), np.int64).reshape(len(blocks), k)
+
+
+def block_rows(blocks: Sequence[GMultiset]) -> list[np.ndarray]:
+    """The blocks' codes as one (b_k, k) array per block size k, ascending."""
+    sizes = sorted({b.size for b in blocks})
+    if len(sizes) == 1:
+        return [stack_rows(blocks, sizes[0])]
+    return [stack_rows([b for b in blocks if b.size == k], k) for k in sizes]
 
 
 @dataclass
@@ -90,49 +108,32 @@ class CoverageVerdict:
         return self.constant_lambda is not None and self.excluded_clean
 
 
-class FamilyCodes(NamedTuple):
-    """Blocks as rows of codes, padded with 0 (the code of zero) up to the
-    longest block, and the (b, width) mask of the real entries."""
-
-    carrier: AbelianGroup
-    rows: np.ndarray
-    mask: np.ndarray
-
-
-def block_codes(carrier: AbelianGroup, blocks: Sequence) -> FamilyCodes:
-    """The FamilyCodes of blocks that are GMultisets, each expanded once, or
-    sequences of elements."""
-    blocks = [b.expand() if isinstance(b, GMultiset) else b for b in blocks]
-    sizes = np.array([len(b) for b in blocks], dtype=np.int64)
-    mask = np.arange(sizes.max(initial=0)) < sizes[:, None]
-    coords = np.array([e for b in blocks for e in b], dtype=np.int64).reshape(-1, carrier.rank)
-    if len(coords) != sizes.sum() or np.any((coords < 0) | (coords >= carrier.cyclic_orders)):
-        raise GroupError(f"blocks hold points that are not elements of {carrier}")
-    rows = np.zeros(mask.shape, dtype=np.int64)
-    rows[mask] = carrier.encode_array(coords)
-    return FamilyCodes(carrier, rows, mask)
-
-
-def delta_family(blocks: Sequence[GMultiset] | FamilyCodes) -> np.ndarray:
+def delta_family(
+    blocks: Sequence[GMultiset] | np.ndarray, carrier: Optional[AbelianGroup] = None
+) -> np.ndarray:
     """The multiset union of the blocks' difference lists (b_i - b_j over
-    ordered pairs of distinct positions), as a count per element code."""
-    if not isinstance(blocks, FamilyCodes):
+    ordered pairs of distinct positions), as a count per element code.
+
+    `blocks` is a list of GMultisets on one carrier, or, with `carrier`
+    given, a (b, k) array of its codes."""
+    if carrier is None:
         if not blocks:
             raise GroupError("empty family has no carrier; pass at least one block")
         carrier = blocks[0].carrier
         if any(b.carrier is not carrier and b.carrier != carrier for b in blocks):
             raise GroupError("blocks on mixed carriers")
-        blocks = block_codes(carrier, blocks)
-    carrier, rows, mask = blocks
-    if (mask.sum(axis=1) < 2).any():
+        parts = block_rows(blocks)
+    else:
+        parts = [blocks]
+    if any(rows.shape[1] < 2 and len(rows) for rows in parts):
         raise GroupError("difference list needs blocks of size >= 2")
     counts = np.zeros(carrier.order, dtype=np.int64)
-    i_idx, j_idx = np.nonzero(~np.eye(rows.shape[1], dtype=bool))
-    for lo in range(0, len(rows), _CHUNK):
-        part, real = rows[lo : lo + _CHUNK], mask[lo : lo + _CHUNK]
-        diffs = carrier.sub_codes(part[:, i_idx], part[:, j_idx])
-        # add.at costs per difference, a bincount per slice would cost v
-        np.add.at(counts, diffs[real[:, i_idx] & real[:, j_idx]], np.int64(1))
+    for rows in parts:
+        i_idx, j_idx = np.nonzero(~np.eye(rows.shape[1], dtype=bool))
+        for lo in range(0, len(rows), _CHUNK):
+            part = rows[lo : lo + _CHUNK]
+            # add.at costs per difference, a bincount per slice would cost v
+            np.add.at(counts, carrier.sub_codes(part[:, i_idx], part[:, j_idx]), np.int64(1))
     return counts
 
 

@@ -7,7 +7,11 @@ argument).
 Verifiers return verdicts rather than booleans: lambda, whether the
 forbidden elements stay clean, and every element covered off target with
 its count, so a failing family can be diagnosed and a passing one
-certified.  Differences are counted on int element codes (`diffs`).
+certified.  The verifiers stack the blocks' code rows (`diffs`) into one
+array and count on it, decoding nothing.  The constructions build code rows;
+on a product G x H the code of (g, h) is g_code * |H| + h_code, as it is
+group_code * q + field_code on G x F_q.  A difference matrix keeps its
+columns as element tuples.
 
 Additivity is never stored: each family type derives `additive` from its
 current blocks on every access through `blocks_are_additive`, the same
@@ -16,15 +20,15 @@ helper the verifiers use for `is_additive`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 from sympy import factorint
 
-from .diffs import CoverageVerdict, FamilyCodes, GMultiset, block_codes, coverage, delta_family
-from .gf import FiniteField, nonzero_squares
+from .diffs import CoverageVerdict, GMultiset, block_rows, blocks_of, coverage, delta_family
+from .diffs import stack_rows
+from .gf import FiniteField
 from .groups import AbelianGroup, DifamError, Element, Subgroup, sum_of
 from .params import Condition, ParamVerdict, largest_odd_prime_power_factor, main_status
 
@@ -69,14 +73,19 @@ def _members(forbidden: Forbidden) -> list[Subgroup]:
     return [forbidden] if isinstance(forbidden, Subgroup) else forbidden.members
 
 
-def blocks_are_additive(group: AbelianGroup, blocks, forbidden: Sequence[Subgroup]) -> bool:
+def blocks_are_additive(
+    group: AbelianGroup, parts: Sequence[np.ndarray], forbidden: Sequence[Subgroup]
+) -> bool:
     """Every block sums to zero and no forbidden subgroup is binary (has
     exactly one involution); absolute families pass no forbidden subgroups.
-    Blocks are GMultisets, sequences of elements, or their FamilyCodes."""
-    rows = (blocks if isinstance(blocks, FamilyCodes) else block_codes(group, blocks)).rows
-    return bool(group.zero_sum_rows(rows).all()) and not any(
+    `parts` holds the blocks as (b, k) code arrays (`diffs.block_rows`)."""
+    return all(group.zero_sum_rows(rows).all() for rows in parts) and not any(
         _subgroup_is_binary(sub) for sub in forbidden
     )
+
+
+def _column_rows(group: AbelianGroup, columns: Sequence, k: int) -> np.ndarray:
+    return group.encode_elements([e for c in columns for e in c]).reshape(len(columns), k)
 
 
 def _subgroup_is_binary(sub: Subgroup) -> bool:
@@ -98,7 +107,7 @@ class StrongDifferenceFamily:
 
     @property
     def additive(self) -> bool:
-        return blocks_are_additive(self.group, self.blocks, ())
+        return blocks_are_additive(self.group, block_rows(self.blocks), ())
 
 
 @dataclass
@@ -115,7 +124,7 @@ class RelativeDifferenceFamily:
 
     @property
     def additive(self) -> bool:
-        return blocks_are_additive(self.group, self.blocks, self.forbidden_members())
+        return blocks_are_additive(self.group, block_rows(self.blocks), self.forbidden_members())
 
     def forbidden_members(self) -> list[Subgroup]:
         return _members(self.forbidden)
@@ -130,7 +139,8 @@ class DifferenceMatrix:
 
     @property
     def additive(self) -> bool:
-        return blocks_are_additive(self.group, self.columns, ())
+        rows = _column_rows(self.group, self.columns, self.k)
+        return blocks_are_additive(self.group, [rows], ())
 
 
 @dataclass
@@ -174,10 +184,10 @@ def verify_sdf(
     if not blocks or any(b.size != k or (b.carrier is not group and b.carrier != group)
                          for b in blocks):
         return SdfVerdict(False, False, None, CoverageVerdict(0, True))
-    codes = block_codes(group, blocks)  # each block expanded once, for both checks
-    cov = coverage(delta_family(codes), group)
+    rows = stack_rows(blocks, k)  # one code array for both checks
+    cov = coverage(delta_family(rows, group), group)
     is_sdf = cov.ok and cov.constant_lambda == lam
-    return SdfVerdict(is_sdf, blocks_are_additive(group, codes, ()), cov.constant_lambda, cov)
+    return SdfVerdict(is_sdf, blocks_are_additive(group, [rows], ()), cov.constant_lambda, cov)
 
 
 def verify_rdf(
@@ -192,14 +202,14 @@ def verify_rdf(
     for sub in members:
         if sub.parent != group:
             raise FamilyError("forbidden subgroup has the wrong parent group")
-    if any(b.size != k or not b.is_set() or (b.carrier is not group and b.carrier != group)
-           for b in blocks):
+    if any(b.size != k or (b.carrier is not group and b.carrier != group) for b in blocks):
         return RdfVerdict(False, False, None, CoverageVerdict(0, True))
-    codes = block_codes(group, blocks)
-    delta = delta_family(codes) if blocks else np.zeros(group.order, dtype=np.int64)
-    cov = coverage(delta, group, members)
+    rows = stack_rows(blocks, k)
+    if np.any(rows[:, 1:] == rows[:, :-1]):  # rows are sorted: a repeat is adjacent
+        return RdfVerdict(False, False, None, CoverageVerdict(0, True))
+    cov = coverage(delta_family(rows, group), group, members)
     is_rdf = cov.ok and cov.constant_lambda == lam
-    additive = blocks_are_additive(group, codes, members)
+    additive = blocks_are_additive(group, [rows], members)
     return RdfVerdict(is_rdf, additive, cov.constant_lambda, cov)
 
 
@@ -245,11 +255,9 @@ def paley_sdf(q: int) -> StrongDifferenceFamily:
     if q % 2 == 0:
         raise FamilyError(f"q must be odd, got {q}")
     fld = field_for_prime_power(q)
-    group = fld.additive_group
-    entries: Counter = Counter({fld.zero: 1})
-    for sq in nonzero_squares(fld):
-        entries[sq] += 2
-    return StrongDifferenceFamily(group, q, q - 1, [GMultiset(group, entries)])
+    block = np.concatenate(([0], np.repeat(fld.exp[::2], 2)))  # zero, then each square twice
+    blocks = blocks_of(fld.additive_group, block[None])
+    return StrongDifferenceFamily(fld.additive_group, q, q - 1, blocks)
 
 
 def verify_dm(
@@ -265,7 +273,7 @@ def verify_dm(
         raise FamilyError("ragged matrix: every column must have k entries")
     if len(cols) != mu * group.order:
         return DmVerdict(False, False, [(-1, -1, group.zero, len(cols))])
-    rows = block_codes(group, cols).rows.reshape(len(cols), k)  # (0, k) with no columns too
+    rows = _column_rows(group, cols, k)
     failures = []
     for i in range(k):
         for j in range(i + 1, k):
@@ -301,14 +309,12 @@ def jungnickel_compose(
     if sdf.k != dm.k:
         raise FamilyError(f"block size mismatch: SDF k={sdf.k}, DM k={dm.k}")
     product = AbelianGroup(sdf.group.cyclic_orders + dm.group.cyclic_orders)
-    blocks = []
-    for block in sdf.blocks:
-        expanded = block.expand()
-        for col in dm.columns:
-            blocks.append(
-                GMultiset(product, [b + m for b, m in zip(expanded, col)])
-            )
-    return StrongDifferenceFamily(product, sdf.k, sdf.lam * dm.mu, blocks)
+    # the code of (g, h) is g_code * |H| + h_code; block-major, column-minor
+    rows = stack_rows(sdf.blocks, sdf.k)[:, None, :] * dm.group.order
+    rows = rows + _column_rows(dm.group, dm.columns, dm.k)[None]
+    return StrongDifferenceFamily(
+        product, sdf.k, sdf.lam * dm.mu, blocks_of(product, rows.reshape(-1, sdf.k))
+    )
 
 
 def theorem82_coverage_forms(q: int, r: int) -> dict[str, int]:
@@ -335,11 +341,9 @@ def theorem82_core_sdf(k: int) -> StrongDifferenceFamily:
         raise FamilyError(f"k={k} is out of reach for this construction ({status})")
     q, r = largest_odd_prime_power_factor(k)
     fld = field_for_prime_power(q)
-    group = fld.additive_group
-    a_entries: Counter = Counter({fld.zero: r})
-    for sq in nonzero_squares(fld):
-        a_entries[sq] += 2 * r
-    block_a = GMultiset(group, a_entries)
-    block_b = GMultiset(group, Counter({e: r for e in group.elements()}))
-    blocks = [block_a] + [block_b] * (r - 1)
-    return StrongDifferenceFamily(group, k, (k - 1) * r * r, blocks)
+    block_a = np.concatenate((np.zeros(r, np.int64), np.repeat(fld.exp[::2], 2 * r)))
+    block_b = np.repeat(np.arange(q), r)
+    rows = np.stack([block_a] + [block_b] * (r - 1))
+    return StrongDifferenceFamily(
+        fld.additive_group, k, (k - 1) * r * r, blocks_of(fld.additive_group, rows)
+    )

@@ -348,27 +348,26 @@ def coset_reps(field: FiniteField, spec: tuple[str, int]) -> list[Element]:
     raise FieldError(f"unknown coset spec kind {kind!r}")
 
 
-def subfield_embed(field: FiniteField, base: FiniteField) -> dict[Element, Element]:
-    """Ring-homomorphic embedding of GF(p^n) into GF(p^{nm}) as a dict.
+def subfield_embed(field: FiniteField, base: FiniteField) -> np.ndarray:
+    """Ring-homomorphic embedding of GF(p^n) into GF(p^{nm}) as a code table:
+    entry c is the additive code of the image of the base element with code c.
 
-    The image is {0} together with the elements whose log is a multiple of
-    (p^{nm}-1)/(p^n-1).
+    The base root r (the class of x) goes to y, the root of the base modulus
+    of least log among the elements whose log is a multiple of
+    d = (p^{nm}-1)/(p^n-1), so r^i goes to y^i, and zero to zero.
     """
     if base.p != field.p:
         raise FieldError("characteristic mismatch")
     if field.n % base.n != 0:
         raise FieldError(f"GF({base.p}^{base.n}) is not a subfield of GF({field.p}^{field.n})")
-    d = (field.q - 1) // (base.q - 1)
-
-    def evaluate(coeffs: Sequence[int], x: Element) -> Element:
-        acc = field.zero  # sum of coeffs[j] * x^j, by Horner's rule
-        for c in reversed(coeffs):
-            acc = field.add(field.mul(acc, x), field.from_int(c))
-        return acc
-
-    # root of the base modulus inside the big field, least log
-    powers = (field.pow_root(i) for i in range(0, field.q - 1, d))
-    y = next((x for x in powers if evaluate(base.modulus, x) == field.zero), None)
-    if y is None:
+    logs = np.arange(0, field.q - 1, (field.q - 1) // (base.q - 1))  # of the candidates y
+    value = sum(  # the base modulus at every candidate, coefficient by coefficient
+        c * field.additive_group.decode_array(field.exp[logs * j % (field.q - 1)])
+        for j, c in enumerate(base.modulus)
+    )
+    roots = logs[~np.any(value % field.p, axis=1)]
+    if not roots.size:
         raise FieldError("base modulus has no root in the extension")  # unreachable
-    return {e: evaluate(e, y) for e in base.elements()}
+    table = np.zeros(base.q, dtype=np.int64)
+    table[base.exp] = field.exp[roots[0] * np.arange(base.q - 1) % (field.q - 1)]
+    return table

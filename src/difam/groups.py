@@ -1,15 +1,15 @@
 """Finite abelian groups presented as direct products of cyclic groups.
 
-Elements are plain tuples of residues, one per cyclic factor, which keeps
-them hashable and lexicographically ordered for free.  Two groups compare
-equal when their `_key`s do: the factor list, plus the field modulus for a
-product carrier G x F_q.  No canonicalization to invariant factors is
-attempted, so isomorphic groups with different presentations are distinct
-values on purpose.
+At the API an element is a tuple of residues, one per cyclic factor:
+hashable and lexicographically ordered for free.  Two groups compare equal
+when their `_key`s do: the factor list, plus the field modulus for a product
+carrier G x F_q.  Isomorphic groups with different presentations are
+distinct values on purpose.
 
-Array code works on int codes instead: the residues read as one mixed-radix
+Blocks and arrays hold int codes: the residues read as one mixed-radix
 number, most significant first, so codes run in the order of the elements.
-The `*_array`/`*_codes`/`*_rows` methods are the one codec for them.
+`encode_elements` is the checked way in from tuples; the
+`*_array`/`*_codes`/`*_rows` methods are the codec.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import numpy as np
 from sympy import factorint
 
 Element = tuple[int, ...]
+
+_CHUNK = 1 << 12  # rows per slice in the array builders: bounds their temporaries
 
 
 class DifamError(ValueError):
@@ -93,9 +95,6 @@ class AbelianGroup:
     def neg(self, a: Element) -> Element:
         return tuple((-x) % n for x, n in zip(a, self.cyclic_orders))
 
-    def smul(self, m: int, a: Element) -> Element:
-        return tuple((m * x) % n for x, n in zip(a, self.cyclic_orders))
-
     def elements(self) -> Iterator[Element]:
         """All elements in lexicographic order."""
         return itertools.product(*(range(n) for n in self.cyclic_orders))
@@ -115,6 +114,17 @@ class AbelianGroup:
     def encode_array(self, coords) -> np.ndarray:
         """Residues (..., rank) -> int64 codes (...)."""
         return np.asarray(coords, dtype=np.int64) @ np.array(self._weights, dtype=np.int64)
+
+    def encode_elements(self, elems: Sequence[Element]) -> np.ndarray:
+        """The codes of a list of elements; GroupError names one that is not."""
+        try:
+            coords = np.array(elems, dtype=np.int64).reshape(len(elems), self.rank)
+            if not np.any((coords < 0) | (coords >= self.cyclic_orders)):
+                return self.encode_array(coords)
+        except (ValueError, TypeError, OverflowError):
+            pass
+        bad = next((g for g in elems if not self.contains(g)), elems)
+        raise GroupError(f"{bad!r} is not an element of {self}")
 
     def decode_array(self, codes) -> np.ndarray:
         """Codes (...) -> int64 residues (..., rank)."""
@@ -146,19 +156,22 @@ class AbelianGroup:
         """For a (b, k) array of codes, whether each row sums to zero.
 
         When the group has no more elements than `rows` has entries, the
-        digits of each code are read from a per-code table instead of being
-        divided out: each digit sits in its own bit field of an int64 word,
-        wide enough for k(n_i - 1), so one gather per column and their sum
-        add every digit without a carry between factors; fields that do not
-        fit in 62 bits go to further words.  The table is then no larger
-        than `rows`.  Otherwise, or if one field alone would need more than
-        62 bits, the digits are divided out of the codes.
+        digits are read from a per-code table, no larger than `rows`: each
+        digit sits in its own bit field of an int64 word, wide enough for
+        k(n_i - 1), so the gathered columns add every digit without a carry
+        between factors; fields past 62 bits go to further words.  Otherwise,
+        or if one field alone needs more than 62 bits, the digits are divided
+        out.  Rows go in slices of _CHUNK; each table is built once.
         """
         b, k = rows.shape
         widths = [(k * (n - 1)).bit_length() for n in self.cyclic_orders]
+        ok = np.ones(b, dtype=bool)
         if self.order > rows.size or max(widths) > 62:
-            digits = zip(self._weights, self.cyclic_orders)
-            return ~np.any([(rows // w % n).sum(axis=1) % n for w, n in digits], axis=0)
+            digits = list(zip(self._weights, self.cyclic_orders))
+            for lo in range(0, b, _CHUNK):
+                part = rows[lo : lo + _CHUNK]
+                ok[lo : lo + _CHUNK] = ~np.any([(part // w % n).sum(1) % n for w, n in digits], 0)
+            return ok
         words = []  # per word, the shift of each factor's field in it
         for i, width in enumerate(widths):
             if width == 0:
@@ -168,17 +181,19 @@ class AbelianGroup:
                 used = 0
             words[-1][i] = used
             used += width
-        ok = np.ones(b, dtype=bool)
         for shifts in words:
             table = self._per_code(
                 np.arange(n, dtype=np.int64) << shifts[i] if i in shifts else np.zeros(n, np.int64)
                 for i, n in enumerate(self.cyclic_orders)
             )
-            sums = table[rows[:, 0]]
-            for j in range(1, k):
-                sums += table[rows[:, j]]
-            for i, s in shifts.items():
-                ok &= (sums >> s & (1 << widths[i]) - 1) % self.cyclic_orders[i] == 0
+            for lo in range(0, b, _CHUNK):
+                part = rows[lo : lo + _CHUNK]
+                sums = table[part[:, 0]]
+                for j in range(1, k):
+                    sums += table[part[:, j]]
+                for i, s in shifts.items():
+                    field = (sums >> s & (1 << widths[i]) - 1) % self.cyclic_orders[i]
+                    ok[lo : lo + _CHUNK] &= field == 0
         return ok
 
 
@@ -237,21 +252,11 @@ def generated_subgroup(group: AbelianGroup, generators: Iterable[Element]) -> Su
     return Subgroup(group, elems, verify=False)
 
 
-def sum_of(group: AbelianGroup, elems) -> Element:
-    """Sum of a multiset (or iterable) of elements; empty sum is the identity.
-
-    Accepts anything iterating over (element, multiplicity) pairs via an
-    ``items()`` method, e.g. a GMultiset or Counter, or a plain iterable of
-    elements.
-    """
+def sum_of(group: AbelianGroup, elems: Iterable[Element]) -> Element:
+    """Sum of an iterable of elements, repeats counted; the empty sum is the identity."""
     total = group.zero
-    if hasattr(elems, "items"):
-        pairs = elems.items()
-    else:
-        pairs = ((e, 1) for e in elems)
-    for g, mult in pairs:
-        group.check(g)
-        total = group.add(total, group.smul(mult, g))
+    for g in elems:
+        total = group.add(total, group.check(g))
     return total
 
 

@@ -10,6 +10,9 @@ deterministic candidate order: options are listed as ascending log codes
 (`gf.ClassMasks`), so least log index first, then permuted by a seed.  Every
 accepted lifting is re-verified by an independent checker, never trusted
 from the search itself.
+
+The searches keep second coordinates as tuples; what follows them works on
+code rows, (g, x) coded group_code * q + field_code.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .carrier import ProductCarrier
-from .diffs import GMultiset
+from .diffs import GMultiset, blocks_of, stack_rows
 from .families import (
     FamilyError,
     RdfVerdict,
@@ -32,7 +35,7 @@ from .families import (
     StrongDifferenceFamily,
     verify_rdf,
 )
-from .gf import FiniteField, class_index, coset_reps, subfield_embed
+from .gf import FiniteField, class_index, subfield_embed
 from .groups import DifamError, Element, sum_of
 
 
@@ -61,7 +64,7 @@ class PsiAssignment:
 class Lifting:
     sdf: StrongDifferenceFamily
     field: FiniteField
-    second_coords: list[list[Element]]  # per block, aligned with block.expand()
+    second_coords: list[list[Element]]  # per block, aligned with its sorted elements
     strategy: str
     nodes: int = 0  # search nodes visited, 0 when no search ran
     deepest: int = 0  # deepest search level reached
@@ -70,24 +73,24 @@ class Lifting:
         return ProductCarrier(self.sdf.group, self.field)
 
     def lifted_blocks(self) -> list[GMultiset]:
-        carrier = self.carrier()
-        out = []
-        for block, coords in zip(self.sdf.blocks, self.second_coords):
-            pairs = [carrier.join(b, x) for b, x in zip(block.expand(), coords)]
-            if len(set(pairs)) != len(pairs):
-                raise LiftingError("lifted block has repeated pairs")
-            out.append(GMultiset(carrier, pairs))
-        return out
+        carrier, encode = self.carrier(), self.field.additive_group.encode_elements
+        # a block's codes run in the order of its sorted elements, as its coordinates do
+        blocks = [
+            blocks_of(carrier, (b.codes * self.field.q + encode(x))[None])[0]
+            for b, x in zip(self.sdf.blocks, self.second_coords)
+        ]
+        if not all(b.is_set() for b in blocks):
+            raise LiftingError("lifted block has repeated pairs")
+        return blocks
 
 
-@dataclass
 class MultiplierSet:
-    field: FiniteField
-    elements: list[Element]
+    """Nonzero field elements as their sorted distinct additive codes."""
 
-    def __post_init__(self):
-        self.elements = sorted(set(self.elements))
-        if any(e == self.field.zero for e in self.elements):
+    def __init__(self, field: FiniteField, elements: Sequence[Element]):
+        self.field = field
+        self.codes = np.unique(field.additive_group.encode_elements(list(elements)))
+        if self.codes.size and self.codes[0] == 0:
             raise FamilyError("multipliers must be nonzero")
 
 
@@ -311,12 +314,13 @@ def zero_sum_adjust(rdf: RelativeDifferenceFamily, k: int) -> RelativeDifference
     fld = carrier.field
     if k % fld.p == 0:
         raise LiftingError(f"k={k} is zero in characteristic {fld.p}")
-    new_blocks = []
-    for block in rdf.blocks:
-        sigma = carrier.field_part(sum_of(carrier, block))
-        shift = carrier.join(carrier.group.zero, fld.neg(fld.div_int(sigma, k)))
-        new_blocks.append(block.translate(shift))
-    return RelativeDifferenceFamily(carrier, rdf.forbidden, rdf.k, rdf.lam, new_blocks)
+    rows = stack_rows(rdf.blocks, rdf.k)
+    digits = fld.additive_group.decode_array(rows % fld.q)  # (b, k, n) field coefficients
+    # minus the field sum over k: each coefficient of the sum times -1/k in GF(p)
+    digits += digits.sum(axis=1, keepdims=True) * -pow(k, -1, fld.p)
+    rows = rows - rows % fld.q + fld.additive_group.encode_array(digits % fld.p)
+    blocks = blocks_of(carrier, rows)
+    return RelativeDifferenceFamily(carrier, rdf.forbidden, rdf.k, rdf.lam, blocks)
 
 
 def zero_sum_lift(
@@ -399,19 +403,19 @@ def zero_sum_lift(
 
 def _signed_shape(block: GMultiset) -> list[Element]:
     """The set A for a block of shape {0} u 2*A; raises if the shape is wrong."""
-    zero = block.carrier.zero
     a = []
-    for e, m in block.items():
-        if e == zero:
+    for c, m in zip(*(x.tolist() for x in np.unique(block.codes, return_counts=True))):
+        if c == 0:  # the code of zero
             if m != 1:
                 raise LiftingError(f"zero must appear exactly once, has multiplicity {m}")
         elif m == 2:
-            a.append(e)
+            a.append(block.carrier.decode(c))
         else:
+            e = block.carrier.decode(c)
             raise LiftingError(f"element {e} has multiplicity {m}, expected 2")
     if 2 * len(a) + 1 != block.size:
         raise LiftingError("block is not of the shape {0} u 2*A")
-    return sorted(a)
+    return a
 
 
 def _signed_coords(block: GMultiset, field: FiniteField, assign: dict) -> list[Element]:
@@ -562,17 +566,16 @@ class MultiplierVerdict:
 
 
 def _multiply_out(
-    carrier: ProductCarrier, point_lists: Sequence[Sequence[Element]], mults: Sequence[Element]
+    carrier: ProductCarrier, rows: Sequence[np.ndarray], logs: np.ndarray
 ) -> list[GMultiset]:
-    """One block per (point list, multiplier): the field parts times m, by logs."""
+    """One block per (code row, multiplier r^log), in that order: the field
+    part of each point times the multiplier, by logs; the group part kept."""
     field, blocks = carrier.field, []
-    steps = np.array([field.log_code(m) - 1 for m in mults]).reshape(-1, 1)  # m != 0
-    for pts in point_lists:
-        gs, xs = zip(*map(carrier.split, pts))
-        ys = np.array([field.log_code(x) for x in xs])
-        codes = np.where(ys > 0, field.exp[(ys - 1 + steps) % (field.q - 1)], 0)
-        for row in field.additive_group.decode_array(codes).tolist():
-            blocks.append(GMultiset(carrier, [carrier.join(g, x) for g, x in zip(gs, row)]))
+    q, logs = field.q, np.asarray(logs, dtype=np.int64)[:, None]
+    for row in rows:
+        x = field.log[row % q].astype(np.int64)  # -1 at zero, which stays zero
+        product = np.where(x >= 0, field.exp[(x + logs) % (q - 1)], 0) + (row - row % q)
+        blocks += blocks_of(carrier, product)
     return blocks
 
 
@@ -589,18 +592,16 @@ def apply_multipliers(
     fld = lifting.field
     sdf = lifting.sdf
     lam = sdf.lam
-    if len(multipliers.elements) * lam != fld.q - 1:
+    if len(multipliers.codes) * lam != fld.q - 1:
         raise FamilyError(
-            f"need |M| = (q-1)/lambda = {(fld.q - 1) // lam}, got {len(multipliers.elements)}"
+            f"need |M| = (q-1)/lambda = {(fld.q - 1) // lam}, got {len(multipliers.codes)}"
         )
     carrier = lifting.carrier()
-    lifted = [block.expand() for block in lifting.lifted_blocks()]
-    blocks = _multiply_out(carrier, lifted, multipliers.elements)
+    lifted = [b.codes for b in lifting.lifted_blocks()]
+    blocks = _multiply_out(carrier, lifted, fld.log[multipliers.codes])
     forbidden = carrier.forbidden_subgroup()
     rdf_verdict = verify_rdf(blocks, carrier, forbidden, sdf.k, 1)
-    failing = min(
-        (carrier.group_part(e) for e, _ in rdf_verdict.coverage.failures), default=None
-    )
+    failing = min((carrier.split(e)[0] for e, _ in rdf_verdict.coverage.failures), default=None)
     rdf = RelativeDifferenceFamily(carrier, forbidden, sdf.k, 1, blocks)
     return rdf, MultiplierVerdict(rdf_verdict.is_rdf, failing, rdf_verdict)
 
@@ -619,14 +620,10 @@ def extend_field(rdf: RelativeDifferenceFamily, n: int) -> RelativeDifferenceFam
     base = carrier.field
     big = FiniteField(base.p, base.n * n)
     embed = subfield_embed(big, base)
-    d = (big.q - 1) // (base.q - 1)
-    reps = coset_reps(big, ("index", d))
     new_carrier = ProductCarrier(carrier.group, big)
-    embedded = [
-        [new_carrier.join(g, embed[x]) for g, x in map(carrier.split, block.expand())]
-        for block in rdf.blocks
-    ]
-    blocks = _multiply_out(new_carrier, embedded, reps)
+    embedded = [b.codes // base.q * big.q + embed[b.codes % base.q] for b in rdf.blocks]
+    # coset representatives r^0 .. r^(d-1) of F_q^*, d = (q^n - 1)/(q - 1)
+    blocks = _multiply_out(new_carrier, embedded, np.arange((big.q - 1) // (base.q - 1)))
     return RelativeDifferenceFamily(
         new_carrier, new_carrier.forbidden_subgroup(), rdf.k, rdf.lam, blocks
     )
@@ -714,8 +711,8 @@ def simple_lift(
         lifting = signed_lifting_from_assignments(
             sdf, fld, [dict(zip(a_set, ys)) for a_set in shapes]
         )
-        lifted = [block.expand() for block in lifting.lifted_blocks()]
-        mults = fld.from_codes(fld.exp[: (fld.q - 1) // 2])
+        lifted = [b.codes for b in lifting.lifted_blocks()]
+        logs = np.arange((fld.q - 1) // 2)
         lam_out = sdf.lam // 2
     else:
         if L is None:
@@ -726,12 +723,10 @@ def simple_lift(
                 raise LiftingError("L must be a k-set")
             if sum_of(fld.additive_group, L_elems) != fld.zero:
                 raise LiftingError("L must be zero-sum")
-        lifted = [
-            [carrier.join(b, x) for b, x in zip(block.expand(), L_elems)]
-            for block in sdf.blocks
-        ]
-        mults = fld.from_codes(fld.exp)
+        x = fld.additive_group.encode_elements(L_elems)
+        lifted = [block.codes * fld.q + x for block in sdf.blocks]
+        logs = np.arange(fld.q - 1)
         lam_out = sdf.lam
 
-    blocks = _multiply_out(carrier, lifted, mults)
+    blocks = _multiply_out(carrier, lifted, logs)
     return RelativeDifferenceFamily(carrier, carrier.forbidden_subgroup(), k, lam_out, blocks)

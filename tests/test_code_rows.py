@@ -1,0 +1,221 @@
+"""The code-row products against the tuple path they replaced.
+
+`Lifting.lifted_blocks`, the multiplier expansion, `extend_field` and
+`simple_lift` build their blocks as int code rows (a product code is
+group_code * q + field_code).  The reference below is the tuple path they
+replaced, copied here: points joined and split as residue tuples, field
+parts multiplied through the log table, and the subfield embedding by
+Horner's rule through the tuple helpers.  The expanded blocks must agree,
+in the same order, and so must the multiplier verdict.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from difam import catalog
+from difam.carrier import ProductCarrier
+from difam.diffs import GMultiset
+from difam.families import FamilyError, verify_rdf
+from difam.gf import FiniteField, coset_reps, cyclotomic_class
+from difam.lifting import (
+    LiftingError,
+    MultiplierSet,
+    _default_zero_sum_subset,
+    apply_multipliers,
+    build_psi,
+    extend_field,
+    greedy_lift,
+    simple_lift,
+)
+
+PROPERTY = settings(
+    database=None,
+    derandomize=True,
+    deadline=None,
+    max_examples=40,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# primes q = 5 (mod 8) up to 200: the fields where example51 lifts with lambda = 4
+LIFT_FIELDS = [13, 29, 37, 53, 61, 101, 109, 149, 157, 173, 181, 197]
+
+
+# --- the tuple reference -----------------------------------------------------
+
+
+def _split(carrier, e):
+    return e[: carrier.group.rank], e[carrier.group.rank :]
+
+
+def _ref_lifted_blocks(lifting):
+    out = []
+    for block, coords in zip(lifting.sdf.blocks, lifting.second_coords):
+        pairs = [tuple(b) + tuple(x) for b, x in zip(block.expand(), coords)]
+        if len(set(pairs)) != len(pairs):
+            raise LiftingError("lifted block has repeated pairs")
+        out.append(sorted(pairs))
+    return out
+
+
+def _ref_multiply_out(carrier, point_lists, mults):
+    field, blocks = carrier.field, []
+    steps = np.array([field.log_code(m) - 1 for m in mults]).reshape(-1, 1)
+    for pts in point_lists:
+        gs, xs = zip(*(_split(carrier, e) for e in pts))
+        ys = np.array([field.log_code(x) for x in xs])
+        codes = np.where(ys > 0, field.exp[(ys - 1 + steps) % (field.q - 1)], 0)
+        for row in field.additive_group.decode_array(codes).tolist():
+            blocks.append(sorted(tuple(g) + tuple(x) for g, x in zip(gs, row)))
+    return blocks
+
+
+def _ref_embed(field, base):
+    d = (field.q - 1) // (base.q - 1)
+
+    def evaluate(coeffs, x):
+        acc = field.zero
+        for c in reversed(coeffs):
+            acc = field.add(field.mul(acc, x), field.from_int(c))
+        return acc
+
+    powers = (field.pow_root(i) for i in range(0, field.q - 1, d))
+    y = next(x for x in powers if evaluate(base.modulus, x) == field.zero)
+    return {e: evaluate(e, y) for e in base.elements()}
+
+
+def _ref_extend_field(rdf, n):
+    carrier, base = rdf.group, rdf.group.field
+    big = FiniteField(base.p, base.n * n)
+    embed = _ref_embed(big, base)
+    reps = coset_reps(big, ("index", (big.q - 1) // (base.q - 1)))
+    embedded = [
+        [g + embed[x] for g, x in (_split(carrier, e) for e in block.expand())]
+        for block in rdf.blocks
+    ]
+    return _ref_multiply_out(ProductCarrier(carrier.group, big), embedded, reps)
+
+
+def _ref_simple_lift(sdf, field, signed):
+    carrier = ProductCarrier(sdf.group, field)
+    if signed:
+        ys = field.from_codes(field.exp[: (sdf.k - 1) // 2])
+        lifted = []
+        for block in sdf.blocks:  # sorted, a block is zero, then each a of A twice
+            assert sorted(Counter(block.expand()).values()) == [1] + [2] * len(ys)
+            coords = [field.zero] + [x for y in ys for x in (y, field.neg(y))]
+            lifted.append([g + x for g, x in zip(block.expand(), coords)])
+        mults = field.from_codes(field.exp[: (field.q - 1) // 2])
+    else:
+        L = _default_zero_sum_subset(field, sdf.k)
+        lifted = [[g + x for g, x in zip(block.expand(), L)] for block in sdf.blocks]
+        mults = field.from_codes(field.exp)
+    return _ref_multiply_out(carrier, lifted, mults)
+
+
+def _ref_apply_multipliers(lifting, elements):
+    """(blocks, (ok, failing_g, lambda, failures)), or the FamilyError."""
+    field = lifting.field
+    mults = sorted(set(elements))
+    if any(m == field.zero for m in mults) or len(mults) * lifting.sdf.lam != field.q - 1:
+        return FamilyError
+    carrier = lifting.carrier()
+    blocks = _ref_multiply_out(carrier, _ref_lifted_blocks(lifting), mults)
+    gm = [GMultiset(carrier, b) for b in blocks]
+    v = verify_rdf(gm, carrier, carrier.forbidden_subgroup(), lifting.sdf.k, 1)
+    failing = min((_split(carrier, e)[0] for e, _ in v.coverage.failures), default=None)
+    return blocks, (v.is_rdf, failing, v.lam, v.coverage.failures)
+
+
+def _apply_multipliers(lifting, elements):
+    try:
+        rdf, verdict = apply_multipliers(lifting, MultiplierSet(lifting.field, elements))
+    except FamilyError:
+        return FamilyError
+    cov = verdict.rdf_verdict.coverage
+    expanded = [b.expand() for b in rdf.blocks]
+    return expanded, (verdict.ok, verdict.failing_g, verdict.rdf_verdict.lam, cov.failures)
+
+
+# --- the comparisons -----------------------------------------------------------
+
+
+def _triples(triples):
+    """A catalog fixture's blocks from its (a, b, c) entries, as sorted tuple
+    lists: a with the field element of coefficients (c, b)."""
+    return [sorted((a, c, b) for a, b, c in t) for t in triples]
+
+
+def test_catalog_fixtures_match_their_tuple_entries():
+    fixtures = {name: make() for name, make in catalog.FIXTURES.items()}
+    assert [b.expand() for b in fixtures["thm62-z5"].blocks] == _triples(catalog._Z5_BLOCKS)
+    assert [b.expand() for b in fixtures["thm62-z7"].blocks] == _triples(catalog._Z7_BLOCKS)
+    assert [b.expand() for b in fixtures["sigma-prime"].blocks] == [
+        sorted([(0,)] + [(a,) for a in half for _ in range(2)])
+        for half in ([1, 2, 3, 7, 9, 11, 12], [1, 3, 4, 5, 7, 12, 13], [1, 5, 8, 10, 11, 12, 13])
+    ]
+    assert [b.expand() for b in fixtures["example51"].blocks] == [[(0,), (1,), (1,), (4,), (4,)]]
+
+
+@pytest.mark.parametrize("name,n", [("thm62-z5", 2), ("thm62-z5", 3), ("thm62-z7", 2)])
+def test_extend_field_matches_the_tuple_path(name, n):
+    rdf = catalog.FIXTURES[name]()
+    assert [b.expand() for b in extend_field(rdf, n).blocks] == _ref_extend_field(rdf, n)
+
+
+@pytest.mark.parametrize(
+    "name,field,signed",
+    [
+        ("example51", (7, 1), False),
+        ("example51", (3, 2), False),
+        ("example51", (11, 1), True),
+        ("example51", (13, 1), True),
+        ("sigma-prime", (17, 1), False),
+        ("sigma-prime", (5, 2, (2, 1, 1)), True),
+        ("sigma-prime", (17, 1), True),
+    ],
+)
+def test_simple_lift_matches_the_tuple_path(name, field, signed):
+    sdf, fld = catalog.FIXTURES[name](), FiniteField(*field)
+    got = [b.expand() for b in simple_lift(sdf, fld, signed=signed).blocks]
+    assert got == _ref_simple_lift(sdf, fld, signed)
+
+
+def _lifting(q, start):
+    """A greedy lift of example51 over GF(q), from the first psi seed at or
+    after `start` that lifts."""
+    sdf, field = catalog.example51(), FiniteField(q, 1)
+    for seed in range(start, start + 200):
+        try:
+            return greedy_lift(sdf, field, build_psi(sdf, 4, seed=seed), budget=2000)
+        except LiftingError:
+            continue
+    raise AssertionError(f"no psi seed in [{start}, {start + 200}) lifts over GF({q})")
+
+
+@PROPERTY
+@given(
+    q=st.sampled_from(LIFT_FIELDS),
+    start=st.integers(0, 40),
+    damage=st.sampled_from([None, "repeat", "outside", "short"]),
+    data=st.data(),
+)
+def test_greedy_lift_products_match_the_tuple_path(q, start, damage, data):
+    lifting = _lifting(q, start)
+    assert [b.expand() for b in lifting.lifted_blocks()] == _ref_lifted_blocks(lifting)
+    field = lifting.field
+    elements = cyclotomic_class(field, 4, 0)
+    i = data.draw(st.integers(0, len(elements) - 1), label="multiplier")
+    if damage == "repeat":  # another multiplier takes this one's place
+        elements[i] = elements[(i + 1) % len(elements)]
+    elif damage == "outside":  # one multiplier from C^4_1 instead
+        elements[i] = cyclotomic_class(field, 4, 1)[i]
+    elif damage == "short":
+        del elements[i]
+    want = _ref_apply_multipliers(lifting, elements)
+    assert _apply_multipliers(lifting, elements) == want
+    if damage in (None, "outside"):
+        assert want[1][0] is (damage is None)

@@ -55,7 +55,7 @@ def _ref_delta_block(block):
         for j, y in enumerate(elems):
             if i != j:
                 out[sub(x, y)] += 1
-    return GMultiset(block.carrier, out)
+    return out
 
 
 def _ref_delta_family(blocks):
@@ -66,8 +66,8 @@ def _ref_delta_family(blocks):
     for b in blocks:
         if b.carrier != carrier:
             raise GroupError("blocks on mixed carriers")
-        out.update(_ref_delta_block(b).entries)
-    return GMultiset(carrier, out)
+        out.update(_ref_delta_block(b))
+    return out
 
 
 def _ref_coverage(delta, carrier, members=()):
@@ -75,7 +75,7 @@ def _ref_coverage(delta, carrier, members=()):
     excluded = set()
     for sub in members:
         excluded.update(sub.elements)
-    counts = {e: delta.multiplicity(e) for e in carrier.elements()}
+    counts = {e: delta.get(e, 0) for e in carrier.elements()}
     failures = []
     excluded_clean = True
     for e in sorted(excluded):
@@ -107,16 +107,16 @@ def _ref_verify_sdf(blocks, group, k, lam):
         return False, False, None, True, []
     found, clean, failures = _ref_coverage(_ref_delta_family(list(blocks)), group)
     ok = found is not None and clean and found == lam
-    return ok, _ref_additive(group, blocks), found, clean, failures
+    return ok, _ref_additive(group, [b.expand() for b in blocks]), found, clean, failures
 
 
 def _ref_verify_rdf(blocks, group, members, k, lam):
     if any(b.size != k or not b.is_set() or b.carrier != group for b in blocks):
         return False, False, None, True, []
-    delta = _ref_delta_family(list(blocks)) if blocks else GMultiset(group, [])
+    delta = _ref_delta_family(list(blocks)) if blocks else Counter()
     found, clean, failures = _ref_coverage(delta, group, members)
     ok = found is not None and clean and found == lam
-    return ok, _ref_additive(group, blocks, members), found, clean, failures
+    return ok, _ref_additive(group, [b.expand() for b in blocks], members), found, clean, failures
 
 
 def _ref_verify_dm(columns, group, k, mu):

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 
 import difam.families
@@ -249,7 +247,7 @@ def test_theorem82_out_of_scope_k():
 
 def test_counter_entries_survive_multiset():
     group = AbelianGroup((15,))
-    m = GMultiset(group, Counter({(0,): 1, (1,): 2}))
+    m = GMultiset(group, [(0,), (1,), (1,)])
     assert m.size == 3
 
 
@@ -276,17 +274,19 @@ def test_verifiers_call_the_module_count_and_coverage_once(monkeypatch):
 
 
 def test_verify_rdf_expands_each_block_once(monkeypatch):
-    # the count and the additivity check read the same code rows
+    # the count and the additivity check read the stacked code rows: no
+    # block is expanded into tuples, and no code is decoded
+    rdf, sdf = thm62_z5(), example51()
     calls = []
-    expand = GMultiset.expand
+    for cls, name in ((GMultiset, "expand"), (AbelianGroup, "decode"), (AbelianGroup, "decode_array")):
+        real = getattr(cls, name)
 
-    def counting(self):
-        calls.append(self)
-        return expand(self)
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(GMultiset, "expand", counting)
-    rdf = thm62_z5()
+        monkeypatch.setattr(cls, name, counting)
     verdict = verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, rdf.k, rdf.lam)
     assert verdict.is_rdf and verdict.is_additive and verdict.lam == 1
-    assert len(calls) == len(rdf.blocks)
-    assert {id(b) for b in calls} == {id(b) for b in rdf.blocks}
+    assert verify_sdf(sdf.blocks, sdf.group, sdf.k, sdf.lam).is_sdf
+    assert calls == []

@@ -185,7 +185,8 @@ def test_coset_reps_pm1():
 def test_subfield_embed_is_homomorphic():
     base = FiniteField(5, 2, (2, 1, 1))
     big = FiniteField(5, 4)
-    emb = subfield_embed(big, base)
+    table = subfield_embed(big, base)
+    emb = dict(zip(base.elements(), big.from_codes(table)))  # element to element
     assert emb[base.zero] == big.zero
     assert emb[base.one] == big.one
     elems = list(base.elements())

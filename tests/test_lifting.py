@@ -150,7 +150,7 @@ def test_zero_sum_adjust():
     adjusted = zero_sum_adjust(rdf, 5)
     assert adjusted.additive
     for b in adjusted.blocks:
-        assert sum_of(adjusted.group, b) == adjusted.group.zero
+        assert sum_of(adjusted.group, b.expand()) == adjusted.group.zero
     verdict = verify_rdf(adjusted.blocks, adjusted.group, adjusted.forbidden, 5, 1)
     assert verdict.is_rdf
     assert verdict.is_additive
