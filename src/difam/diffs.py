@@ -90,8 +90,6 @@ def stack_rows(blocks: Sequence[GMultiset], k: int) -> np.ndarray:
 def block_rows(blocks: Sequence[GMultiset]) -> list[np.ndarray]:
     """The blocks' codes as one (b_k, k) array per block size k, ascending."""
     sizes = sorted({b.size for b in blocks})
-    if len(sizes) == 1:
-        return [stack_rows(blocks, sizes[0])]
     return [stack_rows([b for b in blocks if b.size == k], k) for k in sizes]
 
 
