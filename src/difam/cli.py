@@ -244,13 +244,14 @@ def _cmd_anomaly(args) -> int:
         "inconclusive": verdict.inconclusive,
     }
     _write_cert(args.file, payload)
+    scanned = f"pairs of blocks scanned: {verdict.closures_scanned}"
     if verdict.anomalous:
         print(
             f"anomalous: blocks {verdict.witness} close to {verdict.closure_size} "
-            f"points (> {args.p * args.p})"
+            f"points, not {args.p * args.p}; {scanned}"
         )
         return 0
-    print("inconclusive: no witness within scan cap")
+    print(f"inconclusive: no witness within scan cap; {scanned}")
     return 1
 
 

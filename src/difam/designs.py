@@ -85,6 +85,7 @@ class AnomalyVerdict:
     witness: Optional[tuple[int, int]]  # block indices whose closure misbehaves
     closure_size: Optional[int]
     inconclusive: bool
+    closures_scanned: int  # pairs the scan decided, the witness among them
 
 
 def make_design(carrier: AbelianGroup, blocks: Sequence[Sequence[Element]], k: int) -> Design:
@@ -387,13 +388,23 @@ def closure(
     return members
 
 
+# the most pair-table lookups one chunk of plane certificates makes
+_CERT_ENTRIES = 2**16
+
+
 def anomaly_witness(design: Design, p: int, scan_cap: int = 10**4) -> AnomalyVerdict:
     """Look for a pair of blocks through a common point whose closure is not
     a p^2-point plane; such a pair separates the design from the point-line
     design of the affine space.
+
+    The first `scan_cap` pairs of `_meeting_pairs` are decided in order,
+    in chunks of 1, 2, 4, ... pairs: `_plane_certificates` accepts the
+    planes of a chunk, and `closure` decides every other pair.
     """
     if p < 2:
         raise DesignError(f"need p >= 2, got {p}")
+    if scan_cap < 1:
+        raise DesignError(f"need scan_cap >= 1, got {scan_cap}")
     v = design.v
     m = v
     while m > 1:
@@ -406,32 +417,111 @@ def anomaly_witness(design: Design, p: int, scan_cap: int = 10**4) -> AnomalyVer
         raise DesignError(f"{design.b} blocks of {p} points cannot be a 2-({v},{p},1) design")
     table = _pair_block_table(design)
     rows: dict[int, list[int]] = {}
-    target = p * p
+    blocks, target = design.blocks, p * p
+    lookups = target * (target - 1) // 2  # per certificate
+    certify = lookups <= _CERT_ENTRIES  # else `closure` decides every pair
     scanned = 0
-    # blocks grouped by their least point, in increasing order of it, by
-    # index within a group: witnesses tend to be local.  The least points
-    # are cast to the smallest type that holds them: numpy sorts 8- and
-    # 16-bit keys stably by radix
-    blocks = design.blocks
+    for chunk in _pair_chunks(_meeting_pairs(blocks, v), max(1, _CERT_ENTRIES // lookups)):
+        chunk = chunk[: scan_cap - scanned]
+        planes = _plane_certificates(design, table, chunk) if certify else np.zeros(len(chunk), bool)
+        for j in np.flatnonzero(~planes).tolist():
+            a, b = chunk[j].tolist()
+            one, two = blocks[a].tolist(), blocks[b].tolist()
+            cl = closure(design, one, two, max_points=target, _table=table, _rows=rows)
+            if len(cl) != target:
+                return AnomalyVerdict(True, (a, b), len(cl), False, scanned + j + 1)
+        scanned += len(chunk)
+        if scanned >= scan_cap:
+            break
+    return AnomalyVerdict(False, None, None, True, scanned)
+
+
+def _meeting_pairs(blocks: np.ndarray, v: int):
+    """Pairs of blocks with the same point x in column 0 that meet only in
+    x, as point sets, by increasing x and then by block index (witnesses
+    tend to be local): (a, the later blocks of a's group meeting a).
+
+    The column-0 points are cast to the smallest type that holds them:
+    numpy sorts 8- and 16-bit keys stably by radix.
+    """
     least = blocks[:, 0].astype(np.min_scalar_type(v - 1))
     order = np.argsort(least, kind="stable")
     cuts = (np.flatnonzero(np.diff(least[order])) + 1).tolist()
     for lo, hi in zip([0] + cuts, cuts + [order.size]):
-        ids = order[lo:hi].tolist()
-        sets = [set(r) for r in blocks[ids].tolist()]
-        for a in range(len(ids)):
-            s1 = sets[a]
-            for b in range(a + 1, len(ids)):
-                s2 = sets[b]
-                if len(s1 & s2) != 1:
-                    continue
-                scanned += 1
-                cl = closure(design, s1, s2, max_points=target, _table=table, _rows=rows)
-                if len(cl) != target:
-                    return AnomalyVerdict(True, (ids[a], ids[b]), len(cl), False)
-                if scanned >= scan_cap:
-                    return AnomalyVerdict(False, None, None, True)
-    return AnomalyVerdict(False, None, None, True)
+        ids = order[lo:hi]
+        group = blocks[ids]
+        for a in range(ids.size - 1):
+            row = group[a]
+            shared = group[a + 1 :, :, None] == row[row != row[0]]
+            yield ids[a], ids[a + 1 :][~shared.any(axis=(1, 2))]
+
+
+def _pair_chunks(runs, most: int):
+    """The pairs of `runs`, in order, as (n, 2) arrays of n = 1, 2, 4, ...
+    up to `most` pairs: a scan that stops early decides few extra pairs."""
+    width = 1
+    held = np.empty((0, 2), dtype=np.intp)
+    for a, later in runs:
+        held = np.concatenate([held, np.column_stack([np.full(later.size, a), later])])
+        lo = 0
+        while held.shape[0] - lo >= width:
+            yield held[lo : lo + width]
+            lo += width
+            width = min(2 * width, most)
+        held = held[lo:]
+    if held.size:
+        yield held
+
+
+def _plane_certificates(design: Design, table: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """For each pair of blocks L1, L2 of p = k points meeting only in x,
+    their column-0 point: True only if `closure(..., max_points=p*p)`
+    returns p^2 points.  `table` is the design's `_pair_block_table`.
+
+    Let S be L1, L2 and the blocks through a and b, for a in L1 and b in
+    L2 other than x (columns 1 to p-1; a pair with a = b is refused).  A
+    pair is accepted iff none of those blocks is missing (-1 in `table`),
+    |S| = p^2, and the C(p^2, 2) pairs of S all have blocks, with exactly
+    p(p+1) distinct indices among them.
+
+    Then the closure is S.  An index covers only pairs within its block's
+    point set, at most C(p,2) of those of S; since C(p^2,2) = p(p+1)C(p,2),
+    each of the p(p+1) covers exactly C(p,2), so its block's p points all
+    lie in S.  Every lookup of the closure walk is a pair of members, so by
+    induction from L1 and L2 the members stay in S, and the walk neither
+    meets a -1 nor passes p^2 points.  Complete, it holds L1, L2 and the
+    block through each pair of distinct members, so all of S.  This holds
+    for any table, not only a Steiner design's.
+
+    In a Steiner design a closure of p^2 points is a 2-(p^2,p,1) design,
+    an affine plane of order p, and for p >= 3 it is always accepted: a
+    point c of it off L1 and L2 has p+1 lines, and only three of them miss
+    L1 or L2 outside x (the parallels to L1 and to L2, and the line cx).
+    So one of the blocks through a and b holds c, and only witnesses and
+    closures that fail are refused.  For p = 2, |S| <= 3: all are refused.
+    """
+    blocks, v, p = design.blocks, design.v, design.k
+    n, plane = len(pairs), p * p
+    one, two = blocks[pairs[:, 0]], blocks[pairs[:, 1]]
+    a, b = one[:, 1:, None], two[:, None, 1:]
+    through = table[np.minimum(a, b) * v + np.maximum(a, b)].reshape(n, -1)
+    ok = (a != b).all(axis=(1, 2))  # a -1 here is also a -1 among the pairs of S
+    pts = np.concatenate([one, two[:, 1:], blocks[through].reshape(n, -1)], axis=1)
+    pts.sort(axis=1)
+    new = np.ones(pts.shape, dtype=bool)
+    new[:, 1:] = pts[:, 1:] != pts[:, :-1]
+    live = np.flatnonzero(ok & (new.sum(axis=1) == plane))
+    # the points of S in the least type that holds a place u * v + w in `table`
+    s = pts[live][new[live]].reshape(live.size, plane).astype(np.min_scalar_type(-v * v))
+    u, w = np.triu_indices(plane, 1)
+    flat = s[:, u] * v
+    flat += s[:, w]
+    ids = table[flat]
+    ids.sort(axis=1)
+    distinct = (ids[:, 1:] != ids[:, :-1]).sum(axis=1) + 1
+    ok[:] = False
+    ok[live] = (ids[:, 0] >= 0) & (distinct == p * (p + 1))
+    return ok
 
 
 def subspace_replace(m: int, n: int, p: int, anomalous_design: Design) -> Design:

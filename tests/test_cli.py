@@ -124,6 +124,7 @@ def test_pipeline_lift_develop_anomaly(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "super-regular" in out
     assert run(["anomaly", str(design), "--p", "5"]) == 0
+    assert "pairs of blocks scanned" in capsys.readouterr().out
     cert = json.loads((tmp_path / "design.json.cert").read_text())
     assert cert["anomalous"] is True
 
@@ -212,11 +213,24 @@ def test_build_zero_sum_dm_and_jungnickel(tmp_path):
     assert run(["verify", "sdf", str(out)]) == 0
 
 
-def test_build_ag_and_anomaly_inconclusive(tmp_path):
+def test_build_ag_and_anomaly_inconclusive(tmp_path, capsys):
     out = tmp_path / "ag.json"
     assert run(["build", "ag", "--n", "2", "--p", "3", "--out", str(out)]) == 0
     assert run(["verify", "design", str(out)]) == 0
+    capsys.readouterr()
     assert run(["anomaly", str(out), "--p", "3"]) == 1
+    # every pair of lines of AG(2,3) that share their least point: 6 + 3 + 3
+    assert capsys.readouterr().out.endswith("; pairs of blocks scanned: 12\n")
+
+
+def test_anomaly_reports_a_closure_smaller_than_a_plane(tmp_path, capsys):
+    # for p = 2 two lines close to 3 points, fewer than p^2
+    out = tmp_path / "ag.json"
+    assert run(["build", "ag", "--n", "3", "--p", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["anomaly", str(out), "--p", "2"]) == 0
+    printed = capsys.readouterr().out
+    assert "close to 3 points, not 4; pairs of blocks scanned: 1" in printed
 
 
 def test_anomaly_rejects_p_below_two(tmp_path):

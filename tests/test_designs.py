@@ -381,18 +381,18 @@ def test_closure_raises_on_missing_block():
 
 
 def test_anomaly_witness_pinned_verdicts(z5_design):
-    assert anomaly_witness(z5_design, 5) == AnomalyVerdict(True, (0, 26), 26, False)
+    assert anomaly_witness(z5_design, 5) == AnomalyVerdict(True, (0, 26), 26, False, 1)
     flat = Design(AbelianGroup((5, 5, 5)), z5_design.blocks, 5)
     planted = subspace_replace(4, 3, 5, flat)
-    assert anomaly_witness(planted, 5) == AnomalyVerdict(True, (0, 225), 26, False)
+    assert anomaly_witness(planted, 5) == AnomalyVerdict(True, (0, 225), 26, False, 1)
     assert anomaly_witness(ag_design(3, 5), 5, scan_cap=50) == AnomalyVerdict(
-        False, None, None, True
+        False, None, None, True, 50
     )
 
 
-def test_anomaly_witness_calls_module_closure_per_pair(monkeypatch):
+def _count_closures(monkeypatch):
     # the benchmark counts closures by wrapping designs.closure, so the scan
-    # must call it through the module, once for every pair it scans
+    # must call it through the module
     calls = []
     real = difam.designs.closure
 
@@ -401,23 +401,59 @@ def test_anomaly_witness_calls_module_closure_per_pair(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(difam.designs, "closure", counting)
-    anomaly_witness(ag_design(3, 5), 5, scan_cap=50)
-    assert len(calls) == 50
+    return calls
+
+
+def test_anomaly_witness_certifies_planes_without_closures(monkeypatch):
+    # every pair of AG(3,5) closes to a plane, and the certificate decides each
+    calls = _count_closures(monkeypatch)
+    assert anomaly_witness(ag_design(3, 5), 5, scan_cap=50).closures_scanned == 50
+    assert len(calls) == 0
 
 
 def test_anomaly_witness_scans_every_pair_of_ag35(monkeypatch):
     # all 8,525 pairs of lines of AG(3,5) that share their least point, under
     # the default cap of 10^4: every closure is a plane, so the scan ends open
-    calls = []
-    real = difam.designs.closure
+    calls = _count_closures(monkeypatch)
+    assert anomaly_witness(ag_design(3, 5), 5) == AnomalyVerdict(False, None, None, True, 8525)
+    assert len(calls) == 0
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(difam.designs, "closure", counting)
-    assert anomaly_witness(ag_design(3, 5), 5) == AnomalyVerdict(False, None, None, True)
-    assert len(calls) == 8525
+def test_anomaly_witness_closes_the_planted_witness_through_the_module(monkeypatch, z5_design):
+    flat = Design(AbelianGroup((5, 5, 5)), z5_design.blocks, 5)
+    planted = subspace_replace(4, 3, 5, flat)
+    calls = _count_closures(monkeypatch)
+    assert anomaly_witness(planted, 5).witness == (0, 225)
+    assert len(calls) == 1
+
+
+def test_anomaly_witness_certifies_chunks_that_double(monkeypatch, z5_design):
+    # chunks of 1, 2, 4, ... pairs up to 2^16 lookups, C(25,2) = 300 per pair:
+    # a scan that ends at its first pair certifies that pair alone
+    sizes = []
+    real = difam.designs._plane_certificates
+
+    def recording(design, table, pairs):
+        sizes.append(len(pairs))
+        return real(design, table, pairs)
+
+    monkeypatch.setattr(difam.designs, "_plane_certificates", recording)
+    anomaly_witness(z5_design, 5)
+    assert sizes == [1]
+    sizes.clear()
+    anomaly_witness(ag_design(3, 5), 5)
+    most = 2**16 // 300
+    assert sizes[:9] == [1, 2, 4, 8, 16, 32, 64, 128, most]
+    assert set(sizes[9:-1]) == {most} and sum(sizes) == 8525
+
+
+def test_anomaly_witness_refuses_a_cap_below_one():
+    # a cap of 0 or less used to close one pair all the same
+    d = ag_design(2, 3)
+    for cap in (0, -1):
+        with pytest.raises(DesignError, match="scan_cap"):
+            anomaly_witness(d, 3, scan_cap=cap)
+    assert anomaly_witness(d, 3, scan_cap=1) == AnomalyVerdict(False, None, None, True, 1)
 
 
 @pytest.fixture(scope="module")
