@@ -13,6 +13,7 @@ the verdict, a coverage summary, and any witness data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -280,6 +281,7 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="difam")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -350,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "catalog" and args.action == "emit" and (not args.name or not args.out):
         _fail2("catalog emit needs a fixture name and --out")
     try:

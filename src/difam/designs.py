@@ -274,7 +274,9 @@ def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVer
         raise DesignError(f"need blocks of at least one point, got k={design.k}")
     arr, v = design.blocks, design.v
     additive = bool(group.zero_sum_rows(arr).all())
-    if arr.shape[0] and v > arr.size:
+    if not arr.shape[0]:  # regular; and no keys, whose weights number k, are built
+        return SuperRegularVerdict(True, additive)
+    if v > arr.size:
         return SuperRegularVerdict(False, additive)
     keys = _sorted_row_keys(arr, v)
     regular = all(

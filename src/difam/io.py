@@ -9,19 +9,22 @@ file lists each distinct block once, as {"points": [...], "mult": m} (m is
 1 when absent).
 
 Every file is laid out as json.dumps(doc, indent=1).  A design's text is
-filled from its arrays into that layout.  parse(render(x)) == x for every
-field of every role: a family's `additive` is derived from its blocks, not
-stored, so the file carries no flag.  Parsing checks structure only and
-runs no verifier; each CLI command verifies a family it reads once.
+filled into that layout from a table of point texts, each distinct point
+formatted once.  parse(render(x)) == x for every field of every role, a
+design with no blocks included: a family's `additive` is derived from its
+blocks, not stored, so the file carries no flag.  Parsing checks structure
+only and runs no verifier; each CLI command verifies a family it reads once.
 
 There are two readers.  A design file whose text is exactly what
 render_family writes (every file `difam develop` writes) is read by
-scanning its digits with numpy and is accepted only if rendering the
-design read gives back the text, byte for byte.  Any other text, and
-every file of the other roles, goes to the JSON reader, which alone names
-errors: every number is a JSON integer (a float, a string or a bool is
-refused, not truncated or converted), a design file's points are checked
-and encoded all at once, and any malformed file raises FamilyFormatError.
+scanning its digits with numpy.  Its rows must be sorted and strictly
+increasing, as the writer's np.unique leaves them, and it is accepted only
+if rendering them as read gives back the text, byte for byte; nothing is
+re-sorted on read.  Any other text, and every file of the other roles,
+goes to the JSON reader, which alone names errors: every number is a JSON
+integer (a float, a string or a bool is refused, not truncated or
+converted), a design file's points are checked and encoded all at once,
+and any malformed file raises FamilyFormatError.
 """
 
 from __future__ import annotations
@@ -187,12 +190,6 @@ def _point_codes(carrier, points: list) -> Optional[np.ndarray]:
     return carrier.encode_array(coords)
 
 
-def _design_from(carrier, k: int, codes: np.ndarray, mults) -> Design:
-    """The design of the distinct (b, k) point codes `codes`, row i taken
-    mults[i] times."""
-    return Design(carrier, np.repeat(np.sort(codes, axis=1), mults, axis=0), k)
-
-
 def _parse_design(carrier, k: int, raw_blocks: list) -> Design:
     """One pass over the block entries, then the points checked and encoded
     one `_CHUNK` slice of blocks at a time."""
@@ -224,43 +221,63 @@ def _parse_design(carrier, k: int, raw_blocks: list) -> Design:
                 _element_from_json(carrier, point, f"blocks[{i // k}].points[{i % k}]")
             raise AssertionError("_point_codes refused points that _element_from_json reads")
         codes[lo : lo + len(part)] = got
-    return _design_from(carrier, k, codes.reshape(-1, k), mults)
+    return Design(carrier, np.repeat(np.sort(codes.reshape(-1, k), axis=1), mults, axis=0), k)
 
 
-def _design_pieces(design: Design) -> Iterator[str]:
-    """json.dumps(doc, indent=1) of the per-point design doc, filled from
-    arrays, in pieces: the writer joins them and `_read_rendered_design`
-    compares them with the text it reads.
+def _design_pieces(carrier, k: int, rows: np.ndarray, counts: np.ndarray) -> Iterator[str]:
+    """json.dumps(doc, indent=1) of the per-point design doc of the (b, k)
+    code rows `rows`, row i with "mult" counts[i], in pieces: the writer
+    joins them and `_read_rendered_design` compares them with its text.
 
-    The stdlib lays out the header, the block separator and one block with
-    every residue and the multiplicity left as null; each distinct row then
-    fills that template, so the text is the one the encoder would write.
+    The stdlib lays out the header, the block separator, a block of two
+    null points and one point of null residues.  Each distinct code in
+    `rows` is formatted once, into a table indexed by the code's rank among
+    them; a row's text joins its points' texts between the block's opening
+    and closing literals, then the "mult" tail of its multiplicity.
     """
-    carrier, k = design.carrier, design.k
-    rows, counts = np.unique(design.blocks, axis=0, return_counts=True)
     head = {"role": "design", "carrier": _carrier_header(carrier), "k": k}
     if not len(rows):
         yield json.dumps({**head, "blocks": []}, indent=1)
         return
     prefix, sep, suffix = json.dumps({**head, "blocks": [None, None]}, indent=1).rsplit("null", 2)
-    point = _element_to_json(carrier, (None,) * carrier.rank)
-    block = json.dumps({"points": [point] * k, "mult": None}, indent=1)
-    template = block.replace("null", "%d").replace("\n", sep[1:])  # sep is "," + newline + indent
+    block = json.dumps({"points": [None, None], "mult": None}, indent=1).replace("\n", sep[1:])
+    opening, point_sep, closing, end = block.split("null")  # sep[1:] is newline + indent
+    point = json.dumps(_element_to_json(carrier, (None,) * carrier.rank), indent=1)
+    point = point.replace("\n", point_sep[1:]).replace("null", "%d")
+    used, lookup = np.unique(rows), None  # lookup: code - used[0] -> rank, if smaller than rows
+    if used[-1] - used[0] < rows.size:
+        lookup = np.zeros(used[-1] - used[0] + 1, dtype=np.intp)
+        lookup[used - used[0]] = np.arange(len(used))
+    texts = np.array([point % tuple(c) for c in carrier.decode_array(used).tolist()], dtype=object)
+    inner, last = texts + point_sep, texts + closing
+    tails = {m: f"{m}{end}" for m in np.unique(counts).tolist()}
     yield prefix
     for lo in range(0, len(rows), _CHUNK):
         part = rows[lo : lo + _CHUNK]
-        coords = carrier.decode_array(part).reshape(len(part), k * carrier.rank)
-        values = np.column_stack([coords, counts[lo : lo + _CHUNK]])
-        if lo:
-            yield sep
-        yield sep.join([template] * len(values)) % tuple(values.ravel().tolist())
+        ranks = lookup[part - used[0]] if lookup is not None else np.searchsorted(used, part)
+        cells = np.empty((len(part), k + 2), dtype=object)
+        cells[:, 0] = sep + opening  # np.full would copy the string into every cell
+        if not lo:
+            cells[0, 0] = opening
+        cells[:, 1:k], cells[:, k] = inner[ranks[:, :-1]], last[ranks[:, -1]]
+        cells[:, k + 1] = [tails[m] for m in counts[lo : lo + _CHUNK].tolist()]
+        yield "".join(cells.ravel().tolist())
     yield suffix
+
+
+def _ascending(rows: np.ndarray) -> bool:
+    """Whether each row is non-decreasing and the rows strictly increase in
+    lexicographic order: whether `rows` is its own np.unique(axis=0)."""
+    step = rows[1:] - rows[:-1]
+    first = (step != 0).argmax(axis=1)  # 0 for two equal rows, whose step there is 0
+    lex = step[np.arange(len(step)), first] > 0
+    return bool(np.all(rows[:, 1:] >= rows[:, :-1]) and np.all(lex))
 
 
 # where the text of `_design_pieces` starts and where its blocks start: a
 # quick refusal and a cut; the rendering, not these, decides what is read
 _DESIGN_START = b'{\n "role": "design",\n'
-_BLOCKS_KEY = b'\n "blocks": [\n'
+_BLOCKS_KEY = b'\n "blocks": ['
 _SLICE = 1 << 20  # bytes of a design body scanned at once
 _DIGITS = 18  # the longest digit run read: 10**18 - 1 < 2**63
 _NON_DIGIT = re.compile(rb"[^0-9]")
@@ -289,10 +306,17 @@ def _read_rendered_design(text: Union[str, bytes]) -> Optional[Design]:
     `_SLICE` of bytes at a time: each slice's whole rows are checked and
     encoded, and a partial row is carried to the next.  Coordinates,
     multiplicities and the block total are bounded before any array grows
-    with them.  The design is returned only if its rendering is `text`:
-    since parse(render(x)) == x, that is the design the JSON reader would
-    read.  Any other text gives None, and the JSON reader names what is
-    wrong with it.
+    with them.  The rows R read must be `_ascending`, and the rendering of
+    R and the multiplicities C read, as read, must be `text`, byte for byte.
+
+    So the texts accepted are those render_family writes.  Such a text is
+    render(R', C'), R' and C' the distinct sorted rows of its design and
+    their counts; rendering is injective and the digit runs of the text are
+    R' and C' in order, so R = R', C = C', and R is ascending.  Conversely,
+    ascending rows are their own np.unique(axis=0), so render(R, C) is what
+    render_family writes for R, row i taken C[i] times: the design returned,
+    built only once the bytes match.  Any other text gives None, and the
+    JSON reader names what is wrong with it.
     """
     if isinstance(text, str) and text.isascii():
         text = text.encode("ascii")
@@ -328,68 +352,43 @@ def _read_rendered_design(text: Union[str, bytes]) -> Optional[Design]:
         if np.any(coords >= orders):
             return None
         codes.append(carrier.encode_array(coords).reshape(-1, k))
-        mults.append(table[:, -1])
+        mults.append(table[:, -1].copy())  # a view would keep all of `numbers`
         lo = hi
-    mults = np.concatenate(mults)
-    if (
-        carry.size
-        or not mults.size
-        or mults.min() < 1
-        or mults.max() > MAX_DESIGN_BLOCKS
-        or mults.sum() > MAX_DESIGN_BLOCKS
-    ):
-        return None
-    design = _design_from(carrier, k, np.concatenate(codes), mults)
+    rows, mults = np.concatenate(codes), np.concatenate(mults)
     del codes
+    if carry.size or not 1 <= mults.min(initial=1) <= mults.max(initial=1) <= MAX_DESIGN_BLOCKS:
+        return None
+    if mults.sum() > MAX_DESIGN_BLOCKS or not _ascending(rows):
+        return None
     pos = 0
-    for piece in _design_pieces(design):
+    for piece in _design_pieces(carrier, k, rows, mults):
         piece = piece.encode("ascii")
         if not text.startswith(piece, pos):
             return None
         pos += len(piece)
-    return design if pos == len(text) else None
+    return Design(carrier, np.repeat(rows, mults, axis=0), k) if pos == len(text) else None
 
 
 def render_family(obj: Family) -> str:
-    if isinstance(obj, StrongDifferenceFamily):
-        doc = {
-            "role": "sdf",
-            "carrier": _carrier_header(obj.group),
-            "k": obj.k,
-            "lambda": obj.lam,
-            "blocks": [
-                [_element_to_json(obj.group, e) for e in b.expand()] for b in obj.blocks
-            ],
-        }
-    elif isinstance(obj, RelativeDifferenceFamily):
-        doc = {
-            "role": "rdf",
-            "carrier": _carrier_header(obj.group),
-            "k": obj.k,
-            "lambda": obj.lam,
-            "forbidden": [
-                [_element_to_json(obj.group, e) for e in sub.elements]
-                for sub in obj.forbidden_members()
-            ],
-            "blocks": [
-                [_element_to_json(obj.group, e) for e in b.expand()] for b in obj.blocks
-            ],
-        }
-    elif isinstance(obj, DifferenceMatrix):
-        doc = {
-            "role": "dm",
-            "carrier": _carrier_header(obj.group),
-            "k": obj.k,
-            "mu": obj.mu,
-            "blocks": [
-                [_element_to_json(obj.group, e) for e in col] for col in obj.columns
-            ],
-        }
-    elif isinstance(obj, Design):
-        return "".join(_design_pieces(obj))
+    if isinstance(obj, Design):
+        pieces = _design_pieces(
+            obj.carrier, obj.k, *np.unique(obj.blocks, axis=0, return_counts=True)
+        )
+        return "".join(pieces)  # the rows live only in `pieces`, freed before the text is built
+
+    def listed(rows) -> list:
+        return [[_element_to_json(obj.group, e) for e in row] for row in rows]
+
+    if isinstance(obj, DifferenceMatrix):
+        role, body, blocks = "dm", {"mu": obj.mu}, obj.columns
+    elif isinstance(obj, (StrongDifferenceFamily, RelativeDifferenceFamily)):
+        role, body, blocks = "sdf", {"lambda": obj.lam}, [b.expand() for b in obj.blocks]
+        if isinstance(obj, RelativeDifferenceFamily):
+            role, body["forbidden"] = "rdf", listed(sub.elements for sub in obj.forbidden_members())
     else:
         raise FamilyFormatError(f"cannot serialize {type(obj).__name__}")
-    return json.dumps(doc, indent=1)
+    head = {"role": role, "carrier": _carrier_header(obj.group), "k": obj.k}
+    return json.dumps({**head, **body, "blocks": listed(blocks)}, indent=1)
 
 
 def parse_family(text: Union[str, bytes]) -> Family:
@@ -431,7 +430,7 @@ def _parse_json(text: Union[str, bytes]) -> Family:
         raise FamilyFormatError("JSON nested too deeply")
     role, carrier, k = _header(doc)
     raw_blocks = doc.get("blocks")
-    if not isinstance(raw_blocks, list) or not raw_blocks:
+    if not isinstance(raw_blocks, list) or not (raw_blocks or role == "design"):
         raise FamilyFormatError("blocks must be a non-empty list", "blocks")
 
     if role == "design":

@@ -6,11 +6,14 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import difam.cli
 from difam.catalog import example51, thm62_z5
 from difam.cli import run
+from difam.designs import Design
+from difam.groups import AbelianGroup
 from difam.io import render_family
 
 
@@ -296,6 +299,19 @@ def test_verify_design_rows_with_repeated_points_are_simple_unless_a_block_repea
     assert cert["simple"] is False and cert["pass"] is False
 
 
+@pytest.mark.parametrize("k", [2, 10**9])
+def test_verify_design_without_blocks_ends_in_a_verdict(tmp_path, capsys, k):
+    # a file with no blocks bounds no array by k
+    path = tmp_path / "empty.json"
+    path.write_text(render_family(Design(AbelianGroup((3,)), np.empty((0, 2), np.int64), 2)))
+    path.write_text(path.read_text().replace('"k": 2', f'"k": {k}'))
+    assert run(["verify", "design", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"2-(3,{k},None) design: FAIL") and captured.err == ""
+    cert = json.loads((tmp_path / "empty.json.cert").read_text())
+    assert cert["pass"] is False and cert["lambda"] is None and cert["super_regular"] is True
+
+
 def test_build_zero_sum_dm_rejects_k_below_two(tmp_path, capsys):
     out = tmp_path / "dm.json"
     with pytest.raises(SystemExit) as info:
@@ -491,3 +507,23 @@ def test_lift_budget_below_one_is_a_usage_error(tmp_path, capsys, budget):
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: --budget must be at least 1, got {budget}"]
     assert not df.exists()
+
+
+def test_consecutive_runs_keep_their_own_options(tmp_path, capsys):
+    # one parser serves every run in a process; no option of a run reaches the next
+    assert difam.cli.build_parser() is difam.cli.build_parser()
+    sdf, df = tmp_path / "paley7.json", tmp_path / "df.json"
+    assert run(["build", "paley", "--q", "7", "--out", str(sdf)]) == 0
+    argv = ["lift", str(sdf), "--strategy", "simple", "--field", "3,2", "--out", str(df)]
+    assert run(argv + ["--signed"]) == 0
+    assert run(argv) == 0
+    with pytest.raises(SystemExit) as info:
+        run(argv[:-4] + ["--field", "4,1", "--signed", "--out", str(df)])
+    assert info.value.code == 2
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[1] for line in lines[1:]] == [
+        "additive=True (v=63,k=7,lambda=3), 4 base blocks",
+        "additive=True (v=63,k=7,lambda=6), 8 base blocks",
+        "additive=True (v=63,k=7,lambda=6), 8 base blocks",
+    ]

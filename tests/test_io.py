@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import difam.io
@@ -334,6 +334,26 @@ def test_render_design_without_blocks():
     assert render_family(d) == _reference_render(d)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize(
+    "carrier", [AbelianGroup((3,)), ProductCarrier(AbelianGroup((5,)), FiniteField(5, 2))]
+)
+def test_design_without_blocks_round_trips(carrier, k):
+    d = Design(carrier, np.empty((0, k), dtype=np.int64), k)
+    text = render_family(d)
+    for read in (difam.io._read_rendered_design, difam.io._parse_json, parse_family):
+        back = read(text)
+        assert back == d and back.blocks.shape == (0, k) and back.blocks.dtype == np.int64
+
+
+@pytest.mark.parametrize("make", [example51, thm62_z5, lambda: zero_sum_dm(AbelianGroup((3,)), 3)])
+def test_only_a_design_may_have_no_blocks(make):
+    doc = json.loads(render_family(make()))
+    doc["blocks"] = []
+    with pytest.raises(FamilyFormatError, match=r"^blocks: blocks must be a non-empty list$"):
+        parse_family(json.dumps(doc))
+
+
 _AG23, _Z5 = ag_design(2, 3), develop(thm62_z5())  # Z_3 x Z_3, k=3; Z_5 x GF(25), k=5
 
 
@@ -445,6 +465,37 @@ def test_design_text_round_trips_and_damage_is_located(design, data):
         parse_family(json.dumps(doc))
 
 
+# coordinates of up to three digits, and multiplicities of two and three
+_WIDE_CARRIERS = [
+    ProductCarrier(AbelianGroup((101,)), FiniteField(11, 1)),
+    AbelianGroup((12, 3)),
+    ProductCarrier(AbelianGroup((2,)), FiniteField(13, 2)),
+]
+
+
+@st.composite
+def _wide_designs(draw):
+    carrier = draw(st.sampled_from(_WIDE_CARRIERS))
+    k = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, carrier.order - 1), min_size=k, max_size=k)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    mults = draw(st.lists(st.sampled_from([1, 2, 10, 11, 123]), min_size=len(rows),
+                          max_size=len(rows)))
+    rows = np.sort(np.array(rows, dtype=np.int64), axis=1)
+    return Design(carrier, np.repeat(rows, mults, axis=0), k)
+
+
+@settings(database=None, derandomize=True, max_examples=100, deadline=None)
+@given(_wide_designs())
+@example(Design(_WIDE_CARRIERS[0], np.array([[1110]] * 10 + [[0]] * 11), 1))
+@example(Design(_WIDE_CARRIERS[1], np.array([[0, 35]] * 12 + [[7, 9]]), 2))
+def test_render_is_byte_identical_beyond_one_digit_numbers(design):
+    text = render_family(design)
+    assert text == _reference_render(design)
+    assert difam.io._read_rendered_design(text) == design
+    assert parse_family(text) == design
+
+
 # -- the fast reader of rendered design files, against the JSON reader -------
 
 
@@ -550,6 +601,48 @@ def test_fast_reader_bounds_what_it_allocates(monkeypatch, old, new, error):
     for read in (difam.io._parse_json, parse_family, lambda t: parse_family(t.encode())):
         with pytest.raises(FamilyFormatError, match=error):
             read(edited)
+
+
+def _swap_rows(doc):
+    doc["blocks"][3], doc["blocks"][4] = doc["blocks"][4], doc["blocks"][3]
+
+
+def _split_mult(doc):
+    # the block written twice with mult 1: AG(2,3) gains a copy, the doubled
+    # design is the same design
+    block = {**doc["blocks"][3], "mult": 1}
+    doc["blocks"][3:4] = [block, dict(block)]
+
+
+def _swap_points(doc):
+    points = doc["blocks"][3]["points"]
+    points[0], points[1] = points[1], points[0]
+
+
+@pytest.mark.parametrize("edit", [_swap_rows, _split_mult, _swap_points])
+@pytest.mark.parametrize("design", [_AG23, _doubled_ag23()], ids=["ag(2,3)", "doubled"])
+def test_fast_reader_refuses_rows_out_of_order(design, edit):
+    # each edit keeps the canonical layout, and the rows as read render to
+    # the edited text: only the order check refuses it
+    doc = json.loads(render_family(design))
+    edit(doc)
+    text = json.dumps(doc, indent=1)
+    assert difam.io._read_rendered_design(text) is None
+    _agrees_with_the_json_reader(text)
+
+
+def test_sigma_prime_design_file_is_read_without_sorting_its_rows(monkeypatch):
+    design, text = _rendered("sigma-prime developed")
+    unique = np.unique
+
+    def unique_of_codes(ar, *args, **kwargs):
+        assert kwargs.get("axis") is None, "np.unique ran over rows"
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", unique_of_codes)
+    back = parse_family(text.encode())
+    monkeypatch.undo()
+    assert back == design
 
 
 def test_sigma_prime_design_file_is_read_without_the_json_reader(monkeypatch):
