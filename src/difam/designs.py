@@ -9,12 +9,13 @@ the first b*C(k,2) + 1 of the C(v,2) places only (see `verify_design`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from sympy import isprime
 
+from .diffs import stack_rows
 from .families import RelativeDifferenceFamily, verify_rdf
 from .groups import _CHUNK, AbelianGroup, DifamError, Element
 
@@ -25,6 +26,8 @@ class DesignError(DifamError):
 
 # the most blocks a design may have: bounds what a design file or ag_design allocates
 MAX_DESIGN_BLOCKS = 2**24
+# the largest v*v pair table the anomaly scan makes (v = 16,807 takes 1.05 GiB)
+MAX_PAIR_TABLE_BYTES = 2**31
 
 
 @dataclass
@@ -34,6 +37,9 @@ class Design:
     carrier: AbelianGroup
     blocks: np.ndarray  # (b, k) encoded point indices, each row sorted
     k: int
+    # the base code rows of the lambda = 1 family that `develop` built this
+    # from, in its row layout; read only by `_difference_oracle`
+    _base: Optional[np.ndarray] = field(default=None, repr=False, compare=False, kw_only=True)
 
     @property
     def v(self) -> int:
@@ -42,9 +48,6 @@ class Design:
     @property
     def b(self) -> int:
         return self.blocks.shape[0]
-
-    def block_points(self, i: int) -> list[Element]:
-        return [self.carrier.decode(int(c)) for c in self.blocks[i]]
 
     def __eq__(self, other) -> bool:
         """Same carrier, same k and the same multiset of blocks, each block
@@ -88,21 +91,18 @@ class AnomalyVerdict:
     closures_scanned: int  # pairs the scan decided, the witness among them
 
 
-def make_design(carrier: AbelianGroup, blocks: Sequence[Sequence[Element]], k: int) -> Design:
-    if not blocks or any(len(b) != k for b in blocks):
-        raise DesignError(f"blocks must all have {k} points")
-    rows = carrier.encode_elements([e for b in blocks for e in b]).reshape(len(blocks), k)
-    return Design(carrier, np.sort(rows, axis=1), k)
-
-
 def develop(rdf: RelativeDifferenceFamily, lambda_copies: Optional[int] = None) -> Design:
     """All translates of the base blocks plus lambda copies of every coset
     of every forbidden subgroup.
+
+    A design with one copy of each coset keeps the base rows, so that the
+    anomaly scan can find blocks by `_difference_oracle`.
     """
     if not verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, rdf.k, rdf.lam).is_rdf:
         raise DesignError("difference family does not verify; refusing to develop it")
     lam = rdf.lam if lambda_copies is None else lambda_copies
-    return Design(rdf.group, _develop_rows(rdf, lam), rdf.k)
+    base = stack_rows(rdf.blocks, rdf.k) if lam == 1 else None
+    return Design(rdf.group, _develop_rows(rdf, lam), rdf.k, _base=base)
 
 
 def _develop_rows(rdf: RelativeDifferenceFamily, lam: int) -> np.ndarray:
@@ -172,8 +172,8 @@ def verify_design(design: Design, t: int = 2) -> DesignVerdict:
     if t != 2:
         raise DesignError("only pair coverage (t=2) is supported")
     v, k, arr = design.v, design.k, design.blocks
-    if arr.size == 0:
-        return DesignVerdict(False, None, False, False, None)
+    if arr.size == 0:  # no blocks, or blocks of no points: simple unless two repeat
+        return DesignVerdict(False, None, arr.shape[0] < 2, False, None)
     i_idx, j_idx = np.triu_indices(k, 1)
     n_pairs = v * (v - 1) // 2
     window = min(n_pairs, arr.shape[0] * i_idx.size + 1)
@@ -321,9 +321,16 @@ def _pair_block_table(design: Design) -> np.ndarray:
 
     One v*v int32 array: entry u*v+w, for u < w, holds the index of the
     block through u and w, and -1 where there is none; entries with u >= w
-    are -1.  Filled one `_CHUNK` slice of blocks at a time.
+    are -1.  Filled one `_CHUNK` slice of blocks at a time.  A table of more
+    than MAX_PAIR_TABLE_BYTES is refused before it is made.
     """
     v, k = design.v, design.k
+    size = v * v * np.dtype(np.int32).itemsize
+    if size > MAX_PAIR_TABLE_BYTES:
+        raise DesignError(
+            f"the pair table of a {v}-point design takes {size / 2**30:.1f} GiB, "
+            f"over the {MAX_PAIR_TABLE_BYTES / 2**30:.1f} GiB cap"
+        )
     table = np.full(v * v, -1, dtype=np.int32)
     i_idx, j_idx = np.triu_indices(k, 1)
     for lo in range(0, design.b, _CHUNK):
@@ -333,12 +340,80 @@ def _pair_block_table(design: Design) -> np.ndarray:
     return table
 
 
+# points u, w (int arrays of shapes that broadcast) -> a block through both, or -1
+BlockLookup = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _block_lookup(design: Design) -> BlockLookup:
+    """The difference oracle on a design that `develop` built from a
+    lambda = 1 family, the pair table on any other."""
+    oracle = _difference_oracle(design)
+    return _table_lookup(design) if oracle is None else oracle
+
+
+def _table_lookup(design: Design) -> BlockLookup:
+    """Lookups in the design's `_pair_block_table`."""
+    table, v = _pair_block_table(design), design.v
+    return lambda u, w: table[np.minimum(u, w) * v + np.maximum(u, w)]
+
+
+def _difference_oracle(design: Design) -> Optional[BlockLookup]:
+    """The block through u and w from w - u, on a design in `develop`'s
+    layout; None on a design without base rows, or whose base differences
+    are not distinct (lambda > 1).
+
+    Row h|G| + x of that layout is B_h + x.  When the s k(k-1) differences
+    b_j - b_i of the base blocks are distinct, w - u = b_j - b_i names h and
+    b_i, and the block is row h|G| + (u - b_i).  The rows past the translates
+    are the cosets of each forbidden subgroup, |G|/k rows a subgroup, and a
+    nonzero w - u in the subgroup of a section names the coset row of u.
+    The tables hold one entry per code of G: h and b_i by difference, and
+    the coset row by point, per subgroup.  Nothing is trusted: an answer
+    whose row does not hold both u and w becomes -1.
+    """
+    base, carrier, blocks = design._base, design.carrier, design.blocks
+    if base is None:
+        return None
+    n, (s, k) = carrier.order, base.shape
+    sections, rem = divmod((design.b - s * n) * k, n)
+    if rem or sections < 0:
+        return None
+    i_idx, j_idx = np.nonzero(~np.eye(k, dtype=bool))
+    diffs = carrier.sub_codes(base[:, j_idx], base[:, i_idx]).ravel()
+    counts = np.bincount(diffs, minlength=n)
+    if counts[0] or counts.max() > 1:
+        return None
+    which = np.full(n, -1, dtype=np.int64)  # difference -> h, or -2 - section
+    which[diffs] = np.repeat(np.arange(s), k * (k - 1))
+    first = np.zeros(n, dtype=np.int64)  # difference -> b_i
+    first[diffs] = base[:, i_idx].ravel()
+    coset_row = np.full((max(sections, 1), n), -1, dtype=np.int64)  # section, point -> row
+    for j in range(sections):
+        lo = s * n + j * (n // k)
+        cosets = blocks[lo : lo + n // k]
+        members = carrier.sub_codes(cosets[0], cosets[0, 0])
+        which[members[members != 0]] = -2 - j
+        coset_row[j, cosets.ravel()] = np.repeat(np.arange(lo, lo + len(cosets)), cosets.shape[1])
+
+    def lookup(u, w):
+        u, w = np.minimum(u, w), np.maximum(u, w)  # one answer for either order
+        d = carrier.sub_codes(w, u)
+        h = which[d]
+        ids = np.where(h >= 0, h * n + carrier.sub_codes(u, first[d]), -1)
+        ids = np.where(h < -1, coset_row[np.maximum(-2 - h, 0), u], ids)
+        rows = blocks[ids]
+        held = (rows == u[..., None]).any(-1) & (rows == w[..., None]).any(-1)
+        return np.where(held, ids, -1)
+
+    return lookup
+
+
 def closure(
     design: Design,
     block1: Sequence[int],
     block2: Sequence[int],
     max_points: Optional[int] = None,
-    _table: Optional[np.ndarray] = None,
+    _lookup: Optional[BlockLookup] = None,
     _rows: Optional[dict[int, list[int]]] = None,
 ) -> set[int]:
     """Least point set containing both blocks and closed under "add the
@@ -348,35 +423,43 @@ def closure(
     block through itself and every earlier member; blocks met before are
     skipped, and only new ones are read for new points.  A closure of n
     points thus costs C(n,2) lookups and reads about n(n-1)/(k(k-1))
-    blocks, each once.
+    blocks, each once.  The lookups of all members known at one time are
+    made in one call, and their answers are walked in that order.
 
     With max_points set, iteration stops as soon as the set grows past it
     (the partial set is returned; its size already exceeds the bound).
 
-    `_table` (the design's `_pair_block_table`) and `_rows` (block index ->
-    that block's points as a list of ints, filled as blocks are read) are
-    private caches shared across the closures of one scan.
+    `_lookup` (the design's `_block_lookup`: a difference oracle on a
+    design from `develop`, else a v*v pair table) and `_rows` (block index
+    -> that block's points as a list of ints, filled as blocks are read)
+    are private caches shared across the closures of one scan.
     """
     b1, b2 = set(map(int, block1)), set(map(int, block2))
     if b1 == b2:
         raise DesignError("closure needs two distinct blocks")
     if len(b1 & b2) != 1:
         raise DesignError(f"blocks must meet in exactly one point, share {len(b1 & b2)}")
-    # Python ints throughout: numpy scalars would cost more than the set work
-    table = memoryview(_pair_block_table(design) if _table is None else _table)
+    lookup = _block_lookup(design) if _lookup is None else _lookup
     rows = {} if _rows is None else _rows
     blocks = design.blocks
-    v = design.v
     pts = sorted(b1 | b2)  # grows as members join; each is visited once
     members = set(pts)
     seen = set()  # blocks already read
-    for i, c in enumerate(pts):
-        for m in pts[:i]:
-            bi = table[m * v + c if m < c else c * v + m]
+    done = 0  # members whose lookups are made
+    while done < len(pts):
+        # member c = done, done+1, ... with each earlier member m, by c then m
+        late = np.arange(done, len(pts))
+        c = np.repeat(late, late)
+        m = np.arange(c.size) - np.repeat(np.cumsum(late) - late, late)
+        known = np.array(pts)
+        done = len(pts)
+        # Python ints in the walk: numpy scalars would cost more than the set work
+        for t, bi in enumerate(lookup(known[m], known[c]).tolist()):
             if bi in seen:
                 continue
             if bi < 0:
-                raise DesignError(f"no block through pair ({m}, {c}); design is not Steiner")
+                pair = (pts[m[t]], pts[c[t]])
+                raise DesignError(f"no block through pair {pair}; design is not Steiner")
             seen.add(bi)
             row = rows.get(bi)
             if row is None:
@@ -390,7 +473,7 @@ def closure(
     return members
 
 
-# the most pair-table lookups one chunk of plane certificates makes
+# the most block lookups one chunk of plane certificates makes
 _CERT_ENTRIES = 2**16
 
 
@@ -415,9 +498,9 @@ def anomaly_witness(design: Design, p: int, scan_cap: int = 10**4) -> AnomalyVer
         m //= p
     if design.k != p:
         raise DesignError(f"block size {design.k} != {p}")
-    if design.b * p * (p - 1) != v * (v - 1):  # before the v*v pair table
+    if design.b * p * (p - 1) != v * (v - 1):  # before the block lookup
         raise DesignError(f"{design.b} blocks of {p} points cannot be a 2-({v},{p},1) design")
-    table = _pair_block_table(design)
+    lookup = _block_lookup(design)
     rows: dict[int, list[int]] = {}
     blocks, target = design.blocks, p * p
     lookups = target * (target - 1) // 2  # per certificate
@@ -425,11 +508,11 @@ def anomaly_witness(design: Design, p: int, scan_cap: int = 10**4) -> AnomalyVer
     scanned = 0
     for chunk in _pair_chunks(_meeting_pairs(blocks, v), max(1, _CERT_ENTRIES // lookups)):
         chunk = chunk[: scan_cap - scanned]
-        planes = _plane_certificates(design, table, chunk) if certify else np.zeros(len(chunk), bool)
+        planes = _plane_certificates(design, lookup, chunk) if certify else np.zeros(len(chunk), bool)
         for j in np.flatnonzero(~planes).tolist():
             a, b = chunk[j].tolist()
             one, two = blocks[a].tolist(), blocks[b].tolist()
-            cl = closure(design, one, two, max_points=target, _table=table, _rows=rows)
+            cl = closure(design, one, two, max_points=target, _lookup=lookup, _rows=rows)
             if len(cl) != target:
                 return AnomalyVerdict(True, (a, b), len(cl), False, scanned + j + 1)
         scanned += len(chunk)
@@ -475,14 +558,14 @@ def _pair_chunks(runs, most: int):
         yield held
 
 
-def _plane_certificates(design: Design, table: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+def _plane_certificates(design: Design, lookup: BlockLookup, pairs: np.ndarray) -> np.ndarray:
     """For each pair of blocks L1, L2 of p = k points meeting only in x,
-    their column-0 point: True only if `closure(..., max_points=p*p)`
-    returns p^2 points.  `table` is the design's `_pair_block_table`.
+    their column-0 point: True only if `closure(..., max_points=p*p)` with
+    the same `lookup` (the design's `_block_lookup`) returns p^2 points.
 
     Let S be L1, L2 and the blocks through a and b, for a in L1 and b in
     L2 other than x (columns 1 to p-1; a pair with a = b is refused).  A
-    pair is accepted iff none of those blocks is missing (-1 in `table`),
+    pair is accepted iff none of those blocks is missing (-1 from `lookup`),
     |S| = p^2, and the C(p^2, 2) pairs of S all have blocks, with exactly
     p(p+1) distinct indices among them.
 
@@ -493,7 +576,8 @@ def _plane_certificates(design: Design, table: np.ndarray, pairs: np.ndarray) ->
     induction from L1 and L2 the members stay in S, and the walk neither
     meets a -1 nor passes p^2 points.  Complete, it holds L1, L2 and the
     block through each pair of distinct members, so all of S.  This holds
-    for any table, not only a Steiner design's.
+    for any lookup whose answers hold both points, not only a Steiner
+    design's, as long as it answers a pair the same way in either order.
 
     In a Steiner design a closure of p^2 points is a 2-(p^2,p,1) design,
     an affine plane of order p, and for p >= 3 it is always accepted: a
@@ -506,19 +590,17 @@ def _plane_certificates(design: Design, table: np.ndarray, pairs: np.ndarray) ->
     n, plane = len(pairs), p * p
     one, two = blocks[pairs[:, 0]], blocks[pairs[:, 1]]
     a, b = one[:, 1:, None], two[:, None, 1:]
-    through = table[np.minimum(a, b) * v + np.maximum(a, b)].reshape(n, -1)
+    through = lookup(a, b).reshape(n, -1)
     ok = (a != b).all(axis=(1, 2))  # a -1 here is also a -1 among the pairs of S
     pts = np.concatenate([one, two[:, 1:], blocks[through].reshape(n, -1)], axis=1)
     pts.sort(axis=1)
     new = np.ones(pts.shape, dtype=bool)
     new[:, 1:] = pts[:, 1:] != pts[:, :-1]
     live = np.flatnonzero(ok & (new.sum(axis=1) == plane))
-    # the points of S in the least type that holds a place u * v + w in `table`
+    # the points of S in the least type that holds a place u * v + w of a pair table
     s = pts[live][new[live]].reshape(live.size, plane).astype(np.min_scalar_type(-v * v))
     u, w = np.triu_indices(plane, 1)
-    flat = s[:, u] * v
-    flat += s[:, w]
-    ids = table[flat]
+    ids = lookup(s[:, u], s[:, w])
     ids.sort(axis=1)
     distinct = (ids[:, 1:] != ids[:, :-1]).sum(axis=1) + 1
     ok[:] = False

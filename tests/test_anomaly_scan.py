@@ -18,7 +18,7 @@ from difam.designs import (
     AnomalyVerdict,
     Design,
     DesignError,
-    _pair_block_table,
+    _table_lookup,
     ag_design,
     anomaly_witness,
     closure,
@@ -56,13 +56,13 @@ def _per_pair_scan(design, p, scan_cap=10**4):
         raise DesignError(f"block size {design.k} != {p}")
     if design.b * p * (p - 1) != v * (v - 1):
         raise DesignError(f"{design.b} blocks of {p} points cannot be a 2-({v},{p},1) design")
-    table = _pair_block_table(design)
+    table = _table_lookup(design)
     rows = {}
     target = p * p
     scanned = 0
     for a, b, s1, s2 in _scan_order(design):
         scanned += 1
-        cl = closure(design, s1, s2, max_points=target, _table=table, _rows=rows)
+        cl = closure(design, s1, s2, max_points=target, _lookup=table, _rows=rows)
         if len(cl) != target:
             return AnomalyVerdict(True, (a, b), len(cl), False, scanned)
         if scanned >= scan_cap:
@@ -132,7 +132,7 @@ def test_scan_agrees_with_the_per_pair_loop(scan_designs, data):
             break
     refused = []
     if pairs:
-        table = _pair_block_table(design)
+        table = _table_lookup(design)
         planes = difam.designs._plane_certificates(design, table, np.array(pairs))
         refused = np.flatnonzero(~planes).tolist()
         assert p > 2 or not planes.any()  # for p = 2, |S| = 3

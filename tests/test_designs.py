@@ -18,11 +18,11 @@ from difam.designs import (
     _pair_block_table,
     _pair_index,
     _pair_points,
+    _table_lookup,
     ag_design,
     anomaly_witness,
     closure,
     develop,
-    make_design,
     subspace_replace,
     verify_design,
     verify_super_regular,
@@ -151,6 +151,16 @@ def test_verify_design_simple_means_no_block_repeats_for_rows_out_of_order():
     assert verify_design(repeats).is_simple
 
 
+def test_verify_design_without_blocks_is_simple():
+    # no block can repeat: not a design, but simple (it used to say not simple)
+    z3 = AbelianGroup((3,))
+    empty = Design(z3, np.empty((0, 2), dtype=np.int64), 2)
+    assert verify_design(empty) == DesignVerdict(False, None, True, False, None)
+    # blocks of no points: one is simple, two are the same block twice
+    assert verify_design(Design(z3, np.empty((1, 0), dtype=np.int64), 0)).is_simple
+    assert not verify_design(Design(z3, np.empty((2, 0), dtype=np.int64), 0)).is_simple
+
+
 def test_anomaly_witness_refuses_a_wrong_block_count():
     tiny = Design(AbelianGroup((2**22,)), np.array([[0, 1]], dtype=np.int64), 2)
     with pytest.raises(DesignError, match="cannot be a 2-"):
@@ -236,14 +246,6 @@ def test_design_equality_tells_product_carriers_apart(z5_design):
         verify_super_regular(z5_design, flat.carrier)
     with pytest.raises(DesignError, match="p\\^n coordinate subspace"):
         subspace_replace(4, 3, 5, z5_design)
-
-
-def test_make_design_validates_width():
-    g = AbelianGroup((7,))
-    with pytest.raises(DesignError):
-        make_design(g, [[(0,), (1,)], [(2,), (3,)]], 3)
-    d = make_design(g, [[(0,), (1,), (3,)]], 3)
-    assert d.block_points(0) == [(0,), (1,), (3,)]
 
 
 def test_ag_design_counts():
@@ -361,14 +363,14 @@ def _queue_closure(design, block1, block2, table):
 def test_closure_matches_reference(dims, z5_design):
     d = z5_design if dims is None else ag_design(*dims)
     through0 = [i for i in range(d.b) if 0 in d.blocks[i]]
-    table = _pair_block_table(d)
+    table = _table_lookup(d)
     rows = {}
     for a in range(len(through0)):
         for b in range(a + 1, len(through0)):
             b1, b2 = d.blocks[through0[a]], d.blocks[through0[b]]
             expected = _reference_closure(d, b1, b2)
             assert closure(d, b1, b2) == expected
-            assert closure(d, b1, b2, _table=table, _rows=rows) == expected
+            assert closure(d, b1, b2, _lookup=table, _rows=rows) == expected
     assert rows and all(rows[bi] == d.blocks[bi].tolist() for bi in rows)
 
 
@@ -468,7 +470,7 @@ def closure_designs(z5_design):
         "planted-ag45": subspace_replace(4, 3, 5, flat),
     }
     return {
-        name: (d, _pair_block_table(d), _reference_pair_block_table(d))
+        name: (d, _table_lookup(d), _reference_pair_block_table(d))
         for name, d in designs.items()
     }
 
@@ -487,11 +489,11 @@ def test_closure_agrees_with_both_oracles(closure_designs, data):
     assert expected == _reference_closure(d, b1, b2)
     assert closure(d, b1, b2) == expected
     rows = {}
-    assert closure(d, b1, b2, _table=table, _rows=rows) == expected
+    assert closure(d, b1, b2, _lookup=table, _rows=rows) == expected
     assert all(rows[bi] == d.blocks[bi].tolist() for bi in rows)
     # capped at a plane: a part of the closure, one point past the cap if it is larger
     cap = d.k * d.k
-    capped = closure(d, b1, b2, max_points=cap, _table=table)
+    capped = closure(d, b1, b2, max_points=cap, _lookup=table)
     assert capped <= expected and len(capped) == min(len(expected), cap + 1)
     # one block gone: the closure fails exactly when the oracle does
     gone = data.draw(st.integers(0, d.b - 1), label="dropped block")
@@ -851,18 +853,26 @@ def _traced_peak_mib(fn, *args):
 
 @pytest.mark.parametrize(
     "stage,bound_mib",
-    [("develop", 64), ("verify_design", 160), ("verify_super_regular", 96), ("pair_table", 64)],
+    [
+        ("develop", 64),
+        ("verify_design", 160),
+        ("verify_super_regular", 96),
+        ("pair_table", 64),
+        ("anomaly_witness", 8),
+    ],
 )
 def test_v3125_memory_peaks(stage, bound_mib, rdf3125, design3125):
     """Peak traced allocation of each design-layer stage on the 3125-point
     extension of thm62-z5 (b = 488,125); the unsliced builders peaked at
-    205, 261, 1,117 and 186 MiB."""
+    205, 261, 1,117 and 186 MiB, and the anomaly scan on its v*v pair table
+    at 43.8 MiB."""
     d = design3125
     calls = {
         "develop": (develop, rdf3125),
         "verify_design": (verify_design, d),
         "verify_super_regular": (verify_super_regular, d, d.carrier),
         "pair_table": (_pair_block_table, d),
+        "anomaly_witness": (anomaly_witness, d, 5),
     }
     assert _traced_peak_mib(*calls[stage]) <= bound_mib
 

@@ -15,7 +15,7 @@ from sympy import factorint
 from sympy.utilities.iterables import partitions
 
 from difam.catalog import FIXTURES
-from difam.designs import ag_design, closure, develop, verify_design, _pair_block_table
+from difam.designs import ag_design, closure, develop, verify_design, _table_lookup
 from difam.diffs import GMultiset, delta_family
 from difam.families import RelativeDifferenceFamily, StrongDifferenceFamily
 from difam.gf import FiniteField
@@ -97,7 +97,7 @@ def test_ag_closures_are_planes(n, p):
     """In the point-line design of AG(n,p) every pair of lines through a
     common point closes to exactly p^2 points; exhaustive over all pairs."""
     design = ag_design(n, p)
-    table = _pair_block_table(design)
+    table = _table_lookup(design)
     by_point = {}
     for bi in range(design.b):
         for c in design.blocks[bi]:
@@ -109,7 +109,7 @@ def test_ag_closures_are_planes(n, p):
                 s2 = set(map(int, design.blocks[ids[b]]))
                 if len(s1 & s2) != 1:
                     continue
-                cl = closure(design, s1, s2, _table=table)
+                cl = closure(design, s1, s2, _lookup=table)
                 assert len(cl) == p * p
 
 

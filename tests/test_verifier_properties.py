@@ -122,8 +122,8 @@ def _brute_force_design_verdict(design):
     """Every pair counted with a Counter; the witness is the first pair, in
     row-major order, whose count differs from that of (0, 1)."""
     v, k, rows = design.v, design.k, design.blocks.tolist()
-    if not rows:
-        return DesignVerdict(False, None, False, False, None)
+    if not rows:  # no block can repeat
+        return DesignVerdict(False, None, True, False, None)
     simple = len({tuple(sorted(row)) for row in rows}) == len(rows)  # no block repeats
     if any(a >= b for row in rows for a, b in zip(row, row[1:])):
         return DesignVerdict(False, None, simple, False, None)
