@@ -183,7 +183,7 @@ def _cmd_lift(args) -> int:
             if args.strategy == "signed":
                 half = obj.lam // 2
                 lifting = signed_lift(obj, field, half, budget=args.budget, seed=args.seed)
-                mults = MultiplierSet(field, coset_reps(field, ("pm1-in-index", half)))
+                mults = MultiplierSet(field, coset_reps(field, half))
             else:
                 psi = build_psi(obj, obj.lam, seed=args.psi_seed)
                 search = greedy_lift if args.strategy == "greedy" else zero_sum_lift
@@ -213,6 +213,8 @@ def _cmd_develop(args) -> int:
     obj = _read_family(args.file, RelativeDifferenceFamily)
     try:
         design = dz.develop(obj)
+    except dz.DesignTooLarge:
+        raise  # no verdict on the family: one `error:` line, exit 2
     except dz.DesignError as exc:
         print(f"develop failed: {exc}", file=sys.stderr)
         return 1

@@ -17,16 +17,21 @@ from sympy import isprime
 
 from .diffs import stack_rows
 from .families import RelativeDifferenceFamily, verify_rdf
-from .groups import _CHUNK, AbelianGroup, DifamError, Element
+from .groups import _CHUNK, MAX_DESIGN_POINTS, AbelianGroup, DifamError, Element, _slice_rows
 
 
 class DesignError(DifamError):
     pass
 
 
+class DesignTooLarge(DesignError):
+    """A design, pair table or count window refused for its size alone."""
+
+
 # the most blocks a design may have: bounds what a design file or ag_design allocates
 MAX_DESIGN_BLOCKS = 2**24
-# the largest v*v pair table the anomaly scan makes (v = 16,807 takes 1.05 GiB)
+# the largest v*v pair table the anomaly scan makes (v = 16,807 takes 1.05 GiB),
+# and the largest pair-count window `verify_design` makes (565 MB at v = 16,807)
 MAX_PAIR_TABLE_BYTES = 2**31
 
 
@@ -91,27 +96,26 @@ class AnomalyVerdict:
     closures_scanned: int  # pairs the scan decided, the witness among them
 
 
-def develop(rdf: RelativeDifferenceFamily, lambda_copies: Optional[int] = None) -> Design:
+def develop(rdf: RelativeDifferenceFamily) -> Design:
     """All translates of the base blocks plus lambda copies of every coset
     of every forbidden subgroup.
 
-    A design with one copy of each coset keeps the base rows, so that the
+    A design from a lambda = 1 family keeps the base rows, so that the
     anomaly scan can find blocks by `_difference_oracle`.
     """
     if not verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, rdf.k, rdf.lam).is_rdf:
         raise DesignError("difference family does not verify; refusing to develop it")
-    lam = rdf.lam if lambda_copies is None else lambda_copies
-    base = stack_rows(rdf.blocks, rdf.k) if lam == 1 else None
-    return Design(rdf.group, _develop_rows(rdf, lam), rdf.k, _base=base)
+    base = stack_rows(rdf.blocks, rdf.k) if rdf.lam == 1 else None
+    return Design(rdf.group, _develop_rows(rdf), rdf.k, _base=base)
 
 
-def _develop_rows(rdf: RelativeDifferenceFamily, lam: int) -> np.ndarray:
+def _develop_rows(rdf: RelativeDifferenceFamily) -> np.ndarray:
     """The rows of `develop`, for any family, verified or not.
 
     Column j of the |G| translates of a block is `carrier.translates` of
     its point j; each row is then sorted.
     """
-    carrier = rdf.group
+    carrier, lam = rdf.group, rdf.lam
     n = carrier.order
 
     def fill(out: np.ndarray, points) -> None:  # out: (|G|, len(points))
@@ -119,7 +123,7 @@ def _develop_rows(rdf: RelativeDifferenceFamily, lam: int) -> np.ndarray:
             out[:, j] = carrier.translates(g)
         out.sort(axis=1)
 
-    cosets = []  # the distinct cosets of each forbidden subgroup, as sorted rows
+    coset_blocks = []  # the distinct cosets of each forbidden subgroup, as sorted rows
     for sub in rdf.forbidden_members():
         if sub.order != rdf.k:
             raise DesignError(
@@ -127,16 +131,36 @@ def _develop_rows(rdf: RelativeDifferenceFamily, lam: int) -> np.ndarray:
             )
         coset_rows = np.empty((n, rdf.k), dtype=np.int64)
         fill(coset_rows, sub.elements)
-        cosets.append(np.unique(coset_rows, axis=0))
+        coset_blocks.append(np.unique(coset_rows, axis=0))
     n_translates = len(rdf.blocks) * n
-    rows = np.empty((n_translates + lam * sum(len(c) for c in cosets), rdf.k), dtype=np.int64)
+    b = n_translates + lam * sum(len(c) for c in coset_blocks)
+    _check_points(b, rdf.k)
+    rows = np.empty((b, rdf.k), dtype=np.int64)
     for i, block in enumerate(rdf.blocks):  # one base block at a time: |G| x k
         fill(rows[i * n : (i + 1) * n], map(carrier.decode, block.codes.tolist()))
     lo = n_translates
-    for unique in cosets:  # lam copies of each coset
+    for unique in coset_blocks:  # lam copies of each coset
         rows[lo : lo + lam * len(unique)] = np.repeat(unique, lam, axis=0)
         lo += lam * len(unique)
     return rows
+
+
+def _check_points(b: int, k: int) -> None:
+    """Refuse a design of b blocks of k points past MAX_DESIGN_POINTS."""
+    if b * k > MAX_DESIGN_POINTS:
+        raise DesignTooLarge(
+            f"a design of {b} blocks of {k} points has {b * k} block points, "
+            f"over the cap of {MAX_DESIGN_POINTS}"
+        )
+
+
+def _check_table(what: str, v: int, size: int) -> None:
+    """Refuse a pair table or window of `size` bytes past MAX_PAIR_TABLE_BYTES."""
+    if size > MAX_PAIR_TABLE_BYTES:
+        raise DesignTooLarge(
+            f"{what} for a {v}-point design: {size / 2**30:.1f} GiB, "
+            f"over the {MAX_PAIR_TABLE_BYTES / 2**30:.1f} GiB cap"
+        )
 
 
 def _pair_index(u, w, v):
@@ -155,7 +179,7 @@ def _pair_points(t: int, v: int) -> tuple[int, int]:
     return u, t - _pair_index(u, u + 1, v) + u + 1
 
 
-def verify_design(design: Design, t: int = 2) -> DesignVerdict:
+def verify_design(design: Design) -> DesignVerdict:
     """Exact pair-coverage count, simplicity, and replication check.
 
     Each pair u < w is counted at its row-major place, over the first
@@ -167,20 +191,23 @@ def verify_design(design: Design, t: int = 2) -> DesignVerdict:
     strictly increase fails the design outright; simplicity still says
     whether any block repeats.  A design with every pair covered exactly
     once is simple without a look at its blocks: a repeated block of k >= 2
-    strictly increasing points would cover each of its pairs twice.
+    strictly increasing points would cover each of its pairs twice.  A window
+    past MAX_PAIR_TABLE_BYTES is refused before it is made; blocks go in
+    `_slice_rows` slices.
     """
-    if t != 2:
-        raise DesignError("only pair coverage (t=2) is supported")
     v, k, arr = design.v, design.k, design.blocks
     if arr.size == 0:  # no blocks, or blocks of no points: simple unless two repeat
         return DesignVerdict(False, None, arr.shape[0] < 2, False, None)
     i_idx, j_idx = np.triu_indices(k, 1)
     n_pairs = v * (v - 1) // 2
     window = min(n_pairs, arr.shape[0] * i_idx.size + 1)
-    counts = np.zeros(window, dtype=np.min_scalar_type(arr.shape[0]))
+    dtype = np.min_scalar_type(arr.shape[0])
+    _check_table("pair counts", v, window * dtype.itemsize)
+    counts = np.zeros(window, dtype=dtype)
     least = n_pairs  # the least place covered
-    for lo in range(0, arr.shape[0], _CHUNK):
-        part = arr[lo : lo + _CHUNK]
+    step = _slice_rows(k)
+    for lo in range(0, arr.shape[0], step):
+        part = arr[lo : lo + step]
         if np.any(np.diff(part, axis=1) <= 0):
             del counts  # before the keys, so the two peaks do not add
             return DesignVerdict(False, None, _no_repeated_blocks(arr, v), False, None)
@@ -298,8 +325,10 @@ def ag_design(n: int, p: int) -> Design:
     if not isprime(p):
         raise DesignError(f"need a prime p, got {p}")
     # AG(n,p) has more than p^n >= 2^n lines: a large n is refused before p^n is formed
-    if n > MAX_DESIGN_BLOCKS.bit_length() or p**n * (p**n - 1) // (p * (p - 1)) > MAX_DESIGN_BLOCKS:
+    n_lines = p**n * (p**n - 1) // (p * (p - 1)) if n <= MAX_DESIGN_BLOCKS.bit_length() else None
+    if n_lines is None or n_lines > MAX_DESIGN_BLOCKS:
         raise DesignError(f"AG({n},{p}) has more than {MAX_DESIGN_BLOCKS} lines")
+    _check_points(n_lines, p)
     carrier = AbelianGroup((p,) * n)
     v = carrier.order
     points = carrier.decode_array(np.arange(v))  # (v, n), row i is point i
@@ -309,10 +338,11 @@ def ag_design(n: int, p: int) -> Design:
     steps = np.arange(p, dtype=np.int64)[None, :, None]
     blocks = []
     for d in directions:
-        lines = carrier.encode_array((points[:, None, :] + steps * d) % p)  # (v, p)
+        # each line of direction d once: from its point on x_i = 0, i the lead of d
+        starts = points[points[:, np.flatnonzero(d)[0]] == 0]
+        lines = carrier.encode_array((starts[:, None, :] + steps * d) % p)  # (v/p, p)
         lines.sort(axis=1)
-        # each line once: from the start point that is its least point
-        blocks.append(lines[lines[:, 0] == np.arange(v)])
+        blocks.append(lines[np.argsort(lines[:, 0])])
     return Design(carrier, np.concatenate(blocks, axis=0), p)
 
 
@@ -321,20 +351,16 @@ def _pair_block_table(design: Design) -> np.ndarray:
 
     One v*v int32 array: entry u*v+w, for u < w, holds the index of the
     block through u and w, and -1 where there is none; entries with u >= w
-    are -1.  Filled one `_CHUNK` slice of blocks at a time.  A table of more
+    are -1.  Filled one `_slice_rows` slice of blocks at a time.  A table of more
     than MAX_PAIR_TABLE_BYTES is refused before it is made.
     """
     v, k = design.v, design.k
-    size = v * v * np.dtype(np.int32).itemsize
-    if size > MAX_PAIR_TABLE_BYTES:
-        raise DesignError(
-            f"the pair table of a {v}-point design takes {size / 2**30:.1f} GiB, "
-            f"over the {MAX_PAIR_TABLE_BYTES / 2**30:.1f} GiB cap"
-        )
+    _check_table("pair table", v, v * v * np.dtype(np.int32).itemsize)
     table = np.full(v * v, -1, dtype=np.int32)
     i_idx, j_idx = np.triu_indices(k, 1)
-    for lo in range(0, design.b, _CHUNK):
-        part = design.blocks[lo : lo + _CHUNK]
+    step = _slice_rows(k)
+    for lo in range(0, design.b, step):
+        part = design.blocks[lo : lo + step]
         ids = np.arange(lo, lo + part.shape[0], dtype=np.int32)
         table[(part[:, i_idx] * v + part[:, j_idx]).ravel()] = np.repeat(ids, i_idx.size)
     return table
@@ -390,10 +416,10 @@ def _difference_oracle(design: Design) -> Optional[BlockLookup]:
     coset_row = np.full((max(sections, 1), n), -1, dtype=np.int64)  # section, point -> row
     for j in range(sections):
         lo = s * n + j * (n // k)
-        cosets = blocks[lo : lo + n // k]
-        members = carrier.sub_codes(cosets[0], cosets[0, 0])
+        section = blocks[lo : lo + n // k]
+        members = carrier.sub_codes(section[0], section[0, 0])
         which[members[members != 0]] = -2 - j
-        coset_row[j, cosets.ravel()] = np.repeat(np.arange(lo, lo + len(cosets)), cosets.shape[1])
+        coset_row[j, section.ravel()] = np.repeat(np.arange(lo, lo + len(section)), k)
 
     def lookup(u, w):
         u, w = np.minimum(u, w), np.maximum(u, w)  # one answer for either order

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import _CHUNK, AbelianGroup, Element, GroupError, Subgroup
+from .groups import AbelianGroup, Element, GroupError, Subgroup, _slice_rows
 
 
 class GMultiset:
@@ -49,10 +49,6 @@ class GMultiset:
 
     def is_set(self) -> bool:
         return not np.any(np.diff(self.codes) == 0)
-
-    def translate(self, g: Element) -> "GMultiset":
-        minus_g = self.carrier.encode(self.carrier.neg(self.carrier.check(g)))
-        return blocks_of(self.carrier, self.carrier.sub_codes(self.codes, minus_g)[None])[0]
 
     def __eq__(self, other) -> bool:
         return (
@@ -128,8 +124,9 @@ def delta_family(
     counts = np.zeros(carrier.order, dtype=np.int64)
     for rows in parts:
         i_idx, j_idx = np.nonzero(~np.eye(rows.shape[1], dtype=bool))
-        for lo in range(0, len(rows), _CHUNK):
-            part = rows[lo : lo + _CHUNK]
+        step = _slice_rows(rows.shape[1])
+        for lo in range(0, len(rows), step):
+            part = rows[lo : lo + step]
             # add.at costs per difference, a bincount per slice would cost v
             np.add.at(counts, carrier.sub_codes(part[:, i_idx], part[:, j_idx]), np.int64(1))
     return counts

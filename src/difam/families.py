@@ -28,8 +28,8 @@ from sympy import factorint
 
 from .diffs import CoverageVerdict, GMultiset, block_rows, blocks_of, coverage, delta_family
 from .diffs import stack_rows
-from .gf import FiniteField
-from .groups import AbelianGroup, DifamError, Element, Subgroup, sum_of
+from .gf import MAX_FIELD_ORDER, FiniteField
+from .groups import MAX_DESIGN_POINTS, AbelianGroup, DifamError, Element, Subgroup, sum_of
 from .params import Condition, ParamVerdict, largest_odd_prime_power_factor, main_status
 
 
@@ -54,16 +54,6 @@ class PartialSpread:
                 for b in self.members[i + 1 :]:
                     if set(a.elements) & set(b.elements) != {zero}:
                         raise FamilyError("spread members must intersect trivially")
-
-    @property
-    def parent(self) -> AbelianGroup:
-        return self.members[0].parent
-
-    def covered(self) -> set[Element]:
-        out: set[Element] = set()
-        for sub in self.members:
-            out.update(sub.elements)
-        return out
 
 
 Forbidden = Union[Subgroup, PartialSpread]
@@ -150,10 +140,6 @@ class SdfVerdict:
     lam: Optional[int]
     coverage: CoverageVerdict
 
-    @property
-    def ok(self) -> bool:
-        return self.is_sdf
-
 
 @dataclass
 class RdfVerdict:
@@ -161,10 +147,6 @@ class RdfVerdict:
     is_additive: bool
     lam: Optional[int]
     coverage: CoverageVerdict
-
-    @property
-    def ok(self) -> bool:
-        return self.is_rdf
 
 
 @dataclass
@@ -283,17 +265,21 @@ def verify_dm(
     return DmVerdict(not failures, bool(group.zero_sum_rows(rows).all()), failures)
 
 
-def zero_sum_dm(group: AbelianGroup, k: int, cap: int = 10**6) -> DifferenceMatrix:
+# the most columns zero_sum_dm builds
+MAX_DM_COLUMNS = 10**6
+
+
+def zero_sum_dm(group: AbelianGroup, k: int) -> DifferenceMatrix:
     """Difference matrix whose columns are all |H|^(k-1) zero-sum k-tuples."""
     import itertools
 
     if k < 2:
         raise FamilyError(f"a difference matrix needs k >= 2 rows, got k={k}")
-    n_cols = group.order ** (k - 1)
-    if n_cols > cap:
+    # a k past the cap's bit length is refused before |H|^(k-1) is formed
+    n_cols = group.order ** (k - 1) if k <= MAX_DM_COLUMNS.bit_length() else None
+    if n_cols is None or n_cols > MAX_DM_COLUMNS:
         raise FamilyError(
-            f"zero-sum DM for |H|={group.order}, k={k} needs {n_cols} columns; "
-            f"raise cap (currently {cap}) to build it"
+            f"zero-sum DM for |H|={group.order}, k={k} is past the cap of {MAX_DM_COLUMNS} columns"
         )
     elems = sorted(group.elements())
     columns = []
@@ -334,12 +320,18 @@ def theorem82_core_sdf(k: int) -> StrongDifferenceFamily:
     of r*F_q.
 
     Only defined for k that is neither a prime power, nor singly even, nor
-    of the form 2^n*3.
+    of the form 2^n*3.  A k past MAX_FIELD_ORDER is refused before it is
+    factored (a lifting needs a field of order q' > k), and an SDF of more
+    than MAX_DESIGN_POINTS block points (its r x k rows) before it is built.
     """
+    if k > MAX_FIELD_ORDER:
+        raise FamilyError(f"k={k}: no field under the cap {MAX_FIELD_ORDER} lifts its SDF")
     status = main_status(k)
     if status != "constructible":
         raise FamilyError(f"k={k} is out of reach for this construction ({status})")
     q, r = largest_odd_prime_power_factor(k)
+    if r * k > MAX_DESIGN_POINTS:
+        raise FamilyError(f"k={k}: {r} blocks of {k} points, over the cap of {MAX_DESIGN_POINTS}")
     fld = field_for_prime_power(q)
     block_a = np.concatenate((np.zeros(r, np.int64), np.repeat(fld.exp[::2], 2 * r)))
     block_b = np.repeat(np.arange(q), r)

@@ -23,7 +23,6 @@ c + C^lambda_g, built on first use from log and cached up to a byte budget.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -42,17 +41,6 @@ _MASK_ROW_BYTES = 2**26
 
 class FieldError(DifamError):
     pass
-
-
-@dataclass(frozen=True)
-class CyclotomicClassIndex:
-    """Index i of the cyclotomic class C^lambda_i = r^i * C^lambda."""
-
-    lam: int
-    index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", self.index % self.lam)
 
 
 class FiniteField:
@@ -133,13 +121,6 @@ class FiniteField:
 
     def div(self, a: Element, b: Element) -> Element:
         return self.mul(a, self.inv(b))
-
-    def div_int(self, a: Element, m: int) -> Element:
-        """a / m for an integer scalar m, m not divisible by p."""
-        scalar = self.from_int(m)
-        if scalar == self.zero:
-            raise FieldError(f"{m} is zero in characteristic {self.p}")
-        return self.div(a, scalar)
 
     def pow_root(self, i: int) -> Element:
         return self.additive_group.decode(int(self.exp[i % (self.q - 1)]))
@@ -278,74 +259,20 @@ def parse_modulus(text: str) -> tuple[int, ...]:
         raise FieldError(f"bad modulus text {text!r}") from exc
 
 
-def class_index(field: FiniteField, x: Element, lam: int) -> CyclotomicClassIndex:
-    """Which cyclotomic class of order lam contains x."""
-    y = field.log_code(x)
-    if not y:
-        raise FieldError("zero lies in no cyclotomic class")
-    _check_order(field, lam)
-    return CyclotomicClassIndex(lam, (y - 1) % lam)
-
-
 def cyclotomic_class(field: FiniteField, lam: int, index: int) -> list[Element]:
     """The elements of C^lam_index, in increasing log order."""
     _check_order(field, lam)
     return field.from_codes(field.exp[index % lam :: lam])
 
 
-def nonzero_squares(field: FiniteField) -> list[Element]:
-    """The (q-1)/2 elements with even log, sorted; q must be odd."""
-    if field.p == 2:
-        raise FieldError("squares of an even-order field are the whole field")
-    return field.from_codes(np.sort(field.exp[::2]))  # code order is element order
-
-
-def x_set(
-    field: FiniteField,
-    constraints: Sequence[tuple[Element, int | CyclotomicClassIndex]],
-    lam: int,
-) -> list[Element]:
-    """All x with x - c_i in the prescribed class for every constraint (c_i, gamma_i).
-
-    Sorted, and exhaustive over the field: the AND of one cached bitmask
-    per constraint (see ClassMasks.meet), mapped back from log codes.  A
-    CyclotomicClassIndex gamma must have order lam; an int gamma is read
-    modulo lam.
-    """
-    _check_order(field, lam)
-    classes = {}  # log code of c_i -> class index
-    for c, gamma in constraints:
-        if isinstance(gamma, CyclotomicClassIndex):
-            if gamma.lam != lam:
-                raise FieldError(f"class index of order {gamma.lam} used at order {lam}")
-            gamma = gamma.index
-        classes[field.log_code(c)] = gamma % lam
-    if len(classes) != len(constraints):
-        raise FieldError("constraint points must be pairwise distinct")
-    if not classes:
-        return list(field.elements())
-    table = field.class_masks(lam)
-    return field.from_codes(np.sort(table.add_code[table.meet(list(classes.items()))]))
-
-
-def coset_reps(field: FiniteField, spec: tuple[str, int]) -> list[Element]:
-    """Representatives, one per coset, least log index first in each coset.
-
-    spec forms:
-      ("index", m)       -- cosets of the index-m subgroup C^m of F_q^*
-      ("pm1-in-index", m) -- cosets of {1,-1} inside C^m (needs -1 in C^m)
-    """
-    kind, m = spec
+def coset_reps(field: FiniteField, m: int) -> list[Element]:
+    """Representatives of the cosets of {1, -1} inside the index-m subgroup
+    C^m of F_q^*, which needs -1 in C^m; least log index first in each."""
     _check_order(field, m)
-    if kind == "index":
-        return field.from_codes(field.exp[:m])
-    if kind == "pm1-in-index":
-        half = (field.q - 1) // 2
-        if field.p == 2 or half % m != 0:
-            raise FieldError(f"-1 does not lie in the index-{m} subgroup")
-        count = (field.q - 1) // (2 * m)
-        return field.from_codes(field.exp[: m * count : m])
-    raise FieldError(f"unknown coset spec kind {kind!r}")
+    half = (field.q - 1) // 2
+    if field.p == 2 or half % m != 0:
+        raise FieldError(f"-1 does not lie in the index-{m} subgroup")
+    return field.from_codes(field.exp[:half:m])
 
 
 def subfield_embed(field: FiniteField, base: FiniteField) -> np.ndarray:

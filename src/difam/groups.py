@@ -19,11 +19,20 @@ import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from sympy import factorint
+from sympy import factorint, isprime, primerange
 
 Element = tuple[int, ...]
 
 _CHUNK = 1 << 12  # rows per slice in the array builders: bounds their temporaries
+# the most block points (b*k) a design or a family's rows may have; v = 16,807 has 47,076,407
+MAX_DESIGN_POINTS = 2**27
+_TRIAL_LIMIT, _FACTOR_BITS = 2**16, 256  # the bounds of the search in `radical`
+
+
+def _slice_rows(k: int) -> int:
+    """Rows per slice of blocks of k points: _CHUNK, or fewer for blocks
+    of more than 32 pairs, so that a slice holds at most _CHUNK * 32 pairs."""
+    return max(1, _CHUNK * 32 // max(32, k * (k - 1) // 2))
 
 
 class DifamError(ValueError):
@@ -220,9 +229,6 @@ class Subgroup:
                 if self.parent.add(g, h) not in elems:
                     raise GroupError(f"subgroup not closed under addition at {g}+{h}")
 
-    def __contains__(self, g: Element) -> bool:
-        return g in set(self.elements)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subgroup)
@@ -285,23 +291,24 @@ def element_order(group: AbelianGroup, g: Element) -> int:
     return result
 
 
-def cosets(sub: Subgroup) -> list[list[Element]]:
-    """Partition of the parent into cosets, sorted by minimal representative."""
-    group = sub.parent
-    seen: set[Element] = set()
-    out: list[list[Element]] = []
-    for g in group.elements():
-        if g in seen:
-            continue
-        coset = sorted(group.add(g, h) for h in sub.elements)
-        seen.update(coset)
-        out.append(coset)
-    out.sort(key=lambda c: c[0])
-    return out
-
-
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n; radical(1) = 1."""
+def radical(n: int) -> tuple[int, int]:
+    """(r, m): r the product of the distinct primes found in n, m the part
+    of n left unfactored (1, or composite and prime to r), so r = rad(n)
+    when m = 1.  Bounded in time: the primes below _TRIAL_LIMIT are divided
+    out, then factorint, bounded by the same limit, factors what is left of
+    at most _FACTOR_BITS bits."""
     if n <= 0:
         raise DifamError(f"radical needs n >= 1, got {n}")
-    return math.prod(factorint(n))
+    r = 1
+    for p in primerange(_TRIAL_LIMIT):
+        if p * p > n:  # n is 1 or a prime
+            return r * n, 1
+        if n % p == 0:
+            r *= p
+            while n % p == 0:
+                n //= p
+    if n == 1 or n.bit_length() > _FACTOR_BITS:
+        return r, n
+    found = factorint(n, limit=_TRIAL_LIMIT)
+    left = math.prod(p for p in found if not isprime(p))
+    return r * math.prod(found) // left, left

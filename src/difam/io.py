@@ -23,15 +23,15 @@ if rendering them as read gives back the text, byte for byte; nothing is
 re-sorted on read.  Any other text, and every file of the other roles,
 goes to the JSON reader, which alone names errors: every number is a JSON
 integer (a float, a string or a bool is refused, not truncated or
-converted), a design file's points are checked and encoded all at once,
-and any malformed file raises FamilyFormatError.
+converted), every element is checked on its own, and any malformed file
+raises FamilyFormatError.  Both readers bound a design's blocks and block
+points, counted with their multiplicities, before they repeat its rows.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import chain
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -45,7 +45,7 @@ from .families import (
     RelativeDifferenceFamily,
     StrongDifferenceFamily,
 )
-from .designs import _CHUNK, MAX_DESIGN_BLOCKS, Design
+from .designs import _CHUNK, MAX_DESIGN_BLOCKS, MAX_DESIGN_POINTS, Design
 from .gf import MAX_FIELD_ORDER, FieldError, FiniteField
 from .groups import AbelianGroup, DifamError, GroupError, Subgroup
 
@@ -140,17 +140,12 @@ def _residues(obj, where: str) -> tuple[int, ...]:
     return tuple(obj)
 
 
-def _product_parts(carrier: ProductCarrier) -> tuple[tuple[str, int], ...]:
-    """The keys of a product element and the residues each holds."""
-    return ("g", carrier.group.rank), ("f", carrier.rank - carrier.group.rank)
-
-
 def _element_from_json(carrier, obj, where: str):
     if isinstance(carrier, ProductCarrier):
         if not (isinstance(obj, dict) and set(obj) == {"g", "f"}):
             raise FamilyFormatError('product element must be {"g": [...], "f": [...]}', where)
         e = ()
-        for part, width in _product_parts(carrier):
+        for part, width in ("g", carrier.group.rank), ("f", carrier.rank - carrier.group.rank):
             residues = _residues(obj[part], f"{where}.{part}")
             if len(residues) != width:
                 raise FamilyFormatError(f"{part} needs {width} residues", f"{where}.{part}")
@@ -163,35 +158,9 @@ def _element_from_json(carrier, obj, where: str):
         raise FamilyFormatError(str(exc), where)
 
 
-def _point_codes(carrier, points: list) -> Optional[np.ndarray]:
-    """The codes of parsed design points, each check of `_element_from_json`
-    made on all of them at once; None if any point fails one."""
-    if isinstance(carrier, ProductCarrier):
-        keys = {"g", "f"}
-        if not all(type(p) is dict and p.keys() == keys for p in points):
-            return None
-        parts = [([p[key] for p in points], width) for key, width in _product_parts(carrier)]
-    else:
-        parts = [(points, carrier.rank)]
-    columns = []
-    for lists, width in parts:
-        if not (set(map(type, lists)) == {list} and set(map(len, lists)) == {width}):
-            return None
-        flat = list(chain.from_iterable(lists))
-        if set(map(type, flat)) != {int}:  # a bool or a float is not a residue
-            return None
-        try:
-            columns.append(np.array(flat, dtype=np.int64).reshape(len(points), width))
-        except OverflowError:  # past int64, so past every cyclic order
-            return None
-    coords = np.concatenate(columns, axis=1)
-    if np.any((coords < 0) | (coords >= carrier.cyclic_orders)):
-        return None
-    return carrier.encode_array(coords)
-
-
 def _parse_design(carrier, k: int, raw_blocks: list) -> Design:
-    """One pass over the block entries, then the points checked and encoded
+    """One pass over the block entries, blocks and block points bounded with
+    multiplicity, then each point read by `_element_from_json` and encoded
     one `_CHUNK` slice of blocks at a time."""
     points, mults, total = [], [], 0
     for bi, entry in enumerate(raw_blocks):
@@ -205,22 +174,18 @@ def _parse_design(carrier, k: int, raw_blocks: list) -> Design:
         if not _is_int(mult) or mult < 1:
             raise FamilyFormatError(f"multiplicity must be an integer >= 1, got {mult!r}", where)
         total += mult
-        if total > MAX_DESIGN_BLOCKS:
+        if total > MAX_DESIGN_BLOCKS or total * k > MAX_DESIGN_POINTS:
             raise FamilyFormatError(
-                f"design has more than {MAX_DESIGN_BLOCKS} blocks counting multiplicity", where
+                f"design has more than {MAX_DESIGN_BLOCKS} blocks or {MAX_DESIGN_POINTS} "
+                "block points, counting multiplicity", where
             )
         points += pts
         mults.append(mult)
     codes = np.empty(len(points), dtype=np.int64)
-    step = _CHUNK * k
-    for lo in range(0, len(points), step):
-        part = points[lo : lo + step]
-        got = _point_codes(carrier, part)
-        if got is None:  # the per-point reader names the first malformed point
-            for i, point in enumerate(part, lo):
-                _element_from_json(carrier, point, f"blocks[{i // k}].points[{i % k}]")
-            raise AssertionError("_point_codes refused points that _element_from_json reads")
-        codes[lo : lo + len(part)] = got
+    for lo in range(0, len(points), _CHUNK * k):
+        part = enumerate(points[lo : lo + _CHUNK * k], lo)
+        xs = [_element_from_json(carrier, x, f"blocks[{i // k}].points[{i % k}]") for i, x in part]
+        codes[lo : lo + len(xs)] = carrier.encode_array(np.array(xs, dtype=np.int64))
     return Design(carrier, np.repeat(np.sort(codes.reshape(-1, k), axis=1), mults, axis=0), k)
 
 
@@ -305,9 +270,10 @@ def _read_rendered_design(text: Union[str, bytes]) -> Optional[Design]:
     read as its digit runs, k * rank coordinates and a mult to a row, one
     `_SLICE` of bytes at a time: each slice's whole rows are checked and
     encoded, and a partial row is carried to the next.  Coordinates,
-    multiplicities and the block total are bounded before any array grows
-    with them.  The rows R read must be `_ascending`, and the rendering of
-    R and the multiplicities C read, as read, must be `text`, byte for byte.
+    multiplicities, the block total and the block points it makes are
+    bounded before any array grows with them.  The rows R read must be
+    `_ascending`, and the rendering of R and the multiplicities C read, as
+    read, must be `text`, byte for byte.
 
     So the texts accepted are those render_family writes.  Such a text is
     render(R', C'), R' and C' the distinct sorted rows of its design and
@@ -358,7 +324,8 @@ def _read_rendered_design(text: Union[str, bytes]) -> Optional[Design]:
     del codes
     if carry.size or not 1 <= mults.min(initial=1) <= mults.max(initial=1) <= MAX_DESIGN_BLOCKS:
         return None
-    if mults.sum() > MAX_DESIGN_BLOCKS or not _ascending(rows):
+    total = int(mults.sum())
+    if total > MAX_DESIGN_BLOCKS or total * k > MAX_DESIGN_POINTS or not _ascending(rows):
         return None
     pos = 0
     for piece in _design_pieces(carrier, k, rows, mults):

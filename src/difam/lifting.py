@@ -35,7 +35,7 @@ from .families import (
     StrongDifferenceFamily,
     verify_rdf,
 )
-from .gf import FiniteField, class_index, subfield_embed
+from .gf import FiniteField, subfield_embed
 from .groups import DifamError, Element, sum_of
 
 
@@ -347,9 +347,9 @@ def zero_sum_lift(
         )
     meet, rows, code = field.class_masks(lam).meet, _psi_rows(psi), field.log_code
     half = lam // 2
+    inv2 = field.inv(field.from_int(2))  # refuses characteristic 2, where -2 = 0
     minus_two = field.neg(field.from_int(2))
-    alpha = class_index(field, minus_two, lam).index
-    inv2 = field.inv(field.from_int(2))
+    alpha = (code(minus_two) - 1) % lam  # the class of -2
 
     def options(h: int, i: int, chosen: list[int]) -> list[int]:
         # 0-based position i corresponds to the (i+1)-th chosen element
@@ -386,7 +386,7 @@ def zero_sum_lift(
                 banned.add(y2)
                 banned.add(field.mul(y2, inv2))
             if field.p != 3:
-                banned.add(field.neg(field.div_int(s3, 3)))
+                banned.add(field.neg(field.div(s3, field.from_int(3))))
         if banned:
             banned = set(map(code, banned))
             base = [x for x in base if x not in banned]
@@ -670,15 +670,13 @@ def _default_zero_sum_subset(field: FiniteField, k: int) -> list[Element]:
 
 
 def simple_lift(
-    sdf: StrongDifferenceFamily,
-    field: FiniteField,
-    L: Optional[Sequence[Element]] = None,
-    signed: bool = False,
+    sdf: StrongDifferenceFamily, field: FiniteField, signed: bool = False
 ) -> RelativeDifferenceFamily:
     """Cyclotomy-free lifting: pair every block with one fixed zero-sum
     k-subset L of F_q and multiply by all of F_q^* (lambda preserved), or,
     for blocks of shape {0} u 2*A with a symmetric L, by plus/minus coset
-    representatives only (lambda halved).
+    representatives only (lambda halved).  L is the lexicographically first
+    zero-sum k-subset, or, signed, zero and +-r^i for i < (k-1)/2.
     """
     k = sdf.k
     if field.q <= k:
@@ -694,20 +692,8 @@ def simple_lift(
         if sdf.lam % 2 != 0:
             raise LiftingError("signed variant needs an even lambda")
         shapes = [_signed_shape(b) for b in sdf.blocks]
-        if L is None:
-            # -exp[i] = exp[i + (q-1)/2], so no two of these are negatives
-            ys = fld.from_codes(fld.exp[: (k - 1) // 2])
-        else:
-            elems = [fld.check(e) for e in L]
-            if len(elems) != k or len(set(elems)) != k:
-                raise LiftingError("L must be a k-set")
-            if fld.zero not in elems:
-                raise LiftingError("signed L must contain zero")
-            ys = sorted(
-                {min(e, fld.neg(e)) for e in elems if e != fld.zero}
-            )
-            if 2 * len(ys) + 1 != k:
-                raise LiftingError("signed L must be symmetric under negation")
+        # -exp[i] = exp[i + (q-1)/2], so no two of these are negatives
+        ys = fld.from_codes(fld.exp[: (k - 1) // 2])
         lifting = signed_lifting_from_assignments(
             sdf, fld, [dict(zip(a_set, ys)) for a_set in shapes]
         )
@@ -715,15 +701,7 @@ def simple_lift(
         logs = np.arange((fld.q - 1) // 2)
         lam_out = sdf.lam // 2
     else:
-        if L is None:
-            L_elems = _default_zero_sum_subset(fld, k)
-        else:
-            L_elems = [fld.check(e) for e in L]
-            if len(L_elems) != k or len(set(L_elems)) != k:
-                raise LiftingError("L must be a k-set")
-            if sum_of(fld.additive_group, L_elems) != fld.zero:
-                raise LiftingError("L must be zero-sum")
-        x = fld.additive_group.encode_elements(L_elems)
+        x = fld.additive_group.encode_elements(_default_zero_sum_subset(fld, k))
         lifted = [block.codes * fld.q + x for block in sdf.blocks]
         logs = np.arange(fld.q - 1)
         lam_out = sdf.lam

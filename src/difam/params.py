@@ -6,6 +6,7 @@ condition can be re-checked by hand from the report alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,6 +49,26 @@ def is_singly_even(k: int) -> bool:
     return k % 4 == 2
 
 
+def _prime_to(n: int, m: int) -> int:
+    """What is left of n once every prime it shares with m is divided out:
+    1 iff every prime of n divides m, that is, iff rad(n) divides m.  Each
+    step divides by a gcd, so no number is factored."""
+    g = math.gcd(n, m)
+    while g > 1:
+        n //= g
+        g = math.gcd(n, g)
+    return n
+
+
+def _rad(n: int):
+    """rad(n) for a certificate: exact when `radical` factors n, else the
+    primes it found times the radical of the part it left."""
+    r, left = radical(n)
+    if left == 1:
+        return r
+    return f"rad({left})" if r == 1 else f"{r}*rad({left})"
+
+
 def trivial_additive(k: int) -> bool:
     """Whether the one-block design on k points admits a zero-sum group."""
     if k < 1:
@@ -59,10 +80,9 @@ def strict_additive_necessary(v: int, k: int) -> ParamVerdict:
     """Necessary conditions for a strictly additive 2-(v,k,1) design."""
     if not v >= k >= 2:
         raise DifamError(f"need v >= k >= 2, got v={v}, k={k}")
-    rad_v = radical(v)
     verdict = ParamVerdict({"v": v, "k": k})
     verdict.conditions.append(
-        Condition("radical(v) divides k", k % rad_v == 0, {"rad(v)": rad_v, "k": k})
+        Condition("radical(v) divides k", _prime_to(v, k) == 1, {"rad(v)": _rad(v), "k": k})
     )
     verdict.conditions.append(
         Condition("v not singly even", not is_singly_even(v), {"v mod 4": v % 4})
@@ -83,9 +103,9 @@ def super_regular_necessary(
             "v = k (mod k(k-1))", v % mod == k % mod, {"v mod k(k-1)": v % mod, "k": k}
         )
     )
-    rv, rk = radical(v), radical(k)
+    same = _prime_to(v, k) == 1 and _prime_to(k, v) == 1
     verdict.conditions.append(
-        Condition("radical(v) = radical(k)", rv == rk, {"rad(v)": rv, "rad(k)": rk})
+        Condition("radical(v) = radical(k)", same, {"rad(v)": _rad(v), "rad(k)": _rad(k)})
     )
     verdict.conditions.append(
         Condition("k not singly even", not is_singly_even(k), {"k mod 4": k % 4})

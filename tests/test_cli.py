@@ -527,3 +527,68 @@ def test_consecutive_runs_keep_their_own_options(tmp_path, capsys):
         "additive=True (v=63,k=7,lambda=6), 8 base blocks",
         "additive=True (v=63,k=7,lambda=6), 8 base blocks",
     ]
+
+
+# a 51-digit semiprime, nextprime(10**25) * nextprime(3 * 10**25): sympy's
+# factorint ran past 60 s on it
+SEMIPRIME = str((10**25 + 13) * (3 * 10**25 + 67))
+
+# each input in its own process under a 1.5 GB address space: it must end in
+# a verdict or in one `error:` line, never in a traceback, a hang or a
+# MemoryError; "read" is the family the command reads instead of its file
+BOUNDED_INPUTS = {
+    "admissibility-51-digits": (["admissibility", "--v", SEMIPRIME, "--k", "3"], None, 1),
+    "admissibility-v-equals-k": (["admissibility", "--v", SEMIPRIME, "--k", SEMIPRIME], None, 0),
+    "theorem82-huge-k": (["build", "theorem82", "--k", SEMIPRIME, "--out", "x.json"], None, 2),
+    # 2^19 * 5: q = 5, r = 2^19, so r rows of k points, 10 TiB
+    "theorem82-large-r": (["build", "theorem82", "--k", "2621440", "--out", "x.json"], None, 2),
+    # 3^(10^8 - 1) columns: forming the count alone ran past 20 s
+    "zero-sum-dm-huge-k": (["build", "zero-sum-dm", "--orders", "3", "--k", "100000000",
+                            "--out", "x.json"], None, 2),
+    # 8.7 GB of pair counts; its file would be 533 MB, so it is built in the child
+    "verify-ag-2-257": (["verify", "design", "ag-2-257.json"], "ag_design(2, 257)", 2),
+    # 22 KB: one block of 1,000 points taken 2**24 times, a 125 GiB repeat
+    "mult-2-24": (["verify", "design", "mult.json"], None, 2),
+    "ag-2-1021": (["build", "ag", "--n", "2", "--p", "1021", "--out", "x.json"], None, 2),
+    # 305,171,875 blocks (11.4 GiB of rows): refused for its size, not as a family
+    "develop-degree-3": (["develop", "z5x3.json", "--out", "x.json"],
+                         "extend_field(thm62_z5(), 3)", 2),
+}
+
+_BOUNDED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+import difam.cli
+from difam.catalog import thm62_z5
+from difam.designs import ag_design
+from difam.lifting import extend_field
+if sys.argv[1] != "None":
+    difam.cli._read_family = lambda path, role: eval(sys.argv[1])
+sys.exit(difam.cli.run(sys.argv[2:]))
+"""
+
+
+def test_large_inputs_end_in_a_verdict_or_one_error_line(tmp_path):
+    block = [[x] for x in range(1000)]
+    doc = {"role": "design", "carrier": {"group": [1009]}, "k": 1000,
+           "blocks": [{"points": block, "mult": 2**24}]}
+    (tmp_path / "mult.json").write_text(json.dumps(doc, indent=1))
+    assert (tmp_path / "mult.json").stat().st_size < 23_000
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    procs = {
+        name: subprocess.Popen([sys.executable, "-c", _BOUNDED_CHILD, str(read), *argv],
+                               cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                               stderr=subprocess.PIPE, text=True)
+        for name, (argv, read, _code) in BOUNDED_INPUTS.items()
+    }
+    outs = {}
+    for name, proc in procs.items():
+        outs[name], err = proc.communicate(timeout=60)
+        assert proc.returncode == BOUNDED_INPUTS[name][2], (name, outs[name], err)
+        assert "Traceback" not in err and "MemoryError" not in err, (name, err)
+        if proc.returncode == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+    # decided by gcds; the radical, which the search cannot find, is left unfactored
+    assert f"radical(v) = radical(k): PASS (rad(v)=rad({SEMIPRIME})" in outs["admissibility-v-equals-k"]
+    assert f"rad(v)=rad({SEMIPRIME}), k=3" in outs["admissibility-51-digits"]

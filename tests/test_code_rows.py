@@ -20,7 +20,7 @@ from difam import catalog
 from difam.carrier import ProductCarrier
 from difam.diffs import GMultiset
 from difam.families import FamilyError, verify_rdf
-from difam.gf import FiniteField, coset_reps, cyclotomic_class
+from difam.gf import FiniteField, cyclotomic_class
 from difam.lifting import (
     LiftingError,
     MultiplierSet,
@@ -91,7 +91,7 @@ def _ref_extend_field(rdf, n):
     carrier, base = rdf.group, rdf.group.field
     big = FiniteField(base.p, base.n * n)
     embed = _ref_embed(big, base)
-    reps = coset_reps(big, ("index", (big.q - 1) // (base.q - 1)))
+    reps = [big.pow_root(i) for i in range((big.q - 1) // (base.q - 1))]  # of F_q^*
     embedded = [
         [g + embed[x] for g, x in (_split(carrier, e) for e in block.expand())]
         for block in rdf.blocks

@@ -27,7 +27,7 @@ from difam.designs import (
     verify_design,
     verify_super_regular,
 )
-from difam.diffs import GMultiset
+from difam.diffs import GMultiset, blocks_of
 from difam.families import RelativeDifferenceFamily
 from difam.gf import FiniteField
 from difam.groups import AbelianGroup
@@ -50,7 +50,8 @@ def test_develop_counts(z5_design):
 def test_develop_refuses_broken_family():
     rdf = thm62_z5()
     carrier = rdf.group
-    broken = [rdf.blocks[0].translate(carrier.decode(7))] + rdf.blocks[1:]
+    moved = carrier.sub_codes(rdf.blocks[0].codes, carrier.encode(carrier.neg(carrier.decode(7))))
+    broken = blocks_of(carrier, moved[None]) + rdf.blocks[1:]
     bad = RelativeDifferenceFamily(carrier, rdf.forbidden, 5, 1, broken)
     # translation preserves differences, so this still verifies; break it
     # harder by dropping a block instead
@@ -165,12 +166,6 @@ def test_anomaly_witness_refuses_a_wrong_block_count():
     tiny = Design(AbelianGroup((2**22,)), np.array([[0, 1]], dtype=np.int64), 2)
     with pytest.raises(DesignError, match="cannot be a 2-"):
         anomaly_witness(tiny, 2)
-
-
-def test_verify_design_only_pairs():
-    d = ag_design(2, 3)
-    with pytest.raises(DesignError):
-        verify_design(d, t=3)
 
 
 def test_super_regular(z5_design):
@@ -601,6 +596,53 @@ def test_ag_design_refuses_more_lines_than_the_cap():
     assert difam.io.MAX_DESIGN_BLOCKS == difam.designs.MAX_DESIGN_BLOCKS == 2**24
 
 
+def test_designs_are_bounded_by_block_points(monkeypatch):
+    # AG(2,1021) has 1,043,462 lines, under the line cap, but 1.07e9 block
+    # points: 8.5 GB of rows
+    def refused(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    # the 16,807-point design (b = 6,725,201, k = 7) fits
+    assert 6_725_201 * 7 <= difam.designs.MAX_DESIGN_POINTS < 2**28
+    three = _copies(thm62_z5(), 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "empty", refused)
+        patch.setattr(np, "zeros", refused)
+        with pytest.raises(DesignError, match="1065374702 block points"):
+            ag_design(2, 1021)
+    monkeypatch.setattr(difam.designs, "MAX_DESIGN_POINTS", 3 * 6 * 125 * 5)
+    with pytest.raises(difam.designs.DesignTooLarge, match="block points"):
+        difam.designs._develop_rows(three)  # 2,250 translates and 75 coset rows
+
+
+def _copies(rdf, copies):
+    """The family with every base block taken `copies` times: lambda times `copies`."""
+    return RelativeDifferenceFamily(
+        rdf.group, rdf.forbidden, rdf.k, rdf.lam * copies, rdf.blocks * copies
+    )
+
+
+def test_verify_design_sizes_its_window_before_making_it(monkeypatch):
+    # AG(2,257)'s shape: v = 66,049, b = 66,306, k = 257, blocks from
+    # np.zeros, which touches no page until read; its counts take 8.1 GiB
+    d = Design(AbelianGroup((257, 257)), np.zeros((66306, 257), dtype=np.int64), 257)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(np, "zeros", refused)
+    with pytest.raises(DesignError, match="8.1 GiB"):
+        verify_design(d)
+    # the 16,807-point design's window: 141,229,221 uint32 counts, 565 MB
+    window = min(16807 * 16806 // 2, 6_725_201 * 21 + 1)
+    assert window * 4 <= difam.designs.MAX_PAIR_TABLE_BYTES
+
+
+@pytest.mark.parametrize("k,rows", [(2, 4096), (7, 4096), (9, 3640), (257, 3), (600, 1)])
+def test_verify_design_slices_blocks_by_pair_count(k, rows):
+    assert difam.designs._slice_rows(k) == rows
+
+
 def test_subspace_replace_errors():
     d = ag_design(2, 3)
     with pytest.raises(DesignError):
@@ -809,12 +851,13 @@ def test_develop_rows_match_unsliced(make):
     assert np.array_equal(d.blocks[: rows.shape[0]], rows)
 
 
-@pytest.mark.parametrize("lambda_copies", [None, 3])
+@pytest.mark.parametrize("copies", [None, 3])
 @pytest.mark.parametrize("make", [thm62_z5, _sigma_prime_rdf])
-def test_develop_matches_concatenated_reference(make, lambda_copies):
-    # the coset rows follow the translates: lam copies of each distinct coset
-    rdf = make()
-    lam = rdf.lam if lambda_copies is None else lambda_copies
+def test_develop_matches_concatenated_reference(make, copies):
+    # the coset rows follow the translates: lam copies of each distinct coset;
+    # with copies = 3 every base block is taken three times, a lambda = 3 family
+    rdf = make() if copies is None else _copies(make(), copies)
+    lam = rdf.lam
     carrier = rdf.group
     orders = np.array(carrier.cyclic_orders, dtype=np.int64)
     all_elems = np.array(list(carrier.elements()), dtype=np.int64)
@@ -824,7 +867,7 @@ def test_develop_matches_concatenated_reference(make, lambda_copies):
         coset_rows = carrier.encode_array(cosets)
         coset_rows.sort(axis=1)
         chunks.append(np.repeat(np.unique(coset_rows, axis=0), lam, axis=0))
-    assert np.array_equal(develop(rdf, lambda_copies).blocks, np.concatenate(chunks))
+    assert np.array_equal(develop(rdf).blocks, np.concatenate(chunks))
 
 
 def test_super_regular_without_blocks(chunk):

@@ -41,6 +41,7 @@ from difam.families import PartialSpread, RelativeDifferenceFamily
 from difam.groups import AbelianGroup, Subgroup
 from difam.io import parse_family, render_family
 from difam.lifting import extend_field
+from test_designs import _copies
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -198,7 +199,7 @@ def test_oracle_only_for_develop_output_with_one_coset_copy(developed):
     flat = Design(AbelianGroup((5, 5, 5)), z5.blocks, 5)
     assert _difference_oracle(Design(z5.carrier, z5.blocks, 5)) is None
     assert _difference_oracle(parse_family(render_family(z5))) is None
-    assert _difference_oracle(develop(thm62_z5(), lambda_copies=3)) is None
+    assert _difference_oracle(develop(_copies(thm62_z5(), 3))) is None
     assert _difference_oracle(ag_design(3, 5)) is None
     assert _difference_oracle(subspace_replace(4, 3, 5, flat)) is None
     # a layout of the wrong length keeps the table

@@ -35,14 +35,6 @@ def test_multiset_checks_elements():
         GMultiset(Z5, [(5,)])
 
 
-def test_union_and_translate():
-    a = GMultiset(Z5, [(0,), (1,)])
-    assert a.translate((3,)).expand() == [(3,), (4,)]
-    assert a.translate((4,)).expand() == [(0,), (4,)]  # sorted again after the wrap
-    with pytest.raises(GroupError):
-        a.translate((5,))
-
-
 def test_delta_block_example():
     # {0,1,1,4,4}: every nonzero element covered 4 times, zero 4 times too
     block = GMultiset(Z5, [(0,), (1,), (1,), (4,), (4,)])
@@ -74,7 +66,8 @@ def test_delta_translation_invariance():
     for _ in range(20):
         block = GMultiset(group, [rng.choice(elems) for _ in range(5)])
         g = rng.choice(elems)
-        assert np.array_equal(delta_family([block.translate(g)]), delta_family([block]))
+        moved = group.sub_codes(block.codes, group.encode(group.neg(g)))  # block + g
+        assert np.array_equal(delta_family(moved[None], group), delta_family([block]))
 
 
 def test_delta_involution_parity():
@@ -155,3 +148,14 @@ def test_forbidden_subgroup():
     sub = carrier.forbidden_subgroup()
     assert sub.order == 5
     assert all(carrier.split(e)[1] == field.zero for e in sub.elements)
+
+
+def test_delta_family_slices_wide_blocks_by_pair_count(monkeypatch):
+    # 4,096 rows of 640 points in one slice would take 12.5 GiB of differences
+    group = AbelianGroup((641,))
+    rows = np.tile(np.arange(640, dtype=np.int64), (3, 1))
+    sizes, sub_codes = [], group.sub_codes
+    monkeypatch.setattr(group, "sub_codes", lambda a, b: sizes.append(a.size) or sub_codes(a, b))
+    counts = delta_family(rows, group)
+    assert sizes == [640 * 639] * 3  # one row to a slice
+    assert counts[1] == 3 * 639 and counts.sum() == 3 * 640 * 639

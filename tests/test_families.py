@@ -120,7 +120,7 @@ def test_partial_spread_validation():
     b = Subgroup(group, [(0, 0), (0, 1)])
     c = Subgroup(group, [(0, 0), (1, 1)])
     spread = PartialSpread([a, b, c])
-    assert spread.covered() == set(group.elements())
+    assert {e for sub in spread.members for e in sub.elements} == set(group.elements())
     with pytest.raises(FamilyError):
         PartialSpread([a, a])
     with pytest.raises(FamilyError):
@@ -179,7 +179,9 @@ def test_verify_dm_shape_errors():
 
 def test_zero_sum_dm_cap():
     with pytest.raises(FamilyError):
-        zero_sum_dm(AbelianGroup((11,)), 9, cap=10**6)
+        zero_sum_dm(AbelianGroup((11,)), 9)  # 11^8 columns, over MAX_DM_COLUMNS
+    with pytest.raises(FamilyError, match="past the cap"):
+        zero_sum_dm(AbelianGroup((3,)), 10**8)  # refused before 3^(10^8 - 1) is formed
 
 
 def test_zero_sum_dm_rejects_k_below_two():
@@ -243,6 +245,20 @@ def test_theorem82_out_of_scope_k():
     for k in (9, 10, 12):
         with pytest.raises(FamilyError):
             theorem82_core_sdf(k)
+    # a k past the field cap is refused before it is factored
+    for k in (2**22 + 15, (10**25 + 13) * (3 * 10**25 + 67)):
+        with pytest.raises(FamilyError, match="no field under the cap"):
+            theorem82_core_sdf(k)
+    # k = 2^19 * 5: its r x k rows would take 10 TiB
+    with pytest.raises(FamilyError, match="524288 blocks of 2621440 points, over the cap"):
+        theorem82_core_sdf(2**19 * 5)
+
+
+def test_theorem82_core_sdf_with_lambda_past_the_field_cap():
+    # k = 2^7 * 5: lambda = 639 * 128^2 is past MAX_FIELD_ORDER, but the simple
+    # lifting needs only a field of order q' > k, such as F_641
+    sdf = theorem82_core_sdf(640)
+    assert (sdf.k, sdf.lam, len(sdf.blocks)) == (640, 639 * 128**2, 128)
 
 
 def test_counter_entries_survive_multiset():

@@ -13,6 +13,7 @@ import copy
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from difam.catalog import FIXTURES, example51, thm62_z5
 from difam.cli import run
-from difam.designs import ag_design
+from difam.designs import MAX_DESIGN_BLOCKS, MAX_DESIGN_POINTS, ag_design, verify_design
 from difam.families import zero_sum_dm
 from difam.gf import FiniteField
 from difam.groups import AbelianGroup
@@ -103,6 +104,56 @@ def test_parse_family_raises_only_format_errors(text):
         return
     rendered = render_family(obj)
     assert render_family(parse_family(rendered)) == rendered
+
+
+@st.composite
+def wide_designs(draw):
+    """A design file of up to three blocks of up to 1,200 points, each taken
+    once or twice, or so often that the blocks or the block points pass
+    their cap; in difam's own layout (the fast reader's) or compact (the
+    JSON reader's).  Also whether it passes a cap.  A multiplicity just
+    under a cap is left out: the design it makes is allowed, and takes up
+    to 1 GiB."""
+    k = draw(st.integers(1, 1200))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, 2**21 - k))
+        mult = draw(st.one_of(st.integers(1, 2), st.integers(MAX_DESIGN_POINTS // k + 1, 2**70)))
+        blocks.append({"points": [[x] for x in range(start, start + k)], "mult": mult})
+    total = sum(b["mult"] for b in blocks)
+    doc = {"role": "design", "carrier": {"group": [2**21]}, "k": k, "blocks": blocks}
+    text = json.dumps(doc, indent=draw(st.sampled_from([None, 1])))
+    return text, total > MAX_DESIGN_BLOCKS or total * k > MAX_DESIGN_POINTS
+
+
+@contextlib.contextmanager
+def _address_space_headroom(extra=1 << 29):
+    """This process's soft RLIMIT_AS lowered to its address space now plus
+    `extra`, so that a reader that allocates by a file's numbers fails with
+    a MemoryError instead of taking the machine's memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as statm:
+        size = int(statm.read().split()[0]) * resource.getpagesize()
+    limit = size + extra if hard == resource.RLIM_INFINITY else min(size + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@settings(FUZZ, max_examples=60)
+@given(wide_designs())
+def test_wide_blocks_and_large_multiplicities_are_refused_before_they_are_made(case):
+    text, past_cap = case
+    with _address_space_headroom():
+        try:
+            design = parse_family(text)
+        except FamilyFormatError as exc:
+            assert past_cap and "counting multiplicity" in str(exc)
+            return
+        assert not past_cap and design.b * design.k <= MAX_DESIGN_POINTS
+        assert not verify_design(design).is_design  # a few blocks on 2^21 points
 
 
 FIELDS = ["5,1", "7,1", "13,1", "2,2", "3,2", "5,2,2,1,1", "4,1", "5", "x,1", "2,2,1,0", "7,1,3", ""]

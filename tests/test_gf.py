@@ -11,18 +11,23 @@ from hypothesis import strategies as st
 
 import difam.gf as gf
 from difam.gf import (
-    CyclotomicClassIndex,
     FieldError,
     FiniteField,
-    class_index,
     coset_reps,
     cyclotomic_class,
-    nonzero_squares,
     parse_modulus,
     subfield_embed,
-    x_set,
 )
 from difam.groups import AbelianGroup
+
+
+def _x_set(field, constraints, lam):
+    """The sorted elements x with x - c in C^lam_g for every (c, g) in
+    constraints, read from the field's `ClassMasks.meet`, which the
+    searches call; g is read modulo lam."""
+    table = field.class_masks(lam)
+    codes = table.meet([(field.log_code(c), g % lam) for c, g in constraints])
+    return sorted(field.from_codes(table.add_code[codes]))
 
 
 def test_prime_field_arithmetic():
@@ -89,9 +94,9 @@ def test_distributivity_spot_check():
 def test_from_int_and_div_int():
     f = FiniteField(5, 2)
     assert f.from_int(7) == (2, 0)
-    assert f.mul(f.div_int(f.one, 3), f.from_int(3)) == f.one
+    assert f.mul(f.div(f.one, f.from_int(3)), f.from_int(3)) == f.one
     with pytest.raises(FieldError):
-        f.div_int(f.one, 5)
+        f.div(f.one, f.from_int(5))  # 5 is zero in characteristic 5
 
 
 def test_modulus_text_roundtrip():
@@ -108,33 +113,27 @@ def test_cyclotomic_classes_partition():
     assert union == set(f.elements()) - {f.zero}
     for i in range(4):
         for e in classes[i]:
-            assert class_index(f, e, 4).index == i
-
-
-def test_class_index_errors():
-    f = FiniteField(5, 2)
-    with pytest.raises(FieldError):
-        class_index(f, f.zero, 4)
-    with pytest.raises(FieldError):
-        class_index(f, f.one, 5)
+            assert (f.log_code(e) - 1) % 4 == i
 
 
 def test_nonzero_squares():
+    # the squares are the class of even logs, which paley_sdf reads as exp[::2]
     f = FiniteField(13, 1)
-    sq = nonzero_squares(f)
+    sq = cyclotomic_class(f, 2, 0)
     assert sorted(sq) == sorted({f.mul(x, x) for x in f.elements() if x != f.zero})
+    assert sorted(f.from_codes(f.exp[::2])) == sorted(sq)
     with pytest.raises(FieldError):
-        nonzero_squares(FiniteField(2, 3))
+        cyclotomic_class(FiniteField(2, 3), 2, 0)  # 2 does not divide q - 1 = 7
 
 
 def test_x_set_no_constraints_is_whole_field():
     f = FiniteField(13, 1)
-    assert x_set(f, [], 4) == sorted(f.elements())
+    assert _x_set(f, [], 4) == sorted(f.elements())
 
 
 def test_x_set_single_constraint_is_translated_class():
     f = FiniteField(13, 1)
-    out = x_set(f, [(f.from_int(3), 2)], 4)
+    out = _x_set(f, [(f.from_int(3), 2)], 4)
     expect = sorted(f.add(f.from_int(3), z) for z in cyclotomic_class(f, 4, 2))
     assert out == expect
 
@@ -142,7 +141,7 @@ def test_x_set_single_constraint_is_translated_class():
 def test_x_set_two_constraints_brute_force():
     f = FiniteField(5, 2)
     cons = [(f.zero, 1), (f.one, 3)]
-    out = x_set(f, cons, 4)
+    out = _x_set(f, cons, 4)
     expect = []
     for x in f.elements():
         ok = True
@@ -155,31 +154,15 @@ def test_x_set_two_constraints_brute_force():
     assert out == sorted(expect)
 
 
-def test_x_set_duplicate_points_rejected():
-    f = FiniteField(13, 1)
-    with pytest.raises(FieldError):
-        x_set(f, [(f.one, 0), (f.one, 1)], 4)
-
-
-def test_coset_reps_index():
-    f = FiniteField(13, 1)
-    reps = coset_reps(f, ("index", 4))
-    assert len(reps) == 4
-    logs = sorted((f.log_code(r) - 1) % 4 for r in reps)
-    assert logs == [0, 1, 2, 3]
-
-
 def test_coset_reps_pm1():
     f = FiniteField(5, 2)
-    reps = coset_reps(f, ("pm1-in-index", 2))
+    reps = coset_reps(f, 2)
     assert len(reps) == 6
     # reps together with their negatives tile the even-log class
     tiles = {r for r in reps} | {f.neg(r) for r in reps}
     assert tiles == set(cyclotomic_class(f, 2, 0))
     with pytest.raises(FieldError):
-        coset_reps(FiniteField(13, 1), ("pm1-in-index", 4))  # -1 is not a 4th power
-    with pytest.raises(FieldError):
-        coset_reps(f, ("nope", 2))
+        coset_reps(FiniteField(13, 1), 4)  # -1 is not a 4th power
 
 
 def test_subfield_embed_is_homomorphic():
@@ -214,20 +197,13 @@ def test_field_cap_checked_before_the_order_is_formed():
 
 def test_x_set_refuses_order_zero():
     with pytest.raises(FieldError):
-        x_set(FiniteField(13, 1), [], 0)
+        _x_set(FiniteField(13, 1), [], 0)
 
 
 def test_x_set_refuses_negative_order():
     # -4 divides 12, but there are no classes of order -4
     with pytest.raises(FieldError):
-        x_set(FiniteField(13, 1), [], -4)
-
-
-def test_x_set_refuses_class_index_of_another_order():
-    f = FiniteField(13, 1)
-    with pytest.raises(FieldError, match="order 2 used at order 4"):
-        x_set(f, [(f.zero, CyclotomicClassIndex(2, 1))], 4)
-    assert x_set(f, [(f.zero, CyclotomicClassIndex(4, 1))], 4) == x_set(f, [(f.zero, 1)], 4)
+        _x_set(FiniteField(13, 1), [], -4)
 
 
 @pytest.mark.parametrize("lam", [0, -4])
@@ -236,9 +212,7 @@ def test_class_queries_share_the_order_check(lam):
     with pytest.raises(FieldError):
         cyclotomic_class(f, lam, 0)
     with pytest.raises(FieldError):
-        class_index(f, f.one, lam)
-    with pytest.raises(FieldError):
-        coset_reps(f, ("index", lam))
+        coset_reps(f, lam)
     with pytest.raises(FieldError):
         f.class_masks(lam)
 
@@ -246,10 +220,7 @@ def test_class_queries_share_the_order_check(lam):
 def _scan_x_set(field, constraints, lam):
     """x_set as a scan of the field: the first constraint's translated
     class, filtered by the others (the implementation the masks replaced)."""
-    pairs = [
-        (c, gamma.index if isinstance(gamma, CyclotomicClassIndex) else gamma % lam)
-        for c, gamma in constraints
-    ]
+    pairs = [(c, gamma % lam) for c, gamma in constraints]
     if not pairs:
         return sorted(field.elements())
     c0, g0 = pairs[0]
@@ -280,12 +251,8 @@ def test_x_set_matches_the_field_scan(monkeypatch, row_bytes):
         f = data.draw(st.sampled_from(fields))
         lam = data.draw(st.sampled_from([d for d in range(1, f.q) if (f.q - 1) % d == 0]))
         points = data.draw(st.lists(st.sampled_from(sorted(f.elements())), max_size=4, unique=True))
-        gamma = st.one_of(
-            st.integers(-2 * lam, 2 * lam),
-            st.builds(CyclotomicClassIndex, st.just(lam), st.integers(0, lam - 1)),
-        )
-        constraints = [(c, data.draw(gamma)) for c in points]
-        assert x_set(f, constraints, lam) == _scan_x_set(f, constraints, lam)
+        constraints = [(c, data.draw(st.integers(-2 * lam, 2 * lam))) for c in points]
+        assert _x_set(f, constraints, lam) == _scan_x_set(f, constraints, lam)
 
     check()
     tables = [t for f in fields for t in f._class_masks.values()]
@@ -296,12 +263,13 @@ def test_x_set_matches_the_field_scan(monkeypatch, row_bytes):
 def test_x_set_over_a_million_points():
     # peeling a mask bit by bit (m & -m) is quadratic in q: over 60 s for
     # the whole field at this q.  Reading the set bits out of bin(m) with
-    # str.find is linear; that read-out and decoding the codes into tuples
-    # take most of the time, the int32 field tables a small part.
+    # str.find is linear, and takes most of the time, the int32 field
+    # tables a small part.
     code = (
-        "from difam.gf import FiniteField, x_set\n"
+        "from difam.gf import FiniteField\n"
         "f = FiniteField(1048573, 1)\n"
-        "print(len(x_set(f, [], 4)), len(x_set(f, [(f.one, 3)], 4)))\n"
+        "meet = f.class_masks(4).meet\n"
+        "print(len(meet([])), len(meet([(f.log_code(f.one), 3)])))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -316,7 +284,7 @@ def test_cached_masks_stay_within_the_byte_budget(monkeypatch):
     monkeypatch.setattr(gf, "_MASK_ROW_BYTES", budget)
     for x in range(1, f.q):
         c = f.from_int(x)
-        got = x_set(f, [(c, x % 4)], 4)
+        got = _x_set(f, [(c, x % 4)], 4)
         assert got == sorted(f.add(c, z) for z in cyclotomic_class(f, 4, x % 4))
     assert len(table.masks) == 5
     assert table.cached_bytes == 5 * table.mask_bytes <= budget
@@ -439,7 +407,7 @@ def test_non_elements_raise_field_error(bad):
     f = FiniteField(5, 2)
     for call in (lambda: f.mul(bad, f.one), lambda: f.mul(f.one, bad), lambda: f.inv(bad),
                  lambda: f.div(f.one, bad), lambda: f.div(bad, f.one),
-                 lambda: class_index(f, bad, 4), lambda: f.log_code(bad)):
+                 lambda: f.log_code(bad)):
         with pytest.raises(FieldError, match="is not an element"):
             call()
 

@@ -8,7 +8,6 @@ from difam.groups import (
     AbelianGroup,
     GroupError,
     Subgroup,
-    cosets,
     element_order,
     generated_subgroup,
     involution_subgroup,
@@ -89,7 +88,7 @@ def test_subgroup_verification():
     g = AbelianGroup((6,))
     sub = Subgroup(g, [(0,), (2,), (4,)])
     assert sub.order == 3
-    assert (2,) in sub
+    assert (2,) in sub.elements
     with pytest.raises(GroupError):
         Subgroup(g, [(0,), (2,)])  # not closed: 2+2=4 missing
     with pytest.raises(GroupError):
@@ -134,20 +133,12 @@ def test_element_order():
     assert element_order(g, (1, 1)) == 60
 
 
-def test_cosets_partition():
-    g = AbelianGroup((6,))
-    sub = Subgroup(g, [(0,), (3,)])
-    cs = cosets(sub)
-    assert len(cs) == 3
-    flat = sorted(e for c in cs for e in c)
-    assert flat == sorted(g.elements())
-
-
 def test_radical():
-    assert radical(1) == 1
-    assert radical(12) == 6
-    assert radical(125) == 5
-    assert radical(360) == 30
+    # (radical, part left unfactored): 1 when the radical is exact
+    assert radical(1) == (1, 1)
+    assert radical(12) == (6, 1)
+    assert radical(125) == (5, 1)
+    assert radical(360) == (30, 1)
     with pytest.raises(ValueError):
         radical(0)
 
@@ -155,10 +146,22 @@ def test_radical():
 def test_radical_of_large_numbers_is_fast():
     # trial division to sqrt(v) would take about 10^9 steps on each
     start = time.perf_counter()
-    assert radical(1000000000000000003) == 1000000000000000003  # prime
-    assert radical(4294967291 * 4294967279) == 4294967291 * 4294967279  # near 2^64
-    assert radical(2**40 * 4294967291**2) == 2 * 4294967291
+    assert radical(1000000000000000003) == (1000000000000000003, 1)  # prime
+    assert radical(4294967291 * 4294967279) == (4294967291 * 4294967279, 1)  # near 2^64
+    assert radical(2**40 * 4294967291**2) == (2 * 4294967291, 1)
     assert time.perf_counter() - start < 2
+
+
+def test_radical_leaves_what_it_cannot_factor_quickly():
+    # sympy's unbounded factorint took 9.7 s on a 41-digit semiprime, and
+    # over 60 s on this 51-digit one; 10**25 + 13 and 3 * 10**25 + 67 are prime
+    semiprime = (10**25 + 13) * (3 * 10**25 + 67)
+    huge = 3**5 * 7 * (10**25 + 13) ** 40  # past the bits the search factors
+    start = time.perf_counter()
+    assert radical(semiprime) == (1, semiprime)
+    assert radical(12 * semiprime) == (6, semiprime)
+    assert radical(huge) == (21, (10**25 + 13) ** 40)
+    assert time.perf_counter() - start < 5
 
 
 def test_every_package_error_is_a_difam_error():

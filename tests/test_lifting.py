@@ -214,7 +214,7 @@ def test_signed_lift_reference_assignment_accepted():
     sdf = example51()
     assert verify_signed_lifting(sdf, field, assigns, 2)
     lifting = signed_lifting_from_assignments(sdf, field, assigns)
-    mults = MultiplierSet(field, coset_reps(field, ("pm1-in-index", 2)))
+    mults = MultiplierSet(field, coset_reps(field, 2))
     rdf, verdict = apply_multipliers(lifting, mults)
     assert verdict.ok
 
@@ -298,8 +298,7 @@ def test_simple_lift_additive_follows_binary_forbidden():
     sdf = StrongDifferenceFamily(group, 16, 120, [GMultiset(group, [(0,)] * 10 + [(1,)] * 6)])
     assert sdf.additive
     field = FiniteField(17, 1)
-    nonzero = [e for e in field.elements() if e != field.zero]
-    rdf = simple_lift(sdf, field, L=nonzero)
+    rdf = simple_lift(sdf, field)  # L: the 16 nonzero elements, the first zero-sum 16-set
     verdict = verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, rdf.k, rdf.lam)
     assert rdf.additive is False
     assert rdf.additive == verdict.is_additive
@@ -316,26 +315,17 @@ def test_simple_lift_signed_halves_lambda():
     assert verdict.is_additive
 
 
-def test_simple_lift_validates_L():
+def test_simple_lift_pairs_every_block_with_the_first_zero_sum_set():
     sdf = example51()
     field = FiniteField(7, 1)
-    # explicit zero-sum 5-set
+    # {0, 1, 2, 5, 6}: the complement of {3, 4}, the last zero-sum 2-set
     L = [(0,), (1,), (2,), (5,), (6,)]
-    assert verify_rdf(
-        simple_lift(sdf, field, L=L).blocks,
-        ProductCarrier(sdf.group, field),
-        ProductCarrier(sdf.group, field).forbidden_subgroup(),
-        5,
-        4,
-    ).is_rdf
-    with pytest.raises(LiftingError):
-        simple_lift(sdf, field, L=[(0,), (1,), (2,), (3,), (4,)])  # sums to 10
-    with pytest.raises(LiftingError):
-        simple_lift(sdf, field, L=[(0,), (1,), (2,), (3,)])  # wrong size
-    with pytest.raises(LiftingError):
-        simple_lift(sdf, field, L=[(1,), (2,), (3,), (5,), (6,)], signed=True)  # no zero
-    with pytest.raises(LiftingError):
-        simple_lift(sdf, field, L=[(0,), (1,), (2,), (4,), (6,)], signed=True)
+    assert _default_zero_sum_subset(field, 5) == L
+    rdf = simple_lift(sdf, field)
+    carrier = ProductCarrier(sdf.group, field)
+    assert verify_rdf(rdf.blocks, carrier, carrier.forbidden_subgroup(), 5, 4).is_rdf
+    first = [GMultiset(carrier, [g + x for g, x in zip(b.expand(), L)]) for b in sdf.blocks]
+    assert rdf.blocks[:: field.q - 1] == first  # each block times r^0 = 1, then r^1, ...
 
 
 def test_simple_lift_requires_large_field():

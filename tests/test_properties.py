@@ -34,7 +34,8 @@ def test_delta_translation_invariance_randomized():
         block = GMultiset(group, [rng.choice(elems) for _ in range(rng.randint(3, 7))])
         for _ in range(4):
             g = rng.choice(elems)
-            assert np.array_equal(delta_family([block.translate(g)]), delta_family([block]))
+            moved = group.sub_codes(block.codes, group.encode(group.neg(g)))  # block + g
+            assert np.array_equal(delta_family(moved[None], group), delta_family([block]))
 
 
 def test_delta_involution_parity_randomized():

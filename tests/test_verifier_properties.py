@@ -69,7 +69,7 @@ def _damage(rdf, how, data):
 def test_verify_rdf_agrees_with_the_developed_design(name, how, data):
     rdf = _damage(_RDFS[name], how, data)
     is_rdf = verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, rdf.k, rdf.lam).is_rdf
-    design = Design(rdf.group, _develop_rows(rdf, rdf.lam), rdf.k)
+    design = Design(rdf.group, _develop_rows(rdf), rdf.k)
     assert is_rdf == verify_design(design).is_design
 
 
