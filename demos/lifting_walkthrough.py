@@ -10,6 +10,7 @@ the point-line design of AG(3,5).
 from difam.catalog import example51, paper_signed_lifting_z5
 from difam.designs import anomaly_witness, develop, verify_design, verify_super_regular
 from difam.families import verify_rdf, verify_sdf
+from difam.gf import coset_reps
 from difam.lifting import (
     MultiplierSet,
     apply_multipliers,
@@ -29,7 +30,7 @@ def main():
     print(f"  half-lambda transversal check: {verify_signed_lifting(sdf, field, assigns, 2)}")
 
     lifting = signed_lifting_from_assignments(sdf, field, assigns)
-    mults = MultiplierSet(field, [field.pow_root(2 * i) for i in range(6)])
+    mults = MultiplierSet(field, coset_reps(field, 2))
     rdf, mv = apply_multipliers(lifting, mults)
     fam = verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, 5, 1)
     print(f"\nmultiplier expansion by six even powers of the primitive root")

@@ -1,10 +1,10 @@
 """Hand-entered reference objects used as fixtures throughout the package.
 
 Triples (a, b, c) over Z_m x GF(p^2) denote the group element a paired with
-the field element b*l + c, where l is the chosen primitive root; internally
-the field element is the ascending coefficient tuple (c, b), with additive
-code c*p + b.  A product code is group_code * q + field_code, so (a, b, c)
-has code a*q + c*p + b and the fixtures are built as code rows.
+the field element b*l + c, where l is the chosen primitive root.  A field
+element is its additive code: the ascending coefficients (c, b) read as one
+base-p number, c*p + b.  A product code is group_code * q + field_code, so
+(a, b, c) has code a*q + c*p + b and the fixtures are built as code rows.
 """
 
 from __future__ import annotations
@@ -81,10 +81,11 @@ def sigma_prime() -> StrongDifferenceFamily:
 
 def paper_signed_lifting_z5() -> tuple[FiniteField, list[dict]]:
     """The GF(25) plus/minus lifting of the (5,5,4) multiset:
-    {(0,0), (1,+-1), (4,+-l)} with l a root of x^2+x+2."""
+    {(0,0), (1,+-1), (4,+-l)} with l a root of x^2+x+2.  The assignment
+    maps group codes to field codes: 1 = r^0 has code 5, l = r^1 code 1."""
     field = FiniteField(5, 2, (2, 1, 1))
-    ell = (0, 1)
-    return field, [{(1,): field.one, (4,): ell}]
+    one, ell = field.exp[:2].tolist()
+    return field, [{1: one, 4: ell}]
 
 
 def section4_table() -> list[tuple[int, int]]:

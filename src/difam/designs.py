@@ -501,21 +501,21 @@ def closure(
 
 # the most block lookups one chunk of plane certificates makes
 _CERT_ENTRIES = 2**16
+# the most pairs one anomaly scan decides
+SCAN_CAP = 10**4
 
 
-def anomaly_witness(design: Design, p: int, scan_cap: int = 10**4) -> AnomalyVerdict:
+def anomaly_witness(design: Design, p: int) -> AnomalyVerdict:
     """Look for a pair of blocks through a common point whose closure is not
     a p^2-point plane; such a pair separates the design from the point-line
     design of the affine space.
 
-    The first `scan_cap` pairs of `_meeting_pairs` are decided in order,
+    The first SCAN_CAP pairs of `_meeting_pairs` are decided in order,
     in chunks of 1, 2, 4, ... pairs: `_plane_certificates` accepts the
     planes of a chunk, and `closure` decides every other pair.
     """
     if p < 2:
         raise DesignError(f"need p >= 2, got {p}")
-    if scan_cap < 1:
-        raise DesignError(f"need scan_cap >= 1, got {scan_cap}")
     v = design.v
     m = v
     while m > 1:
@@ -533,7 +533,7 @@ def anomaly_witness(design: Design, p: int, scan_cap: int = 10**4) -> AnomalyVer
     certify = lookups <= _CERT_ENTRIES  # else `closure` decides every pair
     scanned = 0
     for chunk in _pair_chunks(_meeting_pairs(blocks, v), max(1, _CERT_ENTRIES // lookups)):
-        chunk = chunk[: scan_cap - scanned]
+        chunk = chunk[: SCAN_CAP - scanned]
         planes = _plane_certificates(design, lookup, chunk) if certify else np.zeros(len(chunk), bool)
         for j in np.flatnonzero(~planes).tolist():
             a, b = chunk[j].tolist()
@@ -542,7 +542,7 @@ def anomaly_witness(design: Design, p: int, scan_cap: int = 10**4) -> AnomalyVer
             if len(cl) != target:
                 return AnomalyVerdict(True, (a, b), len(cl), False, scanned + j + 1)
         scanned += len(chunk)
-        if scanned >= scan_cap:
+        if scanned >= SCAN_CAP:
             break
     return AnomalyVerdict(False, None, None, True, scanned)
 

@@ -13,9 +13,10 @@ on a product G x H the code of (g, h) is g_code * |H| + h_code, as it is
 group_code * q + field_code on G x F_q.  A difference matrix keeps its
 columns as element tuples.
 
-Additivity is never stored: each family type derives `additive` from its
-current blocks on every access through `blocks_are_additive`, the same
-helper the verifiers use for `is_additive`.
+Additivity is never stored: a strong difference family derives `additive`
+from its current blocks on every access through `blocks_are_additive`, the
+helper the verifiers use for `is_additive`; the other types report it only
+in their verdicts.
 """
 
 from __future__ import annotations
@@ -112,10 +113,6 @@ class RelativeDifferenceFamily:
     def s(self) -> int:
         return len(self.blocks)
 
-    @property
-    def additive(self) -> bool:
-        return blocks_are_additive(self.group, block_rows(self.blocks), self.forbidden_members())
-
     def forbidden_members(self) -> list[Subgroup]:
         return _members(self.forbidden)
 
@@ -126,11 +123,6 @@ class DifferenceMatrix:
     k: int
     mu: int
     columns: list[tuple[Element, ...]]
-
-    @property
-    def additive(self) -> bool:
-        rows = _column_rows(self.group, self.columns, self.k)
-        return blocks_are_additive(self.group, [rows], ())
 
 
 @dataclass

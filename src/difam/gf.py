@@ -1,17 +1,15 @@
 """Finite fields GF(p^n) with discrete-log tables and cyclotomic queries.
 
-Elements are tuples of n coefficients (ascending powers) over Z_p, so the
-additive group of a field is literally an AbelianGroup of type (p,...,p)
-and field elements can live inside the same multisets and difference lists
-as group elements.
+A field element is its additive code: the code, under
+`additive_group.encode`, of its n coefficients (ascending powers) over Z_p,
+so the additive group of a field is literally an AbelianGroup of type
+(p,...,p) and its codes are the field part of a G x F_q code row.
 
 The multiplicative structure is carried by two int32 arrays of additive
-codes (`additive_group.encode`), built from a primitive modulus: exp[i] is
-the code of r^i, r the class of x, and log[a] the discrete log of the
-element with code a (-1 for zero).  Building exp doubles as the
-primitivity check, since the class of x generates all q-1 nonzero elements
-exactly when the modulus is primitive.  Tuples appear only where the
-element helpers decode a code.
+codes, built from a primitive modulus: exp[i] is the code of r^i, r the
+class of x, and log[a] the discrete log of the element with code a (-1 for
+zero).  Building exp doubles as the primitivity check, since the class of x
+generates all q-1 nonzero elements exactly when the modulus is primitive.
 
 Constraint sets {x : x - c_i in C^lambda_(g_i) for all i} are intersections
 of bitmasks over log codes: code 0 is zero and code i+1 is exp[i] = r^i, so
@@ -23,14 +21,12 @@ c + C^lambda_g, built on first use from log and cached up to a byte budget.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from sympy import isprime
 
 from .groups import AbelianGroup, DifamError
-
-Element = tuple[int, ...]
 
 MAX_FIELD_ORDER = 2**22
 
@@ -46,7 +42,7 @@ class FieldError(DifamError):
 class FiniteField:
     """GF(p^n) with a verified-primitive modulus and full exp/log tables:
     `exp` (q-1 entries) and `log` (q entries, -1 at zero) are int32 arrays
-    of additive codes, and the element helpers encode and decode tuples."""
+    of additive codes."""
 
     def __init__(self, p: int, n: int, modulus: Optional[Sequence[int]] = None):
         p, n = int(p), int(n)
@@ -71,8 +67,6 @@ class FiniteField:
             modulus, tables = _find_primitive_modulus(self.additive_group)
         self.modulus = modulus
         self.exp, self.log = tables
-        self.zero: Element = (0,) * n
-        self.one: Element = self.from_int(1)
         self._class_masks: dict[int, ClassMasks] = {}
 
     def __eq__(self, other) -> bool:
@@ -86,55 +80,6 @@ class FiniteField:
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.n}, modulus={','.join(map(str, self.modulus))})"
-
-    # -- element helpers ---------------------------------------------------
-
-    def elements(self) -> Iterator[Element]:
-        return itertools.product(*(range(self.p) for _ in range(self.n)))
-
-    def from_int(self, c: int) -> Element:
-        return (c % self.p,) + (0,) * (self.n - 1)
-
-    def check(self, x: Element) -> Element:
-        if not (isinstance(x, tuple) and len(x) == self.n and all(0 <= c < self.p for c in x)):
-            raise FieldError(f"{x!r} is not an element of {self}")
-        return x
-
-    def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a: Element) -> Element:
-        return tuple((-x) % self.p for x in a)
-
-    def mul(self, a: Element, b: Element) -> Element:
-        ya, yb = self.log_code(a), self.log_code(b)
-        return self.pow_root(ya + yb - 2) if ya and yb else self.zero
-
-    def inv(self, a: Element) -> Element:
-        y = self.log_code(a)
-        if not y:
-            raise FieldError("division by zero")
-        return self.pow_root(1 - y)
-
-    def div(self, a: Element, b: Element) -> Element:
-        return self.mul(a, self.inv(b))
-
-    def pow_root(self, i: int) -> Element:
-        return self.additive_group.decode(int(self.exp[i % (self.q - 1)]))
-
-    def from_codes(self, codes) -> list[Element]:
-        """The elements with these additive codes, in order."""
-        return list(map(tuple, self.additive_group.decode_array(codes).tolist()))
-
-    def log_code(self, x: Element) -> int:
-        """1 + the discrete log of x, 0 for zero (see ClassMasks)."""
-        return int(self.log[self.additive_group.encode(self.check(x))]) + 1
-
-    def from_log_code(self, y: int) -> Element:
-        return self.pow_root(y - 1) if y else self.zero
 
     def class_masks(self, lam: int) -> ClassMasks:
         """The cached constraint-set table of the order-lam classes."""
@@ -259,20 +204,21 @@ def parse_modulus(text: str) -> tuple[int, ...]:
         raise FieldError(f"bad modulus text {text!r}") from exc
 
 
-def cyclotomic_class(field: FiniteField, lam: int, index: int) -> list[Element]:
-    """The elements of C^lam_index, in increasing log order."""
+def cyclotomic_class(field: FiniteField, lam: int, index: int) -> np.ndarray:
+    """The int64 codes of C^lam_index, in increasing log order."""
     _check_order(field, lam)
-    return field.from_codes(field.exp[index % lam :: lam])
+    return field.exp[index % lam :: lam].astype(np.int64)
 
 
-def coset_reps(field: FiniteField, m: int) -> list[Element]:
+def coset_reps(field: FiniteField, m: int) -> np.ndarray:
     """Representatives of the cosets of {1, -1} inside the index-m subgroup
-    C^m of F_q^*, which needs -1 in C^m; least log index first in each."""
+    C^m of F_q^*, which needs -1 in C^m; least log index first in each.
+    Returned as int64 codes."""
     _check_order(field, m)
     half = (field.q - 1) // 2
     if field.p == 2 or half % m != 0:
         raise FieldError(f"-1 does not lie in the index-{m} subgroup")
-    return field.from_codes(field.exp[:half:m])
+    return field.exp[:half:m].astype(np.int64)
 
 
 def subfield_embed(field: FiniteField, base: FiniteField) -> np.ndarray:

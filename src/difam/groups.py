@@ -282,15 +282,6 @@ def is_zero_sum_group(group: AbelianGroup) -> bool:
     return sum_of(group, group.elements()) == group.zero
 
 
-def element_order(group: AbelianGroup, g: Element) -> int:
-    """Least m >= 1 with m*g = 0; the lcm of the coordinate orders."""
-    group.check(g)
-    result = 1
-    for c, n in zip(g, group.cyclic_orders):
-        result = math.lcm(result, n // math.gcd(c, n))
-    return result
-
-
 def radical(n: int) -> tuple[int, int]:
     """(r, m): r the product of the distinct primes found in n, m the part
     of n left unfactored (1, or composite and prime to r), so r = rad(n)

@@ -11,8 +11,8 @@ file lists each distinct block once, as {"points": [...], "mult": m} (m is
 Every file is laid out as json.dumps(doc, indent=1).  A design's text is
 filled into that layout from a table of point texts, each distinct point
 formatted once.  parse(render(x)) == x for every field of every role, a
-design with no blocks included: a family's `additive` is derived from its
-blocks, not stored, so the file carries no flag.  Parsing checks structure
+design with no blocks included: additivity is derived from the blocks,
+not stored, so the file carries no flag.  Parsing checks structure
 only and runs no verifier; each CLI command verifies a family it reads once.
 
 There are two readers.  A design file whose text is exactly what

@@ -11,8 +11,12 @@ deterministic candidate order: options are listed as ascending log codes
 accepted lifting is re-verified by an independent checker, never trusted
 from the search itself.
 
-The searches keep second coordinates as tuples; what follows them works on
-code rows, (g, x) coded group_code * q + field_code.
+Field elements are additive codes throughout (`gf`).  A lifting holds its
+second coordinates as one (s, k) array of them, and psi is an (s, k, k)
+array of classes.  One kernel, `_class_table`, gives the class of every
+ordered pair difference of a row of coordinates, and every check compares
+against it.  What follows a lifting works on code rows, (g, x) coded
+group_code * q + field_code.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .families import (
     StrongDifferenceFamily,
     verify_rdf,
 )
-from .gf import FiniteField, subfield_embed
-from .groups import DifamError, Element, sum_of
+from .gf import FieldError, FiniteField, subfield_embed
+from .groups import AbelianGroup, DifamError, Element, sum_of
 
 
 class LiftingError(DifamError):
@@ -46,9 +50,10 @@ class LiftingError(DifamError):
         self.deepest = deepest
 
 
-@dataclass
+@dataclass(eq=False)  # an array field has no truth value: equality is identity
 class PsiAssignment:
-    """Map (block h, position i, position j) -> residue in Z_lambda.
+    """Map (block h, position i, position j) -> residue in Z_lambda, as the
+    (s, k, k) int64 array `table`, with -1 on the diagonal i = j.
 
     For every group element g the restriction to the triples whose block
     difference equals g is a bijection onto Z_lambda, and transposing the
@@ -57,14 +62,15 @@ class PsiAssignment:
 
     sdf: StrongDifferenceFamily
     lam: int
-    table: dict[tuple[int, int, int], int]
+    table: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)  # as PsiAssignment
 class Lifting:
     sdf: StrongDifferenceFamily
     field: FiniteField
-    second_coords: list[list[Element]]  # per block, aligned with its sorted elements
+    # (s, k) int64 additive field codes, row h aligned with block h's sorted codes
+    second_coords: np.ndarray
     strategy: str
     nodes: int = 0  # search nodes visited, 0 when no search ran
     deepest: int = 0  # deepest search level reached
@@ -73,37 +79,69 @@ class Lifting:
         return ProductCarrier(self.sdf.group, self.field)
 
     def lifted_blocks(self) -> list[GMultiset]:
-        carrier, encode = self.carrier(), self.field.additive_group.encode_elements
+        coords = _coord_rows(self)
+        if coords is None:
+            s, k, q = len(self.sdf.blocks), self.sdf.k, self.field.q
+            raise LiftingError(f"second coordinates must be an ({s}, {k}) array of codes below {q}")
         # a block's codes run in the order of its sorted elements, as its coordinates do
-        blocks = [
-            blocks_of(carrier, (b.codes * self.field.q + encode(x))[None])[0]
-            for b, x in zip(self.sdf.blocks, self.second_coords)
-        ]
+        blocks = blocks_of(self.carrier(), _sdf_rows(self.sdf) * self.field.q + coords)
         if not all(b.is_set() for b in blocks):
             raise LiftingError("lifted block has repeated pairs")
         return blocks
 
 
 class MultiplierSet:
-    """Nonzero field elements as their sorted distinct additive codes."""
+    """Nonzero field elements as their sorted distinct additive codes, made
+    from codes: zero is refused as a multiplier, a code outside range(q) as
+    no element."""
 
-    def __init__(self, field: FiniteField, elements: Sequence[Element]):
+    def __init__(self, field: FiniteField, codes: Sequence[int]):
         self.field = field
-        self.codes = np.unique(field.additive_group.encode_elements(list(elements)))
+        codes = np.asarray(codes)
+        if codes.ndim != 1 or codes.size and codes.dtype.kind not in "iu":
+            raise FieldError(f"multipliers must be a list of codes of {field}")
+        codes = np.sort(codes.astype(np.int64))
+        bad = codes[(codes < 0) | (codes >= field.q)]
+        if bad.size:
+            raise FieldError(f"{bad[0]} is not an element of {field}")
+        # np.unique hashes many distinct ints: 0.9 s for the (q-1)/4 codes of q = 4,194,301
+        self.codes = codes[np.diff(codes, prepend=-1) != 0]
         if self.codes.size and self.codes[0] == 0:
             raise FamilyError("multipliers must be nonzero")
 
 
-def _ordered_triples(sdf: StrongDifferenceFamily):
-    """All (h, i, j) with i != j, plus the group difference of each."""
-    group = sdf.group
-    for h, block in enumerate(sdf.blocks):
-        elems = block.expand()
-        k = len(elems)
-        for i in range(k):
-            for j in range(k):
-                if i != j:
-                    yield (h, i, j), group.sub(elems[i], elems[j])
+def _sdf_rows(sdf: StrongDifferenceFamily) -> np.ndarray:
+    """The blocks' group codes as one (s, k) array, each row sorted."""
+    if any(b.size != sdf.k for b in sdf.blocks):
+        raise LiftingError(f"every block must have k={sdf.k} points")
+    return stack_rows(sdf.blocks, sdf.k)
+
+
+def _coord_rows(lifting: Lifting) -> Optional[np.ndarray]:
+    """The second coordinates as an (s, k) int64 array of codes below q, or
+    None when they are not one code per point of every block."""
+    try:
+        coords = np.asarray(lifting.second_coords)
+    except ValueError:  # ragged rows
+        return None
+    if coords.shape != (len(lifting.sdf.blocks), lifting.sdf.k) or coords.dtype.kind not in "iu":
+        return None
+    if coords.size and (coords.min() < 0 or coords.max() >= lifting.field.q):
+        return None
+    return coords.astype(np.int64)
+
+
+def _pair_differences(group: AbelianGroup, rows: np.ndarray) -> np.ndarray:
+    """(..., k, k): the code of rows[..., i] - rows[..., j]."""
+    return group.sub_codes(rows[..., :, None], rows[..., None, :])
+
+
+def _class_table(field: FiniteField, coords: np.ndarray, lam: int) -> np.ndarray:
+    """The one pair-class kernel: for field codes coords, entry (..., i, j)
+    is the order-lam cyclotomic class of coords[..., i] - coords[..., j],
+    and -1 where that difference is zero, so on the diagonal."""
+    logs = field.log[_pair_differences(field.additive_group, np.asarray(coords, np.int64))]
+    return np.where(logs < 0, -1, logs % lam)
 
 
 def build_psi(sdf: StrongDifferenceFamily, lam: int, seed: int = 0) -> PsiAssignment:
@@ -118,74 +156,67 @@ def build_psi(sdf: StrongDifferenceFamily, lam: int, seed: int = 0) -> PsiAssign
         raise LiftingError(f"lambda must be even (the transpose rule needs lambda/2), got {lam}")
     if sdf.lam != lam:
         raise LiftingError(f"SDF has lambda={sdf.lam}, psi requested for {lam}")
-    group = sdf.group
-    by_g: dict[Element, list[tuple[int, int, int]]] = {}
-    for triple, g in _ordered_triples(sdf):
-        by_g.setdefault(g, []).append(triple)
+    group, rows = sdf.group, _sdf_rows(sdf)
+    s, k = rows.shape
+    diffs = _pair_differences(group, rows).tolist()
+    # group codes run in element order, so sorting them sorts the elements
+    by_g: dict[int, list[tuple[int, int, int]]] = {}
+    for h, i, j in itertools.product(range(s), range(k), range(k)):
+        if i != j:
+            by_g.setdefault(diffs[h][i][j], []).append((h, i, j))
     if any(len(triples) != lam for triples in by_g.values()):
         raise LiftingError("difference lists are not constant; verify the SDF first")
     rng = random.Random(seed)
     half = lam // 2
-    table: dict[tuple[int, int, int], int] = {}
+    table = [[[-1] * k for _ in range(k)] for _ in range(s)]
     for g in sorted(by_g):
         triples = by_g[g]
-        neg = group.neg(g)
-        if neg != g:
-            if any(t in table for t in triples):
+        if group.sub_codes(0, g) != g:
+            if any(table[h][i][j] >= 0 for h, i, j in triples):
                 continue  # already filled from the transposes in T_{-g}
             residues = list(range(lam))
             rng.shuffle(residues)
-            for t, c in zip(triples, residues):
-                table[t] = c
-                h, i, j = t
-                table[(h, j, i)] = (c + half) % lam
+            for (h, i, j), c in zip(triples, residues):
+                table[h][i][j] = c
+                table[h][j][i] = (c + half) % lam
         else:
             # transposition acts inside T_g itself, without fixed points
-            pairs = [((h, i, j), (h, j, i)) for (h, i, j) in triples if i < j]
+            pairs = [(h, i, j) for (h, i, j) in triples if i < j]
             low = list(range(half))
             rng.shuffle(low)
-            for (t, tbar), c in zip(pairs, low):
-                table[t] = c
-                table[tbar] = (c + half) % lam
-    return PsiAssignment(sdf, lam, table)
+            for (h, i, j), c in zip(pairs, low):
+                table[h][i][j] = c
+                table[h][j][i] = (c + half) % lam
+    return PsiAssignment(sdf, lam, np.array(table, dtype=np.int64).reshape(s, k, k))
 
 
 def verify_psi(psi: PsiAssignment) -> bool:
-    """Independent check of both psi invariants."""
-    lam, half = psi.lam, psi.lam // 2
-    by_g: dict[Element, list[int]] = {}
-    for triple, g in _ordered_triples(psi.sdf):
-        if triple not in psi.table:
-            return False
-        h, i, j = triple
-        if psi.table[(h, j, i)] != (psi.table[triple] + half) % lam:
-            return False
-        by_g.setdefault(g, []).append(psi.table[triple])
-    return all(sorted(vals) == list(range(lam)) for vals in by_g.values())
-
-
-def _pair_classes(field: FiniteField, coords: Sequence[Element], lam: int):
-    """(i, j, c) for every ordered pair i != j: c is the order-lam cyclotomic
-    class of coords[i] - coords[j], or None when that difference is zero."""
-    for i, x in enumerate(coords):
-        for j, y in enumerate(coords):
-            if i != j:
-                d = field.sub(x, y)
-                yield i, j, None if d == field.zero else (field.log_code(d) - 1) % lam
-
-
-def _block_lifts(
-    field: FiniteField, coords: Sequence[Element], psi: PsiAssignment, h: int
-) -> bool:
-    # a zero difference (class None) never matches a psi residue
-    return all(c == psi.table[(h, i, j)] for i, j, c in _pair_classes(field, coords, psi.lam))
+    """Independent check of both psi invariants, on the table's shape and
+    on the group differences of the block pairs."""
+    sdf, lam, table = psi.sdf, psi.lam, np.asarray(psi.table)
+    try:
+        rows = _sdf_rows(sdf)
+    except LiftingError:
+        return False
+    s, k = rows.shape
+    off = ~np.eye(k, dtype=bool)
+    if lam < 1 or table.shape != (s, k, k) or table.dtype.kind not in "iu":
+        return False
+    if np.any(table[:, ~off] != -1) or np.any((table[:, off] < 0) | (table[:, off] >= lam)):
+        return False
+    if not np.array_equal(table.transpose(0, 2, 1)[:, off], (table[:, off] + lam // 2) % lam):
+        return False
+    keys = _pair_differences(sdf.group, rows)[:, off] * lam + table[:, off]
+    counts = np.bincount(keys.ravel(), minlength=sdf.group.order * lam).reshape(-1, lam)
+    return bool(np.all(counts[counts.any(axis=1)] == 1))
 
 
 def check_lifting(lifting: Lifting, psi: PsiAssignment) -> bool:
-    """Do all ordered pairs of every lifted block hit their prescribed class?"""
-    return all(
-        _block_lifts(lifting.field, coords, psi, h)
-        for h, coords in enumerate(lifting.second_coords)
+    """Do all ordered pairs of every lifted block hit their prescribed class?
+    False too when the coordinates are not one field code per point."""
+    coords = _coord_rows(lifting)
+    return coords is not None and np.array_equal(
+        _class_table(lifting.field, coords, psi.lam), psi.table
     )
 
 
@@ -259,24 +290,18 @@ def _backtrack(
     return chosen
 
 
-def _psi_rows(psi: PsiAssignment) -> list[list[list[int]]]:
-    """rows[h][i]: the psi classes of (h, i, j), j < i; zipped with the
-    chosen codes, the constraints of position i (none at i = 0)."""
-    blocks = enumerate(psi.sdf.blocks)
-    return [[[psi.table[(h, i, j)] for j in range(i)] for i in range(b.size)] for h, b in blocks]
-
-
 def _lift_blocks(sdf, field, psi, budget, seed, strategy, options) -> Lifting:
     """Run the driver once per block with options(h, i, chosen), sharing one
     rng and one budget, and re-check the result with the pair checker."""
     rng = random.Random(seed)
     tracker = _Budget(budget)
-    coords = [
-        list(map(field.from_log_code, _backtrack(
+    add_code = field.class_masks(psi.lam).add_code
+    coords = np.array([
+        add_code[_backtrack(
             block.size, functools.partial(options, h), rng, tracker,
-            f"{strategy} lifting for block {h}")))
+            f"{strategy} lifting for block {h}")]
         for h, block in enumerate(sdf.blocks)
-    ]
+    ], dtype=np.int64)
     lifting = Lifting(sdf, field, coords, strategy, tracker.nodes, tracker.deepest)
     if not check_lifting(lifting, psi):
         raise LiftingError("search produced a lifting that fails the pair checker")
@@ -295,7 +320,8 @@ def greedy_lift(
     land in the psi-prescribed classes.  Backtracks when a set empties.
     """
     _require_congruence(field, psi.lam)
-    meet, rows = field.class_masks(psi.lam).meet, _psi_rows(psi)
+    meet, rows = field.class_masks(psi.lam).meet, psi.table.tolist()
+    # position i's constraints: the chosen codes, zipped with the classes of (h, i, j), j < i
     return _lift_blocks(
         sdf, field, psi, budget, seed, "greedy",
         lambda h, i, chosen: meet(list(zip(chosen, rows[h][i]))),
@@ -334,66 +360,71 @@ def zero_sum_lift(
 
     Follows the careful end-game: free choices through position k-4, an
     exclusion at k-3 in characteristic 3, the Y-set exclusions at k-2, the
-    doubled constraint set X' at k-1, and a forced final element.
+    doubled constraint set X' at k-1, and a forced final element.  The
+    points are summed and scaled as coefficient vectors over GF(p), since
+    2 and 3 lie in the prime field.
     """
     lam = psi.lam
     _require_congruence(field, lam)
-    k = sdf.k
+    k, p, group = sdf.k, field.p, field.additive_group
     if k == 3:
         raise LiftingError("k=3 is excluded from the zero-sum lifting")
-    if k % field.p != 0:
+    if k % p != 0:
         raise LiftingError(
-            f"rad(q)={field.p} must divide k={k}; use greedy_lift + zero_sum_adjust instead"
+            f"rad(q)={p} must divide k={k}; use greedy_lift + zero_sum_adjust instead"
         )
-    meet, rows, code = field.class_masks(lam).meet, _psi_rows(psi), field.log_code
-    half = lam // 2
-    inv2 = field.inv(field.from_int(2))  # refuses characteristic 2, where -2 = 0
-    minus_two = field.neg(field.from_int(2))
-    alpha = (code(minus_two) - 1) % lam  # the class of -2
+    if p == 2:
+        raise LiftingError("the zero-sum lifting divides by 2: characteristic 2 is excluded")
+    masks = field.class_masks(lam)
+    meet, add_code, rows = masks.meet, masks.add_code, psi.table.tolist()
+    half, inv2 = lam // 2, pow(2, -1, p)
+    alpha = int(field.log[group.encode((-2 % p,) + (0,) * (field.n - 1))]) % lam  # of -2
+
+    def log_codes(vectors: np.ndarray) -> list[int]:
+        """The log codes of coefficient vectors (m, n), reduced mod p."""
+        return (field.log[group.encode_array(vectors % p)] + 1).tolist()
 
     def options(h: int, i: int, chosen: list[int]) -> list[int]:
         # 0-based position i corresponds to the (i+1)-th chosen element
-        points = list(map(field.from_log_code, chosen))
+        points = group.decode_array(add_code[chosen]).reshape(i, field.n)
 
-        def sigma(upto: int) -> Element:
-            return sum_of(field.additive_group, points[:upto])
+        def sigma(upto: int) -> np.ndarray:
+            return points[:upto].sum(axis=0)
 
         if i == k - 1:
-            forced = field.neg(sigma(k - 1))
-            return [code(forced)] if _block_lifts(field, points + [forced], psi, h) else []
+            forced = int(group.encode_array(-sigma(k - 1) % p))
+            block = np.append(add_code[chosen], forced)
+            lifts = np.array_equal(_class_table(field, block, lam), psi.table[h])
+            return [int(field.log[forced]) + 1] if lifts else []
         cons = list(zip(chosen, rows[h][i]))
         if i == k - 2:  # the doubled constraint set X'
             s = sigma(k - 2)
-            for j in range(k - 2):
-                c = field.neg(field.add(s, points[j]))
-                cons.append((code(c), (psi.table[(h, k - 1, j)] + half) % lam))
-            c_last = field.neg(field.mul(s, inv2))
-            cons.append((code(c_last), (psi.table[(h, k - 1, k - 2)] - alpha) % lam))
+            centres = np.vstack((-(s + points), -s * inv2))  # -(s + x_j), then -s/2
+            classes = [(c + half) % lam for c in rows[h][k - 1][: k - 2]]
+            classes.append((rows[h][k - 1][k - 2] - alpha) % lam)
+            cons += zip(log_codes(centres), classes)
             if len({c for c, _ in cons}) != len(cons):
                 # the earlier exclusions should make this unreachable;
                 # treat it as a dead branch rather than aborting
                 return []
-        base, banned = meet(cons), set()
-        if i == k - 4 and field.p == 3:
-            banned.add(field.neg(sigma(k - 4)))
+        base, banned = meet(cons), []
+        if i == k - 4 and p == 3:
+            banned.append(-sigma(k - 4))
         if i == k - 3:
             s3 = sigma(k - 3)
-            for a in range(k - 3):
-                for b in range(a, k - 3):
-                    banned.add(field.neg(field.add(s3, field.add(points[a], points[b]))))
-            for a in range(k - 3):
-                y2 = field.neg(field.add(s3, points[a]))
-                banned.add(y2)
-                banned.add(field.mul(y2, inv2))
-            if field.p != 3:
-                banned.add(field.neg(field.div(s3, field.from_int(3))))
+            a, b = np.triu_indices(k - 3)
+            banned += list(-(s3 + points[a] + points[b]))
+            y2 = -(s3 + points)
+            banned += list(y2) + list(y2 * inv2)
+            if p != 3:
+                banned.append(-s3 * pow(3, -1, p))
         if banned:
-            banned = set(map(code, banned))
+            banned = set(log_codes(np.array(banned)))
             base = [x for x in base if x not in banned]
         return base
 
     lifting = _lift_blocks(sdf, field, psi, budget, seed, "zero-sum", options)
-    if any(sum_of(field.additive_group, c) != field.zero for c in lifting.second_coords):
+    if not group.zero_sum_rows(lifting.second_coords).all():
         raise LiftingError("zero-sum lifting produced a non-zero-sum block")
     return lifting
 
@@ -401,15 +432,16 @@ def zero_sum_lift(
 # -- signed (plus/minus) liftings ----------------------------------------
 
 
-def _signed_shape(block: GMultiset) -> list[Element]:
-    """The set A for a block of shape {0} u 2*A; raises if the shape is wrong."""
+def _signed_shape(block: GMultiset) -> list[int]:
+    """The codes of the set A for a block of shape {0} u 2*A, ascending;
+    raises if the shape is wrong."""
     a = []
     for c, m in zip(*(x.tolist() for x in np.unique(block.codes, return_counts=True))):
         if c == 0:  # the code of zero
             if m != 1:
                 raise LiftingError(f"zero must appear exactly once, has multiplicity {m}")
         elif m == 2:
-            a.append(block.carrier.decode(c))
+            a.append(c)
         else:
             e = block.carrier.decode(c)
             raise LiftingError(f"element {e} has multiplicity {m}, expected 2")
@@ -418,12 +450,18 @@ def _signed_shape(block: GMultiset) -> list[Element]:
     return a
 
 
-def _signed_coords(block: GMultiset, field: FiniteField, assign: dict) -> list[Element]:
-    """Second coordinates aligned with block.expand() for a signed assignment:
-    the sorted block is zero, then each a of A twice, which get y and -y."""
-    ys = [field.zero]
-    for a in _signed_shape(block):
-        ys += [assign[a], field.neg(assign[a])]
+def _signed_coords(block: GMultiset, field: FiniteField, assign: dict) -> list[int]:
+    """Second coordinates aligned with the block's sorted codes for a signed
+    assignment, a map from the codes of A to field codes: the sorted block
+    is zero, then each a of A twice, which get y and -y."""
+    a_set = _signed_shape(block)
+    if set(assign) != set(a_set):
+        raise LiftingError("assignment does not match the block's half set")
+    if not all(isinstance(y, (int, np.integer)) and 0 <= y < field.q for y in assign.values()):
+        raise LiftingError(f"assignment values must be codes of elements of {field}")
+    ys = [0]
+    for a in a_set:
+        ys += [int(assign[a]), field.additive_group.sub_codes(0, int(assign[a]))]
     return ys
 
 
@@ -441,20 +479,20 @@ def verify_signed_lifting(
     half_lambda: int,
 ) -> bool:
     """Check the signed success condition: for every g, the half difference
-    list is a transversal of the cyclotomic classes of order half_lambda.
+    list is a transversal of the cyclotomic classes of order half_lambda,
+    so every (g, class) is hit exactly twice by the full lists.
     """
     _require_half_lambda(field, half_lambda)
     group = sdf.group
-    counts: Counter = Counter()
+    counts = np.zeros(group.order * half_lambda, dtype=np.int64)
     for block, assign in zip(sdf.blocks, assign_per_block):
-        if set(assign) != set(_signed_shape(block)):
-            raise LiftingError("assignment does not match the block's half set")
-        gs, ys = block.expand(), _signed_coords(block, field, assign)
-        for i, j, c in _pair_classes(field, ys, half_lambda):
-            if c is None:
-                return False
-            counts[(group.sub(gs[i], gs[j]), c)] += 1
-    return dict(counts) == {(g, c): 2 for g in group.elements() for c in range(half_lambda)}
+        classes = _class_table(field, _signed_coords(block, field, assign), half_lambda)
+        off = ~np.eye(block.size, dtype=bool)
+        if np.any(classes[off] < 0):
+            return False
+        keys = _pair_differences(group, block.codes)[off] * half_lambda + classes[off]
+        counts += np.bincount(keys, minlength=counts.size)
+    return len(assign_per_block) == len(sdf.blocks) and bool(np.all(counts == 2))
 
 
 def signed_lift(
@@ -468,8 +506,8 @@ def signed_lift(
 
     Zero-sum is automatic; success means every half difference list is a
     transversal of the order-half_lambda cyclotomic classes, tracked as a
-    global count map (each (g, class) hit exactly twice by the symmetric
-    full lists).
+    global count map of int keys g_code * half_lambda + class (each hit
+    exactly twice by the symmetric full lists).
     """
     if field.q % 2 == 0:
         raise LiftingError("signed liftings need an odd-order field")
@@ -478,7 +516,7 @@ def signed_lift(
             f"SDF lambda={sdf.lam} must equal 2*half_lambda={2 * half_lambda}"
         )
     _require_half_lambda(field, half_lambda)
-    group = sdf.group
+    gsub, fsub, log = sdf.group.sub_codes, field.additive_group.sub_codes, field.log
     shapes = [_signed_shape(b) for b in sdf.blocks]
     variables = [(h, a) for h, a_set in enumerate(shapes) for a in a_set]
     # log codes of exp[0..(q-3)/2]: one per {y, -y} pair, both give the same lifted block
@@ -488,26 +526,27 @@ def signed_lift(
     tallies: list[Counter] = []
     assigns: list[dict] = [{} for _ in sdf.blocks]
 
-    def new_diffs(h: int, a: Element, y: Element) -> list[tuple[Element, int]]:
-        """Ordered differences contributed by the pair (a, +-y): each comes
-        out twice per (g, class) key because -1 lies in C^half_lambda."""
+    def new_diffs(h: int, a: int, y: int) -> list[int]:
+        """Keys of the ordered differences contributed by the pair (a, +-y):
+        each comes out twice per key because -1 lies in C^half_lambda."""
         out = []
 
-        def add2(g: Element, d: Element) -> bool:
-            if d == field.zero:
+        def add2(g: int, d: int) -> bool:
+            c = int(log[d])
+            if c < 0:  # a zero difference
                 return False
-            key = (g, (field.log_code(d) - 1) % half_lambda)
+            key = g * half_lambda + c % half_lambda
             out.append(key)
             out.append(key)
             return True
 
-        neg_a = group.neg(a)
-        ok = add2(group.zero, field.add(y, y))  # (a,y) vs (a,-y), both orders
+        neg_a = gsub(0, a)
+        ok = add2(0, fsub(y, fsub(0, y)))  # (a,y) vs (a,-y), both orders
         ok = ok and add2(a, y) and add2(neg_a, y)  # vs the (0, 0) point
         for b, z in assigns[h].items():
-            g = group.sub(a, b)
-            neg_g = group.neg(g)
-            for d in (field.sub(y, z), field.add(y, z)):
+            g = gsub(a, b)
+            neg_g = gsub(0, g)
+            for d in (fsub(y, z), fsub(y, fsub(0, z))):
                 ok = ok and add2(g, d) and add2(neg_g, d)
             if not ok:
                 break
@@ -515,7 +554,7 @@ def signed_lift(
 
     def commit(idx: int, y: int) -> bool:
         h, a = variables[idx]
-        y = field.from_log_code(y)
+        y = int(field.exp[y - 1])
         diffs = new_diffs(h, a, y)
         if not diffs:
             return False
@@ -547,12 +586,13 @@ def signed_lift(
 def signed_lifting_from_assignments(
     sdf: StrongDifferenceFamily, field: FiniteField, assign_per_block: Sequence[dict]
 ) -> Lifting:
-    """Wrap externally chosen plus/minus assignments as a Lifting."""
-    coords = [
-        _signed_coords(block, field, dict(assign))
-        for block, assign in zip(sdf.blocks, assign_per_block)
-    ]
-    return Lifting(sdf, field, coords, "signed")
+    """Wrap externally chosen plus/minus assignments (codes of A to field
+    codes, one map per block) as a Lifting."""
+    if len(assign_per_block) != len(sdf.blocks):
+        raise LiftingError(f"need one assignment per block, got {len(assign_per_block)}")
+    _sdf_rows(sdf)  # one k for every block
+    coords = [_signed_coords(b, field, a) for b, a in zip(sdf.blocks, assign_per_block)]
+    return Lifting(sdf, field, np.array(coords, dtype=np.int64).reshape(-1, sdf.k), "signed")
 
 
 # -- multipliers, extension, and the cyclotomy-free lifting ----------------
@@ -654,16 +694,16 @@ def _default_zero_sum_subset(field: FiniteField, k: int) -> list[Element]:
     complements reverses lexicographic order: when q-k < k it is the
     complement of the last zero-sum (q-k)-subset, found walking backwards.
     """
-    elems = sorted(field.elements())
     group = field.additive_group
+    elems = list(group.elements())  # in lexicographic order
     if field.q > 2 and field.q - k < k:
         for idx in _combinations_descending(field.q, field.q - k):
-            if sum_of(group, [elems[i] for i in idx]) == field.zero:
+            if sum_of(group, [elems[i] for i in idx]) == group.zero:
                 drop = set(idx)
                 return [e for i, e in enumerate(elems) if i not in drop]
     else:
         for head in itertools.combinations(elems, k - 1):
-            last = field.neg(sum_of(group, head))
+            last = group.neg(sum_of(group, head))
             if last not in head:
                 return list(head) + [last]
     raise LiftingError(f"field of order {field.q} has no zero-sum {k}-subset")
@@ -693,7 +733,7 @@ def simple_lift(
             raise LiftingError("signed variant needs an even lambda")
         shapes = [_signed_shape(b) for b in sdf.blocks]
         # -exp[i] = exp[i + (q-1)/2], so no two of these are negatives
-        ys = fld.from_codes(fld.exp[: (k - 1) // 2])
+        ys = fld.exp[: (k - 1) // 2].tolist()
         lifting = signed_lifting_from_assignments(
             sdf, fld, [dict(zip(a_set, ys)) for a_set in shapes]
         )

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from sympy import factorint, n_order
 
-from .groups import AbelianGroup, DifamError, element_order, radical
+from .groups import DifamError, radical
 
 
 @dataclass
@@ -90,9 +89,7 @@ def strict_additive_necessary(v: int, k: int) -> ParamVerdict:
     return verdict
 
 
-def super_regular_necessary(
-    v: int, k: int, group: Optional[AbelianGroup] = None
-) -> ParamVerdict:
+def super_regular_necessary(v: int, k: int) -> ParamVerdict:
     """Necessary conditions for a super-regular 2-(v,k,1) design."""
     if k < 2:
         raise DifamError(f"need k >= 2, got k={k}")
@@ -110,15 +107,6 @@ def super_regular_necessary(
     verdict.conditions.append(
         Condition("k not singly even", not is_singly_even(k), {"k mod 4": k % 4})
     )
-    if group is not None:
-        bad = [g for g in group.elements() if k % element_order(group, g) != 0]
-        verdict.conditions.append(
-            Condition(
-                "element orders divide k",
-                not bad,
-                {"group": group.cyclic_orders, "violations": len(bad)},
-            )
-        )
     return verdict
 
 

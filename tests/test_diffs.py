@@ -147,7 +147,7 @@ def test_forbidden_subgroup():
     carrier = ProductCarrier(AbelianGroup((5,)), field)
     sub = carrier.forbidden_subgroup()
     assert sub.order == 5
-    assert all(carrier.split(e)[1] == field.zero for e in sub.elements)
+    assert all(carrier.split(e)[1] == (0, 0) for e in sub.elements)
 
 
 def test_delta_family_slices_wide_blocks_by_pair_count(monkeypatch):

@@ -19,24 +19,39 @@ from difam.gf import (
     subfield_embed,
 )
 from difam.groups import AbelianGroup
+from difam.lifting import MultiplierSet
+from gf_reference import RefField
+
+
+def _log_code(field, c):
+    """1 + the discrete log of the element with additive code c, 0 for zero."""
+    return int(field.log[c]) + 1
 
 
 def _x_set(field, constraints, lam):
-    """The sorted elements x with x - c in C^lam_g for every (c, g) in
-    constraints, read from the field's `ClassMasks.meet`, which the
-    searches call; g is read modulo lam."""
+    """The sorted codes x with x - c in C^lam_g for every (c, g) in
+    constraints, c a code, read from the field's `ClassMasks.meet`, which
+    the searches call; g is read modulo lam."""
     table = field.class_masks(lam)
-    codes = table.meet([(field.log_code(c), g % lam) for c, g in constraints])
-    return sorted(field.from_codes(table.add_code[codes]))
+    codes = table.meet([(_log_code(field, c), g % lam) for c, g in constraints])
+    return sorted(table.add_code[codes].tolist())
+
+
+def _mul(field, a, b):
+    """The product of two codes through the exp/log tables."""
+    if not a or not b:
+        return 0
+    return int(field.exp[(int(field.log[a]) + int(field.log[b])) % (field.q - 1)])
 
 
 def test_prime_field_arithmetic():
+    # over a prime field a code is its residue
     f = FiniteField(13, 1)
     assert f.q == 13
-    assert f.add((7,), (9,)) == (3,)
-    assert f.mul((3,), (5,)) == (2,)
-    assert f.inv((2,)) == (7,)
-    assert f.div((1,), (2,)) == (7,)
+    assert _mul(f, 3, 5) == 2
+    assert int(f.exp[-int(f.log[2]) % 12]) == 7  # 1/2
+    ref = RefField(f)
+    assert all(ref.mul((a,), (b,)) == (_mul(f, a, b),) for a in range(13) for b in range(13))
 
 
 def test_gf25_default_modulus_is_least_primitive():
@@ -57,8 +72,10 @@ def test_exp_log_consistency():
     assert len(set(f.exp)) == 26
     for i, e in enumerate(f.exp):
         assert f.log[e] == i
-    # multiplicative closure
-    assert f.mul(f.pow_root(20), f.pow_root(10)) == f.pow_root(4)
+    # exp[i] is r^i, the product of the reference
+    ref = RefField(f)
+    assert [ref.element(e) for e in f.exp] == [ref.pow(ref.root, i) for i in range(26)]
+    assert ref.mul(ref.element(f.exp[20]), ref.element(f.exp[10])) == ref.element(f.exp[4])
 
 
 def test_field_cap():
@@ -74,29 +91,28 @@ def test_bad_inputs():
     with pytest.raises(FieldError):
         FiniteField(5, 2, (2, 1, 2))  # not monic
     f = FiniteField(5, 2)
-    with pytest.raises(FieldError):
-        f.check((5, 0))
-    with pytest.raises(FieldError):
-        f.inv(f.zero)
+    assert f.log[0] == -1  # zero has no discrete log, so no inverse
 
 
 def test_distributivity_spot_check():
+    # the table product is the reference product, which distributes
     f = FiniteField(5, 2, (2, 1, 1))
-    elems = list(f.elements())
+    ref = RefField(f)
+    elems = list(ref.elements())
+    for a in elems:
+        assert all(ref.element(_mul(f, ref.code(a), ref.code(b))) == ref.mul(a, b) for b in elems)
     for a in elems[:6]:
         for b in elems[:6]:
             for c in elems[:6]:
-                left = f.mul(a, f.add(b, c))
-                right = f.add(f.mul(a, b), f.mul(a, c))
-                assert left == right
+                assert ref.mul(a, ref.add(b, c)) == ref.add(ref.mul(a, b), ref.mul(a, c))
 
 
 def test_from_int_and_div_int():
+    # an integer c is the code of (c mod p, 0): c * p^(n-1)
     f = FiniteField(5, 2)
-    assert f.from_int(7) == (2, 0)
-    assert f.mul(f.div(f.one, f.from_int(3)), f.from_int(3)) == f.one
-    with pytest.raises(FieldError):
-        f.div(f.one, f.from_int(5))  # 5 is zero in characteristic 5
+    assert int(f.exp[0]) == RefField(f).code((1, 0)) == 5
+    for c in range(1, 5):  # the table inverse of c is 1/c in GF(5)
+        assert int(f.exp[-int(f.log[c * 5]) % 24]) == pow(c, -1, 5) * 5
 
 
 def test_modulus_text_roundtrip():
@@ -109,58 +125,54 @@ def test_cyclotomic_classes_partition():
     f = FiniteField(5, 2)
     classes = [cyclotomic_class(f, 4, i) for i in range(4)]
     assert all(len(c) == 6 for c in classes)
-    union = {e for c in classes for e in c}
-    assert union == set(f.elements()) - {f.zero}
+    union = {e for c in classes for e in c.tolist()}
+    assert union == set(range(1, f.q))
+    ref = RefField(f)
     for i in range(4):
-        for e in classes[i]:
-            assert (f.log_code(e) - 1) % 4 == i
+        assert all(ref.cls(ref.element(e), 4) == i for e in classes[i])
 
 
 def test_nonzero_squares():
     # the squares are the class of even logs, which paley_sdf reads as exp[::2]
     f = FiniteField(13, 1)
+    ref = RefField(f)
     sq = cyclotomic_class(f, 2, 0)
-    assert sorted(sq) == sorted({f.mul(x, x) for x in f.elements() if x != f.zero})
-    assert sorted(f.from_codes(f.exp[::2])) == sorted(sq)
+    assert sorted(sq.tolist()) == sorted({ref.code(ref.mul(x, x)) for x in ref.elements() if any(x)})
+    assert sq.tolist() == f.exp[::2].tolist()
     with pytest.raises(FieldError):
         cyclotomic_class(FiniteField(2, 3), 2, 0)  # 2 does not divide q - 1 = 7
 
 
 def test_x_set_no_constraints_is_whole_field():
     f = FiniteField(13, 1)
-    assert _x_set(f, [], 4) == sorted(f.elements())
+    assert _x_set(f, [], 4) == list(range(13))
 
 
 def test_x_set_single_constraint_is_translated_class():
     f = FiniteField(13, 1)
-    out = _x_set(f, [(f.from_int(3), 2)], 4)
-    expect = sorted(f.add(f.from_int(3), z) for z in cyclotomic_class(f, 4, 2))
+    out = _x_set(f, [(3, 2)], 4)
+    expect = sorted((3 + z) % 13 for z in cyclotomic_class(f, 4, 2).tolist())
     assert out == expect
 
 
 def test_x_set_two_constraints_brute_force():
     f = FiniteField(5, 2)
-    cons = [(f.zero, 1), (f.one, 3)]
-    out = _x_set(f, cons, 4)
-    expect = []
-    for x in f.elements():
-        ok = True
-        for c, g in cons:
-            d = f.sub(x, c)
-            if d == f.zero or (f.log_code(d) - 1) % 4 != g:
-                ok = False
-        if ok:
-            expect.append(x)
-    assert out == sorted(expect)
+    ref = RefField(f)
+    cons = [(ref.zero, 1), (ref.one, 3)]
+    out = _x_set(f, [(ref.code(c), g) for c, g in cons], 4)
+    expect = [x for x in ref.elements() if all(ref.cls(ref.sub(x, c), 4) == g for c, g in cons)]
+    assert out == sorted(map(ref.code, expect))
 
 
 def test_coset_reps_pm1():
     f = FiniteField(5, 2)
+    ref = RefField(f)
     reps = coset_reps(f, 2)
-    assert len(reps) == 6
+    assert reps.dtype == np.int64 and len(reps) == 6
     # reps together with their negatives tile the even-log class
-    tiles = {r for r in reps} | {f.neg(r) for r in reps}
-    assert tiles == set(cyclotomic_class(f, 2, 0))
+    tiles = {ref.element(r) for r in reps} | {ref.neg(ref.element(r)) for r in reps}
+    assert tiles == {ref.element(c) for c in cyclotomic_class(f, 2, 0)}
+    assert len(tiles) == 12
     with pytest.raises(FieldError):
         coset_reps(FiniteField(13, 1), 4)  # -1 is not a 4th power
 
@@ -169,14 +181,15 @@ def test_subfield_embed_is_homomorphic():
     base = FiniteField(5, 2, (2, 1, 1))
     big = FiniteField(5, 4)
     table = subfield_embed(big, base)
-    emb = dict(zip(base.elements(), big.from_codes(table)))  # element to element
-    assert emb[base.zero] == big.zero
-    assert emb[base.one] == big.one
-    elems = list(base.elements())
+    rb, rB = RefField(base), RefField(big)
+    emb = {rb.element(c): rB.element(table[c]) for c in range(base.q)}  # element to element
+    assert emb[rb.zero] == rB.zero
+    assert emb[rb.one] == rB.one
+    elems = list(rb.elements())
     for a in elems[:8]:
         for b in elems[:8]:
-            assert emb[base.add(a, b)] == big.add(emb[a], emb[b])
-            assert emb[base.mul(a, b)] == big.mul(emb[a], emb[b])
+            assert emb[rb.add(a, b)] == rB.add(emb[a], emb[b])
+            assert emb[rb.mul(a, b)] == rB.mul(emb[a], emb[b])
     assert len(set(emb.values())) == 25
 
 
@@ -220,18 +233,16 @@ def test_class_queries_share_the_order_check(lam):
 def _scan_x_set(field, constraints, lam):
     """x_set as a scan of the field: the first constraint's translated
     class, filtered by the others (the implementation the masks replaced)."""
-    pairs = [(c, gamma % lam) for c, gamma in constraints]
+    ref = RefField(field)
+    pairs = [(ref.element(c), gamma % lam) for c, gamma in constraints]
     if not pairs:
-        return sorted(field.elements())
+        return list(range(field.q))
     c0, g0 = pairs[0]
     out = []
-    for z in cyclotomic_class(field, lam, g0):
-        x = field.add(c0, z)
-        if all(
-            field.sub(x, c) != field.zero and (field.log_code(field.sub(x, c)) - 1) % lam == g
-            for c, g in pairs[1:]
-        ):
-            out.append(x)
+    for z in cyclotomic_class(field, lam, g0).tolist():
+        x = ref.add(c0, ref.element(z))
+        if all(ref.cls(ref.sub(x, c), lam) == g for c, g in pairs[1:]):
+            out.append(ref.code(x))
     return sorted(out)
 
 
@@ -250,7 +261,7 @@ def test_x_set_matches_the_field_scan(monkeypatch, row_bytes):
     def check(data):
         f = data.draw(st.sampled_from(fields))
         lam = data.draw(st.sampled_from([d for d in range(1, f.q) if (f.q - 1) % d == 0]))
-        points = data.draw(st.lists(st.sampled_from(sorted(f.elements())), max_size=4, unique=True))
+        points = data.draw(st.lists(st.sampled_from(range(f.q)), max_size=4, unique=True))
         constraints = [(c, data.draw(st.integers(-2 * lam, 2 * lam))) for c in points]
         assert _x_set(f, constraints, lam) == _scan_x_set(f, constraints, lam)
 
@@ -269,7 +280,7 @@ def test_x_set_over_a_million_points():
         "from difam.gf import FiniteField\n"
         "f = FiniteField(1048573, 1)\n"
         "meet = f.class_masks(4).meet\n"
-        "print(len(meet([])), len(meet([(f.log_code(f.one), 3)])))\n"
+        "print(len(meet([])), len(meet([(1, 3)])))\n"  # log code 1 is r^0 = 1
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -282,10 +293,9 @@ def test_cached_masks_stay_within_the_byte_budget(monkeypatch):
     table = f.class_masks(4)
     budget = 5 * table.mask_bytes + 7
     monkeypatch.setattr(gf, "_MASK_ROW_BYTES", budget)
-    for x in range(1, f.q):
-        c = f.from_int(x)
-        got = _x_set(f, [(c, x % 4)], 4)
-        assert got == sorted(f.add(c, z) for z in cyclotomic_class(f, 4, x % 4))
+    for c in range(1, f.q):
+        got = _x_set(f, [(c, c % 4)], 4)
+        assert got == sorted((c + z) % f.q for z in cyclotomic_class(f, 4, c % 4).tolist())
     assert len(table.masks) == 5
     assert table.cached_bytes == 5 * table.mask_bytes <= budget
     assert sum((m.bit_length() + 7) // 8 for m in table.masks.values()) <= budget
@@ -294,7 +304,7 @@ def test_cached_masks_stay_within_the_byte_budget(monkeypatch):
 def _old_candidate_order(field, elems, rng):
     """The candidate order the searches used before log codes: the options
     as elements, sorted by discrete log (zero first), then shuffled."""
-    out = sorted(elems, key=field.log_code)
+    out = sorted(elems, key=lambda c: _log_code(field, c))
     rng.shuffle(out)
     return out
 
@@ -314,10 +324,10 @@ def test_search_order_on_log_codes_matches_the_sorted_elements():
     def check(data):
         f = data.draw(st.sampled_from(fields))
         lam = data.draw(st.sampled_from([d for d in range(1, f.q) if (f.q - 1) % d == 0]))
-        points = data.draw(st.lists(st.sampled_from(sorted(f.elements())), max_size=3, unique=True))
+        points = data.draw(st.lists(st.sampled_from(range(f.q)), max_size=3, unique=True))
         constraints = [(c, data.draw(st.integers(0, lam - 1))) for c in points]
         seed = data.draw(st.integers(0, 2**32))
-        pairs = [(f.log_code(c), g) for c, g in constraints]
+        pairs = [(_log_code(f, c), g) for c, g in constraints]
         offered = []
 
         def refuse(i, y):
@@ -330,7 +340,7 @@ def test_search_order_on_log_codes_matches_the_sorted_elements():
                        _Budget(1), "probe", commit=refuse)
         expected_rng = random.Random(seed)
         expected = _old_candidate_order(f, _scan_x_set(f, constraints, lam), expected_rng)
-        assert [f.from_log_code(y) for y in offered] == expected
+        assert f.class_masks(lam).add_code[offered].tolist() == expected
         assert rng.getstate() == expected_rng.getstate()
 
     check()
@@ -370,7 +380,7 @@ def _tuple_modulus(p, n):
 def _assert_same_tables(field, reference):
     exp, log = reference
     assert field.exp.dtype == field.log.dtype == np.int32
-    assert field.from_codes(field.exp) == exp
+    assert list(map(field.additive_group.decode, field.exp.tolist())) == exp
     assert field.log[0] == -1
     assert all(field.log[field.additive_group.encode(e)] == i for e, i in log.items())
 
@@ -402,14 +412,16 @@ def test_default_fields_keep_their_modulus_and_tables(p, n):
     _assert_same_tables(field, _tuple_tables(field.modulus, p, n))
 
 
-@pytest.mark.parametrize("bad", [(1,), (1, 0, 0), (-1, 0), (0, -1), (5, 0), (0, 7)])
+NON_CODES = [-1, 25, 26, -25, 125, 2**40]
+
+
+@pytest.mark.parametrize("bad", NON_CODES, ids=[f"bad{i}" for i in range(len(NON_CODES))])
 def test_non_elements_raise_field_error(bad):
+    # a multiplier set takes field codes, which run over range(q)
     f = FiniteField(5, 2)
-    for call in (lambda: f.mul(bad, f.one), lambda: f.mul(f.one, bad), lambda: f.inv(bad),
-                 lambda: f.div(f.one, bad), lambda: f.div(bad, f.one),
-                 lambda: f.log_code(bad)):
+    for codes in ([bad], [5, bad], [bad, 1, 2]):
         with pytest.raises(FieldError, match="is not an element"):
-            call()
+            MultiplierSet(f, codes)
 
 
 def test_greedy_lift_over_the_largest_field_in_bounded_memory():

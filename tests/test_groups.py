@@ -8,7 +8,6 @@ from difam.groups import (
     AbelianGroup,
     GroupError,
     Subgroup,
-    element_order,
     generated_subgroup,
     involution_subgroup,
     is_binary,
@@ -123,14 +122,6 @@ def test_zero_sum_groups():
     assert is_zero_sum_group(AbelianGroup((2, 2)))
     assert not is_zero_sum_group(AbelianGroup((2,)))
     assert not is_zero_sum_group(AbelianGroup((6,)))
-
-
-def test_element_order():
-    g = AbelianGroup((12, 5))
-    assert element_order(g, (0, 0)) == 1
-    assert element_order(g, (6, 0)) == 2
-    assert element_order(g, (4, 1)) == 15
-    assert element_order(g, (1, 1)) == 60
 
 
 def test_radical():

@@ -16,6 +16,7 @@ from difam.families import (
     DifferenceMatrix,
     RelativeDifferenceFamily,
     StrongDifferenceFamily,
+    verify_dm,
     zero_sum_dm,
 )
 from difam.gf import FiniteField
@@ -31,8 +32,7 @@ def test_fixture_roundtrips():
         assert type(back) is type(obj), name
         assert back.blocks == obj.blocks, name
         assert back.k == obj.k and back.lam == obj.lam, name
-        assert back.group == obj.group, name
-        assert back.additive == obj.additive, name
+        assert back.group == obj.group, name  # so additivity, derived from both, is kept
 
 
 def test_rdf_roundtrip_keeps_forbidden():
@@ -47,7 +47,7 @@ def test_dm_roundtrip():
     assert isinstance(back, DifferenceMatrix)
     assert back.columns == dm.columns
     assert back.mu == 3
-    assert back.additive
+    assert verify_dm(back.columns, back.group, back.k, back.mu).is_additive
 
 
 def test_design_roundtrip_with_multiplicity():

@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from difam.carrier import ProductCarrier
 from difam.catalog import example51, paper_signed_lifting_z5, sigma_prime, thm62_z5
@@ -19,6 +22,7 @@ from difam.lifting import (
     Lifting,
     LiftingError,
     MultiplierSet,
+    PsiAssignment,
     _default_zero_sum_subset,
     apply_multipliers,
     build_psi,
@@ -33,6 +37,7 @@ from difam.lifting import (
     zero_sum_adjust,
     zero_sum_lift,
 )
+from gf_reference import RefField
 
 
 # psi seed 59 is one of the few seeds whose assignment admits a lifting of
@@ -46,7 +51,8 @@ def test_build_psi_invariants():
     for seed in (0, 1, GREEDY_PSI_SEED):
         psi = build_psi(sdf, 4, seed=seed)
         assert verify_psi(psi)
-        assert len(psi.table) == 20
+        assert psi.table.shape == (1, 5, 5)
+        assert (psi.table >= 0).sum() == 20  # every ordered pair, -1 on the diagonal
 
 
 def test_build_psi_involution_elements():
@@ -120,7 +126,7 @@ def test_apply_multipliers_gf13():
     assert rdf.s == 3
     assert verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, 5, 1).is_rdf
     # one moved second coordinate breaks the coverage of several g
-    lifting.second_coords[0][1] = field.add(lifting.second_coords[0][1], field.one)
+    lifting.second_coords[0, 1] = (lifting.second_coords[0, 1] + 1) % 13
     _, damaged = apply_multipliers(lifting, mults)
     assert damaged.ok is False
     assert damaged.failing_g == (1,)
@@ -132,13 +138,13 @@ def test_apply_multipliers_size_check():
     psi = build_psi(sdf, 4, seed=GREEDY_PSI_SEED)
     lifting = greedy_lift(sdf, field, psi)
     with pytest.raises(FamilyError):
-        apply_multipliers(lifting, MultiplierSet(field, [field.one]))
+        apply_multipliers(lifting, MultiplierSet(field, [1]))
 
 
 def test_multiplier_set_rejects_zero():
     field = FiniteField(13, 1)
     with pytest.raises(FamilyError):
-        MultiplierSet(field, [field.zero, field.one])
+        MultiplierSet(field, [0, 1])
 
 
 def test_zero_sum_adjust():
@@ -148,7 +154,6 @@ def test_zero_sum_adjust():
     lifting = greedy_lift(sdf, field, psi)
     rdf, _ = apply_multipliers(lifting, MultiplierSet(field, cyclotomic_class(field, 4, 0)))
     adjusted = zero_sum_adjust(rdf, 5)
-    assert adjusted.additive
     for b in adjusted.blocks:
         assert sum_of(adjusted.group, b.expand()) == adjusted.group.zero
     verdict = verify_rdf(adjusted.blocks, adjusted.group, adjusted.forbidden, 5, 1)
@@ -168,11 +173,8 @@ def test_zero_sum_lift_gf5_5():
     psi = build_psi(sdf, 4, seed=0)
     lifting = zero_sum_lift(sdf, field, psi)
     assert check_lifting(lifting, psi)
-    for coords in lifting.second_coords:
-        acc = field.zero
-        for x in coords:
-            acc = field.add(acc, x)
-        assert acc == field.zero
+    digits = field.additive_group.decode_array(lifting.second_coords)  # (s, k, n)
+    assert not np.any(digits.sum(axis=1) % 5)
 
 
 def test_zero_sum_lift_preconditions():
@@ -202,11 +204,11 @@ def test_signed_lift_gf25():
     field = FiniteField(5, 2, (2, 1, 1))
     lifting = signed_lift(sdf, field, 2)
     assert lifting.strategy == "signed"
-    coords = lifting.second_coords[0]
-    assert coords[0] == field.zero
+    coords = field.additive_group.decode_array(lifting.second_coords[0])
+    assert not coords[0].any()
     # the two coordinates over each group element are negatives
-    assert coords[2] == field.neg(coords[1])
-    assert coords[4] == field.neg(coords[3])
+    assert not np.any((coords[2] + coords[1]) % 5)
+    assert not np.any((coords[4] + coords[3]) % 5)
 
 
 def test_signed_lift_reference_assignment_accepted():
@@ -243,15 +245,81 @@ def test_verify_signed_lifting_rejects_bad_assignment():
     field, assigns = paper_signed_lifting_z5()
     sdf = example51()
     bad = [dict(assigns[0])]
-    bad[0][(4,)] = bad[0][(1,)]  # equal coordinates give a zero difference
+    bad[0][4] = bad[0][1]  # equal coordinates give a zero difference
     assert not verify_signed_lifting(sdf, field, bad, 2)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [[], np.zeros((0, 5), np.int64), [[1, 11]], np.array([[1, 11]]), [[1, 11, 4, 12]],
+     [[1, 11, 4, 12, 3], [1, 11, 4, 12, 3]], [[1, 11, 4, 12, 13]], [[1, 11, 4, 12, -1]],
+     [[1.0, 11.0, 4.0, 12.0, 3.0]]],
+    ids=["no rows", "empty array", "two coords", "two-coord array", "four coords",
+         "extra row", "code q", "code -1", "floats"],
+)
+def test_coordinates_not_one_code_per_point_are_refused(coords):
+    # a lifting must give every point of every block one field code: with no
+    # rows, or a short first row, the pair check used to pass vacuously and
+    # the products to end in numpy's broadcast ValueError
+    sdf = example51()
+    field = FiniteField(13, 1)
+    psi = build_psi(sdf, 4, seed=GREEDY_PSI_SEED)
+    assert check_lifting(Lifting(sdf, field, [[1, 11, 4, 12, 3]], "greedy"), psi)
+    lifting = Lifting(sdf, field, coords, "greedy")
+    assert not check_lifting(lifting, psi)
+    with pytest.raises(LiftingError, match=r"must be an \(1, 5\) array of codes below 13"):
+        lifting.lifted_blocks()
+    with pytest.raises(LiftingError):
+        apply_multipliers(lifting, MultiplierSet(field, cyclotomic_class(field, 4, 0)))
+
+
+def _ref_check_lifting(ref, coords, table, lam):
+    """check_lifting pair by pair on the reference field: every ordered pair
+    i != j of row h has its difference in class table[h][i][j]."""
+    return all(
+        ref.cls(ref.sub(ref.element(row[i]), ref.element(row[j])), lam) == classes[i][j]
+        for row, classes in zip(coords, table)
+        for i in range(len(row))
+        for j in range(len(row))
+        if i != j
+    )
+
+
+REF_FIELDS = [(13, 1), (5, 2), (5, 3)]
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_check_lifting_agrees_with_the_per_pair_reference(data):
+    sdf = example51()
+    field = FiniteField(*data.draw(st.sampled_from(REF_FIELDS), label="field"))
+    ref = RefField(field)
+    row = data.draw(st.lists(st.integers(0, field.q - 1), min_size=5, max_size=5), label="row")
+    kind = data.draw(st.sampled_from(["built psi", "matched", "damaged", "repeat"]), label="kind")
+    if kind == "built psi":  # a valid psi, which a random row almost never meets
+        table = build_psi(sdf, 4, seed=data.draw(st.integers(0, 200))).table
+    else:  # the psi the row meets, read off by the reference; any class at a zero difference
+        fill = data.draw(st.integers(0, 3))
+        classes = [[-1 if i == j else ref.cls(ref.sub(ref.element(x), ref.element(y)), 4)
+                    for j, y in enumerate(row)] for i, x in enumerate(row)]
+        table = np.array([[[fill if c is None else c for c in r] for r in classes]])
+        i, j = data.draw(st.permutations(range(5)))[:2]
+        if kind == "damaged":
+            row[i] = data.draw(st.integers(0, field.q - 1).filter(lambda x: x != row[i]))
+        elif kind == "repeat":
+            row[i] = row[j]
+    psi = PsiAssignment(sdf, 4, table)
+    want = _ref_check_lifting(ref, [row], table.tolist(), 4)
+    assert check_lifting(Lifting(sdf, field, np.array([row]), "greedy"), psi) == want
+    if kind == "repeat":
+        assert not want
 
 
 def test_lifted_blocks_reject_repeats():
     sdf = example51()
     field = FiniteField(13, 1)
-    same = [[field.one] * 5]
-    lifting = Lifting(sdf, field, same, "greedy")
+    lifting = Lifting(sdf, field, np.ones((1, 5), np.int64), "greedy")
     with pytest.raises(LiftingError):
         lifting.lifted_blocks()
 
@@ -262,7 +330,6 @@ def test_extend_field_identity_and_growth():
     big = extend_field(rdf, 2)
     assert big.group.field.q == 625
     assert big.s == 6 * 26
-    assert big.additive
     verdict = verify_rdf(big.blocks, big.group, big.forbidden, 5, 1)
     assert verdict.is_rdf
     assert verdict.is_additive
@@ -284,9 +351,9 @@ def test_simple_lift_unsigned():
     rdf = simple_lift(sdf, field)
     assert rdf.lam == 4
     assert rdf.s == 6
-    assert rdf.additive
     verdict = verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, 5, 4)
     assert verdict.is_rdf
+    assert verdict.is_additive
 
 
 def test_simple_lift_additive_follows_binary_forbidden():
@@ -300,8 +367,7 @@ def test_simple_lift_additive_follows_binary_forbidden():
     field = FiniteField(17, 1)
     rdf = simple_lift(sdf, field)  # L: the 16 nonzero elements, the first zero-sum 16-set
     verdict = verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, rdf.k, rdf.lam)
-    assert rdf.additive is False
-    assert rdf.additive == verdict.is_additive
+    assert verdict.is_additive is False
     assert parse_family(render_family(rdf)) == rdf
 
 
@@ -379,6 +445,11 @@ def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+def _elements(field, codes):
+    """Field codes as nested lists of coefficients, as the pins hash them."""
+    return field.additive_group.decode_array(codes).tolist()
+
+
 @pytest.mark.parametrize(
     "q,psi_seed,failed_nodes,coords",
     [
@@ -398,7 +469,7 @@ def test_greedy_first_psi_seed_pinned(q, psi_seed, failed_nodes, coords):
         failed += info.value.nodes
     assert failed == failed_nodes
     lifting = greedy_lift(sdf, field, build_psi(sdf, 4, seed=psi_seed), budget=10**5)
-    assert lifting.second_coords == [[(x,) for x in row] for row in coords]
+    assert lifting.second_coords.tolist() == coords  # over a prime field a code is its residue
 
 
 @pytest.mark.parametrize("budget,q,nodes,deepest", [(2, 13, 3, 2), (50, 13, 51, 3), (1000, 29, 436, 3)])
@@ -423,7 +494,7 @@ def test_signed_success_counters_pinned():
 def test_lifting_counters_default_to_zero():
     sdf = example51()
     field = FiniteField(13, 1)
-    lifting = Lifting(sdf, field, [[field.zero] * 5], "greedy")
+    lifting = Lifting(sdf, field, np.zeros((1, 5), np.int64), "greedy")
     assert (lifting.nodes, lifting.deepest) == (0, 0)
 
 
@@ -434,14 +505,16 @@ def test_zero_sum_lift_pinned():
     for psi_seed in range(4):
         psi = build_psi(sdf, 4, seed=psi_seed)
         for seed in range(3):
-            coords[f"{psi_seed},{seed}"] = zero_sum_lift(sdf, field, psi, seed=seed).second_coords
+            lifting = zero_sum_lift(sdf, field, psi, seed=seed)
+            coords[f"{psi_seed},{seed}"] = _elements(field, lifting.second_coords)
     assert _digest(coords) == "07cd8eda6932c00bb494916ff44ef813715d5d26897eea0b016cad51dfa537d7"
 
 
 def test_signed_lift_pinned():
     sdf = example51()
     field = FiniteField(5, 2, (2, 1, 1))
-    coords = [signed_lift(sdf, field, 2, seed=seed).second_coords for seed in range(6)]
+    coords = [_elements(field, signed_lift(sdf, field, 2, seed=seed).second_coords)
+              for seed in range(6)]
     assert _digest(coords) == "38e28b715c08276823f9be24fa728938a1ab3e7bad7c0f8fad5853f92242e7a8"
 
 
@@ -463,8 +536,9 @@ def test_simple_lift_blocks_pinned(q, signed, n_blocks, digest):
 
 def _zero_sum_subset_by_heads(field, k):
     """The walk over (k-1)-heads that _default_zero_sum_subset shortens."""
-    for head in itertools.combinations(sorted(field.elements()), k - 1):
-        last = field.neg(sum_of(field.additive_group, head))
+    group = field.additive_group
+    for head in itertools.combinations(sorted(group.elements()), k - 1):
+        last = group.neg(sum_of(group, head))
         if last not in head:
             return list(head) + [last]
     return None
@@ -486,7 +560,7 @@ def test_default_zero_sum_subset_matches_the_head_walk(p, n):
 def test_default_zero_sum_subset_large_k():
     # k = q-1 walked about C(q-1, 2) heads: 7 s over GF(128)
     field = FiniteField(2, 7)
-    assert _default_zero_sum_subset(field, 127) == sorted(field.elements())[1:]
+    assert _default_zero_sum_subset(field, 127) == sorted(field.additive_group.elements())[1:]
 
 
 def test_greedy_lift_never_backtracks_above_the_paper_bound():
