@@ -1,14 +1,16 @@
 """Product carriers G x F_q, flattened to a single abelian group.
 
-An element of G x F_q is one flat residue tuple: the group coordinates
-followed by the field coefficients.  All additive machinery (differences,
-coverage, subgroups, development) then works unchanged.  As an int code it
-is group_code * q + field_code, so the lifting code reaches the field part
-of a code row by `% q` and the multiplicative structure through the field's
-exp/log tables; `split` serves the tuple edges.
+An element of G x F_q has the group's residues followed by the field
+coefficients, so all additive machinery (differences, coverage, subgroups,
+development) works unchanged.  Its int code is group_code * q + field_code,
+so the lifting code reaches the field part of a code row by `% q` and the
+multiplicative structure through the field's exp/log tables; `split`
+serves the tuple edges.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .gf import FiniteField
 from .groups import AbelianGroup, Element, Subgroup
@@ -36,5 +38,4 @@ class ProductCarrier(AbelianGroup):
 
     def forbidden_subgroup(self) -> Subgroup:
         """The subgroup G x {0}: the codes that are multiples of q."""
-        codes = range(0, self.order, self.field.q)
-        return Subgroup(self, map(self.decode, codes), verify=False)
+        return Subgroup(self, np.arange(0, self.order, self.field.q))

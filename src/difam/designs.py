@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from sympy import isprime
 
 from .diffs import stack_rows
 from .families import RelativeDifferenceFamily, verify_rdf
 from .groups import _CHUNK, MAX_DESIGN_POINTS, AbelianGroup, DifamError, Element, _slice_rows
+from .groups import is_prime
 
 
 class DesignError(DifamError):
@@ -118,7 +118,7 @@ def _develop_rows(rdf: RelativeDifferenceFamily) -> np.ndarray:
     carrier, lam = rdf.group, rdf.lam
     n = carrier.order
 
-    def fill(out: np.ndarray, points) -> None:  # out: (|G|, len(points))
+    def fill(out: np.ndarray, points: np.ndarray) -> None:  # out: (|G|, len(points))
         for j, g in enumerate(points):
             out[:, j] = carrier.translates(g)
         out.sort(axis=1)
@@ -130,14 +130,14 @@ def _develop_rows(rdf: RelativeDifferenceFamily) -> np.ndarray:
                 f"forbidden subgroup of order {sub.order} cannot supply {rdf.k}-point blocks"
             )
         coset_rows = np.empty((n, rdf.k), dtype=np.int64)
-        fill(coset_rows, sub.elements)
+        fill(coset_rows, sub.codes)
         coset_blocks.append(np.unique(coset_rows, axis=0))
     n_translates = len(rdf.blocks) * n
     b = n_translates + lam * sum(len(c) for c in coset_blocks)
     _check_points(b, rdf.k)
     rows = np.empty((b, rdf.k), dtype=np.int64)
     for i, block in enumerate(rdf.blocks):  # one base block at a time: |G| x k
-        fill(rows[i * n : (i + 1) * n], map(carrier.decode, block.codes.tolist()))
+        fill(rows[i * n : (i + 1) * n], block.codes)
     lo = n_translates
     for unique in coset_blocks:  # lam copies of each coset
         rows[lo : lo + lam * len(unique)] = np.repeat(unique, lam, axis=0)
@@ -306,9 +306,10 @@ def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVer
     if v > arr.size:
         return SuperRegularVerdict(False, additive)
     keys = _sorted_row_keys(arr, v)
+    units = group.encode_array(np.eye(group.rank, dtype=np.int64) % group.cyclic_orders)
     regular = all(
         np.array_equal(_sorted_row_keys(arr, v, group.translates(unit)), keys)
-        for unit in np.eye(group.rank, dtype=int).tolist()
+        for unit in units.tolist()
     )
     return SuperRegularVerdict(regular, additive)
 
@@ -322,12 +323,14 @@ def ag_design(n: int, p: int) -> Design:
     """
     if n < 2:
         raise DesignError(f"need dimension n >= 2, got {n}")
-    if not isprime(p):
-        raise DesignError(f"need a prime p, got {p}")
-    # AG(n,p) has more than p^n >= 2^n lines: a large n is refused before p^n is formed
-    n_lines = p**n * (p**n - 1) // (p * (p - 1)) if n <= MAX_DESIGN_BLOCKS.bit_length() else None
-    if n_lines is None or n_lines > MAX_DESIGN_BLOCKS:
+    # AG(n,p) has more than p^n >= 2^n lines: a large n is refused before p^n is
+    # formed, and a large p before it is tested for primality
+    fits = p > 1 and n <= MAX_DESIGN_BLOCKS.bit_length()
+    n_lines = p**n * (p**n - 1) // (p * (p - 1)) if fits else None
+    if p > 1 and (n_lines is None or n_lines > MAX_DESIGN_BLOCKS):
         raise DesignError(f"AG({n},{p}) has more than {MAX_DESIGN_BLOCKS} lines")
+    if not is_prime(p):
+        raise DesignError(f"need a prime p, got {p}")
     _check_points(n_lines, p)
     carrier = AbelianGroup((p,) * n)
     v = carrier.order

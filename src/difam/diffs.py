@@ -152,7 +152,7 @@ def coverage(
         for sub in members:
             if sub.parent != carrier:
                 raise GroupError("excluded subgroup has the wrong parent")
-            inside[carrier.encode_array(sub.elements)] = True
+            inside[sub.codes] = True
     dirty = np.flatnonzero(inside & (counts != 0))
     lam: Optional[int] = 0  # vacuously constant when everything is excluded
     off = dirty[:0]

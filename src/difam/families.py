@@ -10,8 +10,9 @@ its count, so a failing family can be diagnosed and a passing one
 certified.  The verifiers stack the blocks' code rows (`diffs`) into one
 array and count on it, decoding nothing.  The constructions build code rows;
 on a product G x H the code of (g, h) is g_code * |H| + h_code, as it is
-group_code * q + field_code on G x F_q.  A difference matrix keeps its
-columns as element tuples.
+group_code * q + field_code on G x F_q.  A difference matrix holds its
+columns as the rows of one code array, and subgroups and partial spreads
+their sorted code arrays; tuples appear only in the verdicts' failure lists.
 
 Additivity is never stored: a strong difference family derives `additive`
 from its current blocks on every access through `blocks_are_additive`, the
@@ -25,12 +26,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from sympy import factorint
 
 from .diffs import CoverageVerdict, GMultiset, block_rows, blocks_of, coverage, delta_family
 from .diffs import stack_rows
 from .gf import MAX_FIELD_ORDER, FiniteField
-from .groups import MAX_DESIGN_POINTS, AbelianGroup, DifamError, Element, Subgroup, sum_of
+from .groups import MAX_DESIGN_POINTS, AbelianGroup, DifamError, Element, Subgroup
 from .params import Condition, ParamVerdict, largest_odd_prime_power_factor, main_status
 
 
@@ -45,16 +45,12 @@ class PartialSpread:
     members: list[Subgroup]
 
     def __post_init__(self):
-        if self.members:
-            parent = self.members[0].parent
-            zero = parent.zero
-            for sub in self.members:
-                if sub.parent != parent:
-                    raise FamilyError("spread members must share a parent group")
-            for i, a in enumerate(self.members):
-                for b in self.members[i + 1 :]:
-                    if set(a.elements) & set(b.elements) != {zero}:
-                        raise FamilyError("spread members must intersect trivially")
+        if any(sub.parent != self.members[0].parent for sub in self.members):
+            raise FamilyError("spread members must share a parent group")
+        parts = [np.zeros(0, np.int64)] + [sub.codes[1:] for sub in self.members]  # 0 is first
+        nonzero = np.sort(np.concatenate(parts))  # no nonzero code may be in two members
+        if np.any(nonzero[1:] == nonzero[:-1]):
+            raise FamilyError("spread members must intersect trivially")
 
 
 Forbidden = Union[Subgroup, PartialSpread]
@@ -75,14 +71,8 @@ def blocks_are_additive(
     )
 
 
-def _column_rows(group: AbelianGroup, columns: Sequence, k: int) -> np.ndarray:
-    return group.encode_elements([e for c in columns for e in c]).reshape(len(columns), k)
-
-
-def _subgroup_is_binary(sub: Subgroup) -> bool:
-    group = sub.parent
-    involutions = sum(1 for g in sub.elements if group.add(g, g) == group.zero)
-    return involutions == 2  # zero plus exactly one involution
+def _subgroup_is_binary(sub: Subgroup) -> bool:  # zero plus exactly one g with -g = g
+    return np.count_nonzero(sub.parent.sub_codes(0, sub.codes) == sub.codes) == 2
 
 
 @dataclass
@@ -122,7 +112,13 @@ class DifferenceMatrix:
     group: AbelianGroup
     k: int
     mu: int
-    columns: list[tuple[Element, ...]]
+    columns: np.ndarray  # (mu |H|, k) int64 codes, one row per column of the matrix
+
+    def __eq__(self, other) -> bool:  # the generated one would compare the arrays by ==
+        if not isinstance(other, DifferenceMatrix):
+            return NotImplemented
+        same = (self.group, self.k, self.mu) == (other.group, other.k, other.mu)
+        return same and np.array_equal(self.columns, other.columns)
 
 
 @dataclass
@@ -217,6 +213,11 @@ def spread_conditions(group: AbelianGroup | int, k: int, s: int) -> ParamVerdict
 
 
 def field_for_prime_power(q: int) -> FiniteField:
+    """GF(q); a q past MAX_FIELD_ORDER is refused before it is factored."""
+    from sympy import factorint  # slow to import: only here
+
+    if q > MAX_FIELD_ORDER:
+        raise FamilyError(f"field order {q} exceeds the supported cap {MAX_FIELD_ORDER}")
     fac = factorint(q)
     if len(fac) != 1:
         raise FamilyError(f"{q} is not a prime power")
@@ -234,20 +235,19 @@ def paley_sdf(q: int) -> StrongDifferenceFamily:
     return StrongDifferenceFamily(fld.additive_group, q, q - 1, blocks)
 
 
-def verify_dm(
-    columns: Sequence[Sequence[Element]], group: AbelianGroup, k: int, mu: int
-) -> DmVerdict:
-    """Row-pair coverage check over all unordered row pairs.
+def verify_dm(rows: np.ndarray, group: AbelianGroup, k: int, mu: int) -> DmVerdict:
+    """Row-pair coverage check over all unordered row pairs of the matrix
+    whose columns are the rows of an (n, k) code array.
 
     The (j,i) direction follows from (i,j) by negation symmetry of the
     coverage requirement, so only i<j is scanned.
     """
-    cols = [tuple(c) for c in columns]
-    if any(len(c) != k for c in cols):
-        raise FamilyError("ragged matrix: every column must have k entries")
-    if len(cols) != mu * group.order:
-        return DmVerdict(False, False, [(-1, -1, group.zero, len(cols))])
-    rows = _column_rows(group, cols, k)
+    if not isinstance(rows, np.ndarray) or rows.shape[1:] != (k,) or rows.dtype != np.int64:
+        raise FamilyError(f"a difference matrix is an (n, {k}) int64 array of codes")
+    if np.any((rows < 0) | (rows >= group.order)):
+        raise FamilyError(f"difference matrix entries must be codes of {group}")
+    if len(rows) != mu * group.order:
+        return DmVerdict(False, False, [(-1, -1, group.decode(0), len(rows))])
     failures = []
     for i in range(k):
         for j in range(i + 1, k):
@@ -262,9 +262,8 @@ MAX_DM_COLUMNS = 10**6
 
 
 def zero_sum_dm(group: AbelianGroup, k: int) -> DifferenceMatrix:
-    """Difference matrix whose columns are all |H|^(k-1) zero-sum k-tuples."""
-    import itertools
-
+    """Difference matrix whose columns are all |H|^(k-1) zero-sum k-tuples:
+    the heads in lexicographic order, each completed by minus its sum."""
     if k < 2:
         raise FamilyError(f"a difference matrix needs k >= 2 rows, got k={k}")
     # a k past the cap's bit length is refused before |H|^(k-1) is formed
@@ -273,11 +272,9 @@ def zero_sum_dm(group: AbelianGroup, k: int) -> DifferenceMatrix:
         raise FamilyError(
             f"zero-sum DM for |H|={group.order}, k={k} is past the cap of {MAX_DM_COLUMNS} columns"
         )
-    elems = sorted(group.elements())
-    columns = []
-    for head in itertools.product(elems, repeat=k - 1):
-        columns.append(head + (group.neg(sum_of(group, head)),))
-    return DifferenceMatrix(group, k, group.order ** (k - 2), columns)
+    heads = np.arange(n_cols)[:, None] // group.order ** np.arange(k - 2, -1, -1) % group.order
+    last = group.sub_codes(0, group.sum_codes(heads))
+    return DifferenceMatrix(group, k, group.order ** (k - 2), np.column_stack([heads, last]))
 
 
 def jungnickel_compose(
@@ -289,7 +286,7 @@ def jungnickel_compose(
     product = AbelianGroup(sdf.group.cyclic_orders + dm.group.cyclic_orders)
     # the code of (g, h) is g_code * |H| + h_code; block-major, column-minor
     rows = stack_rows(sdf.blocks, sdf.k)[:, None, :] * dm.group.order
-    rows = rows + _column_rows(dm.group, dm.columns, dm.k)[None]
+    rows = rows + dm.columns[None]
     return StrongDifferenceFamily(
         product, sdf.k, sdf.lam * dm.mu, blocks_of(product, rows.reshape(-1, sdf.k))
     )

@@ -24,9 +24,8 @@ import itertools
 from typing import Optional, Sequence
 
 import numpy as np
-from sympy import isprime
 
-from .groups import AbelianGroup, DifamError
+from .groups import AbelianGroup, DifamError, is_prime
 
 MAX_FIELD_ORDER = 2**22
 
@@ -46,7 +45,7 @@ class FiniteField:
 
     def __init__(self, p: int, n: int, modulus: Optional[Sequence[int]] = None):
         p, n = int(p), int(n)
-        if p <= MAX_FIELD_ORDER and not isprime(p):  # a larger p fails the cap below
+        if p <= MAX_FIELD_ORDER and not is_prime(p):  # a larger p fails the cap below
             raise FieldError(f"{p} is not prime")
         if n < 1:
             raise FieldError(f"degree must be >= 1, got {n}")

@@ -1,25 +1,23 @@
 """Finite abelian groups presented as direct products of cyclic groups.
 
-At the API an element is a tuple of residues, one per cyclic factor:
-hashable and lexicographically ordered for free.  Two groups compare equal
-when their `_key`s do: the factor list, plus the field modulus for a product
-carrier G x F_q.  Isomorphic groups with different presentations are
-distinct values on purpose.
-
-Blocks and arrays hold int codes: the residues read as one mixed-radix
-number, most significant first, so codes run in the order of the elements.
-`encode_elements` is the checked way in from tuples; the
-`*_array`/`*_codes`/`*_rows` methods are the codec.
+An element is an int code: its residues, one per cyclic factor, read as
+one mixed-radix number, most significant first, so codes run in the order
+of the elements.  Blocks, subgroups and difference matrices hold int64 code
+arrays, and all arithmetic is on codes (`sub_codes`, `sum_codes`).  Tuples
+of residues appear only at the edges: `encode_elements` and `check` take
+them in, `decode`, `decode_array` and `elements` give them out.  Two groups
+compare equal when their `_key`s do: the factor list, plus the field
+modulus for a product carrier G x F_q.  Isomorphic groups with different
+presentations are distinct values on purpose.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-from sympy import factorint, isprime, primerange
 
 Element = tuple[int, ...]
 
@@ -77,11 +75,7 @@ class AbelianGroup:
     def __repr__(self) -> str:
         return f"AbelianGroup{self.cyclic_orders}"
 
-    # -- element arithmetic ------------------------------------------------
-
-    @property
-    def zero(self) -> Element:
-        return (0,) * self.rank
+    # -- elements at the edges ---------------------------------------------
 
     def contains(self, g: Element) -> bool:
         return (
@@ -94,15 +88,6 @@ class AbelianGroup:
         if not self.contains(g):
             raise GroupError(f"{g!r} is not an element of {self}")
         return g
-
-    def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.cyclic_orders))
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return tuple((x - y) % n for x, y, n in zip(a, b, self.cyclic_orders))
-
-    def neg(self, a: Element) -> Element:
-        return tuple((-x) % n for x, n in zip(a, self.cyclic_orders))
 
     def elements(self) -> Iterator[Element]:
         """All elements in lexicographic order."""
@@ -145,6 +130,11 @@ class AbelianGroup:
         # a // w and the digit of a at weight w agree mod n
         return sum((a // w - b // w) % n * w for w, n in zip(self._weights, self.cyclic_orders))
 
+    def sum_codes(self, codes) -> np.ndarray:
+        """The code of the sum of each row (last axis) of a code array,
+        repeats counted; the empty sum is 0."""
+        return self.encode_array(self.decode_array(codes).sum(-2) % self.cyclic_orders)
+
     def _per_code(self, columns) -> np.ndarray:
         """The int64 table t over codes with t[x] = sum_i columns[i][x_i],
         x_i the digits of x: an outer sum, most significant factor first."""
@@ -153,12 +143,12 @@ class AbelianGroup:
             table = (table[:, None] + col).ravel()
         return table
 
-    def translates(self, g: Element) -> np.ndarray:
+    def translates(self, g: int) -> np.ndarray:
         """The codes of x + g for every code x, in code order: each digit
-        column rolled by g's residue in that factor."""
+        column rolled by g's digit in that factor."""
         return self._per_code(
-            np.arange(c, c + n, dtype=np.int64) % n * w
-            for c, w, n in zip(g, self._weights, self.cyclic_orders)
+            np.arange(g // w, g // w + n, dtype=np.int64) % n * w
+            for w, n in zip(self._weights, self.cyclic_orders)
         )
 
     def zero_sum_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -206,70 +196,67 @@ class AbelianGroup:
         return ok
 
 
+def _distinct_codes(group: AbelianGroup, codes) -> np.ndarray:
+    """The sorted distinct codes of a 1-d array of the group's codes."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.ndim != 1 or np.any((codes < 0) | (codes >= group.order)):
+        raise GroupError(f"subgroup elements must be a 1-d array of codes of {group}")
+    codes = np.sort(codes)  # np.unique hashes many distinct ints, far slower
+    return codes[np.diff(codes, prepend=-1) != 0]
+
+
+def _span(group: AbelianGroup, codes: np.ndarray, limit: int):
+    """The sorted codes of the subgroup that `codes` generate, or None once
+    it has more than `limit` elements.  Built coset by coset: a code g not
+    yet in the span S adds the cosets S + j*g for 0 < j < t, t the least
+    j > 0 with j*g in S, so each round costs about the size of the new span."""
+    span, orders, left = np.zeros(1, dtype=np.int64), np.array(group.cyclic_orders), codes
+    while (left := left[~np.isin(left, span)]).size:
+        digits = group.decode_array(left[0])
+        order = np.lcm.reduce(orders // np.gcd(digits, orders))  # order * g = 0, in S
+        j = np.arange(min(order, limit // span.size) + 1)[:, None]
+        multiples = group.encode_array(j * digits % orders)  # j * g
+        back = np.flatnonzero(np.isin(multiples[1:], span))
+        if not back.size:
+            return None
+        neg = group.sub_codes(0, multiples[: back[0] + 1, None])
+        span = np.sort(group.sub_codes(span[None], neg).ravel())
+    return span
+
+
 class Subgroup:
-    """A verified subgroup, stored as a sorted element tuple."""
+    """A verified subgroup: the sorted, distinct int64 codes of its elements."""
 
-    def __init__(self, parent: AbelianGroup, elements: Iterable[Element], *, verify: bool = True):
+    def __init__(self, parent: AbelianGroup, codes):
         self.parent = parent
-        self.elements = tuple(sorted(set(elements)))
-        if verify:
-            self._verify()
-        self.order = len(self.elements)
-
-    def _verify(self) -> None:
-        elems = set(self.elements)
-        if self.parent.zero not in elems:
-            raise GroupError("subgroup must contain the identity")
-        for g in elems:
-            self.parent.check(g)
-            if self.parent.neg(g) not in elems:
-                raise GroupError(f"subgroup not closed under negation at {g}")
-        for g in elems:
-            for h in elems:
-                if self.parent.add(g, h) not in elems:
-                    raise GroupError(f"subgroup not closed under addition at {g}+{h}")
+        self.codes = _distinct_codes(parent, codes)
+        self.order = self.codes.size
+        span = _span(parent, self.codes, self.order)
+        if span is None or span.size != self.order:
+            what = "miss the identity" if self.codes[:1].tolist() != [0] else "are not closed"
+            raise GroupError(f"{self.order} elements of {parent} {what}: not a subgroup")
+        self.codes.flags.writeable = False
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subgroup)
-            and self.parent == other.parent
-            and self.elements == other.elements
-        )
+        same_parent = isinstance(other, Subgroup) and self.parent == other.parent
+        return same_parent and np.array_equal(self.codes, other.codes)
 
     def __hash__(self) -> int:
-        return hash((self.parent, self.elements))
+        return hash((self.parent, self.codes.tobytes()))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent})"
 
 
-def generated_subgroup(group: AbelianGroup, generators: Iterable[Element]) -> Subgroup:
-    """Smallest subgroup containing the generators."""
-    gens = [group.check(g) for g in generators]
-    elems = {group.zero}
-    frontier = [group.zero]
-    while frontier:
-        e = frontier.pop()
-        for g in gens:
-            nxt = group.add(e, g)
-            if nxt not in elems:
-                elems.add(nxt)
-                frontier.append(nxt)
-    return Subgroup(group, elems, verify=False)
-
-
-def sum_of(group: AbelianGroup, elems: Iterable[Element]) -> Element:
-    """Sum of an iterable of elements, repeats counted; the empty sum is the identity."""
-    total = group.zero
-    for g in elems:
-        total = group.add(total, group.check(g))
-    return total
+def generated_subgroup(group: AbelianGroup, codes) -> Subgroup:
+    """Smallest subgroup containing the elements with these codes."""
+    return Subgroup(group, _span(group, _distinct_codes(group, codes), group.order))
 
 
 def involution_subgroup(group: AbelianGroup) -> Subgroup:
     """I(G) = {g : 2g = 0}, the involutions together with zero."""
-    elems = [g for g in group.elements() if group.add(g, g) == group.zero]
-    return Subgroup(group, elems, verify=False)
+    codes = np.arange(group.order)
+    return Subgroup(group, codes[group.sub_codes(0, codes) == codes])
 
 
 def is_binary(group: AbelianGroup) -> bool:
@@ -279,7 +266,12 @@ def is_binary(group: AbelianGroup) -> bool:
 
 def is_zero_sum_group(group: AbelianGroup) -> bool:
     """True iff all elements of the group sum to the identity."""
-    return sum_of(group, group.elements()) == group.zero
+    return int(group.sum_codes(np.arange(group.order))) == 0
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division, for the n <= MAX_FIELD_ORDER callers pass."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def radical(n: int) -> tuple[int, int]:
@@ -288,6 +280,8 @@ def radical(n: int) -> tuple[int, int]:
     when m = 1.  Bounded in time: the primes below _TRIAL_LIMIT are divided
     out, then factorint, bounded by the same limit, factors what is left of
     at most _FACTOR_BITS bits."""
+    from sympy import factorint, isprime, primerange  # slow to import: only here
+
     if n <= 0:
         raise DifamError(f"radical needs n >= 1, got {n}")
     r = 1

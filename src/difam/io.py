@@ -4,9 +4,10 @@ matrix, and developed design.
 The header carries the carrier (group factors and/or field p,n,modulus),
 the role, k, and lambda (mu for difference matrices); the body carries the
 blocks.  Group elements are residue lists, field elements ascending
-coefficient lists, product elements {"g": [...], "f": [...]}.  A design
-file lists each distinct block once, as {"points": [...], "mult": m} (m is
-1 when absent).
+coefficient lists, product elements {"g": [...], "f": [...]}: the edge
+where element tuples meet the code arrays that blocks, forbidden subgroups
+and difference matrices hold.  A design file lists each distinct block
+once, as {"points": [...], "mult": m} (m is 1 when absent).
 
 Every file is laid out as json.dumps(doc, indent=1).  A design's text is
 filled into that layout from a table of point texts, each distinct point
@@ -347,11 +348,12 @@ def render_family(obj: Family) -> str:
         return [[_element_to_json(obj.group, e) for e in row] for row in rows]
 
     if isinstance(obj, DifferenceMatrix):
-        role, body, blocks = "dm", {"mu": obj.mu}, obj.columns
+        role, body, blocks = "dm", {"mu": obj.mu}, obj.group.decode_array(obj.columns).tolist()
     elif isinstance(obj, (StrongDifferenceFamily, RelativeDifferenceFamily)):
         role, body, blocks = "sdf", {"lambda": obj.lam}, [b.expand() for b in obj.blocks]
         if isinstance(obj, RelativeDifferenceFamily):
-            role, body["forbidden"] = "rdf", listed(sub.elements for sub in obj.forbidden_members())
+            subs = [obj.group.decode_array(sub.codes).tolist() for sub in obj.forbidden_members()]
+            role, body["forbidden"] = "rdf", listed(subs)
     else:
         raise FamilyFormatError(f"cannot serialize {type(obj).__name__}")
     head = {"role": role, "carrier": _carrier_header(obj.group), "k": obj.k}
@@ -416,7 +418,8 @@ def _parse_json(text: Union[str, bytes]) -> Family:
 
     if role == "dm":
         mu = _int(doc.get("mu"), "mu")
-        return DifferenceMatrix(carrier, k, mu, [tuple(c) for c in blocks])
+        columns = carrier.encode_elements([e for c in blocks for e in c]).reshape(-1, k)
+        return DifferenceMatrix(carrier, k, mu, columns)
 
     lam = _int(doc.get("lambda"), "lambda")
 
@@ -435,7 +438,7 @@ def _parse_json(text: Union[str, bytes]) -> Family:
             for i, e in enumerate(_list(sub_elems, "subgroup", where))
         ]
         try:
-            subs.append(Subgroup(carrier, elems))
+            subs.append(Subgroup(carrier, carrier.encode_elements(elems)))
         except GroupError as exc:
             raise FamilyFormatError(str(exc), where)
     try:

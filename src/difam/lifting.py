@@ -40,7 +40,7 @@ from .families import (
     verify_rdf,
 )
 from .gf import FieldError, FiniteField, subfield_embed
-from .groups import AbelianGroup, DifamError, Element, sum_of
+from .groups import AbelianGroup, DifamError, Element
 
 
 class LiftingError(DifamError):
@@ -685,27 +685,26 @@ def _combinations_descending(n: int, r: int):
         idx[j + 1 :] = range(n - r + j + 1, n)
 
 
-def _default_zero_sum_subset(field: FiniteField, k: int) -> list[Element]:
-    """The lexicographically first zero-sum k-subset of the field, sorted.
+def _default_zero_sum_subset(field: FiniteField, k: int) -> np.ndarray:
+    """The codes of the lexicographically first zero-sum k-subset of the field.
 
     Walking (k-1)-heads in lexicographic order, the first whose completion
-    by minus its sum is a new element gives it.  For q > 2 the whole field
-    sums to zero, so a set is zero-sum iff its complement is, and taking
-    complements reverses lexicographic order: when q-k < k it is the
-    complement of the last zero-sum (q-k)-subset, found walking backwards.
+    by minus its sum is a new element gives it, head first.  For q > 2 the
+    whole field sums to zero, so a set is zero-sum iff its complement is,
+    and taking complements reverses lexicographic order: when q-k < k it is
+    the complement, ascending, of the last zero-sum (q-k)-subset, found
+    walking backwards.  Codes run in element order.
     """
     group = field.additive_group
-    elems = list(group.elements())  # in lexicographic order
     if field.q > 2 and field.q - k < k:
         for idx in _combinations_descending(field.q, field.q - k):
-            if sum_of(group, [elems[i] for i in idx]) == group.zero:
-                drop = set(idx)
-                return [e for i, e in enumerate(elems) if i not in drop]
+            if group.sum_codes(idx) == 0:
+                return np.setdiff1d(np.arange(field.q), idx)
     else:
-        for head in itertools.combinations(elems, k - 1):
-            last = group.neg(sum_of(group, head))
+        for head in itertools.combinations(range(field.q), k - 1):
+            last = int(group.sub_codes(0, group.sum_codes(head)))
             if last not in head:
-                return list(head) + [last]
+                return np.array(head + (last,))
     raise LiftingError(f"field of order {field.q} has no zero-sum {k}-subset")
 
 
@@ -741,7 +740,7 @@ def simple_lift(
         logs = np.arange((fld.q - 1) // 2)
         lam_out = sdf.lam // 2
     else:
-        x = fld.additive_group.encode_elements(_default_zero_sum_subset(fld, k))
+        x = _default_zero_sum_subset(fld, k)
         lifted = [block.codes * fld.q + x for block in sdf.blocks]
         logs = np.arange(fld.q - 1)
         lam_out = sdf.lam

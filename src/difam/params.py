@@ -1,15 +1,14 @@
 """Arithmetic admissibility and nonexistence checkers for design parameters.
 
 Every verdict carries the certificate numbers it was computed from, so each
-condition can be re-checked by hand from the report alone.
+condition can be re-checked by hand from the report alone.  sympy, slow to
+import, is imported only by the functions that factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from sympy import factorint, n_order
 
 from .groups import DifamError, radical
 
@@ -42,6 +41,7 @@ class ParamVerdict:
 
 
 def is_prime_power(k: int) -> bool:
+    from sympy import factorint
     return k >= 2 and len(factorint(k)) == 1
 
 def is_singly_even(k: int) -> bool:
@@ -91,8 +91,8 @@ def strict_additive_necessary(v: int, k: int) -> ParamVerdict:
 
 def super_regular_necessary(v: int, k: int) -> ParamVerdict:
     """Necessary conditions for a super-regular 2-(v,k,1) design."""
-    if k < 2:
-        raise DifamError(f"need k >= 2, got k={k}")
+    if k < 2 or v < 1:  # _prime_to(0, k) would divide 0 by k forever
+        raise DifamError(f"need v >= 1 and k >= 2, got v={v}, k={k}")
     verdict = ParamVerdict({"v": v, "k": k})
     mod = k * (k - 1)
     verdict.conditions.append(
@@ -150,6 +150,7 @@ def theorem43_enumerate(n: int) -> OrderEnumeration:
     and 0 <= i <= floor((n^2-n)/o); when o > n^2-n only the trivial v = k
     survives.
     """
+    from sympy import n_order
     if n < 1:
         raise DifamError(f"n must be >= 1, got {n}")
     k = 2**n * 3
@@ -171,6 +172,7 @@ def main_status(k: int) -> str:
         return "prime_power"
     if is_singly_even(k):
         return "singly_even"
+    from sympy import factorint
     fac = factorint(k)
     if set(fac) == {2, 3} and fac[3] == 1:
         return "two_pow_times_three"
@@ -179,6 +181,7 @@ def main_status(k: int) -> str:
 
 def largest_odd_prime_power_factor(k: int) -> tuple[int, int]:
     """(q, r) with q the largest odd prime power dividing k exactly, r = k/q."""
+    from sympy import factorint
     fac = factorint(k)
     q = max((p**e for p, e in fac.items() if p != 2), default=1)
     return q, k // q

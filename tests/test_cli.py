@@ -532,6 +532,8 @@ def test_consecutive_runs_keep_their_own_options(tmp_path, capsys):
 # a 51-digit semiprime, nextprime(10**25) * nextprime(3 * 10**25): sympy's
 # factorint ran past 60 s on it
 SEMIPRIME = str((10**25 + 13) * (3 * 10**25 + 67))
+# a 130-bit odd semiprime, nextprime(2**64) * nextprime(2**65): factorint took 14.5 s on it
+SEMIPRIME_130 = str(18446744073709551629 * 36893488147419103363)
 
 # each input in its own process under a 1.5 GB address space: it must end in
 # a verdict or in one `error:` line, never in a traceback, a hang or a
@@ -539,6 +541,10 @@ SEMIPRIME = str((10**25 + 13) * (3 * 10**25 + 67))
 BOUNDED_INPUTS = {
     "admissibility-51-digits": (["admissibility", "--v", SEMIPRIME, "--k", "3"], None, 1),
     "admissibility-v-equals-k": (["admissibility", "--v", SEMIPRIME, "--k", SEMIPRIME], None, 0),
+    # _prime_to(0, k) divided 0 by gcd(0, k) = k forever
+    "admissibility-v-zero": (["admissibility", "--v", "0", "--k", "3"], None, 2),
+    # refused by the field cap before it is factored
+    "paley-130-bit-q": (["build", "paley", "--q", SEMIPRIME_130, "--out", "x.json"], None, 2),
     "theorem82-huge-k": (["build", "theorem82", "--k", SEMIPRIME, "--out", "x.json"], None, 2),
     # 2^19 * 5: q = 5, r = 2^19, so r rows of k points, 10 TiB
     "theorem82-large-r": (["build", "theorem82", "--k", "2621440", "--out", "x.json"], None, 2),
@@ -592,3 +598,30 @@ def test_large_inputs_end_in_a_verdict_or_one_error_line(tmp_path):
     # decided by gcds; the radical, which the search cannot find, is left unfactored
     assert f"radical(v) = radical(k): PASS (rad(v)=rad({SEMIPRIME})" in outs["admissibility-v-equals-k"]
     assert f"rad(v)=rad({SEMIPRIME}), k=3" in outs["admissibility-51-digits"]
+
+
+def test_verify_rdf_of_a_large_forbidden_subgroup_ends_in_time(tmp_path):
+    # the forbidden subgroup of Z_131072 of even codes, 65,536 elements in a
+    # 0.6 MB file; the pairwise closure check took 5.0 s on 2,048 elements
+    # and 17.2 s on 4,096, so about 70 minutes on these
+    doc = {"role": "rdf", "carrier": {"group": [2**17]}, "k": 2, "lambda": 1,
+           "forbidden": [[[x] for x in range(0, 2**17, 2)]], "blocks": [[[0], [1]]]}
+    (tmp_path / "rdf.json").write_text(json.dumps(doc, separators=(",", ":")))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    start = time.perf_counter()
+    argv = [sys.executable, "-c", _BOUNDED_CHILD, "None", "verify", "rdf", "rdf.json"]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert "FAIL (lambda found: None)" in proc.stdout
+    assert elapsed < 5, elapsed
+
+
+def test_importing_the_cli_leaves_sympy_unloaded():
+    # sympy took 0.26 s of the 0.45 s import of difam.cli; only factoring needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = "import sys, difam.cli; print('sympy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.stdout.strip() == "False", proc.stderr

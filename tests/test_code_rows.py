@@ -115,7 +115,8 @@ def _ref_simple_lift(sdf, field, signed):
             lifted.append([g + x for g, x in zip(block.expand(), coords)])
         mults = _powers(ref, (field.q - 1) // 2)
     else:
-        L = _default_zero_sum_subset(field, sdf.k)
+        zero_sum = _default_zero_sum_subset(field, sdf.k).tolist()
+        L = [field.additive_group.decode(c) for c in zero_sum]
         lifted = [[g + x for g, x in zip(block.expand(), L)] for block in sdf.blocks]
         mults = _powers(ref, field.q - 1)
     return _ref_multiply_out(carrier, lifted, mults)

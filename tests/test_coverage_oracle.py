@@ -4,7 +4,8 @@
 (`diffs.delta_family`, `diffs.coverage`, one `bincount` per DM row pair).
 The reference below is the tuple calculus they replaced, copied here: a
 `Counter` of tuple differences per block, a dict over every carrier element,
-additivity by `sum_of`, and the DM's `Counter` per row pair.  The one change
+additivity by tuple sums, and the DM's `Counter` per row pair, on the tuple
+calculus of `group_reference`.  The one change
 is that the reference visits excluded elements in ascending order (it
 iterated a set), the order the verdict's failure list now defines.  Every
 field of the verdicts must agree, failure lists as lists.
@@ -12,6 +13,7 @@ field of the verdicts must agree, failure lists as lists.
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -30,8 +32,9 @@ from difam.families import (
     zero_sum_dm,
 )
 from difam.gf import FiniteField
-from difam.groups import AbelianGroup, GroupError, Subgroup, generated_subgroup, sum_of
+from difam.groups import AbelianGroup, GroupError, Subgroup, generated_subgroup
 from difam.lifting import simple_lift
+from group_reference import ref
 
 PROPERTY = settings(
     database=None,
@@ -48,7 +51,7 @@ PROPERTY = settings(
 def _ref_delta_block(block):
     if block.size < 2:
         raise GroupError(f"difference list needs a block of size >= 2, got {block.size}")
-    sub = block.carrier.sub
+    sub = ref(block.carrier).sub
     elems = block.expand()
     out = Counter()
     for i, x in enumerate(elems):
@@ -74,7 +77,7 @@ def _ref_coverage(delta, carrier, members=()):
     """(lambda, excluded_clean, failures)."""
     excluded = set()
     for sub in members:
-        excluded.update(sub.elements)
+        excluded.update(_elements(sub))
     counts = {e: delta.get(e, 0) for e in carrier.elements()}
     failures = []
     excluded_clean = True
@@ -94,9 +97,14 @@ def _ref_coverage(delta, carrier, members=()):
     return lam, excluded_clean, failures
 
 
+def _elements(sub):
+    return [sub.parent.decode(c) for c in sub.codes.tolist()]
+
+
 def _ref_additive(group, blocks, members=()):
-    involutions = lambda sub: sum(1 for g in sub.elements if sub.parent.add(g, g) == sub.parent.zero)
-    return all(sum_of(group, b) == group.zero for b in blocks) and not any(
+    r = ref(group)
+    involutions = lambda sub: sum(1 for g in _elements(sub) if r.add(g, g) == r.zero)
+    return all(r.sum(b) == r.zero for b in blocks) and not any(
         involutions(sub) == 2 for sub in members
     )
 
@@ -121,13 +129,14 @@ def _ref_verify_rdf(blocks, group, members, k, lam):
 
 def _ref_verify_dm(columns, group, k, mu):
     """(is_dm, is_additive, failures): the Counter per row pair."""
-    cols = [tuple(c) for c in columns]
+    r = ref(group)
+    cols = [[group.decode(c) for c in row] for row in columns.tolist()]
     if len(cols) != mu * group.order:
-        return False, False, [(-1, -1, group.zero, len(cols))]
+        return False, False, [(-1, -1, r.zero, len(cols))]
     failures = []
     for i in range(k):
         for j in range(i + 1, k):
-            counts = Counter(group.sub(c[i], c[j]) for c in cols)
+            counts = Counter(r.sub(c[i], c[j]) for c in cols)
             for e in group.elements():
                 if counts.get(e, 0) != mu:
                     failures.append((i, j, e, counts.get(e, 0)))
@@ -235,12 +244,13 @@ def _random_families(draw):
     point_lists = st.lists(element, min_size=k, max_size=k, unique=as_sets)
     blocks = [GMultiset(group, b) for b in draw(st.lists(point_lists, min_size=1, max_size=4))]
     if draw(st.booleans()):
-        forbidden = generated_subgroup(group, draw(st.lists(element, max_size=2)))
+        gens = draw(st.lists(element, max_size=2))
+        forbidden = generated_subgroup(group, [group.encode(g) for g in gens])
     else:
         members = []
         for g in draw(st.lists(element, min_size=1, max_size=4)):
-            sub = generated_subgroup(group, [g])
-            if all(set(sub.elements) & set(m.elements) == {group.zero} for m in members):
+            sub = generated_subgroup(group, [group.encode(g)])
+            if all(set(sub.codes.tolist()) & set(m.codes.tolist()) == {0} for m in members):
                 members.append(sub)
         forbidden = PartialSpread(members)
     return group, forbidden, k, blocks, draw(st.integers(0, 3))
@@ -285,11 +295,11 @@ def test_difference_matrices_agree_with_the_counter_loop(name):
 )
 def test_damaged_difference_matrices_agree_with_the_counter_loop(name, how, data):
     dm = DMS[name]
-    cols = [list(c) for c in dm.columns]
+    cols = dm.columns.tolist()
     i = data.draw(st.integers(0, len(cols) - 1), label="column")
     j = data.draw(st.integers(0, dm.k - 1), label="row")
     if how == "move":
-        cols[i][j] = dm.group.decode(data.draw(st.integers(0, dm.group.order - 1), label="to"))
+        cols[i][j] = data.draw(st.integers(0, dm.group.order - 1), label="to")
     elif how == "copy":  # another column takes this one's place
         cols[i] = list(cols[(i + 1) % len(cols)])
     elif how == "duplicate":
@@ -299,4 +309,5 @@ def test_damaged_difference_matrices_agree_with_the_counter_loop(name, how, data
     else:  # two entries of one column trade places
         j2 = data.draw(st.integers(0, dm.k - 1), label="other row")
         cols[i][j], cols[i][j2] = cols[i][j2], cols[i][j]
-    _check_dm(DifferenceMatrix(dm.group, dm.k, dm.mu, [tuple(c) for c in cols]))
+    columns = np.array(cols, dtype=np.int64).reshape(-1, dm.k)
+    _check_dm(DifferenceMatrix(dm.group, dm.k, dm.mu, columns))

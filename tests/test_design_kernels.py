@@ -25,6 +25,7 @@ from difam.designs import (
 from difam.gf import FiniteField
 from difam.groups import AbelianGroup
 from difam.lifting import simple_lift
+from group_reference import ref
 
 PROPERTY = settings(
     database=None,
@@ -112,7 +113,7 @@ def _damage(design, how, data):
     elif how == "off-zero-sum":  # one point moved by g != 0: the block sum moves by g
         j = data.draw(st.integers(0, design.k - 1))
         g = group.decode(data.draw(st.integers(1, design.v - 1)))
-        blocks[i, j] = group.encode(group.add(group.decode(int(blocks[i, j])), g))
+        blocks[i, j] = group.encode(ref(group).add(group.decode(int(blocks[i, j])), g))
     return Design(group, blocks, design.k)
 
 
@@ -146,11 +147,9 @@ def _sparse_designs(draw):
     row = st.lists(point, min_size=k, max_size=k)
     rows = np.array(draw(st.lists(row, min_size=b, max_size=b)), dtype=np.int64)
     if draw(st.booleans()):  # make every row zero-sum through its last point
+        r = ref(group)
         for row in rows:
-            total = group.zero
-            for c in row[:-1].tolist():
-                total = group.add(total, group.decode(c))
-            row[-1] = group.encode(group.neg(total))
+            row[-1] = group.encode(r.neg(r.sum(map(group.decode, row[:-1].tolist()))))
     return Design(group, rows, k)
 
 
@@ -180,9 +179,10 @@ def test_super_regular_of_no_blocks(orders):
 @given(orders=st.lists(st.integers(1, 8), min_size=1, max_size=4), data=st.data())
 def test_translates_adds_g_to_every_code(orders, data):
     group = AbelianGroup(orders)
-    g = group.decode(data.draw(st.integers(0, group.order - 1)))
-    expected = [group.encode(group.add(group.decode(x), g)) for x in range(group.order)]
-    got = group.translates(g)
+    code = data.draw(st.integers(0, group.order - 1))
+    expected = [group.encode(ref(group).add(group.decode(x), group.decode(code)))
+                for x in range(group.order)]
+    got = group.translates(code)
     assert got.dtype == np.int64 and got.tolist() == expected
 
 
@@ -191,9 +191,9 @@ def test_translates_adds_g_to_every_code(orders, data):
 def test_translates_by_a_unit_is_add_unit(orders, data):
     group = AbelianGroup(orders)
     i = data.draw(st.integers(0, group.rank - 1))
-    unit = tuple(int(j == i) for j in range(group.rank))
+    unit = tuple(int(j == i) % n for j, n in enumerate(group.cyclic_orders))
     codes = np.arange(group.order, dtype=np.int64)
-    assert np.array_equal(group.translates(unit), _add_unit(group, codes, i))
+    assert np.array_equal(group.translates(group.encode(unit)), _add_unit(group, codes, i))
 
 
 def _rows_half_zero_sum(group, k, b, rng):

@@ -53,7 +53,7 @@ def _spread27():
     g = AbelianGroup((3, 3, 3))
     taken = [(1, 0, 0), (0, 1, 0), (1, 2, 0)]
     lines = [
-        Subgroup(g, [g.zero, d, g.add(d, d)])
+        Subgroup(g, g.encode_array(np.outer(range(3), d) % 3))  # 0, d, 2d
         for d in g.elements()
         if any(d) and d[next(i for i, c in enumerate(d) if c)] == 1 and d not in taken
     ]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import difam.families
@@ -96,12 +97,12 @@ def test_verify_rdf_additive_needs_nonbinary_forbidden():
     # zero-sum blocks relative to a subgroup with a unique involution do
     # not count as additive; relative to an odd-order subgroup they do
     group = AbelianGroup((4,))
-    sub = Subgroup(group, [(0,), (2,)])
+    sub = Subgroup(group, [0, 2])
     blocks = [GMultiset(group, [(1,), (3,)])]
     assert not verify_rdf(blocks, group, sub, 2, 1).is_additive
 
     group6 = AbelianGroup((6,))
-    sub6 = Subgroup(group6, [(0,), (2,), (4,)])
+    sub6 = Subgroup(group6, [0, 2, 4])
     blocks6 = [GMultiset(group6, [(1,), (5,)])]
     assert verify_rdf(blocks6, group6, sub6, 2, 1).is_additive
 
@@ -109,22 +110,20 @@ def test_verify_rdf_additive_needs_nonbinary_forbidden():
 def test_verify_rdf_wrong_parent():
     group = AbelianGroup((4,))
     other = AbelianGroup((8,))
-    sub = Subgroup(other, [(0,), (4,)])
+    sub = Subgroup(other, [0, 4])
     with pytest.raises(FamilyError):
         verify_rdf([], group, sub, 2, 1)
 
 
 def test_partial_spread_validation():
     group = AbelianGroup((2, 2))
-    a = Subgroup(group, [(0, 0), (1, 0)])
-    b = Subgroup(group, [(0, 0), (0, 1)])
-    c = Subgroup(group, [(0, 0), (1, 1)])
+    a, b, c = (Subgroup(group, [0, x]) for x in (2, 1, 3))  # (1, 0), (0, 1), (1, 1)
     spread = PartialSpread([a, b, c])
-    assert {e for sub in spread.members for e in sub.elements} == set(group.elements())
+    assert {c for sub in spread.members for c in sub.codes.tolist()} == set(range(group.order))
     with pytest.raises(FamilyError):
         PartialSpread([a, a])
     with pytest.raises(FamilyError):
-        PartialSpread([a, Subgroup(AbelianGroup((2, 4)), [(0, 0), (1, 0)])])
+        PartialSpread([a, Subgroup(AbelianGroup((2, 4)), [0, 4])])
 
 
 def test_spread_conditions():
@@ -162,8 +161,8 @@ def test_verify_dm_zero_sum():
 def test_verify_dm_rejects_perturbation():
     h = AbelianGroup((3,))
     dm = zero_sum_dm(h, 3)
-    cols = [list(c) for c in dm.columns]
-    cols[0][0] = h.add(cols[0][0], (1,))
+    cols = dm.columns.copy()
+    cols[0, 0] = (cols[0, 0] + 1) % 3
     verdict = verify_dm(cols, h, 3, 3)
     assert not verdict.is_dm
     assert verdict.failures
@@ -171,10 +170,15 @@ def test_verify_dm_rejects_perturbation():
 
 def test_verify_dm_shape_errors():
     h = AbelianGroup((3,))
-    with pytest.raises(FamilyError):
-        verify_dm([[(0,), (0,)], [(0,)]], h, 2, 1)
+    # anything but an (n, k) int64 code array is refused: element lists,
+    # ragged or flat input, floats, a width other than k, codes out of range
+    for bad in ([[(0,), (0,)], [(0,)]], [[0, 0]], np.zeros(4, np.int64), np.zeros((2, 2)),
+                np.zeros((3, 3), np.int64), np.zeros((3, 2, 1), np.int64),
+                np.array([[0, 3]] * 3), np.array([[0, -1]] * 3)):
+        with pytest.raises(FamilyError):
+            verify_dm(bad, h, 2, 1)
     # wrong column count is a verdict, not an exception
-    assert not verify_dm([[(0,), (0,)]], h, 2, 2).is_dm
+    assert verify_dm(np.zeros((1, 2), np.int64), h, 2, 2).failures == [(-1, -1, (0,), 1)]
 
 
 def test_zero_sum_dm_cap():
@@ -224,7 +228,7 @@ def test_theorem82_closed_forms_match_brute_force():
         # block A = r*{0} u 2r*squares, blocks B = r*F_q
         d_a = delta_family([sdf.blocks[0]])
         d_b = delta_family([sdf.blocks[1]])
-        zero = sdf.group.zero
+        zero = sdf.group.decode(0)
         nonzero = next(e for e in sdf.group.elements() if e != zero)
         assert d_a[sdf.group.encode(zero)] == forms["alpha0"]
         assert all(

@@ -1,8 +1,12 @@
 import time
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from difam.carrier import ProductCarrier
+from difam.families import FamilyError, PartialSpread
 from difam.gf import FiniteField
 from difam.groups import (
     AbelianGroup,
@@ -11,9 +15,18 @@ from difam.groups import (
     generated_subgroup,
     involution_subgroup,
     is_binary,
+    is_prime,
     is_zero_sum_group,
     radical,
-    sum_of,
+)
+from group_reference import ref
+
+PROPERTY = settings(
+    database=None,
+    derandomize=True,
+    deadline=None,
+    max_examples=300,
+    suppress_health_check=[HealthCheck.too_slow],
 )
 
 
@@ -21,17 +34,17 @@ def test_group_basics():
     g = AbelianGroup((5,))
     assert g.order == 5
     assert g.rank == 1
-    assert g.zero == (0,)
-    assert g.add((3,), (4,)) == (2,)
-    assert g.sub((1,), (4,)) == (2,)
-    assert g.neg((2,)) == (3,)
+    assert g.sub_codes(1, 4) == 2
+    assert g.sub_codes(0, 2) == 3  # -2
+    assert g.sum_codes([3, 4]) == 2
 
 
 def test_product_group_arithmetic():
     g = AbelianGroup((3, 4))
     assert g.order == 12
-    assert g.add((2, 3), (2, 2)) == (1, 1)
-    assert g.neg((1, 1)) == (2, 3)
+    # (2, 3) + (2, 2) = (1, 1), codes 11 + 10 = 5; -(1, 1) = (2, 3)
+    assert g.sum_codes([11, 10]) == 5
+    assert g.sub_codes(0, 5) == 11
     assert list(g.elements())[0] == (0, 0)
     assert len(list(g.elements())) == 12
 
@@ -85,28 +98,92 @@ def test_presentation_matters():
 
 def test_subgroup_verification():
     g = AbelianGroup((6,))
-    sub = Subgroup(g, [(0,), (2,), (4,)])
+    sub = Subgroup(g, [4, 0, 2, 2])
     assert sub.order == 3
-    assert (2,) in sub.elements
-    with pytest.raises(GroupError):
-        Subgroup(g, [(0,), (2,)])  # not closed: 2+2=4 missing
-    with pytest.raises(GroupError):
-        Subgroup(g, [(2,), (4,)])  # no identity
+    assert sub.codes.tolist() == [0, 2, 4] and sub.codes.dtype == np.int64
+    assert not sub.codes.flags.writeable
+    assert sub == Subgroup(g, np.array([0, 2, 4])) and hash(sub) == hash(Subgroup(g, [0, 2, 4]))
+    assert sub != Subgroup(AbelianGroup((3, 2)), [0, 2, 4])  # the same codes in Z_3 x Z_2
+    with pytest.raises(GroupError, match="not closed"):
+        Subgroup(g, [0, 2])  # 2+2=4 missing
+    with pytest.raises(GroupError, match="identity"):
+        Subgroup(g, [2, 4])
+    for bad in ([(0,), (3,)], [0, 6], [-1, 0], [[0, 3]]):  # tuples, codes out of range, 2-d
+        with pytest.raises(GroupError, match="1-d array of codes"):
+            Subgroup(g, bad)
 
 
 def test_generated_subgroup():
     g = AbelianGroup((12,))
-    sub = generated_subgroup(g, [(4,)])
-    assert sub.elements == ((0,), (4,), (8,))
-    whole = generated_subgroup(g, [(5,)])
+    sub = generated_subgroup(g, [4])
+    assert sub.codes.tolist() == [0, 4, 8]
+    whole = generated_subgroup(g, [5])
     assert whole.order == 12
+    assert generated_subgroup(g, []).codes.tolist() == [0]
 
 
-def test_sum_of_accepts_multisets_and_iterables():
+def test_sum_codes_counts_repeats():
     g = AbelianGroup((5,))
-    assert sum_of(g, [(1,), (2,)]) == (3,)
-    assert sum_of(g, [(1,), (1,), (4,), (1,)]) == (2,)  # a multiset, repeats written out
-    assert sum_of(g, []) == (0,)
+    assert g.sum_codes([1, 2]) == 3
+    assert g.sum_codes([1, 1, 4, 1]) == 2  # a multiset, repeats written out
+    assert g.sum_codes([]) == 0
+    assert g.sum_codes([[1, 2], [4, 4], [0, 0]]).tolist() == [3, 3, 0]  # one sum per row
+    h = AbelianGroup((2, 3))
+    assert h.sum_codes([h.encode((1, 2)), h.encode((1, 2))]) == h.encode((0, 1))
+
+
+def test_subgroups_of_large_groups_are_checked_in_time():
+    # the pairwise check took 5.0 / 17.2 s on 2,048 / 4,096 elements
+    start = time.perf_counter()
+    for orders in ((2**17,), (2,) * 17, (2**8, 2**9)):
+        g = AbelianGroup(orders)
+        assert Subgroup(g, np.arange(0, g.order, 2)).order == 2**16
+        with pytest.raises(GroupError, match="not closed"):
+            Subgroup(g, np.arange(0, g.order, 2)[:-1])
+    assert generated_subgroup(AbelianGroup((2,) * 20), 1 << np.arange(20)).order == 2**20
+    assert time.perf_counter() - start < 5
+
+
+@st.composite
+def _code_sets(draw):
+    """A small group and codes from it: any, a subgroup (a closure), a
+    subgroup with one element dropped (0 or another), or any with repeats."""
+    group = AbelianGroup(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    code = st.integers(0, group.order - 1)
+    codes = draw(st.lists(code, max_size=6))
+    how = draw(st.sampled_from(["any", "closure", "closure-minus-one", "repeats"]))
+    if how != "any" and how != "repeats":
+        codes = sorted(group.encode(e) for e in ref(group).closure(map(group.decode, codes)))
+        if how == "closure-minus-one":
+            del codes[draw(st.integers(0, len(codes) - 1))]
+    elif how == "repeats":
+        codes = codes + codes[: draw(st.integers(0, len(codes)))]
+    return group, codes, [draw(st.lists(code, max_size=2)) for _ in range(draw(st.integers(0, 4)))]
+
+
+@PROPERTY
+@given(case=_code_sets())
+def test_subgroup_check_and_span_agree_with_the_tuple_closure(case):
+    group, codes, spread_gens = case
+    r = ref(group)
+    elems = {group.decode(c) for c in codes}
+    closure = r.closure(elems)
+    expected = sorted(group.encode(e) for e in closure)
+    assert generated_subgroup(group, codes).codes.tolist() == expected
+    if closure == elems:  # a subgroup: nonempty, as it holds zero
+        assert Subgroup(group, codes).codes.tolist() == expected
+    else:
+        with pytest.raises(GroupError):
+            Subgroup(group, codes)
+    # a partial spread: pairwise trivial intersections of the members
+    members = [generated_subgroup(group, gens) for gens in spread_gens]
+    sets = [r.closure(map(group.decode, gens)) for gens in spread_gens]
+    trivial = all(a & b == {r.zero} for i, a in enumerate(sets) for b in sets[i + 1 :])
+    try:
+        PartialSpread(members)
+        assert trivial
+    except FamilyError:
+        assert not trivial
 
 
 def test_involutions_and_binary():
@@ -115,6 +192,13 @@ def test_involutions_and_binary():
     assert is_binary(AbelianGroup((8,)))
     assert not is_binary(AbelianGroup((2, 2)))
     assert not is_binary(AbelianGroup((5,)))
+
+
+def test_is_prime_by_trial_division():
+    primes = [n for n in range(200) if is_prime(n)]
+    assert primes == [n for n in range(200) if n > 1 and all(n % d for d in range(2, n))]
+    assert is_prime(4194301) and not is_prime(4194303) and not is_prime(2**22)
+    assert not is_prime(0) and not is_prime(-7)
 
 
 def test_zero_sum_groups():

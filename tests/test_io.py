@@ -45,7 +45,8 @@ def test_dm_roundtrip():
     dm = zero_sum_dm(AbelianGroup((3,)), 3)
     back = parse_family(render_family(dm))
     assert isinstance(back, DifferenceMatrix)
-    assert back.columns == dm.columns
+    assert back == dm and back.columns.dtype == np.int64
+    assert back != zero_sum_dm(AbelianGroup((3,)), 4) and back != zero_sum_dm(AbelianGroup((9,)), 3)
     assert back.mu == 3
     assert verify_dm(back.columns, back.group, back.k, back.mu).is_additive
 
@@ -288,12 +289,13 @@ def _reference_render(obj) -> str:
                "blocks": [[_ref_element(obj.group, e) for e in b.expand()] for b in obj.blocks]}
     elif isinstance(obj, RelativeDifferenceFamily):
         doc = {"role": "rdf", "carrier": _ref_header(obj.group), "k": obj.k, "lambda": obj.lam,
-               "forbidden": [[_ref_element(obj.group, e) for e in sub.elements]
-                             for sub in obj.forbidden_members()],
+               "forbidden": [[_ref_element(obj.group, obj.group.decode(c))
+                              for c in sub.codes.tolist()] for sub in obj.forbidden_members()],
                "blocks": [[_ref_element(obj.group, e) for e in b.expand()] for b in obj.blocks]}
     elif isinstance(obj, DifferenceMatrix):
         doc = {"role": "dm", "carrier": _ref_header(obj.group), "k": obj.k, "mu": obj.mu,
-               "blocks": [[_ref_element(obj.group, e) for e in col] for col in obj.columns]}
+               "blocks": [[_ref_element(obj.group, obj.group.decode(c)) for c in col]
+                          for col in obj.columns.tolist()]}
     else:
         rows, counts = np.unique(obj.blocks, axis=0, return_counts=True)
         doc = {"role": "design", "carrier": _ref_header(obj.carrier), "k": obj.k,
