@@ -131,7 +131,7 @@ def _develop_rows(rdf: RelativeDifferenceFamily) -> np.ndarray:
             )
         coset_rows = np.empty((n, rdf.k), dtype=np.int64)
         fill(coset_rows, sub.codes)
-        coset_blocks.append(np.unique(coset_rows, axis=0))
+        coset_blocks.append(_unique_rows(coset_rows, n)[0])
     n_translates = len(rdf.blocks) * n
     b = n_translates + lam * sum(len(c) for c in coset_blocks)
     _check_points(b, rdf.k)
@@ -242,22 +242,51 @@ def _no_repeated_blocks(arr: np.ndarray, v: int) -> bool:
 def _sorted_row_keys(arr: np.ndarray, v: int, moved: Optional[np.ndarray] = None) -> np.ndarray:
     """Each row as a point set, in lexicographic order: (b, words) int64 keys.
 
-    A row is sorted and packed base v, as many digits per word as stay below
-    2^62, so comparing keys compares rows.  With `moved` (a table over codes,
-    such as `AbelianGroup.translates`), every point x is first replaced by
-    moved[x].  Keys of more than one word are sorted by their first word;
-    only the runs of rows whose first words tie are then sorted in full.
+    A row is sorted and then packed as `_packed_keys` packs it.  With
+    `moved` (a table over codes, such as `AbelianGroup.translates`), every
+    point x is first replaced by moved[x].
     """
-    k = arr.shape[1]
+    return _packed_keys(arr, v, lambda part: np.sort(part if moved is None else moved[part], axis=1))
+
+
+def _unique_rows(arr: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of `arr`, points 0..v-1, in lexicographic order,
+    and how often each occurs: np.unique(arr, axis=0, return_counts=True),
+    from the sorted `_packed_keys` of the rows as given."""
+    keys = _packed_keys(arr, v, lambda part: part)
+    new = np.ones(keys.shape[0], dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    weights, per_word = _key_weights(arr.shape[1], v)
+    word = np.arange(arr.shape[1]) // per_word
+    rows = keys[starts][:, word] // weights % v  # each key's digits, unpacked
+    return rows.astype(arr.dtype, copy=False), np.diff(starts, append=keys.shape[0])
+
+
+def _key_weights(k: int, v: int) -> tuple[np.ndarray, int]:
+    """The weights of k base-v digits packed as many to an int64 word as
+    stay below 2^62, and that many."""
     per_word = 1
     while per_word < k and v ** (per_word + 1) < 2**62:
         per_word += 1
-    starts = range(0, k, per_word)
     weights = np.array([v ** (per_word - 1 - i % per_word) for i in range(k)], dtype=np.int64)
+    return weights, per_word
+
+
+def _packed_keys(arr: np.ndarray, v: int, prepare: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The rows `prepare` makes of `arr` (of k >= 1 points), in
+    lexicographic order, as (b, words) int64 keys.
+
+    `prepare` maps each `_CHUNK` of rows to rows of points 0..v-1, which
+    are packed base v by `_key_weights`, so comparing keys compares rows.
+    Keys of more than one word are sorted by their first word; only the
+    runs of rows whose first words tie are then sorted in full.
+    """
+    weights, per_word = _key_weights(arr.shape[1], v)
+    starts = range(0, arr.shape[1], per_word)
     words = np.empty((len(starts), arr.shape[0]), dtype=np.int64)  # one row per word
     for lo in range(0, arr.shape[0], _CHUNK):
-        part = arr[lo : lo + _CHUNK]
-        part = np.sort(part if moved is None else moved[part], axis=1)
+        part = prepare(arr[lo : lo + _CHUNK])
         for word, s in enumerate(starts):
             digits = slice(s, s + per_word)
             words[word, lo : lo + part.shape[0]] = part[:, digits] @ weights[digits]
@@ -504,6 +533,8 @@ def closure(
 
 # the most block lookups one chunk of plane certificates makes
 _CERT_ENTRIES = 2**16
+# the most pairs of blocks one slice of `_meeting_pairs` compares
+_SLICE_PAIRS = 2**12
 # the most pairs one anomaly scan decides
 SCAN_CAP = 10**4
 
@@ -515,7 +546,10 @@ def anomaly_witness(design: Design, p: int) -> AnomalyVerdict:
 
     The first SCAN_CAP pairs of `_meeting_pairs` are decided in order,
     in chunks of 1, 2, 4, ... pairs: `_plane_certificates` accepts the
-    planes of a chunk, and `closure` decides every other pair.
+    planes of a chunk, and `closure` decides every other pair.  The
+    certificates of one scan share one dict of verdicts, a point set S to
+    whether S certifies, so each distinct S is certified once: at most
+    SCAN_CAP entries, freed when the scan returns.
     """
     if p < 2:
         raise DesignError(f"need p >= 2, got {p}")
@@ -531,13 +565,17 @@ def anomaly_witness(design: Design, p: int) -> AnomalyVerdict:
         raise DesignError(f"{design.b} blocks of {p} points cannot be a 2-({v},{p},1) design")
     lookup = _block_lookup(design)
     rows: dict[int, list[int]] = {}
+    verdicts: dict[bytes, bool] = {}
     blocks, target = design.blocks, p * p
     lookups = target * (target - 1) // 2  # per certificate
     certify = lookups <= _CERT_ENTRIES  # else `closure` decides every pair
     scanned = 0
     for chunk in _pair_chunks(_meeting_pairs(blocks, v), max(1, _CERT_ENTRIES // lookups)):
         chunk = chunk[: SCAN_CAP - scanned]
-        planes = _plane_certificates(design, lookup, chunk) if certify else np.zeros(len(chunk), bool)
+        if certify:
+            planes = _plane_certificates(design, lookup, chunk, verdicts)
+        else:
+            planes = np.zeros(len(chunk), bool)
         for j in np.flatnonzero(~planes).tolist():
             a, b = chunk[j].tolist()
             one, two = blocks[a].tolist(), blocks[b].tolist()
@@ -553,7 +591,13 @@ def anomaly_witness(design: Design, p: int) -> AnomalyVerdict:
 def _meeting_pairs(blocks: np.ndarray, v: int):
     """Pairs of blocks with the same point x in column 0 that meet only in
     x, as point sets, by increasing x and then by block index (witnesses
-    tend to be local): (a, the later blocks of a's group meeting a).
+    tend to be local), as (n, 2) arrays of block indices.
+
+    A group is the blocks of one x, in index order.  Each array is a slice
+    of it: rows a0 .. a0+m-1 compared with every later row of the group in
+    one broadcast.  m is 1 at the start of each group and doubles while a
+    slice of m rows makes at most `_SLICE_PAIRS` comparisons, so a scan that
+    stops at its first pair compares only the first row of its group.
 
     The column-0 points are cast to the smallest type that holds them:
     numpy sorts 8- and 16-bit keys stably by radix.
@@ -564,19 +608,32 @@ def _meeting_pairs(blocks: np.ndarray, v: int):
     for lo, hi in zip([0] + cuts, cuts + [order.size]):
         ids = order[lo:hi]
         group = blocks[ids]
-        for a in range(ids.size - 1):
-            row = group[a]
-            shared = group[a + 1 :, :, None] == row[row != row[0]]
-            yield ids[a], ids[a + 1 :][~shared.any(axis=(1, 2))]
+        # the points of each row past column 0 that a later row may share:
+        # those other than the row's own column-0 point
+        tail = group[:, 1:]
+        other = tail != group[:, :1]
+        a0, m = 0, 1
+        while a0 < ids.size - 1:
+            later = group[a0 + 1 :]
+            shared = tail[a0 : a0 + m, None, :, None] == later[None, :, None, :]
+            shared &= other[a0 : a0 + m, None, :, None]
+            # row a0 + i pairs with later row a0 + 1 + j for j >= i only
+            past = np.arange(later.shape[0]) >= np.arange(shared.shape[0])[:, None]
+            i, j = np.nonzero(past & ~shared.any(axis=(2, 3)))
+            yield np.column_stack([ids[a0 + i], ids[a0 + 1 + j]])
+            a0 += m
+            if 2 * m * (ids.size - a0 - 1) <= _SLICE_PAIRS:
+                m *= 2
 
 
-def _pair_chunks(runs, most: int):
-    """The pairs of `runs`, in order, as (n, 2) arrays of n = 1, 2, 4, ...
-    up to `most` pairs: a scan that stops early decides few extra pairs."""
+def _pair_chunks(slices, most: int):
+    """The pairs of `slices`, in order, as (n, 2) arrays of n = 1, 2, 4, ...
+    up to `most` pairs: a scan that stops early decides few extra pairs.
+    A slice is drawn only when the pairs held cannot fill the next chunk."""
     width = 1
     held = np.empty((0, 2), dtype=np.intp)
-    for a, later in runs:
-        held = np.concatenate([held, np.column_stack([np.full(later.size, a), later])])
+    for pairs in slices:
+        held = np.concatenate([held, pairs])
         lo = 0
         while held.shape[0] - lo >= width:
             yield held[lo : lo + width]
@@ -587,7 +644,9 @@ def _pair_chunks(runs, most: int):
         yield held
 
 
-def _plane_certificates(design: Design, lookup: BlockLookup, pairs: np.ndarray) -> np.ndarray:
+def _plane_certificates(
+    design: Design, lookup: BlockLookup, pairs: np.ndarray, verdicts: dict[bytes, bool]
+) -> np.ndarray:
     """For each pair of blocks L1, L2 of p = k points meeting only in x,
     their column-0 point: True only if `closure(..., max_points=p*p)` with
     the same `lookup` (the design's `_block_lookup`) returns p^2 points.
@@ -608,6 +667,15 @@ def _plane_certificates(design: Design, lookup: BlockLookup, pairs: np.ndarray) 
     for any lookup whose answers hold both points, not only a Steiner
     design's, as long as it answers a pair the same way in either order.
 
+    The work comes in two stages.  Stage 1, for every pair, makes the
+    (p-1)^2 lookups of a and b and finds S; it refuses a = b and |S| != p^2.
+    Stage 2 makes the C(p^2, 2) lookups of S and checks them.  A -1 of
+    stage 1 is the lookup of a pair of points of S, so stage 2 meets it
+    too.  Stage 2 reads only S and `lookup`, and a scan passes one lookup
+    to all its chunks, so its verdict is a function of S within the scan:
+    `verdicts` maps the bytes of each S seen, its points sorted, to that
+    verdict, and stage 2 runs once for each distinct S not in it yet.
+
     In a Steiner design a closure of p^2 points is a 2-(p^2,p,1) design,
     an affine plane of order p, and for p >= 3 it is always accepted: a
     point c of it off L1 and L2 has p+1 lines, and only three of them miss
@@ -620,7 +688,7 @@ def _plane_certificates(design: Design, lookup: BlockLookup, pairs: np.ndarray) 
     one, two = blocks[pairs[:, 0]], blocks[pairs[:, 1]]
     a, b = one[:, 1:, None], two[:, None, 1:]
     through = lookup(a, b).reshape(n, -1)
-    ok = (a != b).all(axis=(1, 2))  # a -1 here is also a -1 among the pairs of S
+    ok = (a != b).all(axis=(1, 2))
     pts = np.concatenate([one, two[:, 1:], blocks[through].reshape(n, -1)], axis=1)
     pts.sort(axis=1)
     new = np.ones(pts.shape, dtype=bool)
@@ -628,12 +696,18 @@ def _plane_certificates(design: Design, lookup: BlockLookup, pairs: np.ndarray) 
     live = np.flatnonzero(ok & (new.sum(axis=1) == plane))
     # the points of S in the least type that holds a place u * v + w of a pair table
     s = pts[live][new[live]].reshape(live.size, plane).astype(np.min_scalar_type(-v * v))
-    u, w = np.triu_indices(plane, 1)
-    ids = lookup(s[:, u], s[:, w])
-    ids.sort(axis=1)
-    distinct = (ids[:, 1:] != ids[:, :-1]).sum(axis=1) + 1
+    raw, width = s.tobytes(), plane * s.itemsize
+    keys = [raw[i : i + width] for i in range(0, len(raw), width)]
+    fresh = {key: i for i, key in enumerate(keys) if key not in verdicts}  # S -> a row of it
+    if fresh:
+        u, w = np.triu_indices(plane, 1)
+        todo = s[list(fresh.values())]
+        ids = lookup(todo[:, u], todo[:, w])
+        ids.sort(axis=1)
+        distinct = (ids[:, 1:] != ids[:, :-1]).sum(axis=1) + 1
+        verdicts.update(zip(fresh, ((ids[:, 0] >= 0) & (distinct == p * (p + 1))).tolist()))
     ok[:] = False
-    ok[live] = (ids[:, 0] >= 0) & (distinct == p * (p + 1))
+    ok[live] = [verdicts[key] for key in keys]
     return ok
 
 

@@ -19,7 +19,7 @@ only and runs no verifier; each CLI command verifies a family it reads once.
 There are two readers.  A design file whose text is exactly what
 render_family writes (every file `difam develop` writes) is read by
 scanning its digits with numpy.  Its rows must be sorted and strictly
-increasing, as the writer's np.unique leaves them, and it is accepted only
+increasing, as the writer's row dedupe leaves them, and it is accepted only
 if rendering them as read gives back the text, byte for byte; nothing is
 re-sorted on read.  Any other text, and every file of the other roles,
 goes to the JSON reader, which alone names errors: every number is a JSON
@@ -46,7 +46,7 @@ from .families import (
     RelativeDifferenceFamily,
     StrongDifferenceFamily,
 )
-from .designs import _CHUNK, MAX_DESIGN_BLOCKS, MAX_DESIGN_POINTS, Design
+from .designs import _CHUNK, MAX_DESIGN_BLOCKS, MAX_DESIGN_POINTS, Design, _unique_rows
 from .gf import MAX_FIELD_ORDER, FieldError, FiniteField
 from .groups import AbelianGroup, DifamError, GroupError, Subgroup
 
@@ -210,13 +210,14 @@ def _design_pieces(carrier, k: int, rows: np.ndarray, counts: np.ndarray) -> Ite
     opening, point_sep, closing, end = block.split("null")  # sep[1:] is newline + indent
     point = json.dumps(_element_to_json(carrier, (None,) * carrier.rank), indent=1)
     point = point.replace("\n", point_sep[1:]).replace("null", "%d")
-    used, lookup = np.unique(rows), None  # lookup: code - used[0] -> rank, if smaller than rows
+    # the distinct codes; lookup: code - used[0] -> rank, if smaller than rows
+    used, lookup = _unique_rows(rows.reshape(-1, 1), carrier.order)[0].ravel(), None
     if used[-1] - used[0] < rows.size:
         lookup = np.zeros(used[-1] - used[0] + 1, dtype=np.intp)
         lookup[used - used[0]] = np.arange(len(used))
     texts = np.array([point % tuple(c) for c in carrier.decode_array(used).tolist()], dtype=object)
     inner, last = texts + point_sep, texts + closing
-    tails = {m: f"{m}{end}" for m in np.unique(counts).tolist()}
+    tails = {m: f"{m}{end}" for m in set(counts.tolist())}
     yield prefix
     for lo in range(0, len(rows), _CHUNK):
         part = rows[lo : lo + _CHUNK]
@@ -339,9 +340,7 @@ def _read_rendered_design(text: Union[str, bytes]) -> Optional[Design]:
 
 def render_family(obj: Family) -> str:
     if isinstance(obj, Design):
-        pieces = _design_pieces(
-            obj.carrier, obj.k, *np.unique(obj.blocks, axis=0, return_counts=True)
-        )
+        pieces = _design_pieces(obj.carrier, obj.k, *_unique_rows(obj.blocks, obj.v))
         return "".join(pieces)  # the rows live only in `pieces`, freed before the text is built
 
     def listed(rows) -> list:

@@ -5,6 +5,10 @@
 and meet only there.  `anomaly_witness` must return the same verdict, with
 every field equal, or raise the same error, on intact, shuffled and
 damaged designs and at any cap.
+
+`_per_block_meeting_pairs` is the pair listing as it stood before slices,
+one comparison per block, and `_certificate` is the plane certificate of
+one pair from its definition, with no verdicts shared between pairs.
 """
 
 import numpy as np
@@ -18,6 +22,8 @@ from difam.designs import (
     AnomalyVerdict,
     Design,
     DesignError,
+    _meeting_pairs,
+    _plane_certificates,
     _table_lookup,
     ag_design,
     anomaly_witness,
@@ -140,7 +146,7 @@ def test_scan_agrees_with_the_per_pair_loop(scan_designs, data):
     refused = []
     if pairs:
         table = _table_lookup(design)
-        planes = difam.designs._plane_certificates(design, table, np.array(pairs))
+        planes = _plane_certificates(design, table, np.array(pairs), {})
         refused = np.flatnonzero(~planes).tolist()
         assert p > 2 or not planes.any()  # for p = 2, |S| = 3
     caps = [st.integers(1, 3000)]
@@ -180,3 +186,141 @@ def test_closure_alone_decides_when_a_certificate_is_too_large(monkeypatch):
     d = ag_design(2, 23)
     assert capped_scan(d, 23, 3) == _per_pair_scan(d, 23, 3)
     assert capped_scan(d, 23, 3).closures_scanned == 3
+
+
+# --- the pair listing, a slice at a time --------------------------------------
+
+
+def _per_block_meeting_pairs(blocks, v):
+    """(a, the later blocks of a's group meeting a), one block a at a time."""
+    least = blocks[:, 0].astype(np.min_scalar_type(v - 1))
+    order = np.argsort(least, kind="stable")
+    cuts = (np.flatnonzero(np.diff(least[order])) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [order.size]):
+        ids = order[lo:hi]
+        group = blocks[ids]
+        for a in range(ids.size - 1):
+            row = group[a]
+            shared = group[a + 1 :, :, None] == row[row != row[0]]
+            yield ids[a], ids[a + 1 :][~shared.any(axis=(1, 2))]
+
+
+@pytest.fixture(scope="module")
+def ag37():
+    return ag_design(3, 7)
+
+
+@pytest.mark.parametrize("name", ["ag23", "ag33", "ag35", "ag37", "planted-ag45", "z5", "z7"])
+def test_slices_list_the_pairs_of_the_per_block_listing(scan_designs, ag37, name):
+    d = ag37 if name == "ag37" else scan_designs[name]
+    shuffled = d.blocks[np.random.default_rng(3).permutation(d.b)]
+    for blocks in (d.blocks, shuffled):
+        expected = np.concatenate([
+            np.column_stack([np.full(later.size, a), later])
+            for a, later in _per_block_meeting_pairs(blocks, d.v)
+        ])
+        got = np.concatenate(list(_meeting_pairs(blocks, d.v)))
+        assert got.shape[1] == 2 and np.array_equal(got, expected)
+
+
+def test_a_scan_stopped_at_its_first_pair_compares_one_row(monkeypatch):
+    # the witness of thm62-z5 is its first pair: the scan draws one slice,
+    # the first row of the first group against the rest of that group
+    d = develop(thm62_z5())
+    drawn = []
+    real = difam.designs._meeting_pairs
+
+    def recording(blocks, v):
+        for part in real(blocks, v):
+            drawn.append(part)
+            yield part
+
+    monkeypatch.setattr(difam.designs, "_meeting_pairs", recording)
+    assert anomaly_witness(d, 5).closures_scanned == 1
+    first = int(np.argsort(d.blocks[:, 0], kind="stable")[0])
+    assert len(drawn) == 1 and set(drawn[0][:, 0].tolist()) == {first}
+
+
+# --- plane certificates, each point set decided once ----------------------------
+
+
+def _stage2_sets(monkeypatch, design, p):
+    """The point sets whose C(p^2, 2) lookups one scan of `design` makes."""
+    real = difam.designs._block_lookup
+    width = p * p * (p * p - 1) // 2
+    sets = []
+
+    def counting(d):
+        lookup = real(d)
+
+        def counted(u, w):
+            if u.ndim == 2 and u.shape[1] == width:
+                sets.append(u.shape[0])
+            return lookup(u, w)
+
+        return counted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(difam.designs, "_block_lookup", counting)
+        verdict = anomaly_witness(design, p)
+    return sum(sets), verdict
+
+
+@pytest.mark.parametrize("n, p, sets, scanned", [
+    (2, 3, 1, 12),  # the one plane
+    (3, 3, 39, 468),  # every plane of AG(3,3)
+    (3, 5, 155, 8525),  # every plane of AG(3,5)
+    (3, 7, 351, 10**4),  # the planes met up to the cap
+])
+def test_each_plane_is_certified_once_per_scan(monkeypatch, n, p, sets, scanned):
+    made, verdict = _stage2_sets(monkeypatch, ag_design(n, p), p)
+    assert verdict == AnomalyVerdict(False, None, None, True, scanned)
+    assert made == sets
+
+
+def _certificate(design, lookup, a, b):
+    """The certificate of the pair of blocks a, b from its definition."""
+    p = design.k
+    one, two = design.blocks[a], design.blocks[b]
+    if np.intersect1d(one[1:], two[1:]).size:  # a point a = b
+        return False
+    through = lookup(one[1:, None], two[None, 1:])
+    if (through < 0).any():
+        return False
+    s = np.unique(np.concatenate([one, two, design.blocks[through].ravel()]))
+    return s.size == p * p and _plane_verdict(lookup, s, p)
+
+
+def _plane_verdict(lookup, s, p):
+    """Whether every pair of the points s has a block, p(p+1) blocks in all."""
+    u, w = np.triu_indices(s.size, 1)
+    ids = lookup(s[u], s[w])
+    return bool((ids >= 0).all() and np.unique(ids).size == p * (p + 1))
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_shared_verdicts_match_the_one_pair_certificate(scan_designs, data):
+    name = data.draw(st.sampled_from(sorted(scan_designs)), label="design")
+    d = scan_designs[name]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    damage = data.draw(st.sampled_from(DAMAGE), label="damage")
+    design = Design(d.carrier, _damaged(d.blocks[rng.permutation(d.b)], damage, d.v, rng), d.k)
+    pairs = np.concatenate(list(_meeting_pairs(design.blocks, design.v)))[:400]
+    if len(pairs) < 2:
+        return
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(pairs) - 1), max_size=8), label="cuts"))
+    lookup, verdicts = _table_lookup(design), {}
+    got = np.concatenate(
+        [_plane_certificates(design, lookup, part, verdicts) for part in np.split(pairs, cuts)]
+    )
+    expected = [_certificate(design, lookup, a, b) for a, b in pairs.tolist()]
+    assert got.tolist() == expected
+    # each entry: the bytes of p^2 sorted points, and their verdict
+    p = design.k
+    assert len(verdicts) <= len(pairs)
+    for key, verdict in verdicts.items():
+        assert len(key) % (p * p) == 0
+        points = np.frombuffer(key, dtype=f"i{len(key) // (p * p)}").astype(np.int64)
+        assert np.all(np.diff(points) > 0) and verdict == _plane_verdict(lookup, points, p)

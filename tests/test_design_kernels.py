@@ -3,12 +3,13 @@
 `AbelianGroup.translates`, the per-code digit-sum table of `zero_sum_rows`,
 the first-word sort of `_sorted_row_keys` and the stabiliser bound of
 `verify_super_regular` are each checked against a local copy of the code
-that did the same work by integer division and a full `lexsort`.
+that did the same work by integer division and a full `lexsort`;
+`_unique_rows`, against the np.unique(axis=0) it replaced.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from difam.catalog import sigma_prime, thm62_z5, thm62_z7
@@ -16,6 +17,7 @@ from difam.designs import (
     Design,
     SuperRegularVerdict,
     _sorted_row_keys,
+    _unique_rows,
     ag_design,
     develop,
     subspace_replace,
@@ -264,6 +266,29 @@ def test_first_word_sort_with_every_first_word_tied():
     rows = np.array([[0, 1, 9], [0, 1, 5], [0, 1, 7], [0, 1, 5]], dtype=np.int64)
     assert np.array_equal(_sorted_row_keys(rows, v), _lexsorted_row_keys(rows, v))
     assert (_sorted_row_keys(rows, v)[:, 1] // v).tolist() == [5, 5, 7, 9]
+
+
+# --- distinct rows from packed keys ------------------------------------------
+
+
+@PROPERTY
+@given(
+    v=st.sampled_from([2, 7, 3125, 2**21]),
+    k=st.integers(1, 7),
+    b=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(v=2**21, k=7, b=60, seed=1)
+def test_unique_rows_match_numpy_unique(v, k, b, seed):
+    # rows as given, unsorted; drawn from a few rows and a few points, so
+    # that rows repeat and, at v = 2^21, first words tie
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, min(v, 3), size=(4, k))
+    rows = np.concatenate([pool[rng.integers(4, size=b // 2)], rng.integers(0, v, size=(b - b // 2, k))])
+    rows = rows[rng.permutation(b)]
+    got, expected = _unique_rows(rows, v), np.unique(rows, axis=0, return_counts=True)
+    assert got[0].dtype == expected[0].dtype and got[0].shape == expected[0].shape
+    assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
 
 
 # --- lambda = 1 implies simple ------------------------------------------------

@@ -433,9 +433,9 @@ def test_anomaly_witness_certifies_chunks_that_double(monkeypatch, z5_design):
     sizes = []
     real = difam.designs._plane_certificates
 
-    def recording(design, table, pairs):
+    def recording(design, table, pairs, verdicts):
         sizes.append(len(pairs))
-        return real(design, table, pairs)
+        return real(design, table, pairs, verdicts)
 
     monkeypatch.setattr(difam.designs, "_plane_certificates", recording)
     anomaly_witness(z5_design, 5)

@@ -163,14 +163,15 @@ def test_certificates_and_closures_match_the_table_path(developed, name):
     # the first 600 pairs of the scan, past its witness, decided by both lookups
     d = developed[name]
     oracle, table = _difference_oracle(d), _table_lookup(d)
-    pairs = []
-    for a, later in _meeting_pairs(d.blocks, d.v):
-        pairs.extend((a, b) for b in later.tolist())
-        if len(pairs) >= 600:
+    pairs, held = [], 0
+    for part in _meeting_pairs(d.blocks, d.v):
+        pairs.append(part)
+        held += len(part)
+        if held >= 600:
             break
-    pairs = np.array(pairs)
-    planes = _plane_certificates(d, oracle, pairs)
-    assert np.array_equal(planes, _plane_certificates(d, table, pairs))
+    pairs = np.concatenate(pairs)[:600]
+    planes = _plane_certificates(d, oracle, pairs, {})
+    assert np.array_equal(planes, _plane_certificates(d, table, pairs, {}))
     assert planes.any() == (name == "spread27")  # no pair of z5 or z7 closes to a plane
     rows_o, rows_t = {}, {}
     for a, b in pairs[::7].tolist():

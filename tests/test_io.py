@@ -1,7 +1,11 @@
 import functools
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -669,3 +673,22 @@ def test_sigma_prime_design_file_is_read_in_bounded_memory():
         tracemalloc.stop()
     assert back == design
     assert peak <= 64 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_the_design_pipeline_leaves_numpy_ma_unloaded():
+    # a plain np.unique imports numpy.ma on its first call, about 13 ms and
+    # 1.6 MiB in a fresh process; no step from develop to the scan needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = (
+        "import sys\n"
+        "from difam.catalog import thm62_z5\n"
+        "from difam.designs import anomaly_witness, develop\n"
+        "from difam.io import parse_family, render_family\n"
+        "design = develop(thm62_z5())\n"
+        "back = parse_family(render_family(design).encode())\n"
+        "assert back == design and anomaly_witness(back, 5).anomalous\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stdout.strip() == "False", proc.stderr
