@@ -31,7 +31,7 @@ class DesignTooLarge(DesignError):
 # the most blocks a design may have: bounds what a design file or ag_design allocates
 MAX_DESIGN_BLOCKS = 2**24
 # the largest v*v pair table the anomaly scan makes (v = 16,807 takes 1.05 GiB),
-# and the largest pair-count window `verify_design` makes (565 MB at v = 16,807)
+# and the largest pair-count window `verify_design` makes (141 MB at v = 16,807)
 MAX_PAIR_TABLE_BYTES = 2**31
 
 
@@ -158,8 +158,8 @@ def _check_table(what: str, v: int, size: int) -> None:
     """Refuse a pair table or window of `size` bytes past MAX_PAIR_TABLE_BYTES."""
     if size > MAX_PAIR_TABLE_BYTES:
         raise DesignTooLarge(
-            f"{what} for a {v}-point design: {size / 2**30:.1f} GiB, "
-            f"over the {MAX_PAIR_TABLE_BYTES / 2**30:.1f} GiB cap"
+            f"{what} for a {v}-point design: {size / 2**30:.2f} GiB, "
+            f"over the {MAX_PAIR_TABLE_BYTES / 2**30:.2f} GiB cap"
         )
 
 
@@ -191,39 +191,38 @@ def verify_design(design: Design) -> DesignVerdict:
     strictly increase fails the design outright; simplicity still says
     whether any block repeats.  A design with every pair covered exactly
     once is simple without a look at its blocks: a repeated block of k >= 2
-    strictly increasing points would cover each of its pairs twice.  A window
-    past MAX_PAIR_TABLE_BYTES is refused before it is made; blocks go in
+    strictly increasing points would cover each of its pairs twice.
+
+    Counts are kept in one byte each, so each byte holds its true count
+    mod 256.  A count reduced mod 256 is at most the count, and equal to it
+    iff it is below 256; so the bytes sum to the number of places counted
+    iff no count wrapped.  Only when they fall short are the pairs counted
+    again, in the least unsigned type that holds b.  Each window past
+    MAX_PAIR_TABLE_BYTES is refused before it is made; blocks go in
     `_slice_rows` slices.
     """
     v, k, arr = design.v, design.k, design.blocks
     if arr.size == 0:  # no blocks, or blocks of no points: simple unless two repeat
         return DesignVerdict(False, None, arr.shape[0] < 2, False, None)
-    i_idx, j_idx = np.triu_indices(k, 1)
     n_pairs = v * (v - 1) // 2
-    window = min(n_pairs, arr.shape[0] * i_idx.size + 1)
-    dtype = np.min_scalar_type(arr.shape[0])
-    _check_table("pair counts", v, window * dtype.itemsize)
-    counts = np.zeros(window, dtype=dtype)
-    least = n_pairs  # the least place covered
-    step = _slice_rows(k)
-    for lo in range(0, arr.shape[0], step):
-        part = arr[lo : lo + step]
-        if np.any(np.diff(part, axis=1) <= 0):
-            del counts  # before the keys, so the two peaks do not add
-            return DesignVerdict(False, None, _no_repeated_blocks(arr, v), False, None)
-        idx = _pair_index(part[:, i_idx], part[:, j_idx], v)
-        least = min(least, int(idx.min(initial=least)))
-        np.add.at(counts, idx[idx < window], counts.dtype.type(1))  # a plain 1 takes the slow loop
+    window = min(n_pairs, arr.shape[0] * (k * (k - 1) // 2) + 1)
+    _check_table("pair counts", v, window)
+    counts, least, added = _count_pairs(arr, v, window, np.dtype(np.uint8))
+    if counts is None:
+        return DesignVerdict(False, None, _no_repeated_blocks(arr, v), False, None)
+    if int(counts.sum(dtype=np.int64)) != added:  # a count wrapped past 255
+        del counts
+        dtype = np.min_scalar_type(arr.shape[0])
+        _check_table("pair counts", v, window * dtype.itemsize)
+        counts = _count_pairs(arr, v, window, dtype)[0]
     lam = int(counts[0]) if window else 0  # the pair (0, 1)
-    off = counts != lam
-    if off.any():
-        first_bad = int(np.argmax(off))
-    else:  # a short window is then all uncovered, (0, 1) with it
+    first_bad = _first_other(counts, lam)
+    if first_bad is None:  # a short window is then all uncovered, (0, 1) with it
         first_bad = least if window < n_pairs else n_pairs
+    del counts  # before the keys, so the two peaks do not add
     uniform = first_bad == n_pairs  # no pair is miscovered
     ok = uniform and lam >= 1
     witness = None if uniform else tuple(map(design.carrier.decode, _pair_points(first_bad, v)))
-    del counts, off  # before the keys, so the two peaks do not add
     simple = (uniform and lam == 1) or _no_repeated_blocks(arr, v)
     repl_ok = False
     if ok:
@@ -231,6 +230,41 @@ def verify_design(design: Design) -> DesignVerdict:
         point_counts = np.bincount(arr.ravel(), minlength=v)
         repl_ok = rem == 0 and bool(np.all(point_counts == r))
     return DesignVerdict(ok and repl_ok, lam if uniform else None, simple, repl_ok, witness)
+
+
+def _count_pairs(
+    arr: np.ndarray, v: int, window: int, dtype: np.dtype
+) -> tuple[Optional[np.ndarray], int, int]:
+    """The pair counts of the rows of `arr` over the first `window` places,
+    in `dtype`; the least place covered; and how many places were counted.
+    The counts are None, and freed, if a row does not strictly increase."""
+    i_idx, j_idx = np.triu_indices(arr.shape[1], 1)
+    counts = np.zeros(window, dtype=dtype)
+    least, added = v * (v - 1) // 2, 0
+    step = _slice_rows(arr.shape[1])
+    for lo in range(0, arr.shape[0], step):
+        part = arr[lo : lo + step]
+        if np.any(np.diff(part, axis=1) <= 0):
+            return None, least, added
+        idx = _pair_index(part[:, i_idx], part[:, j_idx], v)
+        least = min(least, int(idx.min(initial=least)))
+        # rebinding idx to its kept places instead had glibc map fresh pages for
+        # every slice: 775,000 minor faults and 1.5 s more at v = 16,807
+        keep = idx < window
+        added += int(np.count_nonzero(keep))
+        np.add.at(counts, idx[keep], counts.dtype.type(1))  # a plain 1 takes the slow loop
+    return counts, least, added
+
+
+def _first_other(counts: np.ndarray, value: int) -> Optional[int]:
+    """The first place in `counts` that does not hold `value`, or None;
+    compared a `_CHUNK` * 32 places at a time."""
+    step = _CHUNK * 32
+    for lo in range(0, counts.size, step):
+        off = counts[lo : lo + step] != value
+        if off.any():
+            return lo + int(off.argmax())
+    return None
 
 
 def _no_repeated_blocks(arr: np.ndarray, v: int) -> bool:
@@ -293,7 +327,9 @@ def _packed_keys(arr: np.ndarray, v: int, prepare: Callable[[np.ndarray], np.nda
     if len(starts) == 1:
         words.sort(axis=1)
         return words.T
-    words = np.take(words, np.argsort(words[0]), axis=1)
+    order = np.argsort(words[0])
+    for row in words:  # one word at a time: a copy of one row, not of all
+        row[:] = row[order]
     tie = words[0, 1:] == words[0, :-1]
     if tie.any():
         # the tied rows keep their places by first word, so sorting them

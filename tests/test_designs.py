@@ -623,18 +623,38 @@ def _copies(rdf, copies):
 
 def test_verify_design_sizes_its_window_before_making_it(monkeypatch):
     # AG(2,257)'s shape: v = 66,049, b = 66,306, k = 257, blocks from
-    # np.zeros, which touches no page until read; its counts take 8.1 GiB
+    # np.zeros, which touches no page until read; its one-byte counts take
+    # 2,181,202,176 bytes, just over the cap
     d = Design(AbelianGroup((257, 257)), np.zeros((66306, 257), dtype=np.int64), 257)
 
     def refused(*args, **kwargs):
         raise AssertionError("allocated")
 
     monkeypatch.setattr(np, "zeros", refused)
-    with pytest.raises(DesignError, match="8.1 GiB"):
+    with pytest.raises(DesignError, match="2.03 GiB, over the 2.00 GiB cap"):
         verify_design(d)
-    # the 16,807-point design's window: 141,229,221 uint32 counts, 565 MB
+    # the 16,807-point design's window: 141,229,221 one-byte counts, 141 MB;
+    # a uint32 recount of it would fit too
     window = min(16807 * 16806 // 2, 6_725_201 * 21 + 1)
     assert window * 4 <= difam.designs.MAX_PAIR_TABLE_BYTES
+
+
+def test_verify_design_sizes_its_recount_before_making_it(monkeypatch):
+    # {0, 1, 2} over Z_3 taken 300 times: the bytes wrap, and the window of
+    # three places takes 3 bytes, or 6 as uint16 counts
+    d = Design(AbelianGroup((3,)), np.tile(np.arange(3), (300, 1)), 3)
+    made = []
+    zeros = np.zeros
+
+    def recorded(shape, dtype=float, **kwargs):
+        made.append(np.dtype(dtype))
+        return zeros(shape, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", recorded)
+    monkeypatch.setattr(difam.designs, "MAX_PAIR_TABLE_BYTES", 5)
+    with pytest.raises(difam.designs.DesignTooLarge, match="pair counts"):
+        verify_design(d)
+    assert made == [np.dtype(np.uint8)]
 
 
 @pytest.mark.parametrize("k,rows", [(2, 4096), (7, 4096), (9, 3640), (257, 3), (600, 1)])
@@ -897,7 +917,7 @@ def _traced_peak_mib(fn, *args):
     "stage,bound_mib",
     [
         ("develop", 64),
-        ("verify_design", 160),
+        ("verify_design", 8),
         ("verify_super_regular", 96),
         ("pair_table", 64),
         ("anomaly_witness", 8),
@@ -920,10 +940,10 @@ def test_v3125_memory_peaks(stage, bound_mib, rdf3125, design3125):
 
 
 def test_v3125_verify_design_peak(design3125):
-    """verify_design keeps one count per pair, C(3125,2) uint32 (18.6 MiB),
-    plus slice temporaries; the v*v int64 bincount over a (b, 10) int64 code
-    array peaked at 111.7 MiB."""
-    assert _traced_peak_mib(verify_design, design3125) <= 48
+    """verify_design keeps one byte per pair, C(3125,2) of them (4.7 MiB),
+    plus slice temporaries: 5.9 MiB; as uint32 counts it took 23.3 MiB, and
+    the v*v int64 bincount over a (b, 10) int64 code array peaked at 111.7 MiB."""
+    assert _traced_peak_mib(verify_design, design3125) <= 8
 
 
 def test_v3125_develop_peak_near_output(rdf3125):
@@ -940,7 +960,9 @@ def test_v3125_develop_peak_near_output(rdf3125):
 
 
 def test_v3125_verify_design_frees_the_counts_before_the_keys(design3125):
-    """The pair counts (C(3125,2) uint32, 18.6 MiB) and their `!= lam` mask
-    are gone before the simplicity keys are built, so the two peaks do not
-    add: 30.8 MiB while both were alive, 23.3 MiB after."""
-    assert _traced_peak_mib(verify_design, design3125) <= 26
+    """The 3125-point design taken twice has lambda = 2, so its simplicity
+    keys are built: 976,250 int64 keys (7.4 MiB) and their two comparison
+    masks.  The one-byte pair counts (4.7 MiB) are gone by then, so the two
+    peaks do not add: 9.3 MiB, and 14.0 MiB while both were alive."""
+    twice = Design(design3125.carrier, np.tile(design3125.blocks, (2, 1)), design3125.k)
+    assert _traced_peak_mib(verify_design, twice) <= 11

@@ -226,9 +226,9 @@ def test_pair_table_is_sized_before_it_is_made(monkeypatch):
 
     d = _ag2_257_shaped()
     monkeypatch.setattr(np, "full", refused)
-    with pytest.raises(DesignError, match="16.3 GiB"):
+    with pytest.raises(DesignError, match="16.25 GiB"):
         anomaly_witness(d, 257)
-    with pytest.raises(DesignError, match="16.3 GiB"):
+    with pytest.raises(DesignError, match="16.25 GiB"):
         _pair_block_table(d)
     assert 16807**2 * 4 <= MAX_PAIR_TABLE_BYTES  # the W7 table fits
 

@@ -639,14 +639,25 @@ def test_fast_reader_refuses_rows_out_of_order(design, edit):
 
 def test_sigma_prime_design_file_is_read_without_sorting_its_rows(monkeypatch):
     design, text = _rendered("sigma-prime developed")
-    unique = np.unique
+    small = render_family(develop(thm62_z5()))
+    sort, argsort = np.sort, np.argsort
 
-    def unique_of_codes(ar, *args, **kwargs):
-        assert kwargs.get("axis") is None, "np.unique ran over rows"
-        return unique(ar, *args, **kwargs)
+    def within_rows(name, fn):
+        def refused(a, axis=-1, **kwargs):
+            assert np.ndim(a) < 2 or axis not in (1, -1), f"{name} ran along rows"
+            return fn(a, axis=axis, **kwargs)
 
-    monkeypatch.setattr(np, "unique", unique_of_codes)
+        return refused
+
+    def no_lexsort(*args, **kwargs):
+        raise AssertionError("np.lexsort ran")
+
+    monkeypatch.setattr(np, "sort", within_rows("np.sort", sort))
+    monkeypatch.setattr(np, "argsort", within_rows("np.argsort", argsort))
+    monkeypatch.setattr(np, "lexsort", no_lexsort)
     back = parse_family(text.encode())
+    with pytest.raises(AssertionError, match="np.sort ran along rows"):
+        difam.io._parse_json(small)  # the JSON reader sorts each row
     monkeypatch.undo()
     assert back == design
 

@@ -78,7 +78,9 @@ def test_verify_rdf_agrees_with_the_developed_design(name, how, data):
 def _small_designs(draw):
     """Up to four rows of k <= 4 points over a group of order <= 12, repeated
     points and unsorted rows allowed; with orbits=True every row comes with
-    all its translates, and then maybe one row is dropped."""
+    all its translates, and then maybe one row is dropped.  Then maybe every
+    row is sorted and one of them added 256 to 300 times, so that its pairs'
+    counts pass 255."""
     orders = draw(
         st.lists(st.integers(1, 12), min_size=1, max_size=2).filter(
             lambda o: int(np.prod(o)) <= 12
@@ -95,6 +97,9 @@ def _small_designs(draw):
         ]
         if rows and draw(st.booleans()):
             del rows[draw(st.integers(0, len(rows) - 1))]
+    if rows and draw(st.booleans()):
+        rows = [sorted(row) for row in rows]
+        rows += [rows[draw(st.integers(0, len(rows) - 1))]] * draw(st.integers(256, 300))
     return Design(group, np.array(rows, dtype=np.int64).reshape(len(rows), k), k)
 
 
@@ -143,3 +148,21 @@ def _brute_force_design_verdict(design):
 @given(design=_small_designs())
 def test_verify_design_matches_brute_force(design):
     assert verify_design(design) == _brute_force_design_verdict(design)
+
+
+def test_verify_design_counts_past_a_byte():
+    # {0, 1, 2} over Z_3 taken 300 times: each count wraps to 44 in a byte
+    d = Design(AbelianGroup((3,)), np.tile(np.arange(3), (300, 1)), 3)
+    verdict = verify_design(d)
+    assert verdict == _brute_force_design_verdict(d)
+    assert verdict.lambda_found == 300
+
+
+def test_verify_design_tells_257_from_1():
+    # (0, 1) and (0, 2) covered once, (1, 2) 257 times: as bytes all three
+    # read 1, and the design would pass as lambda = 1
+    rows = np.array([[0, 1], [0, 2]] + [[1, 2]] * 257)
+    d = Design(AbelianGroup((3,)), rows, 2)
+    verdict = verify_design(d)
+    assert verdict == _brute_force_design_verdict(d)
+    assert verdict.lambda_found is None and verdict.witness_pair == ((1,), (2,))
