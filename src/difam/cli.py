@@ -174,7 +174,7 @@ def _cmd_lift(args) -> int:
         print(f"{args.file} is not a ({obj.group.order},{obj.k},{obj.lam}) SDF")
         return 1
     field = args.field
-    nodes = ""  # the search's node count, for the strategies that search
+    nodes = ""  # the search's node count and depth, for the strategies that search
     try:
         if args.strategy == "simple":
             rdf = simple_lift(obj, field, signed=args.signed)
@@ -189,7 +189,7 @@ def _cmd_lift(args) -> int:
                 search = greedy_lift if args.strategy == "greedy" else zero_sum_lift
                 lifting = search(obj, field, psi, budget=args.budget, seed=args.seed)
                 mults = MultiplierSet(field, cyclotomic_class(field, obj.lam, 0))
-            nodes = f", {lifting.nodes} search nodes"
+            nodes = f", {lifting.nodes} search nodes, deepest level {lifting.deepest}"
             rdf, verdict = apply_multipliers(lifting, mults)
             if not verdict.ok:
                 print(f"multiplier expansion failed at g={verdict.failing_g}")

@@ -502,6 +502,10 @@ def _difference_oracle(design: Design) -> Optional[BlockLookup]:
     return lookup
 
 
+# the most (member, earlier member) pairs one `closure` lookup call takes
+_CLOSURE_LOOKUPS = 2**16
+
+
 def closure(
     design: Design,
     block1: Sequence[int],
@@ -517,8 +521,10 @@ def closure(
     block through itself and every earlier member; blocks met before are
     skipped, and only new ones are read for new points.  A closure of n
     points thus costs C(n,2) lookups and reads about n(n-1)/(k(k-1))
-    blocks, each once.  The lookups of all members known at one time are
-    made in one call, and their answers are walked in that order.
+    blocks, each once.  The lookups of all members known at one time form
+    one batch, walked in that order; they are made in consecutive slices of
+    at most _CLOSURE_LOOKUPS pairs, one lookup call a slice, so an uncapped
+    closure of a large design never asks for all its pairs at once.
 
     With max_points set, iteration stops as soon as the set grows past it
     (the partial set is returned; its size already exceeds the bound).
@@ -541,29 +547,34 @@ def closure(
     seen = set()  # blocks already read
     done = 0  # members whose lookups are made
     while done < len(pts):
-        # member c = done, done+1, ... with each earlier member m, by c then m
+        # member c = done, done+1, ... with each earlier member m, by c then m:
+        # pair t of the batch is (c, m) with t = starts[c - done] + m
         late = np.arange(done, len(pts))
-        c = np.repeat(late, late)
-        m = np.arange(c.size) - np.repeat(np.cumsum(late) - late, late)
+        starts = np.cumsum(late) - late
+        total = int(late.sum())
         known = np.array(pts)
         done = len(pts)
-        # Python ints in the walk: numpy scalars would cost more than the set work
-        for t, bi in enumerate(lookup(known[m], known[c]).tolist()):
-            if bi in seen:
-                continue
-            if bi < 0:
-                pair = (pts[m[t]], pts[c[t]])
-                raise DesignError(f"no block through pair {pair}; design is not Steiner")
-            seen.add(bi)
-            row = rows.get(bi)
-            if row is None:
-                row = rows[bi] = blocks[bi].tolist()
-            for x in row:
-                if x not in members:
-                    members.add(x)
-                    pts.append(x)
-                    if max_points is not None and len(members) > max_points:
-                        return members
+        for lo in range(0, total, _CLOSURE_LOOKUPS):
+            t = np.arange(lo, min(lo + _CLOSURE_LOOKUPS, total))
+            at = np.searchsorted(starts, t, side="right") - 1
+            c, m = late[at], t - starts[at]
+            # Python ints in the walk: numpy scalars would cost more than the set work
+            for j, bi in enumerate(lookup(known[m], known[c]).tolist()):
+                if bi in seen:
+                    continue
+                if bi < 0:
+                    pair = (pts[m[j]], pts[c[j]])
+                    raise DesignError(f"no block through pair {pair}; design is not Steiner")
+                seen.add(bi)
+                row = rows.get(bi)
+                if row is None:
+                    row = rows[bi] = blocks[bi].tolist()
+                for x in row:
+                    if x not in members:
+                        members.add(x)
+                        pts.append(x)
+                        if max_points is not None and len(members) > max_points:
+                            return members
     return members
 
 

@@ -130,8 +130,8 @@ class ClassMasks:
 
     def meet(self, pairs: Sequence[tuple[int, int]]) -> list[int]:
         """The ascending log codes x with x - c in C^lam_g for every (c, g)
-        in pairs: the AND of their masks, read out in time linear in q.  No
-        pair means the whole field.  c must be a log code, g in range(lam)."""
+        in pairs: the AND of their masks, read out by `ascending`.  No pair
+        means the whole field.  c must be a log code, g in range(lam)."""
         if not pairs:
             return list(range(self.field.q))
         m = -1
@@ -139,6 +139,14 @@ class ClassMasks:
             m &= self.masks.get(c * self.lam + g) or self.mask(c, g)
             if not m:
                 return []
+        return self.ascending(m)
+
+    @staticmethod
+    def ascending(m: int) -> list[int]:
+        """The set bits of a mask m >= 0, ascending: its log codes, read out
+        in time linear in q, or at once when m has one bit."""
+        if not m & (m - 1):
+            return [m.bit_length() - 1] if m else []
         bits = bin(m)[:1:-1]  # bit y of m at index y
         out = []
         y = bits.find("1")

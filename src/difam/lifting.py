@@ -5,11 +5,12 @@ of the SDF blocks, search for second coordinates in F_q whose pairwise
 differences land in the prescribed cyclotomic classes, then multiply by a
 multiplier set to spread each difference list over all of F_q^*.  The
 greedy, zero-sum and signed searches share one backtracking driver,
-`_backtrack`: per level it ticks a node budget and tries the options in a
-deterministic candidate order: options are listed as ascending log codes
-(`gf.ClassMasks`), so least log index first, then permuted by a seed.  Every
-accepted lifting is re-verified by an independent checker, never trusted
-from the search itself.
+`_backtrack`.  A node's options, ascending log codes (`gf.ClassMasks`),
+so least log index first, are listed by its parent, which also ticks a
+node budget for it, so a node without options still counts; the node
+tries them in an order permuted by a seed.  Every accepted lifting is
+re-verified by an independent checker, never trusted from the search
+itself.
 
 Field elements are additive codes throughout (`gf`).  A lifting holds its
 second coordinates as one (s, k) array of them, and psi is an (s, k, k)
@@ -21,7 +22,6 @@ group_code * q + field_code.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from collections import Counter
@@ -248,58 +248,69 @@ class _Budget:
 
 def _backtrack(
     levels: int,
-    options: Callable[[int, list[int]], Sequence[int]],
+    first: Sequence[int],
+    expand: Callable[[int, list[int]], Optional[Sequence[int]]],
     rng: random.Random,
     tracker: _Budget,
     what: str,
-    commit: Optional[Callable[[int, int], bool]] = None,
     undo: Optional[Callable[[int, int], None]] = None,
 ) -> list[int]:
     """The one search driver: choose a log code for each of `levels` positions.
 
-    Level i ticks the budget, then tries options(i, chosen), ascending log
-    codes, in the order `rng.shuffle` gives them; `commit` may refuse a
-    value or record it, `undo` takes it back when the branch below fails.
-    Raises LiftingError if no branch reaches the last level.
+    A node at level i holds its options, ascending log codes (`first` at
+    level 0), and tries them in the order `rng.shuffle` gives them; a list
+    of fewer than two is not shuffled, which draws nothing from the rng.
+    For each x it appends x to `chosen` and calls expand(i, chosen), which
+    returns None to refuse x, or else records x and returns the options of
+    level i+1: a new list, shuffled in place, or an empty sequence.  (At
+    the last level its return only has to be other than None.)  So a node's
+    options are listed by its parent, and the parent ticks the budget for
+    it: a node without options still counts, but costs no call of its own.
+    `undo` takes a recorded x back when the branch below it fails.  Raises
+    LiftingError if no branch reaches the last level.
     """
     chosen: list[int] = []
 
-    def extend(i: int) -> bool:
-        if i == levels:
-            return True
-        tracker.tick(i)
-        order = list(options(i, chosen))
-        rng.shuffle(order)
+    def extend(i: int, order: list[int]) -> bool:
+        if len(order) > 1:
+            rng.shuffle(order)
         for x in order:
-            if commit is not None and not commit(i, x):
-                continue
             chosen.append(x)
-            if extend(i + 1):
+            below = expand(i, chosen)
+            if below is None:
+                chosen.pop()
+                continue
+            if i + 1 == levels:
+                return True
+            tracker.tick(i + 1)
+            if below and extend(i + 1, below):
                 return True
             chosen.pop()
             if undo is not None:
                 undo(i, x)
         return False
 
-    if not extend(0):
-        raise LiftingError(
-            f"no {what} found ({tracker.nodes} nodes, deepest level {tracker.deepest})",
-            tracker.nodes,
-            tracker.deepest,
-        )
+    if levels:
+        tracker.tick(0)
+        if not extend(0, list(first)):
+            raise LiftingError(
+                f"no {what} found ({tracker.nodes} nodes, deepest level {tracker.deepest})",
+                tracker.nodes,
+                tracker.deepest,
+            )
     return chosen
 
 
-def _lift_blocks(sdf, field, psi, budget, seed, strategy, options) -> Lifting:
-    """Run the driver once per block with options(h, i, chosen), sharing one
-    rng and one budget, and re-check the result with the pair checker."""
+def _lift_blocks(sdf, field, psi, budget, seed, strategy, search) -> Lifting:
+    """Run the driver once per block h on search(h), its pair (first,
+    expand), sharing one rng and one budget, and re-check the result with
+    the pair checker."""
     rng = random.Random(seed)
     tracker = _Budget(budget)
     add_code = field.class_masks(psi.lam).add_code
     coords = np.array([
         add_code[_backtrack(
-            block.size, functools.partial(options, h), rng, tracker,
-            f"{strategy} lifting for block {h}")]
+            block.size, *search(h), rng, tracker, f"{strategy} lifting for block {h}")]
         for h, block in enumerate(sdf.blocks)
     ], dtype=np.int64)
     lifting = Lifting(sdf, field, coords, strategy, tracker.nodes, tracker.deepest)
@@ -318,14 +329,39 @@ def greedy_lift(
     """Position-by-position lifting: each new second coordinate is drawn
     from the set of field elements whose differences to all earlier ones
     land in the psi-prescribed classes.  Backtracks when a set empties.
+
+    The sets are class masks carried down the search: pre[i][t-i], t >= i,
+    is the AND of level t's masks over the choices made before level i.
+    Choosing x at level i takes one AND for level i+1's mask and stops
+    there when it is empty; else one AND per later level fills pre[i+1].
     """
     _require_congruence(field, psi.lam)
-    meet, rows = field.class_masks(psi.lam).meet, psi.table.tolist()
-    # position i's constraints: the chosen codes, zipped with the classes of (h, i, j), j < i
-    return _lift_blocks(
-        sdf, field, psi, budget, seed, "greedy",
-        lambda h, i, chosen: meet(list(zip(chosen, rows[h][i]))),
-    )
+    masks = field.class_masks(psi.lam)
+    lam, cached, build, ascending = masks.lam, masks.masks.get, masks.mask, masks.ascending
+    levels = psi.table.shape[1]
+    # later[h][i]: the classes of (h, t, i) for t > i, the constraints x at level i puts on level t
+    later = [[row[i + 1 :, i].tolist() for i in range(levels)] for row in psi.table]
+
+    def search(h: int):
+        pre: list[list[int]] = [[-1] * levels] + [[]] * (levels - 1)
+        classes = later[h]
+
+        def expand(i: int, chosen: list[int]) -> Sequence[int]:
+            if i + 1 == levels:
+                return ()
+            x, above, gs = chosen[-1], pre[i], classes[i]
+            key = x * lam
+            m = above[1] & (cached(key + gs[0]) or build(x, gs[0]))
+            if not m:
+                return ()
+            pre[i + 1] = [m] + [
+                a & (cached(key + g) or build(x, g)) for a, g in zip(above[2:], gs[1:])
+            ]
+            return ascending(m)
+
+        return range(field.q), expand
+
+    return _lift_blocks(sdf, field, psi, budget, seed, "greedy", search)
 
 
 def zero_sum_adjust(rdf: RelativeDifferenceFamily, k: int) -> RelativeDifferenceFamily:
@@ -423,7 +459,13 @@ def zero_sum_lift(
             base = [x for x in base if x not in banned]
         return base
 
-    lifting = _lift_blocks(sdf, field, psi, budget, seed, "zero-sum", options)
+    def search(h: int):
+        def expand(i: int, chosen: list[int]) -> Sequence[int]:
+            return options(h, i + 1, chosen) if i + 1 < k else ()
+
+        return options(h, 0, []), expand
+
+    lifting = _lift_blocks(sdf, field, psi, budget, seed, "zero-sum", search)
     if not group.zero_sum_rows(lifting.second_coords).all():
         raise LiftingError("zero-sum lifting produced a non-zero-sum block")
     return lifting
@@ -573,8 +615,9 @@ def signed_lift(
 
     tracker = _Budget(budget)
     _backtrack(
-        len(variables), lambda idx, chosen: half_field, rng=random.Random(seed),
-        tracker=tracker, what="signed lifting", commit=commit, undo=undo,
+        len(variables), half_field,
+        lambda idx, chosen: list(half_field) if commit(idx, chosen[-1]) else None,
+        rng=random.Random(seed), tracker=tracker, what="signed lifting", undo=undo,
     )
     if not verify_signed_lifting(sdf, field, assigns, half_lambda):
         raise LiftingError("search produced a lifting that fails the transversal checker")

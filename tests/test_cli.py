@@ -158,7 +158,8 @@ def test_lift_reports_search_nodes(tmp_path, capsys):
     df = tmp_path / "df.json"
     argv = ["lift", str(sdf), "--field", "13,1", "--strategy", "greedy", "--psi-seed", "59"]
     assert run(argv + ["--out", str(df)]) == 0
-    assert "(v=65,k=5,lambda=1), 3 base blocks, 5 search nodes" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "(v=65,k=5,lambda=1), 3 base blocks, 5 search nodes, deepest level 4" in out
     assert run(["lift", str(sdf), "--field", "13,1", "--strategy", "simple", "--out", str(df)]) == 0
     assert "search nodes" not in capsys.readouterr().out
 

@@ -15,6 +15,7 @@ from difam.designs import (
     DesignError,
     DesignVerdict,
     SuperRegularVerdict,
+    _block_lookup,
     _pair_block_table,
     _pair_index,
     _pair_points,
@@ -499,6 +500,38 @@ def test_closure_agrees_with_both_oracles(closure_designs, data):
             closure(damaged, b1, b2)
     else:
         assert closure(damaged, b1, b2) == expected
+
+
+def _recording(lookup, calls):
+    """The lookup, recording the (u, w) arrays of every call."""
+
+    def record(u, w):
+        calls.append((u.copy(), w.copy()))
+        return lookup(u, w)
+
+    return record
+
+
+@pytest.mark.parametrize("cap", [None, 1000], ids=["default-slice", "slice-1000"])
+def test_uncapped_closure_looks_up_in_bounded_slices(closure_designs, monkeypatch, cap):
+    # an uncapped closure once made all lookups of a batch in one call (1.04 GiB
+    # on a 16,807-point design); sliced, it walks the same pairs in the same order
+    d = closure_designs["z7"][0]
+    b1, b2 = [d.blocks[i] for i in np.flatnonzero((d.blocks == 0).any(axis=1))[:2]]
+    lookup, most = _block_lookup(d), cap or difam.designs._CLOSURE_LOOKUPS
+    whole = []
+    monkeypatch.setattr(difam.designs, "_CLOSURE_LOOKUPS", 10**9)
+    assert closure(d, b1, b2, _lookup=_recording(lookup, whole)) == set(range(343))
+    monkeypatch.setattr(difam.designs, "_CLOSURE_LOOKUPS", most)
+    calls = []
+    assert closure(d, b1, b2, _lookup=_recording(lookup, calls)) == set(range(343))
+    assert all(u.size <= most for u, _ in calls)
+    assert sum(u.size for u, _ in calls) == 343 * 342 // 2  # every pair once
+    for i in (0, 1):
+        assert np.array_equal(np.concatenate([c[i] for c in calls]),
+                              np.concatenate([c[i] for c in whole]))
+    if cap is not None:
+        assert len(calls) > len(whole)  # some batch was cut
 
 
 def test_anomaly_witness_found(z5_design):

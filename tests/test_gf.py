@@ -288,6 +288,13 @@ def test_x_set_over_a_million_points():
     assert out.split() == ["1048573", str((1048573 - 1) // 4)]
 
 
+@settings(database=None, derandomize=True, max_examples=200)
+@given(st.one_of(st.integers(0, 2**300), st.integers(0, 300).map(lambda y: 1 << y)))
+def test_ascending_reads_every_set_bit(m):
+    # one-bit masks take the fast path; zero has no bit
+    assert gf.ClassMasks.ascending(m) == [y for y in range(m.bit_length()) if m >> y & 1]
+
+
 def test_cached_masks_stay_within_the_byte_budget(monkeypatch):
     f = FiniteField(1021, 1)
     table = f.class_masks(4)
@@ -311,7 +318,8 @@ def _old_candidate_order(field, elems, rng):
 
 def test_search_order_on_log_codes_matches_the_sorted_elements():
     # _backtrack's options are ascending log codes; shuffled by the same rng,
-    # they must decode to the old sorted-by-log element order, draw for draw
+    # they must decode to the old sorted-by-log element order, draw for draw.
+    # The probe's one level refuses every option through expand returning None.
     import random
 
     from difam.lifting import LiftingError, _backtrack, _Budget
@@ -330,14 +338,13 @@ def test_search_order_on_log_codes_matches_the_sorted_elements():
         pairs = [(_log_code(f, c), g) for c, g in constraints]
         offered = []
 
-        def refuse(i, y):
-            offered.append(y)
-            return False
+        def refuse(i, chosen):
+            offered.append(chosen[-1])
+            return None
 
         rng = random.Random(seed)
         with pytest.raises(LiftingError):
-            _backtrack(1, lambda i, chosen: f.class_masks(lam).meet(pairs), rng,
-                       _Budget(1), "probe", commit=refuse)
+            _backtrack(1, f.class_masks(lam).meet(pairs), refuse, rng, _Budget(1), "probe")
         expected_rng = random.Random(seed)
         expected = _old_candidate_order(f, _scan_x_set(f, constraints, lam), expected_rng)
         assert f.class_masks(lam).add_code[offered].tolist() == expected

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from difam.carrier import ProductCarrier
 from difam.catalog import example51, paper_signed_lifting_z5, sigma_prime, thm62_z5
 from difam.diffs import GMultiset
-from difam.families import FamilyError, paley_sdf, verify_rdf
+from difam.families import FamilyError, StrongDifferenceFamily, paley_sdf, verify_rdf
 from difam.gf import FiniteField, coset_reps, cyclotomic_class
 from difam.groups import AbelianGroup
 from difam.io import parse_family, render_family
@@ -37,6 +37,7 @@ from difam.lifting import (
     zero_sum_adjust,
     zero_sum_lift,
 )
+import lifting_reference
 from gf_reference import RefField
 from group_reference import ref
 
@@ -485,6 +486,47 @@ def test_greedy_success_counters_pinned():
     sdf = example51()
     lifting = greedy_lift(sdf, FiniteField(13, 1), build_psi(sdf, 4, seed=GREEDY_PSI_SEED))
     assert (lifting.nodes, lifting.deepest) == (5, 4)  # one node per level, no backtracking
+
+
+def _twice_example51():
+    """A two-block SDF: example51's block taken twice, lambda = 8."""
+    one = example51()
+    return StrongDifferenceFamily(one.group, one.k, 2 * one.lam, one.blocks * 2)
+
+
+_ORACLE_CASES = (
+    [(example51, FiniteField(q, 1)) for q in (13, 29, 37, 53, 61, 101, 109, 157, 173)]
+    + [(example51, FiniteField(5, 3))]
+    + [(_twice_example51, FiniteField(q, 1)) for q in (41, 73, 89)]
+)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    case=st.sampled_from(_ORACLE_CASES),
+    psi_seed=st.integers(0, 2**16),
+    budget=st.one_of(st.integers(1, 60), st.integers(61, 3000), st.just(10**5)),
+    seed=st.integers(0, 2**32),
+)
+def test_greedy_lift_matches_the_reference_driver(case, psi_seed, budget, seed):
+    # the parent-listed options and carried-down masks change what a node
+    # costs, not which nodes there are: coordinates, counts, depth and the
+    # failure message all match the one-call-per-node reference
+    make_sdf, field = case
+    sdf = make_sdf()
+    psi = build_psi(sdf, sdf.lam, seed=psi_seed)
+    try:
+        coords, nodes, deepest = lifting_reference.greedy_lift(sdf, field, psi, budget, seed)
+    except LiftingError as expected:
+        with pytest.raises(LiftingError) as info:
+            greedy_lift(sdf, field, psi, budget=budget, seed=seed)
+        got, want = info.value, expected
+        assert (got.nodes, got.deepest, str(got)) == (want.nodes, want.deepest, str(want))
+        return
+    lifting = greedy_lift(sdf, field, psi, budget=budget, seed=seed)
+    assert lifting.second_coords.tolist() == coords.tolist()
+    assert (lifting.nodes, lifting.deepest) == (nodes, deepest)
 
 
 def test_signed_success_counters_pinned():
