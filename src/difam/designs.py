@@ -100,8 +100,10 @@ def develop(rdf: RelativeDifferenceFamily) -> Design:
     """All translates of the base blocks plus lambda copies of every coset
     of every forbidden subgroup.
 
-    A design from a lambda = 1 family keeps the base rows, so that the
-    anomaly scan can find blocks by `_difference_oracle`.
+    Row h|G| + g is base block h plus g, g in code order; then come lambda
+    copies of each distinct coset, subgroup by subgroup, in lexicographic
+    order.  A design from a lambda = 1 family keeps the base rows, so that
+    the anomaly scan can find blocks by `_difference_oracle`.
     """
     if not verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, rdf.k, rdf.lam).is_rdf:
         raise DesignError("difference family does not verify; refusing to develop it")
@@ -110,19 +112,11 @@ def develop(rdf: RelativeDifferenceFamily) -> Design:
 
 
 def _develop_rows(rdf: RelativeDifferenceFamily) -> np.ndarray:
-    """The rows of `develop`, for any family, verified or not.
-
-    Column j of the |G| translates of a block is `carrier.translates` of
-    its point j; each row is then sorted.
-    """
+    """The rows of `develop`, for any family, verified or not, made by
+    `_orbit_rows`: the orbits of the base blocks, then of each forbidden
+    subgroup, whose v translates hold each coset v/k times."""
     carrier, lam = rdf.group, rdf.lam
     n = carrier.order
-
-    def fill(out: np.ndarray, points: np.ndarray) -> None:  # out: (|G|, len(points))
-        for j, g in enumerate(points):
-            out[:, j] = carrier.translates(g)
-        out.sort(axis=1)
-
     coset_blocks = []  # the distinct cosets of each forbidden subgroup, as sorted rows
     for sub in rdf.forbidden_members():
         if sub.order != rdf.k:
@@ -130,19 +124,50 @@ def _develop_rows(rdf: RelativeDifferenceFamily) -> np.ndarray:
                 f"forbidden subgroup of order {sub.order} cannot supply {rdf.k}-point blocks"
             )
         coset_rows = np.empty((n, rdf.k), dtype=np.int64)
-        fill(coset_rows, sub.codes)
+        _orbit_rows(carrier, sub.codes[None], coset_rows)
         coset_blocks.append(_unique_rows(coset_rows, n)[0])
     n_translates = len(rdf.blocks) * n
     b = n_translates + lam * sum(len(c) for c in coset_blocks)
     _check_points(b, rdf.k)
     rows = np.empty((b, rdf.k), dtype=np.int64)
-    for i, block in enumerate(rdf.blocks):  # one base block at a time: |G| x k
-        fill(rows[i * n : (i + 1) * n], block.codes)
+    _orbit_rows(carrier, stack_rows(rdf.blocks, rdf.k), rows[:n_translates])
     lo = n_translates
     for unique in coset_blocks:  # lam copies of each coset
         rows[lo : lo + lam * len(unique)] = np.repeat(unique, lam, axis=0)
         lo += lam * len(unique)
     return rows
+
+
+def _orbit_rows(group: AbelianGroup, reps: np.ndarray, out: np.ndarray) -> None:
+    """Fill `out`, of len(reps) * v rows, with the orbits of the rows of
+    `reps`: row i*v + g is reps[i] + g, sorted, with g in code order.
+
+    The codes of x + g over all g are the outer sum of one column per
+    factor, x's digit rolled through that factor, most significant factor
+    first, as `AbelianGroup._per_code` builds them; here for all the points
+    of a batch at once.  A batch is at most `_CHUNK` rows: _CHUNK // v reps
+    whole when v <= _CHUNK, else the g of one rep that share their digits
+    before factor f and run over a range of f's digits, f the first factor
+    whose later factors have at most _CHUNK codes together.
+    """
+    v, k = group.order, reps.shape[1]
+    weights, orders = group._weights, group.cyclic_orders
+    f = next(i for i, w in enumerate(weights) if w <= _CHUNK)
+    span = min(orders[f], _CHUNK // weights[f])  # digits of factor f in a batch
+    per = max(1, _CHUNK // v)  # reps in a batch
+    for lo in range(0, reps.shape[0], per):
+        points = reps[lo : lo + per].ravel()
+        cols = [(points[:, None] // w + np.arange(n)) % n * w for w, n in zip(weights, orders)]
+        head, tail = group._per_code(cols[:f]), group._per_code(cols[f + 1 :])
+        for prefix in range(v // (orders[f] * weights[f])):
+            for d in range(0, orders[f], span):
+                sums = head[..., prefix, None, None] + cols[f][:, d : d + span, None]
+                sums = sums + tail[..., None, :]  # (points, digits of f, later codes)
+                batch = sums.reshape(-1, k, sums[0].size).transpose(0, 2, 1)  # (reps, g, k)
+                start = lo * v + (prefix * orders[f] + d) * weights[f]
+                rows = out[start : start + batch.shape[0] * batch.shape[1]]
+                rows.reshape(batch.shape)[...] = batch
+                rows.sort(axis=1)
 
 
 def _check_points(b: int, k: int) -> None:
@@ -273,14 +298,10 @@ def _no_repeated_blocks(arr: np.ndarray, v: int) -> bool:
     return not np.any(np.all(keys[1:] == keys[:-1], axis=1))
 
 
-def _sorted_row_keys(arr: np.ndarray, v: int, moved: Optional[np.ndarray] = None) -> np.ndarray:
-    """Each row as a point set, in lexicographic order: (b, words) int64 keys.
-
-    A row is sorted and then packed as `_packed_keys` packs it.  With
-    `moved` (a table over codes, such as `AbelianGroup.translates`), every
-    point x is first replaced by moved[x].
-    """
-    return _packed_keys(arr, v, lambda part: np.sort(part if moved is None else moved[part], axis=1))
+def _sorted_row_keys(arr: np.ndarray, v: int) -> np.ndarray:
+    """Each row as a point set, in lexicographic order: (b, words) int64
+    keys.  A row is sorted and then packed as `_packed_keys` packs it."""
+    return _packed_keys(arr, v, lambda part: np.sort(part, axis=1))
 
 
 def _unique_rows(arr: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
@@ -307,24 +328,36 @@ def _key_weights(k: int, v: int) -> tuple[np.ndarray, int]:
     return weights, per_word
 
 
+def _pack_rows(rows: np.ndarray, v: int, out: np.ndarray) -> None:
+    """Write the keys of `rows` (of k >= 1 points 0..v-1, as given) into
+    `out`, of one row per word: base v by `_key_weights`, so comparing keys
+    compares rows."""
+    weights, per_word = _key_weights(rows.shape[1], v)
+    for word, s in enumerate(range(0, rows.shape[1], per_word)):
+        out[word] = rows[:, s : s + per_word] @ weights[s : s + per_word]
+
+
 def _packed_keys(arr: np.ndarray, v: int, prepare: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """The rows `prepare` makes of `arr` (of k >= 1 points), in
-    lexicographic order, as (b, words) int64 keys.
-
-    `prepare` maps each `_CHUNK` of rows to rows of points 0..v-1, which
-    are packed base v by `_key_weights`, so comparing keys compares rows.
-    Keys of more than one word are sorted by their first word; only the
-    runs of rows whose first words tie are then sorted in full.
-    """
-    weights, per_word = _key_weights(arr.shape[1], v)
-    starts = range(0, arr.shape[1], per_word)
-    words = np.empty((len(starts), arr.shape[0]), dtype=np.int64)  # one row per word
+    lexicographic order, as (b, words) int64 keys: `prepare` maps each
+    `_CHUNK` of rows to rows of points 0..v-1, which `_pack_rows` packs
+    and `_sort_keys` sorts."""
+    per_word = _key_weights(arr.shape[1], v)[1]
+    words = np.empty((-(-arr.shape[1] // per_word), arr.shape[0]), dtype=np.int64)
     for lo in range(0, arr.shape[0], _CHUNK):
         part = prepare(arr[lo : lo + _CHUNK])
-        for word, s in enumerate(starts):
-            digits = slice(s, s + per_word)
-            words[word, lo : lo + part.shape[0]] = part[:, digits] @ weights[digits]
-    if len(starts) == 1:
+        _pack_rows(part, v, words[:, lo : lo + part.shape[0]])
+    return _sort_keys(words)
+
+
+def _sort_keys(words: np.ndarray) -> np.ndarray:
+    """Sort the keys held as the columns of `words` (one row per word) into
+    lexicographic order, in place, and return them as (b, words).
+
+    Keys of more than one word are sorted by their first word; only the
+    runs of keys whose first words tie are then sorted in full.
+    """
+    if words.shape[0] == 1:
         words.sort(axis=1)
         return words.T
     order = np.argsort(words[0])
@@ -332,7 +365,7 @@ def _packed_keys(arr: np.ndarray, v: int, prepare: Callable[[np.ndarray], np.nda
         row[:] = row[order]
     tie = words[0, 1:] == words[0, :-1]
     if tie.any():
-        # the tied rows keep their places by first word, so sorting them
+        # the tied keys keep their places by first word, so sorting them
         # among themselves sorts each run
         tied = np.zeros(words.shape[1], dtype=bool)
         tied[1:] = tie
@@ -346,19 +379,36 @@ def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVer
     """Regularity (the block multiset, each block taken as a point set, is
     fixed by every translation) and strict additivity (every block zero-sum).
 
-    The translations that fix the multiset form a subgroup of G, so it is
-    enough that the unit generator of each cyclic factor fixes it: regular
-    iff, for each factor, the sorted keys of the moved blocks equal those of
-    the blocks.  A block is moved by one gather from `group.translates`.
+    A design is regular iff it is the development of its blocks through 0,
+    and that is what is checked: the design D is rebuilt as D', which must
+    equal D.  Let D_0 be the blocks of D through 0, repeats counted.  For B
+    in D_0 and each distinct point b of B, B - b is a block through 0; B's
+    rep is the least of these by packed key, s is how many b reach it, and
+    p is how many distinct points B has.  The b with B - b = rep are a
+    coset of B's stabiliser, so s is its order.  D_0 is grouped by rep, c
+    rows a class, and each class gets multiplicity m = c s / p.  D' is m
+    copies of the v/s distinct translates of each rep.  D is regular iff
+    every m is an integer, the sum of m v/s is b (checked before any orbit
+    is made, which bounds the work and the memory), and D' and D have the
+    same sorted row keys.
+
+    Soundness needs nothing of how the reps were chosen: every translation
+    fixes D' by construction, so D = D' is regular.  Completeness: let D
+    be regular, and O one of its orbits, with multiplicity m_O and
+    stabiliser order s, its blocks of p distinct points.  R + g holds 0 iff
+    -g is a point of R, so the blocks of O through 0 are the R - c, for one
+    such block R and c a point of R: p/s distinct blocks, each m_O times in
+    D.  They share one rep, which lies in O, so its class has c = m_O p/s
+    rows, m = m_O, and D' = D.
 
     A design with fewer block points than group elements (b >= 1, v > bk)
-    is not regular, and no keys are built.  A translation g that fixes a
-    block B moves B[0] into B, so g lies in B - B[0]: the stabiliser of B
+    is not regular, and no keys are built: a translation g that fixes a
+    block B moves B[0] into B, so g lies in B - B[0], the stabiliser of B
     has at most k elements, B has at least v/k > b distinct translates, and
     a regular design holds them all.  With b = 0 the design is regular.
-    Past that bound v <= bk, so the per-code tables built here (the
-    translates, and the digit sums of `zero_sum_rows`) are never larger
-    than the block array.
+    Past that bound v <= bk, so the per-code tables built here, the digit
+    sums of `zero_sum_rows` and one orbit of v rows, are at most k times
+    the size of the block array.
     """
     if design.carrier != group or design.v != group.order:
         raise DesignError("design points are not the elements of the given group")
@@ -370,13 +420,49 @@ def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVer
         return SuperRegularVerdict(True, additive)
     if v > arr.size:
         return SuperRegularVerdict(False, additive)
+    through = np.flatnonzero((arr == 0).any(axis=1))
+    reps, counts = _unique_rows(_least_translates(arr[through], group)[0], v)
+    _, stab, points = _least_translates(reps, group)  # the same for every row of a class
+    copies, off = np.divmod(counts * stab, points)
+    if off.any() or int((copies * (v // stab)).sum()) != arr.shape[0]:
+        return SuperRegularVerdict(False, additive)
     keys = _sorted_row_keys(arr, v)
-    units = group.encode_array(np.eye(group.rank, dtype=np.int64) % group.cyclic_orders)
-    regular = all(
-        np.array_equal(_sorted_row_keys(arr, v, group.translates(unit)), keys)
-        for unit in units.tolist()
-    )
-    return SuperRegularVerdict(regular, additive)
+    words = np.empty(keys.T.shape, dtype=np.int64)  # D', one rep at a time
+    orbit = np.empty((v, design.k), dtype=np.int64)
+    at = 0
+    for rep, m, s in zip(reps, copies.tolist(), stab.tolist()):
+        _orbit_rows(group, rep[None], orbit)
+        rows = orbit if s == 1 else _unique_rows(orbit, v)[0]
+        for _ in range(m):
+            _pack_rows(rows, v, words[:, at : at + len(rows)])
+            at += len(rows)
+    return SuperRegularVerdict(bool(np.array_equal(_sort_keys(words), keys)), additive)
+
+
+def _least_translates(
+    rows: np.ndarray, group: AbelianGroup
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each row B of k points: the least of the sorted B - b, b a
+    distinct point of B, by packed key; how many b reach it; and how many
+    distinct points B has.  Rows go in `_slice_rows` slices."""
+    v, (n, k) = group.order, rows.shape
+    weights, per_word = _key_weights(k, v)
+    reps, reach, distinct = np.empty_like(rows), np.empty(n, np.int64), np.empty(n, np.int64)
+    step = _slice_rows(k)
+    for lo in range(0, n, step):
+        part = np.sort(rows[lo : lo + step], axis=1)
+        first = np.ones(part.shape, dtype=bool)  # the first place of each distinct point
+        first[:, 1:] = part[:, 1:] != part[:, :-1]
+        moved = np.sort(group.sub_codes(part[:, None, :], part[:, :, None]), axis=2)  # B - B[j]
+        least = first.copy()  # the b whose B - b ties the least so far, word by word
+        for s in range(0, k, per_word):
+            word = moved[..., s : s + per_word] @ weights[s : s + per_word]
+            word[~least] = np.iinfo(np.int64).max
+            least &= word == word.min(axis=1, keepdims=True)
+        hi = lo + part.shape[0]
+        reps[lo:hi] = moved[np.arange(part.shape[0]), least.argmax(axis=1)]
+        reach[lo:hi], distinct[lo:hi] = least.sum(axis=1), first.sum(axis=1)
+    return reps, reach, distinct
 
 
 def ag_design(n: int, p: int) -> Design:
@@ -640,37 +726,46 @@ def _meeting_pairs(blocks: np.ndarray, v: int):
     x, as point sets, by increasing x and then by block index (witnesses
     tend to be local), as (n, 2) arrays of block indices.
 
+    The column-0 points are read in windows of x that double: [0, 1),
+    [1, 3), [3, 7), ..., at most ceil(log2 v) + 1 of them.  A window is one
+    `np.flatnonzero` pass for its block indices, in index order, and a
+    stable sort of those alone by x, so a scan that stops early sorts only
+    the windows it reached.  The points are cast to the smallest type that
+    holds them: numpy sorts 8- and 16-bit keys stably by radix.
+
     A group is the blocks of one x, in index order.  Each array is a slice
     of it: rows a0 .. a0+m-1 compared with every later row of the group in
     one broadcast.  m is 1 at the start of each group and doubles while a
     slice of m rows makes at most `_SLICE_PAIRS` comparisons, so a scan that
     stops at its first pair compares only the first row of its group.
-
-    The column-0 points are cast to the smallest type that holds them:
-    numpy sorts 8- and 16-bit keys stably by radix.
     """
     least = blocks[:, 0].astype(np.min_scalar_type(v - 1))
-    order = np.argsort(least, kind="stable")
-    cuts = (np.flatnonzero(np.diff(least[order])) + 1).tolist()
-    for lo, hi in zip([0] + cuts, cuts + [order.size]):
-        ids = order[lo:hi]
-        group = blocks[ids]
-        # the points of each row past column 0 that a later row may share:
-        # those other than the row's own column-0 point
-        tail = group[:, 1:]
-        other = tail != group[:, :1]
-        a0, m = 0, 1
-        while a0 < ids.size - 1:
-            later = group[a0 + 1 :]
-            shared = tail[a0 : a0 + m, None, :, None] == later[None, :, None, :]
-            shared &= other[a0 : a0 + m, None, :, None]
-            # row a0 + i pairs with later row a0 + 1 + j for j >= i only
-            past = np.arange(later.shape[0]) >= np.arange(shared.shape[0])[:, None]
-            i, j = np.nonzero(past & ~shared.any(axis=(2, 3)))
-            yield np.column_stack([ids[a0 + i], ids[a0 + 1 + j]])
-            a0 += m
-            if 2 * m * (ids.size - a0 - 1) <= _SLICE_PAIRS:
-                m *= 2
+    start = 0
+    while start < v:
+        stop = 2 * start + 1
+        window = np.flatnonzero((least >= start) & (least < stop))
+        window = window[np.argsort(least[window], kind="stable")]
+        cuts = (np.flatnonzero(np.diff(least[window])) + 1).tolist()
+        start = stop
+        for lo, hi in zip([0] + cuts, cuts + [window.size]):
+            ids = window[lo:hi]
+            group = blocks[ids]
+            # the points of each row past column 0 that a later row may share:
+            # those other than the row's own column-0 point
+            tail = group[:, 1:]
+            other = tail != group[:, :1]
+            a0, m = 0, 1
+            while a0 < ids.size - 1:
+                later = group[a0 + 1 :]
+                shared = tail[a0 : a0 + m, None, :, None] == later[None, :, None, :]
+                shared &= other[a0 : a0 + m, None, :, None]
+                # row a0 + i pairs with later row a0 + 1 + j for j >= i only
+                past = np.arange(later.shape[0]) >= np.arange(shared.shape[0])[:, None]
+                i, j = np.nonzero(past & ~shared.any(axis=(2, 3)))
+                yield np.column_stack([ids[a0 + i], ids[a0 + 1 + j]])
+                a0 += m
+                if 2 * m * (ids.size - a0 - 1) <= _SLICE_PAIRS:
+                    m *= 2
 
 
 def _pair_chunks(slices, most: int):

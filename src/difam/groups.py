@@ -137,19 +137,14 @@ class AbelianGroup:
 
     def _per_code(self, columns) -> np.ndarray:
         """The int64 table t over codes with t[x] = sum_i columns[i][x_i],
-        x_i the digits of x: an outer sum, most significant factor first."""
+        x_i the digits of x: an outer sum, most significant factor first.
+        Columns of shape (m, n_i) give m tables, as an (m, codes) array;
+        no columns give the table [0]."""
         table = np.zeros(1, dtype=np.int64)
         for col in columns:
-            table = (table[:, None] + col).ravel()
+            table = table[..., :, None] + col[..., None, :]
+            table = table.reshape(*table.shape[:-2], -1)
         return table
-
-    def translates(self, g: int) -> np.ndarray:
-        """The codes of x + g for every code x, in code order: each digit
-        column rolled by g's digit in that factor."""
-        return self._per_code(
-            np.arange(g // w, g // w + n, dtype=np.int64) % n * w
-            for w, n in zip(self._weights, self.cyclic_orders)
-        )
 
     def zero_sum_rows(self, rows: np.ndarray) -> np.ndarray:
         """For a (b, k) array of codes, whether each row sums to zero.

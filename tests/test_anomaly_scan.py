@@ -241,6 +241,41 @@ def test_a_scan_stopped_at_its_first_pair_compares_one_row(monkeypatch):
     assert len(drawn) == 1 and set(drawn[0][:, 0].tolist()) == {first}
 
 
+def _recorded_argsorts(monkeypatch):
+    """The sizes of the arrays np.argsort is called on, from now on."""
+    sizes, real = [], np.argsort
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recording)
+    return sizes
+
+
+def test_a_scan_stopped_at_its_first_pair_sorts_one_window(monkeypatch):
+    # the witness of thm62-z5 lies among the blocks through 0, the window
+    # [0, 1): only those column-0 points are sorted, not all b of them
+    d = develop(thm62_z5())
+    sizes = _recorded_argsorts(monkeypatch)
+    assert anomaly_witness(d, 5).closures_scanned == 1
+    assert sizes == [int(np.count_nonzero(d.blocks[:, 0] == 0))] == [31]
+
+
+def test_the_pair_listing_sorts_doubling_windows(monkeypatch, scan_designs):
+    # AG(3,5): windows [0, 1), [1, 3), ..., [63, 127) reach v = 125, seven
+    # sorts of ceil(log2 125) + 1 = 8 at most, and every block once
+    d = scan_designs["ag35"]
+    sizes = _recorded_argsorts(monkeypatch)
+    for _ in _meeting_pairs(d.blocks, d.v):
+        pass
+    least = d.blocks[:, 0]
+    bounds = [0, 1, 3, 7, 15, 31, 63, 127]
+    windows = zip(bounds, bounds[1:])
+    assert sizes == [int(np.count_nonzero((least >= lo) & (least < hi))) for lo, hi in windows]
+    assert sum(sizes) == d.b
+
+
 # --- plane certificates, each point set decided once ----------------------------
 
 

@@ -1,14 +1,16 @@
 """The table-driven design kernels against the digit arithmetic they replaced.
 
-`AbelianGroup.translates`, the per-code digit-sum table of `zero_sum_rows`,
-the first-word sort of `_sorted_row_keys` and the stabiliser bound of
-`verify_super_regular` are each checked against a local copy of the code
-that did the same work by integer division and a full `lexsort`;
-`_unique_rows`, against the np.unique(axis=0) it replaced.
+`_orbit_rows`, the per-code digit-sum table of `zero_sum_rows`, the
+first-word sort of `_sorted_row_keys` and the regularity check and
+stabiliser bound of `verify_super_regular` are each checked against a local
+copy of the code that did the same work by integer division and a full
+`lexsort`; `_unique_rows`, against the np.unique(axis=0) it replaced.
 """
 
 import numpy as np
 import pytest
+
+import difam.designs
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from difam.catalog import sigma_prime, thm62_z5, thm62_z7
 from difam.designs import (
     Design,
     SuperRegularVerdict,
+    _orbit_rows,
     _sorted_row_keys,
     _unique_rows,
     ag_design,
@@ -177,25 +180,38 @@ def test_super_regular_of_no_blocks(orders):
 # --- the per-code tables ------------------------------------------------------
 
 
-@PROPERTY
-@given(orders=st.lists(st.integers(1, 8), min_size=1, max_size=4), data=st.data())
-def test_translates_adds_g_to_every_code(orders, data):
-    group = AbelianGroup(orders)
-    code = data.draw(st.integers(0, group.order - 1))
-    expected = [group.encode(ref(group).add(group.decode(x), group.decode(code)))
-                for x in range(group.order)]
-    got = group.translates(code)
-    assert got.dtype == np.int64 and got.tolist() == expected
+_ORBIT_GROUPS = [(2, 4), (3, 3), (9,), (2, 2, 2), (5, 5)]
 
 
-@PROPERTY
-@given(orders=st.lists(st.integers(1, 8), min_size=1, max_size=4), data=st.data())
-def test_translates_by_a_unit_is_add_unit(orders, data):
-    group = AbelianGroup(orders)
-    i = data.draw(st.integers(0, group.rank - 1))
-    unit = tuple(int(j == i) % n for j, n in enumerate(group.cyclic_orders))
-    codes = np.arange(group.order, dtype=np.int64)
-    assert np.array_equal(group.translates(group.encode(unit)), _add_unit(group, codes, i))
+# a _CHUNK of 1 or 3 splits each orbit over the digits of one factor, and
+# 3 leaves a short last range; 16 takes one rep a batch, 4096 all of them
+@pytest.mark.parametrize("chunk", [1, 3, 16, 4096])
+@pytest.mark.parametrize("orders", _ORBIT_GROUPS)
+def test_orbit_rows_add_every_g(orders, chunk, monkeypatch):
+    monkeypatch.setattr(difam.designs, "_CHUNK", chunk)
+    group, v = AbelianGroup(orders), int(np.prod(orders))
+    r = ref(group)
+    reps = np.random.default_rng(v).integers(0, v, size=(3, 4))  # points may repeat
+    out = np.full((3 * v, 4), -1, dtype=np.int64)
+    _orbit_rows(group, reps, out)
+    expected = [
+        sorted(group.encode(r.add(group.decode(x), g)) for x in rep)
+        for rep in reps.tolist()
+        for g in group.elements()
+    ]
+    assert out.tolist() == expected
+
+
+@pytest.mark.parametrize("orders", _ORBIT_GROUPS)
+def test_orbit_rows_step_by_add_unit(orders):
+    # row g + e_i of an orbit is row g moved by e_i, for every g and factor i
+    group, v = AbelianGroup(orders), int(np.prod(orders))
+    orbit = np.empty((v, 3), dtype=np.int64)
+    _orbit_rows(group, np.array([[0, 1, v - 1]]), orbit)
+    codes = np.arange(v, dtype=np.int64)
+    for i in range(group.rank):
+        moved = np.sort(_add_unit(group, orbit, i), axis=1)
+        assert np.array_equal(moved, orbit[_add_unit(group, codes, i)])
 
 
 def _rows_half_zero_sum(group, k, b, rng):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -951,7 +952,7 @@ def _traced_peak_mib(fn, *args):
     [
         ("develop", 64),
         ("verify_design", 8),
-        ("verify_super_regular", 96),
+        ("verify_super_regular", 10),
         ("pair_table", 64),
         ("anomaly_witness", 8),
     ],
@@ -960,7 +961,8 @@ def test_v3125_memory_peaks(stage, bound_mib, rdf3125, design3125):
     """Peak traced allocation of each design-layer stage on the 3125-point
     extension of thm62-z5 (b = 488,125); the unsliced builders peaked at
     205, 261, 1,117 and 186 MiB, and the anomaly scan on its v*v pair table
-    at 43.8 MiB."""
+    at 43.8 MiB.  The super-regular check holds two sets of one-word keys,
+    the design's and its rebuild's: 8.1 MiB."""
     d = design3125
     calls = {
         "develop": (develop, rdf3125),
@@ -990,6 +992,16 @@ def test_v3125_develop_peak_near_output(rdf3125):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * blocks.nbytes
+
+
+def test_v3125_develop_rows_are_pinned(design3125):
+    """`develop`'s rows and their order, byte for byte: the anomaly scan's
+    difference oracle and every design file difam writes depend on them."""
+    blocks = design3125.blocks
+    assert blocks.dtype == np.int64 and blocks.shape == (488125, 5) and blocks.flags.c_contiguous
+    assert hashlib.sha256(blocks.tobytes()).hexdigest() == (
+        "118f3e60fd9c08bd6964f04e36f5ec49d1c13fed3d9b9a8c33de9bbbd8c6f30f"
+    )
 
 
 def test_v3125_verify_design_frees_the_counts_before_the_keys(design3125):

@@ -2,21 +2,27 @@
 
 A relative difference family verifies exactly when the design developed
 from it does, damaged or not; `verify_design`'s windowed pair count agrees
-with counting every pair; `verify_super_regular`'s generator test agrees
-with translating every block by every element of the group.
+with counting every pair; `verify_super_regular`'s rebuild from the blocks
+through 0 agrees with translating every block by every element of the
+group, and with the lexsort oracle that moves the blocks by each unit
+generator.
 """
 
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+
+import difam.designs
 
 from difam.catalog import sigma_prime, thm62_z5
 from difam.designs import (
     Design,
     DesignVerdict,
+    SuperRegularVerdict,
     _develop_rows,
     verify_design,
     verify_super_regular,
@@ -24,9 +30,10 @@ from difam.designs import (
 from difam.diffs import GMultiset
 from difam.families import RelativeDifferenceFamily, verify_rdf
 from difam.gf import FiniteField
-from difam.groups import AbelianGroup
+from difam.groups import AbelianGroup, generated_subgroup
 from group_reference import ref
 from difam.lifting import simple_lift
+from test_design_kernels import _ORBIT_GROUPS, _oracle_super_regular
 
 PROPERTY = settings(
     database=None,
@@ -122,6 +129,106 @@ def _brute_force_verdict(design):
 def test_super_regular_matches_brute_force(design):
     verdict = verify_super_regular(design, design.carrier)
     assert (verdict.is_regular, verdict.is_strictly_additive) == _brute_force_verdict(design)
+
+
+def _orbit(group, rep):
+    """The distinct translates of a row, each sorted."""
+    r = ref(group)
+    points = [group.decode(x) for x in rep]
+    moved = ([group.encode(r.add(x, g)) for x in points] for g in group.elements())
+    return sorted({tuple(sorted(row)) for row in moved})
+
+
+@st.composite
+def _orbit_unions(draw):
+    """One to three orbits of k-point rows, each taken one to three times,
+    with the rows and the points within each row shuffled.  A rep is k
+    points, repeats allowed, or the union of k/|H| cosets of the subgroup H
+    that one element generates, so that H fixes it."""
+    group = AbelianGroup(draw(st.sampled_from(_ORBIT_GROUPS)))
+    r, k = ref(group), draw(st.integers(1, 6))
+    point = st.integers(0, group.order - 1)
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        sub = generated_subgroup(group, [draw(point)]).codes.tolist()
+        if k % len(sub) == 0 and draw(st.booleans()):
+            shifts = draw(st.lists(point, min_size=k // len(sub), max_size=k // len(sub)))
+            coset = [group.decode(h) for h in sub]
+            rep = [group.encode(r.add(h, group.decode(x))) for x in shifts for h in coset]
+        else:
+            rep = draw(st.lists(point, min_size=k, max_size=k))
+        rows += _orbit(group, rep) * draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.permuted(np.array(rows, dtype=np.int64), axis=1)[rng.permutation(len(rows))]
+    return Design(group, rows, k)
+
+
+def _damage_orbits(design, how, data):
+    """A copy with one row dropped, repeated or with a point moved, or with
+    one row off 0 replaced by another row off 0, which leaves every row
+    through 0 as it was."""
+    rows, v, k = design.blocks.copy(), design.v, design.k
+    i = data.draw(st.integers(0, len(rows) - 1), label="row")
+    if how == "drop":
+        rows = np.delete(rows, i, axis=0)
+    elif how == "duplicate":
+        rows = np.insert(rows, data.draw(st.integers(0, len(rows))), rows[i], axis=0)
+    elif how == "move":
+        rows[i, data.draw(st.integers(0, k - 1))] = data.draw(st.integers(0, v - 1))
+    elif how == "off-zero":
+        off = np.flatnonzero(~(rows == 0).any(axis=1))
+        assume(off.size)
+        i = off[data.draw(st.integers(0, off.size - 1), label="row off 0")]
+        rows[i] = data.draw(st.lists(st.integers(1, v - 1), min_size=k, max_size=k))
+    return Design(design.carrier, rows, k)
+
+
+@PROPERTY
+@given(
+    design=_orbit_unions(),
+    how=st.sampled_from(["none", "drop", "duplicate", "move", "off-zero"]),
+    data=st.data(),
+)
+def test_super_regular_matches_the_oracle_on_unions_of_orbits(design, how, data):
+    d = design if how == "none" else _damage_orbits(design, how, data)
+    got = verify_super_regular(d, d.carrier)
+    assert got == _oracle_super_regular(d)
+    # no orbit here is a single row: that row would hold all v >= 8 points
+    changed = sorted(map(sorted, d.blocks.tolist())) != sorted(map(sorted, design.blocks.tolist()))
+    assert got.is_regular == (not changed)
+
+
+@PROPERTY
+@given(orders=st.sampled_from(_ORBIT_GROUPS), k=st.integers(1, 6), data=st.data())
+def test_super_regular_of_no_row_through_zero(orders, k, data):
+    # enough rows to pass the v > bk bound, none of them through 0
+    group = AbelianGroup(orders)
+    b = data.draw(st.integers(-(-group.order // k), -(-group.order // k) + 4))
+    row = st.lists(st.integers(1, group.order - 1), min_size=k, max_size=k)
+    d = Design(group, np.array(data.draw(st.lists(row, min_size=b, max_size=b))), k)
+    got = verify_super_regular(d, group)
+    assert got == _oracle_super_regular(d) and not got.is_regular
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1, 3], [0, 2, 8], [0, 6, 7]],  # {0,1,3}'s three translates through 0: 9 rows implied
+        [[0, 1, 3], [1, 2, 4], [2, 3, 5]],  # one of those three: a third of an orbit
+        # four of them, and b = 9: 4/3 of an orbit, whose whole part would fill b
+        [[0, 1, 3], [0, 1, 3], [0, 2, 8], [0, 6, 7]] + [[x, x + 1, x + 3] for x in range(1, 6)],
+    ],
+)
+def test_super_regular_refuses_rows_through_zero_before_any_orbit(rows, monkeypatch):
+    group = AbelianGroup((9,))
+    d = Design(group, np.array(rows), 3)
+    expected = _oracle_super_regular(d)
+
+    def refused(*args):
+        raise AssertionError("an orbit was built")
+
+    monkeypatch.setattr(difam.designs, "_orbit_rows", refused)
+    assert verify_super_regular(d, group) == expected == SuperRegularVerdict(False, False)
 
 
 def _brute_force_design_verdict(design):
