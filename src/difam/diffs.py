@@ -102,33 +102,19 @@ class CoverageVerdict:
         return self.constant_lambda is not None and self.excluded_clean
 
 
-def delta_family(
-    blocks: Sequence[GMultiset] | np.ndarray, carrier: Optional[AbelianGroup] = None
-) -> np.ndarray:
-    """The multiset union of the blocks' difference lists (b_i - b_j over
-    ordered pairs of distinct positions), as a count per element code.
-
-    `blocks` is a list of GMultisets on one carrier, or, with `carrier`
-    given, a (b, k) array of its codes."""
-    if carrier is None:
-        if not blocks:
-            raise GroupError("empty family has no carrier; pass at least one block")
-        carrier = blocks[0].carrier
-        if any(b.carrier is not carrier and b.carrier != carrier for b in blocks):
-            raise GroupError("blocks on mixed carriers")
-        parts = block_rows(blocks)
-    else:
-        parts = [blocks]
-    if any(rows.shape[1] < 2 and len(rows) for rows in parts):
+def delta_family(rows: np.ndarray, carrier: AbelianGroup) -> np.ndarray:
+    """The multiset union of the difference lists (b_i - b_j over ordered
+    pairs of distinct positions) of the rows of a (b, k) array of the
+    carrier's codes, as a count per element code."""
+    if rows.shape[1] < 2 and len(rows):
         raise GroupError("difference list needs blocks of size >= 2")
     counts = np.zeros(carrier.order, dtype=np.int64)
-    for rows in parts:
-        i_idx, j_idx = np.nonzero(~np.eye(rows.shape[1], dtype=bool))
-        step = _slice_rows(rows.shape[1])
-        for lo in range(0, len(rows), step):
-            part = rows[lo : lo + step]
-            # add.at costs per difference, a bincount per slice would cost v
-            np.add.at(counts, carrier.sub_codes(part[:, i_idx], part[:, j_idx]), np.int64(1))
+    i_idx, j_idx = np.nonzero(~np.eye(rows.shape[1], dtype=bool))
+    step = _slice_rows(rows.shape[1])
+    for lo in range(0, len(rows), step):
+        part = rows[lo : lo + step]
+        # add.at costs per difference, a bincount per slice would cost v
+        np.add.at(counts, carrier.sub_codes(part[:, i_idx], part[:, j_idx]), np.int64(1))
     return counts
 
 

@@ -8,9 +8,11 @@ greedy, zero-sum and signed searches share one backtracking driver,
 `_backtrack`.  A node's options, ascending log codes (`gf.ClassMasks`),
 so least log index first, are listed by its parent, which also ticks a
 node budget for it, so a node without options still counts; the node
-tries them in an order permuted by a seed.  Every accepted lifting is
-re-verified by an independent checker, never trusted from the search
-itself.
+tries them in an order permuted by a seed.  The signed search decides
+its candidates on one boolean table of the (group element, class) keys
+already used, a window of log codes per array pass.  Every accepted
+lifting is re-verified by an independent checker, never trusted from the
+search itself.
 
 Field elements are additive codes throughout (`gf`).  A lifting holds its
 second coordinates as one (s, k) array of them, and psi is an (s, k, k)
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -40,7 +41,7 @@ from .families import (
     verify_rdf,
 )
 from .gf import FieldError, FiniteField, subfield_embed
-from .groups import AbelianGroup, DifamError, Element
+from .groups import _CHUNK, AbelianGroup, DifamError, Element
 
 
 class LiftingError(DifamError):
@@ -547,9 +548,16 @@ def signed_lift(
     """Symmetric lifting (x, +-y) for SDFs whose blocks are {0} u 2*A.
 
     Zero-sum is automatic; success means every half difference list is a
-    transversal of the order-half_lambda cyclotomic classes, tracked as a
-    global count map of int keys g_code * half_lambda + class (each hit
-    exactly twice by the symmetric full lists).
+    transversal of the order-half_lambda cyclotomic classes.  The variable
+    (h, a) set to y adds the keys g_code * half_lambda + class of its half
+    list: 2y at g = 0, y at +-a, and y - z, y + z at +-(a - b) for each
+    earlier (b, z) of block h.  As -1 lies in C^half_lambda, the full lists
+    hit each key twice or not at all, so one boolean table `used` decides:
+    y fits when none of those differences is zero and its keys are
+    distinct and unused.  Each level keeps only one fit byte per candidate,
+    filled _CHUNK log codes at a time on first use and cleared when the
+    level above commits; the committed y's keys are recomputed and marked
+    used, and unmarked when the branch below it fails.
     """
     if field.q % 2 == 0:
         raise LiftingError("signed liftings need an odd-order field")
@@ -561,64 +569,55 @@ def signed_lift(
     gsub, fsub, log = sdf.group.sub_codes, field.additive_group.sub_codes, field.log
     shapes = [_signed_shape(b) for b in sdf.blocks]
     variables = [(h, a) for h, a_set in enumerate(shapes) for a in a_set]
+    levels, half = len(variables), (field.q - 1) // 2
     # log codes of exp[0..(q-3)/2]: one per {y, -y} pair, both give the same lifted block
-    half_field = range(1, (field.q - 1) // 2 + 1)
-
-    counts: Counter = Counter()
-    tallies: list[Counter] = []
+    half_field = range(1, half + 1)
+    used = np.zeros(sdf.group.order * half_lambda, dtype=bool)
+    # fit[i][x - 1] is 1 when log code x fits level i, -1 when not, 0 until its window is filled
+    table = np.zeros((levels, half), dtype=np.int8)
+    fit = [memoryview(row) for row in table]
     assigns: list[dict] = [{} for _ in sdf.blocks]
+    marked: list[np.ndarray] = []  # the keys each committed level marked used
 
-    def new_diffs(h: int, a: int, y: int) -> list[int]:
-        """Keys of the ordered differences contributed by the pair (a, +-y):
-        each comes out twice per key because -1 lies in C^half_lambda."""
-        out = []
-
-        def add2(g: int, d: int) -> bool:
-            c = int(log[d])
-            if c < 0:  # a zero difference
-                return False
-            key = g * half_lambda + c % half_lambda
-            out.append(key)
-            out.append(key)
-            return True
-
-        neg_a = gsub(0, a)
-        ok = add2(0, fsub(y, fsub(0, y)))  # (a,y) vs (a,-y), both orders
-        ok = ok and add2(a, y) and add2(neg_a, y)  # vs the (0, 0) point
-        for b, z in assigns[h].items():
-            g = gsub(a, b)
-            neg_g = gsub(0, g)
-            for d in (fsub(y, z), fsub(y, fsub(0, z))):
-                ok = ok and add2(g, d) and add2(neg_g, d)
-            if not ok:
-                break
-        return out if ok else []
-
-    def commit(idx: int, y: int) -> bool:
+    def keys(idx: int, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each field code y's sorted half-list keys as variable idx, and whether y fits."""
         h, a = variables[idx]
-        y = int(field.exp[y - 1])
-        diffs = new_diffs(h, a, y)
-        if not diffs:
-            return False
-        tally: Counter = Counter(diffs)
-        if any(counts[key] + extra > 2 for key, extra in tally.items()):
-            return False
-        counts.update(tally)
-        tallies.append(tally)
-        assigns[h][a] = y
-        return True
+        b, z = (np.array(list(c), dtype=np.int64) for c in (assigns[h], assigns[h].values()))
+        y = ys.astype(np.int64)[:, None]
+        logs = log[np.hstack((fsub(y, fsub(0, y)), y, fsub(y, z), fsub(y, fsub(0, z))))]
+        classes = logs % half_lambda
+        # 2y has its key at 0, the others at +-g: g = a, then a - b twice
+        g, pair = np.concatenate(([a], gsub(a, b), gsub(a, b))), classes[:, 1:]
+        out = np.hstack((classes[:, :1], g * half_lambda + pair, gsub(0, g) * half_lambda + pair))
+        out.sort(axis=1)
+        ok = (logs >= 0).all(axis=1) & (np.diff(out, axis=1) != 0).all(axis=1)
+        return out, ok & ~used[out].any(axis=1)
 
-    def undo(idx: int, y: int) -> None:
+    def expand(idx: int, chosen: list[int]) -> Optional[Sequence[int]]:
+        x = chosen[-1] - 1
+        if not fit[idx][x]:
+            lo = x - x % _CHUNK
+            ok = keys(idx, field.exp[lo : min(lo + _CHUNK, half)])[1]
+            table[idx, lo : lo + _CHUNK] = np.where(ok, 1, -1)
+        if fit[idx][x] < 0:
+            return None
+        h, a = variables[idx]
+        y = field.exp[x : x + 1]
+        marked.append(keys(idx, y)[0][0])
+        used[marked[-1]] = True
+        assigns[h][a] = int(y[0])
+        if idx + 1 == levels:
+            return ()
+        table[idx + 1] = 0
+        return list(half_field)
+
+    def undo(idx: int, x: int) -> None:
         h, a = variables[idx]
         del assigns[h][a]
-        counts.subtract(tallies.pop())
+        used[marked.pop()] = False
 
     tracker = _Budget(budget)
-    _backtrack(
-        len(variables), half_field,
-        lambda idx, chosen: list(half_field) if commit(idx, chosen[-1]) else None,
-        rng=random.Random(seed), tracker=tracker, what="signed lifting", undo=undo,
-    )
+    _backtrack(levels, half_field, expand, random.Random(seed), tracker, "signed lifting", undo)
     if not verify_signed_lifting(sdf, field, assigns, half_lambda):
         raise LiftingError("search produced a lifting that fails the transversal checker")
     lifting = signed_lifting_from_assignments(sdf, field, assigns)

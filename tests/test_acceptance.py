@@ -51,7 +51,7 @@ from difam.params import (
 )
 from sympy import n_order
 
-from difam.diffs import delta_family
+from difam.diffs import delta_family, stack_rows
 
 
 @pytest.fixture
@@ -139,7 +139,7 @@ def test_criterion_04_sigma_prime(report):
 
     def check():
         verdict = verify_sdf(sdf.blocks, sdf.group, 15, 42)
-        total = delta_family(sdf.blocks).sum()
+        total = delta_family(stack_rows(sdf.blocks, 15), sdf.group).sum()
         return verdict, total
 
     (verdict, total), elapsed = _best_of(3, check)
@@ -204,8 +204,8 @@ def test_criterion_07_core_multiset_closed_forms(report):
         ok = ok and cov.is_sdf and cov.is_additive
 
         zero = sdf.group.decode(0)
-        d_a = delta_family([sdf.blocks[0]])
-        d_b = delta_family([sdf.blocks[1]])
+        d_a = delta_family(stack_rows(sdf.blocks[:1], k), sdf.group)
+        d_b = delta_family(stack_rows(sdf.blocks[1:2], k), sdf.group)
         nonzero = [e for e in sdf.group.elements() if e != zero]
         ok = ok and d_a[sdf.group.encode(zero)] == forms["alpha0"]
         ok = ok and all(d_a[sdf.group.encode(e)] == forms["alphax"] for e in nonzero)

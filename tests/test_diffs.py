@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from difam.carrier import ProductCarrier
-from difam.diffs import GMultiset, coverage, delta_family
+from difam.diffs import GMultiset, coverage, delta_family, stack_rows
 from difam.gf import FiniteField
 from difam.groups import AbelianGroup, GroupError, Subgroup
 from group_reference import ref
@@ -39,25 +39,23 @@ def test_multiset_checks_elements():
 def test_delta_block_example():
     # {0,1,1,4,4}: every nonzero element covered 4 times, zero 4 times too
     block = GMultiset(Z5, [(0,), (1,), (1,), (4,), (4,)])
-    d = delta_family([block])
+    d = delta_family(stack_rows([block], 5), Z5)
     assert d.sum() == 20
     assert all(d[Z5.encode((g,))] == 4 for g in range(5))
 
 
 def test_delta_block_needs_two_elements():
     with pytest.raises(GroupError):
-        delta_family([GMultiset(Z5, [(0,)])])
+        delta_family(stack_rows([GMultiset(Z5, [(0,)])], 1), Z5)
 
 
 def test_delta_family_union():
     b1 = GMultiset(Z5, [(0,), (1,)])
     b2 = GMultiset(Z5, [(0,), (2,)])
-    d = delta_family([b1, b2])
+    d = delta_family(stack_rows([b1, b2], 2), Z5)
     assert d.sum() == 4
     assert d[Z5.encode((1,))] == 1
     assert d[Z5.encode((4,))] == 1
-    with pytest.raises(GroupError):
-        delta_family([])
 
 
 def test_delta_translation_invariance():
@@ -68,7 +66,8 @@ def test_delta_translation_invariance():
         block = GMultiset(group, [rng.choice(elems) for _ in range(5)])
         g = rng.choice(elems)
         moved = group.sub_codes(block.codes, group.encode(ref(group).neg(g)))  # block + g
-        assert np.array_equal(delta_family(moved[None], group), delta_family([block]))
+        assert np.array_equal(delta_family(moved[None], group),
+                              delta_family(stack_rows([block], 5), group))
 
 
 def test_delta_involution_parity():
@@ -79,14 +78,14 @@ def test_delta_involution_parity():
     elems = list(group.elements())
     for _ in range(20):
         block = GMultiset(group, [rng.choice(elems) for _ in range(6)])
-        d = delta_family([block])
+        d = delta_family(stack_rows([block], 6), group)
         for e in elems:
             assert d[group.encode(e)] == d[group.encode(ref(group).neg(e))]
 
 
 def test_coverage_constant():
     block = GMultiset(Z5, [(0,), (1,), (1,), (4,), (4,)])
-    counts = delta_family([block])
+    counts = delta_family(stack_rows([block], 5), Z5)
     verdict = coverage(counts, Z5)
     assert verdict.ok
     assert verdict.constant_lambda == 4
@@ -96,7 +95,7 @@ def test_coverage_constant():
 
 def test_coverage_nonconstant():
     block = GMultiset(Z5, [(0,), (1,), (3,)])
-    verdict = coverage(delta_family([block]), Z5)
+    verdict = coverage(delta_family(stack_rows([block], 3), Z5), Z5)
     assert verdict.constant_lambda is None
     assert not verdict.ok
     assert verdict.failures
@@ -107,7 +106,7 @@ def test_coverage_with_excluded_subgroup():
     sub = Subgroup(group, group.encode_elements([(0, 0), (1, 0)]))
     # differences of {(0,1),(0,2)} land on (0,1),(0,2): not constant outside
     block = GMultiset(group, [(0, 1), (0, 2)])
-    verdict = coverage(delta_family([block]), group, sub)
+    verdict = coverage(delta_family(stack_rows([block], 2), group), group, sub)
     assert verdict.excluded_clean
     assert verdict.constant_lambda is None
 
@@ -116,7 +115,7 @@ def test_coverage_excluded_dirty():
     group = AbelianGroup((6,))
     sub = Subgroup(group, [0, 3])
     block = GMultiset(group, [(0,), (3,)])
-    verdict = coverage(delta_family([block]), group, sub)
+    verdict = coverage(delta_family(stack_rows([block], 2), group), group, sub)
     assert not verdict.excluded_clean
     assert ((3,), 2) in verdict.failures
 

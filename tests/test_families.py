@@ -3,7 +3,7 @@ import pytest
 
 import difam.families
 from difam.catalog import example51, sigma_prime, thm62_z5
-from difam.diffs import GMultiset, delta_family
+from difam.diffs import GMultiset, delta_family, stack_rows
 from difam.families import (
     FamilyError,
     PartialSpread,
@@ -50,7 +50,7 @@ def test_sigma_prime_is_sdf():
     verdict = verify_sdf(sdf.blocks, sdf.group, 15, 42)
     assert verdict.is_sdf
     assert verdict.is_additive
-    assert delta_family(sdf.blocks).sum() == 42 * 15
+    assert delta_family(stack_rows(sdf.blocks, 15), sdf.group).sum() == 42 * 15
 
 
 def test_paley_sdf():
@@ -226,8 +226,8 @@ def test_theorem82_closed_forms_match_brute_force():
         r = k // q
         forms = theorem82_coverage_forms(q, r)
         # block A = r*{0} u 2r*squares, blocks B = r*F_q
-        d_a = delta_family([sdf.blocks[0]])
-        d_b = delta_family([sdf.blocks[1]])
+        d_a = delta_family(stack_rows(sdf.blocks[:1], k), sdf.group)
+        d_b = delta_family(stack_rows(sdf.blocks[1:2], k), sdf.group)
         zero = sdf.group.decode(0)
         nonzero = next(e for e in sdf.group.elements() if e != zero)
         assert d_a[sdf.group.encode(zero)] == forms["alpha0"]

@@ -561,6 +561,84 @@ def test_signed_lift_pinned():
     assert _digest(coords) == "38e28b715c08276823f9be24fa728938a1ab3e7bad7c0f8fad5853f92242e7a8"
 
 
+# example51 needs -1 in C^2, so 4 | q - 1; example51 twice needs 8 | q - 1
+_SIGNED_CASES = (
+    [(example51, (q, 1)) for q in (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101)]
+    + [(example51, pn) for pn in ((5, 2), (5, 3), (3, 4))]
+    + [(_twice_example51, (q, 1)) for q in (41, 73, 89)]
+)
+
+
+def _same_signed_search(sdf, field, half_lambda, budget, seed):
+    """signed_lift and the reference search agree: coordinates, node count
+    and depth on success, node count, depth and message on failure."""
+    try:
+        want = lifting_reference.signed_lift(sdf, field, half_lambda, budget, seed)
+    except LiftingError as expected:
+        with pytest.raises(LiftingError) as info:
+            signed_lift(sdf, field, half_lambda, budget=budget, seed=seed)
+        got = info.value
+        assert (got.nodes, got.deepest, str(got)) == (
+            expected.nodes, expected.deepest, str(expected))
+        return
+    got = signed_lift(sdf, field, half_lambda, budget=budget, seed=seed)
+    assert got.second_coords.tolist() == want.second_coords.tolist()
+    assert (got.nodes, got.deepest) == (want.nodes, want.deepest)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    case=st.sampled_from(_SIGNED_CASES),
+    seed=st.integers(0, 7),
+    budget=st.one_of(st.integers(1, 60), st.integers(61, 3000), st.just(10**5)),
+)
+def test_signed_lift_matches_the_reference_search(case, seed, budget):
+    # the used-key table and the fit windows refuse exactly the candidates
+    # the per-candidate Counter walk refuses, so the rng draws, the nodes
+    # and the result are the same
+    make_sdf, (p, n) = case
+    sdf = make_sdf()
+    _same_signed_search(sdf, FiniteField(p, n), sdf.lam // 2, budget, seed)
+
+
+@pytest.mark.parametrize("q", [43, 127])
+@pytest.mark.parametrize("seed", range(3))
+def test_signed_lift_matches_the_reference_search_on_sigma_prime(q, seed):
+    # 21 levels over three blocks, deep enough to backtrack and undo
+    _same_signed_search(sigma_prime(), FiniteField(q, 1), 21, 300, seed)
+
+
+@pytest.mark.parametrize("seed,deepest", [(0, 17), (1, 13), (2, 13)])
+def test_signed_lift_sigma_prime_over_gf5_6_pinned(seed, deepest):
+    # the paper's k = 15 route: sigma' over GF(5^6) would give a 2-(234375,15,1) design
+    with pytest.raises(LiftingError) as info:
+        signed_lift(sigma_prime(), FiniteField(5, 6), 21, budget=30, seed=seed)
+    assert (info.value.nodes, info.value.deepest) == (31, deepest)
+
+
+def test_signed_lift_over_a_million_point_field_in_bounded_memory():
+    # each level lists all (q-1)/2 = 500,115 candidates; the fit bytes and
+    # the key windows stay small beside those lists
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from difam.catalog import sigma_prime\n"
+        "from difam.gf import FiniteField\n"
+        "from difam.lifting import LiftingError, signed_lift\n"
+        "try:\n"
+        "    signed_lift(sigma_prime(), FiniteField(1000231, 1), 21, budget=5)\n"
+        "except LiftingError as exc:\n"
+        "    print(exc.nodes, exc.deepest)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["6", "5"]
+
+
 @pytest.mark.parametrize(
     "q,signed,n_blocks,digest",
     [

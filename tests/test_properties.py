@@ -16,7 +16,7 @@ from sympy.utilities.iterables import partitions
 
 from difam.catalog import FIXTURES
 from difam.designs import ag_design, closure, develop, verify_design, _table_lookup
-from difam.diffs import GMultiset, delta_family
+from difam.diffs import GMultiset, delta_family, stack_rows
 from difam.families import RelativeDifferenceFamily, StrongDifferenceFamily
 from difam.gf import FiniteField
 from difam.groups import AbelianGroup, is_binary, is_zero_sum_group
@@ -36,7 +36,8 @@ def test_delta_translation_invariance_randomized():
         for _ in range(4):
             g = rng.choice(elems)
             moved = group.sub_codes(block.codes, group.encode(ref(group).neg(g)))  # block + g
-            assert np.array_equal(delta_family(moved[None], group), delta_family([block]))
+            assert np.array_equal(delta_family(moved[None], group),
+                                  delta_family(stack_rows([block], block.size), group))
 
 
 def test_delta_involution_parity_randomized():
@@ -46,7 +47,7 @@ def test_delta_involution_parity_randomized():
     for group in _random_groups(rng, 12):
         elems = list(group.elements())
         block = GMultiset(group, [rng.choice(elems) for _ in range(rng.randint(3, 7))])
-        d = delta_family([block])
+        d = delta_family(stack_rows([block], block.size), group)
         for e in elems:
             assert d[group.encode(e)] == d[group.encode(ref(group).neg(e))]
             if ref(group).neg(e) == e:
