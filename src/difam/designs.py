@@ -190,7 +190,7 @@ def _check_table(what: str, v: int, size: int) -> None:
 
 def _pair_index(u, w, v):
     """The row-major place of the pair u < w among the pairs of 0..v-1 (arrays too)."""
-    return u * (2 * v - u - 1) // 2 + w - u - 1
+    return (u * (2 * v - 3 - u) >> 1) + (w - 1)  # u(2v-u-1)/2 + w-u-1, with no division
 
 
 def _pair_points(t: int, v: int) -> tuple[int, int]:
@@ -216,7 +216,8 @@ def verify_design(design: Design) -> DesignVerdict:
     strictly increase fails the design outright; simplicity still says
     whether any block repeats.  A design with every pair covered exactly
     once is simple without a look at its blocks: a repeated block of k >= 2
-    strictly increasing points would cover each of its pairs twice.
+    strictly increasing points would cover each of its pairs twice.  A
+    point outside 0..v-1 is refused.
 
     Counts are kept in one byte each, so each byte holds its true count
     mod 256.  A count reduced mod 256 is at most the count, and equal to it
@@ -229,6 +230,7 @@ def verify_design(design: Design) -> DesignVerdict:
     v, k, arr = design.v, design.k, design.blocks
     if arr.size == 0:  # no blocks, or blocks of no points: simple unless two repeat
         return DesignVerdict(False, None, arr.shape[0] < 2, False, None)
+    _check_codes(arr, v)
     n_pairs = v * (v - 1) // 2
     window = min(n_pairs, arr.shape[0] * (k * (k - 1) // 2) + 1)
     _check_table("pair counts", v, window)
@@ -257,28 +259,51 @@ def verify_design(design: Design) -> DesignVerdict:
     return DesignVerdict(ok and repl_ok, lam if uniform else None, simple, repl_ok, witness)
 
 
+def _check_codes(arr: np.ndarray, v: int) -> None:
+    """Refuse an array of point codes that holds one outside 0..v-1."""
+    if arr.size and (arr.min() < 0 or arr.max() >= v):
+        raise DesignError("design points are not the elements of the given group")
+
+
 def _count_pairs(
     arr: np.ndarray, v: int, window: int, dtype: np.dtype
 ) -> tuple[Optional[np.ndarray], int, int]:
     """The pair counts of the rows of `arr` over the first `window` places,
-    in `dtype`; the least place covered; and how many places were counted.
-    The counts are None, and freed, if a row does not strictly increase."""
+    in `dtype`; the least place covered, of a short window only; and how
+    many places were counted.  The counts are None, and freed, if a row does
+    not strictly increase.  The place of (u, w) is that of (u, 0) plus w."""
     i_idx, j_idx = np.triu_indices(arr.shape[1], 1)
     counts = np.zeros(window, dtype=dtype)
     least, added = v * (v - 1) // 2, 0
+    full = window == least  # every place is counted: no mask, and no least
     step = _slice_rows(arr.shape[1])
     for lo in range(0, arr.shape[0], step):
         part = arr[lo : lo + step]
-        if np.any(np.diff(part, axis=1) <= 0):
+        if not _rows_increase(part):
             return None, least, added
-        idx = _pair_index(part[:, i_idx], part[:, j_idx], v)
+        idx = _pair_index(part, 0, v)[:, i_idx]  # a copy, added to in place: one temporary fewer
+        idx += part[:, j_idx]
+        if full:
+            added += idx.size
+            # idx is column-major, as a fancy index on axis 1 makes it: "K" keeps it a view
+            np.add.at(counts, idx.ravel("K"), counts.dtype.type(1))  # a plain 1 takes the slow loop
+            continue
         least = min(least, int(idx.min(initial=least)))
         # rebinding idx to its kept places instead had glibc map fresh pages for
         # every slice: 775,000 minor faults and 1.5 s more at v = 16,807
         keep = idx < window
         added += int(np.count_nonzero(keep))
-        np.add.at(counts, idx[keep], counts.dtype.type(1))  # a plain 1 takes the slow loop
+        np.add.at(counts, idx[keep], counts.dtype.type(1))
     return counts, least, added
+
+
+def _rows_increase(part: np.ndarray) -> bool:
+    """Whether every row of `part` strictly increases: one compare of each
+    point with the next in the flat array, the places between rows passed."""
+    flat = part.ravel()
+    up = flat[1:] > flat[:-1]
+    up[part.shape[1] - 1 :: part.shape[1]] = True
+    return bool(up.all())
 
 
 def _first_other(counts: np.ndarray, value: int) -> Optional[int]:
@@ -300,8 +325,9 @@ def _no_repeated_blocks(arr: np.ndarray, v: int) -> bool:
 
 def _sorted_row_keys(arr: np.ndarray, v: int) -> np.ndarray:
     """Each row as a point set, in lexicographic order: (b, words) int64
-    keys.  A row is sorted and then packed as `_packed_keys` packs it."""
-    return _packed_keys(arr, v, lambda part: np.sort(part, axis=1))
+    keys.  A row is sorted and then packed as `_packed_keys` packs it; a
+    slice whose rows all strictly increase is its own sort."""
+    return _packed_keys(arr, v, lambda part: part if _rows_increase(part) else np.sort(part, axis=1))
 
 
 def _unique_rows(arr: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
@@ -414,13 +440,15 @@ def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVer
         raise DesignError("design points are not the elements of the given group")
     if design.k < 1:
         raise DesignError(f"need blocks of at least one point, got k={design.k}")
-    arr, v = design.blocks, design.v
+    arr, v, k = design.blocks, design.v, design.k
+    _check_codes(arr, v)
     additive = bool(group.zero_sum_rows(arr).all())
     if not arr.shape[0]:  # regular; and no keys, whose weights number k, are built
         return SuperRegularVerdict(True, additive)
     if v > arr.size:
         return SuperRegularVerdict(False, additive)
-    through = np.flatnonzero((arr == 0).any(axis=1))
+    through = np.flatnonzero(arr.ravel() == 0) // k  # a row once per 0 it holds
+    through = through[np.diff(through, prepend=-1) != 0]
     reps, counts = _unique_rows(_least_translates(arr[through], group)[0], v)
     _, stab, points = _least_translates(reps, group)  # the same for every row of a class
     copies, off = np.divmod(counts * stab, points)
@@ -428,7 +456,7 @@ def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVer
         return SuperRegularVerdict(False, additive)
     keys = _sorted_row_keys(arr, v)
     words = np.empty(keys.T.shape, dtype=np.int64)  # D', one rep at a time
-    orbit = np.empty((v, design.k), dtype=np.int64)
+    orbit = np.empty((v, k), dtype=np.int64)
     at = 0
     for rep, m, s in zip(reps, copies.tolist(), stab.tolist()):
         _orbit_rows(group, rep[None], orbit)
@@ -506,10 +534,12 @@ def _pair_block_table(design: Design) -> np.ndarray:
     One v*v int32 array: entry u*v+w, for u < w, holds the index of the
     block through u and w, and -1 where there is none; entries with u >= w
     are -1.  Filled one `_slice_rows` slice of blocks at a time.  A table of more
-    than MAX_PAIR_TABLE_BYTES is refused before it is made.
+    than MAX_PAIR_TABLE_BYTES, or blocks with a code outside 0..v-1, are
+    refused before it is made.
     """
     v, k = design.v, design.k
     _check_table("pair table", v, v * v * np.dtype(np.int32).itemsize)
+    _check_codes(design.blocks, v)
     table = np.full(v * v, -1, dtype=np.int32)
     i_idx, j_idx = np.triu_indices(k, 1)
     step = _slice_rows(k)
@@ -549,7 +579,9 @@ def _difference_oracle(design: Design) -> Optional[BlockLookup]:
     nonzero w - u in the subgroup of a section names the coset row of u.
     The tables hold one entry per code of G: h and b_i by difference, and
     the coset row by point, per subgroup.  Nothing is trusted: an answer
-    whose row does not hold both u and w becomes -1.
+    whose row does not hold both u and w becomes -1, and a code outside
+    0..v-1 among the coset rows, the points asked or the rows answered is
+    refused with DesignError.
     """
     base, carrier, blocks = design._base, design.carrier, design.blocks
     if base is None:
@@ -571,17 +603,21 @@ def _difference_oracle(design: Design) -> Optional[BlockLookup]:
     for j in range(sections):
         lo = s * n + j * (n // k)
         section = blocks[lo : lo + n // k]
+        _check_codes(section, n)
         members = carrier.sub_codes(section[0], section[0, 0])
         which[members[members != 0]] = -2 - j
         coset_row[j, section.ravel()] = np.repeat(np.arange(lo, lo + len(section)), k)
 
     def lookup(u, w):
         u, w = np.minimum(u, w), np.maximum(u, w)  # one answer for either order
+        _check_codes(u, n)
+        _check_codes(w, n)
         d = carrier.sub_codes(w, u)
         h = which[d]
         ids = np.where(h >= 0, h * n + carrier.sub_codes(u, first[d]), -1)
         ids = np.where(h < -1, coset_row[np.maximum(-2 - h, 0), u], ids)
         rows = blocks[ids]
+        _check_codes(rows, n)  # the rows a closure reads
         held = (rows == u[..., None]).any(-1) & (rows == w[..., None]).any(-1)
         return np.where(held, ids, -1)
 
@@ -682,7 +718,8 @@ def anomaly_witness(design: Design, p: int) -> AnomalyVerdict:
     planes of a chunk, and `closure` decides every other pair.  The
     certificates of one scan share one dict of verdicts, a point set S to
     whether S certifies, so each distinct S is certified once: at most
-    SCAN_CAP entries, freed when the scan returns.
+    SCAN_CAP entries, freed when the scan returns.  A code outside 0..v-1
+    is refused where it is read, by the lookup (`_block_lookup`).
     """
     if p < 2:
         raise DesignError(f"need p >= 2, got {p}")

@@ -29,7 +29,7 @@ from difam.designs import (
 )
 from difam.gf import FiniteField
 from difam.groups import AbelianGroup
-from difam.lifting import simple_lift
+from difam.lifting import extend_field, simple_lift
 from group_reference import ref
 
 PROPERTY = settings(
@@ -282,6 +282,25 @@ def test_first_word_sort_with_every_first_word_tied():
     rows = np.array([[0, 1, 9], [0, 1, 5], [0, 1, 7], [0, 1, 5]], dtype=np.int64)
     assert np.array_equal(_sorted_row_keys(rows, v), _lexsorted_row_keys(rows, v))
     assert (_sorted_row_keys(rows, v)[:, 1] // v).tolist() == [5, 5, 7, 9]
+
+
+def test_sorted_row_keys_do_not_sort_rows_that_ascend(monkeypatch):
+    # develop sorts every row, so the v = 3125 design's rows are their own sort
+    d = develop(extend_field(thm62_z5(), 2))
+    sort = np.sort
+
+    def within_rows(a, axis=-1, **kwargs):
+        assert np.ndim(a) < 2 or axis not in (1, -1), "np.sort ran along rows"
+        return sort(a, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np, "sort", within_rows)
+    keys = _sorted_row_keys(d.blocks, d.v)
+    monkeypatch.undo()
+    rows = d.blocks.copy()
+    rows[5000] = rows[5000, ::-1]  # the same point set: its slice is sorted
+    expected = _lexsorted_row_keys(rows, d.v)
+    assert np.array_equal(_sorted_row_keys(rows, d.v), expected)
+    assert np.array_equal(keys, expected)
 
 
 # --- distinct rows from packed keys ------------------------------------------

@@ -115,6 +115,42 @@ def test_verify_design_too_few_blocks_skips_the_pair_counts():
     )
 
 
+@pytest.mark.parametrize("row", [[0, 1, 2, 3, 125], [-1, 1, 2, 3, 4], [0, 1, 2, 3, 10**6]])
+@pytest.mark.parametrize(
+    "verifier",
+    [verify_design, lambda d: verify_super_regular(d, d.carrier), lambda d: anomaly_witness(d, 5)],
+    ids=["verify_design", "verify_super_regular", "anomaly_witness"],
+)
+def test_verifiers_refuse_codes_outside_the_group(row, verifier, z5_design):
+    # a code past v - 1 made up a witness or raised IndexError; a negative
+    # one wrapped to a point from the end, and the verdict came from it
+    blocks = z5_design.blocks.copy()
+    blocks[0] = row
+    with pytest.raises(DesignError, match="design points are not the elements of the given group"):
+        verifier(Design(z5_design.carrier, blocks, 5))  # no base rows: anomaly_witness builds the pair table
+
+
+@pytest.mark.parametrize("code", [125, -1, 10**6])
+@pytest.mark.parametrize("row", [0, 2, 750])
+def test_anomaly_scan_refuses_codes_outside_the_group_that_it_reads(row, code, z5_design):
+    # with the difference oracle the scan checks only what it reads: row 0 is
+    # in the first pair it decides, row 2 answers one of its lookups, and row
+    # 750 is a coset row that the oracle reads when it is built
+    blocks = z5_design.blocks.copy()
+    blocks[row, -1] = code
+    with pytest.raises(DesignError, match="design points are not the elements of the given group"):
+        anomaly_witness(Design(z5_design.carrier, blocks, 5, _base=z5_design._base), 5)
+
+
+@pytest.mark.parametrize("code", [125, 10**6])
+def test_closure_refuses_points_outside_the_group(code, z5_design):
+    # the difference oracle answered -1 for the pairs of the code, and the
+    # closure took the code in as its 26th point
+    one, two = [0, 30, 45, 101, code], z5_design.blocks[26].tolist()
+    with pytest.raises(DesignError, match="design points are not the elements of the given group"):
+        closure(z5_design, one, two, max_points=25)
+
+
 def test_verify_design_witness_just_past_the_covered_places():
     # two pair slots fill places 0 and 1 of a 3-place window: the last, (0, 3), is missed
     d = Design(AbelianGroup((5,)), np.array([[0, 1], [0, 2]]), 2)

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import difam.designs
@@ -273,3 +273,61 @@ def test_verify_design_tells_257_from_1():
     verdict = verify_design(d)
     assert verdict == _brute_force_design_verdict(d)
     assert verdict.lambda_found is None and verdict.witness_pair == ((1,), (2,))
+
+
+@st.composite
+def _sorted_row_designs(draw):
+    """One to six rows of k distinct points from lo..v-1, each sorted, on
+    Z_v, from v <= bk (often v = bk, where the window is short for b >= 2)
+    to v = bk + 24; maybe one row reversed or given a repeated point, and
+    maybe one row added 256 to 300 times, so that its pairs' counts pass 255."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 6))
+    repeats = draw(st.sampled_from([0, 0, 256, 300]))
+    bk = (n + repeats) * k
+    v = draw(st.one_of(st.just(min(bk, 24)), st.integers(k, min(bk, 24)), st.integers(bk + 1, bk + 24)))
+    lo = draw(st.integers(0, v - k))  # past 0, the witness is often the least place covered
+    row = st.lists(st.integers(lo, v - 1), min_size=k, max_size=k, unique=True).map(sorted)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    rows += [rows[draw(st.integers(0, n - 1))]] * repeats
+    i, how = draw(st.integers(0, n - 1)), draw(st.sampled_from(["none", "none", "reverse", "repeat"]))
+    if how == "reverse":
+        rows[i] = rows[i][::-1]
+    elif how == "repeat":
+        rows[i] = sorted(rows[i][:-1] + rows[i][:1])
+    return _on_zv(v, rows)
+
+
+def _on_zv(v, rows):
+    return Design(AbelianGroup((v,)), np.array(rows, dtype=np.int64), len(rows[0]))
+
+
+@settings(PROPERTY, max_examples=400)
+@given(design=_sorted_row_designs())
+# b = 6 rows of k = 2 on v = 12: a window of 7 of the 66 places
+@example(design=_on_zv(12, [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]]))
+@example(design=_on_zv(12, [[0, 1], [2, 3]]))
+@example(design=_on_zv(3, [[0, 1, 2]] * 300))  # each count wraps in a byte
+@example(design=_on_zv(600, [[0, 1]] * 257 + [[1, 2]]))
+@example(design=_on_zv(5, [[0, 1], [2, 1], [3, 4]]))  # a row that does not increase
+@example(design=_on_zv(12, [[0, 1], [3, 3]]))
+def test_verify_design_matches_brute_force_on_sorted_rows(design):
+    assert verify_design(design) == _brute_force_design_verdict(design)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[x, x, x + 1] for x in range(9)],  # {0, 0, 1} holds 0 twice, {8, 8, 0} once
+        [[x, x, x + 1] for x in range(8)],  # the same with {8, 8, 0} dropped
+        [[x, x, x + 1] for x in range(9)] + [[0, 0, 1]],  # {0, 0, 1} twice
+        [[x + 3, x + 5, x] for x in range(1, 9)] + [[3, 5, 0]],  # 0 last, in the last row
+        [[x + 3, x + 5, x] for x in range(1, 9)] + [[3, 5, 0], [3, 0, 5]],
+    ],
+)
+def test_super_regular_finds_each_row_through_zero_once(rows):
+    group = AbelianGroup((9,))
+    d = Design(group, np.array(rows, dtype=np.int64) % 9, 3)
+    got = verify_super_regular(d, group)
+    assert got == _oracle_super_regular(d)
+    assert got.is_regular == (len(rows) == 9)
