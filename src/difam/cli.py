@@ -34,7 +34,7 @@ from .families import (
 )
 from .gf import FiniteField, coset_reps, cyclotomic_class, parse_modulus
 from .groups import AbelianGroup, DifamError
-from .io import FamilyFormatError, parse_family, render_family
+from .io import FamilyFormatError, parse_family, write_family
 from .lifting import (
     LiftingError,
     MultiplierSet,
@@ -125,8 +125,7 @@ def _cmd_verify(args) -> int:
         )
         return 0 if v.is_dm else 1
     # design
-    v = dz.verify_design(obj)
-    sr = dz.verify_super_regular(obj, obj.carrier)
+    v, sr = dz.verify_developed(obj)
     print(
         f"2-({obj.v},{obj.k},{v.lambda_found}) design: "
         f"{'PASS' if v.is_design else 'FAIL'}"
@@ -161,7 +160,7 @@ def _cmd_build(args) -> int:
     else:  # jungnickel
         sdf = _read_family(args.sdf, StrongDifferenceFamily)
         obj = jungnickel_compose(sdf, _read_family(args.dm, DifferenceMatrix))
-    Path(args.out).write_text(render_family(obj))
+    write_family(obj, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -201,7 +200,7 @@ def _cmd_lift(args) -> int:
     if not v.is_rdf:
         print("lift output failed re-verification")
         return 1
-    Path(args.out).write_text(render_family(rdf))
+    write_family(rdf, args.out)
     print(
         f"wrote {args.out}: additive={v.is_additive} "
         f"(v={rdf.group.order},k={rdf.k},lambda={rdf.lam}), {rdf.s} base blocks{nodes}"
@@ -218,11 +217,11 @@ def _cmd_develop(args) -> int:
     except dz.DesignError as exc:
         print(f"develop failed: {exc}", file=sys.stderr)
         return 1
-    v = dz.verify_design(design)
+    v = dz.verify_developed(design)[0]
     if not v.is_design:
         print("developed design failed re-verification")
         return 1
-    Path(args.out).write_text(render_family(design))
+    write_family(design, args.out)
     print(f"wrote {args.out}: 2-({design.v},{design.k},{v.lambda_found}), {design.b} blocks")
     return 0
 
@@ -233,7 +232,7 @@ def _cmd_extend(args) -> int:
     if not v.is_rdf:
         print("extended family failed re-verification")
         return 1
-    Path(args.out).write_text(render_family(big))
+    write_family(big, args.out)
     print(f"wrote {args.out}: v={big.group.order}, {big.s} base blocks")
     return 0
 
@@ -278,7 +277,7 @@ def _cmd_catalog(args) -> int:
     if args.name not in cat.FIXTURES:
         raise DifamError(f"unknown fixture {args.name!r}; try 'catalog list'")
     obj = cat.FIXTURES[args.name]()
-    Path(args.out).write_text(render_family(obj))
+    write_family(obj, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -3,7 +3,9 @@
 Points of a design are the elements of its carrier group, stored as encoded
 integers 0..v-1; blocks are rows of a numpy array, sorted within each row.
 Verification is exact: each pair is counted at its row-major place, over
-the first b*C(k,2) + 1 of the C(v,2) places only (see `verify_design`).
+the first b*C(k,2) + 1 of the C(v,2) places only (see `verify_design`); a
+regular design's counts come from its blocks through 0 alone (see
+`verify_developed`).
 """
 
 from __future__ import annotations
@@ -56,13 +58,13 @@ class Design:
 
     def __eq__(self, other) -> bool:
         """Same carrier, same k and the same multiset of blocks, each block
-        taken as a point set."""
+        taken as a point set; exact for any codes, in 0..v-1 or not."""
         if not (isinstance(other, Design) and self.carrier == other.carrier and self.k == other.k):
             return False
         if self.blocks.shape != other.blocks.shape:
             return False
         return self.blocks.size == 0 or np.array_equal(
-            _sorted_row_keys(self.blocks, self.v), _sorted_row_keys(other.blocks, other.v)
+            _lex_rows(self.blocks), _lex_rows(other.blocks)
         )
 
     __hash__ = None  # mutable, compared by content
@@ -112,9 +114,9 @@ def develop(rdf: RelativeDifferenceFamily) -> Design:
 
 
 def _develop_rows(rdf: RelativeDifferenceFamily) -> np.ndarray:
-    """The rows of `develop`, for any family, verified or not, made by
-    `_orbit_rows`: the orbits of the base blocks, then of each forbidden
-    subgroup, whose v translates hold each coset v/k times."""
+    """The rows of `develop`, for any family, verified or not: the orbits
+    of the base blocks, made by `_orbit_rows`, then the distinct cosets of
+    each forbidden subgroup, made by `_distinct_translates`."""
     carrier, lam = rdf.group, rdf.lam
     n = carrier.order
     coset_blocks = []  # the distinct cosets of each forbidden subgroup, as sorted rows
@@ -123,9 +125,7 @@ def _develop_rows(rdf: RelativeDifferenceFamily) -> np.ndarray:
             raise DesignError(
                 f"forbidden subgroup of order {sub.order} cannot supply {rdf.k}-point blocks"
             )
-        coset_rows = np.empty((n, rdf.k), dtype=np.int64)
-        _orbit_rows(carrier, sub.codes[None], coset_rows)
-        coset_blocks.append(_unique_rows(coset_rows, n)[0])
+        coset_blocks.append(_distinct_translates(carrier, sub.codes))
     n_translates = len(rdf.blocks) * n
     b = n_translates + lam * sum(len(c) for c in coset_blocks)
     _check_points(b, rdf.k)
@@ -265,6 +265,12 @@ def _check_codes(arr: np.ndarray, v: int) -> None:
         raise DesignError("design points are not the elements of the given group")
 
 
+def _lex_rows(arr: np.ndarray) -> np.ndarray:
+    """The rows of `arr`, each sorted, in lexicographic order: any codes."""
+    rows = np.sort(arr, axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def _count_pairs(
     arr: np.ndarray, v: int, window: int, dtype: np.dtype
 ) -> tuple[Optional[np.ndarray], int, int]:
@@ -281,7 +287,9 @@ def _count_pairs(
         part = arr[lo : lo + step]
         if not _rows_increase(part):
             return None, least, added
-        idx = _pair_index(part, 0, v)[:, i_idx]  # a copy, added to in place: one temporary fewer
+        # in int64 whatever the blocks' type: the places run past 2^31 for v > 65,536;
+        # a copy, added to in place: one temporary fewer
+        idx = _pair_index(part.astype(np.int64, copy=False), 0, v)[:, i_idx]
         idx += part[:, j_idx]
         if full:
             added += idx.size
@@ -434,37 +442,138 @@ def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVer
     a regular design holds them all.  With b = 0 the design is regular.
     Past that bound v <= bk, so the per-code tables built here, the digit
     sums of `zero_sum_rows` and one orbit of v rows, are at most k times
-    the size of the block array.
+    the size of the block array.  The check itself is `_rows_through_zero`.
     """
     if design.carrier != group or design.v != group.order:
         raise DesignError("design points are not the elements of the given group")
+    regular = _rows_through_zero(design) is not None  # refuses k < 1 and stray codes first
+    return SuperRegularVerdict(regular, bool(group.zero_sum_rows(design.blocks).all()))
+
+
+def _rows_through_zero(design: Design) -> Optional[np.ndarray]:
+    """D_0, the rows of the design through 0 as given, repeats counted,
+    when the design is regular; None when it is not.  Refuses k < 1 and a
+    code outside 0..v-1.  The regularity check of `verify_super_regular`,
+    on the design's own carrier."""
     if design.k < 1:
         raise DesignError(f"need blocks of at least one point, got k={design.k}")
-    arr, v, k = design.blocks, design.v, design.k
+    arr, v, k, group = design.blocks, design.v, design.k, design.carrier
     _check_codes(arr, v)
-    additive = bool(group.zero_sum_rows(arr).all())
     if not arr.shape[0]:  # regular; and no keys, whose weights number k, are built
-        return SuperRegularVerdict(True, additive)
+        return arr
     if v > arr.size:
-        return SuperRegularVerdict(False, additive)
+        return None
     through = np.flatnonzero(arr.ravel() == 0) // k  # a row once per 0 it holds
-    through = through[np.diff(through, prepend=-1) != 0]
-    reps, counts = _unique_rows(_least_translates(arr[through], group)[0], v)
+    through = arr[through[np.diff(through, prepend=-1) != 0]]
+    reps, counts = _unique_rows(_least_translates(through, group)[0], v)
     _, stab, points = _least_translates(reps, group)  # the same for every row of a class
     copies, off = np.divmod(counts * stab, points)
     if off.any() or int((copies * (v // stab)).sum()) != arr.shape[0]:
-        return SuperRegularVerdict(False, additive)
+        return None
     keys = _sorted_row_keys(arr, v)
     words = np.empty(keys.T.shape, dtype=np.int64)  # D', one rep at a time
     orbit = np.empty((v, k), dtype=np.int64)
     at = 0
     for rep, m, s in zip(reps, copies.tolist(), stab.tolist()):
-        _orbit_rows(group, rep[None], orbit)
-        rows = orbit if s == 1 else _unique_rows(orbit, v)[0]
+        if s == 1:  # v distinct translates
+            _orbit_rows(group, rep[None], orbit)
+            rows = orbit
+        else:
+            rows = _distinct_translates(group, rep)
         for _ in range(m):
             _pack_rows(rows, v, words[:, at : at + len(rows)])
             at += len(rows)
-    return SuperRegularVerdict(bool(np.array_equal(_sort_keys(words), keys)), additive)
+    return through if np.array_equal(_sort_keys(words), keys) else None
+
+
+def _distinct_translates(group: AbelianGroup, rep: np.ndarray) -> np.ndarray:
+    """The distinct translates of a sorted row through 0, each sorted: rep + t
+    for t the least code of each coset of rep's stabiliser S, in order of t.
+    When rep is a subgroup, rep = S, that is lexicographic order: the least
+    point of t + S is t.
+
+    S is the set of points b of rep with rep - b = rep.  The least code of
+    g + S comes for every g at once: for each generator h of S, taken
+    greedily, a window of multiples of h doubles until it holds <h>, so it
+    costs log |<h>| gathers over the v codes, not |S| translates of v rows.
+    """
+    codes = np.arange(group.order, dtype=np.int64)
+
+    def add(a, b):
+        return group.sub_codes(a, group.sub_codes(0, b))
+
+    moved = np.sort(group.sub_codes(rep[None, :], rep[:, None]), axis=1)  # rep - rep[j]
+    least, span = codes, {0}  # span: the part of S generated so far
+    for h in sorted(set(rep[(moved == rep).all(axis=1)].tolist())):
+        if h in span:
+            continue
+        digits = group.decode(h)
+        order = math.lcm(*(n // math.gcd(n, d) for n, d in zip(group.cyclic_orders, digits)))
+        multiples = group.encode_array(np.outer(np.arange(order), digits) % group.cyclic_orders)
+        span = set(add(np.array(sorted(span))[:, None], multiples).ravel().tolist())
+        step, window = h, 1  # least[g] is the least code of g + <window multiples of h>
+        while window < order:
+            least = np.minimum(least, least[add(codes, step)])
+            step, window = add(step, step), 2 * window
+    t = np.flatnonzero(least == codes)
+    return np.sort(add(rep[None, :], t[:, None]), axis=1)
+
+
+def verify_developed(design: Design) -> tuple[DesignVerdict, SuperRegularVerdict]:
+    """`verify_design` and `verify_super_regular` on the design's carrier,
+    with no pair count when the design is regular.
+
+    Let D be regular, with rows that strictly increase, and D_0 its rows
+    through 0, repeats counted (`_rows_through_zero`).  Then:
+    - translation by -u maps the blocks through u and w one to one onto
+      those through 0 and w - u, multiplicities kept, so lambda(u, w) =
+      lambda(0, w - u), the number of rows of D_0 that hold w - u: one
+      bincount of D_0's points, as no row holds a point twice;
+    - places are row-major, so the pairs (0, d) come first.  A pair (u, w)
+      whose count differs from lambda(0, 1) makes (0, w - u) differ too, so
+      the first miscovered place is (0, d), d the least code whose count
+      differs from lambda(0, 1).  That is `verify_design`'s witness, and
+      lambda(0, 1) its lambda.  A short window agrees: it falls back on the
+      least pair covered only when lambda(0, 1) = 0, and that pair is then
+      the least (0, d) covered;
+    - translation maps D_0 one to one onto the blocks through any point, so
+      every point lies on |D_0| blocks.  When every pair is covered lambda
+      times, the k - 1 pairs (0, d) of each row of D_0 add up to
+      |D_0| (k - 1) = lambda (v - 1), so replication holds;
+    - D repeats a block B iff D_0 repeats a row: translate both copies by
+      -b for a point b of B, a repeat in a regular design; and D_0 is part
+      of D.
+    So the verdict from D_0 is `verify_design`'s.  A design that is not
+    regular, has a row that does not strictly increase, or has no block
+    points gets `verify_design`'s own verdict.  Codes outside 0..v-1 are
+    refused first, as both verifiers refuse them.
+
+    Additivity comes from D_0 too, for any regular D with b >= 1, rows
+    sorted or not: every block of D is R + g for some R in D_0 and g in G
+    (a block through x is a row of D_0 plus x), and every R + g is one (D is
+    the development of D_0).  The k points of R + g sum to sum(R) + kg.  So
+    every block sums to 0 iff every row of D_0 does (g = 0) and kg = 0 for
+    every g, that is iff each cyclic order of G divides k.
+    """
+    arr, v, k, group = design.blocks, design.v, design.k, design.carrier
+    if not arr.size:  # no blocks, or blocks of no points: as the two verifiers say
+        return verify_design(design), verify_super_regular(design, group)
+    through = _rows_through_zero(design)
+    if through is None:
+        additive = bool(group.zero_sum_rows(arr).all())
+        return verify_design(design), SuperRegularVerdict(False, additive)
+    kills = all(k % n == 0 for n in group.cyclic_orders)  # kg = 0 for every g
+    regular = SuperRegularVerdict(True, kills and bool(group.zero_sum_rows(through).all()))
+    if not _rows_increase(arr):
+        return verify_design(design), regular
+    counts = np.bincount(through.ravel(), minlength=v)  # lambda(0, d) at d != 0
+    lam = int(counts[1]) if v > 1 else 0
+    other = np.flatnonzero(counts[1:] != lam)
+    uniform = not other.size
+    witness = None if uniform else (group.decode(0), group.decode(int(other[0]) + 1))
+    ok = uniform and lam >= 1  # and then replication holds
+    simple = _no_repeated_blocks(through, v)
+    return DesignVerdict(ok, lam if uniform else None, simple, ok, witness), regular
 
 
 def _least_translates(

@@ -9,20 +9,26 @@ where element tuples meet the code arrays that blocks, forbidden subgroups
 and difference matrices hold.  A design file lists each distinct block
 once, as {"points": [...], "mult": m} (m is 1 when absent).
 
-Every file is laid out as json.dumps(doc, indent=1).  A design's text is
-filled into that layout from a table of point texts, each distinct point
-formatted once.  parse(render(x)) == x for every field of every role, a
+Every file is laid out as json.dumps(doc, indent=1), in ASCII.  A
+design's text is filled into that layout from a table of point texts,
+each distinct point formatted once, and made in byte pieces of at most
+2^14 point texts: write_family writes each piece as it is made, so the
+text is never held whole, to a file that replaces the target file once
+complete (a pipe is written directly); render_family joins them into one
+str.  parse(render(x)) == x for every field of every role, a
 design with no blocks included: additivity is derived from the blocks,
 not stored, so the file carries no flag.  Parsing checks structure
 only and runs no verifier; each CLI command verifies a family it reads once.
 
 There are two readers.  A design file whose text is exactly what
 render_family writes (every file `difam develop` writes) is read by
-scanning its digits with numpy.  Its rows must be sorted and strictly
-increasing, as the writer's row dedupe leaves them, and it is accepted only
-if rendering them as read gives back the text, byte for byte; nothing is
-re-sorted on read.  Any other text, and every file of the other roles,
-goes to the JSON reader, which alone names errors: every number is a JSON
+scanning its digits with numpy: one pass finds the digit bytes, and a
+number starts where their positions jump.  Its rows must be sorted and
+strictly increasing, as the writer's row dedupe leaves them, and it is
+accepted only if the writer's byte pieces of them, as read, are the text,
+byte for byte, each compared where it falls; nothing is re-sorted on
+read.  Any other text, and every file of the other roles, goes to the
+JSON reader, which alone names errors: every number is a JSON
 integer (a float, a string or a bool is refused, not truncated or
 converted), every element is checked on its own, and any malformed file
 raises FamilyFormatError.  Both readers bound a design's blocks and block
@@ -31,7 +37,9 @@ points, counted with their multiplicities, before they repeat its rows.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import re
 from typing import Iterator, Optional, Union
 
@@ -190,10 +198,11 @@ def _parse_design(carrier, k: int, raw_blocks: list) -> Design:
     return Design(carrier, np.repeat(np.sort(codes.reshape(-1, k), axis=1), mults, axis=0), k)
 
 
-def _design_pieces(carrier, k: int, rows: np.ndarray, counts: np.ndarray) -> Iterator[str]:
+def _design_pieces(carrier, k: int, rows: np.ndarray, counts: np.ndarray) -> Iterator[bytes]:
     """json.dumps(doc, indent=1) of the per-point design doc of the (b, k)
-    code rows `rows`, row i with "mult" counts[i], in pieces: the writer
-    joins them and `_read_rendered_design` compares them with its text.
+    code rows `rows`, row i with "mult" counts[i], in ASCII pieces: the
+    writer writes them as they come and `_read_rendered_design` compares
+    them with its text.
 
     The stdlib lays out the header, the block separator, a block of two
     null points and one point of null residues.  Each distinct code in
@@ -203,13 +212,15 @@ def _design_pieces(carrier, k: int, rows: np.ndarray, counts: np.ndarray) -> Ite
     """
     head = {"role": "design", "carrier": _carrier_header(carrier), "k": k}
     if not len(rows):
-        yield json.dumps({**head, "blocks": []}, indent=1)
+        yield json.dumps({**head, "blocks": []}, indent=1).encode()
         return
-    prefix, sep, suffix = json.dumps({**head, "blocks": [None, None]}, indent=1).rsplit("null", 2)
-    block = json.dumps({"points": [None, None], "mult": None}, indent=1).replace("\n", sep[1:])
-    opening, point_sep, closing, end = block.split("null")  # sep[1:] is newline + indent
-    point = json.dumps(_element_to_json(carrier, (None,) * carrier.rank), indent=1)
-    point = point.replace("\n", point_sep[1:]).replace("null", "%d")
+    layout = json.dumps({**head, "blocks": [None, None]}, indent=1).encode()
+    prefix, sep, suffix = layout.rsplit(b"null", 2)
+    block = json.dumps({"points": [None, None], "mult": None}, indent=1).encode()
+    # sep[1:] is newline + indent
+    opening, point_sep, closing, end = block.replace(b"\n", sep[1:]).split(b"null")
+    point = json.dumps(_element_to_json(carrier, (None,) * carrier.rank), indent=1).encode()
+    point = point.replace(b"\n", point_sep[1:]).replace(b"null", b"%d")
     # the distinct codes; lookup: code - used[0] -> rank, if smaller than rows
     used, lookup = _unique_rows(rows.reshape(-1, 1), carrier.order)[0].ravel(), None
     if used[-1] - used[0] < rows.size:
@@ -217,18 +228,19 @@ def _design_pieces(carrier, k: int, rows: np.ndarray, counts: np.ndarray) -> Ite
         lookup[used - used[0]] = np.arange(len(used))
     texts = np.array([point % tuple(c) for c in carrier.decode_array(used).tolist()], dtype=object)
     inner, last = texts + point_sep, texts + closing
-    tails = {m: f"{m}{end}" for m in set(counts.tolist())}
+    tails = {m: b"%d%s" % (m, end) for m in set(counts.tolist())}
     yield prefix
-    for lo in range(0, len(rows), _CHUNK):
-        part = rows[lo : lo + _CHUNK]
+    step = max(1, _CHUNK * 4 // (k + 2))  # rows a piece: bytes.join holds a buffer view per cell
+    for lo in range(0, len(rows), step):
+        part = rows[lo : lo + step]
         ranks = lookup[part - used[0]] if lookup is not None else np.searchsorted(used, part)
         cells = np.empty((len(part), k + 2), dtype=object)
-        cells[:, 0] = sep + opening  # np.full would copy the string into every cell
+        cells[:, 0] = sep + opening  # np.full would copy the bytes into every cell
         if not lo:
             cells[0, 0] = opening
         cells[:, 1:k], cells[:, k] = inner[ranks[:, :-1]], last[ranks[:, -1]]
-        cells[:, k + 1] = [tails[m] for m in counts[lo : lo + _CHUNK].tolist()]
-        yield "".join(cells.ravel().tolist())
+        cells[:, k + 1] = [tails[m] for m in counts[lo : lo + step].tolist()]
+        yield b"".join(cells.ravel().tolist())
     yield suffix
 
 
@@ -252,16 +264,21 @@ _NON_DIGIT = re.compile(rb"[^0-9]")
 
 def _digit_runs(chars: np.ndarray) -> Optional[np.ndarray]:
     """The numbers spelled by the runs of ASCII digits in a uint8 array, in
-    order; None if a run is longer than `_DIGITS`."""
+    order; None if a run is longer than `_DIGITS`.  The digits' positions
+    come from one pass over the bytes; a run starts where they jump."""
     d = chars - np.uint8(ord("0"))  # wraps below "0"
-    edges = np.flatnonzero(np.diff(d < 10, prepend=False, append=False))
-    starts, lengths = edges[::2], edges[1::2] - edges[::2]
+    at = np.flatnonzero(d < 10)
+    first = np.ones(at.size, dtype=bool)
+    np.not_equal(at[1:], at[:-1] + 1, out=first[1:])
+    starts = np.flatnonzero(first)  # each run's first digit, as a place in `at`
+    lengths = np.diff(starts, append=at.size)
     if lengths.max(initial=0) > _DIGITS:
         return None
-    numbers = np.zeros(starts.size, dtype=np.int64)
-    for j in range(lengths.max(initial=0)):  # digit j of every run that has one
-        live = lengths > j
-        numbers[live] = numbers[live] * 10 + d[starts[live] + j]
+    digits = d[at]
+    numbers = digits[starts].astype(np.int64)
+    for j in range(1, lengths.max(initial=0)):  # digit j of every run that has one
+        live = np.flatnonzero(lengths > j)
+        numbers[live] = numbers[live] * 10 + digits[starts[live] + j]
     return numbers
 
 
@@ -331,17 +348,17 @@ def _read_rendered_design(text: Union[str, bytes]) -> Optional[Design]:
         return None
     pos = 0
     for piece in _design_pieces(carrier, k, rows, mults):
-        piece = piece.encode("ascii")
         if not text.startswith(piece, pos):
             return None
         pos += len(piece)
     return Design(carrier, np.repeat(rows, mults, axis=0), k) if pos == len(text) else None
 
 
-def render_family(obj: Family) -> str:
+def _pieces(obj: Family) -> Iterator[bytes]:
+    """The ASCII text of `obj`, in pieces; a design's pieces are made as
+    they are asked for, everything else up front."""
     if isinstance(obj, Design):
-        pieces = _design_pieces(obj.carrier, obj.k, *_unique_rows(obj.blocks, obj.v))
-        return "".join(pieces)  # the rows live only in `pieces`, freed before the text is built
+        return _design_pieces(obj.carrier, obj.k, *_unique_rows(obj.blocks, obj.v))
 
     def listed(rows) -> list:
         return [[_element_to_json(obj.group, e) for e in row] for row in rows]
@@ -356,7 +373,36 @@ def render_family(obj: Family) -> str:
     else:
         raise FamilyFormatError(f"cannot serialize {type(obj).__name__}")
     head = {"role": role, "carrier": _carrier_header(obj.group), "k": obj.k}
-    return json.dumps({**head, **body, "blocks": listed(blocks)}, indent=1)
+    return iter([json.dumps({**head, **body, "blocks": listed(blocks)}, indent=1).encode()])
+
+
+def render_family(obj: Family) -> str:
+    return b"".join(_pieces(obj)).decode()
+
+
+def write_family(obj: Family, path) -> None:
+    """Write `render_family(obj)` to the file at `path`, piece by piece as
+    the pieces are made: a design's text is never held whole.  The pieces
+    go to a file beside the one `path` names, through any links, that
+    replaces it once all are written, so a write that fails or is cut
+    short leaves that file as it was.  A path that names something other
+    than a file, such as a pipe or a terminal, is written directly."""
+    pieces = _pieces(obj)  # refuses an object it cannot write before a file is opened
+    if os.path.exists(path) and not os.path.isfile(path):  # nothing there to replace
+        with open(path, "wb") as out:
+            out.writelines(pieces)
+        return
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    part = os.path.join(head, f".{name}.{os.getpid()}.part")
+    try:
+        with open(part, "wb") as out:
+            out.writelines(pieces)
+        os.replace(part, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        raise
 
 
 def parse_family(text: Union[str, bytes]) -> Family:

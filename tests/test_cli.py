@@ -552,8 +552,13 @@ BOUNDED_INPUTS = {
     # 3^(10^8 - 1) columns: forming the count alone ran past 20 s
     "zero-sum-dm-huge-k": (["build", "zero-sum-dm", "--orders", "3", "--k", "100000000",
                             "--out", "x.json"], None, 2),
-    # 8.7 GB of pair counts; its file would be 533 MB, so it is built in the child
-    "verify-ag-2-257": (["verify", "design", "ag-2-257.json"], "ag_design(2, 257)", 2),
+    # its file would be 533 MB, so it is built in the child.  AG(2,257) is regular:
+    # its pair counts come from its 258 lines through 0, a verdict
+    "verify-ag-2-257": (["verify", "design", "ag-2-257.json"], "ag_design(2, 257)", 0),
+    # one line short, it is not regular: 2.03 GiB of one-byte pair counts, refused
+    "verify-ag-2-257-less-a-line": (["verify", "design", "ag-2-257-less.json"],
+                                    "(lambda d: type(d)(d.carrier, d.blocks[1:], d.k))"
+                                    "(ag_design(2, 257))", 2),
     # 22 KB: one block of 1,000 points taken 2**24 times, a 125 GiB repeat
     "mult-2-24": (["verify", "design", "mult.json"], None, 2),
     "ag-2-1021": (["build", "ag", "--n", "2", "--p", "1021", "--out", "x.json"], None, 2),

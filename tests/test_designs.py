@@ -27,6 +27,7 @@ from difam.designs import (
     develop,
     subspace_replace,
     verify_design,
+    verify_developed,
     verify_super_regular,
 )
 from difam.diffs import GMultiset, blocks_of
@@ -118,8 +119,13 @@ def test_verify_design_too_few_blocks_skips_the_pair_counts():
 @pytest.mark.parametrize("row", [[0, 1, 2, 3, 125], [-1, 1, 2, 3, 4], [0, 1, 2, 3, 10**6]])
 @pytest.mark.parametrize(
     "verifier",
-    [verify_design, lambda d: verify_super_regular(d, d.carrier), lambda d: anomaly_witness(d, 5)],
-    ids=["verify_design", "verify_super_regular", "anomaly_witness"],
+    [
+        verify_design,
+        lambda d: verify_super_regular(d, d.carrier),
+        lambda d: anomaly_witness(d, 5),
+        verify_developed,
+    ],
+    ids=["verify_design", "verify_super_regular", "anomaly_witness", "verify_developed"],
 )
 def test_verifiers_refuse_codes_outside_the_group(row, verifier, z5_design):
     # a code past v - 1 made up a witness or raised IndexError; a negative
@@ -128,6 +134,35 @@ def test_verifiers_refuse_codes_outside_the_group(row, verifier, z5_design):
     blocks[0] = row
     with pytest.raises(DesignError, match="design points are not the elements of the given group"):
         verifier(Design(z5_design.carrier, blocks, 5))  # no base rows: anomaly_witness builds the pair table
+
+
+@pytest.mark.parametrize(
+    "v,block",
+    [(2**16, [40000, 40001]), (2**20, [70000, 70001]), (2**20, [0, 2**20 - 1])],
+)
+def test_verify_design_counts_int32_blocks_as_int64_ones(v, block):
+    # the pair places were computed in the blocks' own type: on Z_65536 an
+    # int32 place wrapped negative (IndexError), on Z_1048576 the least place
+    # did not fit int32 (OverflowError)
+    group = AbelianGroup((v,))
+    wide = Design(group, np.array([block], dtype=np.int64), 2)
+    narrow = Design(group, wide.blocks.astype(np.int32), 2)
+    expected = verify_design(wide)
+    assert expected.witness_pair is not None
+    assert verify_design(narrow) == expected
+    assert verify_developed(narrow) == verify_developed(wide)
+
+
+def test_design_equality_compares_codes_outside_the_group_exactly():
+    # 5 * 1 + 1 == 5 * 0 + 6: packed base 5, the two rows had one key
+    group = AbelianGroup((5,))
+    one, other = Design(group, np.array([[1, 1]]), 2), Design(group, np.array([[0, 6]]), 2)
+    assert one != other and other != one
+    assert one == Design(group, np.array([[1, 1]]), 2) and other == other
+    two = Design(group, np.array([[6, 0], [-1, 3]]), 2)
+    assert two == Design(group, np.array([[3, -1], [0, 6]]), 2)
+    assert two != Design(group, np.array([[3, -1], [1, 6]]), 2)
+    assert Design(group, np.array([[0, 4], [4, 0]]), 2) == Design(group, np.array([[0, 4]] * 2), 2)
 
 
 @pytest.mark.parametrize("code", [125, -1, 10**6])

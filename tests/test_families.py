@@ -3,10 +3,11 @@ import pytest
 
 import difam.families
 from difam.catalog import example51, sigma_prime, thm62_z5
-from difam.diffs import GMultiset, delta_family, stack_rows
+from difam.diffs import CoverageVerdict, GMultiset, delta_family, stack_rows
 from difam.families import (
     FamilyError,
     PartialSpread,
+    RdfVerdict,
     field_for_prime_power,
     jungnickel_compose,
     paley_sdf,
@@ -105,6 +106,19 @@ def test_verify_rdf_additive_needs_nonbinary_forbidden():
     sub6 = Subgroup(group6, [0, 2, 4])
     blocks6 = [GMultiset(group6, [(1,), (5,)])]
     assert verify_rdf(blocks6, group6, sub6, 2, 1).is_additive
+
+
+def test_verify_rdf_refuses_a_block_of_the_wrong_size_or_carrier():
+    # the same residues on Z_5^3 are the same codes as on Z_5 x GF(25), and
+    # would verify; a block of four points would not stack
+    rdf = thm62_z5()
+    short = GMultiset(rdf.group, rdf.blocks[0].expand()[:4])
+    flat = AbelianGroup(rdf.group.cyclic_orders)
+    elsewhere = [GMultiset(flat, b.expand()) for b in rdf.blocks]
+    assert verify_rdf(rdf.blocks, rdf.group, rdf.forbidden, 5, 1).is_rdf
+    refused = RdfVerdict(False, False, None, CoverageVerdict(0, True))
+    for blocks in ([short] + rdf.blocks[1:], elsewhere):
+        assert verify_rdf(blocks, rdf.group, rdf.forbidden, 5, 1) == refused
 
 
 def test_verify_rdf_wrong_parent():

@@ -2,8 +2,10 @@ import functools
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from difam.families import (
 )
 from difam.gf import FiniteField
 from difam.groups import AbelianGroup
-from difam.io import FamilyFormatError, parse_family, render_family
+from difam.io import FamilyFormatError, parse_family, render_family, write_family
 from difam.lifting import simple_lift
 
 
@@ -333,6 +335,66 @@ def test_render_matches_the_per_point_renderer(name):
     text = render_family(obj)
     assert text == _reference_render(obj)
     assert render_family(parse_family(text)) == text
+
+
+@pytest.mark.parametrize("name", list(RENDERED) + ["no blocks"])
+def test_written_file_is_the_rendered_text(name, tmp_path):
+    if name == "no blocks":
+        obj = Design(AbelianGroup((3,)), np.empty((0, 2), dtype=np.int64), 2)
+    else:
+        obj = RENDERED[name]()
+    write_family(obj, tmp_path / "out.json")
+    assert (tmp_path / "out.json").read_bytes() == render_family(obj).encode()
+
+
+def test_a_write_cut_short_leaves_the_old_file(tmp_path, monkeypatch):
+    pieces = difam.io._design_pieces
+
+    def cut_short(*args):
+        it = pieces(*args)
+        yield next(it)
+        raise KeyboardInterrupt
+
+    out = tmp_path / "out.json"
+    out.write_text("old")
+    monkeypatch.setattr(difam.io, "_design_pieces", cut_short)
+    with pytest.raises(KeyboardInterrupt):
+        write_family(ag_design(2, 3), out)
+    assert out.read_text() == "old"
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_a_write_goes_through_a_link_and_into_a_pipe(tmp_path):
+    design = ag_design(2, 3)
+    text = render_family(design).encode()
+    (tmp_path / "real.json").write_text("old")
+    (tmp_path / "link.json").symlink_to("real.json")
+    write_family(design, tmp_path / "link.json")
+    assert (tmp_path / "link.json").is_symlink()
+    assert (tmp_path / "real.json").read_bytes() == text
+    # a pipe has no file to replace: the text goes into it
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_family(design, fifo)
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == [text]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_sigma_prime_design_file_is_written_in_bounded_memory(tmp_path):
+    # 15.5 MiB of text, written a piece at a time: never held whole
+    design, text = _rendered("sigma-prime developed")
+    tracemalloc.start()
+    try:
+        write_family(design, tmp_path / "sp.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "sp.json").read_bytes() == text.encode()
+    assert peak <= len(text) // 2, f"{peak / 2**20:.1f} MiB"
 
 
 def test_render_design_without_blocks():
@@ -670,6 +732,43 @@ def test_sigma_prime_design_file_is_read_without_the_json_reader(monkeypatch):
 
     monkeypatch.setattr(difam.io, "_parse_json", no_json)
     assert parse_family(text.encode()) == design
+
+
+def _digit_runs_by_edges(chars):
+    """The digit scan that diffed a mask over every byte, kept as the reference."""
+    d = chars - np.uint8(ord("0"))  # wraps below "0"
+    edges = np.flatnonzero(np.diff(d < 10, prepend=False, append=False))
+    starts, lengths = edges[::2], edges[1::2] - edges[::2]
+    if lengths.max(initial=0) > difam.io._DIGITS:
+        return None
+    numbers = np.zeros(starts.size, dtype=np.int64)
+    for j in range(lengths.max(initial=0)):  # digit j of every run that has one
+        live = lengths > j
+        numbers[live] = numbers[live] * 10 + d[starts[live] + j]
+    return numbers
+
+
+_DIGIT_HEAVY = st.lists(
+    st.one_of(st.sampled_from(b"0123456789 ,:\n[]{}\"x"), st.integers(0, 255)), max_size=300
+).map(bytes)
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=200), _DIGIT_HEAVY))
+@example(b"")
+@example(b"7")
+@example(b"0000012, 00, 0,007")
+@example(b"1" * 18 + b" " + b"9" * 18)  # the longest runs read
+@example(b"x" + b"1" * 19)  # one digit too many
+@example(b"12" + b"0" * 30 + b"3")
+def test_digit_runs_match_the_edge_scan(text):
+    chars = np.frombuffer(text, np.uint8)
+    got, expected = difam.io._digit_runs(chars), _digit_runs_by_edges(chars)
+    if expected is None:
+        assert got is None
+    else:
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+        assert got.tolist() == [int(run) for run in re.findall(rb"[0-9]+", text)]
 
 
 def test_sigma_prime_design_file_is_read_in_bounded_memory():

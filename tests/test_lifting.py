@@ -24,6 +24,8 @@ from difam.lifting import (
     MultiplierSet,
     PsiAssignment,
     _default_zero_sum_subset,
+    _pair_differences,
+    _sdf_rows,
     apply_multipliers,
     build_psi,
     check_lifting,
@@ -86,6 +88,57 @@ def test_build_psi_rejects_non_sdf():
     fake = StrongDifferenceFamily(group, 3, 2, [block])
     with pytest.raises(LiftingError):
         build_psi(fake, 2)
+
+
+def _psi_edits():
+    """A valid psi of example51 (lambda = 4) and edits of its table that
+    verify_psi must refuse, each by one of its checks."""
+    psi = build_psi(example51(), 4, seed=0)
+    table = psi.table
+    edits = {
+        "shape": table[:, :, :-1],
+        "dtype": table.astype(float),
+        "diagonal": table.copy(),
+        "class past lambda": table.copy(),
+        "negative class": table.copy(),
+    }
+    edits["diagonal"][0, 2, 2] = 0
+    edits["class past lambda"][0, 0, 1] += 4  # and its transpose still lambda/2 on
+    edits["negative class"][0, 0, 1] = -1
+    return psi, edits
+
+
+@pytest.mark.parametrize("edit", list(_psi_edits()[1]))
+def test_verify_psi_refuses_a_table_of_the_wrong_form(edit):
+    psi, edits = _psi_edits()
+    assert verify_psi(psi)
+    assert not verify_psi(PsiAssignment(psi.sdf, psi.lam, edits[edit]))
+
+
+def test_verify_psi_refuses_lambda_below_one_and_an_unreadable_family():
+    psi = build_psi(example51(), 4, seed=0)
+    assert not verify_psi(PsiAssignment(psi.sdf, 0, psi.table))
+    sdf = psi.sdf
+    short = GMultiset(sdf.group, sdf.blocks[0].expand()[:4])  # 4 points where k = 5
+    family = StrongDifferenceFamily(sdf.group, sdf.k, sdf.lam, [short])
+    assert not verify_psi(PsiAssignment(family, psi.lam, psi.table))
+
+
+def test_verify_psi_refuses_classes_that_are_not_antisymmetric():
+    # two places (i, j) of one difference g swap their classes: each g still
+    # meets every class once, so only psi(j, i) = psi(i, j) + lambda/2 fails
+    psi = build_psi(example51(), 4, seed=0)
+    diffs = _pair_differences(psi.sdf.group, _sdf_rows(psi.sdf))[0]
+    table = psi.table.copy()
+    off = [(i, j) for i in range(5) for j in range(5) if i != j]
+    a, b = next(
+        (a, b) for a in off for b in off
+        if a < b and diffs[a] == diffs[b] and table[0][a] != table[0][b] and b != a[::-1]
+    )
+    table[0][a], table[0][b] = table[0][b], table[0][a]
+    places = ~np.eye(5, dtype=bool)
+    assert np.bincount(diffs[places] * 4 + table[0][places]).max() == 1  # the count passes
+    assert not verify_psi(PsiAssignment(psi.sdf, psi.lam, table))
 
 
 def test_greedy_lift_gf13():

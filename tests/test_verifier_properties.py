@@ -5,11 +5,13 @@ from it does, damaged or not; `verify_design`'s windowed pair count agrees
 with counting every pair; `verify_super_regular`'s rebuild from the blocks
 through 0 agrees with translating every block by every element of the
 group, and with the lexsort oracle that moves the blocks by each unit
-generator.
+generator; `verify_developed`, which counts a regular design's pairs from
+its blocks through 0, agrees with both verifiers.
 """
 
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,10 @@ from difam.designs import (
     DesignVerdict,
     SuperRegularVerdict,
     _develop_rows,
+    ag_design,
+    develop,
     verify_design,
+    verify_developed,
     verify_super_regular,
 )
 from difam.diffs import GMultiset
@@ -32,7 +37,7 @@ from difam.families import RelativeDifferenceFamily, verify_rdf
 from difam.gf import FiniteField
 from difam.groups import AbelianGroup, generated_subgroup
 from group_reference import ref
-from difam.lifting import simple_lift
+from difam.lifting import extend_field, simple_lift
 from test_design_kernels import _ORBIT_GROUPS, _oracle_super_regular
 
 PROPERTY = settings(
@@ -273,6 +278,83 @@ def test_verify_design_tells_257_from_1():
     verdict = verify_design(d)
     assert verdict == _brute_force_design_verdict(d)
     assert verdict.lambda_found is None and verdict.witness_pair == ((1,), (2,))
+
+
+def _both_verifiers(design):
+    """`verify_developed`'s verdicts, checked against both verifiers; and
+    whether it counted no pair, as it must for a regular design whose rows
+    strictly increase."""
+    with mock.patch.object(difam.designs, "verify_design", wraps=verify_design) as counted:
+        got = verify_developed(design)
+    assert got == (verify_design(design), verify_super_regular(design, design.carrier))
+    return not counted.called
+
+
+@PROPERTY
+@given(
+    design=_orbit_unions(),
+    how=st.sampled_from(["sorted", "int32", "as drawn", "drop", "duplicate", "move", "off-zero"]),
+    data=st.data(),
+)
+def test_verdicts_from_the_blocks_through_zero_match_both_verifiers(design, how, data):
+    # orbits taken up to three times (lambda > 1) and reps fixed by a subgroup
+    # (s > 1); "as drawn" keeps the points shuffled within each row
+    rows = design.blocks if how == "as drawn" else np.sort(design.blocks, axis=1)
+    d = Design(design.carrier, rows.astype(np.int32 if how == "int32" else np.int64), design.k)
+    if how in ("drop", "duplicate", "move", "off-zero"):
+        d = _damage_orbits(d, how, data)
+    increasing = bool(np.all(d.blocks[:, 1:] > d.blocks[:, :-1]))
+    regular = verify_super_regular(d, d.carrier).is_regular
+    assert _both_verifiers(d) == (regular and increasing)
+
+
+def _designs_to_verify():
+    sigma = simple_lift(sigma_prime(), FiniteField(5, 2, (2, 1, 1)), signed=True)
+    return {
+        "sigma-prime": lambda: develop(sigma),  # 2-(375,15,21), non-simple
+        "thm62-z5": lambda: develop(thm62_z5()),
+        "v=3125": lambda: develop(extend_field(thm62_z5(), 2)),
+        "ag(3,5)": lambda: ag_design(3, 5),
+        "ag(2,7)": lambda: ag_design(2, 7),
+    }
+
+
+def _edits(design):
+    """The design as built, and copies that keep or break regularity."""
+    rows = design.blocks
+    moved = rows.copy()
+    moved[3, 1] = (moved[3, 1] + 1) % design.v
+    moved[3].sort()
+    reversed_row = rows.copy()
+    reversed_row[0] = reversed_row[0, ::-1]
+    doubled = np.concatenate([rows, rows])
+    dropped_orbit = rows[: rows.shape[0] - design.v] if rows.shape[0] > design.v else rows[:0]
+    return {
+        "as built": rows,
+        "int32": rows.astype(np.int32),
+        "rows shuffled": rows[np.random.default_rng(0).permutation(rows.shape[0])],
+        "every block twice": doubled,
+        "one point moved": moved,
+        "one row reversed": reversed_row,
+        "one block dropped": rows[1:],
+        "last v blocks dropped": dropped_orbit,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_designs_to_verify()))
+def test_verdicts_from_the_blocks_through_zero_on_built_designs(name):
+    # dropping the last v blocks of AG leaves whole parallel classes: regular,
+    # but no 2-design, so the witness comes from the blocks through 0
+    design = _designs_to_verify()[name]()
+    for edit, rows in _edits(design).items():
+        d = Design(design.carrier, rows, design.k)
+        route = _both_verifiers(d)
+        regular = verify_super_regular(d, d.carrier).is_regular
+        assert route == (regular and edit != "one row reversed"), edit
+        if edit in ("as built", "int32", "rows shuffled", "every block twice"):
+            assert route, edit
+        elif edit in ("one point moved", "one row reversed", "one block dropped"):
+            assert not route, edit
 
 
 @st.composite
