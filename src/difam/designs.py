@@ -2,6 +2,11 @@
 
 Points of a design are the elements of its carrier group, stored as encoded
 integers 0..v-1; blocks are rows of a numpy array, sorted within each row.
+A `Design` holds its blocks in one C-contiguous array of the least of int16,
+int32 and int64 that holds v-1 and every code it is given, so a code out of
+range keeps its exact value and is refused where it is read.  int16 and
+int32 products wrap silently: widen codes to int64 before multiplying them
+(a pair place u*v + w, a scaled code), and count points per slice.
 Verification is exact: each pair is counted at its row-major place, over
 the first b*C(k,2) + 1 of the C(v,2) places only (see `verify_design`); a
 regular design's counts come from its blocks through 0 alone (see
@@ -42,11 +47,23 @@ class Design:
     """A block design on the points of an abelian group carrier."""
 
     carrier: AbelianGroup
-    blocks: np.ndarray  # (b, k) encoded point indices, each row sorted
+    blocks: np.ndarray  # (b, k) encoded point indices, each row sorted; see `_code_type`
     k: int
     # the base code rows of the lambda = 1 family that `develop` built this
     # from, in its row layout; read only by `_difference_oracle`
     _base: Optional[np.ndarray] = field(default=None, repr=False, compare=False, kw_only=True)
+
+    def __post_init__(self):
+        """Hold the blocks in the least code type: a given array of a signed
+        type no wider than v-1 needs is widened unread; any other is read
+        once for its least and greatest code."""
+        arr = np.asarray(self.blocks)
+        if arr.size and arr.dtype.kind not in "iu":  # a cast would truncate, not refuse
+            raise DesignError(f"design blocks must be integer codes, not {arr.dtype}")
+        dtype = _code_type(self.v)
+        if arr.size and not (arr.dtype.kind == "i" and arr.dtype.itemsize <= dtype.itemsize):
+            dtype = _code_type(self.v, int(arr.min()), int(arr.max()))
+        self.blocks = np.ascontiguousarray(arr, dtype=dtype)
 
     @property
     def v(self) -> int:
@@ -68,6 +85,16 @@ class Design:
         )
 
     __hash__ = None  # mutable, compared by content
+
+
+def _code_type(v: int, least: int = 0, most: int = 0) -> np.dtype:
+    """The least of int16, int32 and int64 that holds v - 1, `least` and
+    `most`: the type of a design's blocks."""
+    for dtype in map(np.dtype, (np.int16, np.int32, np.int64)):
+        info = np.iinfo(dtype)
+        if info.min <= least and max(most, v - 1) <= info.max:
+            return dtype
+    raise DesignError(f"design codes {least}..{most} do not fit in int64")
 
 
 @dataclass
@@ -129,7 +156,7 @@ def _develop_rows(rdf: RelativeDifferenceFamily) -> np.ndarray:
     n_translates = len(rdf.blocks) * n
     b = n_translates + lam * sum(len(c) for c in coset_blocks)
     _check_points(b, rdf.k)
-    rows = np.empty((b, rdf.k), dtype=np.int64)
+    rows = np.empty((b, rdf.k), dtype=_code_type(n))
     _orbit_rows(carrier, stack_rows(rdf.blocks, rdf.k), rows[:n_translates])
     lo = n_translates
     for unique in coset_blocks:  # lam copies of each coset
@@ -148,13 +175,16 @@ def _orbit_rows(group: AbelianGroup, reps: np.ndarray, out: np.ndarray) -> None:
     of a batch at once.  A batch is at most `_CHUNK` rows: _CHUNK // v reps
     whole when v <= _CHUNK, else the g of one rep that share their digits
     before factor f and run over a range of f's digits, f the first factor
-    whose later factors have at most _CHUNK codes together.
+    whose later factors have at most _CHUNK codes together.  Each batch is
+    sorted in an int64 buffer and then copied into `out`, of any code type:
+    numpy sorts short int64 rows faster than int16 ones.
     """
     v, k = group.order, reps.shape[1]
     weights, orders = group._weights, group.cyclic_orders
     f = next(i for i, w in enumerate(weights) if w <= _CHUNK)
     span = min(orders[f], _CHUNK // weights[f])  # digits of factor f in a batch
     per = max(1, _CHUNK // v)  # reps in a batch
+    buffer = np.empty(_CHUNK * k, dtype=np.int64)
     for lo in range(0, reps.shape[0], per):
         points = reps[lo : lo + per].ravel()
         cols = [(points[:, None] // w + np.arange(n)) % n * w for w, n in zip(weights, orders)]
@@ -164,10 +194,12 @@ def _orbit_rows(group: AbelianGroup, reps: np.ndarray, out: np.ndarray) -> None:
                 sums = head[..., prefix, None, None] + cols[f][:, d : d + span, None]
                 sums = sums + tail[..., None, :]  # (points, digits of f, later codes)
                 batch = sums.reshape(-1, k, sums[0].size).transpose(0, 2, 1)  # (reps, g, k)
-                start = lo * v + (prefix * orders[f] + d) * weights[f]
-                rows = out[start : start + batch.shape[0] * batch.shape[1]]
+                count = batch.shape[0] * batch.shape[1]
+                rows = buffer[: count * k].reshape(count, k)
                 rows.reshape(batch.shape)[...] = batch
                 rows.sort(axis=1)
+                start = lo * v + (prefix * orders[f] + d) * weights[f]
+                out[start : start + count] = rows
 
 
 def _check_points(b: int, k: int) -> None:
@@ -189,7 +221,11 @@ def _check_table(what: str, v: int, size: int) -> None:
 
 
 def _pair_index(u, w, v):
-    """The row-major place of the pair u < w among the pairs of 0..v-1 (arrays too)."""
+    """The row-major place of the pair u < w among the pairs of 0..v-1:
+    ints, or arrays of any int type, whose places come in int64 (they run
+    past 2^31 for v > 65,536)."""
+    if isinstance(u, np.ndarray):
+        u = u.astype(np.int64, copy=False)
     return (u * (2 * v - 3 - u) >> 1) + (w - 1)  # u(2v-u-1)/2 + w-u-1, with no division
 
 
@@ -254,7 +290,9 @@ def verify_design(design: Design) -> DesignVerdict:
     repl_ok = False
     if ok:
         r, rem = divmod(lam * (v - 1), k - 1)
-        point_counts = np.bincount(arr.ravel(), minlength=v)
+        point_counts = np.zeros(v, dtype=np.int64)
+        for lo in range(0, arr.shape[0], _CHUNK):  # bincount makes an intp copy of what it reads
+            point_counts += np.bincount(arr[lo : lo + _CHUNK].ravel(), minlength=v)
         repl_ok = rem == 0 and bool(np.all(point_counts == r))
     return DesignVerdict(ok and repl_ok, lam if uniform else None, simple, repl_ok, witness)
 
@@ -287,9 +325,8 @@ def _count_pairs(
         part = arr[lo : lo + step]
         if not _rows_increase(part):
             return None, least, added
-        # in int64 whatever the blocks' type: the places run past 2^31 for v > 65,536;
         # a copy, added to in place: one temporary fewer
-        idx = _pair_index(part.astype(np.int64, copy=False), 0, v)[:, i_idx]
+        idx = _pair_index(part, 0, v)[:, i_idx]
         idx += part[:, j_idx]
         if full:
             added += idx.size
@@ -442,12 +479,32 @@ def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVer
     a regular design holds them all.  With b = 0 the design is regular.
     Past that bound v <= bk, so the per-code tables built here, the digit
     sums of `zero_sum_rows` and one orbit of v rows, are at most k times
-    the size of the block array.  The check itself is `_rows_through_zero`.
+    the size of the block array.  The check itself is `_rows_through_zero`;
+    additivity is `_additive`, from the rows through 0 of a regular design.
     """
     if design.carrier != group or design.v != group.order:
         raise DesignError("design points are not the elements of the given group")
-    regular = _rows_through_zero(design) is not None  # refuses k < 1 and stray codes first
-    return SuperRegularVerdict(regular, bool(group.zero_sum_rows(design.blocks).all()))
+    through = _rows_through_zero(design)  # refuses k < 1 and stray codes first
+    return SuperRegularVerdict(through is not None, _additive(design, through))
+
+
+def _additive(design: Design, through: Optional[np.ndarray]) -> bool:
+    """Whether every block of the design sums to 0, given `through`, the
+    design's `_rows_through_zero`.
+
+    For a regular design with b >= 1 it comes from those rows alone, rows
+    sorted or not: every block of D is R + g for some R in D_0 and g in G
+    (a block through x is a row of D_0 plus x), and every R + g is one (D
+    is the development of D_0).  The k points of R + g sum to sum(R) + kg.
+    So every block sums to 0 iff every row of D_0 does (g = 0) and kg = 0
+    for every g, that is iff each cyclic order of G divides k.  Any other
+    design sums every row.
+    """
+    group = design.carrier
+    if through is None or not design.b:
+        return bool(group.zero_sum_rows(design.blocks).all())
+    kills = all(design.k % n == 0 for n in group.cyclic_orders)  # kg = 0 for every g
+    return kills and bool(group.zero_sum_rows(through).all())
 
 
 def _rows_through_zero(design: Design) -> Optional[np.ndarray]:
@@ -546,25 +603,15 @@ def verify_developed(design: Design) -> tuple[DesignVerdict, SuperRegularVerdict
     So the verdict from D_0 is `verify_design`'s.  A design that is not
     regular, has a row that does not strictly increase, or has no block
     points gets `verify_design`'s own verdict.  Codes outside 0..v-1 are
-    refused first, as both verifiers refuse them.
-
-    Additivity comes from D_0 too, for any regular D with b >= 1, rows
-    sorted or not: every block of D is R + g for some R in D_0 and g in G
-    (a block through x is a row of D_0 plus x), and every R + g is one (D is
-    the development of D_0).  The k points of R + g sum to sum(R) + kg.  So
-    every block sums to 0 iff every row of D_0 does (g = 0) and kg = 0 for
-    every g, that is iff each cyclic order of G divides k.
+    refused first, as both verifiers refuse them.  Additivity is
+    `verify_super_regular`'s, from D_0 (`_additive`).
     """
-    arr, v, k, group = design.blocks, design.v, design.k, design.carrier
+    arr, v, group = design.blocks, design.v, design.carrier
     if not arr.size:  # no blocks, or blocks of no points: as the two verifiers say
         return verify_design(design), verify_super_regular(design, group)
     through = _rows_through_zero(design)
-    if through is None:
-        additive = bool(group.zero_sum_rows(arr).all())
-        return verify_design(design), SuperRegularVerdict(False, additive)
-    kills = all(k % n == 0 for n in group.cyclic_orders)  # kg = 0 for every g
-    regular = SuperRegularVerdict(True, kills and bool(group.zero_sum_rows(through).all()))
-    if not _rows_increase(arr):
+    regular = SuperRegularVerdict(through is not None, _additive(design, through))
+    if through is None or not _rows_increase(arr):
         return verify_design(design), regular
     counts = np.bincount(through.ravel(), minlength=v)  # lambda(0, d) at d != 0
     lam = int(counts[1]) if v > 1 else 0
@@ -653,7 +700,7 @@ def _pair_block_table(design: Design) -> np.ndarray:
     i_idx, j_idx = np.triu_indices(k, 1)
     step = _slice_rows(k)
     for lo in range(0, design.b, step):
-        part = design.blocks[lo : lo + step]
+        part = design.blocks[lo : lo + step].astype(np.int64)  # u * v passes int16 at v > 181
         ids = np.arange(lo, lo + part.shape[0], dtype=np.int32)
         table[(part[:, i_idx] * v + part[:, j_idx]).ravel()] = np.repeat(ids, i_idx.size)
     return table
@@ -671,9 +718,9 @@ def _block_lookup(design: Design) -> BlockLookup:
 
 
 def _table_lookup(design: Design) -> BlockLookup:
-    """Lookups in the design's `_pair_block_table`."""
+    """Lookups in the design's `_pair_block_table`, for points of any int type."""
     table, v = _pair_block_table(design), design.v
-    return lambda u, w: table[np.minimum(u, w) * v + np.maximum(u, w)]
+    return lambda u, w: table[np.minimum(u, w).astype(np.int64) * v + np.maximum(u, w)]
 
 
 def _difference_oracle(design: Design) -> Optional[BlockLookup]:
@@ -1017,5 +1064,5 @@ def subspace_replace(m: int, n: int, p: int, anomalous_design: Design) -> Design
     # multiple of scale, and a point c of the subspace has code c * scale
     scale = p ** (m - n)
     keep = big.blocks[np.any(big.blocks % scale, axis=1)]
-    embedded = np.sort(anomalous_design.blocks, axis=1) * scale
+    embedded = np.sort(anomalous_design.blocks, axis=1).astype(np.int64) * scale
     return Design(big.carrier, np.concatenate([keep, embedded], axis=0), p)

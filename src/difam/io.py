@@ -32,7 +32,9 @@ JSON reader, which alone names errors: every number is a JSON
 integer (a float, a string or a bool is refused, not truncated or
 converted), every element is checked on its own, and any malformed file
 raises FamilyFormatError.  Both readers bound a design's blocks and block
-points, counted with their multiplicities, before they repeat its rows.
+points, counted with their multiplicities, before they repeat its rows,
+and make its code rows slice by slice in the design's code type (see
+designs.py), with no int64 copy of the whole.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ from .families import (
     RelativeDifferenceFamily,
     StrongDifferenceFamily,
 )
-from .designs import _CHUNK, MAX_DESIGN_BLOCKS, MAX_DESIGN_POINTS, Design, _unique_rows
+from .designs import _CHUNK, MAX_DESIGN_BLOCKS, MAX_DESIGN_POINTS, Design
+from .designs import _check_codes, _code_type, _unique_rows
 from .gf import MAX_FIELD_ORDER, FieldError, FiniteField
 from .groups import AbelianGroup, DifamError, GroupError, Subgroup
 
@@ -190,7 +193,7 @@ def _parse_design(carrier, k: int, raw_blocks: list) -> Design:
             )
         points += pts
         mults.append(mult)
-    codes = np.empty(len(points), dtype=np.int64)
+    codes = np.empty(len(points), dtype=_code_type(carrier.order))
     for lo in range(0, len(points), _CHUNK * k):
         part = enumerate(points[lo : lo + _CHUNK * k], lo)
         xs = [_element_from_json(carrier, x, f"blocks[{i // k}].points[{i % k}]") for i, x in part]
@@ -317,7 +320,7 @@ def _read_rendered_design(text: Union[str, bytes]) -> Optional[Design]:
     width = k * carrier.rank + 1
     if role != "design" or width > len(text):
         return None
-    orders = np.array(carrier.cyclic_orders)
+    orders, dtype = np.array(carrier.cyclic_orders), _code_type(carrier.order)
     codes, mults, carry = [], [], np.empty(0, dtype=np.int64)
     lo = at
     while lo < len(text):
@@ -336,7 +339,7 @@ def _read_rendered_design(text: Union[str, bytes]) -> Optional[Design]:
         coords = table[:, :-1].reshape(-1, carrier.rank)
         if np.any(coords >= orders):
             return None
-        codes.append(carrier.encode_array(coords).reshape(-1, k))
+        codes.append(carrier.encode_array(coords).reshape(-1, k).astype(dtype))
         mults.append(table[:, -1].copy())  # a view would keep all of `numbers`
         lo = hi
     rows, mults = np.concatenate(codes), np.concatenate(mults)
@@ -356,8 +359,11 @@ def _read_rendered_design(text: Union[str, bytes]) -> Optional[Design]:
 
 def _pieces(obj: Family) -> Iterator[bytes]:
     """The ASCII text of `obj`, in pieces; a design's pieces are made as
-    they are asked for, everything else up front."""
+    they are asked for, everything else up front.  A design with a code
+    outside 0..v-1 is refused before any piece is made: its text would name
+    other points."""
     if isinstance(obj, Design):
+        _check_codes(obj.blocks, obj.v)
         return _design_pieces(obj.carrier, obj.k, *_unique_rows(obj.blocks, obj.v))
 
     def listed(rows) -> list:

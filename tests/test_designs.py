@@ -130,7 +130,7 @@ def test_verify_design_too_few_blocks_skips_the_pair_counts():
 def test_verifiers_refuse_codes_outside_the_group(row, verifier, z5_design):
     # a code past v - 1 made up a witness or raised IndexError; a negative
     # one wrapped to a point from the end, and the verdict came from it
-    blocks = z5_design.blocks.copy()
+    blocks = z5_design.blocks.astype(np.int64)  # 10**6 does not fit the int16 blocks
     blocks[0] = row
     with pytest.raises(DesignError, match="design points are not the elements of the given group"):
         verifier(Design(z5_design.carrier, blocks, 5))  # no base rows: anomaly_witness builds the pair table
@@ -145,12 +145,40 @@ def test_verify_design_counts_int32_blocks_as_int64_ones(v, block):
     # int32 place wrapped negative (IndexError), on Z_1048576 the least place
     # did not fit int32 (OverflowError)
     group = AbelianGroup((v,))
-    wide = Design(group, np.array([block], dtype=np.int64), 2)
-    narrow = Design(group, wide.blocks.astype(np.int32), 2)
+    narrow = Design(group, np.array([block], dtype=np.int64), 2)  # held as int32
+    wide = Design(group, narrow.blocks, 2)
+    wide.blocks = narrow.blocks.astype(np.int64)  # past the code-type rule, as a caller may
+    assert narrow.blocks.dtype == np.int32
     expected = verify_design(wide)
     assert expected.witness_pair is not None
     assert verify_design(narrow) == expected
     assert verify_developed(narrow) == verify_developed(wide)
+
+
+@pytest.mark.parametrize(
+    "v,rows,dtype",
+    [
+        (5, np.array([[0, 4]], dtype=np.int64), np.int16),
+        (5, np.array([[0, 4]], dtype=np.int8), np.int16),
+        (5, np.array([[0, 4]], dtype=np.uint64), np.int16),
+        (2**15, [[0, 2**15 - 1]], np.int16),
+        (2**15 + 1, np.array([[0, 1]], dtype=np.int16), np.int32),
+        (5, [[0, 10**6]], np.int32),  # out of range, kept exactly for the verifiers to refuse
+        (5, [[-(2**15) - 1, 0]], np.int32),
+        (2**20, [[0, 2**40]], np.int64),
+        (5, np.empty((0, 2)), np.int16),
+    ],
+)
+def test_design_holds_its_blocks_in_the_least_code_type(v, rows, dtype):
+    d = Design(AbelianGroup((v,)), rows, 2)
+    assert d.blocks.dtype == dtype and d.blocks.flags.c_contiguous
+    assert np.array_equal(d.blocks, rows)
+
+
+@pytest.mark.parametrize("rows", [np.array([[0, 1.5]]), np.array([[0, 2**63]], dtype=np.uint64)])
+def test_design_refuses_blocks_that_are_not_int64_codes(rows):
+    with pytest.raises(DesignError):
+        Design(AbelianGroup((5,)), rows, 2)
 
 
 def test_design_equality_compares_codes_outside_the_group_exactly():
@@ -171,7 +199,7 @@ def test_anomaly_scan_refuses_codes_outside_the_group_that_it_reads(row, code, z
     # with the difference oracle the scan checks only what it reads: row 0 is
     # in the first pair it decides, row 2 answers one of its lookups, and row
     # 750 is a coset row that the oracle reads when it is built
-    blocks = z5_design.blocks.copy()
+    blocks = z5_design.blocks.astype(np.int64)  # 10**6 does not fit the int16 blocks
     blocks[row, -1] = code
     with pytest.raises(DesignError, match="design points are not the elements of the given group"):
         anomaly_witness(Design(z5_design.carrier, blocks, 5, _base=z5_design._base), 5)
@@ -362,7 +390,7 @@ def test_ag_design_matches_reference_walk(n, p):
     d = ag_design(n, p)
     assert d.carrier == AbelianGroup((p,) * n)
     assert d.k == p
-    assert d.blocks.dtype == np.int64
+    assert d.blocks.dtype == np.int16  # the least code type: v - 1 < 2^15
     assert np.array_equal(d.blocks, _reference_ag_blocks(n, p))
 
 
@@ -652,6 +680,14 @@ def test_subspace_replace_embeds(z5_design):
     assert witness.anomalous
 
 
+def test_subspace_replace_scales_int16_codes_past_int16():
+    # the line x_2 = 0 of AG(2,191), on Z_191, is held in int16; its codes
+    # times 191 pass 2^15 and wrapped negative when scaled in that type
+    line = Design(AbelianGroup((191,)), [list(range(191))], 191)
+    assert line.blocks.dtype == np.int16
+    assert subspace_replace(2, 1, 191, line) == ag_design(2, 191)
+
+
 def test_subspace_replace_refuses_blocks_of_the_wrong_size():
     # 2-point blocks on Z_3^2 cannot stand in for the 3-point lines of AG(3,3)
     pairs = Design(AbelianGroup((3, 3)), np.array([[0, 1], [0, 2]]), 2)
@@ -792,7 +828,7 @@ def _reference_develop_rows(rdf):
 
 def _reference_verify_design(design):
     v, k = design.v, design.k
-    arr = design.blocks
+    arr = design.blocks.astype(np.int64)  # arr * v below: an int16 product wraps
     if arr.size == 0:
         return DesignVerdict(False, None, False, False, None)
     if np.any(np.diff(arr, axis=1) <= 0):
@@ -886,7 +922,8 @@ def _reference_pair_block_table(design):
     v, k = design.v, design.k
     table = np.full(v * v, -1, dtype=np.int64)
     i_idx, j_idx = np.triu_indices(k, 1)
-    codes = design.blocks[:, i_idx] * v + design.blocks[:, j_idx]
+    blocks = design.blocks.astype(np.int64)  # blocks * v: an int16 product wraps
+    codes = blocks[:, i_idx] * v + blocks[:, j_idx]
     table[codes.ravel()] = np.repeat(np.arange(design.b), codes.shape[1])
     return table
 
@@ -1071,8 +1108,9 @@ def test_v3125_develop_rows_are_pinned(design3125):
     """`develop`'s rows and their order, byte for byte: the anomaly scan's
     difference oracle and every design file difam writes depend on them."""
     blocks = design3125.blocks
-    assert blocks.dtype == np.int64 and blocks.shape == (488125, 5) and blocks.flags.c_contiguous
-    assert hashlib.sha256(blocks.tobytes()).hexdigest() == (
+    assert blocks.dtype == np.int16 and blocks.shape == (488125, 5) and blocks.flags.c_contiguous
+    # the rows as int64, the type they were pinned in
+    assert hashlib.sha256(blocks.astype(np.int64).tobytes()).hexdigest() == (
         "118f3e60fd9c08bd6964f04e36f5ec49d1c13fed3d9b9a8c33de9bbbd8c6f30f"
     )
 

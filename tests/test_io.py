@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import difam.io
 from difam.carrier import ProductCarrier
 from difam.catalog import FIXTURES, example51, sigma_prime, thm62_z5, thm62_z7
-from difam.designs import Design, ag_design, develop
+from difam.designs import Design, DesignError, ag_design, develop
 from difam.families import (
     DifferenceMatrix,
     RelativeDifferenceFamily,
@@ -364,6 +364,20 @@ def test_a_write_cut_short_leaves_the_old_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["out.json"]
 
 
+@pytest.mark.parametrize("row", [[0, 6], [-1, 2], [0, 10**6]])
+def test_a_design_with_codes_outside_the_group_is_refused_before_a_byte(tmp_path, row):
+    # the codes were packed base v unchecked: [0, 6] on Z_5 was written as [1, 1]
+    design = Design(AbelianGroup((5,)), [[0, 1], row], 2)
+    with pytest.raises(DesignError, match="design points are not the elements of the given group"):
+        render_family(design)
+    out = tmp_path / "out.json"
+    out.write_text("old")
+    with pytest.raises(DesignError):
+        write_family(design, out)
+    assert out.read_text() == "old"
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
 def test_a_write_goes_through_a_link_and_into_a_pipe(tmp_path):
     design = ag_design(2, 3)
     text = render_family(design).encode()
@@ -411,7 +425,7 @@ def test_design_without_blocks_round_trips(carrier, k):
     text = render_family(d)
     for read in (difam.io._read_rendered_design, difam.io._parse_json, parse_family):
         back = read(text)
-        assert back == d and back.blocks.shape == (0, k) and back.blocks.dtype == np.int64
+        assert back == d and back.blocks.shape == (0, k) and back.blocks.dtype == np.int16
 
 
 @pytest.mark.parametrize("make", [example51, thm62_z5, lambda: zero_sum_dm(AbelianGroup((3,)), 3)])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import difam.lifting
 from difam.carrier import ProductCarrier
 from difam.catalog import example51, paper_signed_lifting_z5, sigma_prime, thm62_z5
 from difam.diffs import GMultiset
@@ -252,6 +253,43 @@ def test_zero_sum_lift_rejects_k3():
     psi = build_psi(sdf, 2, seed=0)
     with pytest.raises(LiftingError):
         zero_sum_lift(sdf, FiniteField(3, 3), psi)
+
+
+class _Searched(Exception):
+    """Raised in place of the search, once its levels are in hand."""
+
+
+def test_zero_sum_lift_leaves_out_a_zero_prefix_sum_in_characteristic_three(monkeypatch):
+    # In characteristic 3 the options at position k-4 leave out the x that
+    # makes x_0 + ... + x_{k-4} zero.  The search reaches that level (on
+    # Paley(9) over GF(3^10), psi seeds 0-2), but there x meets
+    # all k-4 class constraints only about once in 8^5 nodes, so the
+    # exclusion is pinned on a prefix drawn for it, at the node's own options.
+    sdf, field, lam = paley_sdf(9), FiniteField(3, 6), 8  # k = 9; 729 = lambda + 1 mod 16
+    psi = build_psi(sdf, lam, seed=0)
+    levels = {}
+
+    def searched(sdf, field, psi, budget, seed, what, search):
+        levels["search"] = search
+        raise _Searched
+
+    monkeypatch.setattr(difam.lifting, "_lift_blocks", searched)
+    with pytest.raises(_Searched):
+        zero_sum_lift(sdf, field, psi)
+    expand = levels["search"](0)[1]
+    group, i = field.additive_group, sdf.k - 4
+    classes = psi.table[0, i, :i]
+    # prefixes of i nonzero points whose x = -(sum) meets every constraint
+    prefix = np.random.default_rng(0).integers(1, field.q, size=(100_000, i))
+    x = group.sub_codes(0, group.sum_codes(prefix))
+    diffs = group.sub_codes(x[:, None], prefix)
+    meets = ((diffs != 0) & (field.log[diffs] % lam == classes)).all(axis=1)
+    row = int(np.flatnonzero(meets)[0])
+    chosen = (field.log[prefix[row]] + 1).tolist()  # log codes: code j + 1 is exp[j]
+    left_out = int(field.log[x[row]]) + 1
+    met = field.class_masks(lam).meet(list(zip(chosen, classes.tolist())))
+    assert left_out in met
+    assert expand(i - 1, chosen) == [c for c in met if c != left_out]
 
 
 def test_signed_lift_gf25():

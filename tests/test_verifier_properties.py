@@ -6,7 +6,8 @@ with counting every pair; `verify_super_regular`'s rebuild from the blocks
 through 0 agrees with translating every block by every element of the
 group, and with the lexsort oracle that moves the blocks by each unit
 generator; `verify_developed`, which counts a regular design's pairs from
-its blocks through 0, agrees with both verifiers.
+its blocks through 0, agrees with both verifiers; and every consumer of a
+design's blocks answers the same on int16, int32 and int64 copies of them.
 """
 
 from collections import Counter
@@ -20,14 +21,21 @@ from hypothesis import strategies as st
 
 import difam.designs
 
-from difam.catalog import sigma_prime, thm62_z5
+from difam.catalog import sigma_prime, thm62_z5, thm62_z7
 from difam.designs import (
     Design,
+    DesignError,
     DesignVerdict,
     SuperRegularVerdict,
     _develop_rows,
+    _difference_oracle,
+    _pair_block_table,
+    _table_lookup,
     ag_design,
+    anomaly_witness,
+    closure,
     develop,
+    subspace_replace,
     verify_design,
     verify_developed,
     verify_super_regular,
@@ -36,6 +44,7 @@ from difam.diffs import GMultiset
 from difam.families import RelativeDifferenceFamily, verify_rdf
 from difam.gf import FiniteField
 from difam.groups import AbelianGroup, generated_subgroup
+from difam.io import parse_family, render_family, write_family
 from group_reference import ref
 from difam.lifting import extend_field, simple_lift
 from test_design_kernels import _ORBIT_GROUPS, _oracle_super_regular
@@ -300,7 +309,8 @@ def test_verdicts_from_the_blocks_through_zero_match_both_verifiers(design, how,
     # orbits taken up to three times (lambda > 1) and reps fixed by a subgroup
     # (s > 1); "as drawn" keeps the points shuffled within each row
     rows = design.blocks if how == "as drawn" else np.sort(design.blocks, axis=1)
-    d = Design(design.carrier, rows.astype(np.int32 if how == "int32" else np.int64), design.k)
+    d = Design(design.carrier, rows, design.k)
+    d.blocks = rows.astype(np.int32 if how == "int32" else np.int64)  # past the code-type rule
     if how in ("drop", "duplicate", "move", "off-zero"):
         d = _damage_orbits(d, how, data)
     increasing = bool(np.all(d.blocks[:, 1:] > d.blocks[:, :-1]))
@@ -348,6 +358,7 @@ def test_verdicts_from_the_blocks_through_zero_on_built_designs(name):
     design = _designs_to_verify()[name]()
     for edit, rows in _edits(design).items():
         d = Design(design.carrier, rows, design.k)
+        d.blocks = rows  # "int32" stays int32, past the code-type rule
         route = _both_verifiers(d)
         regular = verify_super_regular(d, d.carrier).is_regular
         assert route == (regular and edit != "one row reversed"), edit
@@ -413,3 +424,87 @@ def test_super_regular_finds_each_row_through_zero_once(rows):
     got = verify_super_regular(d, group)
     assert got == _oracle_super_regular(d)
     assert got.is_regular == (len(rows) == 9)
+
+
+@pytest.fixture(scope="module")
+def code_type_designs(tmp_path_factory):
+    """Designs whose v^2 passes 2^15, so that a product of two codes
+    overflows int16: one on the difference oracle and three on the pair
+    table (thm62-z7 read back from its file has no base rows)."""
+    z7 = develop(thm62_z7())
+    path = tmp_path_factory.mktemp("code-types") / "z7-design.json"
+    write_family(z7, path)
+    flat = Design(AbelianGroup((5, 5, 5)), develop(thm62_z5()).blocks, 5)
+    return {
+        "thm62-z7": z7,
+        "thm62-z7 from its file": parse_family(path.read_bytes()),
+        "ag(3,7)": ag_design(3, 7),
+        "planted ag(4,5)": subspace_replace(4, 3, 5, flat),
+    }
+
+
+def _answer(fn, *args):
+    """What a consumer returns, or the error it raises, as a comparable value."""
+    try:
+        got = fn(*args)
+    except DesignError as exc:
+        return "raised", str(exc)
+    return got.tolist() if isinstance(got, np.ndarray) else got
+
+
+def _consumers(d):
+    """Every consumer of `d.blocks`, each answer a comparable value."""
+    rows = d.blocks
+    b1 = rows[0].tolist()
+    meeting = (rows == rows[0, 0]).any(axis=1) & ~np.isin(rows, rows[0, 1:]).any(axis=1)
+    b2 = rows[np.flatnonzero(meeting)[-1]].tolist()  # meets b1 in its first point only
+    oracle = _difference_oracle(d)
+
+    def lookups(lookup):  # as `_plane_certificates` asks: block slices in the blocks' type
+        return np.array([lookup(rows[:, :1], rows[:, 1:]), lookup(rows[:, 1:], rows[:, :1])])
+
+    return {
+        "verify_design": _answer(verify_design, d),
+        "verify_super_regular": _answer(verify_super_regular, d, d.carrier),
+        "verify_developed": _answer(verify_developed, d),
+        "anomaly_witness": _answer(anomaly_witness, d, d.k),
+        "closure": _answer(lambda: sorted(closure(d, b1, b2))),
+        "pair table": _answer(_pair_block_table, d),
+        "table lookups": _answer(lambda: lookups(_table_lookup(d))),
+        "oracle lookups": None if oracle is None else _answer(lookups, oracle),
+        "render": _answer(render_family, d),
+    }
+
+
+def _typed(design, rows, dtype):
+    """A copy of `design` with `rows` held in `dtype`, past the code-type rule."""
+    d = Design(design.carrier, rows, design.k, _base=design._base)
+    d.blocks = rows.astype(dtype)
+    return d
+
+
+@pytest.mark.parametrize("edit", ["as built", "one point moved"])
+@pytest.mark.parametrize(
+    "name", ["thm62-z7", "thm62-z7 from its file", "ag(3,7)", "planted ag(4,5)"]
+)
+def test_every_consumer_answers_the_same_on_each_code_type(code_type_designs, name, edit):
+    design = code_type_designs[name]
+    assert design.blocks.dtype == np.int16 and design.v**2 > 2**15
+    rows = design.blocks.astype(np.int64)
+    if edit == "one point moved":  # a witness for the verifiers, a -1 for the lookups
+        rows[3, 1] = (rows[3, 1] + 1) % design.v
+        rows[3].sort()
+    copies = {dtype: _typed(design, rows, dtype) for dtype in (np.int16, np.int32, np.int64)}
+    answers = {dtype: _consumers(d) for dtype, d in copies.items()}
+    for dtype in (np.int16, np.int32):
+        for consumer, got in answers[dtype].items():
+            assert got == answers[np.int64][consumer], (np.dtype(dtype).name, consumer)
+    built = answers[np.int64]
+    if edit == "as built":  # each block answers its own pairs, in either order
+        assert built["verify_design"].is_design
+        assert (np.array(built["table lookups"]) == np.arange(design.b)[:, None]).all()
+    for d in copies.values():
+        back = parse_family(built["render"])
+        assert back == d and d == back and back.blocks.dtype == np.int16
+        assert all(d == other for other in copies.values())
+        assert d != design if edit == "one point moved" else d == design
