@@ -2,11 +2,12 @@
 
 Points of a design are the elements of its carrier group, stored as encoded
 integers 0..v-1; blocks are rows of a numpy array, sorted within each row.
-A `Design` holds its blocks in one C-contiguous array of the least of int16,
-int32 and int64 that holds v-1 and every code it is given, so a code out of
-range keeps its exact value and is refused where it is read.  int16 and
-int32 products wrap silently: widen codes to int64 before multiplying them
-(a pair place u*v + w, a scaled code), and count points per slice.
+A `Design` refuses a code outside 0..v-1 when it is made, so its readers
+take every code as a point; it holds its blocks read-only, in one
+C-contiguous array of the least of int16, int32 and int64 that holds v-1.
+int16 and int32 products wrap silently: widen codes to int64 before
+multiplying them (a pair place u*v + w, a scaled code), and count points
+per slice.
 Verification is exact: each pair is counted at its row-major place, over
 the first b*C(k,2) + 1 of the C(v,2) places only (see `verify_design`); a
 regular design's counts come from its blocks through 0 alone (see
@@ -44,26 +45,28 @@ MAX_PAIR_TABLE_BYTES = 2**31
 
 @dataclass
 class Design:
-    """A block design on the points of an abelian group carrier."""
+    """A block design on the points of an abelian group carrier.  Every
+    block code lies in 0..v-1, checked once, when the design is made."""
 
     carrier: AbelianGroup
-    blocks: np.ndarray  # (b, k) encoded point indices, each row sorted; see `_code_type`
+    blocks: np.ndarray  # (b, k) encoded point indices, each row sorted, read-only; see `_code_type`
     k: int
     # the base code rows of the lambda = 1 family that `develop` built this
     # from, in its row layout; read only by `_difference_oracle`
     _base: Optional[np.ndarray] = field(default=None, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self):
-        """Hold the blocks in the least code type: a given array of a signed
-        type no wider than v-1 needs is widened unread; any other is read
-        once for its least and greatest code."""
+        """Refuse a code outside 0..v-1, read in the array as given, before
+        a cast could wrap it; then hold the blocks read-only in
+        `_code_type(v)`, copied only when the given type or layout differs
+        (an array given in that type and layout is itself made read-only)."""
         arr = np.asarray(self.blocks)
         if arr.size and arr.dtype.kind not in "iu":  # a cast would truncate, not refuse
             raise DesignError(f"design blocks must be integer codes, not {arr.dtype}")
-        dtype = _code_type(self.v)
-        if arr.size and not (arr.dtype.kind == "i" and arr.dtype.itemsize <= dtype.itemsize):
-            dtype = _code_type(self.v, int(arr.min()), int(arr.max()))
-        self.blocks = np.ascontiguousarray(arr, dtype=dtype)
+        if arr.size and (arr.min() < 0 or arr.max() >= self.v):
+            raise DesignError("design points are not the elements of the given group")
+        self.blocks = np.ascontiguousarray(arr, dtype=_code_type(self.v))
+        self.blocks.flags.writeable = False
 
     @property
     def v(self) -> int:
@@ -75,26 +78,25 @@ class Design:
 
     def __eq__(self, other) -> bool:
         """Same carrier, same k and the same multiset of blocks, each block
-        taken as a point set; exact for any codes, in 0..v-1 or not."""
+        taken as a point set."""
         if not (isinstance(other, Design) and self.carrier == other.carrier and self.k == other.k):
             return False
         if self.blocks.shape != other.blocks.shape:
             return False
         return self.blocks.size == 0 or np.array_equal(
-            _lex_rows(self.blocks), _lex_rows(other.blocks)
+            _sorted_row_keys(self.blocks, self.v), _sorted_row_keys(other.blocks, other.v)
         )
 
     __hash__ = None  # mutable, compared by content
 
 
-def _code_type(v: int, least: int = 0, most: int = 0) -> np.dtype:
-    """The least of int16, int32 and int64 that holds v - 1, `least` and
-    `most`: the type of a design's blocks."""
+def _code_type(v: int) -> np.dtype:
+    """The least of int16, int32 and int64 that holds v - 1: the type of a
+    design's blocks."""
     for dtype in map(np.dtype, (np.int16, np.int32, np.int64)):
-        info = np.iinfo(dtype)
-        if info.min <= least and max(most, v - 1) <= info.max:
+        if v - 1 <= np.iinfo(dtype).max:
             return dtype
-    raise DesignError(f"design codes {least}..{most} do not fit in int64")
+    raise DesignError(f"the codes of a {v}-point design do not fit in int64")
 
 
 @dataclass
@@ -252,8 +254,7 @@ def verify_design(design: Design) -> DesignVerdict:
     strictly increase fails the design outright; simplicity still says
     whether any block repeats.  A design with every pair covered exactly
     once is simple without a look at its blocks: a repeated block of k >= 2
-    strictly increasing points would cover each of its pairs twice.  A
-    point outside 0..v-1 is refused.
+    strictly increasing points would cover each of its pairs twice.
 
     Counts are kept in one byte each, so each byte holds its true count
     mod 256.  A count reduced mod 256 is at most the count, and equal to it
@@ -266,7 +267,6 @@ def verify_design(design: Design) -> DesignVerdict:
     v, k, arr = design.v, design.k, design.blocks
     if arr.size == 0:  # no blocks, or blocks of no points: simple unless two repeat
         return DesignVerdict(False, None, arr.shape[0] < 2, False, None)
-    _check_codes(arr, v)
     n_pairs = v * (v - 1) // 2
     window = min(n_pairs, arr.shape[0] * (k * (k - 1) // 2) + 1)
     _check_table("pair counts", v, window)
@@ -295,18 +295,6 @@ def verify_design(design: Design) -> DesignVerdict:
             point_counts += np.bincount(arr[lo : lo + _CHUNK].ravel(), minlength=v)
         repl_ok = rem == 0 and bool(np.all(point_counts == r))
     return DesignVerdict(ok and repl_ok, lam if uniform else None, simple, repl_ok, witness)
-
-
-def _check_codes(arr: np.ndarray, v: int) -> None:
-    """Refuse an array of point codes that holds one outside 0..v-1."""
-    if arr.size and (arr.min() < 0 or arr.max() >= v):
-        raise DesignError("design points are not the elements of the given group")
-
-
-def _lex_rows(arr: np.ndarray) -> np.ndarray:
-    """The rows of `arr`, each sorted, in lexicographic order: any codes."""
-    rows = np.sort(arr, axis=1)
-    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _count_pairs(
@@ -484,7 +472,7 @@ def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVer
     """
     if design.carrier != group or design.v != group.order:
         raise DesignError("design points are not the elements of the given group")
-    through = _rows_through_zero(design)  # refuses k < 1 and stray codes first
+    through = _rows_through_zero(design)  # refuses k < 1 first
     return SuperRegularVerdict(through is not None, _additive(design, through))
 
 
@@ -509,13 +497,12 @@ def _additive(design: Design, through: Optional[np.ndarray]) -> bool:
 
 def _rows_through_zero(design: Design) -> Optional[np.ndarray]:
     """D_0, the rows of the design through 0 as given, repeats counted,
-    when the design is regular; None when it is not.  Refuses k < 1 and a
-    code outside 0..v-1.  The regularity check of `verify_super_regular`,
-    on the design's own carrier."""
+    when the design is regular; None when it is not.  Refuses k < 1.  The
+    regularity check of `verify_super_regular`, on the design's own
+    carrier."""
     if design.k < 1:
         raise DesignError(f"need blocks of at least one point, got k={design.k}")
     arr, v, k, group = design.blocks, design.v, design.k, design.carrier
-    _check_codes(arr, v)
     if not arr.shape[0]:  # regular; and no keys, whose weights number k, are built
         return arr
     if v > arr.size:
@@ -602,8 +589,7 @@ def verify_developed(design: Design) -> tuple[DesignVerdict, SuperRegularVerdict
       of D.
     So the verdict from D_0 is `verify_design`'s.  A design that is not
     regular, has a row that does not strictly increase, or has no block
-    points gets `verify_design`'s own verdict.  Codes outside 0..v-1 are
-    refused first, as both verifiers refuse them.  Additivity is
+    points gets `verify_design`'s own verdict.  Additivity is
     `verify_super_regular`'s, from D_0 (`_additive`).
     """
     arr, v, group = design.blocks, design.v, design.carrier
@@ -690,12 +676,10 @@ def _pair_block_table(design: Design) -> np.ndarray:
     One v*v int32 array: entry u*v+w, for u < w, holds the index of the
     block through u and w, and -1 where there is none; entries with u >= w
     are -1.  Filled one `_slice_rows` slice of blocks at a time.  A table of more
-    than MAX_PAIR_TABLE_BYTES, or blocks with a code outside 0..v-1, are
-    refused before it is made.
+    than MAX_PAIR_TABLE_BYTES is refused before it is made.
     """
     v, k = design.v, design.k
     _check_table("pair table", v, v * v * np.dtype(np.int32).itemsize)
-    _check_codes(design.blocks, v)
     table = np.full(v * v, -1, dtype=np.int32)
     i_idx, j_idx = np.triu_indices(k, 1)
     step = _slice_rows(k)
@@ -734,10 +718,9 @@ def _difference_oracle(design: Design) -> Optional[BlockLookup]:
     are the cosets of each forbidden subgroup, |G|/k rows a subgroup, and a
     nonzero w - u in the subgroup of a section names the coset row of u.
     The tables hold one entry per code of G: h and b_i by difference, and
-    the coset row by point, per subgroup.  Nothing is trusted: an answer
-    whose row does not hold both u and w becomes -1, and a code outside
-    0..v-1 among the coset rows, the points asked or the rows answered is
-    refused with DesignError.
+    the coset row by point, per subgroup.  No answer is trusted: one whose
+    row does not hold both u and w becomes -1.  The points asked must be
+    codes 0..v-1.
     """
     base, carrier, blocks = design._base, design.carrier, design.blocks
     if base is None:
@@ -759,21 +742,17 @@ def _difference_oracle(design: Design) -> Optional[BlockLookup]:
     for j in range(sections):
         lo = s * n + j * (n // k)
         section = blocks[lo : lo + n // k]
-        _check_codes(section, n)
         members = carrier.sub_codes(section[0], section[0, 0])
         which[members[members != 0]] = -2 - j
         coset_row[j, section.ravel()] = np.repeat(np.arange(lo, lo + len(section)), k)
 
     def lookup(u, w):
         u, w = np.minimum(u, w), np.maximum(u, w)  # one answer for either order
-        _check_codes(u, n)
-        _check_codes(w, n)
         d = carrier.sub_codes(w, u)
         h = which[d]
         ids = np.where(h >= 0, h * n + carrier.sub_codes(u, first[d]), -1)
         ids = np.where(h < -1, coset_row[np.maximum(-2 - h, 0), u], ids)
         rows = blocks[ids]
-        _check_codes(rows, n)  # the rows a closure reads
         held = (rows == u[..., None]).any(-1) & (rows == w[..., None]).any(-1)
         return np.where(held, ids, -1)
 
@@ -810,17 +789,21 @@ def closure(
     `_lookup` (the design's `_block_lookup`: a difference oracle on a
     design from `develop`, else a v*v pair table) and `_rows` (block index
     -> that block's points as a list of ints, filled as blocks are read)
-    are private caches shared across the closures of one scan.
+    are private caches shared across the closures of one scan.  A point of
+    the two blocks outside 0..v-1 is refused: every other point is read
+    from the design, whose codes were checked when it was made.
     """
     b1, b2 = set(map(int, block1)), set(map(int, block2))
     if b1 == b2:
         raise DesignError("closure needs two distinct blocks")
     if len(b1 & b2) != 1:
         raise DesignError(f"blocks must meet in exactly one point, share {len(b1 & b2)}")
+    pts = sorted(b1 | b2)  # grows as members join; each is visited once
+    if pts[0] < 0 or pts[-1] >= design.v:
+        raise DesignError("design points are not the elements of the given group")
     lookup = _block_lookup(design) if _lookup is None else _lookup
     rows = {} if _rows is None else _rows
     blocks = design.blocks
-    pts = sorted(b1 | b2)  # grows as members join; each is visited once
     members = set(pts)
     seen = set()  # blocks already read
     done = 0  # members whose lookups are made
@@ -874,8 +857,7 @@ def anomaly_witness(design: Design, p: int) -> AnomalyVerdict:
     planes of a chunk, and `closure` decides every other pair.  The
     certificates of one scan share one dict of verdicts, a point set S to
     whether S certifies, so each distinct S is certified once: at most
-    SCAN_CAP entries, freed when the scan returns.  A code outside 0..v-1
-    is refused where it is read, by the lookup (`_block_lookup`).
+    SCAN_CAP entries, freed when the scan returns.
     """
     if p < 2:
         raise DesignError(f"need p >= 2, got {p}")

@@ -57,7 +57,7 @@ from .families import (
     StrongDifferenceFamily,
 )
 from .designs import _CHUNK, MAX_DESIGN_BLOCKS, MAX_DESIGN_POINTS, Design
-from .designs import _check_codes, _code_type, _unique_rows
+from .designs import _code_type, _unique_rows
 from .gf import MAX_FIELD_ORDER, FieldError, FiniteField
 from .groups import AbelianGroup, DifamError, GroupError, Subgroup
 
@@ -359,11 +359,8 @@ def _read_rendered_design(text: Union[str, bytes]) -> Optional[Design]:
 
 def _pieces(obj: Family) -> Iterator[bytes]:
     """The ASCII text of `obj`, in pieces; a design's pieces are made as
-    they are asked for, everything else up front.  A design with a code
-    outside 0..v-1 is refused before any piece is made: its text would name
-    other points."""
+    they are asked for, everything else up front."""
     if isinstance(obj, Design):
-        _check_codes(obj.blocks, obj.v)
         return _design_pieces(obj.carrier, obj.k, *_unique_rows(obj.blocks, obj.v))
 
     def listed(rows) -> list:

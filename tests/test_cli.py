@@ -12,7 +12,7 @@ import pytest
 import difam.cli
 from difam.catalog import example51, thm62_z5
 from difam.cli import run
-from difam.designs import Design
+from difam.designs import Design, develop
 from difam.groups import AbelianGroup
 from difam.io import render_family
 
@@ -398,6 +398,13 @@ def _with(doc, path, value):
     return doc
 
 
+# the developed thm62-z5 design, laid out as the writer lays it out, with one
+# coordinate outside the group: the digit reader passes it to the JSON reader
+Z5_DESIGN_OFF = json.dumps(
+    _with(json.loads(render_family(develop(thm62_z5()))), ("blocks", 0, "points", 0, "f"), [99, 0]),
+    indent=1,
+)
+
 # a file body and the command run on it: IN is the file, OUT an output path,
 # MISSING an output path in a directory that does not exist
 INPUT_ERRORS = {
@@ -416,6 +423,8 @@ INPUT_ERRORS = {
     "non-utf8": (b'{"role": "sdf", "k": "\xff\xfe"}', ["verify", "sdf", "IN"]),
     "deep-json": ("[" * 100_000 + "]" * 100_000, ["verify", "sdf", "IN"]),
     "out-in-missing-dir": (EXAMPLE51, ["catalog", "emit", "example51", "--out", "MISSING"]),
+    "design-point-off-verify": (Z5_DESIGN_OFF, ["verify", "design", "IN"]),
+    "design-point-off-anomaly": (Z5_DESIGN_OFF, ["anomaly", "IN", "--p", "5"]),
 }
 
 

@@ -17,6 +17,7 @@ from difam.designs import (
     DesignVerdict,
     SuperRegularVerdict,
     _block_lookup,
+    _develop_rows,
     _pair_block_table,
     _pair_index,
     _pair_points,
@@ -129,11 +130,15 @@ def test_verify_design_too_few_blocks_skips_the_pair_counts():
 )
 def test_verifiers_refuse_codes_outside_the_group(row, verifier, z5_design):
     # a code past v - 1 made up a witness or raised IndexError; a negative
-    # one wrapped to a point from the end, and the verdict came from it
+    # one wrapped to a point from the end, and the verdict came from it.  No
+    # design with such a code can be made for a verifier to read; the same
+    # row taken mod v is a design, and the verifier answers it
     blocks = z5_design.blocks.astype(np.int64)  # 10**6 does not fit the int16 blocks
     blocks[0] = row
     with pytest.raises(DesignError, match="design points are not the elements of the given group"):
-        verifier(Design(z5_design.carrier, blocks, 5))  # no base rows: anomaly_witness builds the pair table
+        Design(z5_design.carrier, blocks, 5)
+    blocks[0] %= z5_design.v
+    verifier(Design(z5_design.carrier, blocks, 5))  # no base rows: the scan takes the pair table
 
 
 @pytest.mark.parametrize(
@@ -163,9 +168,7 @@ def test_verify_design_counts_int32_blocks_as_int64_ones(v, block):
         (5, np.array([[0, 4]], dtype=np.uint64), np.int16),
         (2**15, [[0, 2**15 - 1]], np.int16),
         (2**15 + 1, np.array([[0, 1]], dtype=np.int16), np.int32),
-        (5, [[0, 10**6]], np.int32),  # out of range, kept exactly for the verifiers to refuse
-        (5, [[-(2**15) - 1, 0]], np.int32),
-        (2**20, [[0, 2**40]], np.int64),
+        (2**31 + 1, [[0, 2**31]], np.int64),
         (5, np.empty((0, 2)), np.int16),
     ],
 )
@@ -181,37 +184,55 @@ def test_design_refuses_blocks_that_are_not_int64_codes(rows):
         Design(AbelianGroup((5,)), rows, 2)
 
 
-def test_design_equality_compares_codes_outside_the_group_exactly():
-    # 5 * 1 + 1 == 5 * 0 + 6: packed base 5, the two rows had one key
+def test_design_checks_its_codes_when_made_and_holds_them_read_only(monkeypatch):
     group = AbelianGroup((5,))
-    one, other = Design(group, np.array([[1, 1]]), 2), Design(group, np.array([[0, 6]]), 2)
-    assert one != other and other != one
-    assert one == Design(group, np.array([[1, 1]]), 2) and other == other
-    two = Design(group, np.array([[6, 0], [-1, 3]]), 2)
-    assert two == Design(group, np.array([[3, -1], [0, 6]]), 2)
-    assert two != Design(group, np.array([[3, -1], [1, 6]]), 2)
-    assert Design(group, np.array([[0, 4], [4, 0]]), 2) == Design(group, np.array([[0, 4]] * 2), 2)
+    outside = "design points are not the elements of the given group"
+    for kind in (np.int8, np.int16, np.int32, np.int64, np.uint64, list):
+        for code in (-1, 5):
+            rows = [[0, 1], [0, code]]
+            given = rows if kind is list else np.array(rows).astype(kind)  # uint64 wraps -1
+            with pytest.raises(DesignError, match=outside):
+                Design(group, given, 2)
+    with pytest.raises(DesignError, match=outside):  # cast to int16 first, it would be the point 1
+        Design(group, np.array([[0, 2**16 + 1]]), 2)
+    assert Design(group, np.empty((0, 2)), 2).b == 0
+    design = Design(group, [[0, 4]], 2)
+    assert not design.blocks.flags.writeable
+    with pytest.raises(ValueError):
+        design.blocks[0, 1] = 3
+    # develop's rows are held as they are made, not copied
+    made = []
+
+    def develop_rows(rdf):
+        made.append(_develop_rows(rdf))
+        return made[-1]
+
+    monkeypatch.setattr(difam.designs, "_develop_rows", develop_rows)
+    assert np.shares_memory(develop(thm62_z5()).blocks, made[0])
 
 
 @pytest.mark.parametrize("code", [125, -1, 10**6])
 @pytest.mark.parametrize("row", [0, 2, 750])
 def test_anomaly_scan_refuses_codes_outside_the_group_that_it_reads(row, code, z5_design):
-    # with the difference oracle the scan checks only what it reads: row 0 is
-    # in the first pair it decides, row 2 answers one of its lookups, and row
-    # 750 is a coset row that the oracle reads when it is built
+    # the design refuses the code when it is made, whether or not a scan
+    # would read its row: row 0 is in the first pair the scan decides, row 2
+    # answers one of its lookups, and row 750 is a coset row of the oracle
     blocks = z5_design.blocks.astype(np.int64)  # 10**6 does not fit the int16 blocks
     blocks[row, -1] = code
     with pytest.raises(DesignError, match="design points are not the elements of the given group"):
-        anomaly_witness(Design(z5_design.carrier, blocks, 5, _base=z5_design._base), 5)
+        Design(z5_design.carrier, blocks, 5, _base=z5_design._base)
 
 
-@pytest.mark.parametrize("code", [125, 10**6])
+@pytest.mark.parametrize("code", [125, -1, 10**6])
 def test_closure_refuses_points_outside_the_group(code, z5_design):
-    # the difference oracle answered -1 for the pairs of the code, and the
-    # closure took the code in as its 26th point
+    # the blocks given are the one input a closure does not read from the
+    # design.  The difference oracle answered -1 for the pairs of 125 and
+    # the closure took it in as its 26th point; the pair table, without base
+    # rows, did the same, and raised IndexError for 10**6
     one, two = [0, 30, 45, 101, code], z5_design.blocks[26].tolist()
-    with pytest.raises(DesignError, match="design points are not the elements of the given group"):
-        closure(z5_design, one, two, max_points=25)
+    for design in z5_design, Design(z5_design.carrier, z5_design.blocks, 5):  # oracle, table
+        with pytest.raises(DesignError, match="design points are not the elements of the given"):
+            closure(design, one, two, max_points=25)
 
 
 def test_verify_design_witness_just_past_the_covered_places():
@@ -326,6 +347,12 @@ def test_design_equality_compares_block_multisets(z5_design):
     assert Design(AbelianGroup((625,)), z5_design.blocks, 5) != z5_design
     doubled = ag_design(2, 3)
     assert Design(doubled.carrier, doubled.blocks[[0, 0, *range(2, 12)]], 3) != doubled
+    # rows in another order, and points within a row in another order
+    group = AbelianGroup((5,))
+    two = Design(group, np.array([[4, 0], [1, 3]]), 2)
+    assert two == Design(group, np.array([[3, 1], [0, 4]]), 2)
+    assert two != Design(group, np.array([[3, 1], [1, 4]]), 2)
+    assert Design(group, np.array([[0, 4], [4, 0]]), 2) == Design(group, np.array([[0, 4]] * 2), 2)
     assert (z5_design == "design") is False and z5_design != None  # noqa: E711
     with pytest.raises(TypeError):
         hash(z5_design)
