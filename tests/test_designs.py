@@ -347,15 +347,27 @@ def test_design_equality_compares_block_multisets(z5_design):
     assert Design(AbelianGroup((625,)), z5_design.blocks, 5) != z5_design
     doubled = ag_design(2, 3)
     assert Design(doubled.carrier, doubled.blocks[[0, 0, *range(2, 12)]], 3) != doubled
-    # rows in another order, and points within a row in another order
+    assert (z5_design == "design") is False and z5_design != None  # noqa: E711
+    with pytest.raises(TypeError):
+        hash(z5_design)
+
+
+def test_design_equality_compares_codes_outside_the_group_exactly():
+    # 5 * 1 + 1 == 5 * 0 + 6: packed base 5, the two rows would share one key,
+    # so a code outside 0..v-1 is refused before a Design can be compared
     group = AbelianGroup((5,))
+    outside = "design points are not the elements of the given group"
+    for rows in ([[0, 6]], [[6, 0], [-1, 3]], [[3, -1], [0, 6]]):
+        with pytest.raises(DesignError, match=outside):
+            Design(group, np.array(rows), 2)
+    one, other = Design(group, np.array([[1, 1]]), 2), Design(group, np.array([[0, 1]]), 2)
+    assert one != other and other != one
+    assert one == Design(group, np.array([[1, 1]]), 2) and other == other
+    # rows in another order, and points within a row in another order
     two = Design(group, np.array([[4, 0], [1, 3]]), 2)
     assert two == Design(group, np.array([[3, 1], [0, 4]]), 2)
     assert two != Design(group, np.array([[3, 1], [1, 4]]), 2)
     assert Design(group, np.array([[0, 4], [4, 0]]), 2) == Design(group, np.array([[0, 4]] * 2), 2)
-    assert (z5_design == "design") is False and z5_design != None  # noqa: E711
-    with pytest.raises(TypeError):
-        hash(z5_design)
 
 
 def test_design_equality_tells_product_carriers_apart(z5_design):
