@@ -3,8 +3,9 @@
 Points of a design are the elements of its carrier group, stored as encoded
 integers 0..v-1; blocks are rows of a numpy array, sorted within each row.
 A `Design` refuses a code outside 0..v-1 when it is made, so its readers
-take every code as a point; it holds its blocks read-only, in one
-C-contiguous array of the least of int16, int32 and int64 that holds v-1.
+take every code as a point; it is frozen and holds its blocks read-only,
+in one C-contiguous array of the least of int16, int32 and int64 that
+holds v-1.
 int16 and int32 products wrap silently: widen codes to int64 before
 multiplying them (a pair place u*v + w, a scaled code), and count points
 per slice.
@@ -43,17 +44,18 @@ MAX_DESIGN_BLOCKS = 2**24
 MAX_PAIR_TABLE_BYTES = 2**31
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)  # eq=False keeps the __eq__ and __hash__ below
 class Design:
     """A block design on the points of an abelian group carrier.  Every
-    block code lies in 0..v-1, checked once, when the design is made."""
+    block code lies in 0..v-1, checked once, when the design is made; the
+    design is frozen, so its blocks cannot be swapped for unchecked ones."""
 
     carrier: AbelianGroup
     blocks: np.ndarray  # (b, k) encoded point indices, each row sorted, read-only; see `_code_type`
     k: int
     # the base code rows of the lambda = 1 family that `develop` built this
     # from, in its row layout; read only by `_difference_oracle`
-    _base: Optional[np.ndarray] = field(default=None, repr=False, compare=False, kw_only=True)
+    _base: Optional[np.ndarray] = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self):
         """Refuse a code outside 0..v-1, read in the array as given, before
@@ -65,8 +67,9 @@ class Design:
             raise DesignError(f"design blocks must be integer codes, not {arr.dtype}")
         if arr.size and (arr.min() < 0 or arr.max() >= self.v):
             raise DesignError("design points are not the elements of the given group")
-        self.blocks = np.ascontiguousarray(arr, dtype=_code_type(self.v))
-        self.blocks.flags.writeable = False
+        blocks = np.ascontiguousarray(arr, dtype=_code_type(self.v))
+        blocks.flags.writeable = False
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def v(self) -> int:
@@ -87,7 +90,7 @@ class Design:
             _sorted_row_keys(self.blocks, self.v), _sorted_row_keys(other.blocks, other.v)
         )
 
-    __hash__ = None  # mutable, compared by content
+    __hash__ = None  # compared by content, which an array does not hash
 
 
 def _code_type(v: int) -> np.dtype:

@@ -12,7 +12,10 @@ tries them in an order permuted by a seed.  The signed search decides
 its candidates on one boolean table of the (group element, class) keys
 already used, a window of log codes per array pass.  Every accepted
 lifting is re-verified by an independent checker, never trusted from the
-search itself.
+search itself.  The greedy search counts rather than walks the subtrees it
+can prove isomorphic to one that failed (the sibling rule of `_backtrack`),
+so its node counts, depth and budget are those of the whole tree, not of
+the nodes walked.
 
 Field elements are additive codes throughout (`gf`).  A lifting holds its
 second coordinates as one (s, k) array of them, and psi is an (s, k, k)
@@ -73,7 +76,7 @@ class Lifting:
     # (s, k) int64 additive field codes, row h aligned with block h's sorted codes
     second_coords: np.ndarray
     strategy: str
-    nodes: int = 0  # search nodes visited, 0 when no search ran
+    nodes: int = 0  # search nodes up to the result (see `_backtrack`), 0 when no search ran
     deepest: int = 0  # deepest search level reached
 
     def carrier(self) -> ProductCarrier:
@@ -234,11 +237,14 @@ class _Budget:
         self.nodes = 0
         self.deepest = 0
 
-    def tick(self, depth: int) -> None:
-        self.nodes += 1
+    def tick(self, depth: int, nodes: int = 1) -> None:
+        """Count `nodes` nodes, the deepest of them at `depth`.  Past the cap
+        the count stops at cap + 1, the node a walk would have raised at."""
+        self.nodes += nodes
         if depth > self.deepest:
             self.deepest = depth
         if self.nodes > self.cap:
+            self.nodes = self.cap + 1
             raise LiftingError(
                 f"search budget exhausted after {self.nodes} nodes "
                 f"(deepest level {self.deepest})",
@@ -255,6 +261,7 @@ def _backtrack(
     tracker: _Budget,
     what: str,
     undo: Optional[Callable[[int, int], None]] = None,
+    siblings: int = 0,
 ) -> list[int]:
     """The one search driver: choose a log code for each of `levels` positions.
 
@@ -269,6 +276,21 @@ def _backtrack(
     it: a node without options still counts, but costs no call of its own.
     `undo` takes a recorded x back when the branch below it fails.  Raises
     LiftingError if no branch reaches the last level.
+
+    `siblings` is the sibling rule, for searches whose options at each level
+    i < siblings all have isomorphic subtrees (`greedy_lift` proves it for
+    its levels 0 and 1) and are never refused by expand there.  A failing
+    subtree is walked whole, so its node count does not depend on the
+    order it is walked in, and an isomorphic one fails with the same count
+    and the same deepest level.  So when the first option's subtree at such
+    a level fails, so do all the others: the node adds (len(order) - 1)
+    times the nodes that subtree ticked and fails without walking them.
+    The budget ticks, the deepest level and every error are those of the
+    walk: past the cap the count stops at cap + 1, and the deepest level
+    is already reached, each sibling's profile being the first's.  Only a
+    failed search is cut short, as a success is found in the first subtree
+    at every level it goes through, so it draws from the rng and walks
+    exactly as with no rule.
     """
     chosen: list[int] = []
 
@@ -283,12 +305,16 @@ def _backtrack(
                 continue
             if i + 1 == levels:
                 return True
+            before = tracker.nodes
             tracker.tick(i + 1)
             if below and extend(i + 1, below):
                 return True
             chosen.pop()
             if undo is not None:
                 undo(i, x)
+            if i < siblings:  # every other option's subtree fails with as many nodes
+                tracker.tick(i + 1, (len(order) - 1) * (tracker.nodes - before))
+                return False
         return False
 
     if levels:
@@ -302,16 +328,17 @@ def _backtrack(
     return chosen
 
 
-def _lift_blocks(sdf, field, psi, budget, seed, strategy, search) -> Lifting:
+def _lift_blocks(sdf, field, psi, budget, seed, strategy, search, siblings=0) -> Lifting:
     """Run the driver once per block h on search(h), its pair (first,
     expand), sharing one rng and one budget, and re-check the result with
-    the pair checker."""
+    the pair checker.  `siblings` is `_backtrack`'s sibling rule."""
     rng = random.Random(seed)
     tracker = _Budget(budget)
     add_code = field.class_masks(psi.lam).add_code
     coords = np.array([
         add_code[_backtrack(
-            block.size, *search(h), rng, tracker, f"{strategy} lifting for block {h}")]
+            block.size, *search(h), rng, tracker, f"{strategy} lifting for block {h}",
+            siblings=siblings)]
         for h, block in enumerate(sdf.blocks)
     ], dtype=np.int64)
     lifting = Lifting(sdf, field, coords, strategy, tracker.nodes, tracker.deepest)
@@ -335,6 +362,19 @@ def greedy_lift(
     is the AND of level t's masks over the choices made before level i.
     Choosing x at level i takes one AND for level i+1's mask and stops
     there when it is empty; else one AND per later level fills pre[i+1].
+
+    The search runs with `_backtrack`'s sibling rule at levels 0 and 1, as
+    the subtrees of the options there are isomorphic.  Level 0's options
+    are all of F_q, and the translation x -> x + t maps the subtree below
+    x_0 onto the one below x_0 + t: it keeps every difference, so every
+    class, and so every level's options.  Level 1's options are all of
+    x_0 + C_j, j = psi(h, 1, 0), since nothing else constrains them.  For
+    c in C_0, the index-lambda subgroup, x -> x_0 + c(x - x_0) fixes x_0,
+    multiplies every difference by c, so keeps its class, and maps x_0 + C_j
+    onto itself; C_0 acts transitively on C_j = r^j C_0, so it maps the
+    subtree below any x_1 onto the one below any other.  The zero-sum and
+    signed searches have no such rule: a translate changes a block's sum,
+    and the signed levels share one table of used keys across blocks.
     """
     _require_congruence(field, psi.lam)
     masks = field.class_masks(psi.lam)
@@ -362,7 +402,7 @@ def greedy_lift(
 
         return range(field.q), expand
 
-    return _lift_blocks(sdf, field, psi, budget, seed, "greedy", search)
+    return _lift_blocks(sdf, field, psi, budget, seed, "greedy", search, siblings=2)
 
 
 def zero_sum_adjust(rdf: RelativeDifferenceFamily, k: int) -> RelativeDifferenceFamily:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -152,7 +153,8 @@ def test_verify_design_counts_int32_blocks_as_int64_ones(v, block):
     group = AbelianGroup((v,))
     narrow = Design(group, np.array([block], dtype=np.int64), 2)  # held as int32
     wide = Design(group, narrow.blocks, 2)
-    wide.blocks = narrow.blocks.astype(np.int64)  # past the code-type rule, as a caller may
+    # past the frozen field and the code-type rule: int64 blocks of the same codes
+    object.__setattr__(wide, "blocks", narrow.blocks.astype(np.int64))
     assert narrow.blocks.dtype == np.int32
     expected = verify_design(wide)
     assert expected.witness_pair is not None
@@ -209,6 +211,21 @@ def test_design_checks_its_codes_when_made_and_holds_them_read_only(monkeypatch)
 
     monkeypatch.setattr(difam.designs, "_develop_rows", develop_rows)
     assert np.shares_memory(develop(thm62_z5()).blocks, made[0])
+
+
+def test_a_made_design_cannot_be_given_other_blocks():
+    # assigning blocks once skipped the range check and the read-only flag:
+    # Z_5 blocks [[0, 6]] made verify_design report a made-up witness
+    group = AbelianGroup((5,))
+    design = Design(group, [[0, 1]], 2)
+    for name, value in (("blocks", np.array([[0, 6]])), ("k", 3), ("carrier", AbelianGroup((7,)))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(design, name, value)
+    assert design.blocks.tolist() == [[0, 1]] and design.k == 2 and design.v == 5
+    assert Design.__hash__ is None  # compared by content, so unhashable
+    with pytest.raises(TypeError):
+        hash(design)
+    assert design == Design(group, np.array([[1, 0]], dtype=np.int64), 2)
 
 
 @pytest.mark.parametrize("code", [125, -1, 10**6])

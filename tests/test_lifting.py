@@ -15,7 +15,13 @@ import difam.lifting
 from difam.carrier import ProductCarrier
 from difam.catalog import example51, paper_signed_lifting_z5, sigma_prime, thm62_z5
 from difam.diffs import GMultiset
-from difam.families import FamilyError, StrongDifferenceFamily, paley_sdf, verify_rdf
+from difam.families import (
+    FamilyError,
+    StrongDifferenceFamily,
+    paley_sdf,
+    theorem82_core_sdf,
+    verify_rdf,
+)
 from difam.gf import FiniteField, coset_reps, cyclotomic_class
 from difam.groups import AbelianGroup
 from difam.io import parse_family, render_family
@@ -618,6 +624,64 @@ def test_greedy_lift_matches_the_reference_driver(case, psi_seed, budget, seed):
     lifting = greedy_lift(sdf, field, psi, budget=budget, seed=seed)
     assert lifting.second_coords.tolist() == coords.tolist()
     assert (lifting.nodes, lifting.deepest) == (nodes, deepest)
+
+
+# example51 over GF(29), psi seed 2, search seed 0 refuses its block with
+# F = 1,248 nodes.  The walk ticks nodes 1..8: the root, the node below its
+# first option and the subtree below that node's first option.  Then the
+# subtrees of level 1's other 6 options are counted, 8 -> 44, and then
+# those of level 0's other 28 options, 44 -> 1,248.
+_SIBLINGS_F = 1248
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [1, 3, 7,  # inside the first walked subtree
+     8, 20, 43,  # inside the counted subtrees of level 1's options
+     44, 600, 1246,  # inside the counted subtrees of level 0's options
+     _SIBLINGS_F - 1, _SIBLINGS_F, _SIBLINGS_F + 1],
+)
+def test_greedy_sibling_counts_match_the_walk_at_every_budget(budget):
+    sdf = example51()
+    field, psi = FiniteField(29, 1), build_psi(sdf, 4, seed=2)
+    with pytest.raises(LiftingError) as expected:
+        lifting_reference.greedy_lift(sdf, field, psi, budget, 0)
+    with pytest.raises(LiftingError) as info:
+        greedy_lift(sdf, field, psi, budget=budget)
+    got, want = info.value, expected.value
+    assert (got.nodes, got.deepest, str(got)) == (want.nodes, want.deepest, str(want))
+    if budget < _SIBLINGS_F:
+        assert str(got).startswith(f"search budget exhausted after {budget + 1} nodes ")
+    else:
+        assert str(got) == "no greedy lifting for block 0 found (1248 nodes, deepest level 4)"
+
+
+@pytest.mark.parametrize(
+    "q,nodes", [(127, 255), (379, 1517), (2143, 38575), (4159, 141407), (6679, 300001)]
+)
+def test_theorem82_k15_refusals_pinned(q, nodes):
+    # block 0 of the k = 15 core SDF has no greedy lifting over these fields;
+    # walking the refused trees takes seconds, counting the isomorphic
+    # subtrees milliseconds
+    sdf = theorem82_core_sdf(15)
+    with pytest.raises(LiftingError) as info:
+        greedy_lift(sdf, FiniteField(q, 1), build_psi(sdf, sdf.lam, seed=0), budget=300_000)
+    assert (info.value.nodes, info.value.deepest) == (nodes, 2)
+    if nodes > 300_000:
+        want = "search budget exhausted after 300001 nodes (deepest level 2)"
+    else:
+        want = f"no greedy lifting for block 0 found ({nodes} nodes, deepest level 2)"
+    assert str(info.value) == want
+
+
+def test_zero_sum_refusal_pinned():
+    # the zero-sum search walks every node: a translate changes a block's sum,
+    # so the greedy sibling rule does not hold for it
+    sdf = example51()
+    with pytest.raises(LiftingError) as info:
+        zero_sum_lift(sdf, FiniteField(5, 3), build_psi(sdf, 4, seed=2), budget=10**5)
+    assert (info.value.nodes, info.value.deepest) == (26879, 3)
+    assert str(info.value) == "no zero-sum lifting for block 0 found (26879 nodes, deepest level 3)"
 
 
 def test_signed_success_counters_pinned():

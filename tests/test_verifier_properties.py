@@ -309,8 +309,8 @@ def test_verdicts_from_the_blocks_through_zero_match_both_verifiers(design, how,
     # orbits taken up to three times (lambda > 1) and reps fixed by a subgroup
     # (s > 1); "as drawn" keeps the points shuffled within each row
     rows = design.blocks if how == "as drawn" else np.sort(design.blocks, axis=1)
-    d = Design(design.carrier, rows, design.k)
-    d.blocks = rows.astype(np.int32 if how == "int32" else np.int64)  # past the code-type rule
+    dtype = np.int32 if how == "int32" else np.int64
+    d = _typed(Design(design.carrier, rows, design.k), rows, dtype)
     if how in ("drop", "duplicate", "move", "off-zero"):
         d = _damage_orbits(d, how, data)
     increasing = bool(np.all(d.blocks[:, 1:] > d.blocks[:, :-1]))
@@ -357,8 +357,7 @@ def test_verdicts_from_the_blocks_through_zero_on_built_designs(name):
     # but no 2-design, so the witness comes from the blocks through 0
     design = _designs_to_verify()[name]()
     for edit, rows in _edits(design).items():
-        d = Design(design.carrier, rows, design.k)
-        d.blocks = rows  # "int32" stays int32, past the code-type rule
+        d = _typed(Design(design.carrier, rows, design.k), rows, rows.dtype)  # "int32" stays int32
         route = _both_verifiers(d)
         regular = verify_super_regular(d, d.carrier).is_regular
         assert route == (regular and edit != "one row reversed"), edit
@@ -477,9 +476,10 @@ def _consumers(d):
 
 
 def _typed(design, rows, dtype):
-    """A copy of `design` with `rows` held in `dtype`, past the code-type rule."""
+    """A copy of `design` with `rows` held in `dtype`, past the frozen field
+    and the code-type rule."""
     d = Design(design.carrier, rows, design.k, _base=design._base)
-    d.blocks = rows.astype(dtype)
+    object.__setattr__(d, "blocks", rows.astype(dtype))
     return d
 
 
