@@ -26,7 +26,7 @@ import numpy as np
 from .diffs import stack_rows
 from .families import RelativeDifferenceFamily, verify_rdf
 from .groups import _CHUNK, MAX_DESIGN_POINTS, AbelianGroup, DifamError, Element, _slice_rows
-from .groups import is_prime
+from .groups import _orbit_batch, _orbit_rows, is_prime
 
 
 class DesignError(DifamError):
@@ -168,43 +168,6 @@ def _develop_rows(rdf: RelativeDifferenceFamily) -> np.ndarray:
         rows[lo : lo + lam * len(unique)] = np.repeat(unique, lam, axis=0)
         lo += lam * len(unique)
     return rows
-
-
-def _orbit_rows(group: AbelianGroup, reps: np.ndarray, out: np.ndarray) -> None:
-    """Fill `out`, of len(reps) * v rows, with the orbits of the rows of
-    `reps`: row i*v + g is reps[i] + g, sorted, with g in code order.
-
-    The codes of x + g over all g are the outer sum of one column per
-    factor, x's digit rolled through that factor, most significant factor
-    first, as `AbelianGroup._per_code` builds them; here for all the points
-    of a batch at once.  A batch is at most `_CHUNK` rows: _CHUNK // v reps
-    whole when v <= _CHUNK, else the g of one rep that share their digits
-    before factor f and run over a range of f's digits, f the first factor
-    whose later factors have at most _CHUNK codes together.  Each batch is
-    sorted in an int64 buffer and then copied into `out`, of any code type:
-    numpy sorts short int64 rows faster than int16 ones.
-    """
-    v, k = group.order, reps.shape[1]
-    weights, orders = group._weights, group.cyclic_orders
-    f = next(i for i, w in enumerate(weights) if w <= _CHUNK)
-    span = min(orders[f], _CHUNK // weights[f])  # digits of factor f in a batch
-    per = max(1, _CHUNK // v)  # reps in a batch
-    buffer = np.empty(_CHUNK * k, dtype=np.int64)
-    for lo in range(0, reps.shape[0], per):
-        points = reps[lo : lo + per].ravel()
-        cols = [(points[:, None] // w + np.arange(n)) % n * w for w, n in zip(weights, orders)]
-        head, tail = group._per_code(cols[:f]), group._per_code(cols[f + 1 :])
-        for prefix in range(v // (orders[f] * weights[f])):
-            for d in range(0, orders[f], span):
-                sums = head[..., prefix, None, None] + cols[f][:, d : d + span, None]
-                sums = sums + tail[..., None, :]  # (points, digits of f, later codes)
-                batch = sums.reshape(-1, k, sums[0].size).transpose(0, 2, 1)  # (reps, g, k)
-                count = batch.shape[0] * batch.shape[1]
-                rows = buffer[: count * k].reshape(count, k)
-                rows.reshape(batch.shape)[...] = batch
-                rows.sort(axis=1)
-                start = lo * v + (prefix * orders[f] + d) * weights[f]
-                out[start : start + count] = rows
 
 
 def _check_points(b: int, k: int) -> None:
@@ -393,10 +356,13 @@ def _key_weights(k: int, v: int) -> tuple[np.ndarray, int]:
 def _pack_rows(rows: np.ndarray, v: int, out: np.ndarray) -> None:
     """Write the keys of `rows` (of k >= 1 points 0..v-1, as given) into
     `out`, of one row per word: base v by `_key_weights`, so comparing keys
-    compares rows."""
+    compares rows.  A _CHUNK of rows at a time, as the product makes an
+    int64 copy of the rows it reads."""
     weights, per_word = _key_weights(rows.shape[1], v)
-    for word, s in enumerate(range(0, rows.shape[1], per_word)):
-        out[word] = rows[:, s : s + per_word] @ weights[s : s + per_word]
+    for lo in range(0, rows.shape[0], _CHUNK):
+        part = rows[lo : lo + _CHUNK]
+        for word, s in enumerate(range(0, rows.shape[1], per_word)):
+            out[word, lo : lo + _CHUNK] = part[:, s : s + per_word] @ weights[s : s + per_word]
 
 
 def _packed_keys(arr: np.ndarray, v: int, prepare: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -469,9 +435,10 @@ def verify_super_regular(design: Design, group: AbelianGroup) -> SuperRegularVer
     has at most k elements, B has at least v/k > b distinct translates, and
     a regular design holds them all.  With b = 0 the design is regular.
     Past that bound v <= bk, so the per-code tables built here, the digit
-    sums of `zero_sum_rows` and one orbit of v rows, are at most k times
-    the size of the block array.  The check itself is `_rows_through_zero`;
-    additivity is `_additive`, from the rows through 0 of a regular design.
+    sums of `zero_sum_rows` and one batch of orbits, of at most b or v
+    rows, are at most k times the size of the block array.  The check
+    itself is `_rows_through_zero`; additivity is `_additive`, from the
+    rows through 0 of a regular design.
     """
     if design.carrier != group or design.v != group.order:
         raise DesignError("design points are not the elements of the given group")
@@ -518,15 +485,18 @@ def _rows_through_zero(design: Design) -> Optional[np.ndarray]:
     if off.any() or int((copies * (v // stab)).sum()) != arr.shape[0]:
         return None
     keys = _sorted_row_keys(arr, v)
-    words = np.empty(keys.T.shape, dtype=np.int64)  # D', one rep at a time
-    orbit = np.empty((v, k), dtype=np.int64)
-    at = 0
-    for rep, m, s in zip(reps, copies.tolist(), stab.tolist()):
-        if s == 1:  # v distinct translates
-            _orbit_rows(group, rep[None], orbit)
-            rows = orbit
-        else:
-            rows = _distinct_translates(group, rep)
+    words, at = np.empty(keys.T.shape, dtype=np.int64), 0  # D'
+    free = stab == 1  # orbits of v distinct translates, made `_orbit_batch` reps a call
+    orbits, per = np.repeat(reps[free], copies[free], axis=0), _orbit_batch(v)
+    buffer = np.empty((min(per, len(orbits)) * v, k), dtype=arr.dtype)
+    for lo in range(0, len(orbits), per):
+        batch = orbits[lo : lo + per]
+        rows = buffer[: len(batch) * v]
+        _orbit_rows(group, batch, rows)
+        _pack_rows(rows, v, words[:, at : at + len(rows)])
+        at += len(rows)
+    for rep, m in zip(reps[~free], copies[~free].tolist()):
+        rows = _distinct_translates(group, rep)
         for _ in range(m):
             _pack_rows(rows, v, words[:, at : at + len(rows)])
             at += len(rows)

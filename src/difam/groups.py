@@ -8,11 +8,14 @@ of residues appear only at the edges: `encode_elements` and `check` take
 them in, `decode`, `decode_array` and `elements` give them out.  Two groups
 compare equal when their `_key`s do: the factor list, plus the field
 modulus for a product carrier G x F_q.  Isomorphic groups with different
-presentations are distinct values on purpose.
+presentations are distinct values on purpose.  `_orbit_rows` lays out the
+translates of rows of codes by every element, each row sorted: `develop`
+and the super-regular check of `difam.designs` build their orbits with it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterator, Sequence
@@ -189,6 +192,60 @@ class AbelianGroup:
                     field = (sums >> s & (1 << widths[i]) - 1) % self.cyclic_orders[i]
                     ok[lo : lo + _CHUNK] &= field == 0
         return ok
+
+
+def _orbit_batch(v: int) -> int:
+    """Reps in one batch of `_orbit_rows`: as many orbits of v rows as
+    4 * _CHUNK rows hold, and at least one."""
+    return max(1, 4 * _CHUNK // v)
+
+
+def _orbit_rows(group: AbelianGroup, reps: np.ndarray, out: np.ndarray) -> None:
+    """Fill `out`, of len(reps) * v rows, with the orbits of the rows of
+    `reps`: row i*v + g is reps[i] + g, sorted, with g in code order.
+
+    x + g over all g is the outer sum of one column per factor, x's digit
+    rolled through it (`AbelianGroup._per_code`), in out's code type: each
+    sum is below v.  A batch is `_orbit_batch` whole reps, or for a v over
+    4 * _CHUNK the g of one rep that share their digits before factor f and
+    run over a range of f's digits.  `_sorting_network` sorts each batch.
+    """
+    v, k, most = group.order, reps.shape[1], 4 * _CHUNK
+    weights, orders = group._weights, group.cyclic_orders
+    f = next(i for i, w in enumerate(weights) if w <= most)
+    span = min(orders[f], most // weights[f])  # digits of factor f in a batch
+    per = _orbit_batch(v)
+    for lo in range(0, reps.shape[0], per):
+        points = reps[lo : lo + per].ravel()
+        cols = [(points[:, None] // w + np.arange(n)) % n * w for w, n in zip(weights, orders)]
+        parts = group._per_code(cols[:f]), cols[f], group._per_code(cols[f + 1 :])
+        head, mid, tail = (part.astype(out.dtype) for part in parts)
+        for prefix in range(v // (orders[f] * weights[f])):
+            for d in range(0, orders[f], span):
+                sums = head[..., prefix, None, None] + mid[:, d : d + span, None]
+                sums = sums + tail[..., None, :]  # (points, digits of f, later codes)
+                places = list(sums.reshape(-1, k, sums[0].size).transpose(1, 0, 2))
+                for i, j in _sorting_network(k):
+                    a, b = places[i], places[j]
+                    places[i], places[j] = np.minimum(a, b), np.maximum(a, b)
+                start = lo * v + (prefix * orders[f] + d) * weights[f]
+                rows = out[start : start + sums.size // k]
+                np.stack(places, axis=2, out=rows.reshape(-1, sums[0].size, k, copy=False))
+
+
+@functools.cache
+def _sorting_network(k: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's odd-even merge sort on k places, as pairs i < j that each
+    put the lesser value at i: the network on the next power of two, less
+    the pairs that touch a pad place (it holds +inf: they move nothing)."""
+    n, pairs = 1 << (k - 1).bit_length(), []
+    for p in (1 << a for a in range(n.bit_length() - 1)):  # merge runs of p into 2p
+        for q in (p >> a for a in range(p.bit_length())):
+            for j in range(q % p, n - q, 2 * q):
+                for i in range(j, min(j + q, k - q)):
+                    if i // (2 * p) == (i + q) // (2 * p):
+                        pairs.append((i, i + q))
+    return tuple(pairs)
 
 
 def _distinct_codes(group: AbelianGroup, codes) -> np.ndarray:

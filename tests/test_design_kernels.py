@@ -4,13 +4,14 @@
 first-word sort of `_sorted_row_keys` and the regularity check and
 stabiliser bound of `verify_super_regular` are each checked against a local
 copy of the code that did the same work by integer division and a full
-`lexsort`; `_unique_rows`, against the np.unique(axis=0) it replaced.
+`lexsort`; `_unique_rows`, against the np.unique(axis=0) it replaced; the
+sorting network of `_orbit_rows`, against every 0/1 input and np.sort.
 """
 
 import numpy as np
 import pytest
 
-import difam.designs
+import difam.groups
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,7 @@ from difam.designs import (
     verify_super_regular,
 )
 from difam.gf import FiniteField
-from difam.groups import AbelianGroup
+from difam.groups import AbelianGroup, _sorting_network
 from difam.lifting import extend_field, simple_lift
 from group_reference import ref
 
@@ -183,23 +184,66 @@ def test_super_regular_of_no_blocks(orders):
 _ORBIT_GROUPS = [(2, 4), (3, 3), (9,), (2, 2, 2), (5, 5)]
 
 
-# a _CHUNK of 1 or 3 splits each orbit over the digits of one factor, and
-# 3 leaves a short last range; 16 takes one rep a batch, 4096 all of them
+def _translates(group, reps):
+    """Row i*v + g is reps[i] + g, sorted, by the reference group."""
+    r, elements = ref(group), list(group.elements())
+    expected = []
+    for rep in reps.tolist():
+        points = [group.decode(x) for x in rep]
+        expected += [sorted(group.encode(r.add(x, g)) for x in points) for g in elements]
+    return expected
+
+
+# a batch holds 4 * _CHUNK rows.  A _CHUNK of 1 splits each orbit over the
+# digits of one factor, with a short last range on (9,) and (5, 5); 3 takes
+# one rep a batch on 8 and 9 points and splits (5, 5) two digits at a time;
+# 16 takes two reps a batch on 25 points and all three on the rest; 4096
+# takes all of them
 @pytest.mark.parametrize("chunk", [1, 3, 16, 4096])
 @pytest.mark.parametrize("orders", _ORBIT_GROUPS)
 def test_orbit_rows_add_every_g(orders, chunk, monkeypatch):
-    monkeypatch.setattr(difam.designs, "_CHUNK", chunk)
+    monkeypatch.setattr(difam.groups, "_CHUNK", chunk)
     group, v = AbelianGroup(orders), int(np.prod(orders))
-    r = ref(group)
     reps = np.random.default_rng(v).integers(0, v, size=(3, 4))  # points may repeat
-    out = np.full((3 * v, 4), -1, dtype=np.int64)
+    expected = _translates(group, reps)
+    for dtype in (np.int64, np.int16):  # any code type; a design's is int16 here
+        out = np.full((3 * v, 4), -1, dtype=dtype)
+        _orbit_rows(group, reps, out)
+        assert out.tolist() == expected
+
+
+def test_orbit_rows_in_int32_past_a_batch():
+    # v = 59,049 > 4 * _CHUNK: each orbit is made over the second factor's
+    # digits, two and then one, under each of three prefixes
+    group = AbelianGroup((3,) * 10)
+    reps = np.random.default_rng(group.order).integers(0, group.order, size=(2, 4))
+    out = np.full((2 * group.order, 4), -1, dtype=np.int32)
     _orbit_rows(group, reps, out)
-    expected = [
-        sorted(group.encode(r.add(group.decode(x), g)) for x in rep)
-        for rep in reps.tolist()
-        for g in group.elements()
-    ]
-    assert out.tolist() == expected
+    assert out.tolist() == _translates(group, reps)
+
+
+def _network_sort(rows):
+    """The rows sorted by `_sorting_network`, place by place, as `_orbit_rows` does."""
+    places = list(rows.T)
+    for i, j in _sorting_network(rows.shape[1]):
+        places[i], places[j] = np.minimum(places[i], places[j]), np.maximum(places[i], places[j])
+    return np.stack(places, axis=1)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sorting_network_sorts_every_0_1_input(n):
+    # a comparator network that sorts every 0/1 input sorts every input
+    pairs = _sorting_network(n)
+    assert all(0 <= i < j < n for i, j in pairs)
+    bits = np.arange(2**n)[:, None] >> np.arange(n) & 1
+    assert np.array_equal(_network_sort(bits), np.sort(bits, axis=1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 15, 31, 64, 300])
+def test_sorting_network_matches_np_sort(k):
+    rng = np.random.default_rng(k)
+    rows = rng.integers(0, max(2, k // 2), size=(200, k), dtype=np.int16)  # points repeat
+    assert np.array_equal(_network_sort(rows), np.sort(rows, axis=1))
 
 
 @pytest.mark.parametrize("orders", _ORBIT_GROUPS)

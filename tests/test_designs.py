@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import difam.designs
+import difam.groups
 import difam.io
 from difam.carrier import ProductCarrier
 from difam.catalog import sigma_prime, thm62_z5, thm62_z7
@@ -19,6 +20,7 @@ from difam.designs import (
     SuperRegularVerdict,
     _block_lookup,
     _develop_rows,
+    _orbit_rows,
     _pair_block_table,
     _pair_index,
     _pair_points,
@@ -1022,8 +1024,9 @@ def _damaged(design, how):
 
 @pytest.fixture(params=[None, 7], ids=["default-chunk", "chunk-7"])
 def chunk(request, monkeypatch):
-    if request.param is not None:
+    if request.param is not None:  # groups' _CHUNK sizes the batches of `_orbit_rows`
         monkeypatch.setattr(difam.designs, "_CHUNK", request.param)
+        monkeypatch.setattr(difam.groups, "_CHUNK", request.param)
 
 
 @pytest.fixture(scope="module")
@@ -1169,6 +1172,22 @@ def test_v3125_develop_rows_are_pinned(design3125):
     assert hashlib.sha256(blocks.astype(np.int64).tobytes()).hexdigest() == (
         "118f3e60fd9c08bd6964f04e36f5ec49d1c13fed3d9b9a8c33de9bbbd8c6f30f"
     )
+
+
+def test_v3125_rebuild_makes_its_orbits_a_batch_of_reps_a_call(design3125, monkeypatch):
+    """The super-regular check rebuilds the 156 free orbits of the 3125-point
+    design through `_orbit_rows`: five reps (15,625 rows, under the 4 *
+    _CHUNK of a batch) a call, 32 calls in all, not one call a rep."""
+    calls = []
+
+    def counted(group, reps, out):
+        calls.append(len(reps))
+        _orbit_rows(group, reps, out)
+
+    monkeypatch.setattr(difam.designs, "_orbit_rows", counted)
+    d = design3125
+    assert verify_super_regular(d, d.carrier) == SuperRegularVerdict(True, True)
+    assert calls == [5] * 31 + [1]
 
 
 def test_v3125_verify_design_frees_the_counts_before_the_keys(design3125):

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import difam.designs
+import difam.groups
 
 from difam.catalog import sigma_prime, thm62_z5, thm62_z7
 from difam.designs import (
@@ -210,6 +211,62 @@ def test_super_regular_matches_the_oracle_on_unions_of_orbits(design, how, data)
     # no orbit here is a single row: that row would hold all v >= 8 points
     changed = sorted(map(sorted, d.blocks.tolist())) != sorted(map(sorted, design.blocks.tolist()))
     assert got.is_regular == (not changed)
+
+
+@st.composite
+def _mixed_orbit_unions(draw):
+    """An orbit of v rows taken two or three times beside the orbit of a
+    union of cosets of a proper subgroup H = <h> of order > 1, which H
+    fixes, taken one to three times; rows and points shuffled as in
+    `_orbit_unions`.  No orbit is a single row."""
+    group = AbelianGroup(draw(st.sampled_from(_ORBIT_GROUPS)))
+    r, point = ref(group), st.integers(0, group.order - 1)
+    sub = [group.decode(h) for h in generated_subgroup(group, [draw(point.filter(bool))]).codes]
+    assume(len(sub) < group.order)
+    k = len(sub) * draw(st.integers(1, 2))
+    shifts = draw(st.lists(point, min_size=k // len(sub), max_size=k // len(sub)))
+    fixed = [group.encode(r.add(h, group.decode(x))) for x in shifts for h in sub]
+    free = draw(st.lists(point, min_size=k, max_size=k))
+    assume(len(_orbit(group, free)) == group.order)
+    rows = _orbit(group, free) * draw(st.integers(2, 3)) + _orbit(group, fixed) * draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.permuted(np.array(rows, dtype=np.int64), axis=1)[rng.permutation(len(rows))]
+    return Design(group, rows, k)
+
+
+# a batch of `_orbit_rows` holds 4 * _CHUNK rows: on these groups of 8 to 25
+# points a _CHUNK of 1 splits every orbit; 4 makes two orbits a batch on 8
+# points (the copies of one rep may fall in two), one on 9 and splits those
+# on 25; 4096 makes them all in one batch
+@PROPERTY
+@given(
+    design=_mixed_orbit_unions(),
+    chunk=st.sampled_from([1, 4, 4096]),
+    how=st.sampled_from(["none", "drop", "duplicate", "move"]),
+    data=st.data(),
+)
+def test_super_regular_rebuilds_free_orbits_in_batches_beside_fixed_ones(design, chunk, how, data):
+    d = design if how == "none" else _damage_orbits(design, how, data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(difam.groups, "_CHUNK", chunk)
+        got = verify_super_regular(d, d.carrier)
+    assert got == _oracle_super_regular(d)
+    changed = sorted(map(sorted, d.blocks.tolist())) != sorted(map(sorted, design.blocks.tolist()))
+    assert got.is_regular == (not changed)
+
+
+@pytest.mark.parametrize("chunk", [1, 512, 4096])
+def test_super_regular_rebuilds_sigma_prime_in_batches(chunk, monkeypatch):
+    # sigma' developed: 36 orbits of 375 blocks of 15 points, and the 25
+    # cosets of its order-15 subgroup taken lambda = 21 times each.  The 36
+    # orbits are split (_CHUNK 1), made 5 a batch (512) or all at once (4096)
+    d = develop(_RDFS["sigma-prime"])
+    rows = Counter(tuple(row) for row in d.blocks.tolist())
+    assert max(rows.values()) == 21 and d.k == 15
+    monkeypatch.setattr(difam.groups, "_CHUNK", chunk)
+    assert verify_super_regular(d, d.carrier) == _oracle_super_regular(d)
+    damaged = Design(d.carrier, np.delete(d.blocks, 5, axis=0), d.k)
+    assert verify_super_regular(damaged, d.carrier) == _oracle_super_regular(damaged)
 
 
 @PROPERTY
