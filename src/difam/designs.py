@@ -209,7 +209,7 @@ def _pair_points(t: int, v: int) -> tuple[int, int]:
 
 
 def verify_design(design: Design) -> DesignVerdict:
-    """Exact pair-coverage count, simplicity, and replication check.
+    """Exact pair-coverage count and simplicity check; replication follows.
 
     Each pair u < w is counted at its row-major place, over the first
     `window` = min(C(v,2), b*C(k,2) + 1) places only.  Rows strictly increase,
@@ -221,6 +221,10 @@ def verify_design(design: Design) -> DesignVerdict:
     whether any block repeats.  A design with every pair covered exactly
     once is simple without a look at its blocks: a repeated block of k >= 2
     strictly increasing points would cover each of its pairs twice.
+
+    Replication is not counted: a point on r blocks of k distinct points
+    meets the other v - 1 points in r (k - 1) pairs, so when every pair is
+    covered lambda >= 1 times, r = lambda (v - 1) / (k - 1) at every point.
 
     Counts are kept in one byte each, so each byte holds its true count
     mod 256.  A count reduced mod 256 is at most the count, and equal to it
@@ -253,14 +257,7 @@ def verify_design(design: Design) -> DesignVerdict:
     ok = uniform and lam >= 1
     witness = None if uniform else tuple(map(design.carrier.decode, _pair_points(first_bad, v)))
     simple = (uniform and lam == 1) or _no_repeated_blocks(arr, v)
-    repl_ok = False
-    if ok:
-        r, rem = divmod(lam * (v - 1), k - 1)
-        point_counts = np.zeros(v, dtype=np.int64)
-        for lo in range(0, arr.shape[0], _CHUNK):  # bincount makes an intp copy of what it reads
-            point_counts += np.bincount(arr[lo : lo + _CHUNK].ravel(), minlength=v)
-        repl_ok = rem == 0 and bool(np.all(point_counts == r))
-    return DesignVerdict(ok and repl_ok, lam if uniform else None, simple, repl_ok, witness)
+    return DesignVerdict(ok, lam if uniform else None, simple, ok, witness)
 
 
 def _count_pairs(
@@ -553,10 +550,7 @@ def verify_developed(design: Design) -> tuple[DesignVerdict, SuperRegularVerdict
       lambda(0, 1) its lambda.  A short window agrees: it falls back on the
       least pair covered only when lambda(0, 1) = 0, and that pair is then
       the least (0, d) covered;
-    - translation maps D_0 one to one onto the blocks through any point, so
-      every point lies on |D_0| blocks.  When every pair is covered lambda
-      times, the k - 1 pairs (0, d) of each row of D_0 add up to
-      |D_0| (k - 1) = lambda (v - 1), so replication holds;
+    - replication holds when every pair is covered (see `verify_design`);
     - D repeats a block B iff D_0 repeats a row: translate both copies by
       -b for a point b of B, a repeat in a regular design; and D_0 is part
       of D.
@@ -742,74 +736,73 @@ def closure(
     block2: Sequence[int],
     max_points: Optional[int] = None,
     _lookup: Optional[BlockLookup] = None,
-    _rows: Optional[dict[int, list[int]]] = None,
 ) -> set[int]:
     """Least point set containing both blocks and closed under "add the
     unique block through any two member points"; points are encoded indices.
 
-    The members are taken in the order they join.  Each member looks up the
-    block through itself and every earlier member; blocks met before are
-    skipped, and only new ones are read for new points.  A closure of n
-    points thus costs C(n,2) lookups and reads about n(n-1)/(k(k-1))
-    blocks, each once.  The lookups of all members known at one time form
-    one batch, walked in that order; they are made in consecutive slices of
-    at most _CLOSURE_LOOKUPS pairs, one lookup call a slice, so an uncapped
-    closure of a large design never asks for all its pairs at once.
-
-    With max_points set, iteration stops as soon as the set grows past it
-    (the partial set is returned; its size already exceeds the bound).
-
-    `_lookup` (the design's `_block_lookup`: a difference oracle on a
-    design from `develop`, else a v*v pair table) and `_rows` (block index
-    -> that block's points as a list of ints, filled as blocks are read)
-    are private caches shared across the closures of one scan.  A point of
-    the two blocks outside 0..v-1 is refused: every other point is read
-    from the design, whose codes were checked when it was made.
+    Members, in the order they join, look up the block through each earlier
+    member: C(n,2) lookups for n points, made in slices of at most
+    _CLOSURE_LOOKUPS pairs, one lookup call a slice.  The state is the
+    member array and two masks, over the v points and over the b blocks
+    (those read).  Each slice is a few array steps in the order of a walk
+    pair by pair: the unread blocks before its first missing one are read
+    and their points not yet members join, in row order; then that missing
+    block is refused (the design is not Steiner).  With max_points set, the
+    members are returned once they pass it.  `_lookup`, the design's
+    `_block_lookup`, is shared by the closures of one scan.  Points of the
+    two blocks outside 0..v-1 are refused; every other point is read from
+    the design, whose codes were checked when it was made.
     """
-    b1, b2 = set(map(int, block1)), set(map(int, block2))
-    if b1 == b2:
+    # object arrays for ints past int64, so that they are refused as points
+    one, two = (np.sort(_first_each(np.array([int(x) for x in b]))) for b in (block1, block2))
+    if np.array_equal(one, two):
         raise DesignError("closure needs two distinct blocks")
-    if len(b1 & b2) != 1:
-        raise DesignError(f"blocks must meet in exactly one point, share {len(b1 & b2)}")
-    pts = sorted(b1 | b2)  # grows as members join; each is visited once
-    if pts[0] < 0 or pts[-1] >= design.v:
+    start = np.sort(_first_each(np.concatenate([one, two])))
+    shared = one.size + two.size - start.size
+    if shared != 1:
+        raise DesignError(f"blocks must meet in exactly one point, share {shared}")
+    if start[0] < 0 or start[-1] >= design.v:
         raise DesignError("design points are not the elements of the given group")
     lookup = _block_lookup(design) if _lookup is None else _lookup
-    rows = {} if _rows is None else _rows
-    blocks = design.blocks
-    members = set(pts)
-    seen = set()  # blocks already read
+    cap = design.v if max_points is None else max_points  # n never passes v
+    n = start.size  # the members are pts[:n], in order of joining
+    pts = np.concatenate([start, np.empty(design.v - n, dtype=np.int64)])
+    member = np.zeros(design.v, dtype=bool)
+    member[start] = True
+    read = np.zeros(design.b, dtype=bool)  # blocks already read
     done = 0  # members whose lookups are made
-    while done < len(pts):
+    while done < n:
         # member c = done, done+1, ... with each earlier member m, by c then m:
         # pair t of the batch is (c, m) with t = starts[c - done] + m
-        late = np.arange(done, len(pts))
+        late = np.arange(done, n)
         starts = np.cumsum(late) - late
-        total = int(late.sum())
-        known = np.array(pts)
-        done = len(pts)
+        total, done = int(late.sum()), n
         for lo in range(0, total, _CLOSURE_LOOKUPS):
             t = np.arange(lo, min(lo + _CLOSURE_LOOKUPS, total))
             at = np.searchsorted(starts, t, side="right") - 1
             c, m = late[at], t - starts[at]
-            # Python ints in the walk: numpy scalars would cost more than the set work
-            for j, bi in enumerate(lookup(known[m], known[c]).tolist()):
-                if bi in seen:
-                    continue
-                if bi < 0:
-                    pair = (pts[m[j]], pts[c[j]])
-                    raise DesignError(f"no block through pair {pair}; design is not Steiner")
-                seen.add(bi)
-                row = rows.get(bi)
-                if row is None:
-                    row = rows[bi] = blocks[bi].tolist()
-                for x in row:
-                    if x not in members:
-                        members.add(x)
-                        pts.append(x)
-                        if max_points is not None and len(members) > max_points:
-                            return members
-    return members
+            ids = lookup(pts[m], pts[c])
+            miss = np.append(np.flatnonzero(ids < 0), t.size)[0]  # the first missing block
+            ids = ids[:miss]
+            ids = _first_each(ids[~read[ids]])
+            read[ids] = True
+            new = design.blocks[ids].ravel()
+            new = _first_each(new[~member[new]])[: max(cap + 1 - n, 1)]
+            member[new] = True
+            pts[n : n + new.size] = new
+            n += new.size
+            if new.size and n > cap:
+                return set(pts[:n].tolist())
+            if miss < t.size:
+                pair = (int(pts[m[miss]]), int(pts[c[miss]]))
+                raise DesignError(f"no block through pair {pair}; design is not Steiner")
+    return set(pts[:n].tolist())
+
+
+def _first_each(a: np.ndarray) -> np.ndarray:
+    """The first occurrence of each value of `a`, in the order of `a`."""
+    # with return_index np.unique sorts; else it hashes, 10-16 ms on a first call
+    return a[np.sort(np.unique(a, return_index=True)[1])]
 
 
 # the most block lookups one chunk of plane certificates makes
@@ -818,6 +811,8 @@ _CERT_ENTRIES = 2**16
 _SLICE_PAIRS = 2**12
 # the most pairs one anomaly scan decides
 SCAN_CAP = 10**4
+# the most closure lookups one anomaly scan makes, counted C(p^2 + 1, 2) a closure
+_SCAN_LOOKUPS = 2**26
 
 
 def anomaly_witness(design: Design, p: int) -> AnomalyVerdict:
@@ -831,6 +826,9 @@ def anomaly_witness(design: Design, p: int) -> AnomalyVerdict:
     certificates of one scan share one dict of verdicts, a point set S to
     whether S certifies, so each distinct S is certified once: at most
     SCAN_CAP entries, freed when the scan returns.
+    A scan whose next closure, counted C(p^2 + 1, 2) lookups, would pass
+    _SCAN_LOOKUPS stops before it, inconclusive: past p = 19 no certificate
+    applies, and AG(2,53) stops after 17 closures, not 10^4.
     """
     if p < 2:
         raise DesignError(f"need p >= 2, got {p}")
@@ -845,12 +843,11 @@ def anomaly_witness(design: Design, p: int) -> AnomalyVerdict:
     if design.b * p * (p - 1) != v * (v - 1):  # before the block lookup
         raise DesignError(f"{design.b} blocks of {p} points cannot be a 2-({v},{p},1) design")
     lookup = _block_lookup(design)
-    rows: dict[int, list[int]] = {}
     verdicts: dict[bytes, bool] = {}
     blocks, target = design.blocks, p * p
     lookups = target * (target - 1) // 2  # per certificate
     certify = lookups <= _CERT_ENTRIES  # else `closure` decides every pair
-    scanned = 0
+    scanned = spent = 0
     for chunk in _pair_chunks(_meeting_pairs(blocks, v), max(1, _CERT_ENTRIES // lookups)):
         chunk = chunk[: SCAN_CAP - scanned]
         if certify:
@@ -858,9 +855,11 @@ def anomaly_witness(design: Design, p: int) -> AnomalyVerdict:
         else:
             planes = np.zeros(len(chunk), bool)
         for j in np.flatnonzero(~planes).tolist():
+            spent += lookups + target  # C(p^2 + 1, 2), more than a capped closure makes
+            if spent > _SCAN_LOOKUPS:
+                return AnomalyVerdict(False, None, None, True, scanned + j)
             a, b = chunk[j].tolist()
-            one, two = blocks[a].tolist(), blocks[b].tolist()
-            cl = closure(design, one, two, max_points=target, _lookup=lookup, _rows=rows)
+            cl = closure(design, blocks[a], blocks[b], max_points=target, _lookup=lookup)
             if len(cl) != target:
                 return AnomalyVerdict(True, (a, b), len(cl), False, scanned + j + 1)
         scanned += len(chunk)

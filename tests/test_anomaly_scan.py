@@ -11,6 +11,8 @@ one comparison per block, and `_certificate` is the plane certificate of
 one pair from its definition, with no verdicts shared between pairs.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -63,12 +65,11 @@ def _per_pair_scan(design, p, scan_cap=10**4):
     if design.b * p * (p - 1) != v * (v - 1):
         raise DesignError(f"{design.b} blocks of {p} points cannot be a 2-({v},{p},1) design")
     table = _table_lookup(design)
-    rows = {}
     target = p * p
     scanned = 0
     for a, b, s1, s2 in _scan_order(design):
         scanned += 1
-        cl = closure(design, s1, s2, max_points=target, _lookup=table, _rows=rows)
+        cl = closure(design, s1, s2, max_points=target, _lookup=table)
         if len(cl) != target:
             return AnomalyVerdict(True, (a, b), len(cl), False, scanned)
         if scanned >= scan_cap:
@@ -186,6 +187,33 @@ def test_closure_alone_decides_when_a_certificate_is_too_large(monkeypatch):
     d = ag_design(2, 23)
     assert capped_scan(d, 23, 3) == _per_pair_scan(d, 23, 3)
     assert capped_scan(d, 23, 3).closures_scanned == 3
+
+
+def test_a_scan_past_the_certificates_stops_at_its_lookup_budget(monkeypatch):
+    # p = 53: every pair is a closure of up to C(2810, 2) = 3,946,645 lookups,
+    # and 10^4 of them took about an hour; 17 fit in 2^26
+    calls = []
+    real = difam.designs.closure
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(difam.designs, "closure", counting)
+    d = ag_design(2, 53)
+    start = time.perf_counter()
+    verdict = anomaly_witness(d, 53)
+    assert time.perf_counter() - start < 10
+    assert verdict == AnomalyVerdict(False, None, None, True, 17) and len(calls) == 17
+
+
+def test_the_lookup_budget_counts_each_closure_before_it_is_made(monkeypatch):
+    # the witness of thm62-z5 is its first pair, one closure of C(26, 2) = 325
+    d = develop(thm62_z5())
+    monkeypatch.setattr(difam.designs, "_SCAN_LOOKUPS", 324)
+    assert anomaly_witness(d, 5) == AnomalyVerdict(False, None, None, True, 0)
+    monkeypatch.setattr(difam.designs, "_SCAN_LOOKUPS", 325)
+    assert anomaly_witness(d, 5) == AnomalyVerdict(True, (0, 26), 26, False, 1)
 
 
 # --- the pair listing, a slice at a time --------------------------------------

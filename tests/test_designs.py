@@ -497,6 +497,40 @@ def _reference_closure(design, block1, block2):
         members[grow] = True
 
 
+def _loop_closure(design, block1, block2, max_points=None, lookup=None):
+    """`closure` as a walk of each slice's lookups one by one, with sets of
+    members and of blocks read: the order of lookups and of joining that
+    `closure` takes in array steps."""
+    b1, b2 = set(map(int, block1)), set(map(int, block2))
+    pts = sorted(b1 | b2)
+    lookup = _block_lookup(design) if lookup is None else lookup
+    members, seen, done = set(pts), set(), 0
+    while done < len(pts):
+        late = np.arange(done, len(pts))
+        starts = np.cumsum(late) - late
+        total = int(late.sum())
+        known = np.array(pts)
+        done = len(pts)
+        for lo in range(0, total, difam.designs._CLOSURE_LOOKUPS):
+            t = np.arange(lo, min(lo + difam.designs._CLOSURE_LOOKUPS, total))
+            at = np.searchsorted(starts, t, side="right") - 1
+            c, m = late[at], t - starts[at]
+            for j, bi in enumerate(lookup(known[m], known[c]).tolist()):
+                if bi in seen:
+                    continue
+                if bi < 0:
+                    pair = (pts[m[j]], pts[c[j]])
+                    raise DesignError(f"no block through pair {pair}; design is not Steiner")
+                seen.add(bi)
+                for x in design.blocks[bi].tolist():
+                    if x not in members:
+                        members.add(x)
+                        pts.append(x)
+                        if max_points is not None and len(members) > max_points:
+                            return members
+    return members
+
+
 def _queue_closure(design, block1, block2, table):
     """A LIFO queue of member pairs, each pair's block walked in full;
     `table` is `_reference_pair_block_table`."""
@@ -521,14 +555,12 @@ def test_closure_matches_reference(dims, z5_design):
     d = z5_design if dims is None else ag_design(*dims)
     through0 = [i for i in range(d.b) if 0 in d.blocks[i]]
     table = _table_lookup(d)
-    rows = {}
     for a in range(len(through0)):
         for b in range(a + 1, len(through0)):
             b1, b2 = d.blocks[through0[a]], d.blocks[through0[b]]
             expected = _reference_closure(d, b1, b2)
             assert closure(d, b1, b2) == expected
-            assert closure(d, b1, b2, _lookup=table, _rows=rows) == expected
-    assert rows and all(rows[bi] == d.blocks[bi].tolist() for bi in rows)
+            assert closure(d, b1, b2, _lookup=table) == expected
 
 
 def test_closure_raises_on_missing_block():
@@ -641,21 +673,26 @@ def test_closure_agrees_with_both_oracles(closure_designs, data):
     expected = _queue_closure(d, b1, b2, ref_table)
     assert expected == _reference_closure(d, b1, b2)
     assert closure(d, b1, b2) == expected
-    rows = {}
-    assert closure(d, b1, b2, _lookup=table, _rows=rows) == expected
-    assert all(rows[bi] == d.blocks[bi].tolist() for bi in rows)
+    assert closure(d, b1, b2, _lookup=table) == expected
     # capped at a plane: a part of the closure, one point past the cap if it is larger
-    cap = d.k * d.k
-    capped = closure(d, b1, b2, max_points=cap, _lookup=table)
-    assert capped <= expected and len(capped) == min(len(expected), cap + 1)
-    # one block gone: the closure fails exactly when the oracle does
+    k = d.k
+    for cap in (k * k, 2 * k + 1, k * k + 7):
+        capped = closure(d, b1, b2, max_points=cap, _lookup=table)
+        assert capped <= expected and len(capped) == min(len(expected), cap + 1)
+        # the same part as the walk pair by pair: members join in its order
+        assert capped == _loop_closure(d, b1, b2, max_points=cap, lookup=table)
+    # one block gone: the closure fails exactly when the oracle does, at the
+    # pair where the walk pair by pair fails
     gone = data.draw(st.integers(0, d.b - 1), label="dropped block")
     damaged = Design(d.carrier, np.delete(d.blocks, gone, axis=0), d.k)
     try:
         expected = _queue_closure(damaged, b1, b2, _reference_pair_block_table(damaged))
     except DesignError:
-        with pytest.raises(DesignError, match="not Steiner"):
+        with pytest.raises(DesignError, match="not Steiner") as raised:
             closure(damaged, b1, b2)
+        with pytest.raises(DesignError) as walked:
+            _loop_closure(damaged, b1, b2)
+        assert str(raised.value) == str(walked.value)
     else:
         assert closure(damaged, b1, b2) == expected
 
@@ -1141,6 +1178,21 @@ def test_v3125_memory_peaks(stage, bound_mib, rdf3125, design3125):
         "anomaly_witness": (anomaly_witness, d, 5),
     }
     assert _traced_peak_mib(*calls[stage]) <= bound_mib
+
+
+def test_v3125_whole_design_closure_peak(design3125):
+    """The closure of blocks 0 and 3125 is all 3,125 points, made from the
+    member array and two masks, of the points and of the blocks read (0.5
+    MiB): 7.6 MiB traced, with the slices' lookups.  With sets of members
+    and of blocks read, and a dict of the rows read, it took 170.8 MiB."""
+    d = design3125
+    tracemalloc.start()
+    try:
+        members = closure(d, d.blocks[0], d.blocks[3125])
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert members == set(range(3125)) and peak <= 16
 
 
 def test_v3125_verify_design_peak(design3125):

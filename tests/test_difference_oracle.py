@@ -173,13 +173,11 @@ def test_certificates_and_closures_match_the_table_path(developed, name):
     planes = _plane_certificates(d, oracle, pairs, {})
     assert np.array_equal(planes, _plane_certificates(d, table, pairs, {}))
     assert planes.any() == (name == "spread27")  # no pair of z5 or z7 closes to a plane
-    rows_o, rows_t = {}, {}
     for a, b in pairs[::7].tolist():
         one, two = d.blocks[a], d.blocks[b]
         cap = d.k * d.k
-        got = closure(d, one, two, max_points=cap, _lookup=oracle, _rows=rows_o)
-        assert got == closure(d, one, two, max_points=cap, _lookup=table, _rows=rows_t)
-    assert rows_o == rows_t
+        got = closure(d, one, two, max_points=cap, _lookup=oracle)
+        assert got == closure(d, one, two, max_points=cap, _lookup=table)
 
 
 def test_public_closure_on_a_developed_design_builds_no_pair_table(developed, monkeypatch):
