@@ -239,13 +239,9 @@ def _cmd_extend(args) -> int:
 
 def _cmd_anomaly(args) -> int:
     verdict = dz.anomaly_witness(_read_family(args.file, dz.Design), args.p)
-    payload = {
-        "anomalous": verdict.anomalous,
-        "witness": verdict.witness,
-        "closure_size": verdict.closure_size,
-        "inconclusive": verdict.inconclusive,
-    }
-    _write_cert(args.file, payload)
+    fields = ("anomalous", "witness", "closure_size", "inconclusive")
+    fields += ("stopped_at_budget",) if verdict.inconclusive else ()  # a witness is never a stop
+    _write_cert(args.file, {name: getattr(verdict, name) for name in fields})
     scanned = f"pairs of blocks scanned: {verdict.closures_scanned}"
     if verdict.anomalous:
         print(
@@ -253,7 +249,13 @@ def _cmd_anomaly(args) -> int:
             f"points, not {args.p * args.p}; {scanned}"
         )
         return 0
-    print(f"inconclusive: no witness within scan cap; {scanned}")
+    if verdict.stopped_at_budget:
+        reason = "before the scan's closure lookup budget ran out"
+    elif verdict.closures_scanned >= dz.SCAN_CAP:
+        reason = f"within the scan cap of {dz.SCAN_CAP} pairs"
+    else:
+        reason = "among all the listed pairs of blocks"
+    print(f"inconclusive: no witness {reason}; {scanned}")
     return 1
 
 

@@ -1,11 +1,11 @@
 """Development of difference families into 2-designs and design verification.
 
 Points of a design are the elements of its carrier group, stored as encoded
-integers 0..v-1; blocks are rows of a numpy array, sorted within each row.
-A `Design` refuses a code outside 0..v-1 when it is made, so its readers
-take every code as a point; it is frozen and holds its blocks read-only,
-in one C-contiguous array of the least of int16, int32 and int64 that
-holds v-1.
+integers 0..v-1; blocks are the rows of a (b, k) numpy array, each row
+ascending.  A `Design` settles both when it is made, so its readers take
+every code as a point and sort no row; it is frozen and holds its blocks
+read-only, in one C-contiguous array of the least of int16, int32 and
+int64 that holds v-1.
 int16 and int32 products wrap silently: widen codes to int64 before
 multiplying them (a pair place u*v + w, a scaled code), and count points
 per slice.
@@ -46,28 +46,36 @@ MAX_PAIR_TABLE_BYTES = 2**31
 
 @dataclass(frozen=True, eq=False)  # eq=False keeps the __eq__ and __hash__ below
 class Design:
-    """A block design on the points of an abelian group carrier.  Every
-    block code lies in 0..v-1, checked once, when the design is made; the
-    design is frozen, so its blocks cannot be swapped for unchecked ones."""
+    """A block design on the points of an abelian group carrier.  Its blocks
+    are b rows of k codes in 0..v-1, each row ascending, settled when it is
+    made; it is frozen, so they cannot be swapped for unsettled ones."""
 
     carrier: AbelianGroup
-    blocks: np.ndarray  # (b, k) encoded point indices, each row sorted, read-only; see `_code_type`
+    blocks: np.ndarray  # (b, k) encoded point indices, each row ascending, read-only; see `_code_type`
     k: int
     # the base code rows of the lambda = 1 family that `develop` built this
     # from, in its row layout; read only by `_difference_oracle`
     _base: Optional[np.ndarray] = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self):
-        """Refuse a code outside 0..v-1, read in the array as given, before
-        a cast could wrap it; then hold the blocks read-only in
-        `_code_type(v)`, copied only when the given type or layout differs
-        (an array given in that type and layout is itself made read-only)."""
+        """Refuse an array that is not (b, k), and a code outside 0..v-1 read
+        in the array as given, before a cast could wrap it; then hold the
+        blocks read-only in `_code_type(v)`, copied only when the given type
+        or layout differs or a row descends: each `_slice_rows` slice with a
+        descent is sorted along its rows in the copy, a slice at a time."""
         arr = np.asarray(self.blocks)
+        if arr.ndim != 2 or arr.shape[1] != self.k:
+            raise DesignError(f"design blocks must be a (b, {self.k}) array, not {arr.shape}")
         if arr.size and arr.dtype.kind not in "iu":  # a cast would truncate, not refuse
             raise DesignError(f"design blocks must be integer codes, not {arr.dtype}")
         if arr.size and (arr.min() < 0 or arr.max() >= self.v):
             raise DesignError("design points are not the elements of the given group")
         blocks = np.ascontiguousarray(arr, dtype=_code_type(self.v))
+        step = _slice_rows(self.k)
+        for lo in range(0, blocks.shape[0] if self.k > 1 else 0, step):
+            if _least_step(blocks[lo : lo + step]) < 0:  # sorted on a copy, never the caller's
+                blocks = blocks.copy() if np.may_share_memory(blocks, arr) else blocks
+                blocks[lo : lo + step].sort(axis=1)
         blocks.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
 
@@ -82,12 +90,11 @@ class Design:
     def __eq__(self, other) -> bool:
         """Same carrier, same k and the same multiset of blocks, each block
         taken as a point set."""
-        if not (isinstance(other, Design) and self.carrier == other.carrier and self.k == other.k):
+        if not (isinstance(other, Design) and self.carrier == other.carrier):
             return False
-        if self.blocks.shape != other.blocks.shape:
-            return False
-        return self.blocks.size == 0 or np.array_equal(
-            _sorted_row_keys(self.blocks, self.v), _sorted_row_keys(other.blocks, other.v)
+        return self.blocks.shape == other.blocks.shape and (  # (b, k): the same b and k
+            self.blocks.size == 0
+            or np.array_equal(_packed_keys(self.blocks, self.v), _packed_keys(other.blocks, other.v))
         )
 
     __hash__ = None  # compared by content, which an array does not hash
@@ -128,6 +135,7 @@ class AnomalyVerdict:
     closure_size: Optional[int]
     inconclusive: bool
     closures_scanned: int  # pairs the scan decided, the witness among them
+    stopped_at_budget: bool = False  # stopped by _SCAN_LOOKUPS, not by SCAN_CAP or the pairs' end
 
 
 def develop(rdf: RelativeDifferenceFamily) -> Design:
@@ -212,15 +220,15 @@ def verify_design(design: Design) -> DesignVerdict:
     """Exact pair-coverage count and simplicity check; replication follows.
 
     Each pair u < w is counted at its row-major place, over the first
-    `window` = min(C(v,2), b*C(k,2) + 1) places only.  Rows strictly increase,
-    so a block covers a pair at most once.  A short window has more places
-    than there are pair slots, so one is uncovered: the first pair whose
-    count differs from that of (0, 1) lies in it, unless (0, 1) is itself
-    uncovered, and then it is the least pair covered.  A row that does not
-    strictly increase fails the design outright; simplicity still says
-    whether any block repeats.  A design with every pair covered exactly
-    once is simple without a look at its blocks: a repeated block of k >= 2
-    strictly increasing points would cover each of its pairs twice.
+    `window` = min(C(v,2), b*C(k,2) + 1) places only.  Rows ascend: a row
+    with a repeated point fails the design outright (simplicity still says
+    whether any block repeats), and any other strictly increases, covering
+    a pair at most once.  A short window has more places than there are pair slots, so one
+    is uncovered: the first pair whose count differs from that of (0, 1)
+    lies in it, unless (0, 1) is itself uncovered, and then it is the least
+    pair covered.  A design with every pair covered exactly once is simple
+    without a look at its blocks: a repeated block of k >= 2 strictly
+    increasing points would cover each of its pairs twice.
 
     Replication is not counted: a point on r blocks of k distinct points
     meets the other v - 1 points in r (k - 1) pairs, so when every pair is
@@ -265,8 +273,8 @@ def _count_pairs(
 ) -> tuple[Optional[np.ndarray], int, int]:
     """The pair counts of the rows of `arr` over the first `window` places,
     in `dtype`; the least place covered, of a short window only; and how
-    many places were counted.  The counts are None, and freed, if a row does
-    not strictly increase.  The place of (u, w) is that of (u, 0) plus w."""
+    many places were counted.  The counts are None, and freed, if a row holds
+    a point twice.  The place of (u, w) is that of (u, 0) plus w."""
     i_idx, j_idx = np.triu_indices(arr.shape[1], 1)
     counts = np.zeros(window, dtype=dtype)
     least, added = v * (v - 1) // 2, 0
@@ -274,7 +282,7 @@ def _count_pairs(
     step = _slice_rows(arr.shape[1])
     for lo in range(0, arr.shape[0], step):
         part = arr[lo : lo + step]
-        if not _rows_increase(part):
+        if _least_step(part) <= 0:
             return None, least, added
         # a copy, added to in place: one temporary fewer
         idx = _pair_index(part, 0, v)[:, i_idx]
@@ -293,13 +301,13 @@ def _count_pairs(
     return counts, least, added
 
 
-def _rows_increase(part: np.ndarray) -> bool:
-    """Whether every row of `part` strictly increases: one compare of each
-    point with the next in the flat array, the places between rows passed."""
+def _least_step(part: np.ndarray) -> int:
+    """The least step from a point to the next in a row of `part`, or 1: > 0
+    iff every row strictly increases, < 0 iff one descends (one flat pass)."""
     flat = part.ravel()
-    up = flat[1:] > flat[:-1]
-    up[part.shape[1] - 1 :: part.shape[1]] = True
-    return bool(up.all())
+    step = flat[1:] - flat[:-1]
+    step[part.shape[1] - 1 :: part.shape[1]] = 1
+    return int(step.min(initial=1))
 
 
 def _first_other(counts: np.ndarray, value: int) -> Optional[int]:
@@ -314,23 +322,16 @@ def _first_other(counts: np.ndarray, value: int) -> Optional[int]:
 
 
 def _no_repeated_blocks(arr: np.ndarray, v: int) -> bool:
-    """True iff no two rows hold the same points, in whatever order."""
-    keys = _sorted_row_keys(arr, v)
+    """True iff no two of a design's blocks `arr`, ascending rows, are equal."""
+    keys = _packed_keys(arr, v)
     return not np.any(np.all(keys[1:] == keys[:-1], axis=1))
-
-
-def _sorted_row_keys(arr: np.ndarray, v: int) -> np.ndarray:
-    """Each row as a point set, in lexicographic order: (b, words) int64
-    keys.  A row is sorted and then packed as `_packed_keys` packs it; a
-    slice whose rows all strictly increase is its own sort."""
-    return _packed_keys(arr, v, lambda part: part if _rows_increase(part) else np.sort(part, axis=1))
 
 
 def _unique_rows(arr: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of `arr`, points 0..v-1, in lexicographic order,
     and how often each occurs: np.unique(arr, axis=0, return_counts=True),
     from the sorted `_packed_keys` of the rows as given."""
-    keys = _packed_keys(arr, v, lambda part: part)
+    keys = _packed_keys(arr, v)
     new = np.ones(keys.shape[0], dtype=bool)
     new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     starts = np.flatnonzero(new)
@@ -362,16 +363,12 @@ def _pack_rows(rows: np.ndarray, v: int, out: np.ndarray) -> None:
             out[word, lo : lo + _CHUNK] = part[:, s : s + per_word] @ weights[s : s + per_word]
 
 
-def _packed_keys(arr: np.ndarray, v: int, prepare: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """The rows `prepare` makes of `arr` (of k >= 1 points), in
-    lexicographic order, as (b, words) int64 keys: `prepare` maps each
-    `_CHUNK` of rows to rows of points 0..v-1, which `_pack_rows` packs
-    and `_sort_keys` sorts."""
+def _packed_keys(arr: np.ndarray, v: int) -> np.ndarray:
+    """The rows of `arr` (of k >= 1 points 0..v-1) as (b, words) int64 keys
+    in lexicographic order: packed by `_pack_rows`, sorted by `_sort_keys`."""
     per_word = _key_weights(arr.shape[1], v)[1]
     words = np.empty((-(-arr.shape[1] // per_word), arr.shape[0]), dtype=np.int64)
-    for lo in range(0, arr.shape[0], _CHUNK):
-        part = prepare(arr[lo : lo + _CHUNK])
-        _pack_rows(part, v, words[:, lo : lo + part.shape[0]])
+    _pack_rows(arr, v, words)
     return _sort_keys(words)
 
 
@@ -447,10 +444,10 @@ def _additive(design: Design, through: Optional[np.ndarray]) -> bool:
     """Whether every block of the design sums to 0, given `through`, the
     design's `_rows_through_zero`.
 
-    For a regular design with b >= 1 it comes from those rows alone, rows
-    sorted or not: every block of D is R + g for some R in D_0 and g in G
-    (a block through x is a row of D_0 plus x), and every R + g is one (D
-    is the development of D_0).  The k points of R + g sum to sum(R) + kg.
+    For a regular design with b >= 1 it comes from those rows alone: every
+    block of D is R + g for some R in D_0 and g in G (a block through x is
+    a row of D_0 plus x), and every R + g is one (D is the development of
+    D_0).  The k points of R + g sum to sum(R) + kg.
     So every block sums to 0 iff every row of D_0 does (g = 0) and kg = 0
     for every g, that is iff each cyclic order of G divides k.  Any other
     design sums every row.
@@ -481,7 +478,7 @@ def _rows_through_zero(design: Design) -> Optional[np.ndarray]:
     copies, off = np.divmod(counts * stab, points)
     if off.any() or int((copies * (v // stab)).sum()) != arr.shape[0]:
         return None
-    keys = _sorted_row_keys(arr, v)
+    keys = _packed_keys(arr, v)
     words, at = np.empty(keys.T.shape, dtype=np.int64), 0  # D'
     free = stab == 1  # orbits of v distinct translates, made `_orbit_batch` reps a call
     orbits, per = np.repeat(reps[free], copies[free], axis=0), _orbit_batch(v)
@@ -537,7 +534,7 @@ def verify_developed(design: Design) -> tuple[DesignVerdict, SuperRegularVerdict
     """`verify_design` and `verify_super_regular` on the design's carrier,
     with no pair count when the design is regular.
 
-    Let D be regular, with rows that strictly increase, and D_0 its rows
+    Let D be regular, with no row that holds a point twice, and D_0 its rows
     through 0, repeats counted (`_rows_through_zero`).  Then:
     - translation by -u maps the blocks through u and w one to one onto
       those through 0 and w - u, multiplicities kept, so lambda(u, w) =
@@ -555,8 +552,8 @@ def verify_developed(design: Design) -> tuple[DesignVerdict, SuperRegularVerdict
       -b for a point b of B, a repeat in a regular design; and D_0 is part
       of D.
     So the verdict from D_0 is `verify_design`'s.  A design that is not
-    regular, has a row that does not strictly increase, or has no block
-    points gets `verify_design`'s own verdict.  Additivity is
+    regular, has a row that holds a point twice (then so has D_0), or has
+    no block points gets `verify_design`'s own verdict.  Additivity is
     `verify_super_regular`'s, from D_0 (`_additive`).
     """
     arr, v, group = design.blocks, design.v, design.carrier
@@ -564,7 +561,7 @@ def verify_developed(design: Design) -> tuple[DesignVerdict, SuperRegularVerdict
         return verify_design(design), verify_super_regular(design, group)
     through = _rows_through_zero(design)
     regular = SuperRegularVerdict(through is not None, _additive(design, through))
-    if through is None or not _rows_increase(arr):
+    if through is None or _least_step(through) <= 0:
         return verify_design(design), regular
     counts = np.bincount(through.ravel(), minlength=v)  # lambda(0, d) at d != 0
     lam = int(counts[1]) if v > 1 else 0
@@ -579,15 +576,15 @@ def verify_developed(design: Design) -> tuple[DesignVerdict, SuperRegularVerdict
 def _least_translates(
     rows: np.ndarray, group: AbelianGroup
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each row B of k points: the least of the sorted B - b, b a
-    distinct point of B, by packed key; how many b reach it; and how many
-    distinct points B has.  Rows go in `_slice_rows` slices."""
+    """For each ascending row B of k points: the least of the sorted B - b,
+    b a distinct point of B, by packed key; how many b reach it; and how
+    many distinct points B has.  Rows go in `_slice_rows` slices."""
     v, (n, k) = group.order, rows.shape
     weights, per_word = _key_weights(k, v)
     reps, reach, distinct = np.empty_like(rows), np.empty(n, np.int64), np.empty(n, np.int64)
     step = _slice_rows(k)
     for lo in range(0, n, step):
-        part = np.sort(rows[lo : lo + step], axis=1)
+        part = rows[lo : lo + step]
         first = np.ones(part.shape, dtype=bool)  # the first place of each distinct point
         first[:, 1:] = part[:, 1:] != part[:, :-1]
         moved = np.sort(group.sub_codes(part[:, None, :], part[:, :, None]), axis=2)  # B - B[j]
@@ -642,8 +639,8 @@ def _pair_block_table(design: Design) -> np.ndarray:
 
     One v*v int32 array: entry u*v+w, for u < w, holds the index of the
     block through u and w, and -1 where there is none; entries with u >= w
-    are -1.  Filled one `_slice_rows` slice of blocks at a time.  A table of more
-    than MAX_PAIR_TABLE_BYTES is refused before it is made.
+    are -1, as rows ascend.  Filled one `_slice_rows` slice of blocks at a
+    time; a table past MAX_PAIR_TABLE_BYTES is refused before it is made.
     """
     v, k = design.v, design.k
     _check_table("pair table", v, v * v * np.dtype(np.int32).itemsize)
@@ -827,8 +824,8 @@ def anomaly_witness(design: Design, p: int) -> AnomalyVerdict:
     whether S certifies, so each distinct S is certified once: at most
     SCAN_CAP entries, freed when the scan returns.
     A scan whose next closure, counted C(p^2 + 1, 2) lookups, would pass
-    _SCAN_LOOKUPS stops before it, inconclusive: past p = 19 no certificate
-    applies, and AG(2,53) stops after 17 closures, not 10^4.
+    _SCAN_LOOKUPS stops before it, inconclusive, `stopped_at_budget`: past
+    p = 19 no certificate applies; AG(2,53) stops after 17 closures.
     """
     if p < 2:
         raise DesignError(f"need p >= 2, got {p}")
@@ -857,7 +854,7 @@ def anomaly_witness(design: Design, p: int) -> AnomalyVerdict:
         for j in np.flatnonzero(~planes).tolist():
             spent += lookups + target  # C(p^2 + 1, 2), more than a capped closure makes
             if spent > _SCAN_LOOKUPS:
-                return AnomalyVerdict(False, None, None, True, scanned + j)
+                return AnomalyVerdict(False, None, None, True, scanned + j, stopped_at_budget=True)
             a, b = chunk[j].tolist()
             cl = closure(design, blocks[a], blocks[b], max_points=target, _lookup=lookup)
             if len(cl) != target:
@@ -972,7 +969,7 @@ def _plane_certificates(
     So one of the blocks through a and b holds c, and only witnesses and
     closures that fail are refused.  For p = 2, |S| <= 3: all are refused.
     """
-    blocks, v, p = design.blocks, design.v, design.k
+    blocks, p = design.blocks, design.k
     n, plane = len(pairs), p * p
     one, two = blocks[pairs[:, 0]], blocks[pairs[:, 1]]
     a, b = one[:, 1:, None], two[:, None, 1:]
@@ -983,8 +980,7 @@ def _plane_certificates(
     new = np.ones(pts.shape, dtype=bool)
     new[:, 1:] = pts[:, 1:] != pts[:, :-1]
     live = np.flatnonzero(ok & (new.sum(axis=1) == plane))
-    # the points of S in the least type that holds a place u * v + w of a pair table
-    s = pts[live][new[live]].reshape(live.size, plane).astype(np.min_scalar_type(-v * v))
+    s = pts[live][new[live]].reshape(live.size, plane)
     raw, width = s.tobytes(), plane * s.itemsize
     keys = [raw[i : i + width] for i in range(0, len(raw), width)]
     fresh = {key: i for i, key in enumerate(keys) if key not in verdicts}  # S -> a row of it
@@ -1018,5 +1014,5 @@ def subspace_replace(m: int, n: int, p: int, anomalous_design: Design) -> Design
     # multiple of scale, and a point c of the subspace has code c * scale
     scale = p ** (m - n)
     keep = big.blocks[np.any(big.blocks % scale, axis=1)]
-    embedded = np.sort(anomalous_design.blocks, axis=1).astype(np.int64) * scale
+    embedded = anomalous_design.blocks.astype(np.int64) * scale
     return Design(big.carrier, np.concatenate([keep, embedded], axis=0), p)

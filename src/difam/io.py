@@ -34,7 +34,8 @@ converted), every element is checked on its own, and any malformed file
 raises FamilyFormatError.  Both readers bound a design's blocks and block
 points, counted with their multiplicities, before they repeat its rows,
 and make its code rows slice by slice in the design's code type (see
-designs.py), with no int64 copy of the whole.
+designs.py), with no int64 copy of the whole; neither sorts a row, as a
+`Design` holds each row ascending, sorted when it is made.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def _parse_design(carrier, k: int, raw_blocks: list) -> Design:
         part = enumerate(points[lo : lo + _CHUNK * k], lo)
         xs = [_element_from_json(carrier, x, f"blocks[{i // k}].points[{i % k}]") for i, x in part]
         codes[lo : lo + len(xs)] = carrier.encode_array(np.array(xs, dtype=np.int64))
-    return Design(carrier, np.repeat(np.sort(codes.reshape(-1, k), axis=1), mults, axis=0), k)
+    return Design(carrier, np.repeat(codes.reshape(-1, k), mults, axis=0), k)
 
 
 def _design_pieces(carrier, k: int, rows: np.ndarray, counts: np.ndarray) -> Iterator[bytes]:

@@ -32,6 +32,8 @@ from difam.designs import (
     closure,
     develop,
     subspace_replace,
+    verify_design,
+    verify_developed,
 )
 from difam.groups import AbelianGroup
 
@@ -204,16 +206,30 @@ def test_a_scan_past_the_certificates_stops_at_its_lookup_budget(monkeypatch):
     start = time.perf_counter()
     verdict = anomaly_witness(d, 53)
     assert time.perf_counter() - start < 10
-    assert verdict == AnomalyVerdict(False, None, None, True, 17) and len(calls) == 17
+    assert verdict == AnomalyVerdict(False, None, None, True, 17, True) and len(calls) == 17
 
 
 def test_the_lookup_budget_counts_each_closure_before_it_is_made(monkeypatch):
     # the witness of thm62-z5 is its first pair, one closure of C(26, 2) = 325
     d = develop(thm62_z5())
     monkeypatch.setattr(difam.designs, "_SCAN_LOOKUPS", 324)
-    assert anomaly_witness(d, 5) == AnomalyVerdict(False, None, None, True, 0)
+    assert anomaly_witness(d, 5) == AnomalyVerdict(False, None, None, True, 0, True)
     monkeypatch.setattr(difam.designs, "_SCAN_LOOKUPS", 325)
     assert anomaly_witness(d, 5) == AnomalyVerdict(True, (0, 26), 26, False, 1)
+
+
+def test_a_row_given_reversed_scans_as_the_design_given_in_order():
+    # the pair table once stored a row [2, 1, 0] at u * v + w with u > w,
+    # where no lookup reads: the scan raised "no block through pair (0, 2)"
+    # and the verifiers failed the design with no witness
+    ag = ag_design(2, 3)
+    rows = ag.blocks.copy()
+    rows[0] = rows[0, ::-1]
+    d = Design(ag.carrier, rows, 3)
+    assert d == ag and np.array_equal(d.blocks, ag.blocks)
+    assert verify_developed(d) == verify_developed(ag) and verify_developed(d)[0].is_design
+    assert verify_design(d).is_design
+    assert anomaly_witness(d, 3) == anomaly_witness(ag, 3) == AnomalyVerdict(False, None, None, True, 12)
 
 
 # --- the pair listing, a slice at a time --------------------------------------

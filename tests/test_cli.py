@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import difam.cli
+import difam.designs
 from difam.catalog import example51, thm62_z5
 from difam.cli import run
 from difam.designs import Design, develop
@@ -225,6 +226,32 @@ def test_build_ag_and_anomaly_inconclusive(tmp_path, capsys):
     assert run(["anomaly", str(out), "--p", "3"]) == 1
     # every pair of lines of AG(2,3) that share their least point: 6 + 3 + 3
     assert capsys.readouterr().out.endswith("; pairs of blocks scanned: 12\n")
+
+
+@pytest.mark.parametrize(
+    "patch, line",
+    [
+        ({}, "no witness among all the listed pairs of blocks; pairs of blocks scanned: 12"),
+        ({"SCAN_CAP": 5}, "no witness within the scan cap of 5 pairs; pairs of blocks scanned: 5"),
+        # with no certificate every pair is a closure, counted C(10, 2) = 45
+        # lookups: a budget of 90 allows two
+        (
+            {"_CERT_ENTRIES": 1, "_SCAN_LOOKUPS": 90},
+            "no witness before the scan's closure lookup budget ran out; pairs of blocks scanned: 2",
+        ),
+    ],
+)
+def test_an_inconclusive_scan_names_what_stopped_it(tmp_path, capsys, monkeypatch, patch, line):
+    out = tmp_path / "ag.json"
+    assert run(["build", "ag", "--n", "2", "--p", "3", "--out", str(out)]) == 0
+    for name, value in patch.items():
+        monkeypatch.setattr(difam.designs, name, value)
+    capsys.readouterr()
+    assert run(["anomaly", str(out), "--p", "3"]) == 1
+    assert capsys.readouterr().out == f"inconclusive: {line}\n"
+    cert = json.loads((tmp_path / "ag.json.cert").read_text())
+    assert cert["inconclusive"] is True
+    assert cert["stopped_at_budget"] is ("_SCAN_LOOKUPS" in patch)
 
 
 def test_anomaly_reports_a_closure_smaller_than_a_plane(tmp_path, capsys):

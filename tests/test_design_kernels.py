@@ -1,7 +1,7 @@
 """The table-driven design kernels against the digit arithmetic they replaced.
 
 `_orbit_rows`, the per-code digit-sum table of `zero_sum_rows`, the
-first-word sort of `_sorted_row_keys` and the regularity check and
+first-word sort of `_packed_keys` and the regularity check and
 stabiliser bound of `verify_super_regular` are each checked against a local
 copy of the code that did the same work by integer division and a full
 `lexsort`; `_unique_rows`, against the np.unique(axis=0) it replaced; the
@@ -20,7 +20,7 @@ from difam.designs import (
     Design,
     SuperRegularVerdict,
     _orbit_rows,
-    _sorted_row_keys,
+    _packed_keys,
     _unique_rows,
     ag_design,
     develop,
@@ -316,7 +316,8 @@ def test_first_word_sort_matches_lexsort(k, b, pool, seed):
     # points from a pool of at most four make first words tie often
     v = 2**21
     rows = np.random.default_rng(seed).choice(np.array(pool, dtype=np.int64), size=(b, k))
-    got = _sorted_row_keys(rows, v)
+    rows.sort(axis=1)  # as a design holds them
+    got = _packed_keys(rows, v)
     assert got.shape[1] >= 2
     assert np.array_equal(got, _lexsorted_row_keys(rows, v))
 
@@ -324,27 +325,25 @@ def test_first_word_sort_matches_lexsort(k, b, pool, seed):
 def test_first_word_sort_with_every_first_word_tied():
     v = 2**21
     rows = np.array([[0, 1, 9], [0, 1, 5], [0, 1, 7], [0, 1, 5]], dtype=np.int64)
-    assert np.array_equal(_sorted_row_keys(rows, v), _lexsorted_row_keys(rows, v))
-    assert (_sorted_row_keys(rows, v)[:, 1] // v).tolist() == [5, 5, 7, 9]
+    assert np.array_equal(_packed_keys(rows, v), _lexsorted_row_keys(rows, v))
+    assert (_packed_keys(rows, v)[:, 1] // v).tolist() == [5, 5, 7, 9]
 
 
-def test_sorted_row_keys_do_not_sort_rows_that_ascend(monkeypatch):
-    # develop sorts every row, so the v = 3125 design's rows are their own sort
+def test_a_design_given_ascending_rows_is_neither_copied_nor_sorted():
+    # develop sorts every row, so the v = 3125 design's rows are their own sort:
+    # a design made of them holds the array given, which a sort in place would
+    # refuse once read-only
     d = develop(extend_field(thm62_z5(), 2))
-    sort = np.sort
-
-    def within_rows(a, axis=-1, **kwargs):
-        assert np.ndim(a) < 2 or axis not in (1, -1), "np.sort ran along rows"
-        return sort(a, axis=axis, **kwargs)
-
-    monkeypatch.setattr(np, "sort", within_rows)
-    keys = _sorted_row_keys(d.blocks, d.v)
-    monkeypatch.undo()
+    assert Design(d.carrier, d.blocks, d.k).blocks is d.blocks
     rows = d.blocks.copy()
-    rows[5000] = rows[5000, ::-1]  # the same point set: its slice is sorted
-    expected = _lexsorted_row_keys(rows, d.v)
-    assert np.array_equal(_sorted_row_keys(rows, d.v), expected)
-    assert np.array_equal(keys, expected)
+    assert Design(d.carrier, rows, d.k).blocks is rows and not rows.flags.writeable
+    rows = d.blocks.copy()
+    rows[5000] = rows[5000, ::-1]  # the same point set: its slice is sorted, on a copy
+    given = rows.copy()
+    back = Design(d.carrier, rows, d.k)
+    assert back.blocks is not rows and np.array_equal(rows, given)
+    assert np.array_equal(back.blocks, d.blocks) and back == d
+    assert np.array_equal(_packed_keys(back.blocks, d.v), _lexsorted_row_keys(rows, d.v))
 
 
 # --- distinct rows from packed keys ------------------------------------------

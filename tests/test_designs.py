@@ -282,18 +282,42 @@ def test_verify_design_counts_past_small_dtypes(copies):
 
 
 def test_verify_design_simple_means_no_block_repeats_for_rows_out_of_order():
-    # rows that do not strictly increase fail the design, but simplicity
-    # still asks only whether a block (as a point set) repeats
+    # a design holds each row ascending, so a row given out of order is its
+    # point set: [2, 0, 1] is {0, 1, 2}, a 2-(3,3,1) design, and twice it is
+    # a 2-(3,3,2) design that repeats a block
     z3 = AbelianGroup((3,))
+    one = Design(z3, np.array([[2, 0, 1]]), 3)
+    assert one.blocks.tolist() == [[0, 1, 2]]
+    assert verify_design(one) == DesignVerdict(True, 1, True, True, None)
+    two = Design(z3, np.array([[2, 0, 1], [1, 2, 0]]), 3)
+    assert verify_design(two) == DesignVerdict(True, 2, False, True, None)
+    # rows with a repeated point fail the design, but simplicity still asks
+    # only whether a block, its points taken with repeats, repeats
     assert verify_design(Design(z3, np.array([[0, 0, 0]]), 3)) == DesignVerdict(
         False, None, True, False, None
     )
-    one = Design(z3, np.array([[2, 0, 1]]), 3)
-    assert verify_design(one) == DesignVerdict(False, None, True, False, None)
-    two = Design(z3, np.array([[2, 0, 1], [1, 2, 0]]), 3)
-    assert verify_design(two) == DesignVerdict(False, None, False, False, None)
+    same = Design(z3, np.array([[1, 0, 0], [0, 1, 0]]), 3)
+    assert verify_design(same) == DesignVerdict(False, None, False, False, None)
     repeats = Design(z3, np.array([[0, 0, 1], [0, 1, 1]]), 3)
-    assert verify_design(repeats).is_simple
+    assert verify_design(repeats) == DesignVerdict(False, None, True, False, None)
+
+
+def _fano_rows():
+    return (np.array([0, 1, 3]) + np.arange(7)[:, None]) % 7
+
+
+@pytest.mark.parametrize(
+    "rows, k",
+    [(_fano_rows(), 5), (_fano_rows(), 2), (np.array([1, 2, 3]), 3)],
+    ids=["7x3 rows, k=5", "7x3 rows, k=2", "one row as a 1-D array"],
+)
+def test_design_refuses_blocks_not_b_rows_of_k_points(rows, k):
+    # these used to be accepted, and then met a bare ValueError or IndexError
+    # in verify_super_regular, or made a 1-D "design" of b = 3
+    with pytest.raises(DesignError, match=r"must be a \(b, \d\) array"):
+        Design(AbelianGroup((7,)), rows, k)
+    assert Design(AbelianGroup((7,)), _fano_rows(), 3).b == 7
+    assert Design(AbelianGroup((7,)), np.empty((0, k), dtype=np.int64), k).b == 0
 
 
 def test_verify_design_without_blocks_is_simple():

@@ -261,5 +261,5 @@ def test_w7_anomaly_scan_fits_where_the_pair_table_cannot():
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == (
         "16807 6725201 AnomalyVerdict(anomalous=True, witness=(0, 8377), closure_size=50, "
-        "inconclusive=False, closures_scanned=1)"
+        "inconclusive=False, closures_scanned=1, stopped_at_budget=False)"
     )

@@ -364,7 +364,8 @@ def _both_verifiers(design):
 )
 def test_verdicts_from_the_blocks_through_zero_match_both_verifiers(design, how, data):
     # orbits taken up to three times (lambda > 1) and reps fixed by a subgroup
-    # (s > 1); "as drawn" keeps the points shuffled within each row
+    # (s > 1); "as drawn" gives the points shuffled within each row, which
+    # the design holds sorted
     rows = design.blocks if how == "as drawn" else np.sort(design.blocks, axis=1)
     dtype = np.int32 if how == "int32" else np.int64
     d = _typed(Design(design.carrier, rows, design.k), rows, dtype)
@@ -417,10 +418,11 @@ def test_verdicts_from_the_blocks_through_zero_on_built_designs(name):
         d = _typed(Design(design.carrier, rows, design.k), rows, rows.dtype)  # "int32" stays int32
         route = _both_verifiers(d)
         regular = verify_super_regular(d, d.carrier).is_regular
-        assert route == (regular and edit != "one row reversed"), edit
-        if edit in ("as built", "int32", "rows shuffled", "every block twice"):
+        assert route == regular, edit
+        # a row given reversed is held ascending: the design as built
+        if edit in ("as built", "int32", "rows shuffled", "every block twice", "one row reversed"):
             assert route, edit
-        elif edit in ("one point moved", "one row reversed", "one block dropped"):
+        elif edit in ("one point moved", "one block dropped"):
             assert not route, edit
 
 
@@ -458,7 +460,7 @@ def _on_zv(v, rows):
 @example(design=_on_zv(12, [[0, 1], [2, 3]]))
 @example(design=_on_zv(3, [[0, 1, 2]] * 300))  # each count wraps in a byte
 @example(design=_on_zv(600, [[0, 1]] * 257 + [[1, 2]]))
-@example(design=_on_zv(5, [[0, 1], [2, 1], [3, 4]]))  # a row that does not increase
+@example(design=_on_zv(5, [[0, 1], [2, 1], [3, 4]]))  # a row given out of order
 @example(design=_on_zv(12, [[0, 1], [3, 3]]))
 def test_verify_design_matches_brute_force_on_sorted_rows(design):
     assert verify_design(design) == _brute_force_design_verdict(design)
@@ -508,39 +510,56 @@ def _answer(fn, *args):
     return got.tolist() if isinstance(got, np.ndarray) else got
 
 
-def _consumers(d):
-    """Every consumer of `d.blocks`, each answer a comparable value."""
+def _verdicts(d):
+    """The verifiers', the anomaly scan's, a closure's and the writer's
+    answers on `d`, each a comparable value."""
     rows = d.blocks
     b1 = rows[0].tolist()
     meeting = (rows == rows[0, 0]).any(axis=1) & ~np.isin(rows, rows[0, 1:]).any(axis=1)
     b2 = rows[np.flatnonzero(meeting)[-1]].tolist()  # meets b1 in its first point only
-    oracle = _difference_oracle(d)
-
-    def lookups(lookup):  # as `_plane_certificates` asks: block slices in the blocks' type
-        return np.array([lookup(rows[:, :1], rows[:, 1:]), lookup(rows[:, 1:], rows[:, :1])])
-
     return {
         "verify_design": _answer(verify_design, d),
         "verify_super_regular": _answer(verify_super_regular, d, d.carrier),
         "verify_developed": _answer(verify_developed, d),
         "anomaly_witness": _answer(anomaly_witness, d, d.k),
         "closure": _answer(lambda: sorted(closure(d, b1, b2))),
-        "pair table": _answer(_pair_block_table, d),
-        "table lookups": _answer(lambda: lookups(_table_lookup(d))),
-        "oracle lookups": None if oracle is None else _answer(lookups, oracle),
         "render": _answer(render_family, d),
     }
 
 
+def _consumers(d):
+    """Every consumer of `d.blocks`, each answer a comparable value."""
+    rows = d.blocks
+    oracle = _difference_oracle(d)
+
+    def lookups(lookup):  # as `_plane_certificates` asks: block slices in the blocks' type
+        return np.array([lookup(rows[:, :1], rows[:, 1:]), lookup(rows[:, 1:], rows[:, :1])])
+
+    return {
+        **_verdicts(d),
+        "pair table": _answer(_pair_block_table, d),
+        "table lookups": _answer(lambda: lookups(_table_lookup(d))),
+        "oracle lookups": None if oracle is None else _answer(lookups, oracle),
+    }
+
+
 def _typed(design, rows, dtype):
-    """A copy of `design` with `rows` held in `dtype`, past the frozen field
-    and the code-type rule."""
+    """A copy of `design` with `rows` held in `dtype`, each row sorted as
+    the constructor sorts it, past the frozen field and the code-type rule."""
     d = Design(design.carrier, rows, design.k, _base=design._base)
-    object.__setattr__(d, "blocks", rows.astype(dtype))
+    object.__setattr__(d, "blocks", np.sort(rows, axis=1).astype(dtype))
     return d
 
 
-@pytest.mark.parametrize("edit", ["as built", "one point moved"])
+def _reverse_three_rows(rows):
+    """`rows` with the points of three rows, the first among them, reversed."""
+    rows = rows.copy()
+    at = [0, 3, rows.shape[0] // 2]
+    rows[at] = rows[at, ::-1]
+    return rows
+
+
+@pytest.mark.parametrize("edit", ["as built", "one point moved", "points of three rows reversed"])
 @pytest.mark.parametrize(
     "name", ["thm62-z7", "thm62-z7 from its file", "ag(3,7)", "planted ag(4,5)"]
 )
@@ -551,13 +570,17 @@ def test_every_consumer_answers_the_same_on_each_code_type(code_type_designs, na
     if edit == "one point moved":  # a witness for the verifiers, a -1 for the lookups
         rows[3, 1] = (rows[3, 1] + 1) % design.v
         rows[3].sort()
+    if edit == "points of three rows reversed":  # the same design: the original's answers
+        rows = _reverse_three_rows(rows)
+        given = Design(design.carrier, rows, design.k, _base=design._base)
+        assert _consumers(given) == _consumers(design)
     copies = {dtype: _typed(design, rows, dtype) for dtype in (np.int16, np.int32, np.int64)}
     answers = {dtype: _consumers(d) for dtype, d in copies.items()}
     for dtype in (np.int16, np.int32):
         for consumer, got in answers[dtype].items():
             assert got == answers[np.int64][consumer], (np.dtype(dtype).name, consumer)
     built = answers[np.int64]
-    if edit == "as built":  # each block answers its own pairs, in either order
+    if edit != "one point moved":  # each block answers its own pairs, in either order
         assert built["verify_design"].is_design
         assert (np.array(built["table lookups"]) == np.arange(design.b)[:, None]).all()
     for d in copies.values():
@@ -565,3 +588,24 @@ def test_every_consumer_answers_the_same_on_each_code_type(code_type_designs, na
         assert back == d and d == back and back.blocks.dtype == np.int16
         assert all(d == other for other in copies.values())
         assert d != design if edit == "one point moved" else d == design
+
+
+def _reordered_designs():
+    flat = Design(AbelianGroup((5, 5, 5)), develop(thm62_z5()).blocks, 5)
+    return {
+        **_designs_to_verify(),
+        "thm62-z7": lambda: develop(thm62_z7()),
+        "planted ag(4,5)": lambda: subspace_replace(4, 3, 5, flat),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["thm62-z5", "thm62-z7", "sigma-prime", "v=3125", "ag(3,5)", "planted ag(4,5)"]
+)
+def test_points_of_rows_reversed_give_the_same_answers(name):
+    # a design holds each row ascending: one given with the points of some
+    # rows reversed is the same design, and every consumer says so
+    design = _reordered_designs()[name]()
+    given = Design(design.carrier, _reverse_three_rows(design.blocks), design.k, _base=design._base)
+    assert np.array_equal(given.blocks, design.blocks)
+    assert _verdicts(given) == _verdicts(design)
